@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import localization
+from . import localization, mechanisms
 from .core import (
     Dataset,
     Domain,
@@ -40,10 +40,10 @@ def epoch_count(n: int, kappa_lower: float) -> int:
 def default_eta0(
     R0: float, L: float, n0: int, beta: float, privacy: PrivacyParams, d: int
 ) -> float:
-    """Initial epoch step size.
-
-    Pure mode:   (R0 / 2L) * min(1/sqrt(n0 log(n0) log(1/beta)), eps/(d log(1/beta)))
-    Approx mode: same with eps / (sqrt(d log(1/delta)) log(1/beta)).
+    """Initial epoch step size
+    (R0 / 2L) * min(1/sqrt(n0 log(n0) log(1/beta)), eps/(D log(1/beta))),
+    with the noise-norm factor D of ``mechanisms.noise_norm_factor``
+    (d for pure budgets, sqrt(d log(1/delta)) for approximate ones).
     """
     if n0 < 2:
         raise InvalidInputError(f"per-epoch batch too small (n0={n0}); reduce the epoch count")
@@ -51,19 +51,10 @@ def default_eta0(
         raise InvalidInputError("R0, L, d must be positive")
     if not (0.0 < beta < 1.0):
         raise InvalidInputError("beta must lie in (0, 1)")
+    D = mechanisms.noise_norm_factor(privacy, d)
     log_b = math.log(1.0 / beta)
     stat = 1.0 / math.sqrt(n0 * math.log(n0) * log_b)
-    if privacy.is_pure:
-        priv = privacy.epsilon / (d * log_b)
-    else:
-        if privacy.delta > localization.MAX_APPROX_DELTA:
-            raise InvalidInputError(
-                f"approximate mode needs delta <= {localization.MAX_APPROX_DELTA}"
-            )
-        priv = privacy.epsilon / (
-            math.sqrt(d * math.log(1.0 / privacy.delta)) * log_b
-        )
-    return (R0 / (2.0 * L)) * min(stat, priv)
+    return (R0 / (2.0 * L)) * min(stat, privacy.epsilon / (D * log_b))
 
 
 @dataclass(frozen=True)

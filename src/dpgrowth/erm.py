@@ -194,17 +194,18 @@ def _solve_separable_abs(problem: RegularizedProblem, st: SeparableAbsolute, tol
         resid = float(np.linalg.norm(np.where(lo > 0, lo, np.where(hi < 0, hi, 0.0))))
         return x, resid * resid / (4.0 * lam)
     balls = list(problem.domain.balls())
-    for center, radius in balls:
+    for j, (center, radius) in enumerate(balls):
         if float(np.linalg.norm(x - center)) <= radius + 1e-12:
             continue
         solved = _dual_ball_separable(pts, w, lam, a, center, radius, tol)
         if solved is None:
             continue
         y, nu, slack = solved
+        # Compare balls by position: nested balls may share one center array.
         others_ok = all(
             float(np.linalg.norm(y - c2)) <= r2 + 1e-9
-            for c2, r2 in balls
-            if c2 is not center
+            for i, (c2, r2) in enumerate(balls)
+            if i != j
         )
         if not others_ok:
             continue
@@ -298,6 +299,8 @@ def _solve_scalar(problem: RegularizedProblem, lo: float, hi: float):
 
 
 def _solve_subgradient(problem: RegularizedProblem, tol: float, max_iters: int):
+    """Projected subgradient descent with steps 1/(mu t).  Returns
+    (certified point or None, gap bound, best iterate)."""
     mu = problem.strong_convexity
     g_bound = _lipschitz_over_domain(problem)
     x = project(problem.domain, problem.anchor)
@@ -316,23 +319,11 @@ def _solve_subgradient(problem: RegularizedProblem, tol: float, max_iters: int):
             # objective seen as well; it certifies without a small residual.
             apriori = g_bound * g_bound * (1.0 + math.log(t)) / (2.0 * mu * t)
             if min(gap, apriori) <= tol:
-                return best_x, min(gap, apriori)
+                return best_x, min(gap, apriori), best_x
     return None, certified_gap(problem, best_x), best_x
 
 
-def _run_subgradient(problem, tol, max_iters):
-    out = _solve_subgradient(problem, tol, max_iters)
-    if out[0] is not None:
-        return out[0], out[1], out[0]
-    return out
-
-
-def solve(
-    problem: RegularizedProblem,
-    tol: float,
-    max_iters: int = 200_000,
-    rng: RngStream | None = None,
-) -> np.ndarray:
+def solve(problem: RegularizedProblem, tol: float, max_iters: int = 200_000) -> np.ndarray:
     """Minimize the regularized batch objective to certified gap <= tol.
 
     Raises ConvergenceError with the best iterate if no certificate fires
@@ -368,7 +359,7 @@ def solve(
         if gap <= tol:
             return candidate
 
-    solved, residual_gap, best_x = _run_subgradient(problem, tol, max_iters)
+    solved, residual_gap, best_x = _solve_subgradient(problem, tol, max_iters)
     if solved is not None:
         return solved
     if candidate is not None and problem.objective(candidate) < problem.objective(best_x):

@@ -241,16 +241,9 @@ def _execute_trial(args) -> TrialRecord:
         loss, domain = instance.loss, instance.domain
         if cfg.algorithm == "localization":
             x0 = _starting_point(instance, cfg.x0_offset, start_rng)
-            R = domain.diameter()
-            if privacy.is_pure:
-                eta = localization.default_eta_pure(
-                    R, loss.lipschitz, cell["n"], beta, privacy.epsilon, cell["d"]
-                )
-            else:
-                eta = localization.default_eta_approx(
-                    R, loss.lipschitz, cell["n"], beta, privacy.epsilon, privacy.delta,
-                    cell["d"],
-                )
+            eta = localization.default_eta(
+                domain.diameter(), loss.lipschitz, cell["n"], beta, privacy, cell["d"]
+            )
             run_cfg = localization.LocalizationConfig.for_data_size(
                 cell["n"], eta, beta, privacy,
                 noise_scale=cfg.noise_scale,
@@ -517,11 +510,10 @@ def _audit_datasets(n: int) -> tuple[Dataset, Dataset]:
 def _localization_config(instance, noise_scale, epsilon, n):
     loss, domain = instance.loss, instance.domain
     beta = 1.0 / (n + 1)
-    eta = localization.default_eta_pure(
-        domain.diameter(), loss.lipschitz, n, beta, epsilon, 1
-    )
+    privacy = PrivacyParams(epsilon)
+    eta = localization.default_eta(domain.diameter(), loss.lipschitz, n, beta, privacy, 1)
     return localization.LocalizationConfig.for_data_size(
-        n, eta, beta, PrivacyParams(epsilon), noise_scale=noise_scale
+        n, eta, beta, privacy, noise_scale=noise_scale
     )
 
 
@@ -532,29 +524,49 @@ def _epoch_config(instance, noise_scale, epsilon, n, kappa_lower=3.0):
     )
 
 
-def _localization_mechanism(instance, noise_scale, epsilon):
+# Phase-chain pipelines: the module whose ``run`` executes the chain, the
+# audit config builder, and the ``run`` keyword that collects PhaseRecords.
+_CHAINS = {
+    "localization": (localization, _localization_config, "trace"),
+    "epoch_growth": (epoch_growth, _epoch_config, "phase_trace"),
+}
+
+
+def _chain(pipeline: str):
+    if pipeline not in _CHAINS:
+        raise InvalidInputError(f"no phase chain in pipeline {pipeline!r}")
+    return _CHAINS[pipeline]
+
+
+def _audit_mechanism(pipeline: str, noise_scale: float, epsilon: float):
+    """The audited mechanism ``(dataset, rng, trials) -> outputs`` of a pipeline.
+
+    The phase chains run on the quadratic audit instance with every noise
+    scale multiplied by ``noise_scale``; the grid sampler runs on the
+    absolute-loss instance at epsilon / noise_scale.
+    """
+    if pipeline == "inv_sensitivity":
+        instance = _audit_abs_instance()
+        loss, domain = instance.loss, instance.domain
+        epsilon_actual = epsilon / noise_scale
+
+        def mech(dataset, rng, trials):
+            density = inv_sensitivity.build_density(
+                loss, dataset, domain, epsilon_actual, rho=0.1
+            )
+            return inv_sensitivity.sample(density, rng, size=trials)[:, 0]
+
+        return mech
+    module, config, _ = _chain(pipeline)
+    instance = _audit_quadratic_instance()
     loss, domain = instance.loss, instance.domain
     x0 = np.zeros(1)
 
     def mech(dataset, rng, trials):
-        cfg = _localization_config(instance, noise_scale, epsilon, dataset.n)
+        cfg = config(instance, noise_scale, epsilon, dataset.n)
         out = np.empty(trials)
         for t in range(trials):
-            out[t] = localization.run(loss, dataset, domain, x0, cfg, rng.child(t))[0]
-        return out
-
-    return mech
-
-
-def _epoch_mechanism(instance, noise_scale, epsilon):
-    loss, domain = instance.loss, instance.domain
-    x0 = np.zeros(1)
-
-    def mech(dataset, rng, trials):
-        cfg = _epoch_config(instance, noise_scale, epsilon, dataset.n)
-        out = np.empty(trials)
-        for t in range(trials):
-            out[t] = epoch_growth.run(loss, dataset, domain, x0, cfg, rng.child(t))[0]
+            out[t] = module.run(loss, dataset, domain, x0, cfg, rng.child(t))[0]
         return out
 
     return mech
@@ -568,36 +580,18 @@ def _audit_first_phase(pipeline: str, epsilon: float, n: int) -> tuple[float, fl
     phase post-processes its noised output on identical data.  With Laplace
     noise the pipeline's privacy loss on the pair is therefore shift / sigma.
     """
+    module, config, trace_keyword = _chain(pipeline)
     instance = _audit_quadratic_instance()
     loss, domain = instance.loss, instance.domain
-    x0 = np.zeros(1)
+    cfg = config(instance, 1.0, epsilon, n)
     first = []
     for dataset in _audit_datasets(n):
         phases: list = []
-        if pipeline == "localization":
-            cfg = _localization_config(instance, 1.0, epsilon, n)
-            localization.run(loss, dataset, domain, x0, cfg, RngStream(0), trace=phases)
-        elif pipeline == "epoch_growth":
-            cfg = _epoch_config(instance, 1.0, epsilon, n)
-            epoch_growth.run(loss, dataset, domain, x0, cfg, RngStream(0),
-                             phase_trace=phases)
-        else:
-            raise InvalidInputError(f"no phase chain in pipeline {pipeline!r}")
+        module.run(loss, dataset, domain, np.zeros(1), cfg, RngStream(0),
+                   **{trace_keyword: phases})
         first.append(phases[0])
     shift = float(np.linalg.norm(first[0].x_solved - first[1].x_solved))
     return shift, first[0].sigma
-
-
-def _inv_sens_mechanism(instance, epsilon_actual, rho=0.1):
-    loss, domain = instance.loss, instance.domain
-
-    def mech(dataset, rng, trials):
-        density = inv_sensitivity.build_density(
-            loss, dataset, domain, epsilon_actual, rho=rho
-        )
-        return inv_sensitivity.sample(density, rng, size=trials)[:, 0]
-
-    return mech
 
 
 def privacy_audit(
@@ -658,15 +652,7 @@ def privacy_audit(
 
 def _audit_one(packed) -> AuditRow:
     (pipeline, eps, mode, scale), task_index, trials, bins, master_seed, data, neighbor = packed
-    if pipeline == "localization":
-        mech = _localization_mechanism(_audit_quadratic_instance(), scale, eps)
-    elif pipeline == "epoch_growth":
-        mech = _epoch_mechanism(_audit_quadratic_instance(), scale, eps)
-    elif pipeline == "inv_sensitivity":
-        eps_actual = eps / scale
-        mech = _inv_sens_mechanism(_audit_abs_instance(), eps_actual)
-    else:
-        raise InvalidInputError(f"unknown pipeline {pipeline!r}")
+    mech = _audit_mechanism(pipeline, scale, eps)
     stream = RngStream(master_seed, task_index)
     report = empirical_dp_test(mech, data, neighbor, eps, trials, bins, stream)
     return AuditRow(pipeline=pipeline, epsilon=eps, mode=mode, report=report)

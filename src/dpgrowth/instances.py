@@ -14,6 +14,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import gammaln
 
+from . import erm
 from .core import (
     Dataset,
     Domain,
@@ -457,8 +458,11 @@ def make_sharp_growth_1d(kappa: float, bias_delta: float, v: int = 1) -> Problem
     def pop_grad(x):
         t = float(np.atleast_1d(x)[0])
         # Min-norm element of the population subdifferential at the kinks.
-        lo = p_plus * _left_deriv_plus(loss, t) + (1.0 - p_plus) * _left_deriv_minus(loss, t)
-        hi = p_plus * _right_deriv_plus(loss, t) + (1.0 - p_plus) * _right_deriv_minus(loss, t)
+        lo, hi = (
+            p_plus * _one_sided(loss._deriv_plus, t, side)
+            + (1.0 - p_plus) * _one_sided(loss._deriv_minus, t, side)
+            for side in (-1.0, 1.0)
+        )
         if lo <= 0.0 <= hi:
             g = 0.0
         else:
@@ -488,24 +492,10 @@ def make_sharp_growth_1d(kappa: float, bias_delta: float, v: int = 1) -> Problem
     )
 
 
-def _left_deriv_plus(loss, t):
+def _one_sided(deriv, t, side):
+    """Derivative just left (side = -1) or right (side = +1) of t."""
     h = 1e-12 + 1e-9 * abs(t)
-    return float(loss._deriv_plus(np.array([t - h]))[0])
-
-
-def _right_deriv_plus(loss, t):
-    h = 1e-12 + 1e-9 * abs(t)
-    return float(loss._deriv_plus(np.array([t + h]))[0])
-
-
-def _left_deriv_minus(loss, t):
-    h = 1e-12 + 1e-9 * abs(t)
-    return float(loss._deriv_minus(np.array([t - h]))[0])
-
-
-def _right_deriv_minus(loss, t):
-    h = 1e-12 + 1e-9 * abs(t)
-    return float(loss._deriv_minus(np.array([t + h]))[0])
+    return float(deriv(np.array([t + side * h]))[0])
 
 
 def make_knorm_regression(
@@ -652,10 +642,14 @@ def make_pure_convex(d: int, L: float, R: float, flat: bool = False) -> ProblemI
         return w * np.where(inner, 0.5 * np.sign(x), np.sign(x))
 
     def emp_min(samples):
-        med = np.median(samples, axis=0)
-        if float(np.linalg.norm(med)) <= R:
-            return med, w * float(np.mean(np.sum(np.abs(med[None, :] - samples), axis=1)))
-        x = _ball_constrained_separable_min(samples, w, R)
+        x = np.median(samples, axis=0)
+        if float(np.linalg.norm(x)) > R:
+            # Dualize the ball constraint; with no regularizer the multiplier
+            # alone supplies the quadratic term of the coordinatewise solves.
+            origin = np.zeros(d)
+            x, _, _ = erm._dual_ball_separable(
+                np.sort(samples, axis=0), w, 0.0, origin, origin, R, tol=1e-12
+            )
         return x, w * float(np.mean(np.sum(np.abs(x[None, :] - samples), axis=1)))
 
     return ProblemInstance(
@@ -672,33 +666,6 @@ def make_pure_convex(d: int, L: float, R: float, flat: bool = False) -> ProblemI
         _pop_grad=pop_grad,
         _emp_min=emp_min,
     )
-
-
-def _ball_constrained_separable_min(samples, weight, R):
-    """Dual bisection for min weight * mean ||x - s||_1 subject to ||x|| <= R."""
-    m, d = samples.shape
-    jj = np.arange(m + 1)
-
-    def solve_at(nu):
-        out = np.empty(d)
-        for cidx in range(d):
-            p = np.sort(samples[:, cidx])
-            roots = -weight * (2.0 * jj - m) / (2.0 * nu * m)
-            cands = np.concatenate((roots, p))
-            vals = weight * np.mean(np.abs(cands[:, None] - p[None, :]), axis=1) + nu * cands**2
-            out[cidx] = cands[int(np.argmin(vals))]
-        return out
-
-    lo, hi = 1e-12, 1e6
-    for _ in range(80):
-        mid = math.sqrt(lo * hi)
-        if float(np.linalg.norm(solve_at(mid))) > R:
-            lo = mid
-        else:
-            hi = mid
-    x = solve_at(hi)
-    n = float(np.linalg.norm(x))
-    return x if n <= R else x * (R / n)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import erm
+from . import erm, mechanisms
 from .core import (
     Dataset,
     Domain,
@@ -25,55 +25,29 @@ from .core import (
 __all__ = [
     "LocalizationConfig",
     "PhaseRecord",
-    "default_eta_pure",
-    "default_eta_approx",
+    "default_eta",
     "run",
 ]
-
-# Approximate-DP budgets with delta this large make the noise line degenerate
-# (log(1/delta) -> 0); they are rejected rather than silently accepted.
-MAX_APPROX_DELTA = 0.5
 
 # Absolute floor keeping solver tolerances meaningful in double precision.
 _TOL_FLOOR_FACTOR = 1e-13
 
 
-def default_eta_pure(R: float, L: float, n: int, beta: float, epsilon: float, d: int) -> float:
-    """Base step size for the pure-DP mode:
-    (R/L) * min(1/sqrt(n log(1/beta)), epsilon/(d log(1/beta)))."""
-    _check_eta_args(R, L, n, beta, d)
-    if not (epsilon > 0):
-        raise InvalidInputError("epsilon must be positive")
-    log_b = math.log(1.0 / beta)
-    return (R / L) * min(1.0 / math.sqrt(n * log_b), epsilon / (d * log_b))
-
-
-def default_eta_approx(
-    R: float, L: float, n: int, beta: float, epsilon: float, delta: float, d: int
+def default_eta(
+    R: float, L: float, n: int, beta: float, privacy: PrivacyParams, d: int
 ) -> float:
-    """Base step size for the approximate-DP mode:
-    (R/L) * min(1/sqrt(n log(1/beta)), epsilon/(sqrt(d log(1/delta)) log(1/beta)))."""
-    _check_eta_args(R, L, n, beta, d)
-    if not (epsilon > 0):
-        raise InvalidInputError("epsilon must be positive")
-    if not (0.0 < delta <= MAX_APPROX_DELTA):
-        raise InvalidInputError(
-            f"approximate mode needs 0 < delta <= {MAX_APPROX_DELTA}, got {delta}"
-        )
-    log_b = math.log(1.0 / beta)
-    log_d = math.log(1.0 / delta)
-    return (R / L) * min(
-        1.0 / math.sqrt(n * log_b), epsilon / (math.sqrt(d * log_d) * log_b)
-    )
-
-
-def _check_eta_args(R, L, n, beta, d):
+    """Base step size (R/L) * min(1/sqrt(n log(1/beta)), epsilon/(D log(1/beta))),
+    with the noise-norm factor D of ``mechanisms.noise_norm_factor``
+    (d for pure budgets, sqrt(d log(1/delta)) for approximate ones)."""
     if not (R > 0 and L > 0 and n >= 1 and d >= 1):
         raise InvalidInputError("R, L, n, d must be positive")
     # The high-probability analysis needs a small confidence parameter; 1/n is
     # the binding condition of the stability bound behind it.
     if not (0.0 < beta <= 1.0 / n):
         raise InvalidInputError(f"beta must lie in (0, 1/n], got {beta}")
+    D = mechanisms.noise_norm_factor(privacy, d)
+    log_b = math.log(1.0 / beta)
+    return (R / L) * min(1.0 / math.sqrt(n * log_b), privacy.epsilon / (D * log_b))
 
 
 @dataclass(frozen=True)
@@ -106,10 +80,7 @@ class LocalizationConfig:
             raise InvalidInputError("k and n0 must be >= 1")
         if self.noise_scale < 0:
             raise InvalidInputError("noise_scale must be >= 0")
-        if not self.privacy.is_pure and self.privacy.delta > MAX_APPROX_DELTA:
-            raise InvalidInputError(
-                f"approximate mode needs delta <= {MAX_APPROX_DELTA}"
-            )
+        mechanisms.check_budget(self.privacy)
 
     @staticmethod
     def phase_count(n: int) -> int:
@@ -138,17 +109,6 @@ class PhaseRecord:
     sigma: float
     x_solved: np.ndarray
     x_noised: np.ndarray
-
-
-def phase_sigma(cfg: LocalizationConfig, L: float, eta_i: float, d: int) -> float:
-    """Noise scale for one phase, before the diagnostic ``noise_scale``."""
-    if cfg.privacy.is_pure:
-        return 4.0 * L * eta_i * math.sqrt(d) / cfg.privacy.epsilon
-    if cfg.gaussian_conservative:
-        return 2.0 * (4.0 * L * eta_i) * math.log(2.0 / cfg.privacy.delta) / cfg.privacy.epsilon
-    return (
-        4.0 * L * eta_i * math.sqrt(math.log(1.0 / cfg.privacy.delta)) / cfg.privacy.epsilon
-    )
 
 
 def run(
@@ -182,6 +142,7 @@ def run(
     if d == 1 and isinstance(loss.structure, IsotropicQuadratic):
         return _run_scalar_quadratic(loss, data, domain, x, cfg, rng, trace)
     tol_floor = _TOL_FLOOR_FACTOR * L * max(1.0, domain.diameter())
+    draw = mechanisms.noise_draw(cfg.privacy, rng)
     for i in range(1, k + 1):
         eta_i = cfg.eta * 2.0 ** (-4 * i)
         radius = 2.0 * L * eta_i * n0
@@ -193,19 +154,14 @@ def run(
             reg_weight=1.0 / (eta_i * n0),
             domain=region,
         )
-        sigma = phase_sigma(cfg, L, eta_i, d)
+        sensitivity = 4.0 * L * eta_i
+        sigma = mechanisms.noise_sigma(sensitivity, d, cfg.privacy, cfg.gaussian_conservative)
         # Solve two orders below both the sensitivity scale and the honest
         # noise floor, so solver inexactness is negligible for privacy.
-        tol = max(min(4.0 * L * eta_i, sigma) / 100.0, tol_floor)
-        x_hat = erm.solve(problem, tol=tol, max_iters=cfg.max_solver_iters, rng=rng)
+        tol = max(min(sensitivity, sigma) / 100.0, tol_floor)
+        x_hat = erm.solve(problem, tol=tol, max_iters=cfg.max_solver_iters)
         sigma_used = sigma * cfg.noise_scale
-        if sigma_used > 0:
-            if cfg.privacy.is_pure:
-                noise = rng.gen.laplace(0.0, sigma_used, size=d)
-            else:
-                noise = rng.gen.normal(0.0, sigma_used, size=d)
-        else:
-            noise = np.zeros(d)
+        noise = draw(0.0, sigma_used, size=d) if sigma_used > 0 else np.zeros(d)
         x = domain.project(x_hat + noise)
         if trace is not None:
             trace.append(PhaseRecord(i, eta_i, radius, sigma_used, x_hat, x))
@@ -230,8 +186,8 @@ def _run_scalar_quadratic(loss, data, domain, x0, cfg, rng, trace):
     lin = st.linear(data.samples[: k * n0])
     qbar = lin.reshape(k, n0, -1).mean(axis=1)[:, 0]
     x = float(x0[0])
-    pure = cfg.privacy.is_pure
-    gen = rng.gen
+    privacy, conservative = cfg.privacy, cfg.gaussian_conservative
+    draw = mechanisms.noise_draw(privacy, rng)
     for i in range(1, k + 1):
         eta_i = cfg.eta * 2.0 ** (-4 * i)
         radius = 2.0 * L * eta_i * n0
@@ -243,15 +199,9 @@ def _run_scalar_quadratic(loss, data, domain, x0, cfg, rng, trace):
             x_hat = lo
         elif x_hat > hi:
             x_hat = hi
-        sigma = phase_sigma(cfg, L, eta_i, 1)
+        sigma = mechanisms.noise_sigma(4.0 * L * eta_i, 1, privacy, conservative)
         sigma_used = sigma * cfg.noise_scale
-        if sigma_used > 0:
-            if pure:
-                noise = float(gen.laplace(0.0, sigma_used))
-            else:
-                noise = float(gen.normal(0.0, sigma_used))
-        else:
-            noise = 0.0
+        noise = float(draw(0.0, sigma_used)) if sigma_used > 0 else 0.0
         x = x_hat + noise
         if x < lo_dom:
             x = lo_dom

@@ -1,6 +1,10 @@
-"""Noise primitives and calibration: Laplace and Gaussian scales, iid noise
-sampling, sequential composition, and an empirical neighboring-dataset
-distinguishability test (a falsifier, not a certifier)."""
+"""Noise primitives and calibration: Laplace and Gaussian scales, the
+per-phase noise scale, noise draw and step-size privacy term of the phase
+chains, sequential composition, and an empirical neighboring-dataset
+distinguishability test (a falsifier, not a certifier).
+
+This module is the one place where a budget decides between pure DP (iid
+Laplace noise) and approximate DP (isotropic Gaussian noise)."""
 
 from __future__ import annotations
 
@@ -13,35 +17,21 @@ import numpy as np
 from .core import Dataset, InvalidInputError, PrivacyParams, RngStream, hamming_distance
 
 __all__ = [
-    "NoiseSpec",
+    "MAX_APPROX_DELTA",
     "laplace_sigma",
     "gaussian_sigma",
-    "sample_noise",
+    "check_budget",
+    "noise_norm_factor",
+    "noise_sigma",
+    "noise_draw",
     "compose",
     "DpTestReport",
     "empirical_dp_test",
 ]
 
-LAPLACE_IID = "laplace_iid"
-GAUSSIAN_ISO = "gaussian_iso"
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """A d-dimensional noise distribution: iid Laplace(sigma) per coordinate,
-    or isotropic mean-zero Gaussian with per-coordinate variance sigma^2."""
-
-    kind: str
-    sigma: float
-    dim: int
-
-    def __post_init__(self):
-        if self.kind not in (LAPLACE_IID, GAUSSIAN_ISO):
-            raise InvalidInputError(f"unknown noise kind {self.kind!r}")
-        if not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise InvalidInputError("sigma must be finite and positive")
-        if self.dim < 1:
-            raise InvalidInputError("dim must be >= 1")
+# Approximate-DP budgets with delta this large make the noise line degenerate
+# (log(1/delta) -> 0); they are rejected rather than silently accepted.
+MAX_APPROX_DELTA = 0.5
 
 
 def laplace_sigma(l1_sensitivity: float, epsilon: float) -> float:
@@ -64,11 +54,46 @@ def gaussian_sigma(l2_sensitivity: float, epsilon: float, delta: float) -> float
     return 2.0 * l2_sensitivity * math.log(2.0 / delta) / epsilon
 
 
-def sample_noise(spec: NoiseSpec, rng: RngStream) -> np.ndarray:
-    """Draw one noise vector of shape (dim,)."""
-    if spec.kind == LAPLACE_IID:
-        return rng.gen.laplace(0.0, spec.sigma, size=spec.dim)
-    return rng.gen.normal(0.0, spec.sigma, size=spec.dim)
+def check_budget(privacy: PrivacyParams) -> None:
+    """Reject approximate budgets with delta above ``MAX_APPROX_DELTA``."""
+    if privacy.delta > MAX_APPROX_DELTA:
+        raise InvalidInputError(
+            f"approximate mode needs delta <= {MAX_APPROX_DELTA}, got {privacy.delta}"
+        )
+
+
+def noise_norm_factor(privacy: PrivacyParams, d: int) -> float:
+    """Growth factor D of the noise norm in d dimensions, which sets the
+    privacy term epsilon / (D log(1/beta)) of the step sizes:
+    D = d for Laplace noise, sqrt(d log(1/delta)) for Gaussian noise."""
+    check_budget(privacy)
+    if privacy.is_pure:
+        return d
+    return math.sqrt(d * math.log(1.0 / privacy.delta))
+
+
+def noise_sigma(
+    l2_sensitivity: float, d: int, privacy: PrivacyParams, conservative: bool = False
+) -> float:
+    """Per-coordinate noise scale for a d-dimensional statistic with the
+    given l2 sensitivity Delta.
+
+    Pure budgets use Laplace noise calibrated to the l1 bound Delta sqrt(d).
+    Approximate budgets use Gaussian noise Delta sqrt(log(1/delta)) / epsilon,
+    or ``gaussian_sigma`` when ``conservative`` is set.
+    """
+    if privacy.is_pure:
+        return laplace_sigma(l2_sensitivity * math.sqrt(d), privacy.epsilon)
+    if conservative:
+        return gaussian_sigma(l2_sensitivity, privacy.epsilon, privacy.delta)
+    return l2_sensitivity * math.sqrt(math.log(1.0 / privacy.delta)) / privacy.epsilon
+
+
+def noise_draw(privacy: PrivacyParams, rng: RngStream) -> Callable[..., np.ndarray]:
+    """The sampler ``draw(0.0, sigma, size=None)`` of the budget's noise on
+    ``rng``: iid Laplace(sigma) for pure budgets, mean-zero Gaussian with
+    standard deviation sigma otherwise."""
+    return rng.gen.laplace if privacy.is_pure else rng.gen.normal
 
 
 def compose(budgets: list[PrivacyParams]) -> PrivacyParams:

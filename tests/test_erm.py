@@ -77,6 +77,22 @@ def test_solve_abs_batch_matches_grid_oracle():
     assert abs(x[0] - oracle) < 1e-3
 
 
+def test_solve_separable_abs_checks_balls_sharing_a_center():
+    # Two nested balls built on one center array, as an epoch region and its
+    # first phase ball are: the solve for the outer (0.3) ball must still be
+    # checked against the inner (0.1) ball.
+    loss = make_pure_convex(d=2, L=1.0, R=1.0).loss
+    c = np.zeros(2)
+    mid = Domain(c, 0.1, parent=Domain(np.zeros(2), 1.0))
+    inner = Domain(c, 0.3, parent=mid)
+    prob = RegularizedProblem(loss, Dataset(np.full((20, 2), 0.5)), c, 0.5, inner)
+    x = solve(prob, tol=1e-9)
+    assert np.linalg.norm(x) <= 0.1 + 1e-9
+    # The objective is symmetric in the coordinates and decreases towards
+    # (0.5, 0.5), so the constrained minimizer is the ball's diagonal point.
+    np.testing.assert_allclose(x, np.full(2, 0.1 / math.sqrt(2.0)), atol=1e-8)
+
+
 def test_solve_random_1d_problems_vs_grid():
     rng = RngStream(77, 0)
     for trial in range(20):

@@ -190,14 +190,24 @@ def test_pure_convex_empirical_minimizer_risk_decreases_with_n():
 
 
 def test_pure_convex_ball_constrained_empirical_min():
-    inst = make_pure_convex(d=4, L=1.0, R=1.0)
-    # All-coordinate extreme samples push the unconstrained median outside
-    # the ball; the constrained minimizer must stay feasible and beat it.
-    samples = np.full((9, 4), 0.5)
+    d = 5
+    inst = make_pure_convex(d=d, L=1.0, R=1.0)
+    # All-coordinate extreme samples put the unconstrained median at norm
+    # 0.5 sqrt(5) > R, so the ball-constrained branch must answer.
+    samples = np.full((9, d), 0.5)
+    assert np.linalg.norm(np.median(samples, axis=0)) > 1.0
     data = Dataset(samples)
     x, f = inst.empirical_min(data)
     assert np.linalg.norm(x) <= 1.0 + 1e-9
-    assert f <= inst.emp_value(np.full(4, 0.5) / np.linalg.norm(np.full(4, 0.5)), data) + 1e-9
+    # The objective is symmetric in the coordinates and decreases towards the
+    # median, so the minimizer is the ball's boundary point on the diagonal.
+    diag = np.full(d, 1.0 / math.sqrt(d))
+    np.testing.assert_allclose(x, diag, atol=1e-9)
+    assert f == pytest.approx(inst.emp_value(diag, data), abs=1e-12)
+    assert f == pytest.approx(inst.emp_value(x, data), abs=1e-15)
+    probes = RngStream(12, 0).gen.standard_normal((200, d))
+    probes /= np.maximum(1.0, np.linalg.norm(probes, axis=1))[:, None]
+    assert all(f <= inst.emp_value(p, data) + 1e-12 for p in probes)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from dpgrowth.core import Dataset, Domain, InvalidInputError, PrivacyParams, RngStream, project
-from dpgrowth.localization import (
-    LocalizationConfig,
-    default_eta_approx,
-    default_eta_pure,
-    run,
-)
+from dpgrowth.localization import LocalizationConfig, default_eta, run
 from dpgrowth.instances import build_instance
 
 
@@ -26,7 +21,7 @@ def _quad_instance():
 
 def test_default_eta_pure_frozen_value():
     # min(1/sqrt(1e4 ln 1e4), 1/(10 ln 1e4)): the statistical branch wins.
-    got = default_eta_pure(1.0, 1.0, 10**4, 1e-4, 1.0, 10)
+    got = default_eta(1.0, 1.0, 10**4, 1e-4, PrivacyParams(1.0), 10)
     assert got == pytest.approx(0.0032950511449113037, abs=1e-12)
     assert got == pytest.approx(1.0 / math.sqrt(10**4 * math.log(10**4)), abs=1e-15)
 
@@ -34,26 +29,26 @@ def test_default_eta_pure_frozen_value():
 def test_default_eta_pure_limits():
     base = dict(R=1.0, L=1.0, n=10**4, beta=1e-4, d=10)
     stat = 1.0 / math.sqrt(base["n"] * math.log(1.0 / base["beta"]))
-    assert default_eta_pure(1.0, 1.0, 10**4, 1e-4, 1e9, 10) == pytest.approx(stat)
-    tiny = default_eta_pure(1.0, 1.0, 10**4, 1e-4, 1.0, 10**9)
+    assert default_eta(1.0, 1.0, 10**4, 1e-4, PrivacyParams(1e9), 10) == pytest.approx(stat)
+    tiny = default_eta(1.0, 1.0, 10**4, 1e-4, PrivacyParams(1.0), 10**9)
     assert tiny == pytest.approx(1e-9 / math.log(1e4), rel=1e-9)
 
 
 def test_default_eta_pure_rejects_large_beta():
     with pytest.raises(InvalidInputError):
-        default_eta_pure(1.0, 1.0, 100, 0.5, 1.0, 1)
+        default_eta(1.0, 1.0, 100, 0.5, PrivacyParams(1.0), 1)
 
 
 def test_default_eta_approx_frozen_values():
-    got = default_eta_approx(1.0, 1.0, 10**4, 1e-4, 1.0, 1e-6, 10)
+    got = default_eta(1.0, 1.0, 10**4, 1e-4, PrivacyParams(1.0, 1e-6), 10)
     assert got == pytest.approx(0.0032950511449113037, abs=1e-12)  # statistical branch
-    got100 = default_eta_approx(1.0, 1.0, 10**4, 1e-4, 1.0, 1e-6, 100)
+    got100 = default_eta(1.0, 1.0, 10**4, 1e-4, PrivacyParams(1.0, 1e-6), 100)
     assert got100 == pytest.approx(0.002921062507079544, abs=1e-12)  # privacy branch
 
 
 def test_default_eta_approx_rejects_degenerate_delta():
     with pytest.raises(InvalidInputError):
-        default_eta_approx(1.0, 1.0, 10**4, 1e-4, 1.0, 0.9, 1)
+        default_eta(1.0, 1.0, 10**4, 1e-4, PrivacyParams(1.0, 0.9), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +71,7 @@ def test_run_trust_regions_shrink_16x_and_confine():
     inst = _quad_instance()
     n = 256
     beta = 1.0 / (n + 1)
-    eta = default_eta_pure(2.0, 4.0, n, beta, 1.0, 1)
+    eta = default_eta(2.0, 4.0, n, beta, PrivacyParams(1.0), 1)
     cfg = LocalizationConfig.for_data_size(n, eta, beta, PrivacyParams(1.0))
     data = inst.draw(n, RngStream(2, 0))
     trace = []
@@ -157,7 +152,9 @@ def test_noiseless_run_tracks_empirical_minimizer():
     inst = _quad_instance()
     n = 4096
     beta = 1.0 / (n + 1)
-    eta = default_eta_pure(inst.domain.diameter(), inst.loss.lipschitz, n, beta, 1e6, 1)
+    eta = default_eta(
+        inst.domain.diameter(), inst.loss.lipschitz, n, beta, PrivacyParams(1e6), 1
+    )
     cfg = LocalizationConfig.for_data_size(n, eta, beta, PrivacyParams(1e6))
     dists, excesses = [], []
     for seed in range(50):
@@ -181,7 +178,9 @@ def test_pure_convex_risk_regression_bound():
     inst = build_instance("pure_convex", d=5, L=1.0, R=1.0)
     n, d = 2**12, 5
     beta = 1.0 / (n + d)
-    eta = default_eta_pure(inst.domain.diameter(), inst.loss.lipschitz, n, beta, 1.0, d)
+    eta = default_eta(
+        inst.domain.diameter(), inst.loss.lipschitz, n, beta, PrivacyParams(1.0), d
+    )
     cfg = LocalizationConfig.for_data_size(n, eta, beta, PrivacyParams(1.0))
     vals = []
     for seed in range(100):
@@ -199,8 +198,8 @@ def test_high_probability_quantile_decreases_with_n():
     quantiles = []
     for n in (2**8, 2**10, 2**12):
         beta = 1.0 / (n + 1)
-        eta = default_eta_pure(
-            inst.domain.diameter(), inst.loss.lipschitz, n, beta, 1.0, 1
+        eta = default_eta(
+            inst.domain.diameter(), inst.loss.lipschitz, n, beta, PrivacyParams(1.0), 1
         )
         cfg = LocalizationConfig.for_data_size(n, eta, beta, PrivacyParams(1.0))
         ex = []

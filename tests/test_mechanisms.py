@@ -5,14 +5,15 @@ import pytest
 
 from dpgrowth.core import Dataset, InvalidInputError, PrivacyParams, RngStream
 from dpgrowth.mechanisms import (
-    GAUSSIAN_ISO,
-    LAPLACE_IID,
-    NoiseSpec,
+    MAX_APPROX_DELTA,
+    check_budget,
     compose,
     empirical_dp_test,
     gaussian_sigma,
     laplace_sigma,
-    sample_noise,
+    noise_draw,
+    noise_norm_factor,
+    noise_sigma,
 )
 
 
@@ -57,6 +58,36 @@ def test_calibration_monotonicity():
     )
 
 
+def test_noise_sigma_per_budget():
+    # Pure: Laplace on the l1 bound Delta sqrt(d); approximate: Gaussian
+    # Delta sqrt(log(1/delta)) / eps, or the conservative gaussian_sigma.
+    pure, approx = PrivacyParams(0.5), PrivacyParams(0.5, 1e-6)
+    assert noise_sigma(0.2, 4, pure) == laplace_sigma(0.2 * 2.0, 0.5)
+    assert noise_sigma(0.2, 4, pure, conservative=True) == noise_sigma(0.2, 4, pure)
+    assert noise_sigma(0.2, 4, approx) == pytest.approx(
+        0.2 * math.sqrt(math.log(1e6)) / 0.5, rel=1e-15
+    )
+    assert noise_sigma(0.2, 4, approx, conservative=True) == gaussian_sigma(0.2, 0.5, 1e-6)
+    # The Gaussian scales do not grow with the dimension; Laplace does.
+    assert noise_sigma(0.2, 9, approx) == noise_sigma(0.2, 1, approx)
+    assert noise_sigma(0.2, 9, pure) == pytest.approx(3.0 * noise_sigma(0.2, 1, pure))
+    with pytest.raises(InvalidInputError):
+        noise_sigma(0.0, 1, pure)
+
+
+def test_noise_norm_factor_and_delta_cap():
+    assert noise_norm_factor(PrivacyParams(1.0), 10) == 10
+    assert noise_norm_factor(PrivacyParams(1.0, 1e-6), 10) == pytest.approx(
+        math.sqrt(10 * math.log(1e6)), rel=1e-15
+    )
+    check_budget(PrivacyParams(1.0, MAX_APPROX_DELTA))
+    for bad in (PrivacyParams(1.0, 0.9), PrivacyParams(1.0, 0.51)):
+        with pytest.raises(InvalidInputError):
+            check_budget(bad)
+        with pytest.raises(InvalidInputError):
+            noise_norm_factor(bad, 1)
+
+
 def test_compose():
     out = compose([PrivacyParams(1.0), PrivacyParams(1.0)])
     assert (out.epsilon, out.delta) == (2.0, 0.0)
@@ -72,16 +103,9 @@ def test_compose():
 # ---------------------------------------------------------------------------
 
 
-def test_noise_spec_validation():
-    with pytest.raises(InvalidInputError):
-        NoiseSpec("exotic", 1.0, 1)
-    with pytest.raises(InvalidInputError):
-        NoiseSpec(LAPLACE_IID, 0.0, 1)
-
-
 def test_laplace_golden_draws_seed42():
     # Frozen at first implementation: PCG64 via derive_stream_key(42, 0).
-    draws = sample_noise(NoiseSpec(LAPLACE_IID, 1.0, 3), RngStream(42, 0))
+    draws = noise_draw(PrivacyParams(1.0), RngStream(42, 0))(0.0, 1.0, size=3)
     np.testing.assert_allclose(
         draws,
         [0.321004033847852, -0.3968265064023067, 1.7612346569594328],
@@ -92,7 +116,7 @@ def test_laplace_golden_draws_seed42():
 
 def test_laplace_moments_million_draws():
     sigma = 0.7
-    draws = RngStream(100, 0).gen.laplace(0.0, sigma, 1_000_000)
+    draws = noise_draw(PrivacyParams(1.0), RngStream(100, 0))(0.0, sigma, 1_000_000)
     var = draws.var()
     assert abs(draws.mean()) <= 5.0 * math.sqrt(2.0 * sigma**2 / len(draws))
     assert 0.98 <= var / (2.0 * sigma**2) <= 1.02
@@ -100,7 +124,7 @@ def test_laplace_moments_million_draws():
 
 def test_gaussian_moments_and_tail():
     sigma = 1.0
-    draws = RngStream(101, 0).gen.normal(0.0, sigma, 1_000_000)
+    draws = noise_draw(PrivacyParams(1.0, 1e-6), RngStream(101, 0))(0.0, sigma, 1_000_000)
     assert abs(draws.mean()) <= 5.0 * sigma / math.sqrt(len(draws))
     assert 0.98 <= draws.var() / sigma**2 <= 1.02
     tail = np.mean(np.abs(draws) > 1.96)
