@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .core import (
     RngStream,
 )
 
-__all__ = ["EpochConfig", "EpochRecord", "default_eta0", "epoch_count", "run"]
+__all__ = ["EpochConfig", "EpochRecord", "default_eta0", "epoch_count", "run", "run_trials"]
 
 # Epochs whose radius has decayed below this fraction of the initial radius
 # cannot move the iterate at double precision; they are recorded as frozen.
@@ -124,6 +124,45 @@ class EpochRecord:
     frozen: bool = False
 
 
+def _start(data: Dataset, domain: Domain, x0: np.ndarray, cfg: EpochConfig):
+    """Check the run's inputs; return the epoch batch size, the inner phase
+    count and the starting point as an array."""
+    n0 = data.n // cfg.T
+    if n0 < 2:
+        raise InvalidInputError(
+            f"insufficient data: n={data.n} gives per-epoch batches of {n0} < 2"
+        )
+    x = np.atleast_1d(np.asarray(x0, dtype=float))
+    if not domain.contains(x, tol=1e-9):
+        raise InvalidInputError("x0 must lie in the domain")
+    inner_k = localization.LocalizationConfig.phase_count(n0)
+    if n0 < inner_k:
+        raise InvalidInputError("per-epoch batch smaller than its phase count")
+    return n0, inner_k, x
+
+
+def _epochs(cfg: EpochConfig, n0: int, inner_k: int):
+    """Yield (index, radius, eta_i, inner config) per epoch: radius
+    R0 2^-i and step eta0 2^-i; the inner config is None for a frozen epoch."""
+    for i in range(cfg.T):
+        radius = cfg.R0 * 2.0 ** (-i)
+        eta_i = cfg.eta0 * 2.0 ** (-i)
+        if radius < _FROZEN_RADIUS_FRACTION * cfg.R0:
+            # Movement per epoch is bounded by the trust radius plus noise of
+            # the same decay; at this scale the iterate is numerically fixed.
+            yield i, radius, eta_i, None
+            continue
+        yield i, radius, eta_i, localization.LocalizationConfig(
+            eta=eta_i,
+            beta=cfg.beta**2,
+            privacy=cfg.privacy,
+            k=inner_k,
+            n0=n0 // inner_k,
+            noise_scale=cfg.noise_scale,
+            gaussian_conservative=cfg.gaussian_conservative,
+        )
+
+
 def run(
     loss: LossOracle,
     data: Dataset,
@@ -142,36 +181,13 @@ def run(
     ``trace`` collects one ``EpochRecord`` per epoch; ``phase_trace`` collects
     the inner chains' ``PhaseRecord`` entries, epoch after epoch.
     """
-    n0 = data.n // cfg.T
-    if n0 < 2:
-        raise InvalidInputError(
-            f"insufficient data: n={data.n} gives per-epoch batches of {n0} < 2"
-        )
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
-    if not domain.contains(x, tol=1e-9):
-        raise InvalidInputError("x0 must lie in the domain")
-    inner_k = localization.LocalizationConfig.phase_count(n0)
-    if n0 < inner_k:
-        raise InvalidInputError("per-epoch batch smaller than its phase count")
-    for i in range(cfg.T):
-        radius = cfg.R0 * 2.0 ** (-i)
-        eta_i = cfg.eta0 * 2.0 ** (-i)
-        if radius < _FROZEN_RADIUS_FRACTION * cfg.R0:
-            # Movement per epoch is bounded by the trust radius plus noise of
-            # the same decay; at this scale the iterate is numerically fixed.
+    n0, inner_k, x = _start(data, domain, x0, cfg)
+    for i, radius, eta_i, inner_cfg in _epochs(cfg, n0, inner_k):
+        if inner_cfg is None:
             if trace is not None:
                 trace.append(EpochRecord(i, x.copy(), radius, eta_i, x.copy(), frozen=True))
             continue
         region = Domain(x, radius, parent=domain)
-        inner_cfg = localization.LocalizationConfig(
-            eta=eta_i,
-            beta=cfg.beta**2,
-            privacy=cfg.privacy,
-            k=inner_k,
-            n0=n0 // inner_k,
-            noise_scale=cfg.noise_scale,
-            gaussian_conservative=cfg.gaussian_conservative,
-        )
         x_next = localization.run(
             loss, data.block(i, n0), region, x, inner_cfg, rng, trace=phase_trace
         )
@@ -179,6 +195,44 @@ def run(
             trace.append(EpochRecord(i, x.copy(), radius, eta_i, x_next.copy()))
         x = x_next
     return x
+
+
+def run_trials(
+    loss: LossOracle,
+    data: Dataset,
+    domain: Domain,
+    x0: np.ndarray,
+    cfg: EpochConfig,
+    streams: Iterable[RngStream],
+) -> np.ndarray:
+    """Run the epoch loop once per stream, all trials at once, and return
+    one output row per stream: row t equals ``run(loss, data, domain, x0,
+    cfg, streams[t])`` bit for bit.
+
+    Like ``localization.run_trials`` it batches only the 1-D
+    isotropic-quadratic chain.  Each trial's region in epoch i is the
+    interval [max(x - R_i, lo), min(x + R_i, hi)] around its own iterate.
+    """
+    n0, inner_k, x = _start(data, domain, x0, cfg)
+    localization._check_scalar_quadratic(loss)
+    L = loss.lipschitz
+    epochs = [
+        (i, radius, inner_cfg, localization._schedule(inner_cfg, L, 1))
+        for i, radius, _, inner_cfg in _epochs(cfg, n0, inner_k)
+        if inner_cfg is not None
+    ]
+    counts = [localization._noise_count(schedule) for *_, schedule in epochs]
+    z = localization._standard_noise(cfg.privacy, streams, sum(counts))
+    lo, hi = domain.interval()
+    x = np.full(z.shape[0], float(x[0]))
+    col = 0
+    for (i, radius, inner_cfg, schedule), count in zip(epochs, counts):
+        x = localization._chain_trials(
+            loss, data.block(i, n0), inner_cfg, schedule, x,
+            np.maximum(x - radius, lo), np.minimum(x + radius, hi), z[:, col : col + count],
+        )
+        col += count
+    return x[:, None]
 
 
 def index_in_region(trace: list, xstar: np.ndarray) -> int:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -27,6 +27,7 @@ __all__ = [
     "PhaseRecord",
     "default_eta",
     "run",
+    "run_trials",
 ]
 
 # Absolute floor keeping solver tolerances meaningful in double precision.
@@ -111,6 +112,43 @@ class PhaseRecord:
     x_noised: np.ndarray
 
 
+def _schedule(cfg: LocalizationConfig, L: float, d: int) -> list[tuple]:
+    """The k phases of a run as tuples (i, eta_i, radius, reg_weight,
+    sensitivity, sigma, sigma_used): step eta_i = 2^{-4i} eta, trust radius
+    2 L eta_i n0, regularizer weight 1 / (eta_i n0), the sensitivity bound
+    4 L eta_i, the noise scale ``mechanisms.noise_sigma`` calibrates to it,
+    and that scale times ``noise_scale``.  Plain tuples keep the scalar
+    chain's per-phase overhead low."""
+    phases = []
+    for i in range(1, cfg.k + 1):
+        eta_i = cfg.eta * 2.0 ** (-4 * i)
+        sensitivity = 4.0 * L * eta_i
+        sigma = mechanisms.noise_sigma(sensitivity, d, cfg.privacy, cfg.gaussian_conservative)
+        phases.append((
+            i, eta_i, 2.0 * L * eta_i * cfg.n0, 1.0 / (eta_i * cfg.n0),
+            sensitivity, sigma, sigma * cfg.noise_scale,
+        ))
+    return phases
+
+
+def _start(data: Dataset, domain: Domain, x0: np.ndarray, cfg: LocalizationConfig) -> np.ndarray:
+    """Check the run's inputs and return the starting point as an array."""
+    k, n0 = cfg.k, cfg.n0
+    if data.n < k:
+        raise InvalidInputError(f"need at least k={k} samples, got {data.n}")
+    if k * n0 > data.n:
+        raise InvalidInputError(f"k * n0 = {k * n0} exceeds n = {data.n}")
+    x = np.atleast_1d(np.asarray(x0, dtype=float))
+    if not domain.contains(x, tol=1e-9):
+        raise InvalidInputError("x0 must lie in the domain")
+    return x
+
+
+def _is_scalar_quadratic(loss: LossOracle) -> bool:
+    """Whether the chain runs in closed form: a 1-D isotropic-quadratic loss."""
+    return loss.point_dim == 1 and isinstance(loss.structure, IsotropicQuadratic)
+
+
 def run(
     loss: LossOracle,
     data: Dataset,
@@ -129,38 +167,26 @@ def run(
     Each sample is consumed by exactly one phase; leftover samples beyond
     k * n0 are discarded.
     """
-    k, n0 = cfg.k, cfg.n0
-    if data.n < k:
-        raise InvalidInputError(f"need at least k={k} samples, got {data.n}")
-    if k * n0 > data.n:
-        raise InvalidInputError(f"k * n0 = {k * n0} exceeds n = {data.n}")
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
-    if not domain.contains(x, tol=1e-9):
-        raise InvalidInputError("x0 must lie in the domain")
+    x = _start(data, domain, x0, cfg)
     L = loss.lipschitz
     d = loss.point_dim
-    if d == 1 and isinstance(loss.structure, IsotropicQuadratic):
+    if _is_scalar_quadratic(loss):
         return _run_scalar_quadratic(loss, data, domain, x, cfg, rng, trace)
     tol_floor = _TOL_FLOOR_FACTOR * L * max(1.0, domain.diameter())
     draw = mechanisms.noise_draw(cfg.privacy, rng)
-    for i in range(1, k + 1):
-        eta_i = cfg.eta * 2.0 ** (-4 * i)
-        radius = 2.0 * L * eta_i * n0
+    for i, eta_i, radius, lam, sensitivity, sigma, sigma_used in _schedule(cfg, L, d):
         region = Domain(x, radius, parent=domain)
         problem = erm.RegularizedProblem(
             loss=loss,
-            batch=data.block(i - 1, n0),
+            batch=data.block(i - 1, cfg.n0),
             anchor=x,
-            reg_weight=1.0 / (eta_i * n0),
+            reg_weight=lam,
             domain=region,
         )
-        sensitivity = 4.0 * L * eta_i
-        sigma = mechanisms.noise_sigma(sensitivity, d, cfg.privacy, cfg.gaussian_conservative)
         # Solve two orders below both the sensitivity scale and the honest
         # noise floor, so solver inexactness is negligible for privacy.
         tol = max(min(sensitivity, sigma) / 100.0, tol_floor)
         x_hat = erm.solve(problem, tol=tol, max_iters=cfg.max_solver_iters)
-        sigma_used = sigma * cfg.noise_scale
         noise = draw(0.0, sigma_used, size=d) if sigma_used > 0 else np.zeros(d)
         x = domain.project(x_hat + noise)
         if trace is not None:
@@ -168,30 +194,29 @@ def run(
     return x
 
 
+def _phase_means(loss: LossOracle, data: Dataset, cfg: LocalizationConfig) -> np.ndarray:
+    """Per-phase batch means of the quadratic's linear term, one vectorized pass."""
+    k, n0 = cfg.k, cfg.n0
+    lin = loss.structure.linear(data.samples[: k * n0])
+    return lin.reshape(k, n0, -1).mean(axis=1)[:, 0]
+
+
 def _run_scalar_quadratic(loss, data, domain, x0, cfg, rng, trace):
-    """Exact scalar chain for 1-D isotropic-quadratic losses.
+    """Exact scalar chain of one run for 1-D isotropic-quadratic losses.
 
     In one dimension every trust region is an interval and the constrained
     minimizer of the quadratic phase objective is the clamped stationary
     point, so each phase is closed-form float arithmetic.  Output agrees with
-    the generic path up to floating-point noise; this is the hot loop of the
-    end-to-end privacy falsifier.
+    the generic path up to floating-point noise.  ``run_trials`` is the same
+    chain on arrays, over many trials at once; this one stays in Python
+    floats, which is faster for a single run.
     """
-    k, n0 = cfg.k, cfg.n0
-    st = loss.structure
-    curv = st.curvature
-    L = loss.lipschitz
+    curv = loss.structure.curvature
     lo_dom, hi_dom = domain.interval()
-    # Per-phase means of the linear term, one vectorized pass.
-    lin = st.linear(data.samples[: k * n0])
-    qbar = lin.reshape(k, n0, -1).mean(axis=1)[:, 0]
+    qbar = _phase_means(loss, data, cfg)
     x = float(x0[0])
-    privacy, conservative = cfg.privacy, cfg.gaussian_conservative
-    draw = mechanisms.noise_draw(privacy, rng)
-    for i in range(1, k + 1):
-        eta_i = cfg.eta * 2.0 ** (-4 * i)
-        radius = 2.0 * L * eta_i * n0
-        lam = 1.0 / (eta_i * n0)
+    draw = mechanisms.noise_draw(cfg.privacy, rng)
+    for i, eta_i, radius, lam, _, _, sigma_used in _schedule(cfg, loss.lipschitz, 1):
         lo = max(lo_dom, x - radius)
         hi = min(hi_dom, x + radius)
         x_hat = (2.0 * lam * x - qbar[i - 1]) / (curv + 2.0 * lam)
@@ -199,8 +224,6 @@ def _run_scalar_quadratic(loss, data, domain, x0, cfg, rng, trace):
             x_hat = lo
         elif x_hat > hi:
             x_hat = hi
-        sigma = mechanisms.noise_sigma(4.0 * L * eta_i, 1, privacy, conservative)
-        sigma_used = sigma * cfg.noise_scale
         noise = float(draw(0.0, sigma_used)) if sigma_used > 0 else 0.0
         x = x_hat + noise
         if x < lo_dom:
@@ -208,7 +231,72 @@ def _run_scalar_quadratic(loss, data, domain, x0, cfg, rng, trace):
         elif x > hi_dom:
             x = hi_dom
         if trace is not None:
-            trace.append(
-                PhaseRecord(i, eta_i, radius, sigma_used, np.array([x_hat]), np.array([x]))
-            )
+            trace.append(PhaseRecord(
+                i, eta_i, radius, sigma_used, np.array([x_hat]), np.array([x])
+            ))
     return np.array([x])
+
+
+def _check_scalar_quadratic(loss: LossOracle) -> None:
+    if not _is_scalar_quadratic(loss):
+        raise InvalidInputError("run_trials needs a 1-D isotropic-quadratic loss")
+
+
+def _standard_noise(privacy: PrivacyParams, streams: Iterable[RngStream], size: int) -> np.ndarray:
+    """One row of ``size`` unit-scale noise draws per stream, each row in a
+    single call on its own stream.  Scaling a unit draw by sigma gives the
+    same bits as drawing at scale sigma, so a row holds exactly the draws
+    that ``run`` makes on that stream, in order."""
+    rows = [mechanisms.noise_draw(privacy, s)(0.0, 1.0, size=size) for s in streams]
+    return np.array(rows).reshape(len(rows), size)
+
+
+def _noise_count(schedule: list[tuple]) -> int:
+    return sum(1 for *_, sigma_used in schedule if sigma_used > 0)
+
+
+def _chain_trials(loss, data, cfg, schedule, x, lo_dom, hi_dom, z):
+    """The scalar chain of ``_run_scalar_quadratic`` on a ``(trials,)`` array
+    of iterates, with per-trial (or shared) domain bounds ``lo_dom, hi_dom``
+    and per-trial unit noise ``z`` (one column per noised phase)."""
+    curv = loss.structure.curvature
+    qbar = _phase_means(loss, data, cfg)
+    col = 0
+    for i, _, radius, lam, _, _, sigma_used in schedule:
+        lo = np.maximum(lo_dom, x - radius)
+        hi = np.minimum(hi_dom, x + radius)
+        x_hat = (2.0 * lam * x - qbar[i - 1]) / (curv + 2.0 * lam)
+        x_hat = np.where(x_hat < lo, lo, np.where(x_hat > hi, hi, x_hat))
+        if sigma_used > 0:
+            noise = z[:, col] * sigma_used
+            col += 1
+        else:
+            noise = 0.0
+        x = x_hat + noise
+        x = np.where(x < lo_dom, lo_dom, np.where(x > hi_dom, hi_dom, x))
+    return x
+
+
+def run_trials(
+    loss: LossOracle,
+    data: Dataset,
+    domain: Domain,
+    x0: np.ndarray,
+    cfg: LocalizationConfig,
+    streams: Iterable[RngStream],
+) -> np.ndarray:
+    """Run the chain once per stream, all trials at once, and return one
+    output row per stream: row t equals ``run(loss, data, domain, x0, cfg,
+    streams[t])`` bit for bit.
+
+    Only the closed-form 1-D isotropic-quadratic chain is batched; any other
+    loss raises ``InvalidInputError``.  Streams are consumed in order, so
+    ``streams`` may be a generator.
+    """
+    x = _start(data, domain, x0, cfg)
+    _check_scalar_quadratic(loss)
+    schedule = _schedule(cfg, loss.lipschitz, 1)
+    z = _standard_noise(cfg.privacy, streams, _noise_count(schedule))
+    lo_dom, hi_dom = domain.interval()
+    x = np.full(z.shape[0], float(x[0]))
+    return _chain_trials(loss, data, cfg, schedule, x, lo_dom, hi_dom, z)[:, None]

@@ -1,7 +1,7 @@
 """Noise primitives and calibration: Laplace and Gaussian scales, the
 per-phase noise scale, noise draw and step-size privacy term of the phase
-chains, sequential composition, and an empirical neighboring-dataset
-distinguishability test (a falsifier, not a certifier).
+chains, and an empirical neighboring-dataset distinguishability test (a
+falsifier, not a certifier).
 
 This module is the one place where a budget decides between pure DP (iid
 Laplace noise) and approximate DP (isotropic Gaussian noise)."""
@@ -24,7 +24,6 @@ __all__ = [
     "noise_norm_factor",
     "noise_sigma",
     "noise_draw",
-    "compose",
     "DpTestReport",
     "empirical_dp_test",
 ]
@@ -94,16 +93,6 @@ def noise_draw(privacy: PrivacyParams, rng: RngStream) -> Callable[..., np.ndarr
     ``rng``: iid Laplace(sigma) for pure budgets, mean-zero Gaussian with
     standard deviation sigma otherwise."""
     return rng.gen.laplace if privacy.is_pure else rng.gen.normal
-
-
-def compose(budgets: list[PrivacyParams]) -> PrivacyParams:
-    """Sequential composition: budgets add up coordinate-wise."""
-    if not budgets:
-        raise InvalidInputError("cannot compose an empty budget list")
-    return PrivacyParams(
-        epsilon=sum(b.epsilon for b in budgets),
-        delta=sum(b.delta for b in budgets),
-    )
 
 
 @dataclass(frozen=True)

@@ -229,6 +229,14 @@ sabotage = false
     assert rows[0]["passed"] is True
 
 
+def test_cli_audit_rejects_unreadable_config_and_missing_section(tmp_path):
+    with pytest.raises(InvalidInputError, match="cannot read config"):
+        main(["audit", str(tmp_path / "missing.ini")])
+    no_audit = _write(tmp_path, "[experiment]\nname = x\n", name="no_audit.ini")
+    with pytest.raises(InvalidInputError, match=r"no \[audit\] section"):
+        main(["audit", str(no_audit)])
+
+
 def test_audit_skips_noiseless_budget_with_notice():
     rows = privacy_audit(
         epsilons=(math.inf,), trials=100, pipelines=("localization",)

@@ -7,7 +7,6 @@ from dpgrowth.core import Dataset, InvalidInputError, PrivacyParams, RngStream
 from dpgrowth.mechanisms import (
     MAX_APPROX_DELTA,
     check_budget,
-    compose,
     empirical_dp_test,
     gaussian_sigma,
     laplace_sigma,
@@ -86,16 +85,6 @@ def test_noise_norm_factor_and_delta_cap():
             check_budget(bad)
         with pytest.raises(InvalidInputError):
             noise_norm_factor(bad, 1)
-
-
-def test_compose():
-    out = compose([PrivacyParams(1.0), PrivacyParams(1.0)])
-    assert (out.epsilon, out.delta) == (2.0, 0.0)
-    out = compose([PrivacyParams(0.5, 1e-6)] * 4)
-    assert out.epsilon == pytest.approx(2.0)
-    assert out.delta == pytest.approx(4e-6)
-    with pytest.raises(InvalidInputError):
-        compose([])
 
 
 # ---------------------------------------------------------------------------
