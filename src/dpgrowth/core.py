@@ -268,17 +268,16 @@ def _ball_project(x: np.ndarray, center: np.ndarray, radius: float) -> np.ndarra
     return center + diff * (radius / dist)
 
 
-def project(
-    domain: Domain,
-    x: np.ndarray,
-    displacement_tol: float = 1e-10,
-    max_sweeps: int = 200,
-) -> np.ndarray:
+DYKSTRA_DISPLACEMENT_TOL = 1e-10
+DYKSTRA_MAX_SWEEPS = 200
+
+
+def project(domain: Domain, x: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the domain's ball intersection.
 
     Single balls project radially in closed form.  Intersections run Dykstra
     alternating projections until the per-sweep displacement drops below
-    ``displacement_tol`` or ``max_sweeps`` is hit.
+    ``DYKSTRA_DISPLACEMENT_TOL`` or ``DYKSTRA_MAX_SWEEPS`` is hit.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all(np.isfinite(x)):
@@ -290,14 +289,14 @@ def project(
         return x.copy()
     corrections = [np.zeros_like(x) for _ in balls]
     cur = x.copy()
-    for _ in range(max_sweeps):
+    for _ in range(DYKSTRA_MAX_SWEEPS):
         prev = cur.copy()
         for i, (c, r) in enumerate(balls):
             shifted = cur + corrections[i]
             nxt = _ball_project(shifted, c, r)
             corrections[i] = shifted - nxt
             cur = nxt
-        if np.linalg.norm(cur - prev) < displacement_tol:
+        if np.linalg.norm(cur - prev) < DYKSTRA_DISPLACEMENT_TOL:
             break
     return cur
 
@@ -423,10 +422,12 @@ def probe_points(
 ) -> np.ndarray:
     """Probe mix: uniform draws, boundary points, and near-minimizer points.
 
-    With ``interior_shrink < 1`` all probes are pulled strictly inside the
-    base ball (used by the gradient-domination check, which is an interior
-    statement for constrained problems).
+    The domain must be a single ball.  With ``interior_shrink < 1`` all
+    probes are pulled strictly inside it (used by the gradient-domination
+    check, which is an interior statement for constrained problems).
     """
+    if domain.parent is not None:
+        raise InvalidInputError("probe points need a single-ball domain")
     if rng is None:
         rng = RngStream(0, 0)
     xstar = np.atleast_1d(np.asarray(xstar, dtype=float))
@@ -443,16 +444,15 @@ def probe_points(
     dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
     pts.append(xstar[None, :] + scales * dirs)
     out = np.vstack(pts)
-    if domain.parent is not None or interior_shrink < 1.0:
-        shrunk = Domain(domain.center, r, domain.parent)
-        out = np.stack([project(shrunk, p) for p in out])
-    else:
-        out = np.stack([_ball_project(p, c, r) for p in out])
+    diff = out - c[None, :]
+    dist = np.linalg.norm(diff, axis=1)
+    outside = dist > r
+    out[outside] = c[None, :] + diff[outside] * (r / dist[outside])[:, None]
     return out
 
 
 def verify_growth(
-    f: Callable[[np.ndarray], float],
+    f: Callable[[np.ndarray], np.ndarray],
     xstar: np.ndarray,
     fstar: float,
     spec: GrowthSpec,
@@ -462,24 +462,21 @@ def verify_growth(
 ) -> ProbeReport:
     """Check f(x) - f* >= (lam/kappa) * ||x - x*||^kappa on sampled probes.
 
-    Returns the largest value of the left-minus-right defect; nonpositive
-    (up to 1e-7) means the growth certificate holds on the probe set.
+    ``f`` maps an (m, d) array of points to their m values.  Returns the
+    largest value of the left-minus-right defect (the first probe attaining
+    it); nonpositive (up to 1e-7) means the growth certificate holds on the
+    probe set.
     """
     pts = probe_points(domain, xstar, probes, rng)
     xstar = np.atleast_1d(np.asarray(xstar, dtype=float))
-    worst = -math.inf
-    arg = pts[0]
-    coef = spec.lam / spec.kappa
-    for p in pts:
-        lhs = coef * float(np.linalg.norm(p - xstar)) ** spec.kappa
-        violation = lhs - (float(f(p)) - fstar)
-        if violation > worst:
-            worst, arg = violation, p
-    return ProbeReport(worst, arg, len(pts))
+    lhs = spec.lam / spec.kappa * np.linalg.norm(pts - xstar, axis=1) ** spec.kappa
+    violation = lhs - (np.asarray(f(pts), dtype=float) - fstar)
+    i = int(np.argmax(violation))
+    return ProbeReport(float(violation[i]), pts[i], len(pts))
 
 
 def verify_kl(
-    f: Callable[[np.ndarray], float],
+    f: Callable[[np.ndarray], np.ndarray],
     grad: Callable[[np.ndarray], np.ndarray],
     xstar: np.ndarray,
     fstar: float,
@@ -492,21 +489,17 @@ def verify_kl(
 
         f(x) - f* <= (e / lam^(1/(kappa-1))) * ||grad f(x)||^(kappa/(kappa-1)).
 
-    ``grad`` must return the gradient where f is differentiable and the
-    min-norm subgradient elsewhere.
+    ``f`` maps (m, d) points to (m,) values and ``grad`` to (m, d)
+    gradients: the gradient where f is differentiable and the min-norm
+    subgradient elsewhere.
     """
     if spec.kappa <= 1:
         raise InvalidInputError("gradient-domination check needs kappa > 1")
     pts = probe_points(domain, xstar, probes, rng, interior_shrink=0.98)
-    xstar = np.atleast_1d(np.asarray(xstar, dtype=float))
     expo = spec.kappa / (spec.kappa - 1.0)
     coef = math.e / spec.lam ** (1.0 / (spec.kappa - 1.0))
-    worst = -math.inf
-    arg = pts[0]
-    for p in pts:
-        gap = float(f(p)) - fstar
-        bound = coef * float(np.linalg.norm(grad(p))) ** expo
-        violation = gap - bound
-        if violation > worst:
-            worst, arg = violation, p
-    return ProbeReport(worst, arg, len(pts))
+    gap = np.asarray(f(pts), dtype=float) - fstar
+    bound = coef * np.linalg.norm(np.asarray(grad(pts), dtype=float), axis=1) ** expo
+    violation = gap - bound
+    i = int(np.argmax(violation))
+    return ProbeReport(float(violation[i]), pts[i], len(pts))

@@ -149,17 +149,9 @@ def _solve_isotropic_quadratic(problem: RegularizedProblem, st: IsotropicQuadrat
     x = (2.0 * lam * problem.anchor - qbar) / (st.curvature + 2.0 * lam)
     if problem.domain.contains(x, tol=0.0):
         return x
-    # Constrained case: projected gradient with the exact smooth step; linear
-    # convergence because the quadratic is (curv + 2 lam)-smooth and strongly convex.
-    ell = st.curvature + 2.0 * lam
-    y = project(problem.domain, x)
-    for _ in range(10_000):
-        grad = st.curvature * y + qbar + 2.0 * lam * (y - problem.anchor)
-        y_next = project(problem.domain, y - grad / ell)
-        if float(np.linalg.norm(y_next - y)) <= 1e-14 * max(1.0, float(np.linalg.norm(y))):
-            return y_next
-        y = y_next
-    return y
+    # The objective is 0.5 (curv + 2 lam) ||y - x||^2 + const, so the
+    # constrained minimizer is the Euclidean projection of x.
+    return project(problem.domain, x)
 
 
 def _coordwise_abs_quadratic(pts_sorted, weight, quad, anchor):

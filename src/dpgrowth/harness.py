@@ -701,7 +701,14 @@ def main(argv=None) -> int:
     p_ver.add_argument("--probes", type=int, default=10_000)
 
     args = parser.parse_args(argv)
+    try:
+        return _command(args)
+    except InvalidInputError as exc:
+        print(f"dpgrowth: error: {exc}", file=sys.stderr)
+        return 2
 
+
+def _command(args) -> int:
     if args.command == "run":
         cfg = load_config(args.config)
         if args.seed is not None:

@@ -264,9 +264,11 @@ class ProblemInstance:
     xstar: np.ndarray
     fstar: float
     _sampler: Callable[[RngStream, int], np.ndarray]
+    # Kept scalar: numpy's array ** and norm round differently, and excess_pop
+    # goes into the byte-reproducible sweep CSVs.
     _pop_value: Callable[[np.ndarray], float]
-    _pop_value_many: Callable[[np.ndarray], np.ndarray]
-    _pop_grad: Callable[[np.ndarray], np.ndarray]
+    _pop_value_many: Callable[[np.ndarray], np.ndarray]  # (m, d) -> (m,)
+    _pop_grad: Callable[[np.ndarray], np.ndarray]  # (m, d) -> (m, d), min-norm
     _emp_min: Callable[[np.ndarray], tuple[np.ndarray, float]]
 
     def draw(self, n: int, rng: RngStream) -> Dataset:
@@ -279,9 +281,6 @@ class ProblemInstance:
 
     def pop_value_many(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(self._pop_value_many(np.atleast_2d(points)), float)
-
-    def pop_grad(self, x: np.ndarray) -> np.ndarray:
-        return np.atleast_1d(self._pop_grad(np.atleast_1d(np.asarray(x, float))))
 
     def excess_pop(self, x: np.ndarray) -> float:
         return self.pop_value(x) - self.fstar
@@ -302,10 +301,10 @@ class ProblemInstance:
         if self.growth is None:
             return None, None
         g = verify_growth(
-            self._pop_value, self.xstar, self.fstar, self.growth, probes, self.domain, rng
+            self._pop_value_many, self.xstar, self.fstar, self.growth, probes, self.domain, rng
         )
         k = verify_kl(
-            self._pop_value,
+            self._pop_value_many,
             self._pop_grad,
             self.xstar,
             self.fstar,
@@ -317,15 +316,13 @@ class ProblemInstance:
         return g, k
 
 
-def _fit_growth_constant(pop_value, xstar, fstar, kappa, domain, probes=2000):
+def _fit_growth_constant(pop_value_many, xstar, fstar, kappa, domain, probes=2000):
     """Empirical growth constant: kappa * min probe ratio of (f - f*) / r^kappa."""
     pts = probe_points(domain, xstar, probes, RngStream(2024, 0))
-    best = math.inf
-    for p in pts:
-        r = float(np.linalg.norm(p - xstar))
-        if r < 1e-6:
-            continue
-        best = min(best, (float(pop_value(p)) - fstar) / r**kappa)
+    r = np.linalg.norm(pts - xstar, axis=1)
+    far = r >= 1e-6
+    ratios = (pop_value_many(pts[far]) - fstar) / r[far] ** kappa
+    best = float(np.min(ratios, initial=math.inf))
     if not (best > 0):
         raise InvalidInputError("probe-fitted growth constant is not positive")
     return kappa * best * (1.0 - 1e-9)
@@ -393,9 +390,9 @@ def make_uniform_convex(
     def pop_value_many(pts):
         return coef * np.linalg.norm(pts, axis=1) ** kappa + pts @ u
 
-    def pop_grad(x):
-        r = float(np.linalg.norm(x))
-        return sigma_c * r ** (kappa - 2.0) * x + u
+    def pop_grad(pts):
+        r = np.linalg.norm(pts, axis=1, keepdims=True)
+        return sigma_c * r ** (kappa - 2.0) * pts + u
 
     def emp_min(samples):
         ubar = (L / 2.0) * samples.mean(axis=0)
@@ -455,19 +452,17 @@ def make_sharp_growth_1d(kappa: float, bias_delta: float, v: int = 1) -> Problem
     def pop_value(x):
         return float(pop_value_many(np.atleast_2d(x))[0])
 
-    def pop_grad(x):
-        t = float(np.atleast_1d(x)[0])
-        # Min-norm element of the population subdifferential at the kinks.
+    def pop_grad(pts):
+        # Min-norm element of the population subdifferential, from the
+        # one-sided derivatives just left and right of each t.
+        t = pts[:, 0]
+        h = 1e-12 + 1e-9 * np.abs(t)
         lo, hi = (
-            p_plus * _one_sided(loss._deriv_plus, t, side)
-            + (1.0 - p_plus) * _one_sided(loss._deriv_minus, t, side)
-            for side in (-1.0, 1.0)
+            p_plus * loss._deriv_plus(s) + (1.0 - p_plus) * loss._deriv_minus(s)
+            for s in (t - h, t + h)
         )
-        if lo <= 0.0 <= hi:
-            g = 0.0
-        else:
-            g = lo if abs(lo) < abs(hi) else hi
-        return np.array([g])
+        g = np.where(np.abs(lo) < np.abs(hi), lo, hi)
+        return np.where((lo <= 0.0) & (0.0 <= hi), 0.0, g)[:, None]
 
     def emp_min(samples):
         frac_pos = float(np.mean(samples[:, 0] > 0))
@@ -490,12 +485,6 @@ def make_sharp_growth_1d(kappa: float, bias_delta: float, v: int = 1) -> Problem
         _pop_grad=pop_grad,
         _emp_min=emp_min,
     )
-
-
-def _one_sided(deriv, t, side):
-    """Derivative just left (side = -1) or right (side = +1) of t."""
-    h = 1e-12 + 1e-9 * abs(t)
-    return float(deriv(np.array([t + side * h]))[0])
 
 
 def make_knorm_regression(
@@ -541,9 +530,9 @@ def make_knorm_regression(
     def pop_value_many(pts):
         return C * np.linalg.norm(pts - x_true[None, :], axis=1) ** kappa
 
-    def pop_grad(x):
-        delta = x - x_true
-        r = float(np.linalg.norm(delta))
+    def pop_grad(pts):
+        delta = pts - x_true
+        r = np.linalg.norm(delta, axis=1, keepdims=True)
         return C * kappa * r ** (kappa - 2.0) * delta
 
     def emp_min(samples):
@@ -552,7 +541,7 @@ def make_knorm_regression(
 
     domain = Domain(np.zeros(d), R)
     loss = KnormRegressionLoss(d=d, kappa=kappa, lipschitz=L)
-    lam_fit = _fit_growth_constant(pop_value, x_true, 0.0, kappa, domain)
+    lam_fit = _fit_growth_constant(pop_value_many, x_true, 0.0, kappa, domain)
     return ProblemInstance(
         name="knorm_regression",
         description=f"knorm_regression(d={d},kappa={kappa},R={R:g},scale={design_scale:g})",
@@ -592,9 +581,8 @@ def make_pure_convex(d: int, L: float, R: float, flat: bool = False) -> ProblemI
         def pop_value(x):
             return float(pop_value_many(np.atleast_2d(x))[0])
 
-        def pop_grad(x):
-            t = float(np.atleast_1d(x)[0])
-            return np.array([0.0 if abs(t) <= R else L * np.sign(t)])
+        def pop_grad(pts):
+            return np.where(np.abs(pts) <= R, 0.0, L * np.sign(pts))
 
         def emp_min(samples):
             pos = float(np.mean(samples[:, 0] > 0))
@@ -636,10 +624,8 @@ def make_pure_convex(d: int, L: float, R: float, flat: bool = False) -> ProblemI
     def pop_value(x):
         return float(pop_value_many(np.atleast_2d(x))[0])
 
-    def pop_grad(x):
-        x = np.atleast_1d(x)
-        inner = np.abs(x) <= c
-        return w * np.where(inner, 0.5 * np.sign(x), np.sign(x))
+    def pop_grad(pts):
+        return w * np.where(np.abs(pts) <= c, 0.5 * np.sign(pts), np.sign(pts))
 
     def emp_min(samples):
         x = np.median(samples, axis=0)

@@ -26,7 +26,6 @@ from .core import (
 __all__ = [
     "GridDensity",
     "default_rho",
-    "smoothed_grad_norm",
     "build_density",
     "sample",
     "excess_risk_bound",
@@ -78,11 +77,6 @@ def _grid_1d(domain: Domain, h: float) -> np.ndarray:
     return (lo + h * np.arange(count))[:, None]
 
 
-def _mean_grad_norms(loss: LossOracle, data: Dataset, points: np.ndarray) -> np.ndarray:
-    grads = loss.mean_grads(points, data.samples)
-    return np.linalg.norm(grads, axis=1)
-
-
 def _refined_norms_1d(loss: LossOracle, data: Dataset, points: np.ndarray) -> np.ndarray:
     """Gradient-norm lower envelope on an ordered 1-D grid.
 
@@ -99,47 +93,6 @@ def _refined_norms_1d(loss: LossOracle, data: Dataset, points: np.ndarray) -> np
     norms[:-1] = np.where(crossing, 0.0, norms[:-1])
     norms[1:] = np.where(crossing, 0.0, norms[1:])
     return norms
-
-
-def smoothed_grad_norm(
-    loss: LossOracle,
-    data: Dataset,
-    x: np.ndarray,
-    rho: float,
-    domain: Domain,
-    h: float | None = None,
-) -> float:
-    """Windowed infimum of the mean-gradient norm around ``x``.
-
-    The infimum runs over lattice points of spacing ``h`` (default rho/8)
-    within distance rho of x that lie in the domain, so the result carries a
-    discretization error of order h times the local gradient variation.
-    """
-    if not (rho > 0):
-        raise InvalidInputError("rho must be positive")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if h is None:
-        h = rho / 8.0
-    d = domain.dim
-    offsets = np.arange(-math.floor(rho / h), math.floor(rho / h) + 1) * h
-    if d == 1:
-        pts = x[None, :] + offsets[:, None]
-        lo, hi = domain.interval()
-        pts = pts[(pts[:, 0] >= lo - 1e-12) & (pts[:, 0] <= hi + 1e-12)]
-        if len(pts) == 0:
-            pts = x[None, :]
-        return float(_refined_norms_1d(loss, data, pts).min())
-    elif d == 2:
-        ox, oy = np.meshgrid(offsets, offsets, indexing="ij")
-        pts = x[None, :] + np.column_stack([ox.ravel(), oy.ravel()])
-        pts = pts[np.linalg.norm(pts - x[None, :], axis=1) <= rho + 1e-12]
-    else:
-        raise InvalidInputError("smoothed scores are realized only for d <= 2")
-    keep = np.array([domain.contains(p, tol=1e-12) for p in pts])
-    pts = pts[keep]
-    if len(pts) == 0:
-        pts = x[None, :]
-    return float(_mean_grad_norms(loss, data, pts).min())
 
 
 def build_density(
@@ -190,7 +143,9 @@ def build_density(
         lattice = np.column_stack([mx.ravel(), my.ravel()])
         feasible = np.array([domain.contains(p, tol=1e-12) for p in lattice])
         norms = np.full(lattice.shape[0], np.inf)
-        norms[feasible] = _mean_grad_norms(loss, data, lattice[feasible])
+        norms[feasible] = np.linalg.norm(
+            loss.mean_grads(lattice[feasible], data.samples), axis=1
+        )
         grid_norms = norms.reshape(count, count)
         ii, jj = np.meshgrid(
             np.arange(-window, window + 1), np.arange(-window, window + 1), indexing="ij"

@@ -32,6 +32,8 @@ __all__ = [
 # (log(1/delta) -> 0); they are rejected rather than silently accepted.
 MAX_APPROX_DELTA = 0.5
 
+MIN_BIN_COUNT = 50
+
 
 def laplace_sigma(l1_sensitivity: float, epsilon: float) -> float:
     """Laplace scale for a statistic with the given l1 sensitivity: sigma = Delta / epsilon."""
@@ -121,15 +123,13 @@ def empirical_dp_test(
     trials: int,
     bins: int,
     rng: RngStream,
-    min_count: int = 50,
-    bin_range: tuple[float, float] | None = None,
 ) -> DpTestReport:
     """Run ``mechanism`` on two neighboring datasets and compare output histograms.
 
     ``mechanism(dataset, rng, trials)`` must return ``trials`` scalar outputs.
-    Outputs are clamped into a shared binning range, and the statistic is the
-    largest absolute log-ratio of bin frequencies over bins holding at least
-    ``min_count`` samples under both datasets.  The pass threshold is
+    Both output sets are binned over their joint range, and the statistic is
+    the largest absolute log-ratio of bin frequencies over bins holding at
+    least ``MIN_BIN_COUNT`` samples under both datasets.  The pass threshold is
     ``epsilon + slack`` with slack = 3 / sqrt(min qualifying bin count), a
     Monte Carlo allowance.  The test can expose a violation; it cannot prove
     privacy.
@@ -142,17 +142,14 @@ def empirical_dp_test(
     out_b = np.asarray(mechanism(data_neighbor, rng.child(1), trials), dtype=float).ravel()
     if out_a.shape != (trials,) or out_b.shape != (trials,):
         raise InvalidInputError("mechanism must return `trials` scalar outputs")
-    if bin_range is None:
-        lo = float(min(out_a.min(), out_b.min()))
-        hi = float(max(out_a.max(), out_b.max()))
-        if hi <= lo:
-            hi = lo + 1e-12
-    else:
-        lo, hi = bin_range
+    lo = float(min(out_a.min(), out_b.min()))
+    hi = float(max(out_a.max(), out_b.max()))
+    if hi <= lo:
+        hi = lo + 1e-12
     edges = np.linspace(lo, hi, bins + 1)
-    count_a, _ = np.histogram(np.clip(out_a, lo, hi), bins=edges)
-    count_b, _ = np.histogram(np.clip(out_b, lo, hi), bins=edges)
-    qualifying = (count_a >= min_count) & (count_b >= min_count)
+    count_a, _ = np.histogram(out_a, bins=edges)
+    count_b, _ = np.histogram(out_b, bins=edges)
+    qualifying = (count_a >= MIN_BIN_COUNT) & (count_b >= MIN_BIN_COUNT)
     n_qual = int(qualifying.sum())
     if n_qual == 0:
         return DpTestReport(

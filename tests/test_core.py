@@ -13,6 +13,7 @@ from dpgrowth.core import (
     RngStream,
     derive_stream_key,
     hamming_distance,
+    probe_points,
     project,
     verify_growth,
     verify_kl,
@@ -185,22 +186,27 @@ def test_zero_radius_projection_returns_center():
 def test_verify_growth_half_quadratic_is_tight():
     dom = Domain(np.zeros(1), 1.0)
     spec = GrowthSpec(1.0, 2.0)
-    rep = verify_growth(lambda x: 0.5 * x[0] ** 2, np.zeros(1), 0.0, spec, 2000, dom)
+    rep = verify_growth(lambda X: 0.5 * X[:, 0] ** 2, np.zeros(1), 0.0, spec, 2000, dom)
     assert rep.max_violation <= 1e-12  # equality case: (lam/kappa) x^2 = f
 
 
 def test_verify_growth_absolute_value_degenerate_kappa_one():
     dom = Domain(np.zeros(1), 1.0)
     spec = GrowthSpec(1.0, 1.0)
-    rep = verify_growth(lambda x: abs(x[0]), np.zeros(1), 0.0, spec, 2000, dom)
-    assert rep.max_violation <= 1e-12
+    rep = verify_growth(lambda X: np.abs(X[:, 0]), np.zeros(1), 0.0, spec, 2000, dom)
+    # Every probe ties at an exact zero defect; the first probe is reported.
+    assert rep.max_violation == 0.0
+    assert rep.n_probes == 2000
+    np.testing.assert_array_equal(rep.argmax, probe_points(dom, np.zeros(1), 2000)[0])
 
 
 def test_verify_growth_detects_violations():
     dom = Domain(np.zeros(1), 1.0)
     spec = GrowthSpec(4.0, 2.0)  # claims 2 x^2 <= 0.5 x^2: false
-    rep = verify_growth(lambda x: 0.5 * x[0] ** 2, np.zeros(1), 0.0, spec, 2000, dom)
+    rep = verify_growth(lambda X: 0.5 * X[:, 0] ** 2, np.zeros(1), 0.0, spec, 2000, dom)
     assert rep.max_violation > 0.1
+    # The defect 1.5 x^2 is largest on the boundary.
+    assert abs(rep.argmax[0]) == pytest.approx(1.0)
 
 
 def test_verify_growth_sharp_instance_grid_oracle():
@@ -211,7 +217,7 @@ def test_verify_growth_sharp_instance_grid_oracle():
     defect = (1.0 / 1.5) * np.abs(grid - inst.xstar[0]) ** 1.5 - (vals - inst.fstar)
     assert defect.max() <= 1e-7
     rep = verify_growth(
-        inst._pop_value, inst.xstar, inst.fstar, inst.growth, 10_000, inst.domain
+        inst._pop_value_many, inst.xstar, inst.fstar, inst.growth, 10_000, inst.domain
     )
     assert rep.max_violation <= 1e-7
 
@@ -225,8 +231,8 @@ def test_verify_kl_closed_form_example():
     dom = Domain(np.zeros(1), 1.0)
     spec = GrowthSpec(1.0, 2.0)
     rep = verify_kl(
-        lambda x: 0.5 * x[0] ** 2,
-        lambda x: np.array([x[0]]),
+        lambda X: 0.5 * X[:, 0] ** 2,
+        lambda X: X.copy(),
         np.zeros(1),
         0.0,
         spec,
@@ -234,6 +240,8 @@ def test_verify_kl_closed_form_example():
         dom,
     )
     assert rep.max_violation <= 1e-9
+    # Interior probes only: the check pulls every probe inside 0.98 R.
+    assert abs(rep.argmax[0]) <= 0.98
 
 
 def test_verify_kl_zero_at_minimizer():
@@ -247,7 +255,7 @@ def test_verify_kl_zero_at_minimizer():
 def test_verify_kl_kappa4_instance_interior_probes():
     inst = make_uniform_convex(d=1, kappa=4, lam=0.25, L=2.0, R=1.0, bias_delta=0.1)
     rep = verify_kl(
-        inst._pop_value,
+        inst._pop_value_many,
         inst._pop_grad,
         inst.xstar,
         inst.fstar,
@@ -256,6 +264,18 @@ def test_verify_kl_kappa4_instance_interior_probes():
         inst.domain,
     )
     assert rep.max_violation <= 1e-7
+
+
+def test_probe_points_stay_in_the_ball_and_reject_intersections():
+    dom = Domain(np.array([0.2, -0.1]), 0.5)
+    xstar = np.array([0.6, -0.1])  # on the boundary: near probes spill outside
+    for shrink in (1.0, 0.98):
+        pts = probe_points(dom, xstar, 3000, RngStream(4, 0), interior_shrink=shrink)
+        assert pts.shape == (3000, 2)
+        assert np.linalg.norm(pts - dom.center, axis=1).max() <= shrink * 0.5 * (1 + 1e-12)
+    lens = Domain(np.array([0.1, 0.0]), 0.5, parent=dom)
+    with pytest.raises(InvalidInputError, match="single-ball"):
+        probe_points(lens, xstar, 100)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,13 @@ from dpgrowth.core import (
     IsotropicQuadratic,
     RngStream,
 )
-from dpgrowth.erm import RegularizedProblem, certified_gap, empirical_sensitivity, solve
+from dpgrowth.erm import (
+    RegularizedProblem,
+    _solve_isotropic_quadratic,
+    certified_gap,
+    empirical_sensitivity,
+    solve,
+)
 from dpgrowth.instances import make_pure_convex, make_uniform_convex
 
 
@@ -91,6 +97,43 @@ def test_solve_separable_abs_checks_balls_sharing_a_center():
     # The objective is symmetric in the coordinates and decreases towards
     # (0.5, 0.5), so the constrained minimizer is the ball's diagonal point.
     np.testing.assert_allclose(x, np.full(2, 0.1 / math.sqrt(2.0)), atol=1e-8)
+
+
+def test_solve_constrained_isotropic_quadratic_at_a_lens_corner():
+    # mean ||x - s||^2 + 0.5 ||x||^2 has its unconstrained minimizer
+    # x_u = s / 1.5 = (1.28, 0.76), outside both balls of the lens and inside
+    # the normal cone of its upper corner (0.89, 0.456), so both balls bind.
+    loss = CallableLoss(
+        lambda x, s: float(np.sum((x - s) ** 2)),
+        lambda x, s: 2.0 * (x - s),
+        lipschitz=4.0,
+        point_dim=2,
+        sample_dim=2,
+        structure=IsotropicQuadratic(curvature=2.0, linear=lambda s: -2.0 * s),
+    )
+    samples = np.array([[1.72, 1.04], [2.12, 1.24]])
+    lens = Domain(np.array([0.5, 0.0]), 0.6, parent=Domain(np.zeros(2), 1.0))
+    prob = RegularizedProblem(loss, Dataset(samples), np.zeros(2), 0.5, lens)
+    x_u = samples.mean(axis=0) / 1.5
+    assert not lens.contains(x_u)
+    x = solve(prob, tol=1e-10)
+    # solve returns the structured path's answer, not a fallback's.
+    np.testing.assert_array_equal(x, _solve_isotropic_quadratic(prob, loss.structure))
+    assert lens.contains(x, tol=1e-9)
+    assert certified_gap(prob, x) <= 1e-10
+    gx, gy = np.meshgrid(np.arange(-0.1, 1.0, 1e-3), np.arange(-0.6, 0.6, 1e-3))
+    grid = np.column_stack([gx.ravel(), gy.ravel()])
+    grid = grid[
+        (np.linalg.norm(grid, axis=1) <= 1.0)
+        & (np.linalg.norm(grid - lens.center, axis=1) <= 0.6)
+    ]
+    vals = np.mean(
+        np.sum((grid[:, None, :] - samples[None, :, :]) ** 2, axis=2), axis=1
+    ) + 0.5 * np.sum(grid**2, axis=1)
+    oracle = grid[int(np.argmin(vals))]
+    assert prob.objective(x) <= float(vals.min()) + 1e-12
+    assert np.linalg.norm(x - oracle) < 3e-3
+    np.testing.assert_allclose(x, [0.89, math.sqrt(1.0 - 0.89**2)], atol=1e-8)
 
 
 def test_solve_random_1d_problems_vs_grid():

@@ -229,12 +229,18 @@ sabotage = false
     assert rows[0]["passed"] is True
 
 
-def test_cli_audit_rejects_unreadable_config_and_missing_section(tmp_path):
-    with pytest.raises(InvalidInputError, match="cannot read config"):
-        main(["audit", str(tmp_path / "missing.ini")])
+def test_cli_audit_rejects_unreadable_config_and_missing_section(tmp_path, capsys):
+    missing = tmp_path / "missing.ini"
     no_audit = _write(tmp_path, "[experiment]\nname = x\n", name="no_audit.ini")
-    with pytest.raises(InvalidInputError, match=r"no \[audit\] section"):
-        main(["audit", str(no_audit)])
+    for argv, message in (
+        (["audit", str(missing)], f"cannot read config {missing}"),
+        (["run", str(missing)], f"cannot read config {missing}"),
+        (["audit", str(no_audit)], f"config {no_audit} has no [audit] section"),
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"dpgrowth: error: {message}\n"
 
 
 def test_audit_skips_noiseless_budget_with_notice():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dpgrowth.core import Dataset, InvalidInputError, RngStream
+from dpgrowth.core import Dataset, InvalidInputError, RngStream, probe_points
 from dpgrowth.instances import (
     SHIPPED_INSTANCES,
     build_instance,
@@ -258,3 +258,76 @@ def test_empirical_min_is_a_minimum_on_probes():
         for t in range(50):
             probe = inst.domain.project(rng.gen.uniform(-1, 1, d))
             assert inst.emp_value(probe, data) >= fmin - 1e-9
+
+
+def _kinks(name, params, inst):
+    """Coordinate values where a shipped instance's population objective has a kink."""
+    if name == "sharp_growth":
+        return np.array([inst.xstar[0], -inst.xstar[0]])
+    if name == "pure_convex":
+        return np.array([-0.5, 0.0, 0.5]) * params["R"]
+    return np.empty(0)
+
+
+@pytest.mark.parametrize("idx", range(len(SHIPPED_INSTANCES)))
+def test_pop_grad_matches_central_differences_away_from_kinks(idx):
+    name, params = SHIPPED_INSTANCES[idx]
+    inst = build_instance(name, **params)
+    d = inst.domain.dim
+    pts = RngStream(15, idx).gen.uniform(-0.95, 0.95, (400, d)) * inst.domain.radius
+    kinks = _kinks(name, params, inst)
+    if kinks.size:
+        gaps = np.abs(pts[:, :, None] - kinks[None, None, :]).min(axis=(1, 2))
+        pts = pts[gaps > 1e-3]
+    assert len(pts) >= 300
+    grad = inst._pop_grad(pts)
+    assert grad.shape == pts.shape
+    h = 1e-6
+    for j in range(d):
+        e = np.zeros(d)
+        e[j] = h
+        fd = (inst.pop_value_many(pts + e) - inst.pop_value_many(pts - e)) / (2 * h)
+        np.testing.assert_allclose(grad[:, j], fd, rtol=1e-6, atol=1e-6, err_msg=inst.description)
+
+
+def test_sharp_growth_pop_grad_is_min_norm_at_the_kinks():
+    for name, params in SHIPPED_INSTANCES:
+        if name != "sharp_growth":
+            continue
+        inst = build_instance(name, **params)
+        # At x* the subdifferential holds 0, so 0 is returned, not a one-sided slope.
+        assert np.array_equal(inst._pop_grad(inst.xstar[None, :]), np.zeros((1, 1)))
+        t = inst.xstar[0] + np.array([-1e-3, 1e-3])
+        g = inst._pop_grad(t[:, None])[:, 0]
+        assert g[0] * g[1] < 0, inst.description  # slopes change sign across x*
+        # At the mirror kink -x* the one-sided slopes are -p and -bias (times
+        # the sign of x*), both of one sign; the smaller one, -bias, is returned.
+        g = inst._pop_grad(-inst.xstar[None, :])[0, 0]
+        expected = -np.sign(inst.xstar[0]) * params["bias_delta"]
+        assert g == pytest.approx(expected, abs=1e-5), inst.description
+
+
+@pytest.mark.parametrize(
+    "idx", [i for i, (name, _) in enumerate(SHIPPED_INSTANCES) if name != "pure_convex"]
+)
+def test_certify_matches_a_per_probe_loop(idx):
+    # Reference: the scalar population value and one gradient row per probe.
+    name, params = SHIPPED_INSTANCES[idx]
+    inst = build_instance(name, **params)
+    g, k = inst.certify(probes=2000, rng=RngStream(3100, idx))
+    rng = RngStream(3100, idx)
+    spec, xstar, fstar = inst.growth, inst.xstar, inst.fstar
+    growth = [
+        spec.lam / spec.kappa * float(np.linalg.norm(p - xstar)) ** spec.kappa
+        - (inst.pop_value(p) - fstar)
+        for p in probe_points(inst.domain, xstar, 2000, rng)
+    ]
+    expo = spec.kappa / (spec.kappa - 1.0)
+    coef = math.e / spec.lam ** (1.0 / (spec.kappa - 1.0))
+    kl = [
+        inst.pop_value(p) - fstar
+        - coef * float(np.linalg.norm(inst._pop_grad(p[None, :])[0])) ** expo
+        for p in probe_points(inst.domain, xstar, 2000, rng, interior_shrink=0.98)
+    ]
+    assert g.max_violation == pytest.approx(max(growth), abs=1e-14)
+    assert k.max_violation == pytest.approx(max(kl), abs=1e-14)

@@ -18,7 +18,6 @@ from dpgrowth.inv_sensitivity import (
     default_rho,
     excess_risk_bound,
     sample,
-    smoothed_grad_norm,
 )
 from dpgrowth.instances import build_instance
 
@@ -28,29 +27,48 @@ def _atom_abs_instance():
 
 
 # ---------------------------------------------------------------------------
-# Windowed gradient norms
+# Windowed gradient-norm scores
 # ---------------------------------------------------------------------------
 
 
-def test_smoothed_grad_norm_at_the_minimizer_is_zero():
+def _scores(dens, inst, data, epsilon):
+    """Smoothed gradient norms, read back from log_weight = -eps n G / (2 L)."""
+    return -2.0 * inst.loss.lipschitz * dens.log_weights / (epsilon * data.n)
+
+
+def test_build_density_score_is_zero_at_an_atom():
     inst = _atom_abs_instance()
     data = Dataset(np.full((10, 1), 0.5))
-    assert smoothed_grad_norm(inst.loss, data, np.array([0.5]), 0.05, inst.domain) == 0.0
+    # rho = 1/16 makes the spacing 1/64, so 0.5 is a lattice point.
+    dens = build_density(inst.loss, data, inst.domain, epsilon=1.0, rho=0.0625)
+    at_atom = dens.points[:, 0] == 0.5
+    assert at_atom.sum() == 1
+    assert _scores(dens, inst, data, 1.0)[at_atom][0] == 0.0
 
 
-def test_smoothed_grad_norm_outside_window_is_one():
+def test_build_density_score_is_one_outside_the_window():
     inst = _atom_abs_instance()
     data = Dataset(np.full((10, 1), 0.5))
-    got = smoothed_grad_norm(inst.loss, data, np.array([0.5 + 0.1]), 0.05, inst.domain)
-    assert got == pytest.approx(1.0)
+    rho = 0.0625
+    dens = build_density(inst.loss, data, inst.domain, epsilon=1.0, rho=rho)
+    scores = _scores(dens, inst, data, 1.0)
+    dist = np.abs(dens.points[:, 0] - 0.5)
+    np.testing.assert_allclose(scores[dist >= 2 * rho], 1.0)
+    assert np.all(scores[dist <= rho] == 0.0)
 
 
-def test_smoothed_grad_norm_window_touching_minimizer_is_zero():
+def test_build_density_scores_zero_on_both_points_bracketing_an_off_grid_atom():
     inst = _atom_abs_instance()
-    data = Dataset(np.full((10, 1), 0.5))
-    # Off-grid center: the sign change of the mean gradient must be caught.
-    got = smoothed_grad_norm(inst.loss, data, np.array([0.51]), 0.05, inst.domain)
-    assert got == 0.0
+    atom = 0.5 + (1.0 / 64.0) / 3.0  # a third of the spacing past a lattice point
+    data = Dataset(np.full((10, 1), atom))
+    # No lattice point is stationary: the zero score must come from the sign
+    # change of the mean gradient between the two bracketing points.
+    dens = build_density(inst.loss, data, inst.domain, epsilon=1.0, rho=0.0625)
+    x = dens.points[:, 0]
+    scores = _scores(dens, inst, data, 1.0)
+    below = int(np.flatnonzero(x < atom)[-1])
+    assert x[below] < atom < x[below + 1]
+    assert scores[below] == 0.0 and scores[below + 1] == 0.0
 
 
 # ---------------------------------------------------------------------------
