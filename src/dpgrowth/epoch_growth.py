@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -179,8 +179,11 @@ def run(
     localization chain on block i with step eta_i, and adopts its output.
     Disjoint blocks keep the total budget at the per-epoch (epsilon, delta).
     ``trace`` collects one ``EpochRecord`` per epoch; ``phase_trace`` collects
-    the inner chains' ``PhaseRecord`` entries, epoch after epoch.
+    the inner chains' ``PhaseRecord`` entries, epoch after epoch.  A 1-D
+    isotropic-quadratic loss runs ``run_trials`` as one trial on ``rng``.
     """
+    if localization._is_scalar_quadratic(loss):
+        return run_trials(loss, data, domain, x0, cfg, (rng,), trace, phase_trace)[0]
     n0, inner_k, x = _start(data, domain, x0, cfg)
     for i, radius, eta_i, inner_cfg in _epochs(cfg, n0, inner_k):
         if inner_cfg is None:
@@ -199,50 +202,69 @@ def run(
 
 def run_trials(
     loss: LossOracle,
-    data: Dataset,
+    data: Dataset | Sequence[Dataset],
     domain: Domain,
     x0: np.ndarray,
     cfg: EpochConfig,
     streams: Iterable[RngStream],
+    trace: Optional[list] = None,
+    phase_trace: Optional[list] = None,
 ) -> np.ndarray:
     """Run the epoch loop once per stream, all trials at once, and return
-    one output row per stream: row t equals ``run(loss, data, domain, x0,
-    cfg, streams[t])`` bit for bit.
+    one output row per stream.
 
-    Like ``localization.run_trials`` it batches only the 1-D
-    isotropic-quadratic chain.  Each trial's region in epoch i is the
+    The inputs are those of ``localization.run_trials``, whose closed-form
+    kernel runs every epoch's chain; trial t's region in epoch i is the
     interval [max(x - R_i, lo), min(x + R_i, hi)] around its own iterate.
+    ``trace`` collects one ``EpochRecord`` per epoch, frozen ones included,
+    whose ``center`` and ``x_next`` are ``(trials,)`` arrays; ``phase_trace``
+    collects the chains' ``PhaseRecord`` entries, epoch after epoch.
     """
-    n0, inner_k, x = _start(data, domain, x0, cfg)
-    localization._check_scalar_quadratic(loss)
+    datasets, starts, (n0, inner_k, _) = localization._trial_inputs(
+        loss, data, x0, lambda ds, x: _start(ds, domain, x, cfg)
+    )
     L = loss.lipschitz
     epochs = [
-        (i, radius, inner_cfg, localization._schedule(inner_cfg, L, 1))
-        for i, radius, _, inner_cfg in _epochs(cfg, n0, inner_k)
-        if inner_cfg is not None
+        (i, radius, eta_i, inner_cfg,
+         [] if inner_cfg is None else localization._schedule(inner_cfg, L, 1))
+        for i, radius, eta_i, inner_cfg in _epochs(cfg, n0, inner_k)
     ]
     counts = [localization._noise_count(schedule) for *_, schedule in epochs]
-    z = localization._standard_noise(cfg.privacy, streams, sum(counts))
+    z, x = localization._trial_noise(cfg.privacy, streams, sum(counts), datasets, starts)
     lo, hi = domain.interval()
-    x = np.full(z.shape[0], float(x[0]))
+    curv = loss.structure.curvature
     col = 0
-    for (i, radius, inner_cfg, schedule), count in zip(epochs, counts):
-        x = localization._chain_trials(
-            loss, data.block(i, n0), inner_cfg, schedule, x,
-            np.maximum(x - radius, lo), np.minimum(x + radius, hi), z[:, col : col + count],
-        )
+    for (i, radius, eta_i, inner_cfg, schedule), count in zip(epochs, counts):
+        x_next = x
+        if inner_cfg is not None:
+            blocks = [ds.block(i, n0) for ds in datasets]
+            x_next = localization._chain_trials(
+                curv, localization._block_means(loss, blocks, inner_cfg), schedule, x,
+                np.maximum(x - radius, lo), np.minimum(x + radius, hi),
+                z[:, col : col + count], phase_trace,
+            )
+        if trace is not None:
+            trace.append(EpochRecord(i, x, radius, eta_i, x_next, frozen=inner_cfg is None))
+        x = x_next
         col += count
     return x[:, None]
 
 
 def index_in_region(trace: list, xstar: np.ndarray) -> int:
-    """Largest epoch index whose trust region contains ``xstar`` (-1 if none)."""
+    """Largest epoch index whose ``run`` trust region contains ``xstar`` (-1 if none)."""
+    return indices_in_region(trace, xstar)[0]
+
+
+def indices_in_region(trace: list, xstar: np.ndarray) -> list[int]:
+    """``index_in_region`` of each trial of a trace: one for a ``run`` trace,
+    one per entry of the ``(trials,)`` centers of a ``run_trials`` trace."""
     xstar = np.atleast_1d(np.asarray(xstar, dtype=float))
-    best = -1
+    best = np.full(1, -1)
     for rec in trace:
-        if float(np.linalg.norm(xstar - rec.center)) <= rec.radius:
-            best = rec.index
-    return best
+        # In 1-D, |xstar - center| equals the norm bit for bit.
+        dist = np.abs(xstar - rec.center) if xstar.size == 1 else np.linalg.norm(xstar - rec.center)
+        best = np.where(dist <= rec.radius, rec.index, best)
+    return [int(i) for i in best]
 
 
 def region_membership_is_prefix(trace: list, xstar: np.ndarray) -> bool:

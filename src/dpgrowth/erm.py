@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .core import (
     ConvergenceError,
@@ -25,12 +23,11 @@ from .core import (
     IsotropicQuadratic,
     LossOracle,
     PowerNorm,
-    RngStream,
     SeparableAbsolute,
     project,
 )
 
-__all__ = ["RegularizedProblem", "solve", "certified_gap", "empirical_sensitivity"]
+__all__ = ["RegularizedProblem", "solve", "certified_gap"]
 
 
 @dataclass(frozen=True)
@@ -281,6 +278,10 @@ def _solve_power_norm_1d(problem: RegularizedProblem, st: PowerNorm, lo, hi):
 def _solve_scalar(problem: RegularizedProblem, lo: float, hi: float):
     if hi - lo <= 1e-15 * max(1.0, abs(lo), abs(hi)):
         return np.array([0.5 * (lo + hi)])
+    # Imported here: scipy.optimize is a third of the package's import time,
+    # and no other path needs it.
+    from scipy.optimize import minimize_scalar
+
     res = minimize_scalar(
         lambda t: problem.objective(np.array([t])),
         bounds=(lo, hi),
@@ -363,35 +364,3 @@ def solve(problem: RegularizedProblem, tol: float, max_iters: int = 200_000) -> 
         best_x=best_x,
         residual=residual_gap,
     )
-
-
-def empirical_sensitivity(
-    problem_builder: Callable[[Dataset], RegularizedProblem],
-    data: Dataset,
-    trials: int,
-    rng: RngStream,
-    replacement_sampler: Callable[[RngStream, int], np.ndarray] | None = None,
-    tol: float = 1e-10,
-) -> float:
-    """Largest observed minimizer shift over random single-sample replacements.
-
-    ``replacement_sampler(rng, k)`` supplies k candidate replacement samples;
-    by default replacements are drawn (with replacement) from the dataset
-    itself.  The returned maximum is the empirical counterpart of the
-    regularized minimizer's stability constant.
-    """
-    if trials < 1:
-        raise InvalidInputError("trials must be >= 1")
-    base = solve(problem_builder(data), tol=tol)
-    if replacement_sampler is None:
-        def replacement_sampler(r, k):
-            idx = r.gen.integers(0, data.n, size=k)
-            return data.samples[idx]
-    replacements = np.atleast_2d(replacement_sampler(rng.child(0), trials))
-    indices = rng.child(1).gen.integers(0, data.n, size=trials)
-    worst = 0.0
-    for t in range(trials):
-        neighbor = data.replaced(int(indices[t]), replacements[t])
-        moved = solve(problem_builder(neighbor), tol=tol)
-        worst = max(worst, float(np.linalg.norm(moved - base)))
-    return worst

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import epoch_growth, inv_sensitivity, localization
 from .core import Dataset, InvalidInputError, PrivacyParams, RngStream, project
-from .instances import ProblemInstance, build_instance
+from .instances import ProblemInstance, build_instance, has_scalar_quadratic_loss
 from .mechanisms import DpTestReport, empirical_dp_test
 
 __all__ = [
@@ -224,79 +224,112 @@ def _starting_point(instance: ProblemInstance, offset: float, rng: RngStream) ->
     return project(instance.domain, x0)
 
 
+def _chain_config(algorithm: str, instance: ProblemInstance, n: int, d: int, beta: float,
+                  privacy: PrivacyParams, kappa_lower, **kwargs):
+    """The run config of a localization or epoch_growth chain on n samples
+    in dimension d; ``kwargs`` set the config's noise options."""
+    loss, domain = instance.loss, instance.domain
+    if algorithm == "localization":
+        eta = localization.default_eta(domain.diameter(), loss.lipschitz, n, beta, privacy, d)
+        return localization.LocalizationConfig.for_data_size(n, eta, beta, privacy, **kwargs)
+    if kappa_lower is None:
+        raise InvalidInputError("epoch_growth needs kappa_lower")
+    return epoch_growth.EpochConfig.for_run(
+        n, loss, domain, float(kappa_lower), beta, privacy, **kwargs
+    )
+
+
+# A batched cell holds its trials' datasets at once; larger cells run in
+# batches of about this many samples in all.
+_BATCH_SAMPLES = 2**22
+
+
+def _batches(cfg: ExperimentConfig, cell: dict) -> bool:
+    """Whether a cell runs in batches: a chain cell whose loss is a 1-D
+    isotropic quadratic.  Read from the config, so no instance is built
+    outside a trial."""
+    return cfg.algorithm in _CHAINS and has_scalar_quadratic_loss(
+        cfg.instance_name, **{**cfg.instance_params, "d": cell["d"]}
+    )
+
+
 def _execute_trial(args) -> TrialRecord:
-    cfg, cell, ordinal, seed_index, cfg_hash = args
-    stream = RngStream(cfg.master_seed, ordinal)
-    data_rng, algo_rng, start_rng = stream.child(0), stream.child(1), stream.child(2)
+    """One sweep trial on its own streams."""
+    return _execute([args])[0]
+
+
+def _execute_cell(specs: list) -> list[TrialRecord]:
+    """One unit of sweep work: a single trial, or a batch of trials of a
+    cell that ``_batches``."""
+    return [_execute_trial(specs[0])] if len(specs) == 1 else _execute(specs)
+
+
+def _execute(specs: list) -> list[TrialRecord]:
+    """Run trials of one cell; several trials run in one ``run_trials`` call.
+
+    Each trial keeps its own streams, data and start point, so a batched
+    record equals ``_execute_trial``'s apart from ``wall_ms``: that is the
+    batch's time divided by its trials.  A batch that raises records the
+    error on every trial, as each would alone: the closed-form chain raises
+    only on checks that all trials of a cell share.
+    """
+    cfg, cell = specs[0][:2]
+    streams = [RngStream(cfg.master_seed, spec[2]) for spec in specs]
+    data_rngs, algo_rngs, start_rngs = zip(*([s.child(i) for i in range(3)] for s in streams))
     t0 = time.perf_counter()
     instance = _build_cell_instance(cfg, cell)
-    epoch_i0 = None
+    epoch_i0 = [None] * len(specs)
     error = ""
-    excess_emp = math.nan
-    excess_pop = math.nan
+    excess = [(math.nan, math.nan)] * len(specs)
     try:
-        data = instance.draw(cell["n"], data_rng)
-        beta = _cell_beta(cfg, cell)
+        data = [instance.draw(cell["n"], rng) for rng in data_rngs]
         privacy = PrivacyParams(cell["epsilon"], cell["delta"])
         loss, domain = instance.loss, instance.domain
-        if cfg.algorithm == "localization":
-            x0 = _starting_point(instance, cfg.x0_offset, start_rng)
-            eta = localization.default_eta(
-                domain.diameter(), loss.lipschitz, cell["n"], beta, privacy, cell["d"]
-            )
-            run_cfg = localization.LocalizationConfig.for_data_size(
-                cell["n"], eta, beta, privacy,
-                noise_scale=cfg.noise_scale,
+        if cfg.algorithm in _CHAINS:
+            x0 = [_starting_point(instance, cfg.x0_offset, rng) for rng in start_rngs]
+            run_cfg = _chain_config(
+                cfg.algorithm, instance, cell["n"], cell["d"], _cell_beta(cfg, cell), privacy,
+                cell["kappa_lower"], noise_scale=cfg.noise_scale,
                 gaussian_conservative=cfg.gaussian_conservative,
             )
-            x_out = localization.run(loss, data, domain, x0, run_cfg, algo_rng)
-        elif cfg.algorithm == "epoch_growth":
-            if cell["kappa_lower"] is None:
-                raise InvalidInputError("epoch_growth needs kappa_lower")
-            x0 = _starting_point(instance, cfg.x0_offset, start_rng)
-            run_cfg = epoch_growth.EpochConfig.for_run(
-                cell["n"], loss, domain, float(cell["kappa_lower"]), beta, privacy,
-                noise_scale=cfg.noise_scale,
-                gaussian_conservative=cfg.gaussian_conservative,
-            )
-            trace: list = []
-            x_out = epoch_growth.run(loss, data, domain, x0, run_cfg, algo_rng, trace=trace)
-            epoch_i0 = epoch_growth.index_in_region(trace, instance.xstar)
+            module = _CHAINS[cfg.algorithm][0]
+            trace = [] if cfg.algorithm == "epoch_growth" else None
+            if len(specs) > 1:
+                x_out = module.run_trials(loss, data, domain, np.array(x0), run_cfg, algo_rngs,
+                                          trace)
+            else:
+                x_out = [module.run(loss, data[0], domain, x0[0], run_cfg, algo_rngs[0], trace)]
+            if trace is not None:
+                epoch_i0 = epoch_growth.indices_in_region(trace, instance.xstar)
         elif cfg.algorithm == "inv_sensitivity":
             density = inv_sensitivity.build_density(
-                loss, data, domain, privacy.epsilon,
+                loss, data[0], domain, privacy.epsilon,
                 rho=cfg.rho, h=cfg.grid_spacing, growth=instance.growth,
             )
-            x_out = inv_sensitivity.sample(density, algo_rng)
+            x_out = [inv_sensitivity.sample(density, algo_rngs[0])]
         elif cfg.algorithm == "erm_oracle":
-            x_out, _ = instance.empirical_min(data)
+            x_out = [instance.empirical_min(data[0])[0]]
         else:  # pragma: no cover - guarded at parse time
             raise InvalidInputError(f"unknown algorithm {cfg.algorithm}")
-        excess_emp = instance.excess_emp(x_out, data)
-        excess_pop = instance.excess_pop(x_out)
-        if min(excess_emp, excess_pop) < -1e-7:
-            error = f"negative-excess: emp={excess_emp:.3e} pop={excess_pop:.3e}"
+        excess = [(instance.excess_emp(x, ds), instance.excess_pop(x))
+                  for x, ds in zip(x_out, data)]
     except (InvalidInputError, RuntimeError) as exc:
         error = f"{type(exc).__name__}: {exc}"
-    wall_ms = (time.perf_counter() - t0) * 1e3
-    growth = instance.growth
-    return TrialRecord(
-        config_hash=cfg_hash,
-        instance=instance.description,
-        algorithm=cfg.algorithm,
-        n=cell["n"],
-        d=cell["d"],
-        epsilon=cell["epsilon"],
-        delta=cell["delta"],
-        kappa=None if growth is None else growth.kappa,
-        kappa_lower=cell["kappa_lower"],
-        seed=seed_index,
-        excess_emp=excess_emp,
-        excess_pop=excess_pop,
-        epoch_i0=epoch_i0,
-        wall_ms=wall_ms,
-        error=error,
-    )
+    wall_ms = (time.perf_counter() - t0) * 1e3 / len(specs)
+    kappa = None if instance.growth is None else instance.growth.kappa
+    return [
+        TrialRecord(
+            config_hash=cfg_hash, instance=instance.description, algorithm=cfg.algorithm,
+            n=cell["n"], d=cell["d"], epsilon=cell["epsilon"], delta=cell["delta"],
+            kappa=kappa, kappa_lower=cell["kappa_lower"], seed=seed_index,
+            excess_emp=emp, excess_pop=pop, epoch_i0=i0, wall_ms=wall_ms,
+            # A negative excess is an error too.
+            error=error or (
+                f"negative-excess: emp={emp:.3e} pop={pop:.3e}" if min(emp, pop) < -1e-7 else ""
+            ),
+        )
+        for (*_, seed_index, cfg_hash), (emp, pop), i0 in zip(specs, excess, epoch_i0)
+    ]
 
 
 def _format_field(value) -> str:
@@ -320,20 +353,21 @@ def run_sweep(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg_hash = cfg.config_hash()
-    cells = cfg.cells()
-    specs = []
-    ordinal = 0
-    for cell in cells:
-        for seed_index in range(cfg.seeds):
-            specs.append((cfg, cell, ordinal, seed_index, cfg_hash))
-            ordinal += 1
+    # A unit of work is one trial, or the trials of a cell that batches, as
+    # many as hold about _BATCH_SAMPLES samples between them.
+    units = []
+    for index, cell in enumerate(cfg.cells()):
+        specs = [(cfg, cell, index * cfg.seeds + s, s, cfg_hash) for s in range(cfg.seeds)]
+        size = max(1, _BATCH_SAMPLES // cell["n"]) if _batches(cfg, cell) else 1
+        units += [specs[i : i + size] for i in range(0, len(specs), size)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(
-                pool.map(_execute_trial, specs, chunksize=max(1, len(specs) // (4 * jobs)))
+            results = list(
+                pool.map(_execute_cell, units, chunksize=max(1, len(units) // (4 * jobs)))
             )
     else:
-        records = [_execute_trial(spec) for spec in specs]
+        results = [_execute_cell(unit) for unit in units]
+    records = [rec for result in results for rec in result]
 
     csv_path = out_dir / f"{cfg.output_prefix}.csv"
     with open(csv_path, "w", newline="") as fh:
@@ -507,30 +541,17 @@ def _audit_datasets(n: int) -> tuple[Dataset, Dataset]:
     return Dataset(base[:, None]), Dataset(neighbor[:, None])
 
 
-def _localization_config(instance, noise_scale, epsilon, n):
-    loss, domain = instance.loss, instance.domain
-    beta = 1.0 / (n + 1)
-    privacy = PrivacyParams(epsilon)
-    eta = localization.default_eta(domain.diameter(), loss.lipschitz, n, beta, privacy, 1)
-    return localization.LocalizationConfig.for_data_size(
-        n, eta, beta, privacy, noise_scale=noise_scale
-    )
-
-
-def _epoch_config(instance, noise_scale, epsilon, n, kappa_lower=3.0):
-    return epoch_growth.EpochConfig.for_run(
-        n, instance.loss, instance.domain, kappa_lower, 1.0 / (n + 1),
-        PrivacyParams(epsilon), noise_scale=noise_scale,
-    )
+def _audit_config(pipeline: str, instance: ProblemInstance, noise_scale: float,
+                  epsilon: float, n: int):
+    """An audited chain's config: beta = 1/(n+1), and kappa_lower = 3 for epochs."""
+    return _chain_config(pipeline, instance, n, 1, 1.0 / (n + 1), PrivacyParams(epsilon), 3.0,
+                         noise_scale=noise_scale)
 
 
 # Phase-chain pipelines: the module whose ``run`` (one trial) and
-# ``run_trials`` (the audit's trials at once) execute the chain, the audit
-# config builder, and the ``run`` keyword that collects PhaseRecords.
-_CHAINS = {
-    "localization": (localization, _localization_config, "trace"),
-    "epoch_growth": (epoch_growth, _epoch_config, "phase_trace"),
-}
+# ``run_trials`` (the audit's or a batched sweep cell's trials at once)
+# execute the chain, and the ``run`` keyword that collects PhaseRecords.
+_CHAINS = {"localization": (localization, "trace"), "epoch_growth": (epoch_growth, "phase_trace")}
 
 
 def _chain(pipeline: str):
@@ -559,13 +580,13 @@ def _audit_mechanism(pipeline: str, noise_scale: float, epsilon: float):
             return inv_sensitivity.sample(density, rng, size=trials)[:, 0]
 
         return mech
-    module, config, _ = _chain(pipeline)
+    module, _ = _chain(pipeline)
     instance = _audit_quadratic_instance()
     loss, domain = instance.loss, instance.domain
     x0 = np.zeros(1)
 
     def mech(dataset, rng, trials):
-        cfg = config(instance, noise_scale, epsilon, dataset.n)
+        cfg = _audit_config(pipeline, instance, noise_scale, epsilon, dataset.n)
         # A generator: each stream is dropped once its noise is drawn, so the
         # audit never holds one numpy Generator per trial at once.
         streams = (rng.child(t) for t in range(trials))
@@ -582,10 +603,10 @@ def _audit_first_phase(pipeline: str, epsilon: float, n: int) -> tuple[float, fl
     phase post-processes its noised output on identical data.  With Laplace
     noise the pipeline's privacy loss on the pair is therefore shift / sigma.
     """
-    module, config, trace_keyword = _chain(pipeline)
+    module, trace_keyword = _chain(pipeline)
     instance = _audit_quadratic_instance()
     loss, domain = instance.loss, instance.domain
-    cfg = config(instance, 1.0, epsilon, n)
+    cfg = _audit_config(pipeline, instance, 1.0, epsilon, n)
     first = []
     for dataset in _audit_datasets(n):
         phases: list = []

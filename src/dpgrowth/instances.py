@@ -7,6 +7,7 @@ measurement targets of every excess-risk experiment."""
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -41,6 +42,7 @@ __all__ = [
     "make_knorm_regression",
     "make_pure_convex",
     "build_instance",
+    "has_scalar_quadratic_loss",
     "SHIPPED_INSTANCES",
 ]
 
@@ -664,6 +666,8 @@ _BUILDERS = {
     "knorm_regression": make_knorm_regression,
     "pure_convex": make_pure_convex,
 }
+# Computed once: a signature costs as much as building an instance.
+_SIGNATURES = {name: inspect.signature(builder) for name, builder in _BUILDERS.items()}
 
 
 def build_instance(name: str, **params) -> ProblemInstance:
@@ -671,7 +675,18 @@ def build_instance(name: str, **params) -> ProblemInstance:
         raise InvalidInputError(
             f"unknown instance {name!r}; known: {sorted(_BUILDERS)}"
         )
+    try:
+        _SIGNATURES[name].bind(**params)
+    except TypeError as exc:
+        raise InvalidInputError(f"instance {name!r}: {exc}") from None
     return _BUILDERS[name](**params)
+
+
+def has_scalar_quadratic_loss(name: str, **params) -> bool:
+    """Whether ``build_instance(name, **params)`` has a 1-D isotropic-quadratic
+    loss, read from the parameters without building the instance: only
+    ``uniform_convex`` has one, in d = 1 at kappa = 2 (its power-norm loss)."""
+    return name == "uniform_convex" and params.get("d") == 1 and params.get("kappa") == 2
 
 
 # Canonical parameterizations shipped with the package; the certification

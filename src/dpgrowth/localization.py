@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -32,6 +32,9 @@ __all__ = [
 
 # Absolute floor keeping solver tolerances meaningful in double precision.
 _TOL_FLOOR_FACTOR = 1e-13
+
+# Iteration budget of each phase's generic solve.
+MAX_SOLVER_ITERS = 200_000
 
 
 def default_eta(
@@ -70,7 +73,6 @@ class LocalizationConfig:
     n0: int
     noise_scale: float = 1.0
     gaussian_conservative: bool = False
-    max_solver_iters: int = 200_000
 
     def __post_init__(self):
         if not (self.eta > 0):
@@ -117,8 +119,7 @@ def _schedule(cfg: LocalizationConfig, L: float, d: int) -> list[tuple]:
     sensitivity, sigma, sigma_used): step eta_i = 2^{-4i} eta, trust radius
     2 L eta_i n0, regularizer weight 1 / (eta_i n0), the sensitivity bound
     4 L eta_i, the noise scale ``mechanisms.noise_sigma`` calibrates to it,
-    and that scale times ``noise_scale``.  Plain tuples keep the scalar
-    chain's per-phase overhead low."""
+    and that scale times ``noise_scale``."""
     phases = []
     for i in range(1, cfg.k + 1):
         eta_i = cfg.eta * 2.0 ** (-4 * i)
@@ -165,13 +166,14 @@ def run(
     eta_i = 2^{-4i} eta, then adds iid Laplace (pure mode) or isotropic
     Gaussian (approximate mode) noise and projects back onto ``domain``.
     Each sample is consumed by exactly one phase; leftover samples beyond
-    k * n0 are discarded.
+    k * n0 are discarded.  A 1-D isotropic-quadratic loss runs the
+    closed-form chain of ``run_trials`` as one trial on ``rng``.
     """
+    if _is_scalar_quadratic(loss):
+        return run_trials(loss, data, domain, x0, cfg, (rng,), trace)[0]
     x = _start(data, domain, x0, cfg)
     L = loss.lipschitz
     d = loss.point_dim
-    if _is_scalar_quadratic(loss):
-        return _run_scalar_quadratic(loss, data, domain, x, cfg, rng, trace)
     tol_floor = _TOL_FLOOR_FACTOR * L * max(1.0, domain.diameter())
     draw = mechanisms.noise_draw(cfg.privacy, rng)
     for i, eta_i, radius, lam, sensitivity, sigma, sigma_used in _schedule(cfg, L, d):
@@ -186,7 +188,7 @@ def run(
         # Solve two orders below both the sensitivity scale and the honest
         # noise floor, so solver inexactness is negligible for privacy.
         tol = max(min(sensitivity, sigma) / 100.0, tol_floor)
-        x_hat = erm.solve(problem, tol=tol, max_iters=cfg.max_solver_iters)
+        x_hat = erm.solve(problem, tol=tol, max_iters=MAX_SOLVER_ITERS)
         noise = draw(0.0, sigma_used, size=d) if sigma_used > 0 else np.zeros(d)
         x = domain.project(x_hat + noise)
         if trace is not None:
@@ -194,75 +196,65 @@ def run(
     return x
 
 
-def _phase_means(loss: LossOracle, data: Dataset, cfg: LocalizationConfig) -> np.ndarray:
-    """Per-phase batch means of the quadratic's linear term, one vectorized pass."""
+def _block_means(loss: LossOracle, datasets: list, cfg: LocalizationConfig) -> np.ndarray:
+    """Per-phase batch means of the quadratic's linear term, one column per
+    dataset, each in its own vectorized pass: numpy's pairwise sums depend
+    on the array shape."""
     k, n0 = cfg.k, cfg.n0
-    lin = loss.structure.linear(data.samples[: k * n0])
-    return lin.reshape(k, n0, -1).mean(axis=1)[:, 0]
+    means = [loss.structure.linear(ds.samples[: k * n0]).reshape(k, n0, -1).mean(axis=1)[:, 0]
+             for ds in datasets]
+    return np.stack(means, axis=1)
 
 
-def _run_scalar_quadratic(loss, data, domain, x0, cfg, rng, trace):
-    """Exact scalar chain of one run for 1-D isotropic-quadratic losses.
-
-    In one dimension every trust region is an interval and the constrained
-    minimizer of the quadratic phase objective is the clamped stationary
-    point, so each phase is closed-form float arithmetic.  Output agrees with
-    the generic path up to floating-point noise.  ``run_trials`` is the same
-    chain on arrays, over many trials at once; this one stays in Python
-    floats, which is faster for a single run.
-    """
-    curv = loss.structure.curvature
-    lo_dom, hi_dom = domain.interval()
-    qbar = _phase_means(loss, data, cfg)
-    x = float(x0[0])
-    draw = mechanisms.noise_draw(cfg.privacy, rng)
-    for i, eta_i, radius, lam, _, _, sigma_used in _schedule(cfg, loss.lipschitz, 1):
-        lo = max(lo_dom, x - radius)
-        hi = min(hi_dom, x + radius)
-        x_hat = (2.0 * lam * x - qbar[i - 1]) / (curv + 2.0 * lam)
-        if x_hat < lo:
-            x_hat = lo
-        elif x_hat > hi:
-            x_hat = hi
-        noise = float(draw(0.0, sigma_used)) if sigma_used > 0 else 0.0
-        x = x_hat + noise
-        if x < lo_dom:
-            x = lo_dom
-        elif x > hi_dom:
-            x = hi_dom
-        if trace is not None:
-            trace.append(PhaseRecord(
-                i, eta_i, radius, sigma_used, np.array([x_hat]), np.array([x])
-            ))
-    return np.array([x])
-
-
-def _check_scalar_quadratic(loss: LossOracle) -> None:
+def _trial_inputs(loss: LossOracle, data, x0, check) -> tuple:
+    """Check a ``run_trials`` call's loss, datasets and starts.  Return the
+    datasets as a list (one shared by every trial, or one per trial), the
+    starts as a 1-D array, and what ``check(dataset, start)`` returns."""
     if not _is_scalar_quadratic(loss):
         raise InvalidInputError("run_trials needs a 1-D isotropic-quadratic loss")
+    datasets = [data] if isinstance(data, Dataset) else list(data)
+    if len({ds.n for ds in datasets}) != 1:
+        raise InvalidInputError("the trials' datasets must share one size")
+    starts = np.reshape(np.asarray(x0, dtype=float), (-1, 1))
+    for start in starts:
+        checked = check(datasets[0], start)
+    return datasets, starts[:, 0], checked
 
 
-def _standard_noise(privacy: PrivacyParams, streams: Iterable[RngStream], size: int) -> np.ndarray:
-    """One row of ``size`` unit-scale noise draws per stream, each row in a
-    single call on its own stream.  Scaling a unit draw by sigma gives the
-    same bits as drawing at scale sigma, so a row holds exactly the draws
-    that ``run`` makes on that stream, in order."""
+def _trial_noise(privacy: PrivacyParams, streams: Iterable[RngStream], size: int,
+                 datasets: list, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One row of ``size`` unit-scale noise draws per stream, and one start
+    per trial, from one shared start or one per trial.
+
+    Each row is drawn in a single call on its own stream.  Scaling a unit
+    draw by sigma gives the same bits as drawing at scale sigma, so a row
+    holds exactly the draws a phase-by-phase run would make on that stream,
+    in order."""
     rows = [mechanisms.noise_draw(privacy, s)(0.0, 1.0, size=size) for s in streams]
-    return np.array(rows).reshape(len(rows), size)
+    z = np.array(rows).reshape(len(rows), size)
+    if not {len(datasets), len(starts)} <= {1, len(z)}:
+        raise InvalidInputError("need one dataset and one start point, or one per stream")
+    return z, np.broadcast_to(starts, (len(z),))
 
 
 def _noise_count(schedule: list[tuple]) -> int:
     return sum(1 for *_, sigma_used in schedule if sigma_used > 0)
 
 
-def _chain_trials(loss, data, cfg, schedule, x, lo_dom, hi_dom, z):
-    """The scalar chain of ``_run_scalar_quadratic`` on a ``(trials,)`` array
-    of iterates, with per-trial (or shared) domain bounds ``lo_dom, hi_dom``
-    and per-trial unit noise ``z`` (one column per noised phase)."""
-    curv = loss.structure.curvature
-    qbar = _phase_means(loss, data, cfg)
+def _chain_trials(curv, qbar, schedule, x, lo_dom, hi_dom, z, trace=None):
+    """The closed-form 1-D chain, all trials at once: the one phase kernel.
+
+    In one dimension every trust region is an interval and the constrained
+    minimizer of the quadratic phase objective (curvature ``curv``) is the
+    clamped stationary point, so each phase is a few array operations.
+    ``qbar`` holds the phase block means as a ``(k, trials)`` array, or
+    ``(k, 1)`` when the trials share one dataset; ``x`` holds one start per
+    trial; ``lo_dom, hi_dom`` bound the domain, per trial or shared; ``z``
+    holds per-trial unit noise, one column per noised phase.  ``trace``
+    collects one ``PhaseRecord`` per phase, with every trial's points.
+    """
     col = 0
-    for i, _, radius, lam, _, _, sigma_used in schedule:
+    for i, eta_i, radius, lam, _, _, sigma_used in schedule:
         lo = np.maximum(lo_dom, x - radius)
         hi = np.minimum(hi_dom, x + radius)
         x_hat = (2.0 * lam * x - qbar[i - 1]) / (curv + 2.0 * lam)
@@ -274,29 +266,37 @@ def _chain_trials(loss, data, cfg, schedule, x, lo_dom, hi_dom, z):
             noise = 0.0
         x = x_hat + noise
         x = np.where(x < lo_dom, lo_dom, np.where(x > hi_dom, hi_dom, x))
+        if trace is not None:
+            trace.append(PhaseRecord(i, eta_i, radius, sigma_used, x_hat, x))
     return x
 
 
 def run_trials(
     loss: LossOracle,
-    data: Dataset,
+    data: Dataset | Sequence[Dataset],
     domain: Domain,
     x0: np.ndarray,
     cfg: LocalizationConfig,
     streams: Iterable[RngStream],
+    trace: Optional[list] = None,
 ) -> np.ndarray:
     """Run the chain once per stream, all trials at once, and return one
-    output row per stream: row t equals ``run(loss, data, domain, x0, cfg,
-    streams[t])`` bit for bit.
+    output row per stream.
 
-    Only the closed-form 1-D isotropic-quadratic chain is batched; any other
-    loss raises ``InvalidInputError``.  Streams are consumed in order, so
-    ``streams`` may be a generator.
+    This is the closed-form chain of a 1-D isotropic-quadratic loss; any
+    other loss raises ``InvalidInputError``.  ``data`` is one dataset shared
+    by every trial or one per trial, and ``x0`` is one start point or one
+    row per trial.  Trial t runs the chain ``run`` describes on its own data
+    and start, with its noise drawn from ``streams[t]``.  Streams are
+    consumed in order, so ``streams`` may be a generator.  ``trace``
+    collects one ``PhaseRecord`` per phase whose points are ``(trials,)``
+    arrays.
     """
-    x = _start(data, domain, x0, cfg)
-    _check_scalar_quadratic(loss)
+    datasets, starts, _ = _trial_inputs(loss, data, x0, lambda ds, x: _start(ds, domain, x, cfg))
     schedule = _schedule(cfg, loss.lipschitz, 1)
-    z = _standard_noise(cfg.privacy, streams, _noise_count(schedule))
+    z, x = _trial_noise(cfg.privacy, streams, _noise_count(schedule), datasets, starts)
     lo_dom, hi_dom = domain.interval()
-    x = np.full(z.shape[0], float(x[0]))
-    return _chain_trials(loss, data, cfg, schedule, x, lo_dom, hi_dom, z)[:, None]
+    qbar = _block_means(loss, datasets, cfg)
+    return _chain_trials(
+        loss.structure.curvature, qbar, schedule, x, lo_dom, hi_dom, z, trace
+    )[:, None]

@@ -7,9 +7,11 @@ from dpgrowth.core import Domain, InvalidInputError, PrivacyParams, RngStream, p
 from dpgrowth import localization
 from dpgrowth.epoch_growth import (
     EpochConfig,
+    EpochRecord,
     default_eta0,
     epoch_count,
     index_in_region,
+    indices_in_region,
     region_membership_is_prefix,
     run,
 )
@@ -191,3 +193,16 @@ def test_region_tracking_helpers():
     assert region_membership_is_prefix(trace, inst.xstar)
     # A point far outside every region reports -1.
     assert index_in_region(trace, np.array([55.0])) == -1
+
+
+def test_indices_in_region_reads_each_trials_center_and_closed_regions():
+    # A run_trials trace holds one 1-D center per trial.  Trial 0 has
+    # xstar on the boundary of epoch 1's region, trial 1 leaves it.
+    trace = [
+        EpochRecord(0, np.array([0.0, 0.0]), 1.0, 1.0, np.array([0.5, 5.0])),
+        EpochRecord(1, np.array([0.5, 5.0]), 0.25, 0.5, np.array([0.5, 5.0])),
+    ]
+    assert indices_in_region(trace, np.array([0.25])) == [1, 0]
+    # A 2-D run trace, with xstar on the boundary: |(0.375, 0.5)| = 0.625.
+    trace = [EpochRecord(0, np.zeros(2), 0.625, 1.0, np.array([3.0, 4.0]))]
+    assert index_in_region(trace, np.array([0.375, 0.5])) == 0

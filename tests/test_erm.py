@@ -16,7 +16,6 @@ from dpgrowth.erm import (
     RegularizedProblem,
     _solve_isotropic_quadratic,
     certified_gap,
-    empirical_sensitivity,
     solve,
 )
 from dpgrowth.instances import make_pure_convex, make_uniform_convex
@@ -256,19 +255,6 @@ def _sensitivity_setup(instance, n0, eta, rng):
     return data, builder
 
 
-def test_empirical_sensitivity_quadratic_within_bound():
-    # Quadratic family, eta = 0.1, n0 = 50: bound 4 L eta = 0.4 L ... with
-    # L = 2 here, the observed maximum must stay below 4 L eta + slack.
-    inst = make_uniform_convex(d=1, kappa=2, lam=1.0, L=2.0, R=1.0, bias_delta=0.0)
-    eta, n0 = 0.1, 50
-    rng = RngStream(21, 0)
-    data, builder = _sensitivity_setup(inst, n0, eta, rng)
-    worst = empirical_sensitivity(
-        builder, data, trials=100, rng=rng.child(1), replacement_sampler=lambda r, k: inst._sampler(r, k)
-    )
-    assert worst <= 4.0 * inst.loss.lipschitz * eta + 1e-6
-
-
 def test_empirical_sensitivity_identity_replacement_is_zero():
     inst = make_uniform_convex(d=1, kappa=2, lam=1.0, L=2.0, R=1.0, bias_delta=0.0)
     eta, n0 = 0.1, 20
@@ -277,15 +263,3 @@ def test_empirical_sensitivity_identity_replacement_is_zero():
     base = solve(builder(data), tol=1e-10)
     same = solve(builder(data.replaced(3, data.samples[3])), tol=1e-10)
     assert np.linalg.norm(base - same) <= 2e-10
-
-
-def test_empirical_sensitivity_abs_losses():
-    inst = make_pure_convex(d=1, L=1.0, R=1.0)
-    eta, n0 = 0.05, 40
-    rng = RngStream(23, 0)
-    data, builder = _sensitivity_setup(inst, n0, eta, rng)
-    worst = empirical_sensitivity(
-        builder, data, trials=100, rng=rng.child(1),
-        replacement_sampler=lambda r, k: inst._sampler(r, k),
-    )
-    assert worst <= 4.0 * inst.loss.lipschitz * eta + 1e-6

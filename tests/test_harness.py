@@ -243,6 +243,19 @@ def test_cli_audit_rejects_unreadable_config_and_missing_section(tmp_path, capsy
         assert captured.err == f"dpgrowth: error: {message}\n"
 
 
+def test_cli_verify_instance_rejects_missing_and_unknown_parameters(capsys):
+    for argv, message in (
+        (["sharp_growth"], "missing a required argument: 'kappa'"),
+        (["uniform_convex", "--param", "bogus=1"], "missing a required argument: 'd'"),
+        (["sharp_growth", "--param", "kappa=1.5", "--param", "bias_delta=0.25",
+          "--param", "bogus=1"], "got an unexpected keyword argument 'bogus'"),
+    ):
+        assert main(["verify-instance", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"dpgrowth: error: instance {argv[0]!r}: {message}\n"
+
+
 def test_audit_skips_noiseless_budget_with_notice():
     rows = privacy_audit(
         epsilons=(math.inf,), trials=100, pipelines=("localization",)

@@ -1,20 +1,33 @@
-"""The batched 1-D phase chains reproduce the per-trial runs bit for bit.
+"""The closed-form 1-D phase chains against pinned outputs, and batched
+sweep cells against trial-by-trial execution.
 
-``localization.run_trials`` and ``epoch_growth.run_trials`` run every trial
-of the privacy audit in one vectorized pass, drawing each trial's noise from
-its own stream.  Each case checks them against a loop of ``run`` calls on the
-same streams with ``np.array_equal``: pure, approximate (delta = 1e-6) and
-conservative-Gaussian budgets, noise scales 1, 0.5 and 0, the audit's own
-configs on both audit datasets, an epoch schedule with frozen epochs, and
-one whose noise reaches the epoch radii.
+``localization.run_trials`` and ``epoch_growth.run_trials`` run the one
+closed-form phase kernel over many trials at once, and ``run`` on a 1-D
+isotropic-quadratic loss runs it as a single trial.  Both are checked bit
+for bit against outputs recorded from the Python-float scalar chain that
+the kernel replaced: ``float.hex`` of the first three streams' outputs per
+case, and a digest of all 200 outputs of each audit mechanism.  The cases
+cover pure, approximate (delta = 1e-6) and conservative-Gaussian budgets,
+noise scales 1, 0.5 and 0, the audit's own configs on both audit datasets,
+an epoch schedule with frozen epochs, and one whose noise reaches the epoch
+radii.
+
+A sweep cell of a 1-D quadratic chain runs in ``run_trials`` batches with
+per-trial data and starts; it must write the rows of a trial-by-trial run,
+and a sweep's CSV must depend neither on ``--jobs`` nor on the batch size.
 """
+
+import dataclasses
+import hashlib
+from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dpgrowth import epoch_growth, harness, localization
 from dpgrowth.core import InvalidInputError, PrivacyParams, RngStream
-from dpgrowth.instances import build_instance
+from dpgrowth.instances import ProblemInstance, build_instance
 
 TRIALS = 200
 
@@ -22,6 +35,77 @@ MODES = {
     "pure": (PrivacyParams(1.0), False),
     "approx": (PrivacyParams(1.0, 1e-6), False),
     "conservative": (PrivacyParams(1.0, 1e-6), True),
+}
+
+# Outputs of the first three streams of ``_streams(61)`` (per budget case),
+# of ``_streams(64)`` (frozen epochs) and of ``_streams(68)`` (clamped
+# epochs), recorded from the scalar chain.
+PINNED_BUDGET = {
+    ("epoch_growth", "approx", 1.0): (
+        "0x1.e32005834c345p-1", "0x1.bbb97aac4cf76p-1", "0x1.f0f7566225854p-1"),
+    ("epoch_growth", "approx", 0.5): (
+        "0x1.d79e66741c5c9p-1", "0x1.c3eb21089cbe5p-1", "0x1.de8a0ee389052p-1"),
+    ("epoch_growth", "approx", 0.0): (
+        "0x1.cc1cc764ec856p-1", "0x1.cc1cc764ec856p-1", "0x1.cc1cc764ec856p-1"),
+    ("epoch_growth", "conservative", 1.0): (
+        "0x1.662900f2a8455p-1", "0x1.09fa196f8570ap-1", "0x1.f6cecbab049d0p-1"),
+    ("epoch_growth", "conservative", 0.5): (
+        "0x1.b2c88f70c3fe1p-1", "0x1.84af56d4ab0a6p-1", "0x1.fb65590cec6c4p-1"),
+    ("epoch_growth", "conservative", 0.0): (
+        "0x1.cc1cc764ec856p-1", "0x1.cc1cc764ec856p-1", "0x1.cc1cc764ec856p-1"),
+    ("epoch_growth", "pure", 1.0): (
+        "0x1.c2bba8f8624eap-1", "0x1.cd1b44cc30b65p-1", "0x1.c5cf98ce6a958p-1"),
+    ("epoch_growth", "pure", 0.5): (
+        "0x1.c76043dea452ap-1", "0x1.cc9011c88b865p-1", "0x1.c8ea3bc9a8766p-1"),
+    ("epoch_growth", "pure", 0.0): (
+        "0x1.cc04dec4e656cp-1", "0x1.cc04dec4e656cp-1", "0x1.cc04dec4e656cp-1"),
+    ("localization", "approx", 1.0): (
+        "0x1.ffc61c2e65dfbp-1", "0x1.de20141e565b1p-1", "0x1.e1f0998074eaep-1"),
+    ("localization", "approx", 0.5): (
+        "0x1.e777e38409c25p-1", "0x1.d3642b5b18c1ep-1", "0x1.d54c6e0c2809bp-1"),
+    ("localization", "approx", 0.0): (
+        "0x1.c8a84297db28ap-1", "0x1.c8a84297db28ap-1", "0x1.c8a84297db28ap-1"),
+    ("localization", "conservative", 1.0): (
+        "0x1.fe776b2afd957p-1", "0x1.fcfef58453857p-1", "0x1.fffd0e9c24fa9p-1"),
+    ("localization", "conservative", 0.5): (
+        "0x1.ff3759718bcfbp-1", "0x1.fe5738cd1b271p-1", "0x1.fffe84c7bf90ep-1"),
+    ("localization", "conservative", 0.0): (
+        "0x1.c8a84297db28ap-1", "0x1.c8a84297db28ap-1", "0x1.c8a84297db28ap-1"),
+    ("localization", "pure", 1.0): (
+        "0x1.c0d3900ad88c8p-1", "0x1.c8e84561ed4ddp-1", "0x1.c8baea59eed2ep-1"),
+    ("localization", "pure", 0.5): (
+        "0x1.c4bde95159da9p-1", "0x1.c8c843fce43b8p-1", "0x1.c8b19678e4fddp-1"),
+    ("localization", "pure", 0.0): (
+        "0x1.c8a84297db28ap-1", "0x1.c8a84297db28ap-1", "0x1.c8a84297db28ap-1"),
+}
+PINNED_FROZEN = (
+    "-0x1.45845f3e6f859p-5", "-0x1.1a4fbd96f4b1cp-4", "-0x1.d2322bf8a81b3p-7",
+)
+PINNED_CLAMPED = (
+    "-0x1.a70802950c412p-1", "0x1.a1944b2b435fcp-2", "-0x1.0521616955fe7p-3",
+)
+
+# sha256 prefixes of the audit mechanism"s 200 outputs on each audit dataset,
+# recorded from per-trial runs of the scalar chain.
+PINNED_AUDIT = {
+    ("epoch_growth", 1.0, 0.5): ("41b5f4fc3f941763", "7dae14dec577cabb"),
+    ("epoch_growth", 1.0, 1.0): ("7a662b56ba10b7cb", "0ed98fafe31917ff"),
+    ("epoch_growth", 1.0, 2.0): ("b71bea8ea60b219a", "a086d25e4993e226"),
+    ("epoch_growth", 0.5, 0.5): ("8214d1daf2120c6e", "cff6cd68313a6c51"),
+    ("epoch_growth", 0.5, 1.0): ("b71bea8ea60b219a", "a086d25e4993e226"),
+    ("epoch_growth", 0.5, 2.0): ("8e0aa556296e0383", "bc736959a5da16db"),
+    ("epoch_growth", 1.0 / 16.1, 0.5): ("f7a2057e5230c217", "bfb85b3f77ab6e94"),
+    ("epoch_growth", 1.0 / 16.1, 1.0): ("d79a55c398ddb599", "4ba53c393b62b9ff"),
+    ("epoch_growth", 1.0 / 16.1, 2.0): ("c67309ab70052d21", "c6c6aef375cf1451"),
+    ("localization", 1.0, 0.5): ("5e6e2005a38a5c0a", "995cabab89de15c7"),
+    ("localization", 1.0, 1.0): ("f8ae2e111dd1e432", "7705f877a7193198"),
+    ("localization", 1.0, 2.0): ("7a6a58f376f95c8f", "5b6e729b985ebf70"),
+    ("localization", 0.5, 0.5): ("f8ae2e111dd1e432", "7705f877a7193198"),
+    ("localization", 0.5, 1.0): ("7a6a58f376f95c8f", "5b6e729b985ebf70"),
+    ("localization", 0.5, 2.0): ("5286560aac08a9b3", "07e63a53c3f34502"),
+    ("localization", 1.0 / 16.1, 0.5): ("f76e370144727b78", "e301c1aefe53e4b9"),
+    ("localization", 1.0 / 16.1, 1.0): ("5e9fb110fcc9d3e4", "d78b1bc8fbab1d56"),
+    ("localization", 1.0 / 16.1, 2.0): ("5d879111d87b41d5", "c2a721c03c7ef602"),
 }
 
 
@@ -36,11 +120,12 @@ def _streams(seed):
     return (parent.child(t) for t in range(TRIALS))
 
 
-def _assert_matches_run(module, loss, data, domain, x0, cfg, seed):
+def _assert_matches_pinned(module, loss, data, domain, x0, cfg, seed, pinned):
     got = module.run_trials(loss, data, domain, x0, cfg, _streams(seed))
-    want = [module.run(loss, data, domain, x0, cfg, s)[0] for s in _streams(seed)]
     assert got.shape == (TRIALS, 1)
-    assert np.array_equal(got[:, 0], np.array(want))
+    assert tuple(float(v).hex() for v in got[:3, 0]) == pinned
+    single = [module.run(loss, data, domain, x0, cfg, s)[0] for s in islice(_streams(seed), 3)]
+    assert tuple(float(v).hex() for v in single) == pinned
 
 
 def _config(pipeline, inst, n, privacy, conservative, noise_scale, kappa_lower=3.0):
@@ -69,8 +154,9 @@ def test_run_trials_matches_run_per_budget(pipeline, mode, noise_scale):
     data = inst.draw(n, RngStream(60, 0))
     cfg = _config(pipeline, inst, n, privacy, conservative, noise_scale)
     # Start off-center so both the trust-region and the domain clamps bind.
-    _assert_matches_run(
-        MODULES[pipeline], inst.loss, data, inst.domain, np.array([0.9]), cfg, 61
+    _assert_matches_pinned(
+        MODULES[pipeline], inst.loss, data, inst.domain, np.array([0.9]), cfg, 61,
+        PINNED_BUDGET[(pipeline, mode, noise_scale)],
     )
 
 
@@ -78,24 +164,18 @@ def test_run_trials_matches_run_per_budget(pipeline, mode, noise_scale):
 @pytest.mark.parametrize("pipeline", sorted(MODULES))
 def test_audit_mechanism_matches_per_trial_runs(pipeline, scale):
     # The audit's own configs (n = 32) on both datasets of the audit pair.
-    module, config, _ = harness._CHAINS[pipeline]
-    inst = harness._audit_quadratic_instance()
     for eps in (0.5, 1.0, 2.0):
         mech = harness._audit_mechanism(pipeline, scale, eps)
-        for dataset in harness._audit_datasets(32):
-            got = mech(dataset, RngStream(62, 1), TRIALS)
-            cfg = config(inst, scale, eps, dataset.n)
-            parent = RngStream(62, 1)
-            want = [
-                module.run(inst.loss, dataset, inst.domain, np.zeros(1), cfg,
-                           parent.child(t))[0]
-                for t in range(TRIALS)
-            ]
-            assert np.array_equal(got, np.array(want))
+        digests = tuple(
+            hashlib.sha256(mech(dataset, RngStream(62, 1), TRIALS).tobytes()).hexdigest()[:16]
+            for dataset in harness._audit_datasets(32)
+        )
+        assert digests == PINNED_AUDIT[(pipeline, scale, eps)]
 
 
 def test_epoch_run_trials_skips_frozen_epochs():
-    # kappa_lower = 1.2 at n = 1024 gives T = 101 epochs; radii below 1e-15 R0 (i >= 50) freeze 51 of them.
+    # kappa_lower = 1.2 at n = 1024 gives T = 101 epochs; radii below
+    # 1e-15 R0 (i >= 50) freeze 51 of them.
     inst = _quad_instance()
     n = 1024
     cfg = _config("epoch_growth", inst, n, PrivacyParams(1.0), False, 1.0, kappa_lower=1.2)
@@ -105,7 +185,13 @@ def test_epoch_run_trials_skips_frozen_epochs():
                      trace=trace)
     assert cfg.T == 101
     assert sum(rec.frozen for rec in trace) == 51
-    _assert_matches_run(epoch_growth, inst.loss, data, inst.domain, np.zeros(1), cfg, 64)
+    batched: list = []
+    epoch_growth.run_trials(inst.loss, data, inst.domain, np.zeros(1), cfg, _streams(64),
+                            trace=batched)
+    assert [rec.frozen for rec in batched] == [rec.frozen for rec in trace]
+    _assert_matches_pinned(
+        epoch_growth, inst.loss, data, inst.domain, np.zeros(1), cfg, 64, PINNED_FROZEN
+    )
 
 
 def test_epoch_run_trials_clamps_to_each_trials_region():
@@ -120,17 +206,17 @@ def test_epoch_run_trials_clamps_to_each_trials_region():
     )
     data = inst.draw(n, RngStream(67, 0))
     x0 = np.array([0.9])
-    on_region_edge = 0
-    for s in _streams(68):
-        trace: list = []
-        epoch_growth.run(inst.loss, data, inst.domain, x0, cfg, s, trace=trace)
-        on_region_edge += sum(
-            abs(rec.x_next[0] - rec.center[0]) >= rec.radius * (1 - 1e-12)
-            and abs(rec.x_next[0]) < 1.0
-            for rec in trace
-        )
+    trace: list = []
+    epoch_growth.run_trials(inst.loss, data, inst.domain, x0, cfg, _streams(68), trace=trace)
+    on_region_edge = sum(
+        int(np.sum((np.abs(rec.x_next - rec.center) >= rec.radius * (1 - 1e-12))
+                   & (np.abs(rec.x_next) < 1.0)))
+        for rec in trace
+    )
     assert on_region_edge > 0
-    _assert_matches_run(epoch_growth, inst.loss, data, inst.domain, x0, cfg, 68)
+    _assert_matches_pinned(
+        epoch_growth, inst.loss, data, inst.domain, x0, cfg, 68, PINNED_CLAMPED
+    )
 
 
 @pytest.mark.parametrize("pipeline", sorted(MODULES))
@@ -157,3 +243,144 @@ def test_run_trials_rejects_other_losses_and_bad_inputs(pipeline):
     with pytest.raises(InvalidInputError):
         module.run_trials(quad.loss, quad.draw(4, RngStream(65, 3)), quad.domain,
                           np.zeros(1), cfg, _streams(66))
+    # Per-trial inputs: one start outside the domain, a count that is neither
+    # one nor the number of streams, datasets of different sizes.
+    starts = np.zeros((TRIALS, 1))
+    starts[7] = 9.0
+    with pytest.raises(InvalidInputError):
+        module.run_trials(quad.loss, data, quad.domain, starts, cfg, _streams(66))
+    with pytest.raises(InvalidInputError):
+        module.run_trials(quad.loss, [data, data], quad.domain, np.zeros(1), cfg,
+                          _streams(66))
+    with pytest.raises(InvalidInputError):
+        module.run_trials(quad.loss, [data, quad.draw(65, RngStream(65, 4))], quad.domain,
+                          np.zeros(1), cfg, _streams(66))
+
+
+# ---------------------------------------------------------------------------
+# Batched sweep cells
+# ---------------------------------------------------------------------------
+
+SWEEP = """
+[experiment]
+name = batched
+algorithm = epoch_growth
+seeds = 5
+master_seed = 31
+beta = auto
+x0_offset = 0.01
+
+[instance]
+name = uniform_convex
+d = 1
+kappa = 2
+lam = 1.0
+L = 4.0
+R = 1.0
+bias_delta = 0.1
+
+[sweep]
+n = 256
+epsilon = 1.0
+
+[algorithm]
+kappa_lower = 3.0
+"""
+
+# Sweep cells that batch, as changes to the config above: both chains with
+# distinct random starts, an approximate budget, frozen epochs (T = 100 at
+# kappa_lower = 1.2, n = 1024), and a cell too small for its epochs, whose
+# every trial records the error.  The starts are close enough to the
+# minimizer that the trials' epoch_i0 differ.
+CELLS = {
+    "localization": dict(algorithm="localization"),
+    "epoch-approx": dict(sweep_delta=(1e-6,)),
+    "epoch-frozen": dict(
+        sweep_n=(1024,), kappa_lower=1.2, sweep_epsilon=(1e6,), x0_offset=0.001
+    ),
+    "epoch-too-small": dict(sweep_n=(8,), kappa_lower=1.5),
+}
+CSV_INDEX = {col: i for i, col in enumerate(harness.CSV_COLUMNS)}
+
+
+def _sweep_config(tmp_path, **changes):
+    path = tmp_path / "sweep.ini"
+    path.write_text(SWEEP)
+    return dataclasses.replace(harness.load_config(path), **changes)
+
+
+def _rows(records):
+    return [
+        [harness._format_field(dataclasses.asdict(rec)[col]) for col in harness.CSV_COLUMNS]
+        for rec in records
+    ]
+
+
+@pytest.mark.parametrize("case", sorted(CELLS))
+def test_batched_sweep_cell_matches_per_trial_execution(tmp_path, case):
+    cfg = _sweep_config(tmp_path, **CELLS[case])
+    (cell,) = cfg.cells()
+    assert harness._batches(cfg, cell)
+    specs = [(cfg, cell, 40 + s, s, cfg.config_hash()) for s in range(cfg.seeds)]
+    batched = _rows(harness._execute_cell(specs))
+    assert batched == _rows([harness._execute_trial(spec) for spec in specs])
+    errors = [row[CSV_INDEX["error"]] for row in batched]
+    if case == "epoch-too-small":
+        assert all(error.startswith("InvalidInputError") for error in errors)
+        return
+    assert not any(errors)
+    # Each trial has its own data and start, so no two excesses agree.
+    assert len({row[CSV_INDEX["excess_pop"]] for row in batched}) == cfg.seeds
+    if cfg.algorithm == "epoch_growth":
+        assert len({row[CSV_INDEX["epoch_i0"]] for row in batched}) > 1
+
+
+def test_negative_excess_is_recorded_as_an_error(tmp_path, monkeypatch):
+    cfg = _sweep_config(tmp_path)
+    (cell,) = cfg.cells()
+    specs = [(cfg, cell, s, s, cfg.config_hash()) for s in range(cfg.seeds)]
+    monkeypatch.setattr(ProblemInstance, "excess_pop", lambda self, x: -1.0)
+    for rec in harness._execute_cell(specs) + [harness._execute_trial(specs[0])]:
+        assert rec.error.startswith("negative-excess: emp=")
+        assert rec.error.endswith(" pop=-1.000e+00")
+
+
+def test_batches_agrees_with_the_built_instances_loss(tmp_path):
+    # ``_batches`` reads the config and builds no instance; a cell batches
+    # exactly when its chain has a 1-D isotropic-quadratic loss.
+    configs = [
+        harness.load_config(path)
+        for path in sorted((Path(__file__).parents[1] / "configs").glob("acceptance_*.ini"))
+        if path.stem != "acceptance_audit"
+    ]
+    configs += [
+        _sweep_config(tmp_path, sweep_d=(1, 2)),
+        _sweep_config(tmp_path, algorithm="localization", sweep_d=(1, 3)),
+        _sweep_config(tmp_path, algorithm="erm_oracle"),
+        _sweep_config(tmp_path, instance_params=dict(kappa=4, lam=1.0, L=16.0, R=1.0)),
+        _sweep_config(tmp_path, instance_params=dict(kappa=2.0, lam=1.0, L=4.0, R=1.0)),
+        _sweep_config(tmp_path, instance_name="pure_convex", instance_params=dict(L=1.0, R=1.0)),
+        _sweep_config(tmp_path, instance_name="sharp_growth",
+                      instance_params=dict(kappa=2.0, bias_delta=0.1)),
+    ]
+    decisions = []
+    for cfg in configs:
+        for cell in cfg.cells():
+            loss = harness._build_cell_instance(cfg, cell).loss
+            closed_form = cfg.algorithm in MODULES and localization._is_scalar_quadratic(loss)
+            assert harness._batches(cfg, cell) == closed_form
+            decisions.append(closed_form)
+    assert True in decisions and False in decisions
+
+
+def test_1d_quadratic_sweep_csv_is_independent_of_jobs_and_batch_size(tmp_path, monkeypatch):
+    # d = 1 cells batch and d = 2 cells run trial by trial, interleaved.
+    cfg = _sweep_config(tmp_path, sweep_n=(128, 256), sweep_d=(1, 2), seeds=3)
+    assert [harness._batches(cfg, cell) for cell in cfg.cells()] == [True, False] * 2
+    _, serial, _ = harness.run_sweep(cfg, tmp_path / "serial", jobs=1)
+    _, parallel, _ = harness.run_sweep(cfg, tmp_path / "parallel", jobs=2)
+    assert serial.read_bytes() == parallel.read_bytes()
+    # Batches of two trials at n = 128 and of one (run trial by trial) at n = 256.
+    monkeypatch.setattr(harness, "_BATCH_SAMPLES", 256)
+    _, split, _ = harness.run_sweep(cfg, tmp_path / "split", jobs=1)
+    assert split.read_bytes() == serial.read_bytes()
