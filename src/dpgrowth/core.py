@@ -316,11 +316,16 @@ class IsotropicQuadratic:
 
 @dataclass(frozen=True)
 class PowerNorm:
-    """Solver hint: F(x; s) = coef * ||x||^power + <linear(s), x>."""
+    """Solver hint: F(x; s) = coef * ||x||^power + <linear(s), x>.  In 1-D
+    the loss's ``batch_subgrad`` is ``slope``."""
 
     coef: float
     power: float
     linear: Callable[[np.ndarray], np.ndarray]
+
+    def slope(self, u: float, gbar: float) -> float:
+        """The 1-D batch derivative at u, with gbar = linear(mean sample)."""
+        return self.coef * self.power * math.sqrt(u * u) ** (self.power - 2.0) * u + gbar
 
 
 @dataclass(frozen=True)

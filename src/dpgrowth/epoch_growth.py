@@ -133,7 +133,7 @@ def _start(data: Dataset, domain: Domain, x0: np.ndarray, cfg: EpochConfig):
             f"insufficient data: n={data.n} gives per-epoch batches of {n0} < 2"
         )
     x = np.atleast_1d(np.asarray(x0, dtype=float))
-    if not domain.contains(x, tol=1e-9):
+    if not domain.contains(x, tol=localization._START_TOL):
         raise InvalidInputError("x0 must lie in the domain")
     inner_k = localization.LocalizationConfig.phase_count(n0)
     if n0 < inner_k:
@@ -180,9 +180,10 @@ def run(
     Disjoint blocks keep the total budget at the per-epoch (epsilon, delta).
     ``trace`` collects one ``EpochRecord`` per epoch; ``phase_trace`` collects
     the inner chains' ``PhaseRecord`` entries, epoch after epoch.  A 1-D
-    isotropic-quadratic loss runs ``run_trials`` as one trial on ``rng``.
+    isotropic-quadratic or power-norm loss runs ``run_trials`` as one trial
+    on ``rng``.
     """
-    if localization._is_scalar_quadratic(loss):
+    if localization._runs_phase_kernel(loss):
         return run_trials(loss, data, domain, x0, cfg, (rng,), trace, phase_trace)[0]
     n0, inner_k, x = _start(data, domain, x0, cfg)
     for i, radius, eta_i, inner_cfg in _epochs(cfg, n0, inner_k):
@@ -213,9 +214,9 @@ def run_trials(
     """Run the epoch loop once per stream, all trials at once, and return
     one output row per stream.
 
-    The inputs are those of ``localization.run_trials``, whose closed-form
-    kernel runs every epoch's chain; trial t's region in epoch i is the
-    interval [max(x - R_i, lo), min(x + R_i, hi)] around its own iterate.
+    The inputs are those of ``localization.run_trials``, whose phase kernel
+    runs every epoch's chain; trial t's region in epoch i is the domain
+    intersected with the ball of radius R_i around its own iterate.
     ``trace`` collects one ``EpochRecord`` per epoch, frozen ones included,
     whose ``center`` and ``x_next`` are ``(trials,)`` arrays; ``phase_trace``
     collects the chains' ``PhaseRecord`` entries, epoch after epoch.
@@ -231,17 +232,13 @@ def run_trials(
     ]
     counts = [localization._noise_count(schedule) for *_, schedule in epochs]
     z, x = localization._trial_noise(cfg.privacy, streams, sum(counts), datasets, starts)
-    lo, hi = domain.interval()
-    curv = loss.structure.curvature
     col = 0
     for (i, radius, eta_i, inner_cfg, schedule), count in zip(epochs, counts):
         x_next = x
         if inner_cfg is not None:
-            blocks = [ds.block(i, n0) for ds in datasets]
             x_next = localization._chain_trials(
-                curv, localization._block_means(loss, blocks, inner_cfg), schedule, x,
-                np.maximum(x - radius, lo), np.minimum(x + radius, hi),
-                z[:, col : col + count], phase_trace,
+                loss, [ds.block(i, n0) for ds in datasets], inner_cfg, schedule, x, domain,
+                z[:, col : col + count], (x, radius), phase_trace,
             )
         if trace is not None:
             trace.append(EpochRecord(i, x, radius, eta_i, x_next, frozen=inner_cfg is None))
@@ -250,14 +247,10 @@ def run_trials(
     return x[:, None]
 
 
-def index_in_region(trace: list, xstar: np.ndarray) -> int:
-    """Largest epoch index whose ``run`` trust region contains ``xstar`` (-1 if none)."""
-    return indices_in_region(trace, xstar)[0]
-
-
 def indices_in_region(trace: list, xstar: np.ndarray) -> list[int]:
-    """``index_in_region`` of each trial of a trace: one for a ``run`` trace,
-    one per entry of the ``(trials,)`` centers of a ``run_trials`` trace."""
+    """Each trial's largest epoch index whose trust region contains
+    ``xstar`` (-1 if none): one entry for a ``run`` trace, one per entry of
+    the ``(trials,)`` centers of a ``run_trials`` trace."""
     xstar = np.atleast_1d(np.asarray(xstar, dtype=float))
     best = np.full(1, -1)
     for rec in trace:
@@ -265,15 +258,3 @@ def indices_in_region(trace: list, xstar: np.ndarray) -> list[int]:
         dist = np.abs(xstar - rec.center) if xstar.size == 1 else np.linalg.norm(xstar - rec.center)
         best = np.where(dist <= rec.radius, rec.index, best)
     return [int(i) for i in best]
-
-
-def region_membership_is_prefix(trace: list, xstar: np.ndarray) -> bool:
-    """Whether {i : xstar in region_i} is a contiguous prefix of the epochs."""
-    xstar = np.atleast_1d(np.asarray(xstar, dtype=float))
-    flags = [
-        float(np.linalg.norm(xstar - rec.center)) <= rec.radius for rec in trace
-    ]
-    if not any(flags):
-        return False
-    last_true = max(i for i, f in enumerate(flags) if f)
-    return all(flags[: last_true + 1])

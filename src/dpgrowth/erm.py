@@ -29,6 +29,9 @@ from .core import (
 
 __all__ = ["RegularizedProblem", "solve", "certified_gap"]
 
+# How far outside its domain a problem's anchor may lie.
+_ANCHOR_TOL = 1e-7
+
 
 @dataclass(frozen=True)
 class RegularizedProblem:
@@ -43,7 +46,7 @@ class RegularizedProblem:
         object.__setattr__(self, "anchor", a)
         if not (self.reg_weight > 0):
             raise InvalidInputError("reg_weight must be positive")
-        if not self.domain.contains(a, tol=1e-7):
+        if not self.domain.contains(a, tol=_ANCHOR_TOL):
             raise InvalidInputError("domain must contain the anchor")
 
     @property
@@ -122,13 +125,20 @@ def _separable_subdiff_interval(problem, st, x, extra_quad=()):
 
 
 def _gap_1d(problem: RegularizedProblem, x: np.ndarray) -> float:
-    lam = problem.reg_weight
-    lo, hi = problem.domain.interval()
-    t = float(x[0])
+    return _interval_gap(
+        lambda u: float(problem.subgradient(np.array([u]))[0]),
+        problem.reg_weight, *problem.domain.interval(), float(x[0]),
+    )
+
+
+def _interval_gap(slope, lam: float, lo: float, hi: float, t: float) -> float:
+    """Gap bound at t of a 1-D objective on [lo, hi] with strong convexity
+    2 lam, from its one-sided slopes: ``slope(u)`` is the objective's
+    derivative (min-norm subgradient) at u, in Python floats."""
     scale = max(abs(t), abs(lo), abs(hi), 1.0)
     h = 1e-9 * scale
-    g_left = float(problem.subgradient(np.array([t - h]))[0])
-    g_right = float(problem.subgradient(np.array([t + h]))[0])
+    g_left = slope(t - h)
+    g_right = slope(t + h)
     if t - h <= lo:
         residual = max(0.0, -g_right)
     elif t + h >= hi:
@@ -248,31 +258,34 @@ def _dual_ball_separable(pts, w, lam, anchor, center, radius, tol):
     return solve_at(hi), hi, abs(s_hi)
 
 
-def _solve_power_norm_1d(problem: RegularizedProblem, st: PowerNorm, lo, hi):
-    lam = problem.reg_weight
-    ubar = float(st.linear(problem.batch.samples).mean(axis=0)[0])
-    a = float(problem.anchor[0])
-    coef, power = st.coef, st.power
+def _power_norm_root(coef, power, ubar, lam, a, lo, hi) -> float:
+    """Minimizer over [lo, hi] of coef |t|^power + ubar t + lam (t - a)^2,
+    by bisection on its strictly increasing derivative.  Python floats
+    throughout: numpy's vectorized power differs from libm's in the last bit."""
+    cp, pm1, two_lam = coef * power, power - 1.0, 2.0 * lam
+    copysign = math.copysign
 
     def deriv(t: float) -> float:
-        return coef * power * abs(t) ** (power - 1.0) * math.copysign(1.0, t) + ubar + 2.0 * lam * (t - a)
+        return cp * abs(t) ** pm1 * copysign(1.0, t) + ubar + two_lam * (t - a)
 
-    d_lo, d_hi = deriv(lo), deriv(hi)
-    if d_lo >= 0.0:
-        return np.array([lo])
-    if d_hi <= 0.0:
-        return np.array([hi])
-    # Bisection on the strictly increasing derivative.
+    if deriv(lo) >= 0.0:
+        return lo
+    if deriv(hi) <= 0.0:
+        return hi
     left, right = lo, hi
+    # The stopping width is 1e-15 max(1, |left|, |right|): 1e-15 throughout
+    # when [lo, hi] lies in [-1, 1].  The loop inlines deriv and, there,
+    # skips max: in CPython each call costs about as much as the arithmetic.
+    unit = max(abs(lo), abs(hi)) <= 1.0
     for _ in range(200):
         mid = 0.5 * (left + right)
-        if deriv(mid) < 0.0:
+        if cp * abs(mid) ** pm1 * copysign(1.0, mid) + ubar + two_lam * (mid - a) < 0.0:
             left = mid
         else:
             right = mid
-        if right - left <= 1e-15 * max(1.0, abs(left), abs(right)):
+        if right - left <= (1e-15 if unit else 1e-15 * max(1.0, abs(left), abs(right))):
             break
-    return np.array([0.5 * (left + right)])
+    return 0.5 * (left + right)
 
 
 def _solve_scalar(problem: RegularizedProblem, lo: float, hi: float):
@@ -316,6 +329,13 @@ def _solve_subgradient(problem: RegularizedProblem, tol: float, max_iters: int):
     return None, certified_gap(problem, best_x), best_x
 
 
+def _dominated(L: float, lam: float, tol: float) -> bool:
+    """Regularizer dominance: at the anchor the loss part contributes a
+    subgradient of norm <= L, so the projected anchor's gap is at most
+    L^2 / (4 lam); ``solve`` returns it when that is <= tol."""
+    return not math.isfinite(lam) or L * L / (4.0 * lam) <= tol
+
+
 def solve(problem: RegularizedProblem, tol: float, max_iters: int = 200_000) -> np.ndarray:
     """Minimize the regularized batch objective to certified gap <= tol.
 
@@ -325,10 +345,7 @@ def solve(problem: RegularizedProblem, tol: float, max_iters: int = 200_000) -> 
     if not (tol > 0):
         raise InvalidInputError("tol must be positive")
     lam = problem.reg_weight
-    L = problem.loss.lipschitz
-    # Regularizer dominance: at the anchor the loss part contributes a
-    # subgradient of norm <= L, so the gap is at most L^2 / (4 lam).
-    if not math.isfinite(lam) or L * L / (4.0 * lam) <= tol:
+    if _dominated(problem.loss.lipschitz, lam, tol):
         return project(problem.domain, problem.anchor)
 
     st = problem.loss.structure
@@ -343,7 +360,10 @@ def solve(problem: RegularizedProblem, tol: float, max_iters: int = 200_000) -> 
                 return x
             candidate = x
     elif isinstance(st, PowerNorm) and problem.anchor.shape[0] == 1:
-        candidate = _solve_power_norm_1d(problem, st, *problem.domain.interval())
+        ubar = float(st.linear(problem.batch.samples).mean(axis=0)[0])
+        candidate = np.array([_power_norm_root(
+            st.coef, st.power, ubar, lam, float(problem.anchor[0]), *problem.domain.interval()
+        )])
     if candidate is None and problem.anchor.shape[0] == 1:
         candidate = _solve_scalar(problem, *problem.domain.interval())
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import epoch_growth, inv_sensitivity, localization
 from .core import Dataset, InvalidInputError, PrivacyParams, RngStream, project
-from .instances import ProblemInstance, build_instance, has_scalar_quadratic_loss
+from .instances import ProblemInstance, build_instance, has_1d_power_norm_loss
 from .mechanisms import DpTestReport, empirical_dp_test
 
 __all__ = [
@@ -246,9 +246,9 @@ _BATCH_SAMPLES = 2**22
 
 def _batches(cfg: ExperimentConfig, cell: dict) -> bool:
     """Whether a cell runs in batches: a chain cell whose loss is a 1-D
-    isotropic quadratic.  Read from the config, so no instance is built
-    outside a trial."""
-    return cfg.algorithm in _CHAINS and has_scalar_quadratic_loss(
+    power norm, which the phase kernel runs.  Read from the config, so no
+    instance is built outside a trial."""
+    return cfg.algorithm in _CHAINS and has_1d_power_norm_loss(
         cfg.instance_name, **{**cfg.instance_params, "d": cell["d"]}
     )
 
@@ -269,9 +269,10 @@ def _execute(specs: list) -> list[TrialRecord]:
 
     Each trial keeps its own streams, data and start point, so a batched
     record equals ``_execute_trial``'s apart from ``wall_ms``: that is the
-    batch's time divided by its trials.  A batch that raises records the
-    error on every trial, as each would alone: the closed-form chain raises
-    only on checks that all trials of a cell share.
+    batch's time divided by its trials.  A batch that raises runs again
+    trial by trial, since the error may be one trial's alone (a power-norm
+    phase whose certificate fails, say, and whose solve then raises
+    ``ConvergenceError``); each trial then writes the row it writes alone.
     """
     cfg, cell = specs[0][:2]
     streams = [RngStream(cfg.master_seed, spec[2]) for spec in specs]
@@ -314,6 +315,8 @@ def _execute(specs: list) -> list[TrialRecord]:
         excess = [(instance.excess_emp(x, ds), instance.excess_pop(x))
                   for x, ds in zip(x_out, data)]
     except (InvalidInputError, RuntimeError) as exc:
+        if len(specs) > 1:
+            return [_execute_trial(spec) for spec in specs]
         error = f"{type(exc).__name__}: {exc}"
     wall_ms = (time.perf_counter() - t0) * 1e3 / len(specs)
     kappa = None if instance.growth is None else instance.growth.kappa

@@ -42,7 +42,7 @@ __all__ = [
     "make_knorm_regression",
     "make_pure_convex",
     "build_instance",
-    "has_scalar_quadratic_loss",
+    "has_1d_power_norm_loss",
     "SHIPPED_INSTANCES",
 ]
 
@@ -92,11 +92,11 @@ class PowerNormLinearLoss(LossOracle):
 
     def batch_subgrad(self, x, samples):
         x = np.atleast_1d(x)
+        gbar = self.lin_scale * samples.mean(axis=0)
+        if self.point_dim == 1 and isinstance(self.structure, PowerNorm):
+            return np.array([self.structure.slope(float(x[0]), float(gbar[0]))])
         r = float(np.linalg.norm(x))
-        return (
-            self.coef * self.power * r ** (self.power - 2.0) * x
-            + self.lin_scale * samples.mean(axis=0)
-        )
+        return self.coef * self.power * r ** (self.power - 2.0) * x + gbar
 
     def mean_grads(self, points, samples):
         sbar = samples.mean(axis=0)
@@ -682,11 +682,11 @@ def build_instance(name: str, **params) -> ProblemInstance:
     return _BUILDERS[name](**params)
 
 
-def has_scalar_quadratic_loss(name: str, **params) -> bool:
-    """Whether ``build_instance(name, **params)`` has a 1-D isotropic-quadratic
-    loss, read from the parameters without building the instance: only
-    ``uniform_convex`` has one, in d = 1 at kappa = 2 (its power-norm loss)."""
-    return name == "uniform_convex" and params.get("d") == 1 and params.get("kappa") == 2
+def has_1d_power_norm_loss(name: str, **params) -> bool:
+    """Whether ``build_instance(name, **params)`` has a 1-D power-norm loss
+    (an isotropic quadratic at kappa = 2), read from the parameters without
+    building the instance: only ``uniform_convex`` has one, in d = 1."""
+    return name == "uniform_convex" and params.get("d") == 1
 
 
 # Canonical parameterizations shipped with the package; the certification

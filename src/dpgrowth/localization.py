@@ -18,8 +18,10 @@ from .core import (
     InvalidInputError,
     IsotropicQuadratic,
     LossOracle,
+    PowerNorm,
     PrivacyParams,
     RngStream,
+    project,
 )
 
 __all__ = [
@@ -32,6 +34,9 @@ __all__ = [
 
 # Absolute floor keeping solver tolerances meaningful in double precision.
 _TOL_FLOOR_FACTOR = 1e-13
+
+# How far outside the domain a start point may lie.
+_START_TOL = 1e-9
 
 # Iteration budget of each phase's generic solve.
 MAX_SOLVER_ITERS = 200_000
@@ -140,14 +145,26 @@ def _start(data: Dataset, domain: Domain, x0: np.ndarray, cfg: LocalizationConfi
     if k * n0 > data.n:
         raise InvalidInputError(f"k * n0 = {k * n0} exceeds n = {data.n}")
     x = np.atleast_1d(np.asarray(x0, dtype=float))
-    if not domain.contains(x, tol=1e-9):
+    if not domain.contains(x, tol=_START_TOL):
         raise InvalidInputError("x0 must lie in the domain")
     return x
 
 
-def _is_scalar_quadratic(loss: LossOracle) -> bool:
-    """Whether the chain runs in closed form: a 1-D isotropic-quadratic loss."""
-    return loss.point_dim == 1 and isinstance(loss.structure, IsotropicQuadratic)
+def _tol_floor(L: float, domain: Domain) -> float:
+    return _TOL_FLOOR_FACTOR * L * max(1.0, domain.diameter())
+
+
+def _phase_tol(sensitivity: float, sigma: float, tol_floor: float) -> float:
+    """A phase's solver tolerance: two orders below both the sensitivity
+    scale and the honest noise floor, so solver inexactness is negligible
+    for privacy."""
+    return max(min(sensitivity, sigma) / 100.0, tol_floor)
+
+
+def _runs_phase_kernel(loss: LossOracle) -> bool:
+    """Whether the chain runs in the phase kernel ``_chain_trials``: a 1-D
+    loss with an isotropic-quadratic or power-norm hint."""
+    return loss.point_dim == 1 and isinstance(loss.structure, (IsotropicQuadratic, PowerNorm))
 
 
 def run(
@@ -166,15 +183,15 @@ def run(
     eta_i = 2^{-4i} eta, then adds iid Laplace (pure mode) or isotropic
     Gaussian (approximate mode) noise and projects back onto ``domain``.
     Each sample is consumed by exactly one phase; leftover samples beyond
-    k * n0 are discarded.  A 1-D isotropic-quadratic loss runs the
-    closed-form chain of ``run_trials`` as one trial on ``rng``.
+    k * n0 are discarded.  A 1-D isotropic-quadratic or power-norm loss
+    runs the phase kernel of ``run_trials`` as one trial on ``rng``.
     """
-    if _is_scalar_quadratic(loss):
+    if _runs_phase_kernel(loss):
         return run_trials(loss, data, domain, x0, cfg, (rng,), trace)[0]
     x = _start(data, domain, x0, cfg)
     L = loss.lipschitz
     d = loss.point_dim
-    tol_floor = _TOL_FLOOR_FACTOR * L * max(1.0, domain.diameter())
+    tol_floor = _tol_floor(L, domain)
     draw = mechanisms.noise_draw(cfg.privacy, rng)
     for i, eta_i, radius, lam, sensitivity, sigma, sigma_used in _schedule(cfg, L, d):
         region = Domain(x, radius, parent=domain)
@@ -185,9 +202,7 @@ def run(
             reg_weight=lam,
             domain=region,
         )
-        # Solve two orders below both the sensitivity scale and the honest
-        # noise floor, so solver inexactness is negligible for privacy.
-        tol = max(min(sensitivity, sigma) / 100.0, tol_floor)
+        tol = _phase_tol(sensitivity, sigma, tol_floor)
         x_hat = erm.solve(problem, tol=tol, max_iters=MAX_SOLVER_ITERS)
         noise = draw(0.0, sigma_used, size=d) if sigma_used > 0 else np.zeros(d)
         x = domain.project(x_hat + noise)
@@ -196,13 +211,16 @@ def run(
     return x
 
 
-def _block_means(loss: LossOracle, datasets: list, cfg: LocalizationConfig) -> np.ndarray:
-    """Per-phase batch means of the quadratic's linear term, one column per
-    dataset, each in its own vectorized pass: numpy's pairwise sums depend
-    on the array shape."""
+def _block_means(datasets: list, cfg: LocalizationConfig, linear=None) -> np.ndarray:
+    """Per-phase batch means of the samples, or of ``linear`` of them, one
+    column per dataset, each in its own vectorized pass: numpy's pairwise
+    sums depend on the array shape."""
     k, n0 = cfg.k, cfg.n0
-    means = [loss.structure.linear(ds.samples[: k * n0]).reshape(k, n0, -1).mean(axis=1)[:, 0]
-             for ds in datasets]
+    means = [
+        (ds.samples[: k * n0] if linear is None else linear(ds.samples[: k * n0]))
+        .reshape(k, n0, -1).mean(axis=1)[:, 0]
+        for ds in datasets
+    ]
     return np.stack(means, axis=1)
 
 
@@ -210,8 +228,8 @@ def _trial_inputs(loss: LossOracle, data, x0, check) -> tuple:
     """Check a ``run_trials`` call's loss, datasets and starts.  Return the
     datasets as a list (one shared by every trial, or one per trial), the
     starts as a 1-D array, and what ``check(dataset, start)`` returns."""
-    if not _is_scalar_quadratic(loss):
-        raise InvalidInputError("run_trials needs a 1-D isotropic-quadratic loss")
+    if not _runs_phase_kernel(loss):
+        raise InvalidInputError("run_trials needs a 1-D isotropic-quadratic or power-norm loss")
     datasets = [data] if isinstance(data, Dataset) else list(data)
     if len({ds.n for ds in datasets}) != 1:
         raise InvalidInputError("the trials' datasets must share one size")
@@ -241,33 +259,132 @@ def _noise_count(schedule: list[tuple]) -> int:
     return sum(1 for *_, sigma_used in schedule if sigma_used > 0)
 
 
-def _chain_trials(curv, qbar, schedule, x, lo_dom, hi_dom, z, trace=None):
-    """The closed-form 1-D chain, all trials at once: the one phase kernel.
+def _inside(x: np.ndarray, balls: list, tol: float = 0.0) -> np.ndarray:
+    """Per trial, whether x lies in every ball (center, radius) by the test
+    ``np.linalg.norm`` makes in 1-D: sqrt(d * d) <= radius + tol."""
+    ok = np.ones(x.shape, dtype=bool)
+    for center, radius in balls:
+        diff = x - center
+        ok &= np.sqrt(diff * diff) <= radius + tol
+    return ok
 
-    In one dimension every trust region is an interval and the constrained
-    minimizer of the quadratic phase objective (curvature ``curv``) is the
-    clamped stationary point, so each phase is a few array operations.
-    ``qbar`` holds the phase block means as a ``(k, trials)`` array, or
-    ``(k, 1)`` when the trials share one dataset; ``x`` holds one start per
-    trial; ``lo_dom, hi_dom`` bound the domain, per trial or shared; ``z``
-    holds per-trial unit noise, one column per noised phase.  ``trace``
-    collects one ``PhaseRecord`` per phase, with every trial's points.
+
+def _project_trials(x: np.ndarray, balls: list, domain_of) -> np.ndarray:
+    """Each trial's point projected onto its own domain: kept where it lies
+    in every ball, as ``core.project`` keeps it, and projected by
+    ``core.project`` on ``domain_of(t)`` elsewhere."""
+    outside = np.flatnonzero(~_inside(x, balls))
+    if outside.size == 0:
+        return x
+    x = x.copy()
+    for t in outside:
+        x[t] = project(domain_of(t), x[t : t + 1])[0]
+    return x
+
+
+def _power_norm_phase(st: PowerNorm, lam, tol, x, lo, hi, qbar, gbar, problem) -> np.ndarray:
+    """Each trial's solution of a power-norm phase as ``erm.solve`` finds it:
+    the solver's own bisection and 1-D certificate, in Python floats, from
+    the trial's anchor x[t], interval [lo[t], hi[t]], mean linear term
+    qbar[t] and linear term of the mean sample gbar[t].  A trial whose
+    certificate fails runs ``erm.solve`` on ``problem(t)``."""
+    x_hat = []
+    for t, (a, lo_t, hi_t, ubar, g) in enumerate(
+        zip(x.tolist(), lo.tolist(), hi.tolist(), qbar.tolist(), gbar.tolist())
+    ):
+        root = erm._power_norm_root(st.coef, st.power, ubar, lam, a, lo_t, hi_t)
+
+        # The loss's batch derivative plus the regularizer's, added as
+        # ``RegularizedProblem.subgradient`` adds them.
+        def slope(u):
+            return st.slope(u, g) + 2.0 * lam * (u - a)
+
+        if erm._interval_gap(slope, lam, lo_t, hi_t, root) > tol:
+            root = float(erm.solve(problem(t), tol=tol, max_iters=MAX_SOLVER_ITERS)[0])
+        x_hat.append(root)
+    return np.array(x_hat)
+
+
+def _chain_trials(loss, datasets, cfg, schedule, x, domain, z, epoch=None, trace=None):
+    """The 1-D chain, all trials at once: the one phase kernel.
+
+    ``datasets`` holds the phase blocks' data, one dataset shared by every
+    trial or one per trial; ``x`` holds one start per trial; ``z`` holds
+    per-trial unit noise, one column per noised phase.  The chain runs in
+    ``domain``, intersected with each trial's epoch ball when ``epoch`` is
+    ``(centers, radius)``.  ``trace`` collects one ``PhaseRecord`` per phase,
+    with every trial's points.
+
+    An isotropic-quadratic phase is closed form: in one dimension every trust
+    region is an interval, and the constrained minimizer is the clamped
+    stationary point.  A power-norm phase makes the checks and steps of
+    ``run``'s phase on arrays, ``erm.solve``'s regularizer-dominance
+    shortcut included; only each trial's bisection and certificate, and its
+    projections from outside the domain, run one trial at a time.
     """
+    st = loss.structure
+    qbar = _block_means(datasets, cfg, st.linear)
+    lo_dom, hi_dom = domain.interval()
+    if epoch is not None:
+        centers, radius = epoch
+        lo_dom, hi_dom = np.maximum(centers - radius, lo_dom), np.minimum(centers + radius, hi_dom)
+    power_norm = isinstance(st, PowerNorm)
+    if power_norm:
+        balls = [(float(c[0]), r) for c, r in domain.balls()]
+        if epoch is not None:
+            balls.insert(0, epoch)
+        L = loss.lipschitz
+        gbar = st.linear(_block_means(datasets, cfg))
+
+        def outer(t):
+            return domain if epoch is None else Domain(centers[t : t + 1], radius, parent=domain)
+
+        # Every trial's domain has the same radii, so one diameter.
+        tol_floor = _tol_floor(L, outer(0))
+        # The start check of ``_start``; each phase checks its anchor as
+        # ``RegularizedProblem`` does.
+        if not _inside(x, balls, tol=_START_TOL).all():
+            raise InvalidInputError("x0 must lie in the domain")
     col = 0
-    for i, eta_i, radius, lam, _, _, sigma_used in schedule:
-        lo = np.maximum(lo_dom, x - radius)
-        hi = np.minimum(hi_dom, x + radius)
-        x_hat = (2.0 * lam * x - qbar[i - 1]) / (curv + 2.0 * lam)
-        x_hat = np.where(x_hat < lo, lo, np.where(x_hat > hi, hi, x_hat))
+    for i, eta_i, radius_i, lam, sensitivity, sigma, sigma_used in schedule:
+        lo = np.maximum(lo_dom, x - radius_i)
+        hi = np.minimum(hi_dom, x + radius_i)
+        if not power_norm:
+            x_hat = (2.0 * lam * x - qbar[i - 1]) / (st.curvature + 2.0 * lam)
+            x_hat = np.where(x_hat < lo, lo, np.where(x_hat > hi, hi, x_hat))
+        else:
+            if not _inside(x, balls, tol=erm._ANCHOR_TOL).all():
+                raise InvalidInputError("domain must contain the anchor")
+
+            def region(t):
+                return Domain(x[t : t + 1], radius_i, parent=outer(t))
+
+            def problem(t):
+                block = datasets[min(t, len(datasets) - 1)].block(i - 1, cfg.n0)
+                return erm.RegularizedProblem(loss, block, x[t : t + 1], lam, region(t))
+
+            tol = _phase_tol(sensitivity, sigma, tol_floor)
+            if erm._dominated(L, lam, tol):
+                # Regularizer dominance: the solution is the anchor projected
+                # onto its region, whose own ball always holds it.
+                x_hat = _project_trials(x, balls, region)
+            else:
+                x_hat = _power_norm_phase(
+                    st, lam, tol, x, lo, hi, np.broadcast_to(qbar[i - 1], x.shape),
+                    np.broadcast_to(gbar[i - 1], x.shape), problem,
+                )
         if sigma_used > 0:
             noise = z[:, col] * sigma_used
             col += 1
         else:
             noise = 0.0
         x = x_hat + noise
-        x = np.where(x < lo_dom, lo_dom, np.where(x > hi_dom, hi_dom, x))
+        if power_norm:
+            x = _project_trials(x, balls, outer)
+        else:
+            x = np.where(x < lo_dom, lo_dom, np.where(x > hi_dom, hi_dom, x))
         if trace is not None:
-            trace.append(PhaseRecord(i, eta_i, radius, sigma_used, x_hat, x))
+            trace.append(PhaseRecord(i, eta_i, radius_i, sigma_used, x_hat, x))
     return x
 
 
@@ -283,10 +400,10 @@ def run_trials(
     """Run the chain once per stream, all trials at once, and return one
     output row per stream.
 
-    This is the closed-form chain of a 1-D isotropic-quadratic loss; any
-    other loss raises ``InvalidInputError``.  ``data`` is one dataset shared
-    by every trial or one per trial, and ``x0`` is one start point or one
-    row per trial.  Trial t runs the chain ``run`` describes on its own data
+    This is the phase kernel of a 1-D isotropic-quadratic or power-norm
+    loss; any other loss raises ``InvalidInputError``.  ``data`` is one
+    dataset shared by every trial or one per trial, and ``x0`` is one start
+    point or one row per trial.  Trial t runs the chain ``run`` describes on its own data
     and start, with its noise drawn from ``streams[t]``.  Streams are
     consumed in order, so ``streams`` may be a generator.  ``trace``
     collects one ``PhaseRecord`` per phase whose points are ``(trials,)``
@@ -295,8 +412,4 @@ def run_trials(
     datasets, starts, _ = _trial_inputs(loss, data, x0, lambda ds, x: _start(ds, domain, x, cfg))
     schedule = _schedule(cfg, loss.lipschitz, 1)
     z, x = _trial_noise(cfg.privacy, streams, _noise_count(schedule), datasets, starts)
-    lo_dom, hi_dom = domain.interval()
-    qbar = _block_means(loss, datasets, cfg)
-    return _chain_trials(
-        loss.structure.curvature, qbar, schedule, x, lo_dom, hi_dom, z, trace
-    )[:, None]
+    return _chain_trials(loss, datasets, cfg, schedule, x, domain, z, trace=trace)[:, None]

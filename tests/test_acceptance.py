@@ -316,6 +316,13 @@ def test_criterion_6_inv_sensitivity_utility(sweep_results):
 # ---------------------------------------------------------------------------
 
 
+def _region_membership_is_prefix(trace: list, xstar: np.ndarray) -> bool:
+    """Whether the epochs of a ``run`` trace whose trust region contains
+    xstar are a nonempty prefix of its epochs."""
+    flags = [float(np.linalg.norm(xstar - rec.center)) <= rec.radius for rec in trace]
+    return any(flags) and flags == sorted(flags, reverse=True)
+
+
 def test_criterion_7_epoch_adaptivity():
     t0 = time.time()
     inst = build_instance(
@@ -337,9 +344,9 @@ def test_criterion_7_epoch_adaptivity():
         out = epoch_growth.run(
             inst.loss, data, inst.domain, x0, cfg, st.child(1), trace=trace
         )
-        if epoch_growth.region_membership_is_prefix(trace, inst.xstar):
+        if _region_membership_is_prefix(trace, inst.xstar):
             prefix_ok += 1
-        i0 = epoch_growth.index_in_region(trace, inst.xstar)
+        i0 = epoch_growth.indices_in_region(trace, inst.xstar)[0]
         finals.append(inst.excess_pop(out))
         at_i0.append(inst.excess_pop(trace[i0].x_next))
     prefix_frac = prefix_ok / seeds

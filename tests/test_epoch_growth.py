@@ -10,9 +10,7 @@ from dpgrowth.epoch_growth import (
     EpochRecord,
     default_eta0,
     epoch_count,
-    index_in_region,
     indices_in_region,
-    region_membership_is_prefix,
     run,
 )
 from dpgrowth.instances import build_instance
@@ -170,7 +168,7 @@ def test_per_epoch_excess_nonincreasing_until_i0():
         x0 = project(inst.domain, inst.xstar + 0.1 * inst.domain.radius * u)
         trace = []
         run(inst.loss, data, inst.domain, x0, cfg, st.child(1), trace=trace)
-        i0s.append(index_in_region(trace, inst.xstar))
+        i0s.append(indices_in_region(trace, inst.xstar)[0])
         per_epoch.append([inst.excess_pop(rec.x_next) for rec in trace])
     i0_min = min(i0s)
     assert i0_min >= 1
@@ -188,11 +186,13 @@ def test_region_tracking_helpers():
     x0 = project(inst.domain, inst.xstar + np.array([0.1]))
     trace = []
     run(inst.loss, data, inst.domain, x0, cfg, st.child(1), trace=trace)
-    i0 = index_in_region(trace, inst.xstar)
+    i0 = indices_in_region(trace, inst.xstar)[0]
     assert 0 <= i0 < cfg.T
-    assert region_membership_is_prefix(trace, inst.xstar)
+    # The regions that contain xstar are those of epochs 0 to i0.
+    inside = [float(np.linalg.norm(inst.xstar - rec.center)) <= rec.radius for rec in trace]
+    assert inside == [i <= i0 for i in range(cfg.T)]
     # A point far outside every region reports -1.
-    assert index_in_region(trace, np.array([55.0])) == -1
+    assert indices_in_region(trace, np.array([55.0])) == [-1]
 
 
 def test_indices_in_region_reads_each_trials_center_and_closed_regions():
@@ -205,4 +205,4 @@ def test_indices_in_region_reads_each_trials_center_and_closed_regions():
     assert indices_in_region(trace, np.array([0.25])) == [1, 0]
     # A 2-D run trace, with xstar on the boundary: |(0.375, 0.5)| = 0.625.
     trace = [EpochRecord(0, np.zeros(2), 0.625, 1.0, np.array([3.0, 4.0]))]
-    assert index_in_region(trace, np.array([0.375, 0.5])) == 0
+    assert indices_in_region(trace, np.array([0.375, 0.5])) == [0]

@@ -1,32 +1,38 @@
-"""The closed-form 1-D phase chains against pinned outputs, and batched
-sweep cells against trial-by-trial execution.
+"""The 1-D phase kernel against pinned outputs and against ``erm.solve``,
+and batched sweep cells against trial-by-trial execution.
 
 ``localization.run_trials`` and ``epoch_growth.run_trials`` run the one
-closed-form phase kernel over many trials at once, and ``run`` on a 1-D
-isotropic-quadratic loss runs it as a single trial.  Both are checked bit
-for bit against outputs recorded from the Python-float scalar chain that
-the kernel replaced: ``float.hex`` of the first three streams' outputs per
-case, and a digest of all 200 outputs of each audit mechanism.  The cases
-cover pure, approximate (delta = 1e-6) and conservative-Gaussian budgets,
-noise scales 1, 0.5 and 0, the audit's own configs on both audit datasets,
-an epoch schedule with frozen epochs, and one whose noise reaches the epoch
-radii.
+phase kernel over many trials at once, and ``run`` on a 1-D
+isotropic-quadratic or power-norm loss runs it as a single trial.  Both are
+checked bit for bit against outputs recorded before the kernel took over
+these losses: from the Python-float scalar chain for the quadratic, and from
+the generic per-phase loop (``erm.solve`` and ``core.project``) for power
+norms at kappa 3 and 4.  The pins are ``float.hex`` of the first three
+streams' outputs per case, and digests of all 200 outputs of the power-norm
+cases and of each audit mechanism.  The cases cover pure, approximate
+(delta = 1e-6) and conservative-Gaussian budgets, noise scales 1, 0.5 and 0,
+the audit's own configs on both audit datasets, an epoch schedule with
+frozen epochs, and ones whose noise reaches the trust regions.  A power-norm
+phase is also checked against ``erm.solve`` on its own problem, phase by
+phase.
 
-A sweep cell of a 1-D quadratic chain runs in ``run_trials`` batches with
+A sweep cell of a 1-D power-norm chain runs in ``run_trials`` batches with
 per-trial data and starts; it must write the rows of a trial-by-trial run,
-and a sweep's CSV must depend neither on ``--jobs`` nor on the batch size.
+also when one trial's solve raises, and a sweep's CSV must depend neither
+on ``--jobs`` nor on the batch size.
 """
 
 import dataclasses
 import hashlib
+import math
 from itertools import islice
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dpgrowth import epoch_growth, harness, localization
-from dpgrowth.core import InvalidInputError, PrivacyParams, RngStream
+from dpgrowth import epoch_growth, erm, harness, localization
+from dpgrowth.core import Dataset, Domain, InvalidInputError, PrivacyParams, RngStream, project
 from dpgrowth.instances import ProblemInstance, build_instance
 
 TRIALS = 200
@@ -85,6 +91,48 @@ PINNED_CLAMPED = (
     "-0x1.a70802950c412p-1", "0x1.a1944b2b435fcp-2", "-0x1.0521616955fe7p-3",
 )
 
+# Outputs of ``run`` on ``_power_instance(kappa)``, recorded from the generic
+# per-phase loop: float.hex of the first three streams of
+# ``_streams(72 + kappa)`` and a sha256 prefix of all 200 outputs.
+PINNED_POWER = {
+    ("epoch_growth", 3, "noiseless"): (
+        "0x1.c9f09467df698p-1", "0x1.c9f0955ed70edp-1", "0x1.c9f095d9c57e0p-1",
+        "6b0e0e7e02bc6df2"),
+    ("epoch_growth", 3, "small-eps"): (
+        "-0x1.e3345e7050194p-1", "-0x1.8dfd98a0af762p-1", "0x1.6a2565b035043p-3",
+        "f81fc34724dcc40c"),
+    ("epoch_growth", 3, "zero"): (
+        "0x1.c9f096166b053p-1", "0x1.c9f096166b053p-1", "0x1.c9f096166b053p-1",
+        "6d5859c5ed2e7390"),
+    ("epoch_growth", 4, "noiseless"): (
+        "0x1.c8b95a285c2f2p-1", "0x1.c8b958ce26c44p-1", "0x1.c8b958bbb9abap-1",
+        "d85a302c421d4c9d"),
+    ("epoch_growth", 4, "small-eps"): (
+        "0x1.055fc795f4ebbp-1", "0x1.5115503995e40p-2", "0x1.07e634d42e7aap-3",
+        "24db6216944b4685"),
+    ("epoch_growth", 4, "zero"): (
+        "0x1.c8b958d05dfc9p-1", "0x1.c8b958d05dfc9p-1", "0x1.c8b958d05dfc9p-1",
+        "a9f9ac0d6cd48b48"),
+    ("localization", 3, "noiseless"): (
+        "0x1.bfac2c09a40e4p-1", "0x1.bfac2cc1a2c5cp-1", "0x1.bfac2dd4bc906p-1",
+        "8cee93bf280563c5"),
+    ("localization", 3, "small-eps"): (
+        "-0x1.6f3f8e806739dp-1", "-0x1.fff68d657ac2bp-1", "0x1.d2c34e86bdb92p-1",
+        "8cdd259d8b3283b1"),
+    ("localization", 3, "zero"): (
+        "0x1.bfac2dccfd3d7p-1", "0x1.bfac2dccfd3d7p-1", "0x1.bfac2dccfd3d7p-1",
+        "08c3dade702a567e"),
+    ("localization", 4, "noiseless"): (
+        "0x1.c3f6558a5a888p-1", "0x1.c3f653b2a7ca6p-1", "0x1.c3f653afb3d61p-1",
+        "ebe509dabb6a53f5"),
+    ("localization", 4, "small-eps"): (
+        "0x1.f40d97a50ad01p-4", "0x1.d87a1a3710e65p-1", "0x1.fffe8a51178d9p-1",
+        "9afebc2a110e4fa9"),
+    ("localization", 4, "zero"): (
+        "0x1.c3f6539715e2dp-1", "0x1.c3f6539715e2dp-1", "0x1.c3f6539715e2dp-1",
+        "08bfc61c59d4a1aa"),
+}
+
 # sha256 prefixes of the audit mechanism"s 200 outputs on each audit dataset,
 # recorded from per-trial runs of the scalar chain.
 PINNED_AUDIT = {
@@ -115,17 +163,25 @@ def _quad_instance(d=1):
     )
 
 
+def _power_instance(kappa):
+    lam = {3: 0.5, 4: 0.25}[kappa]
+    return build_instance(
+        "uniform_convex", d=1, kappa=kappa, lam=lam, L=2.0, R=1.0, bias_delta=0.1
+    )
+
+
 def _streams(seed):
     parent = RngStream(seed, 5)
     return (parent.child(t) for t in range(TRIALS))
 
 
-def _assert_matches_pinned(module, loss, data, domain, x0, cfg, seed, pinned):
-    got = module.run_trials(loss, data, domain, x0, cfg, _streams(seed))
+def _assert_matches_pinned(module, loss, data, domain, x0, cfg, seed, pinned, trace=None):
+    got = module.run_trials(loss, data, domain, x0, cfg, _streams(seed), trace=trace)
     assert got.shape == (TRIALS, 1)
     assert tuple(float(v).hex() for v in got[:3, 0]) == pinned
     single = [module.run(loss, data, domain, x0, cfg, s)[0] for s in islice(_streams(seed), 3)]
     assert tuple(float(v).hex() for v in single) == pinned
+    return got
 
 
 def _config(pipeline, inst, n, privacy, conservative, noise_scale, kappa_lower=3.0):
@@ -158,6 +214,147 @@ def test_run_trials_matches_run_per_budget(pipeline, mode, noise_scale):
         MODULES[pipeline], inst.loss, data, inst.domain, np.array([0.9]), cfg, 61,
         PINNED_BUDGET[(pipeline, mode, noise_scale)],
     )
+
+
+# Power-norm budgets: the acceptance sweeps' noiseless epsilon, no noise
+# draws at all, and a small epsilon with a step large enough that the noise
+# carries points out of the trust regions and the domain.
+POWER_BUDGETS = {
+    "noiseless": (PrivacyParams(1e6), 1.0),
+    "zero": (PrivacyParams(1.0), 0.0),
+    "small-eps": (PrivacyParams(0.1), 1.0),
+}
+
+
+def _power_config(pipeline, inst, n, budget):
+    privacy, noise_scale = POWER_BUDGETS[budget]
+    cfg = _config(pipeline, inst, n, privacy, False, noise_scale)
+    if budget != "small-eps":
+        return cfg
+    if pipeline == "localization":
+        return dataclasses.replace(cfg, eta=4.0)
+    return dataclasses.replace(cfg, eta0=0.5)
+
+
+@pytest.mark.parametrize("budget", sorted(POWER_BUDGETS))
+@pytest.mark.parametrize("kappa", [3, 4])
+@pytest.mark.parametrize("pipeline", sorted(MODULES))
+def test_power_norm_chains_match_pinned_outputs(pipeline, kappa, budget):
+    inst = _power_instance(kappa)
+    n = 128
+    data = inst.draw(n, RngStream(70 + kappa, 0))
+    cfg = _power_config(pipeline, inst, n, budget)
+    trace: list = []
+    pinned = PINNED_POWER[(pipeline, kappa, budget)]
+    got = _assert_matches_pinned(
+        MODULES[pipeline], inst.loss, data, inst.domain, np.array([0.9]), cfg, 72 + kappa,
+        pinned[:3], trace,
+    )
+    assert hashlib.sha256(got[:, 0].tobytes()).hexdigest()[:16] == pinned[3]
+    if budget == "small-eps":
+        # Some trials end an epoch on their region's edge, or a phase on the
+        # domain's: core.project moved them there.
+        if pipeline == "epoch_growth":
+            edge = [np.abs(rec.x_next - rec.center) >= rec.radius * (1 - 1e-12) for rec in trace]
+        else:
+            edge = [np.abs(rec.x_noised) == 1.0 for rec in trace]
+        assert np.sum(edge) > 0
+
+
+def test_power_norm_phase_matches_erm_solve_bit_for_bit(monkeypatch):
+    # 2 kappas x 2 domains x 4 schedules x 100 trials = 1600 random phases,
+    # each with its own data, anchor and epoch ball.  The kernel's solution
+    # and its projected noised point must equal erm.solve's and
+    # core.project's.  Anchors a hair outside their epoch ball make the
+    # dominance shortcut project, and large noise lands points where a clamp
+    # to the interval and core.project differ by an ulp.  At kappa = 4, some
+    # anchors sit on the lower edge of their epoch ball, at points where
+    # numpy's cube falls below libm's, and their data put the phase's
+    # derivative at exactly 0 there (with L = 2 the linear term is the
+    # sample itself): libm's pow gives the edge, numpy's power a bisection.
+    # The kernel's certificate must reject a root exactly when erm.solve's
+    # does: it falls back to erm.solve once per reference solve that has to
+    # descend.
+    solve, descend = erm.solve, erm._solve_subgradient
+    fallbacks, descents = [], []
+    monkeypatch.setattr(erm, "solve", lambda *a, **kw: fallbacks.append(1) or solve(*a, **kw))
+    monkeypatch.setattr(
+        erm, "_solve_subgradient", lambda *a, **kw: descents.append(1) or descend(*a, **kw)
+    )
+    rng = np.random.default_rng(11)
+    trials, m = 100, 16  # identical samples then have an exact mean
+    cfg = localization.LocalizationConfig(
+        eta=1.0, beta=0.5, privacy=PrivacyParams(1.0), k=1, n0=m
+    )
+    counts = dict(phases=0, dominance=0, anchor_projected=0, edge_solutions=0, projected=0,
+                  clamp_differs=0)
+    for kappa in (3, 4):
+        inst = _power_instance(kappa)
+        loss, domain = inst.loss, inst.domain
+        L, cp = loss.lipschitz, loss.structure.coef * loss.structure.power
+        for with_epoch in (False, True):
+            samples = rng.uniform(-1.0, 1.0, (trials, m))
+            radius_e = float(rng.uniform(0.05, 0.5))
+            centers = rng.uniform(-0.9 + radius_e, 0.9 - radius_e, trials)
+            x = rng.uniform(-1.0, 1.0, trials)
+            edge = np.zeros(trials, dtype=bool)
+            if with_epoch:
+                x = np.clip(centers + rng.uniform(-1.0, 1.0, trials) * radius_e, -1.0, 1.0)
+                side = rng.choice([-1.0, 1.0], 40)
+                x[:40] = centers[:40] + side * (radius_e + 10.0 ** rng.uniform(-12, -9.4, 40))
+                if kappa == 4:
+                    c = rng.uniform(radius_e + 0.05, 0.9, 4000)
+                    a = c - radius_e
+                    a_cubed = np.array([v ** 3.0 for v in a.tolist()])
+                    pick = np.flatnonzero(np.power(a, 3.0) < a_cubed)[:20]
+                    centers[40:60], x[40:60] = c[pick], a[pick]
+                    samples[40:60] = -(cp * a_cubed[pick])[:, None]
+                    edge[40:60] = True
+            epoch = (centers, radius_e) if with_epoch else None
+            outer = [Domain(centers[t : t + 1], radius_e, parent=domain) if with_epoch
+                     else domain for t in range(trials)]
+            datasets = [Dataset(row[:, None]) for row in samples]
+            tol_floor = localization._TOL_FLOOR_FACTOR * L * max(
+                1.0, 2.0 * min(radius_e if with_epoch else 1.0, 1.0)
+            )
+            z = rng.laplace(size=(trials, 1))
+            for dominance in (False, True, False, False):
+                sensitivity = 10.0 ** rng.uniform(-10, -2)
+                sigma = 10.0 ** rng.uniform(-2, 1)
+                tol = max(min(sensitivity, sigma) / 100.0, tol_floor)
+                lam = (L * L / (4.0 * tol) * 2.0 if dominance
+                       else 10.0 ** rng.uniform(-1, 4))
+                radius = 10.0 ** rng.uniform(-4, 0)
+                sigma_used = float(rng.choice([0.0, sigma]))
+                schedule = [(1, 1.0, radius, lam, sensitivity, sigma, sigma_used)]
+                trace: list = []
+                fallbacks.clear()
+                got = localization._chain_trials(
+                    loss, datasets, cfg, schedule, x, domain, z, epoch, trace
+                )
+                descents.clear()
+                for t in range(trials):
+                    problem = erm.RegularizedProblem(
+                        loss=loss, batch=datasets[t].block(0, m), anchor=x[t : t + 1],
+                        reg_weight=lam, domain=Domain(x[t : t + 1], radius, parent=outer[t]),
+                    )
+                    want = solve(problem, tol=tol, max_iters=localization.MAX_SOLVER_ITERS)
+                    assert float(trace[0].x_solved[t]).hex() == float(want[0]).hex()
+                    if edge[t]:
+                        assert want[0] == x[t]
+                    noised = want + (z[t] * sigma_used if sigma_used > 0 else 0.0)
+                    want_next = project(outer[t], noised)
+                    assert float(got[t]).hex() == float(want_next[0]).hex()
+                    lo, hi = outer[t].interval()
+                    counts["phases"] += 1
+                    counts["dominance"] += dominance
+                    counts["anchor_projected"] += dominance and want[0] != x[t]
+                    counts["edge_solutions"] += edge[t] and not dominance
+                    counts["projected"] += bool(want_next[0] != noised[0])
+                    counts["clamp_differs"] += bool(np.clip(noised[0], lo, hi) != want_next[0])
+                assert len(fallbacks) == len(descents)
+    assert counts["phases"] >= 1000
+    assert min(counts.values()) > 0, counts
 
 
 @pytest.mark.parametrize("scale", [1.0, 0.5, 1.0 / 16.1])
@@ -289,11 +486,16 @@ kappa_lower = 3.0
 
 # Sweep cells that batch, as changes to the config above: both chains with
 # distinct random starts, an approximate budget, frozen epochs (T = 100 at
-# kappa_lower = 1.2, n = 1024), and a cell too small for its epochs, whose
-# every trial records the error.  The starts are close enough to the
-# minimizer that the trials' epoch_i0 differ.
+# kappa_lower = 1.2, n = 1024), a cell too small for its epochs, whose
+# every trial records the error, and both chains on the kappa = 4 power
+# norm, one with enough noise to reach the trust regions.  The starts are
+# close enough to the minimizer that the trials' epoch_i0 differ.
+KAPPA4 = dict(kappa=4, lam=0.25, L=2.0, R=1.0, bias_delta=0.1)
 CELLS = {
     "localization": dict(algorithm="localization"),
+    "localization-kappa4": dict(algorithm="localization", instance_params=KAPPA4),
+    "epoch-kappa4": dict(instance_params=KAPPA4),
+    "epoch-kappa4-private": dict(instance_params=KAPPA4, sweep_epsilon=(0.05,)),
     "epoch-approx": dict(sweep_delta=(1e-6,)),
     "epoch-frozen": dict(
         sweep_n=(1024,), kappa_lower=1.2, sweep_epsilon=(1e6,), x0_offset=0.001
@@ -335,6 +537,37 @@ def test_batched_sweep_cell_matches_per_trial_execution(tmp_path, case):
         assert len({row[CSV_INDEX["epoch_i0"]] for row in batched}) > 1
 
 
+def test_a_batch_that_raises_runs_trial_by_trial(tmp_path, monkeypatch):
+    # Force every certificate on trial 2's last solved trust region to fail:
+    # its phase then falls back to erm.solve, whose subgradient method gives
+    # up at once and raises ConvergenceError.  That region's anchor depends
+    # on the trial's data, so no other trial shares the error.
+    cfg = _sweep_config(tmp_path, **CELLS["epoch-kappa4"])
+    (cell,) = cfg.cells()
+    specs = [(cfg, cell, 40 + s, s, cfg.config_hash()) for s in range(cfg.seeds)]
+    certified = erm._interval_gap
+    regions = []
+
+    def recording(slope, lam, lo, hi, t):
+        regions.append((lo, hi))
+        return certified(slope, lam, lo, hi, t)
+
+    monkeypatch.setattr(erm, "_interval_gap", recording)
+    harness._execute_trial(specs[2])
+    target = regions[-1]
+
+    def failing(slope, lam, lo, hi, t):
+        return math.inf if (lo, hi) == target else certified(slope, lam, lo, hi, t)
+
+    monkeypatch.setattr(erm, "_interval_gap", failing)
+    monkeypatch.setattr(localization, "MAX_SOLVER_ITERS", 2)
+    batched = _rows(harness._execute_cell(specs))
+    assert batched == _rows([harness._execute_trial(spec) for spec in specs])
+    errors = [row[CSV_INDEX["error"]] for row in batched]
+    assert errors[2].startswith("ConvergenceError: no accuracy certificate")
+    assert not any(errors[:2] + errors[3:])
+
+
 def test_negative_excess_is_recorded_as_an_error(tmp_path, monkeypatch):
     cfg = _sweep_config(tmp_path)
     (cell,) = cfg.cells()
@@ -347,7 +580,7 @@ def test_negative_excess_is_recorded_as_an_error(tmp_path, monkeypatch):
 
 def test_batches_agrees_with_the_built_instances_loss(tmp_path):
     # ``_batches`` reads the config and builds no instance; a cell batches
-    # exactly when its chain has a 1-D isotropic-quadratic loss.
+    # exactly when its chain has a 1-D isotropic-quadratic or power-norm loss.
     configs = [
         harness.load_config(path)
         for path in sorted((Path(__file__).parents[1] / "configs").glob("acceptance_*.ini"))
@@ -359,17 +592,22 @@ def test_batches_agrees_with_the_built_instances_loss(tmp_path):
         _sweep_config(tmp_path, algorithm="erm_oracle"),
         _sweep_config(tmp_path, instance_params=dict(kappa=4, lam=1.0, L=16.0, R=1.0)),
         _sweep_config(tmp_path, instance_params=dict(kappa=2.0, lam=1.0, L=4.0, R=1.0)),
+        _sweep_config(tmp_path, instance_params=dict(kappa=3, lam=0.5, L=2.0, R=1.0)),
+        _sweep_config(tmp_path, algorithm="localization", instance_params=KAPPA4,
+                      sweep_d=(1, 2)),
         _sweep_config(tmp_path, instance_name="pure_convex", instance_params=dict(L=1.0, R=1.0)),
         _sweep_config(tmp_path, instance_name="sharp_growth",
                       instance_params=dict(kappa=2.0, bias_delta=0.1)),
+        _sweep_config(tmp_path, algorithm="localization", instance_name="sharp_growth",
+                      instance_params=dict(kappa=1.5, bias_delta=0.25)),
     ]
     decisions = []
     for cfg in configs:
         for cell in cfg.cells():
             loss = harness._build_cell_instance(cfg, cell).loss
-            closed_form = cfg.algorithm in MODULES and localization._is_scalar_quadratic(loss)
-            assert harness._batches(cfg, cell) == closed_form
-            decisions.append(closed_form)
+            kernel = cfg.algorithm in MODULES and localization._runs_phase_kernel(loss)
+            assert harness._batches(cfg, cell) == kernel
+            decisions.append(kernel)
     assert True in decisions and False in decisions
 
 
