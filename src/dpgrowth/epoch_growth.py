@@ -179,12 +179,17 @@ def run(
     localization chain on block i with step eta_i, and adopts its output.
     Disjoint blocks keep the total budget at the per-epoch (epsilon, delta).
     ``trace`` collects one ``EpochRecord`` per epoch; ``phase_trace`` collects
-    the inner chains' ``PhaseRecord`` entries, epoch after epoch.  A 1-D
-    isotropic-quadratic or power-norm loss runs ``run_trials`` as one trial
-    on ``rng``.
+    the inner chains' ``PhaseRecord`` entries, epoch after epoch.  An
+    isotropic-quadratic or 1-D power-norm loss runs ``run_trials`` as one
+    trial on ``rng``.
     """
     if localization._runs_phase_kernel(loss):
-        return run_trials(loss, data, domain, x0, cfg, (rng,), trace, phase_trace)[0]
+        records, phases = ([] if t is not None else None for t in (trace, phase_trace))
+        x = run_trials(loss, data, domain, x0, cfg, (rng,), records, phases)[0]
+        for out, batch in ((trace, records), (phase_trace, phases)):
+            if out is not None:
+                out += localization._first_trial(batch)
+        return x
     n0, inner_k, x = _start(data, domain, x0, cfg)
     for i, radius, eta_i, inner_cfg in _epochs(cfg, n0, inner_k):
         if inner_cfg is None:
@@ -218,43 +223,44 @@ def run_trials(
     runs every epoch's chain; trial t's region in epoch i is the domain
     intersected with the ball of radius R_i around its own iterate.
     ``trace`` collects one ``EpochRecord`` per epoch, frozen ones included,
-    whose ``center`` and ``x_next`` are ``(trials,)`` arrays; ``phase_trace``
+    whose ``center`` and ``x_next`` are ``(trials, d)`` arrays; ``phase_trace``
     collects the chains' ``PhaseRecord`` entries, epoch after epoch.
     """
     datasets, starts, (n0, inner_k, _) = localization._trial_inputs(
         loss, data, x0, lambda ds, x: _start(ds, domain, x, cfg)
     )
-    L = loss.lipschitz
+    L, d = loss.lipschitz, loss.point_dim
     epochs = [
         (i, radius, eta_i, inner_cfg,
-         [] if inner_cfg is None else localization._schedule(inner_cfg, L, 1))
+         [] if inner_cfg is None else localization._schedule(inner_cfg, L, d))
         for i, radius, eta_i, inner_cfg in _epochs(cfg, n0, inner_k)
     ]
     counts = [localization._noise_count(schedule) for *_, schedule in epochs]
-    z, x = localization._trial_noise(cfg.privacy, streams, sum(counts), datasets, starts)
+    z, x = localization._trial_noise(cfg.privacy, streams, sum(counts), d, datasets, starts)
     col = 0
     for (i, radius, eta_i, inner_cfg, schedule), count in zip(epochs, counts):
         x_next = x
         if inner_cfg is not None:
+            block = np.stack([ds.samples[i * n0 : (i + 1) * n0] for ds in datasets])
             x_next = localization._chain_trials(
-                loss, [ds.block(i, n0) for ds in datasets], inner_cfg, schedule, x, domain,
-                z[:, col : col + count], (x, radius), phase_trace,
+                loss, block, inner_cfg, schedule, x, domain, z[:, col : col + count], (x, radius),
+                phase_trace,
             )
         if trace is not None:
             trace.append(EpochRecord(i, x, radius, eta_i, x_next, frozen=inner_cfg is None))
         x = x_next
         col += count
-    return x[:, None]
+    return x
 
 
 def indices_in_region(trace: list, xstar: np.ndarray) -> list[int]:
     """Each trial's largest epoch index whose trust region contains
-    ``xstar`` (-1 if none): one entry for a ``run`` trace, one per entry of
-    the ``(trials,)`` centers of a ``run_trials`` trace."""
+    ``xstar`` (-1 if none): one entry for a ``run`` trace, one per center
+    row of a ``run_trials`` trace.  Each distance is the one
+    ``np.linalg.norm`` gives, bit for bit."""
     xstar = np.atleast_1d(np.asarray(xstar, dtype=float))
     best = np.full(1, -1)
     for rec in trace:
-        # In 1-D, |xstar - center| equals the norm bit for bit.
-        dist = np.abs(xstar - rec.center) if xstar.size == 1 else np.linalg.norm(xstar - rec.center)
+        dist = localization._row_norms(xstar - np.reshape(rec.center, (-1, xstar.size)))
         best = np.where(dist <= rec.radius, rec.index, best)
     return [int(i) for i in best]

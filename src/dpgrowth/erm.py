@@ -74,6 +74,13 @@ def _lipschitz_over_domain(problem: RegularizedProblem) -> float:
     return problem.loss.lipschitz + 2.0 * problem.reg_weight * reach
 
 
+def _gap_bound(residual, lam):
+    """Gap bound residual^2 / (4 lam) of a (2 lam)-strongly convex objective
+    from its projected-gradient residual (a float, or an array of them):
+    ``certified_gap``'s bound, which the phase kernel computes here too."""
+    return residual * residual / (4.0 * lam)
+
+
 def certified_gap(problem: RegularizedProblem, x: np.ndarray) -> float:
     """Upper bound on F_B(x) - min F_B from the stationarity residual.
 
@@ -97,8 +104,7 @@ def certified_gap(problem: RegularizedProblem, x: np.ndarray) -> float:
     gamma = 1.0 / (2.0 * lam)
     g = problem.subgradient(x)
     step = project(problem.domain, x - gamma * g)
-    residual = float(np.linalg.norm(x - step)) / gamma
-    return residual * residual / (4.0 * lam)
+    return _gap_bound(float(np.linalg.norm(x - step)) / gamma, lam)
 
 
 def _strictly_interior(domain: Domain, x: np.ndarray, margin: float = 1e-12) -> bool:

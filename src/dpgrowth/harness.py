@@ -21,7 +21,7 @@ import numpy as np
 
 from . import epoch_growth, inv_sensitivity, localization
 from .core import Dataset, InvalidInputError, PrivacyParams, RngStream, project
-from .instances import ProblemInstance, build_instance, has_1d_power_norm_loss
+from .instances import ProblemInstance, build_instance, has_phase_kernel_loss
 from .mechanisms import DpTestReport, empirical_dp_test
 
 __all__ = [
@@ -240,15 +240,15 @@ def _chain_config(algorithm: str, instance: ProblemInstance, n: int, d: int, bet
 
 
 # A batched cell holds its trials' datasets at once; larger cells run in
-# batches of about this many samples in all.
+# batches of about this many sample values (n * d per trial) in all.
 _BATCH_SAMPLES = 2**22
 
 
 def _batches(cfg: ExperimentConfig, cell: dict) -> bool:
-    """Whether a cell runs in batches: a chain cell whose loss is a 1-D
-    power norm, which the phase kernel runs.  Read from the config, so no
-    instance is built outside a trial."""
-    return cfg.algorithm in _CHAINS and has_1d_power_norm_loss(
+    """Whether a cell runs in batches: a chain cell whose loss the phase
+    kernel runs.  Read from the config, so no instance is built outside a
+    trial."""
+    return cfg.algorithm in _CHAINS and has_phase_kernel_loss(
         cfg.instance_name, **{**cfg.instance_params, "d": cell["d"]}
     )
 
@@ -357,11 +357,11 @@ def run_sweep(
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg_hash = cfg.config_hash()
     # A unit of work is one trial, or the trials of a cell that batches, as
-    # many as hold about _BATCH_SAMPLES samples between them.
+    # many as hold about _BATCH_SAMPLES sample values between them.
     units = []
     for index, cell in enumerate(cfg.cells()):
         specs = [(cfg, cell, index * cfg.seeds + s, s, cfg_hash) for s in range(cfg.seeds)]
-        size = max(1, _BATCH_SAMPLES // cell["n"]) if _batches(cfg, cell) else 1
+        size = max(1, _BATCH_SAMPLES // (cell["n"] * cell["d"])) if _batches(cfg, cell) else 1
         units += [specs[i : i + size] for i in range(0, len(specs), size)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -42,7 +42,7 @@ __all__ = [
     "make_knorm_regression",
     "make_pure_convex",
     "build_instance",
-    "has_1d_power_norm_loss",
+    "has_phase_kernel_loss",
     "SHIPPED_INSTANCES",
 ]
 
@@ -682,11 +682,12 @@ def build_instance(name: str, **params) -> ProblemInstance:
     return _BUILDERS[name](**params)
 
 
-def has_1d_power_norm_loss(name: str, **params) -> bool:
-    """Whether ``build_instance(name, **params)`` has a 1-D power-norm loss
-    (an isotropic quadratic at kappa = 2), read from the parameters without
-    building the instance: only ``uniform_convex`` has one, in d = 1."""
-    return name == "uniform_convex" and params.get("d") == 1
+def has_phase_kernel_loss(name: str, **params) -> bool:
+    """Whether ``build_instance(name, **params)`` has a loss that the phase
+    kernel runs (an isotropic quadratic, or a 1-D power norm), read from the
+    parameters without building the instance: only ``uniform_convex`` has
+    one, in d = 1 or at kappa = 2."""
+    return name == "uniform_convex" and (params.get("d") == 1 or params.get("kappa") == 2)
 
 
 # Canonical parameterizations shipped with the package; the certification

@@ -6,7 +6,7 @@ the per-phase budget."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -162,9 +162,20 @@ def _phase_tol(sensitivity: float, sigma: float, tol_floor: float) -> float:
 
 
 def _runs_phase_kernel(loss: LossOracle) -> bool:
-    """Whether the chain runs in the phase kernel ``_chain_trials``: a 1-D
-    loss with an isotropic-quadratic or power-norm hint."""
-    return loss.point_dim == 1 and isinstance(loss.structure, (IsotropicQuadratic, PowerNorm))
+    """Whether the chain runs in the phase kernel ``_chain_trials``: a loss
+    with an isotropic-quadratic hint, or a 1-D loss with a power-norm hint."""
+    st = loss.structure
+    return isinstance(st, IsotropicQuadratic) or (loss.point_dim == 1 and isinstance(st, PowerNorm))
+
+
+def _first_trial(records: list) -> list:
+    """A one-trial ``run_trials`` trace as ``run`` records it: each array
+    field holds the trial's point instead of a row per trial."""
+    return [
+        replace(rec, **{f.name: getattr(rec, f.name)[0] for f in fields(rec)
+                        if isinstance(getattr(rec, f.name), np.ndarray)})
+        for rec in records
+    ]
 
 
 def run(
@@ -183,11 +194,15 @@ def run(
     eta_i = 2^{-4i} eta, then adds iid Laplace (pure mode) or isotropic
     Gaussian (approximate mode) noise and projects back onto ``domain``.
     Each sample is consumed by exactly one phase; leftover samples beyond
-    k * n0 are discarded.  A 1-D isotropic-quadratic or power-norm loss
+    k * n0 are discarded.  An isotropic-quadratic or 1-D power-norm loss
     runs the phase kernel of ``run_trials`` as one trial on ``rng``.
     """
     if _runs_phase_kernel(loss):
-        return run_trials(loss, data, domain, x0, cfg, (rng,), trace)[0]
+        records = None if trace is None else []
+        x = run_trials(loss, data, domain, x0, cfg, (rng,), records)[0]
+        if trace is not None:
+            trace += _first_trial(records)
+        return x
     x = _start(data, domain, x0, cfg)
     L = loss.lipschitz
     d = loss.point_dim
@@ -211,61 +226,72 @@ def run(
     return x
 
 
-def _block_means(datasets: list, cfg: LocalizationConfig, linear=None) -> np.ndarray:
-    """Per-phase batch means of the samples, or of ``linear`` of them, one
-    column per dataset, each in its own vectorized pass: numpy's pairwise
-    sums depend on the array shape."""
+def _block_means(samples: np.ndarray, cfg: LocalizationConfig, linear=None) -> np.ndarray:
+    """Per-phase batch means of a ``(datasets, m, d)`` sample array, or of
+    ``linear`` of it, as a ``(k, datasets, d)`` array.  numpy's sums depend
+    on the reduction's shape; this one reduces each block along its own
+    axis, as ``mean(axis=0)`` of the block alone does, so each mean has the
+    bits of ``erm.solve``'s."""
     k, n0 = cfg.k, cfg.n0
-    means = [
-        (ds.samples[: k * n0] if linear is None else linear(ds.samples[: k * n0]))
-        .reshape(k, n0, -1).mean(axis=1)[:, 0]
-        for ds in datasets
-    ]
-    return np.stack(means, axis=1)
+    s = samples[:, : k * n0] if linear is None else linear(samples[:, : k * n0])
+    return s.reshape(len(s), k, n0, -1).mean(axis=2).transpose(1, 0, 2)
 
 
 def _trial_inputs(loss: LossOracle, data, x0, check) -> tuple:
     """Check a ``run_trials`` call's loss, datasets and starts.  Return the
     datasets as a list (one shared by every trial, or one per trial), the
-    starts as a 1-D array, and what ``check(dataset, start)`` returns."""
+    starts as rows of a 2-D array, and what ``check(dataset, start)``
+    returns."""
     if not _runs_phase_kernel(loss):
-        raise InvalidInputError("run_trials needs a 1-D isotropic-quadratic or power-norm loss")
+        raise InvalidInputError("run_trials needs an isotropic-quadratic or 1-D power-norm loss")
     datasets = [data] if isinstance(data, Dataset) else list(data)
     if len({ds.n for ds in datasets}) != 1:
         raise InvalidInputError("the trials' datasets must share one size")
-    starts = np.reshape(np.asarray(x0, dtype=float), (-1, 1))
+    starts = np.reshape(np.asarray(x0, dtype=float), (-1, loss.point_dim))
     for start in starts:
         checked = check(datasets[0], start)
-    return datasets, starts[:, 0], checked
+    return datasets, starts, checked
 
 
-def _trial_noise(privacy: PrivacyParams, streams: Iterable[RngStream], size: int,
+def _trial_noise(privacy: PrivacyParams, streams: Iterable[RngStream], count: int, d: int,
                  datasets: list, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One row of ``size`` unit-scale noise draws per stream, and one start
-    per trial, from one shared start or one per trial.
+    """Unit-scale noise as a ``(streams, count, d)`` array, ``count`` draws
+    of ``d`` values per stream, and one start row per trial, from one shared
+    start or one per trial.
 
-    Each row is drawn in a single call on its own stream.  Scaling a unit
-    draw by sigma gives the same bits as drawing at scale sigma, so a row
-    holds exactly the draws a phase-by-phase run would make on that stream,
-    in order."""
-    rows = [mechanisms.noise_draw(privacy, s)(0.0, 1.0, size=size) for s in streams]
-    z = np.array(rows).reshape(len(rows), size)
+    Each stream's ``count * d`` values are drawn in a single call.  Scaling
+    a unit draw by sigma gives the same bits as drawing at scale sigma, so
+    a stream's draws are exactly those a phase-by-phase run would make on
+    it, in order."""
+    rows = [mechanisms.noise_draw(privacy, s)(0.0, 1.0, size=count * d) for s in streams]
+    z = np.array(rows).reshape(len(rows), count, d)
     if not {len(datasets), len(starts)} <= {1, len(z)}:
         raise InvalidInputError("need one dataset and one start point, or one per stream")
-    return z, np.broadcast_to(starts, (len(z),))
+    return z, np.broadcast_to(starts, (len(z), d))
 
 
 def _noise_count(schedule: list[tuple]) -> int:
     return sum(1 for *_, sigma_used in schedule if sigma_used > 0)
 
 
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of ``v``, equal to ``np.linalg.norm``
+    of the row bit for bit: both take one BLAS dot product per row, while
+    ``np.linalg.norm(v, axis=1)``, ``einsum`` and ``(v * v).sum(1)`` sum in
+    other orders (see docs/decisions.md).  In 1-D that product is v * v,
+    and the elementwise form is the cheaper."""
+    if v.shape[1] == 1:
+        return np.sqrt(v * v)[:, 0]
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+
+
 def _inside(x: np.ndarray, balls: list, tol: float = 0.0) -> np.ndarray:
-    """Per trial, whether x lies in every ball (center, radius) by the test
-    ``np.linalg.norm`` makes in 1-D: sqrt(d * d) <= radius + tol."""
-    ok = np.ones(x.shape, dtype=bool)
+    """Per trial, whether the row x[t] lies in every ball (center, radius)
+    by the test of ``Domain.contains`` with tolerance ``tol``; a center is
+    one point or one row per trial."""
+    ok = np.ones(x.shape[0], dtype=bool)
     for center, radius in balls:
-        diff = x - center
-        ok &= np.sqrt(diff * diff) <= radius + tol
+        ok &= _row_norms(x - center) <= radius + tol
     return ok
 
 
@@ -278,20 +304,43 @@ def _project_trials(x: np.ndarray, balls: list, domain_of) -> np.ndarray:
         return x
     x = x.copy()
     for t in outside:
-        x[t] = project(domain_of(t), x[t : t + 1])[0]
+        x[t] = project(domain_of(t), x[t])
     return x
 
 
+def _quadratic_phase(st: IsotropicQuadratic, lam, tol, x, qbar, gbar, region_balls, region,
+                     problem) -> np.ndarray:
+    """Each trial's solution of an isotropic-quadratic phase as ``erm.solve``
+    finds it: the stationary point, projected onto the trial's region where
+    it lies outside, then ``erm.certified_gap``'s projected-gradient
+    certificate, with the gradient curvature * x + gbar that the loss's
+    ``batch_subgrad`` computes from gbar = linear(mean sample).  A trial
+    whose certificate fails runs ``erm.solve`` on ``problem(t)``."""
+    x_hat = _project_trials(
+        (2.0 * lam * x - qbar) / (st.curvature + 2.0 * lam), region_balls, region
+    )
+    gamma = 1.0 / (2.0 * lam)
+    g = st.curvature * x_hat + gbar + 2.0 * lam * (x_hat - x)
+    step = _project_trials(x_hat - gamma * g, region_balls, region)
+    gap = erm._gap_bound(_row_norms(x_hat - step) / gamma, lam)
+    # x_hat is a new array: the stationary points, or their projected copy.
+    for t in np.flatnonzero(~(gap <= tol)):
+        x_hat[t] = erm.solve(problem(t), tol=tol, max_iters=MAX_SOLVER_ITERS)
+    return x_hat
+
+
 def _power_norm_phase(st: PowerNorm, lam, tol, x, lo, hi, qbar, gbar, problem) -> np.ndarray:
-    """Each trial's solution of a power-norm phase as ``erm.solve`` finds it:
-    the solver's own bisection and 1-D certificate, in Python floats, from
-    the trial's anchor x[t], interval [lo[t], hi[t]], mean linear term
-    qbar[t] and linear term of the mean sample gbar[t].  A trial whose
-    certificate fails runs ``erm.solve`` on ``problem(t)``."""
+    """Each trial's solution of a 1-D power-norm phase as ``erm.solve``
+    finds it: the solver's own bisection and 1-D certificate, in Python
+    floats, from the trial's anchor x[t], interval [lo[t], hi[t]], mean
+    linear term qbar[t] and linear term of the mean sample gbar[t], all
+    ``(trials, 1)`` arrays.  A trial whose certificate fails runs
+    ``erm.solve`` on ``problem(t)``."""
     x_hat = []
-    for t, (a, lo_t, hi_t, ubar, g) in enumerate(
-        zip(x.tolist(), lo.tolist(), hi.tolist(), qbar.tolist(), gbar.tolist())
-    ):
+    for t, (a, lo_t, hi_t, ubar, g) in enumerate(zip(
+        x[:, 0].tolist(), lo[:, 0].tolist(), hi[:, 0].tolist(), qbar[:, 0].tolist(),
+        gbar[:, 0].tolist(),
+    )):
         root = erm._power_norm_root(st.coef, st.power, ubar, lam, a, lo_t, hi_t)
 
         # The loss's batch derivative plus the regularizer's, added as
@@ -302,42 +351,50 @@ def _power_norm_phase(st: PowerNorm, lam, tol, x, lo, hi, qbar, gbar, problem) -
         if erm._interval_gap(slope, lam, lo_t, hi_t, root) > tol:
             root = float(erm.solve(problem(t), tol=tol, max_iters=MAX_SOLVER_ITERS)[0])
         x_hat.append(root)
-    return np.array(x_hat)
+    return np.array(x_hat)[:, None]
 
 
-def _chain_trials(loss, datasets, cfg, schedule, x, domain, z, epoch=None, trace=None):
-    """The 1-D chain, all trials at once: the one phase kernel.
+def _chain_trials(loss, samples, cfg, schedule, x, domain, z, epoch=None, trace=None):
+    """The chain, all trials at once: the one phase kernel.
 
-    ``datasets`` holds the phase blocks' data, one dataset shared by every
-    trial or one per trial; ``x`` holds one start per trial; ``z`` holds
-    per-trial unit noise, one column per noised phase.  The chain runs in
+    ``samples`` holds the phase blocks' data as a ``(datasets, m, d)``
+    array, one dataset shared by every trial or one per trial; ``x`` holds
+    one start row per trial; ``z`` holds per-trial unit noise, ``(trials,
+    noised phases, d)``.  The chain runs in
     ``domain``, intersected with each trial's epoch ball when ``epoch`` is
-    ``(centers, radius)``.  ``trace`` collects one ``PhaseRecord`` per phase,
-    with every trial's points.
+    ``(centers, radius)``, one center row per trial.  ``trace`` collects one
+    ``PhaseRecord`` per phase, with every trial's points as rows.
 
-    An isotropic-quadratic phase is closed form: in one dimension every trust
-    region is an interval, and the constrained minimizer is the clamped
-    stationary point.  A power-norm phase makes the checks and steps of
-    ``run``'s phase on arrays, ``erm.solve``'s regularizer-dominance
-    shortcut included; only each trial's bisection and certificate, and its
-    projections from outside the domain, run one trial at a time.
+    A 1-D isotropic-quadratic phase is closed form: every trust region is an
+    interval, the constrained minimizer is the clamped stationary point, and
+    a clamp takes the noised point back into the domain.  Every other phase
+    makes the checks and steps of ``run``'s phase on arrays: the anchor
+    check, ``erm.solve``'s regularizer-dominance shortcut, the noise, and the
+    test for a point inside its region; at d >= 2 also the quadratic's
+    closed form and its certificate.  Only the rare branches run one trial
+    at a time: a point outside its region goes through ``core.project``, a
+    failed certificate through ``erm.solve``.  A power-norm phase's bisection
+    and certificate run per trial too, in Python floats.
     """
     st = loss.structure
-    qbar = _block_means(datasets, cfg, st.linear)
-    lo_dom, hi_dom = domain.interval()
+    d = x.shape[1]
+    clamp = d == 1 and isinstance(st, IsotropicQuadratic)
+    qbar = _block_means(samples, cfg, st.linear)
+    balls = list(domain.balls())
     if epoch is not None:
         centers, radius = epoch
-        lo_dom, hi_dom = np.maximum(centers - radius, lo_dom), np.minimum(centers + radius, hi_dom)
-    power_norm = isinstance(st, PowerNorm)
-    if power_norm:
-        balls = [(float(c[0]), r) for c, r in domain.balls()]
+        balls.insert(0, epoch)
+    if d == 1:
+        lo_dom, hi_dom = domain.interval()
         if epoch is not None:
-            balls.insert(0, epoch)
+            lo_dom = np.maximum(centers - radius, lo_dom)
+            hi_dom = np.minimum(centers + radius, hi_dom)
+    if not clamp:
         L = loss.lipschitz
-        gbar = st.linear(_block_means(datasets, cfg))
+        gbar = st.linear(_block_means(samples, cfg))
 
         def outer(t):
-            return domain if epoch is None else Domain(centers[t : t + 1], radius, parent=domain)
+            return domain if epoch is None else Domain(centers[t], radius, parent=domain)
 
         # Every trial's domain has the same radii, so one diameter.
         tol_floor = _tol_floor(L, outer(0))
@@ -347,9 +404,10 @@ def _chain_trials(loss, datasets, cfg, schedule, x, domain, z, epoch=None, trace
             raise InvalidInputError("x0 must lie in the domain")
     col = 0
     for i, eta_i, radius_i, lam, sensitivity, sigma, sigma_used in schedule:
-        lo = np.maximum(lo_dom, x - radius_i)
-        hi = np.minimum(hi_dom, x + radius_i)
-        if not power_norm:
+        if d == 1:
+            lo = np.maximum(lo_dom, x - radius_i)
+            hi = np.minimum(hi_dom, x + radius_i)
+        if clamp:
             x_hat = (2.0 * lam * x - qbar[i - 1]) / (st.curvature + 2.0 * lam)
             x_hat = np.where(x_hat < lo, lo, np.where(x_hat > hi, hi, x_hat))
         else:
@@ -357,21 +415,26 @@ def _chain_trials(loss, datasets, cfg, schedule, x, domain, z, epoch=None, trace
                 raise InvalidInputError("domain must contain the anchor")
 
             def region(t):
-                return Domain(x[t : t + 1], radius_i, parent=outer(t))
+                return Domain(x[t], radius_i, parent=outer(t))
 
             def problem(t):
-                block = datasets[min(t, len(datasets) - 1)].block(i - 1, cfg.n0)
-                return erm.RegularizedProblem(loss, block, x[t : t + 1], lam, region(t))
+                block = samples[min(t, len(samples) - 1), (i - 1) * cfg.n0 : i * cfg.n0]
+                return erm.RegularizedProblem(loss, Dataset(block), x[t], lam, region(t))
 
             tol = _phase_tol(sensitivity, sigma, tol_floor)
             if erm._dominated(L, lam, tol):
                 # Regularizer dominance: the solution is the anchor projected
                 # onto its region, whose own ball always holds it.
                 x_hat = _project_trials(x, balls, region)
-            else:
+            elif isinstance(st, PowerNorm):
                 x_hat = _power_norm_phase(
                     st, lam, tol, x, lo, hi, np.broadcast_to(qbar[i - 1], x.shape),
                     np.broadcast_to(gbar[i - 1], x.shape), problem,
+                )
+            else:
+                x_hat = _quadratic_phase(
+                    st, lam, tol, x, qbar[i - 1], gbar[i - 1], [(x, radius_i)] + balls, region,
+                    problem,
                 )
         if sigma_used > 0:
             noise = z[:, col] * sigma_used
@@ -379,10 +442,10 @@ def _chain_trials(loss, datasets, cfg, schedule, x, domain, z, epoch=None, trace
         else:
             noise = 0.0
         x = x_hat + noise
-        if power_norm:
-            x = _project_trials(x, balls, outer)
-        else:
+        if clamp:
             x = np.where(x < lo_dom, lo_dom, np.where(x > hi_dom, hi_dom, x))
+        else:
+            x = _project_trials(x, balls, outer)
         if trace is not None:
             trace.append(PhaseRecord(i, eta_i, radius_i, sigma_used, x_hat, x))
     return x
@@ -400,16 +463,18 @@ def run_trials(
     """Run the chain once per stream, all trials at once, and return one
     output row per stream.
 
-    This is the phase kernel of a 1-D isotropic-quadratic or power-norm
+    This is the phase kernel of an isotropic-quadratic or 1-D power-norm
     loss; any other loss raises ``InvalidInputError``.  ``data`` is one
     dataset shared by every trial or one per trial, and ``x0`` is one start
     point or one row per trial.  Trial t runs the chain ``run`` describes on its own data
     and start, with its noise drawn from ``streams[t]``.  Streams are
     consumed in order, so ``streams`` may be a generator.  ``trace``
-    collects one ``PhaseRecord`` per phase whose points are ``(trials,)``
+    collects one ``PhaseRecord`` per phase whose points are ``(trials, d)``
     arrays.
     """
     datasets, starts, _ = _trial_inputs(loss, data, x0, lambda ds, x: _start(ds, domain, x, cfg))
-    schedule = _schedule(cfg, loss.lipschitz, 1)
-    z, x = _trial_noise(cfg.privacy, streams, _noise_count(schedule), datasets, starts)
-    return _chain_trials(loss, datasets, cfg, schedule, x, domain, z, trace=trace)[:, None]
+    d = loss.point_dim
+    schedule = _schedule(cfg, loss.lipschitz, d)
+    z, x = _trial_noise(cfg.privacy, streams, _noise_count(schedule), d, datasets, starts)
+    samples = np.stack([ds.samples[: cfg.k * cfg.n0] for ds in datasets])
+    return _chain_trials(loss, samples, cfg, schedule, x, domain, z, trace=trace)

@@ -3,9 +3,9 @@
 Each case runs ``localization.run`` or ``epoch_growth.run`` once and pins
 the traced per-phase noise scales and the final output to frozen reference
 values (rel 1e-12).  The cases cover pure, approximate (delta = 1e-6) and
-conservative-Gaussian budgets on the 1-D scalar chain and on the generic
-chain (d = 3), so any change to how a budget becomes a noise scale, a noise
-draw or a step size shows up here.
+conservative-Gaussian budgets on the quadratic chain at d = 1 and d = 3, so
+any change to how a budget becomes a noise scale, a noise draw or a step
+size shows up here.
 """
 
 import numpy as np

@@ -196,13 +196,21 @@ def test_region_tracking_helpers():
 
 
 def test_indices_in_region_reads_each_trials_center_and_closed_regions():
-    # A run_trials trace holds one 1-D center per trial.  Trial 0 has
+    # A run_trials trace holds one center row per trial.  Trial 0 has
     # xstar on the boundary of epoch 1's region, trial 1 leaves it.
     trace = [
-        EpochRecord(0, np.array([0.0, 0.0]), 1.0, 1.0, np.array([0.5, 5.0])),
-        EpochRecord(1, np.array([0.5, 5.0]), 0.25, 0.5, np.array([0.5, 5.0])),
+        EpochRecord(0, np.array([[0.0], [0.0]]), 1.0, 1.0, np.array([[0.5], [5.0]])),
+        EpochRecord(1, np.array([[0.5], [5.0]]), 0.25, 0.5, np.array([[0.5], [5.0]])),
     ]
     assert indices_in_region(trace, np.array([0.25])) == [1, 0]
+    # At d = 2 each trial's distance is its own row's norm: xstar lies on
+    # trial 0's epoch-1 boundary, |(0.375, 0.5)| = 0.625, and outside
+    # trial 1's.
+    trace = [
+        EpochRecord(0, np.zeros((2, 2)), 1.0, 1.0, np.array([[0.0, 0.0], [3.0, 4.0]])),
+        EpochRecord(1, np.array([[0.0, 0.0], [3.0, 4.0]]), 0.625, 0.5, np.zeros((2, 2))),
+    ]
+    assert indices_in_region(trace, np.array([0.375, 0.5])) == [1, 0]
     # A 2-D run trace, with xstar on the boundary: |(0.375, 0.5)| = 0.625.
     trace = [EpochRecord(0, np.zeros(2), 0.625, 1.0, np.array([3.0, 4.0]))]
     assert indices_in_region(trace, np.array([0.375, 0.5])) == [0]

@@ -1,27 +1,27 @@
-"""The 1-D phase kernel against pinned outputs and against ``erm.solve``,
-and batched sweep cells against trial-by-trial execution.
+"""The phase kernel against pinned outputs and against ``erm.solve``, and
+batched sweep cells against trial-by-trial execution.
 
 ``localization.run_trials`` and ``epoch_growth.run_trials`` run the one
-phase kernel over many trials at once, and ``run`` on a 1-D
-isotropic-quadratic or power-norm loss runs it as a single trial.  Both are
-checked bit for bit against outputs recorded before the kernel took over
-these losses: from the Python-float scalar chain for the quadratic, and from
-the generic per-phase loop (``erm.solve`` and ``core.project``) for power
-norms at kappa 3 and 4.  The pins are ``float.hex`` of the first three
-streams' outputs per case, and digests of all 200 outputs of the power-norm
-cases and of each audit mechanism.  The cases cover pure, approximate
-(delta = 1e-6) and conservative-Gaussian budgets, noise scales 1, 0.5 and 0,
-the audit's own configs on both audit datasets, an epoch schedule with
-frozen epochs, and ones whose noise reaches the trust regions.  A power-norm
-phase is also checked against ``erm.solve`` on its own problem, phase by
-phase.
+phase kernel over many trials at once, and ``run`` on an isotropic-quadratic
+or 1-D power-norm loss runs it as a single trial.  Both are checked bit for
+bit against outputs recorded before the kernel took over these losses: from
+the Python-float scalar chain for the 1-D quadratic, and from the generic
+per-phase loop (``erm.solve`` and ``core.project``) for 1-D power norms at
+kappa 3 and 4 and for the quadratic at d = 2 and d = 4.  The pins are
+``float.hex`` of the first streams' outputs per case, and digests of all 200
+outputs of the power-norm and d >= 2 cases and of each audit mechanism.  The
+cases cover pure, approximate (delta = 1e-6) and conservative-Gaussian
+budgets, noise scales 1, 0.5 and 0, the audit's own configs on both audit
+datasets, an epoch schedule with frozen epochs, and ones whose noise reaches
+the trust regions.  Power-norm and d >= 2 quadratic phases are also checked
+against ``erm.solve`` on their own problems, phase by phase, and the kernel's
+row norms against ``np.linalg.norm``.
 
-A sweep cell of a 1-D power-norm chain runs in ``run_trials`` batches with
+A sweep cell of a kernel chain runs in ``run_trials`` batches with
 per-trial data and starts; it must write the rows of a trial-by-trial run,
 also when one trial's solve raises, and a sweep's CSV must depend neither
 on ``--jobs`` nor on the batch size.
 """
-
 import dataclasses
 import hashlib
 import math
@@ -133,6 +133,68 @@ PINNED_POWER = {
         "08bfc61c59d4a1aa"),
 }
 
+# Outputs of ``run`` on ``_quad_instance(d)`` at d = 2 and d = 4, recorded
+# from the generic per-phase loop: float.hex of the first stream's output
+# and a sha256 prefix of all 200 outputs of ``_streams(81 + d)``.
+PINNED_QUAD = {
+    ("epoch_growth", 2, "gaussian"): (
+        ("0x1.c3d6c5a2f385ep-1", "-0x1.50a26c0995656p-4"),
+        "609dbd212da098df"),
+    ("epoch_growth", 2, "noiseless"): (
+        ("0x1.c9bfb08562bf9p-1", "0x1.2644758713b88p-10"),
+        "16dde42d770b4b6a"),
+    ("epoch_growth", 2, "small-eps"): (
+        ("0x1.c4faea243886cp-2", "0x1.84ee306c26c93p-7"),
+        "66821d887d09ccf5"),
+    ("epoch_growth", 2, "zero"): (
+        ("0x1.c9bfafe016758p-1", "0x1.263cbc1217be8p-10"),
+        "d78360b73e5365a4"),
+    ("epoch_growth", 4, "gaussian"): (
+        ("0x1.b78b0a9b1fc48p-1", "-0x1.935fb26bfa590p-6",
+         "-0x1.018eeee93be8bp-7", "-0x1.013f8634774c5p-5"),
+        "197a57a22073d8e5"),
+    ("epoch_growth", 4, "noiseless"): (
+        ("0x1.cb2adc5956586p-1", "0x1.646ddd474a43ep-10",
+         "-0x1.c707e095d971dp-17", "0x1.672f5ca837513p-13"),
+        "c755e77deea79d3b"),
+    ("epoch_growth", 4, "small-eps"): (
+        ("-0x1.caf04b919538ap-7", "0x1.0bea7c66800f1p-1",
+         "-0x1.127e70b2d9de0p-1", "-0x1.43f3b6cd3499ep-1"),
+        "22c5e82a7534a5ca"),
+    ("epoch_growth", 4, "zero"): (
+        ("0x1.cb76cf5af5095p-1", "0x1.23b01008beaccp-10",
+         "-0x1.724382fbb8e8fp-17", "0x1.25f51f07a7783p-13"),
+        "87bfb8b3e7ac90f8"),
+    ("localization", 2, "gaussian"): (
+        ("0x1.c720caf4c5a62p-1", "-0x1.f6fa4af558e75p-4"),
+        "d917385869078ab4"),
+    ("localization", 2, "noiseless"): (
+        ("0x1.c691f64bfefb8p-1", "-0x1.070ecd34f4bd1p-10"),
+        "50ba84f0a9ad54a3"),
+    ("localization", 2, "small-eps"): (
+        ("0x1.b0d9ecaf92b8ep-1", "0x1.f982d1f5c32a7p-2"),
+        "7efd9b92ae96bf9e"),
+    ("localization", 2, "zero"): (
+        ("0x1.c691f5a5f4bcap-1", "-0x1.0719be5dd2544p-10"),
+        "2895b371b4bebea6"),
+    ("localization", 4, "gaussian"): (
+        ("0x1.b25bb571267d8p-1", "-0x1.8acaa558f3f2ap-6",
+         "-0x1.63f995ffab34ep-6", "-0x1.a77262a891058p-4"),
+        "1377a27fc41e2c5b"),
+    ("localization", 4, "noiseless"): (
+        ("0x1.c7458ae119469p-1", "0x1.f128a70eb3e46p-9",
+         "-0x1.701299e3d3562p-10", "-0x1.1d99c63b389d4p-9"),
+        "5f1e5e0b9f15bb85"),
+    ("localization", 4, "small-eps"): (
+        ("0x1.99ba40f74fa15p-1", "0x1.d248145f9673ap-6",
+         "0x1.1cc50141e3521p-2", "-0x1.9be7b5dd4c959p-2"),
+        "3085bc00127c7a37"),
+    ("localization", 4, "zero"): (
+        ("0x1.c7458afbff5c9p-1", "0x1.f1280aa90c0d7p-9",
+         "-0x1.7010b4c10f70fp-10", "-0x1.1d997ee897438p-9"),
+        "9e40ef61569245ed"),
+}
+
 # sha256 prefixes of the audit mechanism"s 200 outputs on each audit dataset,
 # recorded from per-trial runs of the scalar chain.
 PINNED_AUDIT = {
@@ -189,7 +251,7 @@ def _config(pipeline, inst, n, privacy, conservative, noise_scale, kappa_lower=3
     if pipeline == "localization":
         beta = 1.0 / (n + 1)
         eta = localization.default_eta(
-            inst.domain.diameter(), inst.loss.lipschitz, n, beta, privacy, 1
+            inst.domain.diameter(), inst.loss.lipschitz, n, beta, privacy, inst.domain.dim
         )
         return localization.LocalizationConfig.for_data_size(n, eta, beta, privacy, **kw)
     return epoch_growth.EpochConfig.for_run(
@@ -224,10 +286,12 @@ POWER_BUDGETS = {
     "zero": (PrivacyParams(1.0), 0.0),
     "small-eps": (PrivacyParams(0.1), 1.0),
 }
+# The quadratic chains also run an approximate budget.
+BUDGETS = {**POWER_BUDGETS, "gaussian": (PrivacyParams(1.0, 1e-6), 1.0)}
 
 
-def _power_config(pipeline, inst, n, budget):
-    privacy, noise_scale = POWER_BUDGETS[budget]
+def _budget_config(pipeline, inst, n, budget):
+    privacy, noise_scale = BUDGETS[budget]
     cfg = _config(pipeline, inst, n, privacy, False, noise_scale)
     if budget != "small-eps":
         return cfg
@@ -243,7 +307,7 @@ def test_power_norm_chains_match_pinned_outputs(pipeline, kappa, budget):
     inst = _power_instance(kappa)
     n = 128
     data = inst.draw(n, RngStream(70 + kappa, 0))
-    cfg = _power_config(pipeline, inst, n, budget)
+    cfg = _budget_config(pipeline, inst, n, budget)
     trace: list = []
     pinned = PINNED_POWER[(pipeline, kappa, budget)]
     got = _assert_matches_pinned(
@@ -259,6 +323,157 @@ def test_power_norm_chains_match_pinned_outputs(pipeline, kappa, budget):
         else:
             edge = [np.abs(rec.x_noised) == 1.0 for rec in trace]
         assert np.sum(edge) > 0
+
+
+@pytest.mark.parametrize("budget", sorted(BUDGETS))
+@pytest.mark.parametrize("d", [2, 4])
+@pytest.mark.parametrize("pipeline", sorted(MODULES))
+def test_quadratic_chains_match_pinned_outputs(pipeline, d, budget, monkeypatch):
+    # The localization chain runs in a lens, the ball of radius 0.5 around
+    # its start within the domain, so that its regions, like the epoch
+    # chain's, are intersections of balls.  At the small epsilon, closed
+    # forms and noised points leave them, and core.project runs Dykstra.
+    inst = _quad_instance(d)
+    n = 128
+    data = inst.draw(n, RngStream(80 + d, 0))
+    x0 = np.zeros(d)
+    x0[0] = 0.9
+    domain = inst.domain if pipeline == "epoch_growth" else Domain(x0, 0.5, parent=inst.domain)
+    cfg = _budget_config(pipeline, inst, n, budget)
+    dykstra = []
+    monkeypatch.setattr(
+        localization, "project",
+        lambda dom, x: dykstra.append(dom.parent is not None) or project(dom, x),
+    )
+    module = MODULES[pipeline]
+    got = module.run_trials(inst.loss, data, domain, x0, cfg, _streams(81 + d))
+    first, digest = PINNED_QUAD[(pipeline, d, budget)]
+    assert got.shape == (TRIALS, d)
+    assert tuple(float(v).hex() for v in got[0]) == first
+    assert hashlib.sha256(got.tobytes()).hexdigest()[:16] == digest
+    single = np.array([module.run(inst.loss, data, domain, x0, cfg, s)
+                       for s in islice(_streams(81 + d), 3)])
+    assert single.tobytes() == got[:3].tobytes()
+    if budget == "small-eps":
+        assert sum(dykstra) > 0
+
+
+def test_row_norms_equal_numpy_norm_row_for_row():
+    rng = np.random.default_rng(13)
+    for d in range(1, 17):
+        rows = rng.standard_normal((5000, d)) * 10.0 ** rng.uniform(-8, 2, (5000, 1))
+        want = np.array([np.linalg.norm(row) for row in rows])
+        assert localization._row_norms(rows).tobytes() == want.tobytes()
+        # A difference with a broadcast center, as the kernel forms it.
+        center = rows[0]
+        want = np.array([np.linalg.norm(row - center) for row in rows])
+        assert localization._row_norms(rows - center).tobytes() == want.tobytes()
+
+
+def test_block_means_equal_each_blocks_own_mean():
+    # One pass over every dataset's blocks must give each block the bits of
+    # the mean erm.solve takes of it alone.  Continuous samples: sums of the
+    # sweeps' +-1 samples are exact in any order and would not tell.
+    rng = np.random.default_rng(14)
+    linear = _quad_instance().loss.structure.linear
+    for d in (1, 2, 4):
+        for k, n0 in ((1, 3), (5, 8), (3, 9), (7, 18), (2, 129)):
+            cfg = localization.LocalizationConfig(
+                eta=1.0, beta=0.5, privacy=PrivacyParams(1.0), k=k, n0=n0
+            )
+            samples = rng.standard_normal((3, k * n0 + 5, d)) * 10.0 ** rng.uniform(-3, 3)
+            for lin in (None, linear):
+                got = localization._block_means(samples, cfg, lin)
+                for i in range(k):
+                    for t in range(3):
+                        block = samples[t, i * n0 : (i + 1) * n0]
+                        want = (block if lin is None else lin(block)).mean(axis=0)
+                        assert got[i, t].tobytes() == want.tobytes()
+
+
+def test_quadratic_phase_matches_erm_solve_bit_for_bit(monkeypatch):
+    # 2 dimensions x 2 domains x 4 schedules x 100 trials = 1600 random
+    # phases at d = 2 and d = 4, each with its own data, anchor and epoch
+    # ball.  The kernel's solution and its projected noised point must equal
+    # erm.solve's and core.project's.  Anchors a hair outside their ball
+    # make the dominance shortcut project, small trust regions put closed
+    # forms outside their region, and large noise leaves the domain.  The
+    # kernel's certificate must reject a closed form exactly when
+    # erm.solve's does: it falls back to erm.solve once per reference solve
+    # that has to descend (none at these scales; see the batch test below
+    # for a forced one).
+    solve, descend = erm.solve, erm._solve_subgradient
+    fallbacks, descents = [], []
+    monkeypatch.setattr(erm, "solve", lambda *a, **kw: fallbacks.append(1) or solve(*a, **kw))
+    monkeypatch.setattr(
+        erm, "_solve_subgradient", lambda *a, **kw: descents.append(1) or descend(*a, **kw)
+    )
+    rng = np.random.default_rng(12)
+    trials, m = 100, 16
+    cfg = localization.LocalizationConfig(
+        eta=1.0, beta=0.5, privacy=PrivacyParams(1.0), k=1, n0=m
+    )
+    counts = dict(phases=0, dominance=0, anchor_projected=0, outside_region=0, projected=0)
+    for d in (2, 4):
+        inst = _quad_instance(d)
+        loss, domain, st = inst.loss, inst.domain, inst.loss.structure
+        for with_epoch in (False, True):
+            samples = rng.uniform(-1.0, 1.0, (trials, m, d))
+            u = rng.standard_normal((trials, d))
+            u /= np.linalg.norm(u, axis=1, keepdims=True)
+            radius_e = float(rng.uniform(0.05, 0.5))
+            hair = 10.0 ** rng.uniform(-12, -9.4, (40, 1))
+            if with_epoch:
+                v = rng.standard_normal((trials, d))
+                v /= np.linalg.norm(v, axis=1, keepdims=True)
+                centers = v * rng.uniform(0.0, 0.9 - radius_e, (trials, 1))
+                x = centers + u * radius_e * rng.uniform(0.0, 1.0, (trials, 1))
+                x[:40] = centers[:40] + u[:40] * (radius_e + hair)
+            else:
+                x = u * rng.uniform(0.0, 1.0, (trials, 1))
+                x[:40] = u[:40] * (1.0 + hair)
+            epoch = (centers, radius_e) if with_epoch else None
+            outer = [Domain(centers[t], radius_e, parent=domain) if with_epoch else domain
+                     for t in range(trials)]
+            z = rng.laplace(size=(trials, 1, d))
+            tol_floor = localization._tol_floor(loss.lipschitz, outer[0])
+            for dominance in (False, True, False, False):
+                sensitivity = 10.0 ** rng.uniform(-10, -2)
+                sigma = 10.0 ** rng.uniform(-2, 1)
+                tol = localization._phase_tol(sensitivity, sigma, tol_floor)
+                lam = (loss.lipschitz ** 2 / (4.0 * tol) * 2.0 if dominance
+                       else 10.0 ** rng.uniform(-1, 4))
+                radius = 10.0 ** rng.uniform(-4, 0)
+                sigma_used = float(rng.choice([0.0, sigma]))
+                schedule = [(1, 1.0, radius, lam, sensitivity, sigma, sigma_used)]
+                trace: list = []
+                fallbacks.clear()
+                got = localization._chain_trials(
+                    loss, samples, cfg, schedule, x, domain, z, epoch, trace
+                )
+                descents.clear()
+                for t in range(trials):
+                    region = Domain(x[t], radius, parent=outer[t])
+                    problem = erm.RegularizedProblem(
+                        loss=loss, batch=Dataset(samples[t]), anchor=x[t], reg_weight=lam,
+                        domain=region,
+                    )
+                    want = solve(problem, tol=tol, max_iters=localization.MAX_SOLVER_ITERS)
+                    assert trace[0].x_solved[t].tobytes() == want.tobytes()
+                    noised = want + (z[t, 0] * sigma_used if sigma_used > 0 else 0.0)
+                    want_next = project(outer[t], noised)
+                    assert got[t].tobytes() == want_next.tobytes()
+                    closed = (2.0 * lam * x[t] - st.linear(samples[t]).mean(axis=0)) / (
+                        st.curvature + 2.0 * lam
+                    )
+                    counts["phases"] += 1
+                    counts["dominance"] += dominance
+                    counts["anchor_projected"] += dominance and not np.array_equal(want, x[t])
+                    counts["outside_region"] += not dominance and not region.contains(closed, 0.0)
+                    counts["projected"] += not np.array_equal(want_next, noised)
+                assert len(fallbacks) == len(descents)
+    assert counts["phases"] >= 1000
+    assert min(counts.values()) > 0, counts
 
 
 def test_power_norm_phase_matches_erm_solve_bit_for_bit(monkeypatch):
@@ -310,14 +525,13 @@ def test_power_norm_phase_matches_erm_solve_bit_for_bit(monkeypatch):
                     centers[40:60], x[40:60] = c[pick], a[pick]
                     samples[40:60] = -(cp * a_cubed[pick])[:, None]
                     edge[40:60] = True
-            epoch = (centers, radius_e) if with_epoch else None
+            epoch = (centers[:, None], radius_e) if with_epoch else None
             outer = [Domain(centers[t : t + 1], radius_e, parent=domain) if with_epoch
                      else domain for t in range(trials)]
-            datasets = [Dataset(row[:, None]) for row in samples]
             tol_floor = localization._TOL_FLOOR_FACTOR * L * max(
                 1.0, 2.0 * min(radius_e if with_epoch else 1.0, 1.0)
             )
-            z = rng.laplace(size=(trials, 1))
+            z = rng.laplace(size=(trials, 1, 1))
             for dominance in (False, True, False, False):
                 sensitivity = 10.0 ** rng.uniform(-10, -2)
                 sigma = 10.0 ** rng.uniform(-2, 1)
@@ -330,21 +544,21 @@ def test_power_norm_phase_matches_erm_solve_bit_for_bit(monkeypatch):
                 trace: list = []
                 fallbacks.clear()
                 got = localization._chain_trials(
-                    loss, datasets, cfg, schedule, x, domain, z, epoch, trace
+                    loss, samples[:, :, None], cfg, schedule, x[:, None], domain, z, epoch, trace
                 )
                 descents.clear()
                 for t in range(trials):
                     problem = erm.RegularizedProblem(
-                        loss=loss, batch=datasets[t].block(0, m), anchor=x[t : t + 1],
+                        loss=loss, batch=Dataset(samples[t]), anchor=x[t : t + 1],
                         reg_weight=lam, domain=Domain(x[t : t + 1], radius, parent=outer[t]),
                     )
                     want = solve(problem, tol=tol, max_iters=localization.MAX_SOLVER_ITERS)
-                    assert float(trace[0].x_solved[t]).hex() == float(want[0]).hex()
+                    assert float(trace[0].x_solved[t, 0]).hex() == float(want[0]).hex()
                     if edge[t]:
                         assert want[0] == x[t]
-                    noised = want + (z[t] * sigma_used if sigma_used > 0 else 0.0)
+                    noised = want + (z[t, 0] * sigma_used if sigma_used > 0 else 0.0)
                     want_next = project(outer[t], noised)
-                    assert float(got[t]).hex() == float(want_next[0]).hex()
+                    assert float(got[t, 0]).hex() == float(want_next[0]).hex()
                     lo, hi = outer[t].interval()
                     counts["phases"] += 1
                     counts["dominance"] += dominance
@@ -420,17 +634,19 @@ def test_epoch_run_trials_clamps_to_each_trials_region():
 def test_run_trials_rejects_other_losses_and_bad_inputs(pipeline):
     module = MODULES[pipeline]
     privacy = PrivacyParams(1.0)
-    cube = _quad_instance(d=3)
-    data3 = cube.draw(64, RngStream(65, 0))
-    cfg3 = _config(pipeline, cube, 64, privacy, False, 1.0)
-    with pytest.raises(InvalidInputError):
-        module.run_trials(cube.loss, data3, cube.domain, np.zeros(3), cfg3, _streams(66))
-    absolute = build_instance("pure_convex", d=1, L=1.0, R=1.0)
-    data1 = absolute.draw(64, RngStream(65, 1))
-    cfg1 = _config(pipeline, absolute, 64, privacy, False, 1.0)
-    with pytest.raises(InvalidInputError):
-        module.run_trials(absolute.loss, data1, absolute.domain, np.zeros(1), cfg1,
-                          _streams(66))
+    # A power norm at d = 2 and absolute losses at d = 1 and d = 4.
+    others = [
+        build_instance("uniform_convex", d=2, kappa=3, lam=0.5, L=4.0, R=1.0, bias_delta=0.2),
+        build_instance("pure_convex", d=1, L=1.0, R=1.0),
+        build_instance("pure_convex", d=4, L=1.0, R=1.0),
+    ]
+    for other in others:
+        d = other.domain.dim
+        data_d = other.draw(64, RngStream(65, d))
+        cfg_d = _config(pipeline, other, 64, privacy, False, 1.0)
+        with pytest.raises(InvalidInputError):
+            module.run_trials(other.loss, data_d, other.domain, np.zeros(d), cfg_d,
+                              _streams(66))
     # The input checks of ``run`` hold too: x0 outside the domain, too few samples.
     quad = _quad_instance()
     data = quad.draw(64, RngStream(65, 2))
@@ -488,12 +704,17 @@ kappa_lower = 3.0
 # distinct random starts, an approximate budget, frozen epochs (T = 100 at
 # kappa_lower = 1.2, n = 1024), a cell too small for its epochs, whose
 # every trial records the error, and both chains on the kappa = 4 power
-# norm, one with enough noise to reach the trust regions.  The starts are
-# close enough to the minimizer that the trials' epoch_i0 differ.
+# norm, one with enough noise to reach the trust regions, and both chains
+# on the d = 4 quadratic, the epoch one also at an approximate budget.  The
+# starts are close enough to the minimizer that the trials' epoch_i0
+# differ; at d = 4 each trial's epoch_i0 is read from its own centers.
 KAPPA4 = dict(kappa=4, lam=0.25, L=2.0, R=1.0, bias_delta=0.1)
 CELLS = {
     "localization": dict(algorithm="localization"),
     "localization-kappa4": dict(algorithm="localization", instance_params=KAPPA4),
+    "localization-d4": dict(algorithm="localization", sweep_d=(4,)),
+    "epoch-d4": dict(sweep_d=(4,)),
+    "epoch-d4-approx": dict(sweep_d=(4,), sweep_delta=(1e-6,)),
     "epoch-kappa4": dict(instance_params=KAPPA4),
     "epoch-kappa4-private": dict(instance_params=KAPPA4, sweep_epsilon=(0.05,)),
     "epoch-approx": dict(sweep_delta=(1e-6,)),
@@ -568,6 +789,41 @@ def test_a_batch_that_raises_runs_trial_by_trial(tmp_path, monkeypatch):
     assert not any(errors[:2] + errors[3:])
 
 
+def test_a_d4_batch_that_raises_runs_trial_by_trial(tmp_path, monkeypatch):
+    # The d = 4 version: the kernel's certificate fails on trial 2's last
+    # closed form with a nonzero residual, recognized by that residual, and
+    # every certificate of erm.solve, which the kernel then calls, fails
+    # too.  Its subgradient method gives up at once and raises
+    # ConvergenceError.
+    cfg = _sweep_config(tmp_path, **CELLS["epoch-d4"])
+    (cell,) = cfg.cells()
+    specs = [(cfg, cell, 40 + s, s, cfg.config_hash()) for s in range(cfg.seeds)]
+    bound = erm._gap_bound
+    residuals = []
+
+    def recording(residual, lam):
+        residuals.append(residual)
+        return bound(residual, lam)
+
+    monkeypatch.setattr(erm, "_gap_bound", recording)
+    harness._execute_trial(specs[2])
+    target = next(r[0] for r in reversed(residuals) if r[0] > 0)
+
+    def failing(residual, lam):
+        # The kernel passes one residual per trial, erm.solve a float.
+        if np.ndim(residual) == 0:
+            return math.inf
+        return np.where(residual == target, math.inf, bound(residual, lam))
+
+    monkeypatch.setattr(erm, "_gap_bound", failing)
+    monkeypatch.setattr(localization, "MAX_SOLVER_ITERS", 2)
+    batched = _rows(harness._execute_cell(specs))
+    assert batched == _rows([harness._execute_trial(spec) for spec in specs])
+    errors = [row[CSV_INDEX["error"]] for row in batched]
+    assert errors[2].startswith("ConvergenceError: no accuracy certificate")
+    assert not any(errors[:2] + errors[3:])
+
+
 def test_negative_excess_is_recorded_as_an_error(tmp_path, monkeypatch):
     cfg = _sweep_config(tmp_path)
     (cell,) = cfg.cells()
@@ -580,7 +836,7 @@ def test_negative_excess_is_recorded_as_an_error(tmp_path, monkeypatch):
 
 def test_batches_agrees_with_the_built_instances_loss(tmp_path):
     # ``_batches`` reads the config and builds no instance; a cell batches
-    # exactly when its chain has a 1-D isotropic-quadratic or power-norm loss.
+    # exactly when its chain has an isotropic-quadratic or 1-D power-norm loss.
     configs = [
         harness.load_config(path)
         for path in sorted((Path(__file__).parents[1] / "configs").glob("acceptance_*.ini"))
@@ -611,9 +867,11 @@ def test_batches_agrees_with_the_built_instances_loss(tmp_path):
     assert True in decisions and False in decisions
 
 
-def test_1d_quadratic_sweep_csv_is_independent_of_jobs_and_batch_size(tmp_path, monkeypatch):
-    # d = 1 cells batch and d = 2 cells run trial by trial, interleaved.
-    cfg = _sweep_config(tmp_path, sweep_n=(128, 256), sweep_d=(1, 2), seeds=3)
+def test_sweep_csv_is_independent_of_jobs_and_batch_size(tmp_path, monkeypatch):
+    # kappa = 3: d = 1 cells batch and d = 2 cells run trial by trial,
+    # interleaved.
+    cfg = _sweep_config(tmp_path, sweep_n=(128, 256), sweep_d=(1, 2), seeds=3,
+                        instance_params=dict(kappa=3, lam=0.5, L=4.0, R=1.0, bias_delta=0.1))
     assert [harness._batches(cfg, cell) for cell in cfg.cells()] == [True, False] * 2
     _, serial, _ = harness.run_sweep(cfg, tmp_path / "serial", jobs=1)
     _, parallel, _ = harness.run_sweep(cfg, tmp_path / "parallel", jobs=2)
