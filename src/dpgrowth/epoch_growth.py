@@ -11,7 +11,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from . import localization, mechanisms
+from . import erm, localization, mechanisms
 from .core import (
     Dataset,
     Domain,
@@ -180,8 +180,8 @@ def run(
     Disjoint blocks keep the total budget at the per-epoch (epsilon, delta).
     ``trace`` collects one ``EpochRecord`` per epoch; ``phase_trace`` collects
     the inner chains' ``PhaseRecord`` entries, epoch after epoch.  An
-    isotropic-quadratic or 1-D power-norm loss runs ``run_trials`` as one
-    trial on ``rng``.
+    isotropic-quadratic, separable-absolute or 1-D power-norm loss runs
+    ``run_trials`` as one trial on ``rng``.
     """
     if localization._runs_phase_kernel(loss):
         records, phases = ([] if t is not None else None for t in (trace, phase_trace))
@@ -261,6 +261,6 @@ def indices_in_region(trace: list, xstar: np.ndarray) -> list[int]:
     xstar = np.atleast_1d(np.asarray(xstar, dtype=float))
     best = np.full(1, -1)
     for rec in trace:
-        dist = localization._row_norms(xstar - np.reshape(rec.center, (-1, xstar.size)))
+        dist = erm._row_norms(xstar - np.reshape(rec.center, (-1, xstar.size)))
         best = np.where(dist <= rec.radius, rec.index, best)
     return [int(i) for i in best]

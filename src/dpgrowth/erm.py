@@ -32,6 +32,17 @@ __all__ = ["RegularizedProblem", "solve", "certified_gap"]
 # How far outside its domain a problem's anchor may lie.
 _ANCHOR_TOL = 1e-7
 
+# How far outside its domain a separable solve's coordinatewise minimizer
+# may lie and still be taken as interior.
+_INTERIOR_TOL = 1e-12
+
+# Unit roundoff of float64, for the bounds of ``_screen``.
+_UNIT_ROUNDOFF = 2.0**-53
+
+# ``_coordwise_abs_quadratic`` screens rows in chunks, and evaluates kept
+# candidates in blocks, of at most about this many values per temporary.
+_BLOCK = 2**12
+
 
 @dataclass(frozen=True)
 class RegularizedProblem:
@@ -81,6 +92,31 @@ def _gap_bound(residual, lam):
     return residual * residual / (4.0 * lam)
 
 
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of ``v``, equal to ``np.linalg.norm``
+    of the row bit for bit: both take one BLAS dot product per row, while
+    ``np.linalg.norm(v, axis=1)``, ``einsum`` and ``(v * v).sum(1)`` sum in
+    other orders (see docs/decisions.md).  In 1-D that product is v * v,
+    and the elementwise form is the cheaper."""
+    if v.shape[1] == 1:
+        return np.sqrt(v * v)[:, 0]
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+
+
+def _separable_gap(below, above, m: int, weight: float, grad, lam):
+    """Gap bound of weight * mean_j sum_i |x_i - p_ji| plus quadratics with
+    strong convexity 2 lam, from the subdifferential intervals at x: per
+    coordinate, ``below`` and ``above`` of the m breakpoints lie strictly
+    below and above x (the rest on it), and ``grad`` is the quadratics'
+    gradient.  The residual is the distance from 0 to each interval.  Rows
+    of the ``(points, d)`` inputs are points, one gap each: the certificate
+    of ``certified_gap``, ``_solve_separable_abs`` and the phase kernel."""
+    ties = m - below - above
+    lo = weight * (below - above - ties) / m + grad
+    hi = weight * (below - above + ties) / m + grad
+    return _gap_bound(_row_norms(np.where(lo > 0.0, lo, np.where(hi < 0.0, hi, 0.0))), lam)
+
+
 def certified_gap(problem: RegularizedProblem, x: np.ndarray) -> float:
     """Upper bound on F_B(x) - min F_B from the stationarity residual.
 
@@ -97,10 +133,7 @@ def certified_gap(problem: RegularizedProblem, x: np.ndarray) -> float:
         return _gap_1d(problem, x)
     st = problem.loss.structure
     if isinstance(st, SeparableAbsolute) and _strictly_interior(problem.domain, x):
-        lo, hi = _separable_subdiff_interval(problem, st, x)
-        residual_vec = np.where(lo > 0.0, lo, np.where(hi < 0.0, hi, 0.0))
-        residual = float(np.linalg.norm(residual_vec))
-        return residual * residual / (4.0 * lam)
+        return float(_separable_certificate(problem, st, x, 2.0 * lam * (x - problem.anchor), lam))
     gamma = 1.0 / (2.0 * lam)
     g = problem.subgradient(x)
     step = project(problem.domain, x - gamma * g)
@@ -113,21 +146,13 @@ def _strictly_interior(domain: Domain, x: np.ndarray, margin: float = 1e-12) -> 
     )
 
 
-def _separable_subdiff_interval(problem, st, x, extra_quad=()):
-    """Coordinatewise [lower, upper] bounds of the full objective's
-    subdifferential for weight * sum |x_j - p_j| losses (plus quadratics)."""
+def _separable_certificate(problem, st, x, grad, lam):
+    """``_separable_gap`` at the point x of a separable-absolute problem
+    whose quadratics have gradient ``grad`` at x."""
     pts = st.points(problem.batch.samples)
-    m = pts.shape[0]
-    w = st.weight
     below = (pts < x[None, :]).sum(axis=0)
     above = (pts > x[None, :]).sum(axis=0)
-    ties = m - below - above
-    g_lo = w * (below - above - ties) / m
-    g_hi = w * (below - above + ties) / m
-    quad = 2.0 * problem.reg_weight * (x - problem.anchor)
-    for coef, center in extra_quad:
-        quad = quad + 2.0 * coef * (x - center)
-    return g_lo + quad, g_hi + quad
+    return _separable_gap(below[None], above[None], pts.shape[0], st.weight, grad[None], lam)[0]
 
 
 def _gap_1d(problem: RegularizedProblem, x: np.ndarray) -> float:
@@ -167,22 +192,81 @@ def _solve_isotropic_quadratic(problem: RegularizedProblem, st: IsotropicQuadrat
     return project(problem.domain, x)
 
 
-def _coordwise_abs_quadratic(pts_sorted, weight, quad, anchor):
-    """Exact minimizers of weight * mean|t - p_j| + quad * (t - anchor)^2,
-    one per column of the pre-sorted breakpoint matrix."""
-    m, d = pts_sorted.shape
-    jj = np.arange(m + 1)
-    out = np.empty(d)
-    for c in range(d):
-        p = pts_sorted[:, c]
-        # Candidate segment roots of the piecewise-linear derivative plus the
-        # breakpoints themselves; the convex 1-D minimum is among these.
-        roots = anchor[c] - weight * (2.0 * jj - m) / (2.0 * quad * m)
-        cands = np.concatenate((roots, p))
-        vals = weight * np.mean(np.abs(cands[:, None] - p[None, :]), axis=1) + quad * (
-            cands - anchor[c]
-        ) ** 2
-        out[c] = cands[int(np.argmin(vals))]
+def _screen(rows, weight: float, quad, anchor):
+    """The candidate minimizers of weight * mean_j |t - p_j| + quad (t - a)^2
+    per row of the ``(r, m)`` matrix ``rows`` of sorted breakpoints p, with
+    one anchor a per row and one ``quad`` per row or for all, and a mask of
+    the candidates that may hold the least value.
+
+    The candidates are, in this order, the m + 1 roots of the derivative's
+    linear pieces (nonincreasing) and the breakpoints; the convex minimum is
+    among them.  Their values A from prefix sums lie within E of the values
+    V that ``_coordwise_abs_quadratic`` evaluates (docs/decisions.md derives
+    E), so the mask drops a candidate whose A - E exceeds another's A + E.
+    It also drops a candidate equal to the one before it in its group: equal
+    candidates have equal values, and the first comes first."""
+    r, m = rows.shape
+    q = np.asarray(quad, dtype=float)[..., None]
+    a = anchor[:, None]
+    roots = a - weight * (2.0 * np.arange(m + 1) - m) / (2.0 * q * m)
+    # The breakpoints below each root: those before it in a stable merge of
+    # the ascending roots with the breakpoints, in which the roots come first
+    # and in order; breakpoint j has j below it.
+    merged = np.concatenate((roots[:, ::-1], rows), axis=1)
+    is_point = np.argsort(merged, axis=1, kind="stable") > m
+    below = np.cumsum(is_point, axis=1)[~is_point].reshape(r, m + 1)[:, ::-1]
+    prefix = np.zeros((r, m + 1))
+    np.cumsum(rows, axis=1, out=prefix[:, 1:])
+    s_below = np.take(prefix, below + np.arange(0, r * (m + 1), m + 1)[:, None])
+    # sum_j |c - p_j| = (2 k - m) c + sum(p) - 2 (sum of the k points below c).
+    cands = np.concatenate((roots, rows), axis=1)
+    slope = np.concatenate(
+        (2.0 * below - m, np.broadcast_to(2.0 * np.arange(m) - m, (r, m))), axis=1
+    )
+    offset = np.concatenate((s_below, prefix[:, :m]), axis=1)
+    reg = q * (cands - a) ** 2
+    approx = (weight / m) * (slope * cands + (prefix[:, -1:] - 2.0 * offset)) + reg
+    bound = ((5 * m + 32) * _UNIT_ROUNDOFF) * (
+        weight * np.abs(cands) + (weight / m) * np.abs(rows).sum(axis=1, keepdims=True) + reg
+    )
+    keep = approx - bound <= (approx + bound).min(axis=1, keepdims=True)
+    keep[:, 1 : m + 1] &= roots[:, 1:] != roots[:, :-1]
+    keep[:, m + 2 :] &= rows[:, 1:] != rows[:, :-1]
+    return cands, keep
+
+
+def _coordwise_abs_quadratic(rows, weight: float, quad, anchor):
+    """Exact minimizers of weight * mean_j |t - p_j| + quad (t - a)^2, one
+    per row of the ``(r, m)`` matrix ``rows`` of sorted breakpoints, with
+    one anchor a per row and one ``quad`` per row or for all.
+
+    Each is the candidate of ``_screen`` whose value
+    weight * mean(|c - p|) + quad (c - a)^2 is least, the first in
+    candidate order on ties, as ``np.argmin`` over all candidates picks it.
+    The screen keeps that candidate; only rows where it keeps more than one
+    evaluate them.  Rows are screened in chunks, and kept candidates
+    evaluated in blocks, of at most about ``_BLOCK`` values per temporary."""
+    r, m = rows.shape
+    q = np.broadcast_to(np.asarray(quad, dtype=float), (r,))
+    out = np.empty(r)
+    chunk, block = max(1, _BLOCK // (2 * m + 1)), max(1, _BLOCK // m)
+    for lo in range(0, r, chunk):
+        p, qc, a = rows[lo : lo + chunk], q[lo : lo + chunk], anchor[lo : lo + chunk]
+        cands, keep = _screen(p, weight, qc, a)
+        pick = np.argmax(keep, axis=1)
+        many = np.flatnonzero(keep.sum(axis=1) > 1)
+        if many.size:
+            vals = np.full((many.size, cands.shape[1]), np.inf)
+            ri, ci = np.nonzero(keep[many])
+            for b in range(0, len(ri), block):
+                rr, cc = ri[b : b + block], ci[b : b + block]
+                t = many[rr]
+                c = cands[t, cc]
+                vals[rr, cc] = weight * np.mean(np.abs(c[:, None] - p[t]), axis=1) + qc[t] * (
+                    c - a[t]
+                ) ** 2
+            pick[many] = np.argmin(vals, axis=1)
+        out[lo : lo + chunk] = cands[np.arange(len(p)), pick]
     return out
 
 
@@ -190,19 +274,17 @@ def _solve_separable_abs(problem: RegularizedProblem, st: SeparableAbsolute, tol
     """Exact coordinatewise solve; a binding ball is handled by dualizing
     that single constraint.  Returns (x, certified gap bound) or None."""
     lam = problem.reg_weight
-    pts = np.sort(st.points(problem.batch.samples), axis=0)
+    rows = np.sort(st.points(problem.batch.samples), axis=0).T
     w = st.weight
     a = problem.anchor
-    x = _coordwise_abs_quadratic(pts, w, lam, a)
-    if problem.domain.contains(x, tol=1e-12):
-        lo, hi = _separable_subdiff_interval(problem, st, x)
-        resid = float(np.linalg.norm(np.where(lo > 0, lo, np.where(hi < 0, hi, 0.0))))
-        return x, resid * resid / (4.0 * lam)
+    x = _coordwise_abs_quadratic(rows, w, lam, a)
+    if problem.domain.contains(x, tol=_INTERIOR_TOL):
+        return x, _separable_certificate(problem, st, x, 2.0 * lam * (x - a), lam)
     balls = list(problem.domain.balls())
     for j, (center, radius) in enumerate(balls):
-        if float(np.linalg.norm(x - center)) <= radius + 1e-12:
+        if float(np.linalg.norm(x - center)) <= radius + _INTERIOR_TOL:
             continue
-        solved = _dual_ball_separable(pts, w, lam, a, center, radius, tol)
+        solved = _dual_ball_separable(rows, w, lam, a, center, radius, tol)
         if solved is None:
             continue
         y, nu, slack = solved
@@ -214,18 +296,15 @@ def _solve_separable_abs(problem: RegularizedProblem, st: SeparableAbsolute, tol
         )
         if not others_ok:
             continue
-        lo, hi = _separable_subdiff_interval(
-            problem, st, y, extra_quad=((nu, center),)
-        )
-        resid = float(np.linalg.norm(np.where(lo > 0, lo, np.where(hi < 0, hi, 0.0))))
         # Primal gap of the constrained problem from the augmented certificate
         # plus the complementary-slackness defect of the bisected multiplier.
-        gap = resid * resid / (4.0 * (lam + nu)) + 2.0 * nu * radius * slack
-        return y, gap
+        grad = 2.0 * lam * (y - a) + 2.0 * nu * (y - center)
+        gap = _separable_certificate(problem, st, y, grad, lam + nu)
+        return y, gap + 2.0 * nu * radius * slack
     return None
 
 
-def _dual_ball_separable(pts, w, lam, anchor, center, radius, tol):
+def _dual_ball_separable(rows, w, lam, anchor, center, radius, tol):
     """Bisection on the multiplier of one active ball constraint.
 
     With multiplier nu the augmented problem stays coordinatewise absolute
@@ -238,7 +317,7 @@ def _dual_ball_separable(pts, w, lam, anchor, center, radius, tol):
     def solve_at(nu):
         q = lam + nu
         b = (lam * anchor + nu * center) / q
-        return _coordwise_abs_quadratic(pts, w, q, b)
+        return _coordwise_abs_quadratic(rows, w, q, b)
 
     def slack_at(nu):
         return float(np.linalg.norm(solve_at(nu) - center)) - radius

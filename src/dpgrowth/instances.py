@@ -636,7 +636,7 @@ def make_pure_convex(d: int, L: float, R: float, flat: bool = False) -> ProblemI
             # alone supplies the quadratic term of the coordinatewise solves.
             origin = np.zeros(d)
             x, _, _ = erm._dual_ball_separable(
-                np.sort(samples, axis=0), w, 0.0, origin, origin, R, tol=1e-12
+                np.sort(samples, axis=0).T, w, 0.0, origin, origin, R, tol=1e-12
             )
         return x, w * float(np.mean(np.sum(np.abs(x[None, :] - samples), axis=1)))
 
@@ -684,10 +684,12 @@ def build_instance(name: str, **params) -> ProblemInstance:
 
 def has_phase_kernel_loss(name: str, **params) -> bool:
     """Whether ``build_instance(name, **params)`` has a loss that the phase
-    kernel runs (an isotropic quadratic, or a 1-D power norm), read from the
-    parameters without building the instance: only ``uniform_convex`` has
-    one, in d = 1 or at kappa = 2."""
-    return name == "uniform_convex" and (params.get("d") == 1 or params.get("kappa") == 2)
+    kernel runs (an isotropic quadratic, a separable absolute loss, or a 1-D
+    power norm), read from the parameters without building the instance:
+    ``pure_convex`` always, ``uniform_convex`` in d = 1 or at kappa = 2."""
+    return name == "pure_convex" or (
+        name == "uniform_convex" and (params.get("d") == 1 or params.get("kappa") == 2)
+    )
 
 
 # Canonical parameterizations shipped with the package; the certification

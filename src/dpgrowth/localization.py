@@ -21,6 +21,7 @@ from .core import (
     PowerNorm,
     PrivacyParams,
     RngStream,
+    SeparableAbsolute,
     project,
 )
 
@@ -163,9 +164,12 @@ def _phase_tol(sensitivity: float, sigma: float, tol_floor: float) -> float:
 
 def _runs_phase_kernel(loss: LossOracle) -> bool:
     """Whether the chain runs in the phase kernel ``_chain_trials``: a loss
-    with an isotropic-quadratic hint, or a 1-D loss with a power-norm hint."""
+    with an isotropic-quadratic or separable-absolute hint, or a 1-D loss
+    with a power-norm hint."""
     st = loss.structure
-    return isinstance(st, IsotropicQuadratic) or (loss.point_dim == 1 and isinstance(st, PowerNorm))
+    return isinstance(st, (IsotropicQuadratic, SeparableAbsolute)) or (
+        loss.point_dim == 1 and isinstance(st, PowerNorm)
+    )
 
 
 def _first_trial(records: list) -> list:
@@ -194,8 +198,9 @@ def run(
     eta_i = 2^{-4i} eta, then adds iid Laplace (pure mode) or isotropic
     Gaussian (approximate mode) noise and projects back onto ``domain``.
     Each sample is consumed by exactly one phase; leftover samples beyond
-    k * n0 are discarded.  An isotropic-quadratic or 1-D power-norm loss
-    runs the phase kernel of ``run_trials`` as one trial on ``rng``.
+    k * n0 are discarded.  An isotropic-quadratic, separable-absolute or
+    1-D power-norm loss runs the phase kernel of ``run_trials`` as one trial
+    on ``rng``.
     """
     if _runs_phase_kernel(loss):
         records = None if trace is None else []
@@ -243,7 +248,9 @@ def _trial_inputs(loss: LossOracle, data, x0, check) -> tuple:
     starts as rows of a 2-D array, and what ``check(dataset, start)``
     returns."""
     if not _runs_phase_kernel(loss):
-        raise InvalidInputError("run_trials needs an isotropic-quadratic or 1-D power-norm loss")
+        raise InvalidInputError(
+            "run_trials needs an isotropic-quadratic, separable-absolute or 1-D power-norm loss"
+        )
     datasets = [data] if isinstance(data, Dataset) else list(data)
     if len({ds.n for ds in datasets}) != 1:
         raise InvalidInputError("the trials' datasets must share one size")
@@ -274,24 +281,13 @@ def _noise_count(schedule: list[tuple]) -> int:
     return sum(1 for *_, sigma_used in schedule if sigma_used > 0)
 
 
-def _row_norms(v: np.ndarray) -> np.ndarray:
-    """The Euclidean norm of each row of ``v``, equal to ``np.linalg.norm``
-    of the row bit for bit: both take one BLAS dot product per row, while
-    ``np.linalg.norm(v, axis=1)``, ``einsum`` and ``(v * v).sum(1)`` sum in
-    other orders (see docs/decisions.md).  In 1-D that product is v * v,
-    and the elementwise form is the cheaper."""
-    if v.shape[1] == 1:
-        return np.sqrt(v * v)[:, 0]
-    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
-
-
 def _inside(x: np.ndarray, balls: list, tol: float = 0.0) -> np.ndarray:
     """Per trial, whether the row x[t] lies in every ball (center, radius)
     by the test of ``Domain.contains`` with tolerance ``tol``; a center is
     one point or one row per trial."""
     ok = np.ones(x.shape[0], dtype=bool)
     for center, radius in balls:
-        ok &= _row_norms(x - center) <= radius + tol
+        ok &= erm._row_norms(x - center) <= radius + tol
     return ok
 
 
@@ -322,9 +318,35 @@ def _quadratic_phase(st: IsotropicQuadratic, lam, tol, x, qbar, gbar, region_bal
     gamma = 1.0 / (2.0 * lam)
     g = st.curvature * x_hat + gbar + 2.0 * lam * (x_hat - x)
     step = _project_trials(x_hat - gamma * g, region_balls, region)
-    gap = erm._gap_bound(_row_norms(x_hat - step) / gamma, lam)
+    gap = erm._gap_bound(erm._row_norms(x_hat - step) / gamma, lam)
     # x_hat is a new array: the stationary points, or their projected copy.
     for t in np.flatnonzero(~(gap <= tol)):
+        x_hat[t] = erm.solve(problem(t), tol=tol, max_iters=MAX_SOLVER_ITERS)
+    return x_hat
+
+
+def _separable_phase(st: SeparableAbsolute, lam, tol, x, block, region_balls, problem):
+    """Each trial's solution of a separable-absolute phase as ``erm.solve``
+    finds it: the coordinatewise minimizers of the phase's ``(datasets, n0,
+    d)`` sample block, one sorted row of breakpoints per trial and
+    coordinate, kept where they lie in their region within
+    ``erm._INTERIOR_TOL`` and pass the subdifferential-interval certificate.
+    A trial whose point lies outside or whose certificate fails runs
+    ``erm.solve`` on ``problem(t)``, which dualizes a binding ball."""
+    trials, d = x.shape
+    rows = np.ascontiguousarray(st.points(block).transpose(0, 2, 1))
+    rows.sort(axis=-1)
+    if len(rows) < trials:
+        rows = np.repeat(rows, trials, axis=0)
+    m = rows.shape[-1]
+    rows = rows.reshape(-1, m)
+    x_hat = erm._coordwise_abs_quadratic(rows, st.weight, lam, x.reshape(-1)).reshape(trials, d)
+    col = x_hat.reshape(-1, 1)
+    below = (rows < col).sum(axis=1).reshape(trials, d)
+    above = (rows > col).sum(axis=1).reshape(trials, d)
+    gap = erm._separable_gap(below, above, m, st.weight, 2.0 * lam * (x_hat - x), lam)
+    ok = _inside(x_hat, region_balls, tol=erm._INTERIOR_TOL) & (gap <= tol)
+    for t in np.flatnonzero(~ok):
         x_hat[t] = erm.solve(problem(t), tol=tol, max_iters=MAX_SOLVER_ITERS)
     return x_hat
 
@@ -371,15 +393,21 @@ def _chain_trials(loss, samples, cfg, schedule, x, domain, z, epoch=None, trace=
     makes the checks and steps of ``run``'s phase on arrays: the anchor
     check, ``erm.solve``'s regularizer-dominance shortcut, the noise, and the
     test for a point inside its region; at d >= 2 also the quadratic's
-    closed form and its certificate.  Only the rare branches run one trial
-    at a time: a point outside its region goes through ``core.project``, a
-    failed certificate through ``erm.solve``.  A power-norm phase's bisection
-    and certificate run per trial too, in Python floats.
+    closed form and its certificate, and for a separable absolute loss the
+    coordinatewise minimizers of every trial's sorted breakpoints and their
+    subdifferential-interval certificate.  Only the rare branches run one
+    trial at a time: a point outside its region goes through
+    ``core.project``, a separable minimizer outside its region or a failed
+    certificate through ``erm.solve``.  A power-norm phase's bisection and
+    certificate run per trial too, in Python floats.
     """
     st = loss.structure
     d = x.shape[1]
     clamp = d == 1 and isinstance(st, IsotropicQuadratic)
-    qbar = _block_means(samples, cfg, st.linear)
+    if not isinstance(st, SeparableAbsolute):
+        qbar = _block_means(samples, cfg, st.linear)
+        if not clamp:
+            gbar = st.linear(_block_means(samples, cfg))
     balls = list(domain.balls())
     if epoch is not None:
         centers, radius = epoch
@@ -391,7 +419,6 @@ def _chain_trials(loss, samples, cfg, schedule, x, domain, z, epoch=None, trace=
             hi_dom = np.minimum(centers + radius, hi_dom)
     if not clamp:
         L = loss.lipschitz
-        gbar = st.linear(_block_means(samples, cfg))
 
         def outer(t):
             return domain if epoch is None else Domain(centers[t], radius, parent=domain)
@@ -426,6 +453,9 @@ def _chain_trials(loss, samples, cfg, schedule, x, domain, z, epoch=None, trace=
                 # Regularizer dominance: the solution is the anchor projected
                 # onto its region, whose own ball always holds it.
                 x_hat = _project_trials(x, balls, region)
+            elif isinstance(st, SeparableAbsolute):
+                block = samples[:, (i - 1) * cfg.n0 : i * cfg.n0]
+                x_hat = _separable_phase(st, lam, tol, x, block, [(x, radius_i)] + balls, problem)
             elif isinstance(st, PowerNorm):
                 x_hat = _power_norm_phase(
                     st, lam, tol, x, lo, hi, np.broadcast_to(qbar[i - 1], x.shape),
@@ -463,8 +493,8 @@ def run_trials(
     """Run the chain once per stream, all trials at once, and return one
     output row per stream.
 
-    This is the phase kernel of an isotropic-quadratic or 1-D power-norm
-    loss; any other loss raises ``InvalidInputError``.  ``data`` is one
+    This is the phase kernel of an isotropic-quadratic, separable-absolute
+    or 1-D power-norm loss; any other loss raises ``InvalidInputError``.  ``data`` is one
     dataset shared by every trial or one per trial, and ``x0`` is one start
     point or one row per trial.  Trial t runs the chain ``run`` describes on its own data
     and start, with its noise drawn from ``streams[t]``.  Streams are

@@ -12,6 +12,7 @@ from dpgrowth.core import (
     IsotropicQuadratic,
     RngStream,
 )
+from dpgrowth import erm
 from dpgrowth.erm import (
     RegularizedProblem,
     _solve_isotropic_quadratic,
@@ -96,6 +97,58 @@ def test_solve_separable_abs_checks_balls_sharing_a_center():
     # The objective is symmetric in the coordinates and decreases towards
     # (0.5, 0.5), so the constrained minimizer is the ball's diagonal point.
     np.testing.assert_allclose(x, np.full(2, 0.1 / math.sqrt(2.0)), atol=1e-8)
+
+
+def _brute_force_minimizers(pts_sorted, weight, quad, anchor):
+    """The reference scan of the separable solve: every candidate's value
+    evaluated against every breakpoint, and np.argmin's first minimum, one
+    coordinate (column) at a time."""
+    m, d = pts_sorted.shape
+    jj = np.arange(m + 1)
+    out = np.empty(d)
+    for c in range(d):
+        p = pts_sorted[:, c]
+        roots = anchor[c] - weight * (2.0 * jj - m) / (2.0 * quad * m)
+        cands = np.concatenate((roots, p))
+        vals = weight * np.mean(np.abs(cands[:, None] - p[None, :]), axis=1) + quad * (
+            cands - anchor[c]
+        ) ** 2
+        out[c] = cands[int(np.argmin(vals))]
+    return out
+
+
+def test_screened_search_matches_the_brute_force_scan_bit_for_bit():
+    # 3000 random cases: three-atom (pure_convex-like), continuous and
+    # rounded samples; m = 1 ... 300 breakpoints; quad over 16 decades.  At
+    # large quad all m + 1 roots sit within ulps of the anchor, their values
+    # differ by less than rounding, and the screen must keep many of them:
+    # the brute force's pick among them is decided by rounding alone.
+    rng = np.random.default_rng(21)
+    kept = []
+    for case in range(3000):
+        m, d = int(rng.integers(1, 301)), int(rng.integers(1, 5))
+        kind = case % 3
+        if kind == 0:
+            c = rng.uniform(0.1, 1.0)
+            u = rng.random((m, d))
+            samples = np.where(u < 0.25, -c, np.where(u < 0.75, 0.0, c))
+        elif kind == 1:
+            samples = rng.standard_normal((m, d)) * 10.0 ** rng.uniform(-3, 1)
+        else:
+            samples = np.round(rng.standard_normal((m, d)), int(rng.integers(0, 3)))
+        weight = float(10.0 ** rng.uniform(-1, 0.5))
+        quad = float(10.0 ** rng.uniform(-2, 14))
+        anchor = rng.uniform(-1.0, 1.0, d) * rng.choice([1.0, 1e-3, 0.0])
+        if case % 5 == 0:
+            # An anchor within rounding of a breakpoint.
+            anchor = samples[rng.integers(0, m)] + rng.standard_normal(d) * 1e-14
+        pts = np.sort(samples, axis=0)
+        want = _brute_force_minimizers(pts, weight, quad, anchor)
+        got = erm._coordwise_abs_quadratic(pts.T, weight, quad, anchor)
+        assert got.tobytes() == want.tobytes(), (case, m, d, kind, weight, quad)
+        kept.append(int(erm._screen(pts.T, weight, quad, anchor)[1].sum(axis=1).max()))
+    assert max(kept) > 50
+    assert np.median(kept) < 5
 
 
 def test_solve_constrained_isotropic_quadratic_at_a_lens_corner():

@@ -2,20 +2,22 @@
 batched sweep cells against trial-by-trial execution.
 
 ``localization.run_trials`` and ``epoch_growth.run_trials`` run the one
-phase kernel over many trials at once, and ``run`` on an isotropic-quadratic
-or 1-D power-norm loss runs it as a single trial.  Both are checked bit for
-bit against outputs recorded before the kernel took over these losses: from
-the Python-float scalar chain for the 1-D quadratic, and from the generic
-per-phase loop (``erm.solve`` and ``core.project``) for 1-D power norms at
-kappa 3 and 4 and for the quadratic at d = 2 and d = 4.  The pins are
+phase kernel over many trials at once, and ``run`` on an isotropic-quadratic,
+separable-absolute or 1-D power-norm loss runs it as a single trial.  Both
+are checked bit for bit against outputs recorded before the kernel took over
+these losses: from the Python-float scalar chain for the 1-D quadratic, and
+from the generic per-phase loop (``erm.solve`` and ``core.project``) for 1-D
+power norms at kappa 3 and 4, for the quadratic at d = 2 and d = 4, and for
+pure_convex's separable absolute loss at d = 1 and d = 4.  The pins are
 ``float.hex`` of the first streams' outputs per case, and digests of all 200
-outputs of the power-norm and d >= 2 cases and of each audit mechanism.  The
-cases cover pure, approximate (delta = 1e-6) and conservative-Gaussian
-budgets, noise scales 1, 0.5 and 0, the audit's own configs on both audit
-datasets, an epoch schedule with frozen epochs, and ones whose noise reaches
-the trust regions.  Power-norm and d >= 2 quadratic phases are also checked
-against ``erm.solve`` on their own problems, phase by phase, and the kernel's
-row norms against ``np.linalg.norm``.
+outputs of the power-norm, d >= 2 quadratic and separable cases and of each
+audit mechanism.  The cases cover pure, approximate (delta = 1e-6) and
+conservative-Gaussian budgets, noise scales 1, 0.5 and 0, the audit's own
+configs on both audit datasets, an epoch schedule with frozen epochs, and
+ones whose noise reaches the trust regions.  Power-norm, d >= 2 quadratic
+and separable phases are also checked against ``erm.solve`` on their own
+problems, phase by phase, and the kernel's row norms against
+``np.linalg.norm``.
 
 A sweep cell of a kernel chain runs in ``run_trials`` batches with
 per-trial data and starts; it must write the rows of a trial-by-trial run,
@@ -32,7 +34,15 @@ import numpy as np
 import pytest
 
 from dpgrowth import epoch_growth, erm, harness, localization
-from dpgrowth.core import Dataset, Domain, InvalidInputError, PrivacyParams, RngStream, project
+from dpgrowth.core import (
+    ConvergenceError,
+    Dataset,
+    Domain,
+    InvalidInputError,
+    PrivacyParams,
+    RngStream,
+    project,
+)
 from dpgrowth.instances import ProblemInstance, build_instance
 
 TRIALS = 200
@@ -193,6 +203,69 @@ PINNED_QUAD = {
         ("0x1.c7458afbff5c9p-1", "0x1.f1280aa90c0d7p-9",
          "-0x1.7010b4c10f70fp-10", "-0x1.1d997ee897438p-9"),
         "9e40ef61569245ed"),
+}
+
+# Outputs of ``run`` on pure_convex at d = 1 and d = 4, recorded from the
+# generic per-phase loop: float.hex of the first stream's output, a sha256
+# prefix of the outputs of ``_streams(91 + d)``, and the streams whose run
+# raised ConvergenceError there (left out of the digest).
+PINNED_ABS = {
+    ("epoch_growth", 1, "gaussian"): (
+        ("0x1.c4053f1c3db73p-1",),
+        "eb1628010c836a44", ()),
+    ("epoch_growth", 1, "noiseless"): (
+        ("0x1.c66911367c794p-1",),
+        "42e58559d78b450b", ()),
+    ("epoch_growth", 1, "small-eps"): (
+        ("-0x1.f76d8d3a6cac9p-1",),
+        "72e7031e4e3e3615", ()),
+    ("epoch_growth", 1, "zero"): (
+        ("0x1.c66913180a63dp-1",),
+        "ef6c4772a65e9386", ()),
+    ("epoch_growth", 4, "gaussian"): (
+        ("0x1.e4d49d1c4e31cp-1", "0x1.23e6ee1e6a3dcp-6",
+         "0x1.cc93421ea1204p-6", "0x1.afbe50b1ac2c9p-5"),
+        "388dcf1864022608", ()),
+    ("epoch_growth", 4, "noiseless"): (
+        ("0x1.c99aee004fcf3p-1", "0x1.9c502eba59d57p-25",
+         "0x1.01604f2fdbd82p-32", "-0x1.67b478f860817p-15"),
+        "aaff080ae2f69d39", ()),
+    ("epoch_growth", 4, "small-eps"): (
+        ("-0x1.0f081db5e91b0p-4", "0x1.59bfc7b48e2e6p-1",
+         "-0x1.2609b0c064861p-2", "-0x1.490034332bac8p-1"),
+        "d648feb6cec5a91c", ()),
+    ("epoch_growth", 4, "zero"): (
+        ("0x1.ca2fcdba210c4p-1", "0x1.51762a7a5e5a1p-25",
+         "0x1.a56a5a82555b3p-33", "-0x1.263aa918daf1ep-15"),
+        "e853674be8073700", ()),
+    ("localization", 1, "gaussian"): (
+        ("0x1.989ab545f8bbfp-1",),
+        "8742cabff067c6f6", ()),
+    ("localization", 1, "noiseless"): (
+        ("0x1.b42a779bfc3bbp-1",),
+        "21af548021e39da5", ()),
+    ("localization", 1, "small-eps"): (
+        ("0x1.1249f44205e89p-1",),
+        "5a40a754d312e54f", ()),
+    ("localization", 1, "zero"): (
+        ("0x1.b42a794900c64p-1",),
+        "b923e64eae27dd8f", ()),
+    ("localization", 4, "gaussian"): (
+        ("0x1.f15961f3681c6p-1", "0x1.4842fd0280327p-4",
+         "0x1.96f2c098e8790p-5", "0x1.46305cf37cd6cp-4"),
+        "bb1c2c264b78e2a6", ()),
+    ("localization", 4, "noiseless"): (
+        ("0x1.c07ba3583e75dp-1", "-0x1.5ad168f83a71fp-51",
+         "-0x1.073a181d6697ep-47", "-0x1.357d59171dd67p-51"),
+        "2d27b7d74c3fb455", (53, 99)),
+    ("localization", 4, "small-eps"): (
+        ("0x1.ba40a2690e409p-1", "-0x1.1966312130c2fp-2",
+         "0x1.8f9f2d3517fd9p-3", "-0x1.5e0756670c821p-2"),
+        "ec81aaed01d2cdc6", ()),
+    ("localization", 4, "zero"): (
+        ("0x1.c07ba30ae6c99p-1", "0x0.0p+0",
+         "0x0.0p+0", "0x0.0p+0"),
+        "80fe59719c1ec8ae", ()),
 }
 
 # sha256 prefixes of the audit mechanism"s 200 outputs on each audit dataset,
@@ -358,16 +431,69 @@ def test_quadratic_chains_match_pinned_outputs(pipeline, d, budget, monkeypatch)
         assert sum(dykstra) > 0
 
 
+@pytest.mark.parametrize("budget", sorted(BUDGETS))
+@pytest.mark.parametrize("d", [1, 4])
+@pytest.mark.parametrize("pipeline", sorted(MODULES))
+def test_separable_chains_match_pinned_outputs(pipeline, d, budget, monkeypatch):
+    # pure_convex's separable absolute loss, in the lens and domain of the
+    # quadratic chains above.  At the small epsilon, minimizers leave their
+    # regions (erm.solve dualizes the binding ball) and noised points leave
+    # the lens and the epoch balls (core.project runs Dykstra).  In the
+    # noiseless d = 4 localization case two streams raise ConvergenceError
+    # in the generic loop: a phase's certificate fails, and so does the
+    # projected-subgradient fallback.  The kernel falls back to that same
+    # erm.solve and raises on the same streams; two solver iterations
+    # suffice to show it, and no other stream of these cases descends.
+    monkeypatch.setattr(localization, "MAX_SOLVER_ITERS", 2)
+    inst = build_instance("pure_convex", d=d, L=1.0, R=1.0)
+    n = 128
+    data = inst.draw(n, RngStream(90 + d, 0))
+    x0 = np.zeros(d)
+    x0[0] = 0.9
+    domain = inst.domain if pipeline == "epoch_growth" else Domain(x0, 0.5, parent=inst.domain)
+    cfg = _budget_config(pipeline, inst, n, budget)
+    fallbacks = dict(dykstra=0, dual_ball=0)
+    monkeypatch.setattr(
+        localization, "project",
+        lambda dom, x: fallbacks.__setitem__("dykstra", fallbacks["dykstra"] + (
+            dom.parent is not None)) or project(dom, x),
+    )
+    dual_ball = erm._dual_ball_separable
+    monkeypatch.setattr(
+        erm, "_dual_ball_separable",
+        lambda *a, **kw: fallbacks.__setitem__("dual_ball", fallbacks["dual_ball"] + 1)
+        or dual_ball(*a, **kw),
+    )
+    first, digest, raised = PINNED_ABS[(pipeline, d, budget)]
+    module = MODULES[pipeline]
+
+    def streams(keep):
+        return [s for t, s in enumerate(_streams(91 + d)) if (t in raised) != keep]
+
+    got = module.run_trials(inst.loss, data, domain, x0, cfg, streams(True))
+    assert got.shape == (TRIALS - len(raised), d)
+    assert tuple(float(v).hex() for v in got[0]) == first
+    assert hashlib.sha256(got.tobytes()).hexdigest()[:16] == digest
+    single = np.array([module.run(inst.loss, data, domain, x0, cfg, s)
+                       for s in streams(True)[:3]])
+    assert single.tobytes() == got[:3].tobytes()
+    for s in streams(False):
+        with pytest.raises(ConvergenceError):
+            module.run(inst.loss, data, domain, x0, cfg, s)
+    if budget == "small-eps":
+        assert min(fallbacks.values()) > 0, fallbacks
+
+
 def test_row_norms_equal_numpy_norm_row_for_row():
     rng = np.random.default_rng(13)
     for d in range(1, 17):
         rows = rng.standard_normal((5000, d)) * 10.0 ** rng.uniform(-8, 2, (5000, 1))
         want = np.array([np.linalg.norm(row) for row in rows])
-        assert localization._row_norms(rows).tobytes() == want.tobytes()
+        assert erm._row_norms(rows).tobytes() == want.tobytes()
         # A difference with a broadcast center, as the kernel forms it.
         center = rows[0]
         want = np.array([np.linalg.norm(row - center) for row in rows])
-        assert localization._row_norms(rows - center).tobytes() == want.tobytes()
+        assert erm._row_norms(rows - center).tobytes() == want.tobytes()
 
 
 def test_block_means_equal_each_blocks_own_mean():
@@ -472,6 +598,93 @@ def test_quadratic_phase_matches_erm_solve_bit_for_bit(monkeypatch):
                     counts["outside_region"] += not dominance and not region.contains(closed, 0.0)
                     counts["projected"] += not np.array_equal(want_next, noised)
                 assert len(fallbacks) == len(descents)
+    assert counts["phases"] >= 1000
+    assert min(counts.values()) > 0, counts
+
+
+def test_separable_phase_matches_erm_solve_bit_for_bit(monkeypatch):
+    # 2 dimensions x 2 domains x 4 schedules x 150 trials = 2400 random
+    # phases of pure_convex's separable absolute loss at d = 1 and d = 4,
+    # each with its own data (three-atom or continuous), anchor and epoch
+    # ball.  The kernel's solution and its projected noised point must equal
+    # erm.solve's and core.project's.  Anchors a hair outside their ball make
+    # the dominance shortcut project, small trust regions put coordinatewise
+    # minimizers outside their region (erm.solve then dualizes the binding
+    # ball), and large noise leaves the domain.  The kernel must fall back to
+    # erm.solve exactly for the phases whose reference solve leaves the
+    # interior path: its minimizer lies outside, or its certificate fails.
+    solve = erm.solve
+    fallbacks, slow = [], []
+    monkeypatch.setattr(erm, "solve", lambda *a, **kw: fallbacks.append(1) or solve(*a, **kw))
+    for name in ("_dual_ball_separable", "certified_gap"):
+        original = getattr(erm, name)
+        monkeypatch.setattr(
+            erm, name, lambda *a, _f=original, _n=name, **kw: slow.append(_n) or _f(*a, **kw)
+        )
+    rng = np.random.default_rng(15)
+    trials, m = 150, 16
+    cfg = localization.LocalizationConfig(
+        eta=1.0, beta=0.5, privacy=PrivacyParams(1.0), k=1, n0=m
+    )
+    counts = dict(phases=0, dominance=0, anchor_projected=0, outside_region=0, projected=0)
+    for d in (1, 4):
+        inst = build_instance("pure_convex", d=d, L=1.0, R=1.0)
+        loss, domain = inst.loss, inst.domain
+        for with_epoch in (False, True):
+            samples = rng.uniform(-1.0, 1.0, (trials, m, d))
+            samples[::2] = np.round(samples[::2] * 2.0) / 4.0
+            u = rng.standard_normal((trials, d))
+            u /= np.linalg.norm(u, axis=1, keepdims=True)
+            radius_e = float(rng.uniform(0.05, 0.5))
+            hair = 10.0 ** rng.uniform(-12, -9.4, (40, 1))
+            if with_epoch:
+                v = rng.standard_normal((trials, d))
+                v /= np.linalg.norm(v, axis=1, keepdims=True)
+                centers = v * rng.uniform(0.0, 0.9 - radius_e, (trials, 1))
+                x = centers + u * radius_e * rng.uniform(0.0, 1.0, (trials, 1))
+                x[:40] = centers[:40] + u[:40] * (radius_e + hair)
+            else:
+                x = u * rng.uniform(0.0, 1.0, (trials, 1))
+                x[:40] = u[:40] * (1.0 + hair)
+            epoch = (centers, radius_e) if with_epoch else None
+            outer = [Domain(centers[t], radius_e, parent=domain) if with_epoch else domain
+                     for t in range(trials)]
+            z = rng.laplace(size=(trials, 1, d))
+            tol_floor = localization._tol_floor(loss.lipschitz, outer[0])
+            for dominance in (False, True, False, False):
+                sensitivity = 10.0 ** rng.uniform(-10, -2)
+                sigma = 10.0 ** rng.uniform(-2, 1)
+                tol = localization._phase_tol(sensitivity, sigma, tol_floor)
+                lam = (loss.lipschitz ** 2 / (4.0 * tol) * 2.0 if dominance
+                       else 10.0 ** rng.uniform(-1, 4))
+                radius = 10.0 ** rng.uniform(-4, 0)
+                sigma_used = float(rng.choice([0.0, sigma]))
+                schedule = [(1, 1.0, radius, lam, sensitivity, sigma, sigma_used)]
+                trace: list = []
+                fallbacks.clear()
+                got = localization._chain_trials(
+                    loss, samples, cfg, schedule, x, domain, z, epoch, trace
+                )
+                reference_slow = 0
+                for t in range(trials):
+                    region = Domain(x[t], radius, parent=outer[t])
+                    problem = erm.RegularizedProblem(
+                        loss=loss, batch=Dataset(samples[t]), anchor=x[t], reg_weight=lam,
+                        domain=region,
+                    )
+                    slow.clear()
+                    want = solve(problem, tol=tol, max_iters=localization.MAX_SOLVER_ITERS)
+                    reference_slow += bool(slow)
+                    assert trace[0].x_solved[t].tobytes() == want.tobytes()
+                    noised = want + (z[t, 0] * sigma_used if sigma_used > 0 else 0.0)
+                    want_next = project(outer[t], noised)
+                    assert got[t].tobytes() == want_next.tobytes()
+                    counts["phases"] += 1
+                    counts["dominance"] += dominance
+                    counts["anchor_projected"] += dominance and not np.array_equal(want, x[t])
+                    counts["outside_region"] += "_dual_ball_separable" in slow
+                    counts["projected"] += not np.array_equal(want_next, noised)
+                assert len(fallbacks) == reference_slow
     assert counts["phases"] >= 1000
     assert min(counts.values()) > 0, counts
 
@@ -634,11 +847,11 @@ def test_epoch_run_trials_clamps_to_each_trials_region():
 def test_run_trials_rejects_other_losses_and_bad_inputs(pipeline):
     module = MODULES[pipeline]
     privacy = PrivacyParams(1.0)
-    # A power norm at d = 2 and absolute losses at d = 1 and d = 4.
+    # A power norm at d = 2, and losses without a solver hint.
     others = [
         build_instance("uniform_convex", d=2, kappa=3, lam=0.5, L=4.0, R=1.0, bias_delta=0.2),
-        build_instance("pure_convex", d=1, L=1.0, R=1.0),
-        build_instance("pure_convex", d=4, L=1.0, R=1.0),
+        build_instance("sharp_growth", kappa=1.5, bias_delta=0.25),
+        build_instance("knorm_regression", d=2, kappa=4, R=1.0),
     ]
     for other in others:
         d = other.domain.dim
@@ -705,11 +918,18 @@ kappa_lower = 3.0
 # kappa_lower = 1.2, n = 1024), a cell too small for its epochs, whose
 # every trial records the error, and both chains on the kappa = 4 power
 # norm, one with enough noise to reach the trust regions, and both chains
-# on the d = 4 quadratic, the epoch one also at an approximate budget.  The
-# starts are close enough to the minimizer that the trials' epoch_i0
-# differ; at d = 4 each trial's epoch_i0 is read from its own centers.
+# on the d = 4 quadratic, the epoch one also at an approximate budget, and
+# on pure_convex's separable absolute loss: localization at d = 4, as the
+# priv_pure sweep runs it, and epochs at d = 1, noisy, and at d = 4 with an
+# approximate budget.  The starts are close enough to the minimizer, and at
+# d = 1 the noise large enough, that the trials' epoch_i0 differ; at d = 4
+# each trial's epoch_i0 is read from its own centers.
 KAPPA4 = dict(kappa=4, lam=0.25, L=2.0, R=1.0, bias_delta=0.1)
+ABS = dict(instance_name="pure_convex", instance_params=dict(L=1.0, R=1.0))
 CELLS = {
+    "localization-abs-d4": dict(algorithm="localization", sweep_d=(4,), **ABS),
+    "epoch-abs-d1": dict(sweep_epsilon=(0.05,), **ABS),
+    "epoch-abs-d4-approx": dict(sweep_d=(4,), sweep_delta=(1e-6,), **ABS),
     "localization": dict(algorithm="localization"),
     "localization-kappa4": dict(algorithm="localization", instance_params=KAPPA4),
     "localization-d4": dict(algorithm="localization", sweep_d=(4,)),
@@ -824,6 +1044,49 @@ def test_a_d4_batch_that_raises_runs_trial_by_trial(tmp_path, monkeypatch):
     assert not any(errors[:2] + errors[3:])
 
 
+def test_a_separable_batch_that_raises_runs_trial_by_trial(tmp_path, monkeypatch):
+    # The separable-absolute version: the kernel's certificate fails on
+    # trial 2's last certified phase, recognized by the regularizer's
+    # gradient there, and every certificate of erm.solve, which the kernel
+    # then calls, fails too.  Its subgradient method gives up at once and
+    # raises ConvergenceError.
+    cfg = _sweep_config(tmp_path, **CELLS["localization-abs-d4"])
+    (cell,) = cfg.cells()
+    specs = [(cfg, cell, 40 + s, s, cfg.config_hash()) for s in range(cfg.seeds)]
+    gap, certificate = erm._separable_gap, erm._separable_certificate
+    grads, in_solve = [], []
+
+    def solve_certificate(*args):
+        in_solve.append(1)
+        try:
+            return certificate(*args)
+        finally:
+            in_solve.pop()
+
+    def recording(below, above, m, weight, grad, lam):
+        if not in_solve:
+            grads.append(grad.copy())
+        return gap(below, above, m, weight, grad, lam)
+
+    monkeypatch.setattr(erm, "_separable_certificate", solve_certificate)
+    monkeypatch.setattr(erm, "_separable_gap", recording)
+    harness._execute_trial(specs[2])
+    target = grads[-1][0]
+
+    def failing(below, above, m, weight, grad, lam):
+        return np.where((grad == target).all(axis=1), math.inf,
+                        gap(below, above, m, weight, grad, lam))
+
+    monkeypatch.setattr(erm, "_separable_certificate", lambda *args: math.inf)
+    monkeypatch.setattr(erm, "_separable_gap", failing)
+    monkeypatch.setattr(localization, "MAX_SOLVER_ITERS", 2)
+    batched = _rows(harness._execute_cell(specs))
+    assert batched == _rows([harness._execute_trial(spec) for spec in specs])
+    errors = [row[CSV_INDEX["error"]] for row in batched]
+    assert errors[2].startswith("ConvergenceError: no accuracy certificate")
+    assert not any(errors[:2] + errors[3:])
+
+
 def test_negative_excess_is_recorded_as_an_error(tmp_path, monkeypatch):
     cfg = _sweep_config(tmp_path)
     (cell,) = cfg.cells()
@@ -836,7 +1099,8 @@ def test_negative_excess_is_recorded_as_an_error(tmp_path, monkeypatch):
 
 def test_batches_agrees_with_the_built_instances_loss(tmp_path):
     # ``_batches`` reads the config and builds no instance; a cell batches
-    # exactly when its chain has an isotropic-quadratic or 1-D power-norm loss.
+    # exactly when its chain has an isotropic-quadratic, separable-absolute
+    # or 1-D power-norm loss.
     configs = [
         harness.load_config(path)
         for path in sorted((Path(__file__).parents[1] / "configs").glob("acceptance_*.ini"))
