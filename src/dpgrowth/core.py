@@ -60,23 +60,78 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
 
-def _mix64(z: int) -> int:
+def _mix64(z):
     z &= _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
 
 
-def derive_stream_key(seed: int, stream: int) -> int:
+def derive_stream_key(seed: int, stream):
     """Random-access output of a splitmix-style sequence keyed at ``seed``.
 
     The state advances by the 64-bit golden-ratio increment per step, so the
     ``stream``-th output is ``mix64(seed + (stream + 1) * GAMMA)``.  This is
     the documented master-seed -> trial-stream derivation used everywhere in
-    the harness; it is pure integer arithmetic and machine independent.
+    the harness; it is pure integer arithmetic and machine independent.  A
+    uint64 array of stream ids gives the uint64 array of their keys.
     """
     state = (seed + (stream + 1) * _GAMMA) & _MASK64
     return _mix64(state)
+
+
+# numpy's SeedSequence hash (pool size 4) and PCG64's seeding step, for
+# :meth:`RngStream.children`; ``tests/test_core.py`` checks them against
+# ``np.random.PCG64(key).state``.
+_SEED_BLOCK = 4096
+_MASK32 = 0xFFFFFFFF
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_constants(init: int, mult: int, count: int) -> list[tuple[int, int]]:
+    """The (xor, multiplier) pair of each of ``count`` successive hash steps."""
+    out, const = [], init
+    for _ in range(count):
+        out.append((const, const * mult & _MASK32))
+        const = out[-1][1]
+    return out
+
+
+# 4 entropy words and 12 pool cross-mixes; then 8 output words.
+_MIX_STEPS = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_OUTPUT_STEPS = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _hash32(value: np.ndarray, step: tuple[int, int]) -> np.ndarray:
+    value = (value ^ np.uint32(step[0])) * np.uint32(step[1])
+    return value ^ (value >> np.uint32(16))
+
+
+def _pcg64_states(keys: np.ndarray) -> Iterator[tuple[int, int]]:
+    """The ``(state, inc)`` of ``np.random.PCG64(key)`` for each uint64 key.
+
+    Each key's entropy is its two 32-bit words, zero-padded to the pool of 4
+    (``SeedSequence`` hashes a missing word as 0), hashed for all keys at once
+    in uint32 arrays; ``generate_state(4, uint64)`` gives the words w, and
+    PCG64 sets ``inc = (w2:w3 << 1) | 1`` and ``state = (inc + w0:w1) * MULT
+    + inc`` (mod 2^128).
+    """
+    steps = iter(_MIX_STEPS)
+    zero = np.zeros(keys.shape, dtype=np.uint32)
+    words = [keys.astype(np.uint32), (keys >> np.uint64(32)).astype(np.uint32), zero, zero]
+    pool = [_hash32(w, next(steps)) for w in words]
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                mixed = np.uint32(0xCA01F9DD) * pool[dst] - np.uint32(0x4973F715) * _hash32(
+                    pool[src], next(steps))
+                pool[dst] = mixed ^ (mixed >> np.uint32(16))
+    out = [_hash32(pool[i % 4], step).astype(np.uint64) for i, step in enumerate(_OUTPUT_STEPS)]
+    w = [(out[2 * j] | (out[2 * j + 1] << np.uint64(32))).tolist() for j in range(4)]
+    mask128 = (1 << 128) - 1
+    for w0, w1, w2, w3 in zip(*w):
+        inc = ((w2 << 64 | w3) << 1 | 1) & mask128
+        yield ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & mask128, inc
 
 
 class RngStream:
@@ -99,6 +154,30 @@ class RngStream:
     def child(self, substream: int) -> "RngStream":
         """Derive an independent stream; the parent's key becomes the child seed."""
         return RngStream(derive_stream_key(self.seed, self.stream), substream)
+
+    def children(self, count: int) -> Iterator["RngStream"]:
+        """Yield ``child(0), ..., child(count - 1)`` in order, each drawing
+        exactly what that ``child(t)`` draws.
+
+        The PCG64 states are computed in one array pass per block of children
+        (:func:`_pcg64_states`), and every yielded stream shares one
+        generator, re-seeded through ``bit_generator.state`` as the stream is
+        taken.  So a yielded stream's draws are valid only until the next
+        stream is taken: draw from each before advancing the iterator.
+        """
+        key = derive_stream_key(self.seed, self.stream)
+        bit_gen = np.random.PCG64(0)
+        gen = np.random.Generator(bit_gen)
+        for lo in range(0, count, _SEED_BLOCK):
+            keys = derive_stream_key(key, np.arange(lo, min(lo + _SEED_BLOCK, count),
+                                                    dtype=np.uint64))
+            for t, (state, inc) in zip(range(lo, count), _pcg64_states(keys)):
+                bit_gen.state = {"bit_generator": "PCG64",
+                                 "state": {"state": state, "inc": inc},
+                                 "has_uint32": 0, "uinteger": 0}
+                stream = RngStream.__new__(RngStream)
+                stream.seed, stream.stream, stream.gen = key, t, gen
+                yield stream
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream={self.stream})"

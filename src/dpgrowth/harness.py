@@ -20,7 +20,14 @@ from pathlib import Path
 import numpy as np
 
 from . import epoch_growth, inv_sensitivity, localization
-from .core import Dataset, InvalidInputError, PrivacyParams, RngStream, project
+from .core import (
+    Dataset,
+    InvalidInputError,
+    PrivacyParams,
+    RngStream,
+    derive_stream_key,
+    project,
+)
 from .instances import ProblemInstance, build_instance, has_phase_kernel_loss
 from .mechanisms import DpTestReport, empirical_dp_test
 
@@ -275,8 +282,8 @@ def _execute(specs: list) -> list[TrialRecord]:
     ``ConvergenceError``); each trial then writes the row it writes alone.
     """
     cfg, cell = specs[0][:2]
-    streams = [RngStream(cfg.master_seed, spec[2]) for spec in specs]
-    data_rngs, algo_rngs, start_rngs = zip(*([s.child(i) for i in range(3)] for s in streams))
+    keys = [derive_stream_key(cfg.master_seed, spec[2]) for spec in specs]
+    data_rngs, algo_rngs, start_rngs = zip(*([RngStream(k, i) for i in range(3)] for k in keys))
     t0 = time.perf_counter()
     instance = _build_cell_instance(cfg, cell)
     epoch_i0 = [None] * len(specs)
@@ -590,10 +597,9 @@ def _audit_mechanism(pipeline: str, noise_scale: float, epsilon: float):
 
     def mech(dataset, rng, trials):
         cfg = _audit_config(pipeline, instance, noise_scale, epsilon, dataset.n)
-        # A generator: each stream is dropped once its noise is drawn, so the
-        # audit never holds one numpy Generator per trial at once.
-        streams = (rng.child(t) for t in range(trials))
-        return module.run_trials(loss, dataset, domain, x0, cfg, streams)[:, 0]
+        # run_trials draws each stream's noise before it takes the next, so
+        # the trials' streams can share one re-seeded generator.
+        return module.run_trials(loss, dataset, domain, x0, cfg, rng.children(trials))[:, 0]
 
     return mech
 
@@ -650,8 +656,9 @@ def privacy_audit(
 
     Each chain row runs its ``trials`` outputs per dataset in one
     ``run_trials`` pass, on one child stream per output, so the reports
-    equal those of single ``run`` calls; seeding the streams is most of the
-    cost.
+    equal those of single ``run`` calls.  ``RngStream.children`` seeds the
+    streams: one integer array pass computes their PCG64 states, and one
+    shared generator is re-seeded before each output's draws.
     """
     data, neighbor = _audit_datasets(n)
     sabotage_scales = sabotage_scales or {}

@@ -497,8 +497,9 @@ def run_trials(
     or 1-D power-norm loss; any other loss raises ``InvalidInputError``.  ``data`` is one
     dataset shared by every trial or one per trial, and ``x0`` is one start
     point or one row per trial.  Trial t runs the chain ``run`` describes on its own data
-    and start, with its noise drawn from ``streams[t]``.  Streams are
-    consumed in order, so ``streams`` may be a generator.  ``trace``
+    and start, with its noise drawn from ``streams[t]``.  Each stream's
+    draws are made before the next stream is taken, so ``streams`` may be a
+    generator, ``RngStream.children`` among them.  ``trace``
     collects one ``PhaseRecord`` per phase whose points are ``(trials, d)``
     arrays.
     """

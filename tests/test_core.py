@@ -18,6 +18,7 @@ from dpgrowth.core import (
     verify_growth,
     verify_kl,
 )
+from dpgrowth.core import _SEED_BLOCK, _pcg64_states
 from dpgrowth.instances import make_sharp_growth_1d, make_uniform_convex
 
 
@@ -52,6 +53,32 @@ def test_child_streams_are_independent_of_parent_consumption():
     parent.gen.random(1000)
     child_after = parent.child(4).gen.random(5)
     assert np.array_equal(child_before, child_after)
+
+
+def test_array_seeding_equals_numpy_pcg64_seeding():
+    # Guards the copy of numpy's SeedSequence hash and PCG64 seeding step
+    # that RngStream.children runs on arrays: a numpy change there fails here.
+    edge = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+    drawn = np.random.default_rng(2024).integers(0, 2**64 - 1, 10_000, dtype=np.uint64,
+                                                 endpoint=True)
+    keys = edge + drawn.tolist()
+    got = list(_pcg64_states(np.array(keys, dtype=np.uint64)))
+    want = [np.random.PCG64(k).state["state"] for k in keys]
+    assert got == [(s["state"], s["inc"]) for s in want]
+
+
+@pytest.mark.parametrize("parent", [(0, 0), (7, 3), (2**64 - 1, 5)])
+def test_children_draw_what_child_draws(parent):
+    p = RngStream(*parent)
+    for method in ("laplace", "normal", "random"):
+        batched = [getattr(s.gen, method)(size=7).tolist() for s in p.children(300)]
+        single = [getattr(p.child(t).gen, method)(size=7).tolist() for t in range(300)]
+        assert batched == single
+    for t, s in enumerate(p.children(_SEED_BLOCK + 2)):
+        if t >= _SEED_BLOCK - 2:  # both sides of the first seeding block's end
+            assert (s.seed, s.stream) == (p.child(t).seed, t)
+            assert np.array_equal(s.gen.normal(size=3), p.child(t).gen.normal(size=3))
+    assert list(p.children(0)) == []
 
 
 # ---------------------------------------------------------------------------
