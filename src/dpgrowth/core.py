@@ -210,14 +210,6 @@ class Dataset:
     def sample_dim(self) -> int:
         return self.samples.shape[1]
 
-    def block(self, index: int, size: int) -> "Dataset":
-        """Contiguous block ``[index*size, (index+1)*size)`` as a view."""
-        lo = index * size
-        hi = lo + size
-        if lo < 0 or hi > self.n:
-            raise InvalidInputError(f"block [{lo}, {hi}) out of range for n={self.n}")
-        return Dataset(self.samples[lo:hi])
-
     def replaced(self, index: int, value: np.ndarray) -> "Dataset":
         """Copy with sample ``index`` replaced (a Hamming-1 neighbor)."""
         out = self.samples.copy()
@@ -332,9 +324,6 @@ class Domain:
         lo = max(float(c[0]) - r for c, r in self.balls())
         hi = min(float(c[0]) + r for c, r in self.balls())
         return lo, hi
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        return project(self, x)
 
 
 def _ball_project(x: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:

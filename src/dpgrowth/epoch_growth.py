@@ -179,30 +179,14 @@ def run(
     localization chain on block i with step eta_i, and adopts its output.
     Disjoint blocks keep the total budget at the per-epoch (epsilon, delta).
     ``trace`` collects one ``EpochRecord`` per epoch; ``phase_trace`` collects
-    the inner chains' ``PhaseRecord`` entries, epoch after epoch.  An
-    isotropic-quadratic, separable-absolute or 1-D power-norm loss runs
+    the inner chains' ``PhaseRecord`` entries, epoch after epoch.  This is
     ``run_trials`` as one trial on ``rng``.
     """
-    if localization._runs_phase_kernel(loss):
-        records, phases = ([] if t is not None else None for t in (trace, phase_trace))
-        x = run_trials(loss, data, domain, x0, cfg, (rng,), records, phases)[0]
-        for out, batch in ((trace, records), (phase_trace, phases)):
-            if out is not None:
-                out += localization._first_trial(batch)
-        return x
-    n0, inner_k, x = _start(data, domain, x0, cfg)
-    for i, radius, eta_i, inner_cfg in _epochs(cfg, n0, inner_k):
-        if inner_cfg is None:
-            if trace is not None:
-                trace.append(EpochRecord(i, x.copy(), radius, eta_i, x.copy(), frozen=True))
-            continue
-        region = Domain(x, radius, parent=domain)
-        x_next = localization.run(
-            loss, data.block(i, n0), region, x, inner_cfg, rng, trace=phase_trace
-        )
-        if trace is not None:
-            trace.append(EpochRecord(i, x.copy(), radius, eta_i, x_next.copy()))
-        x = x_next
+    records, phases = ([] if t is not None else None for t in (trace, phase_trace))
+    x = run_trials(loss, data, domain, x0, cfg, (rng,), records, phases)[0]
+    for out, batch in ((trace, records), (phase_trace, phases)):
+        if out is not None:
+            out += localization._first_trial(batch)
     return x
 
 

@@ -28,7 +28,7 @@ from .core import (
     derive_stream_key,
     project,
 )
-from .instances import ProblemInstance, build_instance, has_phase_kernel_loss
+from .instances import ProblemInstance, build_instance
 from .mechanisms import DpTestReport, empirical_dp_test
 
 __all__ = [
@@ -246,18 +246,9 @@ def _chain_config(algorithm: str, instance: ProblemInstance, n: int, d: int, bet
     )
 
 
-# A batched cell holds its trials' datasets at once; larger cells run in
+# A chain cell holds its trials' datasets at once; larger cells run in
 # batches of about this many sample values (n * d per trial) in all.
 _BATCH_SAMPLES = 2**22
-
-
-def _batches(cfg: ExperimentConfig, cell: dict) -> bool:
-    """Whether a cell runs in batches: a chain cell whose loss the phase
-    kernel runs.  Read from the config, so no instance is built outside a
-    trial."""
-    return cfg.algorithm in _CHAINS and has_phase_kernel_loss(
-        cfg.instance_name, **{**cfg.instance_params, "d": cell["d"]}
-    )
 
 
 def _execute_trial(args) -> TrialRecord:
@@ -267,12 +258,12 @@ def _execute_trial(args) -> TrialRecord:
 
 def _execute_cell(specs: list) -> list[TrialRecord]:
     """One unit of sweep work: a single trial, or a batch of trials of a
-    cell that ``_batches``."""
+    chain cell."""
     return [_execute_trial(specs[0])] if len(specs) == 1 else _execute(specs)
 
 
 def _execute(specs: list) -> list[TrialRecord]:
-    """Run trials of one cell; several trials run in one ``run_trials`` call.
+    """Run trials of one cell; a chain cell's trials run in one ``run_trials`` call.
 
     Each trial keeps its own streams, data and start point, so a batched
     record equals ``_execute_trial``'s apart from ``wall_ms``: that is the
@@ -302,11 +293,7 @@ def _execute(specs: list) -> list[TrialRecord]:
             )
             module = _CHAINS[cfg.algorithm][0]
             trace = [] if cfg.algorithm == "epoch_growth" else None
-            if len(specs) > 1:
-                x_out = module.run_trials(loss, data, domain, np.array(x0), run_cfg, algo_rngs,
-                                          trace)
-            else:
-                x_out = [module.run(loss, data[0], domain, x0[0], run_cfg, algo_rngs[0], trace)]
+            x_out = module.run_trials(loss, data, domain, np.array(x0), run_cfg, algo_rngs, trace)
             if trace is not None:
                 epoch_i0 = epoch_growth.indices_in_region(trace, instance.xstar)
         elif cfg.algorithm == "inv_sensitivity":
@@ -363,12 +350,12 @@ def run_sweep(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg_hash = cfg.config_hash()
-    # A unit of work is one trial, or the trials of a cell that batches, as
-    # many as hold about _BATCH_SAMPLES sample values between them.
+    # A unit of work is one trial, or a chain cell's trials, as many as hold
+    # about _BATCH_SAMPLES sample values between them.
     units = []
     for index, cell in enumerate(cfg.cells()):
         specs = [(cfg, cell, index * cfg.seeds + s, s, cfg_hash) for s in range(cfg.seeds)]
-        size = max(1, _BATCH_SAMPLES // (cell["n"] * cell["d"])) if _batches(cfg, cell) else 1
+        size = max(1, _BATCH_SAMPLES // (cell["n"] * cell["d"])) if cfg.algorithm in _CHAINS else 1
         units += [specs[i : i + size] for i in range(0, len(specs), size)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -559,7 +546,7 @@ def _audit_config(pipeline: str, instance: ProblemInstance, noise_scale: float,
 
 
 # Phase-chain pipelines: the module whose ``run`` (one trial) and
-# ``run_trials`` (the audit's or a batched sweep cell's trials at once)
+# ``run_trials`` (the audit's or a chain sweep cell's trials at once)
 # execute the chain, and the ``run`` keyword that collects PhaseRecords.
 _CHAINS = {"localization": (localization, "trace"), "epoch_growth": (epoch_growth, "phase_trace")}
 

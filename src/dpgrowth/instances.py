@@ -42,7 +42,6 @@ __all__ = [
     "make_knorm_regression",
     "make_pure_convex",
     "build_instance",
-    "has_phase_kernel_loss",
     "SHIPPED_INSTANCES",
 ]
 
@@ -680,16 +679,6 @@ def build_instance(name: str, **params) -> ProblemInstance:
     except TypeError as exc:
         raise InvalidInputError(f"instance {name!r}: {exc}") from None
     return _BUILDERS[name](**params)
-
-
-def has_phase_kernel_loss(name: str, **params) -> bool:
-    """Whether ``build_instance(name, **params)`` has a loss that the phase
-    kernel runs (an isotropic quadratic, a separable absolute loss, or a 1-D
-    power norm), read from the parameters without building the instance:
-    ``pure_convex`` always, ``uniform_convex`` in d = 1 or at kappa = 2."""
-    return name == "pure_convex" or (
-        name == "uniform_convex" and (params.get("d") == 1 or params.get("kappa") == 2)
-    )
 
 
 # Canonical parameterizations shipped with the package; the certification

@@ -39,7 +39,7 @@ _TOL_FLOOR_FACTOR = 1e-13
 # How far outside the domain a start point may lie.
 _START_TOL = 1e-9
 
-# Iteration budget of each phase's generic solve.
+# Iteration budget of every ``erm.solve`` call a phase makes.
 MAX_SOLVER_ITERS = 200_000
 
 
@@ -162,16 +162,6 @@ def _phase_tol(sensitivity: float, sigma: float, tol_floor: float) -> float:
     return max(min(sensitivity, sigma) / 100.0, tol_floor)
 
 
-def _runs_phase_kernel(loss: LossOracle) -> bool:
-    """Whether the chain runs in the phase kernel ``_chain_trials``: a loss
-    with an isotropic-quadratic or separable-absolute hint, or a 1-D loss
-    with a power-norm hint."""
-    st = loss.structure
-    return isinstance(st, (IsotropicQuadratic, SeparableAbsolute)) or (
-        loss.point_dim == 1 and isinstance(st, PowerNorm)
-    )
-
-
 def _first_trial(records: list) -> list:
     """A one-trial ``run_trials`` trace as ``run`` records it: each array
     field holds the trial's point instead of a row per trial."""
@@ -198,36 +188,12 @@ def run(
     eta_i = 2^{-4i} eta, then adds iid Laplace (pure mode) or isotropic
     Gaussian (approximate mode) noise and projects back onto ``domain``.
     Each sample is consumed by exactly one phase; leftover samples beyond
-    k * n0 are discarded.  An isotropic-quadratic, separable-absolute or
-    1-D power-norm loss runs the phase kernel of ``run_trials`` as one trial
-    on ``rng``.
+    k * n0 are discarded.  This is ``run_trials`` as one trial on ``rng``.
     """
-    if _runs_phase_kernel(loss):
-        records = None if trace is None else []
-        x = run_trials(loss, data, domain, x0, cfg, (rng,), records)[0]
-        if trace is not None:
-            trace += _first_trial(records)
-        return x
-    x = _start(data, domain, x0, cfg)
-    L = loss.lipschitz
-    d = loss.point_dim
-    tol_floor = _tol_floor(L, domain)
-    draw = mechanisms.noise_draw(cfg.privacy, rng)
-    for i, eta_i, radius, lam, sensitivity, sigma, sigma_used in _schedule(cfg, L, d):
-        region = Domain(x, radius, parent=domain)
-        problem = erm.RegularizedProblem(
-            loss=loss,
-            batch=data.block(i - 1, cfg.n0),
-            anchor=x,
-            reg_weight=lam,
-            domain=region,
-        )
-        tol = _phase_tol(sensitivity, sigma, tol_floor)
-        x_hat = erm.solve(problem, tol=tol, max_iters=MAX_SOLVER_ITERS)
-        noise = draw(0.0, sigma_used, size=d) if sigma_used > 0 else np.zeros(d)
-        x = domain.project(x_hat + noise)
-        if trace is not None:
-            trace.append(PhaseRecord(i, eta_i, radius, sigma_used, x_hat, x))
+    records = None if trace is None else []
+    x = run_trials(loss, data, domain, x0, cfg, (rng,), records)[0]
+    if trace is not None:
+        trace += _first_trial(records)
     return x
 
 
@@ -243,14 +209,10 @@ def _block_means(samples: np.ndarray, cfg: LocalizationConfig, linear=None) -> n
 
 
 def _trial_inputs(loss: LossOracle, data, x0, check) -> tuple:
-    """Check a ``run_trials`` call's loss, datasets and starts.  Return the
+    """Check a ``run_trials`` call's datasets and starts.  Return the
     datasets as a list (one shared by every trial, or one per trial), the
     starts as rows of a 2-D array, and what ``check(dataset, start)``
     returns."""
-    if not _runs_phase_kernel(loss):
-        raise InvalidInputError(
-            "run_trials needs an isotropic-quadratic, separable-absolute or 1-D power-norm loss"
-        )
     datasets = [data] if isinstance(data, Dataset) else list(data)
     if len({ds.n for ds in datasets}) != 1:
         raise InvalidInputError("the trials' datasets must share one size")
@@ -390,21 +352,24 @@ def _chain_trials(loss, samples, cfg, schedule, x, domain, z, epoch=None, trace=
     A 1-D isotropic-quadratic phase is closed form: every trust region is an
     interval, the constrained minimizer is the clamped stationary point, and
     a clamp takes the noised point back into the domain.  Every other phase
-    makes the checks and steps of ``run``'s phase on arrays: the anchor
-    check, ``erm.solve``'s regularizer-dominance shortcut, the noise, and the
-    test for a point inside its region; at d >= 2 also the quadratic's
-    closed form and its certificate, and for a separable absolute loss the
-    coordinatewise minimizers of every trial's sorted breakpoints and their
+    makes its checks and steps on arrays: the anchor check, ``erm.solve``'s
+    regularizer-dominance shortcut, the noise, and the test for a point
+    inside its region; at d >= 2 also the quadratic's closed form and its
+    certificate, and for a separable absolute loss the coordinatewise
+    minimizers of every trial's sorted breakpoints and their
     subdifferential-interval certificate.  Only the rare branches run one
     trial at a time: a point outside its region goes through
     ``core.project``, a separable minimizer outside its region or a failed
-    certificate through ``erm.solve``.  A power-norm phase's bisection and
-    certificate run per trial too, in Python floats.
+    certificate through ``erm.solve``.  A 1-D power-norm phase's bisection
+    and certificate run per trial too, in Python floats.  A loss with no
+    closed form here (no solver hint, or a power norm at d >= 2) solves each
+    trial's phase with ``erm.solve`` unless the regularizer dominates.
     """
     st = loss.structure
     d = x.shape[1]
     clamp = d == 1 and isinstance(st, IsotropicQuadratic)
-    if not isinstance(st, SeparableAbsolute):
+    power = d == 1 and isinstance(st, PowerNorm)
+    if isinstance(st, IsotropicQuadratic) or power:
         qbar = _block_means(samples, cfg, st.linear)
         if not clamp:
             gbar = st.linear(_block_means(samples, cfg))
@@ -456,16 +421,19 @@ def _chain_trials(loss, samples, cfg, schedule, x, domain, z, epoch=None, trace=
             elif isinstance(st, SeparableAbsolute):
                 block = samples[:, (i - 1) * cfg.n0 : i * cfg.n0]
                 x_hat = _separable_phase(st, lam, tol, x, block, [(x, radius_i)] + balls, problem)
-            elif isinstance(st, PowerNorm):
+            elif power:
                 x_hat = _power_norm_phase(
                     st, lam, tol, x, lo, hi, np.broadcast_to(qbar[i - 1], x.shape),
                     np.broadcast_to(gbar[i - 1], x.shape), problem,
                 )
-            else:
+            elif isinstance(st, IsotropicQuadratic):
                 x_hat = _quadratic_phase(
                     st, lam, tol, x, qbar[i - 1], gbar[i - 1], [(x, radius_i)] + balls, region,
                     problem,
                 )
+            else:
+                x_hat = np.array([erm.solve(problem(t), tol=tol, max_iters=MAX_SOLVER_ITERS)
+                                  for t in range(len(x))])
         if sigma_used > 0:
             noise = z[:, col] * sigma_used
             col += 1
@@ -493,11 +461,10 @@ def run_trials(
     """Run the chain once per stream, all trials at once, and return one
     output row per stream.
 
-    This is the phase kernel of an isotropic-quadratic, separable-absolute
-    or 1-D power-norm loss; any other loss raises ``InvalidInputError``.  ``data`` is one
-    dataset shared by every trial or one per trial, and ``x0`` is one start
-    point or one row per trial.  Trial t runs the chain ``run`` describes on its own data
-    and start, with its noise drawn from ``streams[t]``.  Each stream's
+    ``data`` is one dataset shared by every trial or one per trial, and
+    ``x0`` is one start point or one row per trial.  Trial t runs the chain
+    ``run`` describes on its own data and start, in the phase kernel
+    ``_chain_trials``, with its noise drawn from ``streams[t]``.  Each stream's
     draws are made before the next stream is taken, so ``streams`` may be a
     generator, ``RngStream.children`` among them.  ``trace``
     collects one ``PhaseRecord`` per phase whose points are ``(trials, d)``

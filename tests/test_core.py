@@ -86,15 +86,6 @@ def test_children_draw_what_child_draws(parent):
 # ---------------------------------------------------------------------------
 
 
-def test_dataset_blocks_cover_disjoint_ranges():
-    data = Dataset(np.arange(10.0))
-    blocks = [data.block(i, 3) for i in range(3)]
-    seen = np.concatenate([b.samples.ravel() for b in blocks])
-    assert np.array_equal(seen, np.arange(9.0))
-    with pytest.raises(InvalidInputError):
-        data.block(3, 3).block(1, 1)
-
-
 def test_dataset_replace_is_hamming_one():
     data = Dataset(np.arange(6.0))
     neighbor = data.replaced(2, np.array([9.0]))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dpgrowth.core import Dataset, InvalidInputError, RngStream, probe_points
+from dpgrowth.core import Dataset, InvalidInputError, RngStream, probe_points, project
 from dpgrowth.instances import (
     SHIPPED_INSTANCES,
     build_instance,
@@ -256,7 +256,7 @@ def test_empirical_min_is_a_minimum_on_probes():
         assert inst.emp_value(xmin, data) == pytest.approx(fmin, abs=1e-12)
         d = inst.domain.dim
         for t in range(50):
-            probe = inst.domain.project(rng.gen.uniform(-1, 1, d))
+            probe = project(inst.domain, rng.gen.uniform(-1, 1, d))
             assert inst.emp_value(probe, data) >= fmin - 1e-9
 
 

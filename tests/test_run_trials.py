@@ -2,33 +2,34 @@
 batched sweep cells against trial-by-trial execution.
 
 ``localization.run_trials`` and ``epoch_growth.run_trials`` run the one
-phase kernel over many trials at once, and ``run`` on an isotropic-quadratic,
-separable-absolute or 1-D power-norm loss runs it as a single trial.  Both
-are checked bit for bit against outputs recorded before the kernel took over
-these losses: from the Python-float scalar chain for the 1-D quadratic, and
-from the generic per-phase loop (``erm.solve`` and ``core.project``) for 1-D
-power norms at kappa 3 and 4, for the quadratic at d = 2 and d = 4, and for
-pure_convex's separable absolute loss at d = 1 and d = 4.  The pins are
-``float.hex`` of the first streams' outputs per case, and digests of all 200
-outputs of the power-norm, d >= 2 quadratic and separable cases and of each
-audit mechanism.  The cases cover pure, approximate (delta = 1e-6) and
-conservative-Gaussian budgets, noise scales 1, 0.5 and 0, the audit's own
+phase kernel over many trials at once, and ``run`` runs it as a single
+trial, for every loss.  Both are checked bit for bit against outputs
+recorded before the kernel took over each loss: from the Python-float
+scalar chain for the 1-D quadratic, and from the generic per-phase loop
+(``erm.solve`` and ``core.project``) for 1-D power norms at kappa 3 and 4,
+for the quadratic at d = 2 and d = 4, for pure_convex's separable absolute
+loss at d = 1 and d = 4, and for the losses with no kernel phase of their
+own (sharp_growth, knorm_regression at d = 1 and d = 2, and the power norm
+at d = 2).  The pins are ``float.hex`` of the first streams' outputs per
+case, and digests of all 200 outputs of the power-norm, d >= 2 quadratic
+and separable cases, of the first four streams of the hintless cases, and
+of each audit mechanism.  The cases cover pure, approximate (delta = 1e-6)
+and conservative-Gaussian budgets, noise scales 1, 0.5 and 0, the audit's own
 configs on both audit datasets, an epoch schedule with frozen epochs, and
 ones whose noise reaches the trust regions.  Power-norm, d >= 2 quadratic
 and separable phases are also checked against ``erm.solve`` on their own
 problems, phase by phase, and the kernel's row norms against
 ``np.linalg.norm``.
 
-A sweep cell of a kernel chain runs in ``run_trials`` batches with
-per-trial data and starts; it must write the rows of a trial-by-trial run,
-also when one trial's solve raises, and a sweep's CSV must depend neither
-on ``--jobs`` nor on the batch size.
+A chain's sweep cell runs in ``run_trials`` batches with per-trial data
+and starts; it must write the rows of a trial-by-trial run, also when one
+trial's solve raises, and a sweep's CSV must depend neither on ``--jobs``
+nor on the batch size.
 """
 import dataclasses
 import hashlib
 import math
 from itertools import islice
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -268,6 +269,133 @@ PINNED_ABS = {
         "80fe59719c1ec8ae", ()),
 }
 
+# Outputs of ``run`` on the losses without a kernel phase (no solver hint,
+# or a power norm at d = 2), recorded from the generic per-phase loop:
+# float.hex of the first stream's output and a sha256 prefix of the outputs
+# of the first ``GENERIC_STREAMS`` streams of ``_streams(101)``.
+PINNED_GENERIC = {
+    ('epoch_growth', 'knorm-d1-k2', 'gaussian'): (
+        ('0x1.c48ea0fd260b0p-1',),
+        '590094440a964c72'),
+    ('epoch_growth', 'knorm-d1-k2', 'noiseless'): (
+        ('0x1.c9de8857252fcp-1',),
+        '613fd55434ba5e50'),
+    ('epoch_growth', 'knorm-d1-k2', 'small-eps'): (
+        ('0x1.b7553a9c15fbbp-1',),
+        '520b9049af454041'),
+    ('epoch_growth', 'knorm-d1-k2', 'zero'): (
+        ('0x1.c9de881ce63d3p-1',),
+        '5367076ed7c90de8'),
+    ('epoch_growth', 'knorm-d2-k4', 'gaussian'): (
+        ('0x1.aee55a57b4f8fp-1', '0x1.4035d4af0a727p-6'),
+        '1e3828aec22b3c7d'),
+    ('epoch_growth', 'knorm-d2-k4', 'noiseless'): (
+        ('0x1.cc69e483bb67ep-1', '0x1.3f19d1bcfec2cp-13'),
+        'e5bcc80f7dab7a31'),
+    ('epoch_growth', 'knorm-d2-k4', 'small-eps'): (
+        ('0x1.fab9b4be71885p-2', '0x1.425219a91a012p-1'),
+        '10e3d513a90cd398'),
+    ('epoch_growth', 'knorm-d2-k4', 'zero'): (
+        ('0x1.cc69e4086c92cp-1', '0x1.3f0a12f5175c8p-13'),
+        'e3c97ee8d52aef46'),
+    ('epoch_growth', 'sharp-1.5', 'gaussian'): (
+        ('0x1.c3e376fc8c620p-1',),
+        '3eb7b3b91b6ded92'),
+    ('epoch_growth', 'sharp-1.5', 'noiseless'): (
+        ('0x1.c92fa71400f8cp-1',),
+        'f6c164d82de774c8'),
+    ('epoch_growth', 'sharp-1.5', 'small-eps'): (
+        ('0x1.cb7f40647f03bp-1',),
+        '0b73b38c95548e63'),
+    ('epoch_growth', 'sharp-1.5', 'zero'): (
+        ('0x1.c92fa6bb2b9dap-1',),
+        '159dbbca6313f819'),
+    ('epoch_growth', 'sharp-2-neg', 'gaussian'): (
+        ('0x1.c41a4ae1c1d4ap-1',),
+        'eecc0112d056ed6d'),
+    ('epoch_growth', 'sharp-2-neg', 'noiseless'): (
+        ('0x1.c969fe38f6a8cp-1',),
+        '655113a3873b8391'),
+    ('epoch_growth', 'sharp-2-neg', 'small-eps'): (
+        ('0x1.cc06af2cf3a3fp-1',),
+        '8e36382611068246'),
+    ('epoch_growth', 'sharp-2-neg', 'zero'): (
+        ('0x1.c969fe1909656p-1',),
+        'cb7eac17b03f8046'),
+    ('epoch_growth', 'uniform-d2-k3', 'gaussian'): (
+        ('0x1.ad695bc6d2e47p-1', '0x1.471fc450267e3p-6'),
+        'e29bb774959a4b5d'),
+    ('epoch_growth', 'uniform-d2-k3', 'noiseless'): (
+        ('0x1.c9ff3a2d9e7cep-1', '0x1.c4082f670d145p-11'),
+        '273dd491152323e0'),
+    ('epoch_growth', 'uniform-d2-k3', 'small-eps'): (
+        ('0x1.ca1115402551ap-2', '0x1.c427f571b3b53p-1'),
+        '262689ca003ecf7f'),
+    ('epoch_growth', 'uniform-d2-k3', 'zero'): (
+        ('0x1.c9ff39b2cff17p-1', '0x1.c404401a09aa7p-11'),
+        '26ce63a5c7c7d23f'),
+    ('localization', 'knorm-d1-k2', 'gaussian'): (
+        ('0x1.8c537ce3e6b43p-1',),
+        'f32b19a74d2970a5'),
+    ('localization', 'knorm-d1-k2', 'noiseless'): (
+        ('0x1.c1d02cccc7169p-1',),
+        'b73774733385bd2a'),
+    ('localization', 'knorm-d1-k2', 'small-eps'): (
+        ('0x1.fff41e80e8b64p-1',),
+        '8cc93046743a9f1c'),
+    ('localization', 'knorm-d1-k2', 'zero'): (
+        ('0x1.c1d02c6070707p-1',),
+        '62a2574bbdd24dde'),
+    ('localization', 'knorm-d2-k4', 'gaussian'): (
+        ('0x1.98c5bda5a8a6fp-1', '0x1.f5875a4905f69p-6'),
+        '8d6ee6ea6ec4faf4'),
+    ('localization', 'knorm-d2-k4', 'noiseless'): (
+        ('0x1.cb18560293759p-1', '0x1.9c408c1866d66p-12'),
+        '5502eb8d12dfd57a'),
+    ('localization', 'knorm-d2-k4', 'small-eps'): (
+        ('0x1.2fa931555db75p-1', '0x1.724d4b52fc77fp-1'),
+        '270e42023357eda7'),
+    ('localization', 'knorm-d2-k4', 'zero'): (
+        ('0x1.cb18556737119p-1', '0x1.9c3d2beff9f12p-12'),
+        '5c7d5fa6dc3562a9'),
+    ('localization', 'sharp-1.5', 'gaussian'): (
+        ('0x1.884dda4b3db62p-1',),
+        'afcd77ed3ba1f1ba'),
+    ('localization', 'sharp-1.5', 'noiseless'): (
+        ('0x1.bdde5cd9d4345p-1',),
+        '88d5a54d4ccd782b'),
+    ('localization', 'sharp-1.5', 'small-eps'): (
+        ('0x1.fff5f1a3c12a3p-1',),
+        '42a39d8dcc57c2b7'),
+    ('localization', 'sharp-1.5', 'zero'): (
+        ('0x1.bdde5c6d5701bp-1',),
+        '5d02fbc4f1785adc'),
+    ('localization', 'sharp-2-neg', 'gaussian'): (
+        ('0x1.8a368bd1f623dp-1',),
+        'eb6c8ec4bc06b22c'),
+    ('localization', 'sharp-2-neg', 'noiseless'): (
+        ('0x1.bfc5d00a7e73ep-1',),
+        'f6ed240f70a46192'),
+    ('localization', 'sharp-2-neg', 'small-eps'): (
+        ('0x1.fff6b450240e0p-1',),
+        'e036b90449605797'),
+    ('localization', 'sharp-2-neg', 'zero'): (
+        ('0x1.bfc5cf9465702p-1',),
+        '8897d39b3a822c23'),
+    ('localization', 'uniform-d2-k3', 'gaussian'): (
+        ('0x1.945789aa44f34p-1', '0x1.c86b352c65573p-6'),
+        '5b5c9510ea180570'),
+    ('localization', 'uniform-d2-k3', 'noiseless'): (
+        ('0x1.c68687c5a5c9ap-1', '-0x1.3b783f9313d62p-9'),
+        'e2584e4af2e63846'),
+    ('localization', 'uniform-d2-k3', 'small-eps'): (
+        ('0x1.4717c3e544ac3p-1', '0x1.6f2efdacbe107p-1'),
+        '4ad375c7b36ed334'),
+    ('localization', 'uniform-d2-k3', 'zero'): (
+        ('0x1.c685f167af42ap-1', '-0x1.3b8974f34ab5ap-9'),
+        '51e50e8c8c890f79'),
+}
+
 # sha256 prefixes of the audit mechanism"s 200 outputs on each audit dataset,
 # recorded from per-trial runs of the scalar chain.
 PINNED_AUDIT = {
@@ -482,6 +610,42 @@ def test_separable_chains_match_pinned_outputs(pipeline, d, budget, monkeypatch)
             module.run(inst.loss, data, domain, x0, cfg, s)
     if budget == "small-eps":
         assert min(fallbacks.values()) > 0, fallbacks
+
+
+GENERIC = {
+    "knorm-d1-k2": ("knorm_regression", dict(d=1, kappa=2, R=1.0)),
+    "knorm-d2-k4": ("knorm_regression", dict(d=2, kappa=4, R=1.0)),
+    "sharp-1.5": ("sharp_growth", dict(kappa=1.5, bias_delta=0.25)),
+    "sharp-2-neg": ("sharp_growth", dict(kappa=2.0, bias_delta=0.5, v=-1)),
+    "uniform-d2-k3": ("uniform_convex", dict(d=2, kappa=3, lam=0.5, L=4.0, R=1.0,
+                                              bias_delta=0.2)),
+}
+GENERIC_STREAMS = 4
+
+
+@pytest.mark.parametrize("budget", sorted(BUDGETS))
+@pytest.mark.parametrize("case", sorted(GENERIC))
+@pytest.mark.parametrize("pipeline", sorted(MODULES))
+def test_hintless_chains_match_pinned_outputs(pipeline, case, budget):
+    # The losses with no kernel phase of their own: each phase takes the
+    # regularizer-dominance shortcut or solves every trial with erm.solve.
+    name, params = GENERIC[case]
+    inst = build_instance(name, **params)
+    d = inst.domain.dim
+    n = 128
+    data = inst.draw(n, RngStream(100, 0))
+    x0 = np.zeros(d)
+    x0[0] = 0.9
+    cfg = _budget_config(pipeline, inst, n, budget)
+    module = MODULES[pipeline]
+    first, digest = PINNED_GENERIC[(pipeline, case, budget)]
+    got = module.run_trials(inst.loss, data, inst.domain, x0, cfg,
+                            islice(_streams(101), GENERIC_STREAMS))
+    assert got.shape == (GENERIC_STREAMS, d)
+    assert tuple(float(v).hex() for v in got[0]) == first
+    assert hashlib.sha256(got.tobytes()).hexdigest()[:16] == digest
+    single = module.run(inst.loss, data, inst.domain, x0, cfg, next(_streams(101)))
+    assert single.tobytes() == got[0].tobytes()
 
 
 def test_row_norms_equal_numpy_norm_row_for_row():
@@ -844,23 +1008,10 @@ def test_epoch_run_trials_clamps_to_each_trials_region():
 
 
 @pytest.mark.parametrize("pipeline", sorted(MODULES))
-def test_run_trials_rejects_other_losses_and_bad_inputs(pipeline):
+def test_run_trials_rejects_bad_inputs(pipeline):
     module = MODULES[pipeline]
     privacy = PrivacyParams(1.0)
-    # A power norm at d = 2, and losses without a solver hint.
-    others = [
-        build_instance("uniform_convex", d=2, kappa=3, lam=0.5, L=4.0, R=1.0, bias_delta=0.2),
-        build_instance("sharp_growth", kappa=1.5, bias_delta=0.25),
-        build_instance("knorm_regression", d=2, kappa=4, R=1.0),
-    ]
-    for other in others:
-        d = other.domain.dim
-        data_d = other.draw(64, RngStream(65, d))
-        cfg_d = _config(pipeline, other, 64, privacy, False, 1.0)
-        with pytest.raises(InvalidInputError):
-            module.run_trials(other.loss, data_d, other.domain, np.zeros(d), cfg_d,
-                              _streams(66))
-    # The input checks of ``run`` hold too: x0 outside the domain, too few samples.
+    # x0 outside the domain, too few samples.
     quad = _quad_instance()
     data = quad.draw(64, RngStream(65, 2))
     cfg = _config(pipeline, quad, 64, privacy, False, 1.0)
@@ -913,7 +1064,7 @@ epsilon = 1.0
 kappa_lower = 3.0
 """
 
-# Sweep cells that batch, as changes to the config above: both chains with
+# Sweep cells, as changes to the config above: both chains with
 # distinct random starts, an approximate budget, frozen epochs (T = 100 at
 # kappa_lower = 1.2, n = 1024), a cell too small for its epochs, whose
 # every trial records the error, and both chains on the kappa = 4 power
@@ -921,9 +1072,11 @@ kappa_lower = 3.0
 # on the d = 4 quadratic, the epoch one also at an approximate budget, and
 # on pure_convex's separable absolute loss: localization at d = 4, as the
 # priv_pure sweep runs it, and epochs at d = 1, noisy, and at d = 4 with an
-# approximate budget.  The starts are close enough to the minimizer, and at
-# d = 1 the noise large enough, that the trials' epoch_i0 differ; at d = 4
-# each trial's epoch_i0 is read from its own centers.
+# approximate budget, and losses whose phases erm.solve solves: localization
+# on sharp_growth, and epochs on the d = 2 knorm regression.  The starts are
+# close enough to the minimizer, and at d = 1 the noise large enough, that
+# the trials' epoch_i0 differ; at d >= 2 each trial's epoch_i0 is read from
+# its own centers.
 KAPPA4 = dict(kappa=4, lam=0.25, L=2.0, R=1.0, bias_delta=0.1)
 ABS = dict(instance_name="pure_convex", instance_params=dict(L=1.0, R=1.0))
 CELLS = {
@@ -942,6 +1095,10 @@ CELLS = {
         sweep_n=(1024,), kappa_lower=1.2, sweep_epsilon=(1e6,), x0_offset=0.001
     ),
     "epoch-too-small": dict(sweep_n=(8,), kappa_lower=1.5),
+    "localization-sharp": dict(algorithm="localization", instance_name="sharp_growth",
+                               instance_params=dict(kappa=1.5, bias_delta=0.25)),
+    "epoch-knorm-d2": dict(instance_name="knorm_regression", instance_params=dict(kappa=4, R=1.0),
+                           sweep_d=(2,)),
 }
 CSV_INDEX = {col: i for i, col in enumerate(harness.CSV_COLUMNS)}
 
@@ -963,7 +1120,6 @@ def _rows(records):
 def test_batched_sweep_cell_matches_per_trial_execution(tmp_path, case):
     cfg = _sweep_config(tmp_path, **CELLS[case])
     (cell,) = cfg.cells()
-    assert harness._batches(cfg, cell)
     specs = [(cfg, cell, 40 + s, s, cfg.config_hash()) for s in range(cfg.seeds)]
     batched = _rows(harness._execute_cell(specs))
     assert batched == _rows([harness._execute_trial(spec) for spec in specs])
@@ -1097,50 +1253,17 @@ def test_negative_excess_is_recorded_as_an_error(tmp_path, monkeypatch):
         assert rec.error.endswith(" pop=-1.000e+00")
 
 
-def test_batches_agrees_with_the_built_instances_loss(tmp_path):
-    # ``_batches`` reads the config and builds no instance; a cell batches
-    # exactly when its chain has an isotropic-quadratic, separable-absolute
-    # or 1-D power-norm loss.
-    configs = [
-        harness.load_config(path)
-        for path in sorted((Path(__file__).parents[1] / "configs").glob("acceptance_*.ini"))
-        if path.stem != "acceptance_audit"
-    ]
-    configs += [
-        _sweep_config(tmp_path, sweep_d=(1, 2)),
-        _sweep_config(tmp_path, algorithm="localization", sweep_d=(1, 3)),
-        _sweep_config(tmp_path, algorithm="erm_oracle"),
-        _sweep_config(tmp_path, instance_params=dict(kappa=4, lam=1.0, L=16.0, R=1.0)),
-        _sweep_config(tmp_path, instance_params=dict(kappa=2.0, lam=1.0, L=4.0, R=1.0)),
-        _sweep_config(tmp_path, instance_params=dict(kappa=3, lam=0.5, L=2.0, R=1.0)),
-        _sweep_config(tmp_path, algorithm="localization", instance_params=KAPPA4,
-                      sweep_d=(1, 2)),
-        _sweep_config(tmp_path, instance_name="pure_convex", instance_params=dict(L=1.0, R=1.0)),
-        _sweep_config(tmp_path, instance_name="sharp_growth",
-                      instance_params=dict(kappa=2.0, bias_delta=0.1)),
-        _sweep_config(tmp_path, algorithm="localization", instance_name="sharp_growth",
-                      instance_params=dict(kappa=1.5, bias_delta=0.25)),
-    ]
-    decisions = []
-    for cfg in configs:
-        for cell in cfg.cells():
-            loss = harness._build_cell_instance(cfg, cell).loss
-            kernel = cfg.algorithm in MODULES and localization._runs_phase_kernel(loss)
-            assert harness._batches(cfg, cell) == kernel
-            decisions.append(kernel)
-    assert True in decisions and False in decisions
-
-
 def test_sweep_csv_is_independent_of_jobs_and_batch_size(tmp_path, monkeypatch):
-    # kappa = 3: d = 1 cells batch and d = 2 cells run trial by trial,
-    # interleaved.
+    # kappa = 3: d = 1 cells run the 1-D power-norm phase and d = 2 cells
+    # solve every phase with erm.solve, interleaved.
     cfg = _sweep_config(tmp_path, sweep_n=(128, 256), sweep_d=(1, 2), seeds=3,
                         instance_params=dict(kappa=3, lam=0.5, L=4.0, R=1.0, bias_delta=0.1))
-    assert [harness._batches(cfg, cell) for cell in cfg.cells()] == [True, False] * 2
+    assert [(cell["n"], cell["d"]) for cell in cfg.cells()] == [(128, 1), (128, 2), (256, 1),
+                                                                 (256, 2)]
     _, serial, _ = harness.run_sweep(cfg, tmp_path / "serial", jobs=1)
     _, parallel, _ = harness.run_sweep(cfg, tmp_path / "parallel", jobs=2)
     assert serial.read_bytes() == parallel.read_bytes()
-    # Batches of two trials at n = 128 and of one (run trial by trial) at n = 256.
+    # Batches of two trials and of one at n * d = 128, of one at n * d >= 256.
     monkeypatch.setattr(harness, "_BATCH_SAMPLES", 256)
     _, split, _ = harness.run_sweep(cfg, tmp_path / "split", jobs=1)
     assert split.read_bytes() == serial.read_bytes()
