@@ -12,7 +12,7 @@ weight against the curvature of the kappa = 2 sweep instance, its movement
 budget, the median excess of both statistical sweeps next to a drift model
 that neglects the curvature, and the fitted slopes.
 
-Run from the repository root (the audit part takes about 30 s on 2 CPUs,
+Run from the repository root (the audit part takes about 15 s on 2 CPUs,
 --part 4 about 20 s):
 
     PYTHONPATH=src python scripts/decisions_ledger.py --part all --jobs 2

@@ -15,6 +15,7 @@ __all__ = [
     "ConvergenceError",
     "ResourceError",
     "RngStream",
+    "ChildStreams",
     "derive_stream_key",
     "Dataset",
     "Domain",
@@ -80,12 +81,15 @@ def derive_stream_key(seed: int, stream):
     return _mix64(state)
 
 
-# numpy's SeedSequence hash (pool size 4) and PCG64's seeding step, for
-# :meth:`RngStream.children`; ``tests/test_core.py`` checks them against
-# ``np.random.PCG64(key).state``.
+# numpy's SeedSequence hash (pool size 4), PCG64's seeding step and XSL-RR
+# output, and Generator.laplace's rule, for :meth:`ChildStreams.laplace`;
+# ``tests/test_core.py`` checks them against ``np.random.PCG64(key)`` and
+# ``child(t)`` draws.  128-bit values are (hi, lo) pairs of uint64 arrays.
 _SEED_BLOCK = 4096
 _MASK32 = 0xFFFFFFFF
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MULT_LIMBS = (np.uint64(_PCG64_MULT >> 64), np.uint64(_PCG64_MULT & _MASK64))
+_LO32 = np.uint64(_MASK32)
 
 
 def _hash_constants(init: int, mult: int, count: int) -> list[tuple[int, int]]:
@@ -107,8 +111,24 @@ def _hash32(value: np.ndarray, step: tuple[int, int]) -> np.ndarray:
     return value ^ (value >> np.uint32(16))
 
 
-def _pcg64_states(keys: np.ndarray) -> Iterator[tuple[int, int]]:
-    """The ``(state, inc)`` of ``np.random.PCG64(key)`` for each uint64 key.
+def _add128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _mul128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
+    """a * b (mod 2^128); the high word of a_lo * b_lo comes from 32-bit halves."""
+    s32 = np.uint64(32)
+    a0, a1, b0, b1 = a_lo & _LO32, a_lo >> s32, b_lo & _LO32, b_lo >> s32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> s32) + (p01 & _LO32) + (p10 & _LO32)
+    carry = a1 * b1 + (p01 >> s32) + (p10 >> s32) + (mid >> s32)
+    return carry + a_lo * b_hi + a_hi * b_lo, a_lo * b_lo
+
+
+def _pcg64_states(keys: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The ``(state, inc)`` limbs ``(state_hi, state_lo, inc_hi, inc_lo)`` of
+    ``np.random.PCG64(key)`` for each uint64 key.
 
     Each key's entropy is its two 32-bit words, zero-padded to the pool of 4
     (``SeedSequence`` hashes a missing word as 0), hashed for all keys at once
@@ -116,9 +136,10 @@ def _pcg64_states(keys: np.ndarray) -> Iterator[tuple[int, int]]:
     PCG64 sets ``inc = (w2:w3 << 1) | 1`` and ``state = (inc + w0:w1) * MULT
     + inc`` (mod 2^128).
     """
+    one, s32 = np.uint64(1), np.uint64(32)
     steps = iter(_MIX_STEPS)
     zero = np.zeros(keys.shape, dtype=np.uint32)
-    words = [keys.astype(np.uint32), (keys >> np.uint64(32)).astype(np.uint32), zero, zero]
+    words = [keys.astype(np.uint32), (keys >> s32).astype(np.uint32), zero, zero]
     pool = [_hash32(w, next(steps)) for w in words]
     for src in range(4):
         for dst in range(4):
@@ -127,11 +148,27 @@ def _pcg64_states(keys: np.ndarray) -> Iterator[tuple[int, int]]:
                     pool[src], next(steps))
                 pool[dst] = mixed ^ (mixed >> np.uint32(16))
     out = [_hash32(pool[i % 4], step).astype(np.uint64) for i, step in enumerate(_OUTPUT_STEPS)]
-    w = [(out[2 * j] | (out[2 * j + 1] << np.uint64(32))).tolist() for j in range(4)]
-    mask128 = (1 << 128) - 1
-    for w0, w1, w2, w3 in zip(*w):
-        inc = ((w2 << 64 | w3) << 1 | 1) & mask128
-        yield ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & mask128, inc
+    w0, w1, w2, w3 = (out[2 * j] | (out[2 * j + 1] << s32) for j in range(4))
+    inc = (w2 << one | w3 >> np.uint64(63), w3 << one | one)
+    state = _add128(*_mul128(*_add128(*inc, w0, w1), *_MULT_LIMBS), *inc)
+    return (*state, *inc)
+
+
+def _pcg64_outputs(keys: np.ndarray, size: int) -> np.ndarray:
+    """The first ``size`` outputs of ``np.random.PCG64(key).random_raw`` for
+    each uint64 key, as a ``(keys, size)`` uint64 array.
+
+    PCG64 steps s -> s * MULT + inc and then outputs; each step advances
+    every key's state at once.  XSL-RR rotates hi ^ lo right by the top 6
+    bits of the state.
+    """
+    s_hi, s_lo, i_hi, i_lo = _pcg64_states(keys)
+    out = np.empty((len(keys), size), dtype=np.uint64)
+    for j in range(size):
+        s_hi, s_lo = _add128(*_mul128(s_hi, s_lo, *_MULT_LIMBS), i_hi, i_lo)
+        value, rot = s_hi ^ s_lo, s_hi >> np.uint64(58)
+        out[:, j] = value >> rot | value << ((np.uint64(64) - rot) & np.uint64(63))
+    return out
 
 
 class RngStream:
@@ -155,32 +192,56 @@ class RngStream:
         """Derive an independent stream; the parent's key becomes the child seed."""
         return RngStream(derive_stream_key(self.seed, self.stream), substream)
 
-    def children(self, count: int) -> Iterator["RngStream"]:
-        """Yield ``child(0), ..., child(count - 1)`` in order, each drawing
-        exactly what that ``child(t)`` draws.
-
-        The PCG64 states are computed in one array pass per block of children
-        (:func:`_pcg64_states`), and every yielded stream shares one
-        generator, re-seeded through ``bit_generator.state`` as the stream is
-        taken.  So a yielded stream's draws are valid only until the next
-        stream is taken: draw from each before advancing the iterator.
-        """
-        key = derive_stream_key(self.seed, self.stream)
-        bit_gen = np.random.PCG64(0)
-        gen = np.random.Generator(bit_gen)
-        for lo in range(0, count, _SEED_BLOCK):
-            keys = derive_stream_key(key, np.arange(lo, min(lo + _SEED_BLOCK, count),
-                                                    dtype=np.uint64))
-            for t, (state, inc) in zip(range(lo, count), _pcg64_states(keys)):
-                bit_gen.state = {"bit_generator": "PCG64",
-                                 "state": {"state": state, "inc": inc},
-                                 "has_uint32": 0, "uinteger": 0}
-                stream = RngStream.__new__(RngStream)
-                stream.seed, stream.stream, stream.gen = key, t, gen
-                yield stream
+    def children(self, count: int) -> "ChildStreams":
+        """The streams ``child(0), ..., child(count - 1)``, as one block whose
+        Laplace draws are computed in arrays (:class:`ChildStreams`)."""
+        return ChildStreams(self, count)
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream={self.stream})"
+
+
+class ChildStreams:
+    """The streams ``parent.child(t)`` for t < ``count``.
+
+    Iterating yields each ``child(t)`` in order.  :meth:`laplace` returns
+    their unit Laplace draws as one array, bit for bit those of the streams.
+    """
+
+    __slots__ = ("parent", "count")
+
+    def __init__(self, parent: RngStream, count: int):
+        self.parent, self.count = parent, count
+
+    def __iter__(self) -> Iterator[RngStream]:
+        return (self.parent.child(t) for t in range(self.count))
+
+    def laplace(self, size: int) -> np.ndarray:
+        """``[child(t).gen.laplace(0.0, 1.0, size) for t in range(count)]`` as
+        a ``(count, size)`` array, computed in blocks of ``_SEED_BLOCK``
+        streams.
+
+        Each draw follows numpy's ``random_laplace`` with loc 0 and scale 1:
+        U = (raw >> 11) 2^-53 gives ``0.0 - log(2.0 - U - U)`` for U >= 1/2
+        (+0.0 at U = 1/2) and ``0.0 + log(U + U)`` for 0 < U < 1/2, with
+        libm's log (``math.log``; ``np.log`` differs in the last bit on some
+        arguments).  numpy redraws U = 0 from the same stream, shifting the
+        row's later draws, so such a row is drawn by its ``child(t)``.
+        """
+        key = derive_stream_key(self.parent.seed, self.parent.stream)
+        out = np.empty((self.count, size))
+        for lo in range(0, self.count, _SEED_BLOCK):
+            keys = derive_stream_key(key, np.arange(lo, min(lo + _SEED_BLOCK, self.count),
+                                                    dtype=np.uint64))
+            u = (_pcg64_outputs(keys, size) >> np.uint64(11)) * 2.0**-53
+            upper, zero = u >= 0.5, u == 0.0
+            arg = np.where(upper, 2.0 - u - u, np.where(zero, 1.0, u + u))
+            log = np.fromiter(map(math.log, arg.ravel().tolist()), float, arg.size)
+            log = log.reshape(arg.shape)
+            out[lo : lo + len(keys)] = np.where(upper, 0.0 - log, 0.0 + log)
+            for row in np.flatnonzero(zero.any(axis=1)):
+                out[lo + row] = self.parent.child(lo + row).gen.laplace(0.0, 1.0, size)
+        return out
 
 
 # ---------------------------------------------------------------------------

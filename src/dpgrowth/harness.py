@@ -584,8 +584,7 @@ def _audit_mechanism(pipeline: str, noise_scale: float, epsilon: float):
 
     def mech(dataset, rng, trials):
         cfg = _audit_config(pipeline, instance, noise_scale, epsilon, dataset.n)
-        # run_trials draws each stream's noise before it takes the next, so
-        # the trials' streams can share one re-seeded generator.
+        # A block of child streams: run_trials draws its Laplace noise in arrays.
         return module.run_trials(loss, dataset, domain, x0, cfg, rng.children(trials))[:, 0]
 
     return mech
@@ -643,9 +642,9 @@ def privacy_audit(
 
     Each chain row runs its ``trials`` outputs per dataset in one
     ``run_trials`` pass, on one child stream per output, so the reports
-    equal those of single ``run`` calls.  ``RngStream.children`` seeds the
-    streams: one integer array pass computes their PCG64 states, and one
-    shared generator is re-seeded before each output's draws.
+    equal those of single ``run`` calls.  The streams are one
+    ``RngStream.children`` block, whose Laplace draws are computed for all
+    outputs in uint64 and float arrays, bit for bit numpy's.
     """
     data, neighbor = _audit_datasets(n)
     sabotage_scales = sabotage_scales or {}

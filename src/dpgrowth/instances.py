@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import erm
 from .core import (
@@ -512,6 +511,10 @@ def make_knorm_regression(
         raise InvalidInputError("x_true must be interior to the domain ball")
     reach = R + float(np.linalg.norm(x_true))
     L = kappa * design_scale**kappa * reach ** (kappa - 1)
+    # Imported here, as erm imports scipy.optimize: scipy.special is most of
+    # the package's import time, and only this generator needs gammaln.
+    from scipy.special import gammaln
+
     # E|<unit sphere, e1>|^kappa via the Dirichlet moment formula.
     m_const = math.exp(
         gammaln((kappa + 1) / 2.0) + gammaln(d / 2.0) - gammaln((d + kappa) / 2.0)

@@ -10,8 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import minimum_filter, minimum_filter1d
-from scipy.special import logsumexp
 
 from .core import (
     Dataset,
@@ -109,6 +107,12 @@ def build_density(
     ``rho`` defaults to the growth-adapted smoothing radius when a growth
     certificate is supplied.  ``h`` defaults to rho/4 and must not exceed it.
     """
+    # Imported here, as erm imports scipy.optimize: scipy.special and
+    # scipy.ndimage are most of the package's import time, and only the grid
+    # sampler needs them.
+    from scipy.ndimage import minimum_filter, minimum_filter1d
+    from scipy.special import logsumexp
+
     if not (epsilon > 0):
         raise InvalidInputError("epsilon must be positive")
     if rho is None:

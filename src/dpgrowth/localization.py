@@ -228,12 +228,12 @@ def _trial_noise(privacy: PrivacyParams, streams: Iterable[RngStream], count: in
     of ``d`` values per stream, and one start row per trial, from one shared
     start or one per trial.
 
-    Each stream's ``count * d`` values are drawn in a single call.  Scaling
-    a unit draw by sigma gives the same bits as drawing at scale sigma, so
-    a stream's draws are exactly those a phase-by-phase run would make on
-    it, in order."""
-    rows = [mechanisms.noise_draw(privacy, s)(0.0, 1.0, size=count * d) for s in streams]
-    z = np.array(rows).reshape(len(rows), count, d)
+    Each stream's ``count * d`` values are one row of
+    ``mechanisms.noise_rows``.  Scaling a unit draw by sigma gives the same
+    bits as drawing at scale sigma, so a stream's draws are exactly those a
+    phase-by-phase run would make on it, in order."""
+    rows = mechanisms.noise_rows(privacy, streams, count * d)
+    z = rows.reshape(len(rows), count, d)
     if not {len(datasets), len(starts)} <= {1, len(z)}:
         raise InvalidInputError("need one dataset and one start point, or one per stream")
     return z, np.broadcast_to(starts, (len(z), d))
@@ -464,11 +464,10 @@ def run_trials(
     ``data`` is one dataset shared by every trial or one per trial, and
     ``x0`` is one start point or one row per trial.  Trial t runs the chain
     ``run`` describes on its own data and start, in the phase kernel
-    ``_chain_trials``, with its noise drawn from ``streams[t]``.  Each stream's
-    draws are made before the next stream is taken, so ``streams`` may be a
-    generator, ``RngStream.children`` among them.  ``trace``
-    collects one ``PhaseRecord`` per phase whose points are ``(trials, d)``
-    arrays.
+    ``_chain_trials``, with its noise drawn from ``streams[t]`` by
+    ``mechanisms.noise_rows`` (a block of ``RngStream.children`` has its
+    Laplace draws made in arrays).  ``trace`` collects one ``PhaseRecord``
+    per phase whose points are ``(trials, d)`` arrays.
     """
     datasets, starts, _ = _trial_inputs(loss, data, x0, lambda ds, x: _start(ds, domain, x, cfg))
     d = loss.point_dim

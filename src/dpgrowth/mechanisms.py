@@ -10,11 +10,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .core import Dataset, InvalidInputError, PrivacyParams, RngStream, hamming_distance
+from .core import (
+    ChildStreams,
+    Dataset,
+    InvalidInputError,
+    PrivacyParams,
+    RngStream,
+    hamming_distance,
+)
 
 __all__ = [
     "MAX_APPROX_DELTA",
@@ -24,6 +31,7 @@ __all__ = [
     "noise_norm_factor",
     "noise_sigma",
     "noise_draw",
+    "noise_rows",
     "DpTestReport",
     "empirical_dp_test",
 ]
@@ -95,6 +103,18 @@ def noise_draw(privacy: PrivacyParams, rng: RngStream) -> Callable[..., np.ndarr
     ``rng``: iid Laplace(sigma) for pure budgets, mean-zero Gaussian with
     standard deviation sigma otherwise."""
     return rng.gen.laplace if privacy.is_pure else rng.gen.normal
+
+
+def noise_rows(privacy: PrivacyParams, streams: Iterable[RngStream], size: int) -> np.ndarray:
+    """The budget's unit-scale noise, ``draw(0.0, 1.0, size)`` of
+    :func:`noise_draw` on each stream, as a ``(streams, size)`` array.
+
+    A pure budget on a block of child streams (``RngStream.children``) takes
+    the block's array Laplace draws, which are bit for bit the same."""
+    if privacy.is_pure and isinstance(streams, ChildStreams):
+        return streams.laplace(size)
+    rows = [noise_draw(privacy, s)(0.0, 1.0, size=size) for s in streams]
+    return np.array(rows).reshape(len(rows), size)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from dpgrowth.core import (
     verify_growth,
     verify_kl,
 )
+from dpgrowth import core
 from dpgrowth.core import _SEED_BLOCK, _pcg64_states
 from dpgrowth.instances import make_sharp_growth_1d, make_uniform_convex
 
@@ -57,27 +58,59 @@ def test_child_streams_are_independent_of_parent_consumption():
 
 def test_array_seeding_equals_numpy_pcg64_seeding():
     # Guards the copy of numpy's SeedSequence hash and PCG64 seeding step
-    # that RngStream.children runs on arrays: a numpy change there fails here.
+    # that RngStream.children runs on uint64 limbs: a numpy change there fails here.
     edge = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
     drawn = np.random.default_rng(2024).integers(0, 2**64 - 1, 10_000, dtype=np.uint64,
                                                  endpoint=True)
     keys = edge + drawn.tolist()
-    got = list(_pcg64_states(np.array(keys, dtype=np.uint64)))
+    limbs = [a.tolist() for a in _pcg64_states(np.array(keys, dtype=np.uint64))]
+    got = [(s_hi << 64 | s_lo, i_hi << 64 | i_lo) for s_hi, s_lo, i_hi, i_lo in zip(*limbs)]
     want = [np.random.PCG64(k).state["state"] for k in keys]
     assert got == [(s["state"], s["inc"]) for s in want]
+
+
+def _bits(rows) -> np.ndarray:
+    return np.asarray(rows, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("parent", [(0, 0), (7, 3), (2**64 - 1, 5)])
+def test_children_laplace_equals_child_draws(parent):
+    # Compared as bit patterns, so the sign of a zero counts too.
+    p = RngStream(*parent)
+    for size, count in ((1, _SEED_BLOCK + 2), (5, 300), (15, _SEED_BLOCK + 2), (480, 40)):
+        want = [p.child(t).gen.laplace(0.0, 1.0, size) for t in range(count)]
+        assert np.array_equal(_bits(p.children(count).laplace(size)), _bits(want))
+    assert p.children(0).laplace(15).shape == (0, 15)
+
+
+def test_children_laplace_redraws_a_zero_uniform_and_keeps_positive_zero(monkeypatch):
+    # numpy redraws U = 0 from the same stream, which shifts the row's later
+    # draws, so such a row must come from its child stream; U = 1/2 gives
+    # 0.0 - log(1.0) = +0.0.  Both are forced by patching the raw outputs.
+    raw_outputs, patched_rows = core._pcg64_outputs, []
+
+    def patched(keys, size):
+        raw = raw_outputs(keys, size)
+        raw[3, 2] &= np.uint64(0x7FF)
+        raw[4, 0] = np.uint64(1 << 63)
+        patched_rows.append(len(keys))
+        return raw
+
+    monkeypatch.setattr(core, "_pcg64_outputs", patched)
+    p, size = RngStream(7, 3), 5
+    got = p.children(10).laplace(size)
+    want = np.array([p.child(t).gen.laplace(0.0, 1.0, size) for t in range(10)])
+    assert patched_rows == [10]
+    assert _bits(got[4, 0]) == 0
+    want[4, 0] = 0.0
+    assert np.array_equal(_bits(got), _bits(want))
 
 
 @pytest.mark.parametrize("parent", [(0, 0), (7, 3), (2**64 - 1, 5)])
 def test_children_draw_what_child_draws(parent):
     p = RngStream(*parent)
-    for method in ("laplace", "normal", "random"):
-        batched = [getattr(s.gen, method)(size=7).tolist() for s in p.children(300)]
-        single = [getattr(p.child(t).gen, method)(size=7).tolist() for t in range(300)]
-        assert batched == single
-    for t, s in enumerate(p.children(_SEED_BLOCK + 2)):
-        if t >= _SEED_BLOCK - 2:  # both sides of the first seeding block's end
-            assert (s.seed, s.stream) == (p.child(t).seed, t)
-            assert np.array_equal(s.gen.normal(size=3), p.child(t).gen.normal(size=3))
+    assert [(s.seed, s.stream) for s in p.children(3)] == [
+        (c.seed, c.stream) for c in (p.child(t) for t in range(3))]
     assert list(p.children(0)) == []
 
 

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import dpgrowth
 from dpgrowth.core import Dataset, InvalidInputError, RngStream, probe_points, project
 from dpgrowth.instances import (
     SHIPPED_INSTANCES,
@@ -331,3 +335,19 @@ def test_certify_matches_a_per_probe_loop(idx):
     ]
     assert g.max_violation == pytest.approx(max(growth), abs=1e-14)
     assert k.max_violation == pytest.approx(max(kl), abs=1e-14)
+
+
+def test_import_and_instance_build_leave_scipy_unloaded():
+    # scipy.special, scipy.ndimage and scipy.optimize are most of the
+    # package's import time, so only the functions that use them import them.
+    code = (
+        "import sys, dpgrowth\n"
+        "dpgrowth.build_instance('uniform_convex', d=1, kappa=2, lam=1.0, L=4.0, R=1.0)\n"
+        "print([m for m in ('scipy.special', 'scipy.ndimage', 'scipy.optimize')"
+        " if m in sys.modules])"
+    )
+    src = os.path.dirname(os.path.dirname(dpgrowth.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -12,6 +12,7 @@ from dpgrowth.mechanisms import (
     laplace_sigma,
     noise_draw,
     noise_norm_factor,
+    noise_rows,
     noise_sigma,
 )
 
@@ -101,6 +102,18 @@ def test_laplace_golden_draws_seed42():
         rtol=0,
         atol=1e-12,
     )
+
+
+def test_noise_rows_match_per_stream_draws():
+    # A block of child streams takes the array Laplace path for a pure budget
+    # and the per-stream path otherwise; a list always takes the latter.
+    parent = RngStream(9, 2)
+    for privacy in (PrivacyParams(1.0), PrivacyParams(1.0, 1e-6)):
+        want = np.array([noise_draw(privacy, parent.child(t))(0.0, 1.0, size=4)
+                         for t in range(6)])
+        for streams in (parent.children(6), [parent.child(t) for t in range(6)]):
+            got = noise_rows(privacy, streams, 4)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_laplace_moments_million_draws():
