@@ -120,7 +120,9 @@ def criterion_2(jobs: int, streams: int, trials: int) -> None:
 
 
 def _schedule(instance, n: int, kappa_lower: float):
-    """Epoch schedule of a noiseless stat sweep cell.
+    """Epoch schedule of a noiseless stat sweep cell, read from the one
+    schedule the chains run: ``epoch_growth._epochs`` for the epochs and
+    their inner configs, ``localization._schedule`` for the phases.
 
     Returns the first phase's regularizer weight 2 lambda_1 = 2 / (eta_1 m)
     (m samples per phase), the bound 64 k sqrt(ln n0 ln(1/beta) / n0) that
@@ -131,24 +133,21 @@ def _schedule(instance, n: int, kappa_lower: float):
     = -qbar eta m / 2, and qbar, the mean of m terms (L/2) s with s = +-1,
     has variance L^2 / (4 m).
     """
-    L = instance.loss.lipschitz
+    L, d = instance.loss.lipschitz, instance.loss.point_dim
     beta = 1.0 / (n + 1)
     cfg = epoch_growth.EpochConfig.for_run(
         n, instance.loss, instance.domain, kappa_lower, beta, PrivacyParams(1e6)
     )
-    n0 = n // cfg.T
-    k = localization.LocalizationConfig.phase_count(n0)
-    m = n0 // k
-    two_lam1 = 2.0 / (cfg.eta0 * 2.0**-4 * m)
-    bound = 64.0 * k * math.sqrt(math.log(n0) * math.log(1.0 / beta) / n0)
+    n0 = epoch_growth._block_size(n, cfg.T)
+    live = [inner for _, (_, _, inner) in epoch_growth._epochs(cfg, n) if inner is not None]
+    _, _, _, lam1, *_ = localization._schedule(live[0], L, d)[0]
+    two_lam1 = 2.0 * lam1
+    bound = 64.0 * live[0].k * math.sqrt(math.log(n0) * math.log(1.0 / beta) / n0)
     budget = drift_var = 0.0
-    for e in range(cfg.T):
-        if 2.0**-e < epoch_growth._FROZEN_RADIUS_FRACTION:
-            continue
-        for i in range(1, k + 1):
-            eta = cfg.eta0 * 2.0**-e * 2.0 ** (-4 * i)
-            budget += 2.0 * L * eta * m
-            drift_var += L * L * eta * eta * m / 16.0
+    for inner in live:
+        for _, eta, radius, *_ in localization._schedule(inner, L, d):
+            budget += radius
+            drift_var += L * L * eta * eta * inner.n0 / 16.0
     return two_lam1, bound, budget, drift_var
 
 

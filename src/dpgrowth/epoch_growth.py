@@ -64,9 +64,9 @@ class EpochConfig:
     ``T`` epochs consume disjoint blocks of size floor(n/T); epoch i uses
     radius R0 * 2^-i and step eta0 * 2^-i.  The inner chain receives the
     squared confidence parameter, matching the union bound over epochs.
+    ``_epochs`` applies this schedule.
     """
 
-    kappa_lower: float
     beta: float
     privacy: PrivacyParams
     T: int
@@ -76,8 +76,6 @@ class EpochConfig:
     gaussian_conservative: bool = False
 
     def __post_init__(self):
-        if not (self.kappa_lower > 1):
-            raise InvalidInputError("kappa_lower must exceed 1")
         if not (0.0 < self.beta < 1.0):
             raise InvalidInputError("beta must lie in (0, 1)")
         if self.T < 1:
@@ -98,11 +96,9 @@ class EpochConfig:
     ) -> "EpochConfig":
         """Build the config with the schedule implied by (n, kappa_lower)."""
         T = epoch_count(n, kappa_lower)
-        n0 = n // T
         R0 = domain.diameter()
-        eta0 = default_eta0(R0, loss.lipschitz, n0, beta, privacy, loss.point_dim)
+        eta0 = default_eta0(R0, loss.lipschitz, _block_size(n, T), beta, privacy, loss.point_dim)
         return cls(
-            kappa_lower=kappa_lower,
             beta=beta,
             privacy=privacy,
             T=T,
@@ -124,43 +120,33 @@ class EpochRecord:
     frozen: bool = False
 
 
-def _start(data: Dataset, domain: Domain, x0: np.ndarray, cfg: EpochConfig):
-    """Check the run's inputs; return the epoch batch size, the inner phase
-    count and the starting point as an array."""
-    n0 = data.n // cfg.T
-    if n0 < 2:
-        raise InvalidInputError(
-            f"insufficient data: n={data.n} gives per-epoch batches of {n0} < 2"
-        )
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
-    if not domain.contains(x, tol=localization._START_TOL):
-        raise InvalidInputError("x0 must lie in the domain")
-    inner_k = localization.LocalizationConfig.phase_count(n0)
-    if n0 < inner_k:
-        raise InvalidInputError("per-epoch batch smaller than its phase count")
-    return n0, inner_k, x
+def _block_size(n: int, T: int) -> int:
+    """Samples per epoch: T disjoint blocks of floor(n/T)."""
+    return n // T
 
 
-def _epochs(cfg: EpochConfig, n0: int, inner_k: int):
-    """Yield (index, radius, eta_i, inner config) per epoch: radius
-    R0 2^-i and step eta0 2^-i; the inner config is None for a frozen epoch."""
+def _epochs(cfg: EpochConfig, n: int) -> list[tuple]:
+    """The T epochs of a run on n samples as pairs (eta_i, chain): epoch i
+    takes radius R0 2^-i, step eta_i = eta0 2^-i and the i-th block of
+    ``_block_size(n, T)`` samples, and ``chain`` is its
+    ``localization._run_chains`` entry (offset, radius, inner config).  The
+    inner config is ``LocalizationConfig.for_data_size`` of the block at
+    eta_i and beta^2, or None for a frozen epoch."""
+    n0 = _block_size(n, cfg.T)
+    epochs = []
     for i in range(cfg.T):
         radius = cfg.R0 * 2.0 ** (-i)
         eta_i = cfg.eta0 * 2.0 ** (-i)
-        if radius < _FROZEN_RADIUS_FRACTION * cfg.R0:
-            # Movement per epoch is bounded by the trust radius plus noise of
-            # the same decay; at this scale the iterate is numerically fixed.
-            yield i, radius, eta_i, None
-            continue
-        yield i, radius, eta_i, localization.LocalizationConfig(
-            eta=eta_i,
-            beta=cfg.beta**2,
-            privacy=cfg.privacy,
-            k=inner_k,
-            n0=n0 // inner_k,
-            noise_scale=cfg.noise_scale,
-            gaussian_conservative=cfg.gaussian_conservative,
-        )
+        inner = None
+        # Movement per epoch is bounded by the trust radius plus noise of the
+        # same decay; below this radius the iterate is numerically fixed.
+        if radius >= _FROZEN_RADIUS_FRACTION * cfg.R0:
+            inner = localization.LocalizationConfig.for_data_size(
+                n0, eta_i, cfg.beta**2, cfg.privacy, noise_scale=cfg.noise_scale,
+                gaussian_conservative=cfg.gaussian_conservative,
+            )
+        epochs.append((eta_i, (i * n0, radius, inner)))
+    return epochs
 
 
 def run(
@@ -203,38 +189,23 @@ def run_trials(
     """Run the epoch loop once per stream, all trials at once, and return
     one output row per stream.
 
-    The inputs are those of ``localization.run_trials``, whose phase kernel
-    runs every epoch's chain; trial t's region in epoch i is the domain
-    intersected with the ball of radius R_i around its own iterate.
-    ``trace`` collects one ``EpochRecord`` per epoch, frozen ones included,
-    whose ``center`` and ``x_next`` are ``(trials, d)`` arrays; ``phase_trace``
-    collects the chains' ``PhaseRecord`` entries, epoch after epoch.
+    The inputs are those of ``localization.run_trials``.  The epochs of
+    ``_epochs`` run as the chains of ``localization._run_chains``; trial
+    t's region in epoch i is the domain intersected with the ball of radius
+    R_i around its own iterate.  ``trace`` collects one ``EpochRecord`` per
+    epoch, frozen ones included, whose ``center`` and ``x_next`` are
+    ``(trials, d)`` arrays; ``phase_trace`` collects the chains'
+    ``PhaseRecord`` entries, epoch after epoch.
     """
-    datasets, starts, (n0, inner_k, _) = localization._trial_inputs(
-        loss, data, x0, lambda ds, x: _start(ds, domain, x, cfg)
-    )
-    L, d = loss.lipschitz, loss.point_dim
-    epochs = [
-        (i, radius, eta_i, inner_cfg,
-         [] if inner_cfg is None else localization._schedule(inner_cfg, L, d))
-        for i, radius, eta_i, inner_cfg in _epochs(cfg, n0, inner_k)
-    ]
-    counts = [localization._noise_count(schedule) for *_, schedule in epochs]
-    z, x = localization._trial_noise(cfg.privacy, streams, sum(counts), d, datasets, starts)
-    col = 0
-    for (i, radius, eta_i, inner_cfg, schedule), count in zip(epochs, counts):
-        x_next = x
-        if inner_cfg is not None:
-            block = np.stack([ds.samples[i * n0 : (i + 1) * n0] for ds in datasets])
-            x_next = localization._chain_trials(
-                loss, block, inner_cfg, schedule, x, domain, z[:, col : col + count], (x, radius),
-                phase_trace,
-            )
-        if trace is not None:
-            trace.append(EpochRecord(i, x, radius, eta_i, x_next, frozen=inner_cfg is None))
-        x = x_next
-        col += count
-    return x
+    # Each block needs the 2 samples that ``default_eta0`` asks of it.
+    datasets, starts = localization._trial_inputs(loss, data, domain, x0, 2 * cfg.T)
+    epochs = _epochs(cfg, datasets[0].n)
+    xs = localization._run_chains(loss, datasets, starts, domain, cfg.privacy, streams,
+                                  [chain for _, chain in epochs], phase_trace)
+    if trace is not None:
+        for i, (eta_i, (_, radius, inner)) in enumerate(epochs):
+            trace.append(EpochRecord(i, xs[i], radius, eta_i, xs[i + 1], frozen=inner is None))
+    return xs[-1]
 
 
 def indices_in_region(trace: list, xstar: np.ndarray) -> list[int]:

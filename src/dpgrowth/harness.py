@@ -146,13 +146,19 @@ def _parse_list(text: str) -> tuple:
     return tuple(_parse_scalar(tok) for tok in text.split(",") if tok.strip())
 
 
+def _read_ini(path: str | Path) -> ConfigParser:
+    """Read an INI file with ``;`` and ``#`` inline comments, keeping option
+    case (instance parameters like L, R)."""
+    parser = ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser.optionxform = str
+    if not parser.read(path):
+        raise InvalidInputError(f"cannot read config {path}")
+    return parser
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse the flat INI experiment format (see README for the grammar)."""
-    parser = ConfigParser(inline_comment_prefixes=(";", "#"))
-    parser.optionxform = str  # keep option case (instance parameters like L, R)
-    read = parser.read(path)
-    if not read:
-        raise InvalidInputError(f"cannot read config {path}")
+    parser = _read_ini(path)
     exp = parser["experiment"]
     inst = parser["instance"]
     sweep = parser["sweep"] if parser.has_section("sweep") else {}
@@ -746,10 +752,7 @@ def _command(args) -> int:
     if args.command == "audit":
         kwargs = dict(master_seed=args.seed, jobs=args.jobs)
         if args.config:
-            parser_ini = ConfigParser(inline_comment_prefixes=(";", "#"))
-            parser_ini.optionxform = str
-            if not parser_ini.read(args.config):
-                raise InvalidInputError(f"cannot read config {args.config}")
+            parser_ini = _read_ini(args.config)
             if not parser_ini.has_section("audit"):
                 raise InvalidInputError(f"config {args.config} has no [audit] section")
             sec = parser_ini["audit"]

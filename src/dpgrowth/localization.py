@@ -91,10 +91,6 @@ class LocalizationConfig:
             raise InvalidInputError("noise_scale must be >= 0")
         mechanisms.check_budget(self.privacy)
 
-    @staticmethod
-    def phase_count(n: int) -> int:
-        return max(1, math.ceil(math.log2(n)))
-
     @classmethod
     def for_data_size(
         cls,
@@ -104,7 +100,9 @@ class LocalizationConfig:
         privacy: PrivacyParams,
         **kwargs,
     ) -> "LocalizationConfig":
-        k = cls.phase_count(n)
+        """The config of a chain on n samples: k = ceil(log2 n) phases (at
+        least one) of n0 = floor(n/k) samples each."""
+        k = max(1, math.ceil(math.log2(n)))
         return cls(eta=eta, beta=beta, privacy=privacy, k=k, n0=n // k, **kwargs)
 
 
@@ -136,19 +134,6 @@ def _schedule(cfg: LocalizationConfig, L: float, d: int) -> list[tuple]:
             sensitivity, sigma, sigma * cfg.noise_scale,
         ))
     return phases
-
-
-def _start(data: Dataset, domain: Domain, x0: np.ndarray, cfg: LocalizationConfig) -> np.ndarray:
-    """Check the run's inputs and return the starting point as an array."""
-    k, n0 = cfg.k, cfg.n0
-    if data.n < k:
-        raise InvalidInputError(f"need at least k={k} samples, got {data.n}")
-    if k * n0 > data.n:
-        raise InvalidInputError(f"k * n0 = {k * n0} exceeds n = {data.n}")
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
-    if not domain.contains(x, tol=_START_TOL):
-        raise InvalidInputError("x0 must lie in the domain")
-    return x
 
 
 def _tol_floor(L: float, domain: Domain) -> float:
@@ -208,39 +193,22 @@ def _block_means(samples: np.ndarray, cfg: LocalizationConfig, linear=None) -> n
     return s.reshape(len(s), k, n0, -1).mean(axis=2).transpose(1, 0, 2)
 
 
-def _trial_inputs(loss: LossOracle, data, x0, check) -> tuple:
-    """Check a ``run_trials`` call's datasets and starts.  Return the
-    datasets as a list (one shared by every trial, or one per trial), the
-    starts as rows of a 2-D array, and what ``check(dataset, start)``
-    returns."""
+def _trial_inputs(loss: LossOracle, data, domain: Domain, x0, min_n: int) -> tuple:
+    """Check a ``run_trials`` call's datasets and starts: the datasets share
+    one size of at least ``min_n`` samples, and every start lies in
+    ``domain`` within ``_START_TOL``.  Return the datasets as a list (one
+    shared by every trial, or one per trial) and the starts as rows of a
+    2-D array."""
     datasets = [data] if isinstance(data, Dataset) else list(data)
     if len({ds.n for ds in datasets}) != 1:
         raise InvalidInputError("the trials' datasets must share one size")
+    if datasets[0].n < min_n:
+        raise InvalidInputError(f"need at least {min_n} samples, got {datasets[0].n}")
     starts = np.reshape(np.asarray(x0, dtype=float), (-1, loss.point_dim))
     for start in starts:
-        checked = check(datasets[0], start)
-    return datasets, starts, checked
-
-
-def _trial_noise(privacy: PrivacyParams, streams: Iterable[RngStream], count: int, d: int,
-                 datasets: list, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-scale noise as a ``(streams, count, d)`` array, ``count`` draws
-    of ``d`` values per stream, and one start row per trial, from one shared
-    start or one per trial.
-
-    Each stream's ``count * d`` values are one row of
-    ``mechanisms.noise_rows``.  Scaling a unit draw by sigma gives the same
-    bits as drawing at scale sigma, so a stream's draws are exactly those a
-    phase-by-phase run would make on it, in order."""
-    rows = mechanisms.noise_rows(privacy, streams, count * d)
-    z = rows.reshape(len(rows), count, d)
-    if not {len(datasets), len(starts)} <= {1, len(z)}:
-        raise InvalidInputError("need one dataset and one start point, or one per stream")
-    return z, np.broadcast_to(starts, (len(z), d))
-
-
-def _noise_count(schedule: list[tuple]) -> int:
-    return sum(1 for *_, sigma_used in schedule if sigma_used > 0)
+        if not domain.contains(start, tol=_START_TOL):
+            raise InvalidInputError("x0 must lie in the domain")
+    return datasets, starts
 
 
 def _inside(x: np.ndarray, balls: list, tol: float = 0.0) -> np.ndarray:
@@ -339,15 +307,17 @@ def _power_norm_phase(st: PowerNorm, lam, tol, x, lo, hi, qbar, gbar, problem) -
 
 
 def _chain_trials(loss, samples, cfg, schedule, x, domain, z, epoch=None, trace=None):
-    """The chain, all trials at once: the one phase kernel.
+    """The chain, all trials at once: the one phase kernel, which
+    ``_run_chains`` runs once per chain.
 
     ``samples`` holds the phase blocks' data as a ``(datasets, m, d)``
-    array, one dataset shared by every trial or one per trial; ``x`` holds
-    one start row per trial; ``z`` holds per-trial unit noise, ``(trials,
-    noised phases, d)``.  The chain runs in
-    ``domain``, intersected with each trial's epoch ball when ``epoch`` is
-    ``(centers, radius)``, one center row per trial.  ``trace`` collects one
-    ``PhaseRecord`` per phase, with every trial's points as rows.
+    array, one dataset shared by every trial or one per trial; ``schedule``
+    is ``_schedule(cfg, ...)``; ``x`` holds one start row per trial, each in
+    its domain; ``z`` holds per-trial unit noise, ``(trials, noised phases,
+    d)``.  The chain runs in ``domain``, intersected with each trial's epoch
+    ball when ``epoch`` is ``(centers, radius)``, one center row per trial.
+    ``trace`` collects one ``PhaseRecord`` per phase, with every trial's
+    points as rows.
 
     A 1-D isotropic-quadratic phase is closed form: every trust region is an
     interval, the constrained minimizer is the clamped stationary point, and
@@ -390,10 +360,6 @@ def _chain_trials(loss, samples, cfg, schedule, x, domain, z, epoch=None, trace=
 
         # Every trial's domain has the same radii, so one diameter.
         tol_floor = _tol_floor(L, outer(0))
-        # The start check of ``_start``; each phase checks its anchor as
-        # ``RegularizedProblem`` does.
-        if not _inside(x, balls, tol=_START_TOL).all():
-            raise InvalidInputError("x0 must lie in the domain")
     col = 0
     for i, eta_i, radius_i, lam, sensitivity, sigma, sigma_used in schedule:
         if d == 1:
@@ -449,6 +415,45 @@ def _chain_trials(loss, samples, cfg, schedule, x, domain, z, epoch=None, trace=
     return x
 
 
+def _run_chains(loss: LossOracle, datasets: list, starts: np.ndarray, domain: Domain,
+                privacy: PrivacyParams, streams: Iterable[RngStream], chains: list,
+                phase_trace: Optional[list] = None) -> list:
+    """Run chains one after another, all trials at once: the one driver of
+    both ``run_trials``.  Return the trials' iterates before the first chain
+    and after each chain, ``(trials, d)`` arrays.
+
+    Each chain is ``(offset, radius, cfg)``.  It runs ``_chain_trials`` with
+    ``_schedule(cfg, ...)`` on the k * n0 samples from ``offset`` of each
+    dataset, in ``domain`` intersected, when ``radius`` is not None, with
+    each trial's ball of that radius around its iterate; a chain whose
+    ``cfg`` is None leaves the iterate as it is.  ``datasets`` and
+    ``starts`` are one shared by every trial or one per stream.
+
+    Trial t's unit noise for every chain is one row of
+    ``mechanisms.noise_rows`` on ``streams[t]``, taken chain by chain in
+    order.  Scaling a unit draw by sigma gives the same bits as drawing at
+    scale sigma, so a stream's draws are exactly those a phase-by-phase run
+    would make on it.  ``phase_trace`` collects the chains' ``PhaseRecord``
+    entries, chain after chain."""
+    L, d = loss.lipschitz, loss.point_dim
+    schedules = [[] if cfg is None else _schedule(cfg, L, d) for *_, cfg in chains]
+    counts = [sum(1 for *_, sigma_used in schedule if sigma_used > 0) for schedule in schedules]
+    rows = mechanisms.noise_rows(privacy, streams, sum(counts) * d)
+    z = rows.reshape(len(rows), sum(counts), d)
+    if not {len(datasets), len(starts)} <= {1, len(z)}:
+        raise InvalidInputError("need one dataset and one start point, or one per stream")
+    x = np.broadcast_to(starts, (len(z), d))
+    xs, col = [x], 0
+    for (offset, radius, cfg), schedule, count in zip(chains, schedules, counts):
+        if cfg is not None:
+            samples = np.stack([ds.samples[offset : offset + cfg.k * cfg.n0] for ds in datasets])
+            x = _chain_trials(loss, samples, cfg, schedule, x, domain, z[:, col : col + count],
+                              None if radius is None else (x, radius), phase_trace)
+        xs.append(x)
+        col += count
+    return xs
+
+
 def run_trials(
     loss: LossOracle,
     data: Dataset | Sequence[Dataset],
@@ -463,15 +468,12 @@ def run_trials(
 
     ``data`` is one dataset shared by every trial or one per trial, and
     ``x0`` is one start point or one row per trial.  Trial t runs the chain
-    ``run`` describes on its own data and start, in the phase kernel
-    ``_chain_trials``, with its noise drawn from ``streams[t]`` by
+    ``run`` describes on its own data and start, as the one chain of
+    ``_run_chains``, with its noise drawn from ``streams[t]`` by
     ``mechanisms.noise_rows`` (a block of ``RngStream.children`` has its
     Laplace draws made in arrays).  ``trace`` collects one ``PhaseRecord``
     per phase whose points are ``(trials, d)`` arrays.
     """
-    datasets, starts, _ = _trial_inputs(loss, data, x0, lambda ds, x: _start(ds, domain, x, cfg))
-    d = loss.point_dim
-    schedule = _schedule(cfg, loss.lipschitz, d)
-    z, x = _trial_noise(cfg.privacy, streams, _noise_count(schedule), d, datasets, starts)
-    samples = np.stack([ds.samples[: cfg.k * cfg.n0] for ds in datasets])
-    return _chain_trials(loss, samples, cfg, schedule, x, domain, z, trace=trace)
+    datasets, starts = _trial_inputs(loss, data, domain, x0, cfg.k * cfg.n0)
+    return _run_chains(loss, datasets, starts, domain, cfg.privacy, streams, [(0, None, cfg)],
+                       trace)[-1]

@@ -7,6 +7,7 @@ analysis is in the decisions ledger, ``docs/decisions.md``, whose numbers
 ``scripts/decisions_ledger.py`` reproduces.
 """
 
+import hashlib
 import math
 import time
 from pathlib import Path
@@ -471,3 +472,21 @@ def test_criterion_9_byte_identical_reruns(sweep_results, tmp_path):
     _report(9, "byte-identical CSV reruns", ok,
             ", ".join(f"{k}: {'identical' if s else 'DIFFERS'}" for k, s in reruns))
     assert ok
+
+
+# sha256 of each acceptance sweep's CSV (numpy 2.4, x86_64), the same at
+# --jobs 1 and 2.  A change that keeps the program's behaviour keeps them; one
+# that is meant to move rows records its new digests here with the rows.
+PINNED_CSV_SHA256 = {
+    "stat_kappa2": "bebaef673e8592966620a43e7d00c9ea2d7ae214d997e11b9302812720069c65",
+    "stat_kappa4": "e1e0ced07f724af46b584c42b9c47cb0dbf85fe624b66e116c535021bb9252d1",
+    "priv_epoch": "b9c0b0b633ea1fd30a1c8e6966ae437d13626262a586d32ecbdf296ff74d25b8",
+    "priv_pure": "66b4b2fd7eeb252c35f2a7c5b2dfcfb7e37cce796a355d70e74e0eb7302d778d",
+    "invsens": "db6f1892489fcb691e65574b17a304367fc7be8cfc6dbd8b6a955d325567e456",
+}
+
+
+def test_acceptance_csvs_match_pinned_digests(sweep_results):
+    got = {key: hashlib.sha256(res["csv"].read_bytes()).hexdigest()
+           for key, res in sweep_results.items()}
+    assert got == PINNED_CSV_SHA256

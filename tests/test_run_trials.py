@@ -989,8 +989,7 @@ def test_epoch_run_trials_clamps_to_each_trials_region():
     n = 128
     base = _config("epoch_growth", inst, n, PrivacyParams(0.1), False, 1.0)
     cfg = epoch_growth.EpochConfig(
-        kappa_lower=base.kappa_lower, beta=base.beta, privacy=base.privacy, T=base.T,
-        R0=base.R0, eta0=0.5,
+        beta=base.beta, privacy=base.privacy, T=base.T, R0=base.R0, eta0=0.5,
     )
     data = inst.draw(n, RngStream(67, 0))
     x0 = np.array([0.9])
@@ -1032,6 +1031,31 @@ def test_run_trials_rejects_bad_inputs(pipeline):
     with pytest.raises(InvalidInputError):
         module.run_trials(quad.loss, [data, quad.draw(65, RngStream(65, 4))], quad.domain,
                           np.zeros(1), cfg, _streams(66))
+    # The boundaries of the one input check: the fewest samples a run takes
+    # (k * n0 for localization, two per epoch), and a start just inside and
+    # just outside the start tolerance, on the closed-form 1-D chain and on
+    # the d = 2 kernel.
+    least = cfg.k * cfg.n0 if pipeline == "localization" else 2 * cfg.T
+    tol = localization._START_TOL
+    cases = [(quad, cfg, least, 0.0, True), (quad, cfg, least - 1, 0.0, False)]
+    for inst in (quad, _quad_instance(2)):
+        inst_cfg = _config(pipeline, inst, 64, privacy, False, 1.0)
+        edge = inst.domain.radius
+        cases += [(inst, inst_cfg, 64, edge + tol / 2, True),
+                  (inst, inst_cfg, 64, edge + 2 * tol, False)]
+    for inst, inst_cfg, n, offset, runs in cases:
+        x0 = np.zeros(inst.domain.dim)
+        x0[0] = offset
+
+        def run():
+            return module.run_trials(inst.loss, inst.draw(n, RngStream(65, 5)), inst.domain,
+                                     x0, inst_cfg, _streams(66))
+
+        if runs:
+            assert np.isfinite(run()).all()
+        else:
+            with pytest.raises(InvalidInputError):
+                run()
 
 
 # ---------------------------------------------------------------------------
