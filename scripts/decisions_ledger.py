@@ -12,8 +12,8 @@ weight against the curvature of the kappa = 2 sweep instance, its movement
 budget, the median excess of both statistical sweeps next to a drift model
 that neglects the curvature, and the fitted slopes.
 
-Run from the repository root (the audit part takes about 15 s on 2 CPUs,
---part 4 about 20 s):
+Run from the repository root (on 2 CPUs with --jobs 2, --part 2 took
+11.4-11.6 s and --part 4 1.9-2.7 s over two runs each):
 
     PYTHONPATH=src python scripts/decisions_ledger.py --part all --jobs 2
 """

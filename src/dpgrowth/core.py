@@ -311,25 +311,20 @@ class PrivacyParams:
 class GrowthSpec:
     """Certified growth of an objective around its minimizer.
 
-    ``lam`` and ``kappa`` describe the instance (f - f* >= (lam/kappa) * r^kappa);
-    ``kappa_lower`` is the lower estimate handed to algorithms.  kappa = 1 is
-    accepted as a degenerate sharp-growth certificate for verification only;
-    the adaptive algorithms require kappa_lower > 1.
+    ``lam`` and ``kappa`` describe the instance (f - f* >= (lam/kappa) * r^kappa).
+    kappa = 1 is accepted as a degenerate sharp-growth certificate for
+    verification only.  The adaptive algorithms take their lower estimate
+    kappa_lower > 1 from the run's config, not from here.
     """
 
     lam: float
     kappa: float
-    kappa_lower: float = 0.0
 
     def __post_init__(self):
         if not (self.lam > 0):
             raise InvalidInputError("growth constant must be positive")
         if not (self.kappa >= 1):
             raise InvalidInputError("growth exponent must be >= 1")
-        if self.kappa_lower == 0.0:
-            object.__setattr__(self, "kappa_lower", self.kappa)
-        if not (self.kappa_lower <= self.kappa):
-            raise InvalidInputError("kappa_lower cannot exceed kappa")
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +471,6 @@ class LossOracle:
 
     lipschitz: float = 1.0
     point_dim: int = 1
-    sample_dim: int = 1
     structure: IsotropicQuadratic | PowerNorm | SeparableAbsolute | None = None
 
     def value(self, x: np.ndarray, s: np.ndarray) -> float:
@@ -503,13 +497,11 @@ class LossOracle:
 class CallableLoss(LossOracle):
     """Adapter wrapping plain value/subgrad callables (used in tests)."""
 
-    def __init__(self, value_fn, subgrad_fn, lipschitz, point_dim=1, sample_dim=1,
-                 structure=None):
+    def __init__(self, value_fn, subgrad_fn, lipschitz, point_dim=1, structure=None):
         self._value_fn = value_fn
         self._subgrad_fn = subgrad_fn
         self.lipschitz = float(lipschitz)
         self.point_dim = int(point_dim)
-        self.sample_dim = int(sample_dim)
         self.structure = structure
 
     def value(self, x, s):

@@ -62,12 +62,10 @@ class EpochConfig:
     """Outer-loop parameters.
 
     ``T`` epochs consume disjoint blocks of size floor(n/T); epoch i uses
-    radius R0 * 2^-i and step eta0 * 2^-i.  The inner chain receives the
-    squared confidence parameter, matching the union bound over epochs.
-    ``_epochs`` applies this schedule.
+    radius R0 * 2^-i and step eta0 * 2^-i.  The confidence beta enters only
+    through eta0 (``default_eta0``).  ``_epochs`` applies this schedule.
     """
 
-    beta: float
     privacy: PrivacyParams
     T: int
     R0: float
@@ -76,8 +74,6 @@ class EpochConfig:
     gaussian_conservative: bool = False
 
     def __post_init__(self):
-        if not (0.0 < self.beta < 1.0):
-            raise InvalidInputError("beta must lie in (0, 1)")
         if self.T < 1:
             raise InvalidInputError("T must be >= 1")
         if not (self.R0 > 0 and self.eta0 > 0):
@@ -98,14 +94,7 @@ class EpochConfig:
         T = epoch_count(n, kappa_lower)
         R0 = domain.diameter()
         eta0 = default_eta0(R0, loss.lipschitz, _block_size(n, T), beta, privacy, loss.point_dim)
-        return cls(
-            beta=beta,
-            privacy=privacy,
-            T=T,
-            R0=R0,
-            eta0=eta0,
-            **kwargs,
-        )
+        return cls(privacy=privacy, T=T, R0=R0, eta0=eta0, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -131,7 +120,7 @@ def _epochs(cfg: EpochConfig, n: int) -> list[tuple]:
     ``_block_size(n, T)`` samples, and ``chain`` is its
     ``localization._run_chains`` entry (offset, radius, inner config).  The
     inner config is ``LocalizationConfig.for_data_size`` of the block at
-    eta_i and beta^2, or None for a frozen epoch."""
+    eta_i, or None for a frozen epoch."""
     n0 = _block_size(n, cfg.T)
     epochs = []
     for i in range(cfg.T):
@@ -142,7 +131,7 @@ def _epochs(cfg: EpochConfig, n: int) -> list[tuple]:
         # same decay; below this radius the iterate is numerically fixed.
         if radius >= _FROZEN_RADIUS_FRACTION * cfg.R0:
             inner = localization.LocalizationConfig.for_data_size(
-                n0, eta_i, cfg.beta**2, cfg.privacy, noise_scale=cfg.noise_scale,
+                n0, eta_i, cfg.privacy, noise_scale=cfg.noise_scale,
                 gaussian_conservative=cfg.gaussian_conservative,
             )
         epochs.append((eta_i, (i * n0, radius, inner)))

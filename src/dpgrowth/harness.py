@@ -244,7 +244,7 @@ def _chain_config(algorithm: str, instance: ProblemInstance, n: int, d: int, bet
     loss, domain = instance.loss, instance.domain
     if algorithm == "localization":
         eta = localization.default_eta(domain.diameter(), loss.lipschitz, n, beta, privacy, d)
-        return localization.LocalizationConfig.for_data_size(n, eta, beta, privacy, **kwargs)
+        return localization.LocalizationConfig.for_data_size(n, eta, privacy, **kwargs)
     if kappa_lower is None:
         raise InvalidInputError("epoch_growth needs kappa_lower")
     return epoch_growth.EpochConfig.for_run(
@@ -297,9 +297,10 @@ def _execute(specs: list) -> list[TrialRecord]:
                 cell["kappa_lower"], noise_scale=cfg.noise_scale,
                 gaussian_conservative=cfg.gaussian_conservative,
             )
-            module = _CHAINS[cfg.algorithm][0]
             trace = [] if cfg.algorithm == "epoch_growth" else None
-            x_out = module.run_trials(loss, data, domain, np.array(x0), run_cfg, algo_rngs, trace)
+            x_out = _CHAINS[cfg.algorithm].run_trials(
+                loss, data, domain, np.array(x0), run_cfg, algo_rngs, trace
+            )
             if trace is not None:
                 epoch_i0 = epoch_growth.indices_in_region(trace, instance.xstar)
         elif cfg.algorithm == "inv_sensitivity":
@@ -452,7 +453,8 @@ def fit_rate(
 ) -> RateFit:
     """Ordinary least squares on (log x, log median y) across grid cells.
 
-    Requires at least three distinct values on the swept axis and positive
+    Requires at least three distinct values on the swept axis, one value on
+    each other axis among n, epsilon, d, delta and kappa_lower, and positive
     medians; trials with errors are dropped.
     """
     if x_field not in ("n", "epsilon", "d"):
@@ -461,7 +463,7 @@ def fit_rate(
     rows = [r for r in rows if not r.get("error")]
     if not rows:
         raise InvalidInputError("no successful trials to fit")
-    other_axes = [f for f in ("n", "epsilon", "d", "kappa_lower") if f != x_field]
+    other_axes = [f for f in ("n", "epsilon", "d", "delta", "kappa_lower") if f != x_field]
     for axis in other_axes:
         if len({r[axis] for r in rows}) > 1:
             raise InvalidInputError(
@@ -482,11 +484,7 @@ def fit_rate(
     slope = float(np.dot(vx, ly) / np.dot(vx, vx))
     intercept = float(ly.mean() - slope * lx.mean())
     resid = ly - (intercept + slope * lx)
-    if m > 2:
-        s2 = float(np.dot(resid, resid)) / (m - 2)
-        stderr = math.sqrt(s2 / float(np.dot(vx, vx)))
-    else:
-        stderr = math.nan
+    stderr = math.sqrt(float(np.dot(resid, resid)) / (m - 2) / float(np.dot(vx, vx)))
     return RateFit(
         slope=slope,
         stderr=stderr,
@@ -551,10 +549,10 @@ def _audit_config(pipeline: str, instance: ProblemInstance, noise_scale: float,
                          noise_scale=noise_scale)
 
 
-# Phase-chain pipelines: the module whose ``run`` (one trial) and
-# ``run_trials`` (the audit's or a chain sweep cell's trials at once)
-# execute the chain, and the ``run`` keyword that collects PhaseRecords.
-_CHAINS = {"localization": (localization, "trace"), "epoch_growth": (epoch_growth, "phase_trace")}
+# Phase-chain pipelines: the module whose ``run`` (one trial; its
+# ``phase_trace`` keyword collects PhaseRecords) and ``run_trials`` (the
+# audit's or a chain sweep cell's trials at once) execute the chain.
+_CHAINS = {"localization": localization, "epoch_growth": epoch_growth}
 
 
 def _chain(pipeline: str):
@@ -583,7 +581,7 @@ def _audit_mechanism(pipeline: str, noise_scale: float, epsilon: float):
             return inv_sensitivity.sample(density, rng, size=trials)[:, 0]
 
         return mech
-    module, _ = _chain(pipeline)
+    module = _chain(pipeline)
     instance = _audit_quadratic_instance()
     loss, domain = instance.loss, instance.domain
     x0 = np.zeros(1)
@@ -604,15 +602,14 @@ def _audit_first_phase(pipeline: str, epsilon: float, n: int) -> tuple[float, fl
     phase post-processes its noised output on identical data.  With Laplace
     noise the pipeline's privacy loss on the pair is therefore shift / sigma.
     """
-    module, trace_keyword = _chain(pipeline)
+    module = _chain(pipeline)
     instance = _audit_quadratic_instance()
     loss, domain = instance.loss, instance.domain
     cfg = _audit_config(pipeline, instance, 1.0, epsilon, n)
     first = []
     for dataset in _audit_datasets(n):
         phases: list = []
-        module.run(loss, dataset, domain, np.zeros(1), cfg, RngStream(0),
-                   **{trace_keyword: phases})
+        module.run(loss, dataset, domain, np.zeros(1), cfg, RngStream(0), phase_trace=phases)
         first.append(phases[0])
     shift = float(np.linalg.norm(first[0].x_solved - first[1].x_solved))
     return shift, first[0].sigma

@@ -60,7 +60,6 @@ class PowerNormLinearLoss(LossOracle):
         self.power = float(power)
         self.lin_scale = float(lin_scale)
         self.point_dim = int(d)
-        self.sample_dim = int(d)
         self.lipschitz = float(lipschitz)
         lin = lambda samples: self.lin_scale * samples
         if power == 2:
@@ -112,7 +111,6 @@ class SharpGrowthLoss(LossOracle):
         self.kappa = float(kappa)
         self.kink = float(kink)
         self.point_dim = 1
-        self.sample_dim = 1
         self.lipschitz = 2.0
         self.structure = None
 
@@ -172,7 +170,6 @@ class KnormRegressionLoss(LossOracle):
 
     def __init__(self, d: int, kappa: int, lipschitz: float):
         self.point_dim = int(d)
-        self.sample_dim = int(d) + 1
         self.kappa = int(kappa)
         self.lipschitz = float(lipschitz)
         self.structure = None
@@ -220,7 +217,6 @@ class SeparableAbsLoss(LossOracle):
     def __init__(self, weight: float, d: int, lipschitz: float):
         self.weight = float(weight)
         self.point_dim = int(d)
-        self.sample_dim = int(d)
         self.lipschitz = float(lipschitz)
         self.structure = SeparableAbsolute(weight=self.weight, points=lambda s: s)
 
@@ -256,7 +252,6 @@ class SeparableAbsLoss(LossOracle):
 class ProblemInstance:
     """A loss, a seeded sample distribution, a domain, and ground truth."""
 
-    name: str
     description: str
     loss: LossOracle
     domain: Domain
@@ -405,7 +400,6 @@ def make_uniform_convex(
 
     loss = PowerNormLinearLoss(coef=coef, power=kappa, lin_scale=L / 2.0, d=d, lipschitz=L)
     return ProblemInstance(
-        name="uniform_convex",
         description=(
             f"uniform_convex(d={d},kappa={kappa:g},lam={lam:g},L={L:g},R={R:g},"
             f"bias={bias_delta:g})"
@@ -472,7 +466,6 @@ def make_sharp_growth_1d(kappa: float, bias_delta: float, v: int = 1) -> Problem
         )
 
     return ProblemInstance(
-        name="sharp_growth",
         description=f"sharp_growth(kappa={kappa:g},bias={bias_delta:g},v={v:+d})",
         loss=loss,
         domain=Domain(np.zeros(1), 1.0),
@@ -547,7 +540,6 @@ def make_knorm_regression(
     loss = KnormRegressionLoss(d=d, kappa=kappa, lipschitz=L)
     lam_fit = _fit_growth_constant(pop_value_many, x_true, 0.0, kappa, domain)
     return ProblemInstance(
-        name="knorm_regression",
         description=f"knorm_regression(d={d},kappa={kappa},R={R:g},scale={design_scale:g})",
         loss=loss,
         domain=domain,
@@ -562,55 +554,13 @@ def make_knorm_regression(
     )
 
 
-def make_pure_convex(d: int, L: float, R: float, flat: bool = False) -> ProblemInstance:
+def make_pure_convex(d: int, L: float, R: float) -> ProblemInstance:
     """Lipschitz convex control instance with no declared growth.
 
-    The default puts half the per-coordinate sample mass at zero and a quarter
-    at +-R/2, so the population objective keeps a kink (nonzero slope) at its
-    interior minimizer.  ``flat=True`` (d = 1 only) uses equal mass at +-R,
-    making the population objective constant on the domain; the canonical
-    minimizer 0 is recorded.
+    Half the per-coordinate sample mass sits at zero and a quarter at +-R/2,
+    so the population objective keeps a kink (nonzero slope) at its interior
+    minimizer.
     """
-    if flat:
-        if d != 1:
-            raise InvalidInputError("the flat variant is one-dimensional")
-        loss = SeparableAbsLoss(weight=L, d=1, lipschitz=L)
-
-        def sampler(rng: RngStream, n: int) -> np.ndarray:
-            return np.where(rng.gen.random(n) < 0.5, R, -R)[:, None]
-
-        def pop_value_many(pts):
-            return L * np.maximum(np.abs(pts[:, 0]), R)
-
-        def pop_value(x):
-            return float(pop_value_many(np.atleast_2d(x))[0])
-
-        def pop_grad(pts):
-            return np.where(np.abs(pts) <= R, 0.0, L * np.sign(pts))
-
-        def emp_min(samples):
-            pos = float(np.mean(samples[:, 0] > 0))
-            if pos == 0.5:
-                return np.zeros(1), L * R
-            x = R if pos > 0.5 else -R
-            f = L * float(np.mean(np.abs(x - samples[:, 0])))
-            return np.array([x]), f
-
-        return ProblemInstance(
-            name="pure_convex",
-            description=f"pure_convex(d=1,L={L:g},R={R:g},flat)",
-            loss=loss,
-            domain=Domain(np.zeros(1), R),
-            growth=None,
-            xstar=np.zeros(1),
-            fstar=L * R,
-            _sampler=sampler,
-            _pop_value=pop_value,
-            _pop_value_many=pop_value_many,
-            _pop_grad=pop_grad,
-            _emp_min=emp_min,
-        )
-
     c = R / 2.0
     w = L / math.sqrt(d)
     loss = SeparableAbsLoss(weight=w, d=d, lipschitz=L)
@@ -643,7 +593,6 @@ def make_pure_convex(d: int, L: float, R: float, flat: bool = False) -> ProblemI
         return x, w * float(np.mean(np.sum(np.abs(x[None, :] - samples), axis=1)))
 
     return ProblemInstance(
-        name="pure_convex",
         description=f"pure_convex(d={d},L={L:g},R={R:g})",
         loss=loss,
         domain=Domain(np.zeros(d), R),

@@ -118,9 +118,7 @@ def build_density(
     if rho is None:
         if growth is None:
             raise InvalidInputError("supply rho or a growth certificate")
-        rho = default_rho(
-            loss.lipschitz, growth.lam, growth.kappa_lower, data.n, domain.dim, epsilon
-        )
+        rho = default_rho(loss.lipschitz, growth.lam, growth.kappa, data.n, domain.dim, epsilon)
     if not (rho > 0):
         raise InvalidInputError("rho must be positive")
     if h is None:

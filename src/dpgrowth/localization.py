@@ -62,8 +62,9 @@ def default_eta(
 
 @dataclass(frozen=True)
 class LocalizationConfig:
-    """Run parameters: base step eta, confidence beta, privacy budget, the
-    phase count k = ceil(log2 n) and per-phase batch size n0 = floor(n/k).
+    """Run parameters: base step eta, privacy budget, the phase count
+    k = ceil(log2 n) and per-phase batch size n0 = floor(n/k).  The
+    confidence beta enters only through eta (``default_eta``).
 
     ``noise_scale`` rescales every injected noise draw; it exists for the
     privacy falsifier (sabotage) and for noiseless oracle runs, and must be
@@ -73,7 +74,6 @@ class LocalizationConfig:
     """
 
     eta: float
-    beta: float
     privacy: PrivacyParams
     k: int
     n0: int
@@ -83,8 +83,6 @@ class LocalizationConfig:
     def __post_init__(self):
         if not (self.eta > 0):
             raise InvalidInputError("eta must be positive")
-        if not (0.0 < self.beta < 1.0):
-            raise InvalidInputError("beta must lie in (0, 1)")
         if self.k < 1 or self.n0 < 1:
             raise InvalidInputError("k and n0 must be >= 1")
         if self.noise_scale < 0:
@@ -96,14 +94,13 @@ class LocalizationConfig:
         cls,
         n: int,
         eta: float,
-        beta: float,
         privacy: PrivacyParams,
         **kwargs,
     ) -> "LocalizationConfig":
         """The config of a chain on n samples: k = ceil(log2 n) phases (at
         least one) of n0 = floor(n/k) samples each."""
         k = max(1, math.ceil(math.log2(n)))
-        return cls(eta=eta, beta=beta, privacy=privacy, k=k, n0=n // k, **kwargs)
+        return cls(eta=eta, privacy=privacy, k=k, n0=n // k, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -164,7 +161,7 @@ def run(
     x0: np.ndarray,
     cfg: LocalizationConfig,
     rng: RngStream,
-    trace: Optional[list] = None,
+    phase_trace: Optional[list] = None,
 ) -> np.ndarray:
     """Run the localization chain and return the final (noised, projected) iterate.
 
@@ -173,12 +170,13 @@ def run(
     eta_i = 2^{-4i} eta, then adds iid Laplace (pure mode) or isotropic
     Gaussian (approximate mode) noise and projects back onto ``domain``.
     Each sample is consumed by exactly one phase; leftover samples beyond
-    k * n0 are discarded.  This is ``run_trials`` as one trial on ``rng``.
+    k * n0 are discarded.  ``phase_trace`` collects one ``PhaseRecord`` per
+    phase.  This is ``run_trials`` as one trial on ``rng``.
     """
-    records = None if trace is None else []
+    records = None if phase_trace is None else []
     x = run_trials(loss, data, domain, x0, cfg, (rng,), records)[0]
-    if trace is not None:
-        trace += _first_trial(records)
+    if phase_trace is not None:
+        phase_trace += _first_trial(records)
     return x
 
 
@@ -461,7 +459,7 @@ def run_trials(
     x0: np.ndarray,
     cfg: LocalizationConfig,
     streams: Iterable[RngStream],
-    trace: Optional[list] = None,
+    phase_trace: Optional[list] = None,
 ) -> np.ndarray:
     """Run the chain once per stream, all trials at once, and return one
     output row per stream.
@@ -471,9 +469,9 @@ def run_trials(
     ``run`` describes on its own data and start, as the one chain of
     ``_run_chains``, with its noise drawn from ``streams[t]`` by
     ``mechanisms.noise_rows`` (a block of ``RngStream.children`` has its
-    Laplace draws made in arrays).  ``trace`` collects one ``PhaseRecord``
-    per phase whose points are ``(trials, d)`` arrays.
+    Laplace draws made in arrays).  ``phase_trace`` collects one
+    ``PhaseRecord`` per phase whose points are ``(trials, d)`` arrays.
     """
     datasets, starts = _trial_inputs(loss, data, domain, x0, cfg.k * cfg.n0)
     return _run_chains(loss, datasets, starts, domain, cfg.privacy, streams, [(0, None, cfg)],
-                       trace)[-1]
+                       phase_trace)[-1]

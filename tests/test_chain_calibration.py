@@ -36,11 +36,11 @@ def _localization(d, mode):
     inst = _instance(d)
     data = inst.draw(N, RngStream(40 + d, 0))
     cfg = localization.LocalizationConfig.for_data_size(
-        N, 0.05, 1e-2, privacy, gaussian_conservative=conservative
+        N, 0.05, privacy, gaussian_conservative=conservative
     )
     trace: list = []
     x = localization.run(
-        inst.loss, data, inst.domain, np.zeros(d), cfg, RngStream(40 + d, 1), trace=trace
+        inst.loss, data, inst.domain, np.zeros(d), cfg, RngStream(40 + d, 1), phase_trace=trace
     )
     return [rec.sigma for rec in trace], x
 

@@ -148,13 +148,9 @@ def test_privacy_params_validation():
 
 
 def test_growth_spec_validation():
-    spec = GrowthSpec(1.0, 2.0)
-    assert spec.kappa_lower == 2.0
     assert GrowthSpec(1.0, 1.0).kappa == 1.0  # degenerate check allowed
     with pytest.raises(InvalidInputError):
         GrowthSpec(0.0, 2.0)
-    with pytest.raises(InvalidInputError):
-        GrowthSpec(1.0, 2.0, kappa_lower=3.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from dpgrowth import localization
 from dpgrowth.epoch_growth import (
     EpochConfig,
     EpochRecord,
+    _epochs,
     default_eta0,
     epoch_count,
     indices_in_region,
@@ -57,9 +59,7 @@ def test_single_epoch_degenerates_to_one_localization_call():
     assert cfg.T == 1
     data = inst.draw(n, RngStream(41, 0))
     out = run(inst.loss, data, inst.domain, np.zeros(1), cfg, RngStream(41, 1))
-    inner = localization.LocalizationConfig.for_data_size(
-        n, cfg.eta0, cfg.beta**2, PrivacyParams(1.0)
-    )
+    inner = localization.LocalizationConfig.for_data_size(n, cfg.eta0, PrivacyParams(1.0))
     region = Domain(np.zeros(1), cfg.R0, parent=inst.domain)
     manual = localization.run(
         inst.loss, data, region, np.zeros(1), inner, RngStream(41, 1)
@@ -214,3 +214,37 @@ def test_indices_in_region_reads_each_trials_center_and_closed_regions():
     # A 2-D run trace, with xstar on the boundary: |(0.375, 0.5)| = 0.625.
     trace = [EpochRecord(0, np.zeros(2), 0.625, 1.0, np.array([3.0, 4.0]))]
     assert indices_in_region(trace, np.array([0.375, 0.5])) == [0]
+
+
+def _other_value(value):
+    """A value of the same kind that differs from ``value``."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, PrivacyParams):
+        return PrivacyParams(2.0 * value.epsilon, value.delta)
+    return value + 1 if isinstance(value, int) else value / 2.0
+
+
+@pytest.mark.parametrize("chain", ["localization", "epoch_growth"])
+def test_every_chain_config_field_changes_the_schedule(chain):
+    # A config field the schedule never reads is a knob with no effect.  An
+    # approximate budget lets gaussian_conservative change the noise scale.
+    inst = _instance()
+    L, n, privacy = inst.loss.lipschitz, 256, PrivacyParams(1.0, 1e-6)
+    if chain == "localization":
+        base = localization.LocalizationConfig.for_data_size(n, 0.01, privacy)
+
+        def schedule(cfg):
+            return localization._schedule(cfg, L, 1)
+    else:
+        base = EpochConfig.for_run(n, inst.loss, inst.domain, 3.0, 1.0 / (n + 1), privacy)
+
+        def schedule(cfg):
+            return [
+                (offset, radius, None if inner is None else localization._schedule(inner, L, 1))
+                for _, (offset, radius, inner) in _epochs(cfg, n)
+            ]
+
+    for field in dataclasses.fields(base):
+        changed = dataclasses.replace(base, **{field.name: _other_value(getattr(base, field.name))})
+        assert schedule(changed) != schedule(base), field.name

@@ -38,7 +38,6 @@ def _abs_loss(d=1):
         lambda x, s: np.sign(x - s),
         lipschitz=math.sqrt(d),
         point_dim=d,
-        sample_dim=d,
     )
 
 
@@ -160,7 +159,6 @@ def test_solve_constrained_isotropic_quadratic_at_a_lens_corner():
         lambda x, s: 2.0 * (x - s),
         lipschitz=4.0,
         point_dim=2,
-        sample_dim=2,
         structure=IsotropicQuadratic(curvature=2.0, linear=lambda s: -2.0 * s),
     )
     samples = np.array([[1.72, 1.04], [2.12, 1.24]])
@@ -224,7 +222,6 @@ def test_certificate_soundness_on_closed_forms():
             lambda x, s: 2.0 * (x - s),
             lipschitz=6.0,
             point_dim=2,
-            sample_dim=2,
             structure=IsotropicQuadratic(curvature=2.0, linear=lambda s: -2.0 * s),
         )
         prob = RegularizedProblem(loss, Dataset(samples), anchor, lam, Domain(np.zeros(2), 1.0))

@@ -133,7 +133,7 @@ def test_trial_records_are_reproducible_objects(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def _fake_records(xs, ys_fn, x_field="n"):
+def _fake_records(xs, ys_fn, x_field="n", delta=0.0):
     rows = []
     for x in xs:
         for seed in range(5):
@@ -142,6 +142,7 @@ def _fake_records(xs, ys_fn, x_field="n"):
                     n=x if x_field == "n" else 128,
                     d=1,
                     epsilon=x if x_field == "epsilon" else 1.0,
+                    delta=delta,
                     kappa_lower=None,
                     seed=seed,
                     excess_pop=ys_fn(x),
@@ -174,6 +175,16 @@ def test_fit_rate_input_validation():
         fit_rate(_fake_records([10, 100, 1000], lambda n: 0.0), "n")  # zero medians
     with pytest.raises(InvalidInputError):
         fit_rate(_fake_records([10, 100, 1000], lambda n: 1.0 / n), "seed")
+
+
+def test_fit_rate_rejects_mixed_delta():
+    # Two budgets' cells on one n axis would pool into medians of neither.
+    ns = [100, 200, 400]
+    rows = _fake_records(ns, lambda n: 1.0 / n) + _fake_records(
+        ns, lambda n: 100.0 / n, delta=1e-6
+    )
+    with pytest.raises(InvalidInputError, match="delta"):
+        fit_rate(rows, "n")
 
 
 # ---------------------------------------------------------------------------

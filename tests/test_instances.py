@@ -152,14 +152,6 @@ def test_knorm_rejects_noninteger_kappa():
 # ---------------------------------------------------------------------------
 
 
-def test_pure_convex_flat_variant_canonical_minimizer():
-    inst = make_pure_convex(d=1, L=1.0, R=1.0, flat=True)
-    assert inst.xstar[0] == 0.0
-    assert inst.fstar == pytest.approx(1.0)
-    xs = np.linspace(-1, 1, 21)[:, None]
-    np.testing.assert_allclose(inst.pop_value_many(xs), 1.0)
-
-
 def test_pure_convex_lipschitz_probe():
     inst = make_pure_convex(d=5, L=1.0, R=1.0)
     rng = RngStream(5, 0)
@@ -246,7 +238,7 @@ def test_declared_lipschitz_respected_over_10k_probes():
 
 def test_registry_round_trip():
     inst = build_instance("sharp_growth", kappa=1.5, bias_delta=0.25)
-    assert inst.name == "sharp_growth"
+    assert inst.description.startswith("sharp_growth(")
     with pytest.raises(InvalidInputError):
         build_instance("mystery")
 

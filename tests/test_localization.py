@@ -60,10 +60,10 @@ def test_run_bookkeeping_n8():
     # n = 8: k = 3 phases of n0 = 2 samples; the remainder is never touched.
     inst = _quad_instance()
     data = inst.draw(8, RngStream(1, 0))
-    cfg = LocalizationConfig.for_data_size(8, 0.01, 0.1, PrivacyParams(1.0))
+    cfg = LocalizationConfig.for_data_size(8, 0.01, PrivacyParams(1.0))
     assert (cfg.k, cfg.n0) == (3, 2)
     trace = []
-    run(inst.loss, data, inst.domain, np.zeros(1), cfg, RngStream(1, 1), trace=trace)
+    run(inst.loss, data, inst.domain, np.zeros(1), cfg, RngStream(1, 1), phase_trace=trace)
     assert len(trace) == 3
 
 
@@ -72,10 +72,10 @@ def test_run_trust_regions_shrink_16x_and_confine():
     n = 256
     beta = 1.0 / (n + 1)
     eta = default_eta(2.0, 4.0, n, beta, PrivacyParams(1.0), 1)
-    cfg = LocalizationConfig.for_data_size(n, eta, beta, PrivacyParams(1.0))
+    cfg = LocalizationConfig.for_data_size(n, eta, PrivacyParams(1.0))
     data = inst.draw(n, RngStream(2, 0))
     trace = []
-    run(inst.loss, data, inst.domain, np.zeros(1), cfg, RngStream(2, 1), trace=trace)
+    run(inst.loss, data, inst.domain, np.zeros(1), cfg, RngStream(2, 1), phase_trace=trace)
     radii = [rec.radius for rec in trace]
     for a, b in zip(radii, radii[1:]):
         assert a / b == pytest.approx(16.0)
@@ -89,7 +89,7 @@ def test_run_trust_regions_shrink_16x_and_confine():
 def test_run_is_deterministic_given_stream():
     inst = _quad_instance()
     data = inst.draw(64, RngStream(3, 0))
-    cfg = LocalizationConfig.for_data_size(64, 0.005, 1e-2, PrivacyParams(1.0))
+    cfg = LocalizationConfig.for_data_size(64, 0.005, PrivacyParams(1.0))
     a = run(inst.loss, data, inst.domain, np.zeros(1), cfg, RngStream(3, 9))
     b = run(inst.loss, data, inst.domain, np.zeros(1), cfg, RngStream(3, 9))
     assert np.array_equal(a, b)
@@ -98,10 +98,10 @@ def test_run_is_deterministic_given_stream():
 def test_run_input_validation():
     inst = _quad_instance()
     data = inst.draw(4, RngStream(4, 0))
-    cfg = LocalizationConfig(eta=0.01, beta=0.1, privacy=PrivacyParams(1.0), k=5, n0=1)
+    cfg = LocalizationConfig(eta=0.01, privacy=PrivacyParams(1.0), k=5, n0=1)
     with pytest.raises(InvalidInputError):
         run(inst.loss, data, inst.domain, np.zeros(1), cfg, RngStream(4, 1))
-    cfg2 = LocalizationConfig.for_data_size(4, 0.01, 0.1, PrivacyParams(1.0))
+    cfg2 = LocalizationConfig.for_data_size(4, 0.01, PrivacyParams(1.0))
     with pytest.raises(InvalidInputError):
         run(inst.loss, data, inst.domain, np.array([9.0]), cfg2, RngStream(4, 2))
 
@@ -109,22 +109,18 @@ def test_run_input_validation():
 def test_gaussian_modes_change_noise_scale():
     inst = _quad_instance()
     data = inst.draw(64, RngStream(5, 0))
-    base = dict(n=64, eta=0.005, beta=1e-2)
-    approx = LocalizationConfig.for_data_size(
-        base["n"], base["eta"], base["beta"], PrivacyParams(1.0, 1e-6)
-    )
+    approx = LocalizationConfig.for_data_size(64, 0.005, PrivacyParams(1.0, 1e-6))
     strict = LocalizationConfig.for_data_size(
-        base["n"], base["eta"], base["beta"], PrivacyParams(1.0, 1e-6),
-        gaussian_conservative=True,
+        64, 0.005, PrivacyParams(1.0, 1e-6), gaussian_conservative=True
     )
     t1, t2 = [], []
-    run(inst.loss, data, inst.domain, np.zeros(1), approx, RngStream(5, 1), trace=t1)
-    run(inst.loss, data, inst.domain, np.zeros(1), strict, RngStream(5, 1), trace=t2)
+    run(inst.loss, data, inst.domain, np.zeros(1), approx, RngStream(5, 1), phase_trace=t1)
+    run(inst.loss, data, inst.domain, np.zeros(1), strict, RngStream(5, 1), phase_trace=t2)
     # 2 * Delta * log(2/delta) / eps vs Delta * sqrt(log(1/delta)) / eps.
     ratio = 2.0 * math.log(2.0 / 1e-6) / math.sqrt(math.log(1.0 / 1e-6))
     assert t2[0].sigma / t1[0].sigma == pytest.approx(ratio)
     with pytest.raises(InvalidInputError):
-        LocalizationConfig.for_data_size(64, 0.005, 1e-2, PrivacyParams(1.0, 0.9))
+        LocalizationConfig.for_data_size(64, 0.005, PrivacyParams(1.0, 0.9))
 
 
 def test_fast_scalar_path_matches_generic_solver():
@@ -132,7 +128,7 @@ def test_fast_scalar_path_matches_generic_solver():
 
     inst = _quad_instance()
     data = inst.draw(64, RngStream(6, 0))
-    cfg = LocalizationConfig.for_data_size(64, 0.01, 1e-2, PrivacyParams(1.0))
+    cfg = LocalizationConfig.for_data_size(64, 0.01, PrivacyParams(1.0))
     generic_loss = copy.copy(inst.loss)
     generic_loss.structure = None
     for t in range(20):
@@ -155,7 +151,7 @@ def test_noiseless_run_tracks_empirical_minimizer():
     eta = default_eta(
         inst.domain.diameter(), inst.loss.lipschitz, n, beta, PrivacyParams(1e6), 1
     )
-    cfg = LocalizationConfig.for_data_size(n, eta, beta, PrivacyParams(1e6))
+    cfg = LocalizationConfig.for_data_size(n, eta, PrivacyParams(1e6))
     dists, excesses = [], []
     for seed in range(50):
         st = RngStream(31, seed)
@@ -181,7 +177,7 @@ def test_pure_convex_risk_regression_bound():
     eta = default_eta(
         inst.domain.diameter(), inst.loss.lipschitz, n, beta, PrivacyParams(1.0), d
     )
-    cfg = LocalizationConfig.for_data_size(n, eta, beta, PrivacyParams(1.0))
+    cfg = LocalizationConfig.for_data_size(n, eta, PrivacyParams(1.0))
     vals = []
     for seed in range(100):
         st = RngStream(880000 + seed, 0)
@@ -201,7 +197,7 @@ def test_high_probability_quantile_decreases_with_n():
         eta = default_eta(
             inst.domain.diameter(), inst.loss.lipschitz, n, beta, PrivacyParams(1.0), 1
         )
-        cfg = LocalizationConfig.for_data_size(n, eta, beta, PrivacyParams(1.0))
+        cfg = LocalizationConfig.for_data_size(n, eta, PrivacyParams(1.0))
         ex = []
         for seed in range(120):
             st = RngStream(991000 + 17 * n + seed, 0)

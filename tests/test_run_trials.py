@@ -439,7 +439,7 @@ def _streams(seed):
 
 
 def _assert_matches_pinned(module, loss, data, domain, x0, cfg, seed, pinned, trace=None):
-    got = module.run_trials(loss, data, domain, x0, cfg, _streams(seed), trace=trace)
+    got = module.run_trials(loss, data, domain, x0, cfg, _streams(seed), trace)
     assert got.shape == (TRIALS, 1)
     assert tuple(float(v).hex() for v in got[:3, 0]) == pinned
     single = [module.run(loss, data, domain, x0, cfg, s)[0] for s in islice(_streams(seed), 3)]
@@ -454,7 +454,7 @@ def _config(pipeline, inst, n, privacy, conservative, noise_scale, kappa_lower=3
         eta = localization.default_eta(
             inst.domain.diameter(), inst.loss.lipschitz, n, beta, privacy, inst.domain.dim
         )
-        return localization.LocalizationConfig.for_data_size(n, eta, beta, privacy, **kw)
+        return localization.LocalizationConfig.for_data_size(n, eta, privacy, **kw)
     return epoch_growth.EpochConfig.for_run(
         n, inst.loss, inst.domain, kappa_lower, 1.0 / (n + 1), privacy, **kw
     )
@@ -668,9 +668,7 @@ def test_block_means_equal_each_blocks_own_mean():
     linear = _quad_instance().loss.structure.linear
     for d in (1, 2, 4):
         for k, n0 in ((1, 3), (5, 8), (3, 9), (7, 18), (2, 129)):
-            cfg = localization.LocalizationConfig(
-                eta=1.0, beta=0.5, privacy=PrivacyParams(1.0), k=k, n0=n0
-            )
+            cfg = localization.LocalizationConfig(eta=1.0, privacy=PrivacyParams(1.0), k=k, n0=n0)
             samples = rng.standard_normal((3, k * n0 + 5, d)) * 10.0 ** rng.uniform(-3, 3)
             for lin in (None, linear):
                 got = localization._block_means(samples, cfg, lin)
@@ -700,9 +698,7 @@ def test_quadratic_phase_matches_erm_solve_bit_for_bit(monkeypatch):
     )
     rng = np.random.default_rng(12)
     trials, m = 100, 16
-    cfg = localization.LocalizationConfig(
-        eta=1.0, beta=0.5, privacy=PrivacyParams(1.0), k=1, n0=m
-    )
+    cfg = localization.LocalizationConfig(eta=1.0, privacy=PrivacyParams(1.0), k=1, n0=m)
     counts = dict(phases=0, dominance=0, anchor_projected=0, outside_region=0, projected=0)
     for d in (2, 4):
         inst = _quad_instance(d)
@@ -787,9 +783,7 @@ def test_separable_phase_matches_erm_solve_bit_for_bit(monkeypatch):
         )
     rng = np.random.default_rng(15)
     trials, m = 150, 16
-    cfg = localization.LocalizationConfig(
-        eta=1.0, beta=0.5, privacy=PrivacyParams(1.0), k=1, n0=m
-    )
+    cfg = localization.LocalizationConfig(eta=1.0, privacy=PrivacyParams(1.0), k=1, n0=m)
     counts = dict(phases=0, dominance=0, anchor_projected=0, outside_region=0, projected=0)
     for d in (1, 4):
         inst = build_instance("pure_convex", d=d, L=1.0, R=1.0)
@@ -875,9 +869,7 @@ def test_power_norm_phase_matches_erm_solve_bit_for_bit(monkeypatch):
     )
     rng = np.random.default_rng(11)
     trials, m = 100, 16  # identical samples then have an exact mean
-    cfg = localization.LocalizationConfig(
-        eta=1.0, beta=0.5, privacy=PrivacyParams(1.0), k=1, n0=m
-    )
+    cfg = localization.LocalizationConfig(eta=1.0, privacy=PrivacyParams(1.0), k=1, n0=m)
     counts = dict(phases=0, dominance=0, anchor_projected=0, edge_solutions=0, projected=0,
                   clamp_differs=0)
     for kappa in (3, 4):
@@ -988,9 +980,7 @@ def test_epoch_run_trials_clamps_to_each_trials_region():
     inst = _quad_instance()
     n = 128
     base = _config("epoch_growth", inst, n, PrivacyParams(0.1), False, 1.0)
-    cfg = epoch_growth.EpochConfig(
-        beta=base.beta, privacy=base.privacy, T=base.T, R0=base.R0, eta0=0.5,
-    )
+    cfg = epoch_growth.EpochConfig(privacy=base.privacy, T=base.T, R0=base.R0, eta0=0.5)
     data = inst.draw(n, RngStream(67, 0))
     x0 = np.array([0.9])
     trace: list = []
