@@ -432,70 +432,58 @@ def project(domain: Domain, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IsotropicQuadratic:
-    """Solver hint: F(x; s) = 0.5 * curvature * ||x||^2 + <linear(s), x> (+ c(s))."""
+    """Solver hint: F(x; s) = 0.5 curvature ||x||^2 + lin_scale <s, x> (+ c(s))."""
 
     curvature: float
-    linear: Callable[[np.ndarray], np.ndarray]
+    lin_scale: float
 
 
 @dataclass(frozen=True)
 class PowerNorm:
-    """Solver hint: F(x; s) = coef * ||x||^power + <linear(s), x>.  In 1-D
-    the loss's ``batch_subgrad`` is ``slope``."""
+    """Solver hint: F(x; s) = coef * ||x||^power + lin_scale * <s, x>.  In
+    1-D the loss's ``batch_subgrad`` is ``slope``."""
 
     coef: float
     power: float
-    linear: Callable[[np.ndarray], np.ndarray]
+    lin_scale: float
 
     def slope(self, u: float, gbar: float) -> float:
-        """The 1-D batch derivative at u, with gbar = linear(mean sample)."""
+        """The 1-D batch derivative at u, with gbar = lin_scale * mean sample."""
         return self.coef * self.power * math.sqrt(u * u) ** (self.power - 2.0) * u + gbar
 
 
 @dataclass(frozen=True)
 class SeparableAbsolute:
-    """Solver hint: F(x; s) = weight * sum_j |x_j - p_j(s)|."""
+    """Solver hint: F(x; s) = weight * sum_j |x_j - s_j|."""
 
     weight: float
-    points: Callable[[np.ndarray], np.ndarray]
 
 
 class LossOracle:
-    """A convex per-sample loss with min-norm subgradients.
-
-    ``subgrad`` must return the minimum-norm element of the subdifferential
-    (0 at a kink of |.|), and every subgradient norm must stay below the
-    declared ``lipschitz`` constant on the domain of interest.  ``structure``
-    optionally exposes closed-form structure to the inner solver.
-    """
+    """A convex per-sample loss F(x; s), read through means over a batch of
+    samples: the value, the min-norm subgradient (0 at a kink of |.|), and
+    that subgradient at many points.  The noise calibration rests on
+    ``lipschitz``: every one-sample ``batch_subgrad(x, s[None])`` has norm
+    <= it on the domain of interest.  ``structure`` optionally exposes
+    closed-form structure to the inner solver."""
 
     lipschitz: float = 1.0
     point_dim: int = 1
     structure: IsotropicQuadratic | PowerNorm | SeparableAbsolute | None = None
 
-    def value(self, x: np.ndarray, s: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def subgrad(self, x: np.ndarray, s: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    # Batch paths; subclasses override with vectorized versions.
     def batch_value(self, x: np.ndarray, samples: np.ndarray) -> float:
-        return float(np.mean([self.value(x, s) for s in samples]))
+        raise NotImplementedError
 
     def batch_subgrad(self, x: np.ndarray, samples: np.ndarray) -> np.ndarray:
-        acc = np.zeros(self.point_dim)
-        for s in samples:
-            acc += self.subgrad(x, s)
-        return acc / len(samples)
+        raise NotImplementedError
 
     def mean_grads(self, points: np.ndarray, samples: np.ndarray) -> np.ndarray:
         """Mean subgradient field evaluated at many points, shape (m, d)."""
-        return np.stack([self.batch_subgrad(p, samples) for p in points])
+        raise NotImplementedError
 
 
 class CallableLoss(LossOracle):
-    """Adapter wrapping plain value/subgrad callables (used in tests)."""
+    """Per-sample value/subgrad callables, averaged one sample at a time."""
 
     def __init__(self, value_fn, subgrad_fn, lipschitz, point_dim=1, structure=None):
         self._value_fn = value_fn
@@ -504,12 +492,19 @@ class CallableLoss(LossOracle):
         self.point_dim = int(point_dim)
         self.structure = structure
 
-    def value(self, x, s):
-        return float(self._value_fn(np.asarray(x, float), np.asarray(s, float)))
+    def batch_value(self, x, samples):
+        x = np.asarray(x, float)
+        return float(np.mean([float(self._value_fn(x, np.asarray(s, float))) for s in samples]))
 
-    def subgrad(self, x, s):
-        g = self._subgrad_fn(np.asarray(x, float), np.asarray(s, float))
-        return np.atleast_1d(np.asarray(g, dtype=float))
+    def batch_subgrad(self, x, samples):
+        x = np.asarray(x, float)
+        acc = np.zeros(self.point_dim)
+        for s in samples:
+            acc += np.atleast_1d(np.asarray(self._subgrad_fn(x, np.asarray(s, float)), float))
+        return acc / len(samples)
+
+    def mean_grads(self, points, samples):
+        return np.stack([self.batch_subgrad(p, samples) for p in points])
 
 
 # ---------------------------------------------------------------------------

@@ -149,7 +149,7 @@ def _strictly_interior(domain: Domain, x: np.ndarray, margin: float = 1e-12) -> 
 def _separable_certificate(problem, st, x, grad, lam):
     """``_separable_gap`` at the point x of a separable-absolute problem
     whose quadratics have gradient ``grad`` at x."""
-    pts = st.points(problem.batch.samples)
+    pts = problem.batch.samples
     below = (pts < x[None, :]).sum(axis=0)
     above = (pts > x[None, :]).sum(axis=0)
     return _separable_gap(below[None], above[None], pts.shape[0], st.weight, grad[None], lam)[0]
@@ -183,7 +183,7 @@ def _interval_gap(slope, lam: float, lo: float, hi: float, t: float) -> float:
 
 def _solve_isotropic_quadratic(problem: RegularizedProblem, st: IsotropicQuadratic):
     lam = problem.reg_weight
-    qbar = st.linear(problem.batch.samples).mean(axis=0)
+    qbar = (st.lin_scale * problem.batch.samples).mean(axis=0)
     x = (2.0 * lam * problem.anchor - qbar) / (st.curvature + 2.0 * lam)
     if problem.domain.contains(x, tol=0.0):
         return x
@@ -274,7 +274,7 @@ def _solve_separable_abs(problem: RegularizedProblem, st: SeparableAbsolute, tol
     """Exact coordinatewise solve; a binding ball is handled by dualizing
     that single constraint.  Returns (x, certified gap bound) or None."""
     lam = problem.reg_weight
-    rows = np.sort(st.points(problem.batch.samples), axis=0).T
+    rows = np.sort(problem.batch.samples, axis=0).T
     w = st.weight
     a = problem.anchor
     x = _coordwise_abs_quadratic(rows, w, lam, a)
@@ -445,7 +445,7 @@ def solve(problem: RegularizedProblem, tol: float, max_iters: int = 200_000) -> 
                 return x
             candidate = x
     elif isinstance(st, PowerNorm) and problem.anchor.shape[0] == 1:
-        ubar = float(st.linear(problem.batch.samples).mean(axis=0)[0])
+        ubar = float((st.lin_scale * problem.batch.samples).mean(axis=0)[0])
         candidate = np.array([_power_norm_root(
             st.coef, st.power, ubar, lam, float(problem.anchor[0]), *problem.domain.interval()
         )])

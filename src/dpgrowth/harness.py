@@ -13,6 +13,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from configparser import ConfigParser
+from configparser import Error as IniError
 from dataclasses import asdict, dataclass
 from itertools import product
 from pathlib import Path
@@ -142,69 +143,107 @@ def _parse_scalar(text: str):
     return text
 
 
-def _parse_list(text: str) -> tuple:
-    return tuple(_parse_scalar(tok) for tok in text.split(",") if tok.strip())
+def _numbers(text: str) -> tuple:
+    """A nonempty comma-separated list of numbers, each as ``_parse_scalar``
+    reads it."""
+    values = tuple(_parse_scalar(tok) for tok in text.split(",") if tok.strip())
+    if not values or any(isinstance(v, (str, bool)) for v in values):
+        raise ValueError
+    return values
 
 
-def _read_ini(path: str | Path) -> ConfigParser:
+def _boolean(text: str) -> bool:
+    """A boolean spelled as ``ConfigParser.getboolean`` accepts it."""
+    return ConfigParser.BOOLEAN_STATES[text.lower()]
+
+
+# The keys each config section may hold.  [instance] holds ``name``, ``d``
+# and the generator's parameters, which ``build_instance`` checks.
+_CONFIG_KEYS = {
+    "experiment": {"name", "algorithm", "seeds", "master_seed", "beta", "x0_offset", "n"},
+    "instance": None,
+    "sweep": {"n", "epsilon", "delta", "d", "kappa_lower"},
+    "algorithm": {"kappa_lower", "noise_scale", "gaussian_conservative", "rho", "grid_spacing"},
+    "output": {"prefix"},
+    "audit": {"epsilons", "n", "trials", "bins", "pipelines", "sabotage"},
+}
+
+
+def _read_ini(path: str | Path, required: tuple) -> ConfigParser:
     """Read an INI file with ``;`` and ``#`` inline comments, keeping option
-    case (instance parameters like L, R)."""
+    case (instance parameters like L, R).  It must hold the ``required``
+    sections, and only the sections and keys of ``_CONFIG_KEYS``, which are
+    then all present."""
     parser = ConfigParser(inline_comment_prefixes=(";", "#"))
     parser.optionxform = str
-    if not parser.read(path):
-        raise InvalidInputError(f"cannot read config {path}")
+    try:
+        if not parser.read(path):
+            raise InvalidInputError(f"cannot read config {path}")
+    except IniError as exc:  # on one line, as the CLI prints one error line
+        message = " ".join(str(exc).split())
+        raise InvalidInputError(f"cannot parse config {path}: {message}") from None
+    for name in parser.sections():
+        if name not in _CONFIG_KEYS:
+            raise InvalidInputError(f"config {path}: unknown section [{name}]; "
+                                    f"known: {', '.join(_CONFIG_KEYS)}")
+        unknown = sorted(set(parser[name]) - (_CONFIG_KEYS[name] or set(parser[name])))
+        if unknown:
+            raise InvalidInputError(f"config {path}: unknown key {unknown[0]!r} in [{name}]; "
+                                    f"known: {', '.join(sorted(_CONFIG_KEYS[name]))}")
+    for name in required:
+        if not parser.has_section(name):
+            raise InvalidInputError(f"config {path} has no [{name}] section")
+    parser.read_dict(dict.fromkeys(_CONFIG_KEYS, {}))
     return parser
+
+
+def _get(section, key: str, parse, default=None):
+    """``parse`` of the text of ``key`` in a config section, or ``default``
+    if absent; text that ``parse`` rejects is an error naming both."""
+    if key not in section:
+        return default
+    try:
+        return parse(section[key])
+    except (KeyError, ValueError):
+        message = f"config [{section.name}] {key}: cannot read {section[key]!r}"
+    raise InvalidInputError(message)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse the flat INI experiment format (see README for the grammar)."""
-    parser = _read_ini(path)
-    exp = parser["experiment"]
-    inst = parser["instance"]
-    sweep = parser["sweep"] if parser.has_section("sweep") else {}
-    algo = parser["algorithm"] if parser.has_section("algorithm") else {}
-    out = parser["output"] if parser.has_section("output") else {}
-
+    parser = _read_ini(path, required=("experiment", "instance"))
+    exp, inst, sweep, algo = (parser[name] for name in ("experiment", "instance", "sweep",
+                                                          "algorithm"))
     algorithm = exp.get("algorithm", "localization").strip()
     if algorithm not in ALGORITHMS:
         raise InvalidInputError(f"unknown algorithm {algorithm!r}; pick from {ALGORITHMS}")
     instance_params = {
         key: _parse_scalar(val) for key, val in inst.items() if key not in ("name", "d")
     }
-    beta_raw = exp.get("beta", "auto").strip().lower()
-    beta = None if beta_raw == "auto" else float(beta_raw)
-    seeds = int(exp.get("seeds", "1"))
+    seeds = _get(exp, "seeds", int, 1)
     if seeds < 1:
         raise InvalidInputError("seeds must be >= 1")
-
-    def sweep_axis(key, default):
-        if key in sweep:
-            return _parse_list(sweep[key])
-        return default
-
     cfg = ExperimentConfig(
         name=exp.get("name", Path(path).stem).strip(),
         algorithm=algorithm,
         instance_name=inst.get("name", "").strip(),
         instance_params=instance_params,
-        d_default=int(inst.get("d", "1")),
+        d_default=_get(inst, "d", int, 1),
         seeds=seeds,
-        master_seed=int(exp.get("master_seed", "0")),
-        beta=beta,
-        x0_offset=float(exp.get("x0_offset", "0.05")),
-        sweep_n=sweep_axis("n", (int(exp.get("n", "256")),)),
-        sweep_epsilon=sweep_axis("epsilon", (1.0,)),
-        sweep_delta=sweep_axis("delta", (0.0,)),
-        sweep_d=_parse_list(sweep["d"]) if "d" in sweep else None,
-        sweep_kappa_lower=(
-            _parse_list(sweep["kappa_lower"]) if "kappa_lower" in sweep else None
-        ),
-        kappa_lower=float(algo["kappa_lower"]) if "kappa_lower" in algo else None,
-        noise_scale=float(algo.get("noise_scale", "1.0")),
-        gaussian_conservative=algo.get("gaussian_conservative", "false").lower() == "true",
-        rho=float(algo["rho"]) if "rho" in algo else None,
-        grid_spacing=float(algo["grid_spacing"]) if "grid_spacing" in algo else None,
-        output_prefix=out.get("prefix", Path(path).stem).strip(),
+        master_seed=_get(exp, "master_seed", int, 0),
+        beta=_get(exp, "beta", lambda text: None if text.lower() == "auto" else float(text)),
+        x0_offset=_get(exp, "x0_offset", float, 0.05),
+        sweep_n=_get(sweep, "n", _numbers, (_get(exp, "n", int, 256),)),
+        sweep_epsilon=_get(sweep, "epsilon", _numbers, (1.0,)),
+        sweep_delta=_get(sweep, "delta", _numbers, (0.0,)),
+        sweep_d=_get(sweep, "d", _numbers),
+        sweep_kappa_lower=_get(sweep, "kappa_lower", _numbers),
+        kappa_lower=_get(algo, "kappa_lower", float),
+        noise_scale=_get(algo, "noise_scale", float, 1.0),
+        gaussian_conservative=_get(algo, "gaussian_conservative", _boolean, False),
+        rho=_get(algo, "rho", float),
+        grid_spacing=_get(algo, "grid_spacing", float),
+        output_prefix=parser["output"].get("prefix", Path(path).stem).strip(),
     )
     if not cfg.instance_name:
         raise InvalidInputError("config must name an instance")
@@ -749,21 +788,11 @@ def _command(args) -> int:
     if args.command == "audit":
         kwargs = dict(master_seed=args.seed, jobs=args.jobs)
         if args.config:
-            parser_ini = _read_ini(args.config)
-            if not parser_ini.has_section("audit"):
-                raise InvalidInputError(f"config {args.config} has no [audit] section")
-            sec = parser_ini["audit"]
-            if "epsilons" in sec:
-                kwargs["epsilons"] = _parse_list(sec["epsilons"])
-            for key in ("n", "trials", "bins"):
-                if key in sec:
-                    kwargs[key] = int(sec[key])
-            if "pipelines" in sec:
-                kwargs["pipelines"] = tuple(
-                    str(p) for p in _parse_list(sec["pipelines"])
-                )
-            if "sabotage" in sec:
-                kwargs["sabotage"] = sec.getboolean("sabotage")
+            sec = _read_ini(args.config, required=("audit",))["audit"]
+            parsers = dict(epsilons=_numbers, n=int, trials=int, bins=int, sabotage=_boolean,
+                           pipelines=lambda text: tuple(p.strip() for p in text.split(",")
+                                                        if p.strip()))
+            kwargs.update({key: _get(sec, key, parsers[key]) for key in sec})
         rows = privacy_audit(**kwargs)
         payload = []
         for row in rows:

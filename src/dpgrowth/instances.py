@@ -61,24 +61,10 @@ class PowerNormLinearLoss(LossOracle):
         self.lin_scale = float(lin_scale)
         self.point_dim = int(d)
         self.lipschitz = float(lipschitz)
-        lin = lambda samples: self.lin_scale * samples
         if power == 2:
-            self.structure = IsotropicQuadratic(curvature=2.0 * self.coef, linear=lin)
+            self.structure = IsotropicQuadratic(2.0 * self.coef, self.lin_scale)
         else:
-            self.structure = PowerNorm(coef=self.coef, power=self.power, linear=lin)
-
-    def value(self, x, s):
-        x = np.atleast_1d(x)
-        return self.coef * float(np.linalg.norm(x)) ** self.power + self.lin_scale * float(
-            np.dot(x, s)
-        )
-
-    def subgrad(self, x, s):
-        x = np.atleast_1d(x)
-        r = float(np.linalg.norm(x))
-        return self.coef * self.power * r ** (self.power - 2.0) * x + self.lin_scale * np.asarray(
-            s, float
-        )
+            self.structure = PowerNorm(self.coef, self.power, self.lin_scale)
 
     def batch_value(self, x, samples):
         x = np.atleast_1d(x)
@@ -132,17 +118,6 @@ class SharpGrowthLoss(LossOracle):
         out = np.where(t > -a, 1.0, -k * np.abs(t + a) ** (k - 1.0))
         return np.where(t == -a, 0.0, out)
 
-    def value(self, x, s):
-        t = float(np.atleast_1d(x)[0])
-        sv = float(np.atleast_1d(s)[0])
-        return float(self._value_plus(t) if sv > 0 else self._value_minus(t))
-
-    def subgrad(self, x, s):
-        t = float(np.atleast_1d(x)[0])
-        sv = float(np.atleast_1d(s)[0])
-        g = self._deriv_plus(t) if sv > 0 else self._deriv_minus(t)
-        return np.array([float(g)])
-
     def batch_value(self, x, samples):
         t = float(np.atleast_1d(x)[0])
         frac_pos = float(np.mean(samples[:, 0] > 0))
@@ -177,17 +152,6 @@ class KnormRegressionLoss(LossOracle):
     def _split(self, samples):
         return samples[:, : self.point_dim], samples[:, self.point_dim]
 
-    def value(self, x, s):
-        s = np.asarray(s, float)
-        a, b = s[: self.point_dim], s[self.point_dim]
-        return float(np.abs(b - np.dot(a, x)) ** self.kappa)
-
-    def subgrad(self, x, s):
-        s = np.asarray(s, float)
-        a, b = s[: self.point_dim], s[self.point_dim]
-        r = b - float(np.dot(a, x))
-        return -self.kappa * abs(r) ** (self.kappa - 1) * np.sign(r) * a
-
     def batch_value(self, x, samples):
         A, b = self._split(samples)
         r = b - A @ np.atleast_1d(x)
@@ -218,13 +182,7 @@ class SeparableAbsLoss(LossOracle):
         self.weight = float(weight)
         self.point_dim = int(d)
         self.lipschitz = float(lipschitz)
-        self.structure = SeparableAbsolute(weight=self.weight, points=lambda s: s)
-
-    def value(self, x, s):
-        return self.weight * float(np.sum(np.abs(np.atleast_1d(x) - s)))
-
-    def subgrad(self, x, s):
-        return self.weight * np.sign(np.atleast_1d(x) - np.asarray(s, float))
+        self.structure = SeparableAbsolute(self.weight)
 
     def batch_value(self, x, samples):
         return self.weight * float(np.mean(np.sum(np.abs(x[None, :] - samples), axis=1)))
@@ -630,6 +588,10 @@ def build_instance(name: str, **params) -> ProblemInstance:
         _SIGNATURES[name].bind(**params)
     except TypeError as exc:
         raise InvalidInputError(f"instance {name!r}: {exc}") from None
+    # No generator takes text: a string is an unparsed INI or CLI value.
+    for key, value in params.items():
+        if isinstance(value, str):
+            raise InvalidInputError(f"instance {name!r}: {key!r} is not a number: {value!r}")
     return _BUILDERS[name](**params)
 
 

@@ -180,14 +180,14 @@ def run(
     return x
 
 
-def _block_means(samples: np.ndarray, cfg: LocalizationConfig, linear=None) -> np.ndarray:
+def _block_means(samples: np.ndarray, cfg: LocalizationConfig, scale=None) -> np.ndarray:
     """Per-phase batch means of a ``(datasets, m, d)`` sample array, or of
-    ``linear`` of it, as a ``(k, datasets, d)`` array.  numpy's sums depend
+    ``scale`` times it, as a ``(k, datasets, d)`` array.  numpy's sums depend
     on the reduction's shape; this one reduces each block along its own
     axis, as ``mean(axis=0)`` of the block alone does, so each mean has the
     bits of ``erm.solve``'s."""
     k, n0 = cfg.k, cfg.n0
-    s = samples[:, : k * n0] if linear is None else linear(samples[:, : k * n0])
+    s = samples[:, : k * n0] if scale is None else scale * samples[:, : k * n0]
     return s.reshape(len(s), k, n0, -1).mean(axis=2).transpose(1, 0, 2)
 
 
@@ -232,37 +232,31 @@ def _project_trials(x: np.ndarray, balls: list, domain_of) -> np.ndarray:
     return x
 
 
-def _quadratic_phase(st: IsotropicQuadratic, lam, tol, x, qbar, gbar, region_balls, region,
-                     problem) -> np.ndarray:
+def _quadratic_phase(st: IsotropicQuadratic, lam, tol, x, qbar, gbar, region_balls, region):
     """Each trial's solution of an isotropic-quadratic phase as ``erm.solve``
-    finds it: the stationary point, projected onto the trial's region where
-    it lies outside, then ``erm.certified_gap``'s projected-gradient
-    certificate, with the gradient curvature * x + gbar that the loss's
-    ``batch_subgrad`` computes from gbar = linear(mean sample).  A trial
-    whose certificate fails runs ``erm.solve`` on ``problem(t)``."""
+    finds it, and whether it is certified: the stationary point, projected
+    onto the trial's region where it lies outside, then
+    ``erm.certified_gap``'s projected-gradient certificate, with the
+    gradient curvature * x + gbar that the loss's ``batch_subgrad`` computes
+    from gbar = lin_scale * mean sample."""
     x_hat = _project_trials(
         (2.0 * lam * x - qbar) / (st.curvature + 2.0 * lam), region_balls, region
     )
     gamma = 1.0 / (2.0 * lam)
     g = st.curvature * x_hat + gbar + 2.0 * lam * (x_hat - x)
     step = _project_trials(x_hat - gamma * g, region_balls, region)
-    gap = erm._gap_bound(erm._row_norms(x_hat - step) / gamma, lam)
-    # x_hat is a new array: the stationary points, or their projected copy.
-    for t in np.flatnonzero(~(gap <= tol)):
-        x_hat[t] = erm.solve(problem(t), tol=tol, max_iters=MAX_SOLVER_ITERS)
-    return x_hat
+    return x_hat, erm._gap_bound(erm._row_norms(x_hat - step) / gamma, lam) <= tol
 
 
-def _separable_phase(st: SeparableAbsolute, lam, tol, x, block, region_balls, problem):
+def _separable_phase(st: SeparableAbsolute, lam, tol, x, block, region_balls):
     """Each trial's solution of a separable-absolute phase as ``erm.solve``
-    finds it: the coordinatewise minimizers of the phase's ``(datasets, n0,
-    d)`` sample block, one sorted row of breakpoints per trial and
-    coordinate, kept where they lie in their region within
-    ``erm._INTERIOR_TOL`` and pass the subdifferential-interval certificate.
-    A trial whose point lies outside or whose certificate fails runs
-    ``erm.solve`` on ``problem(t)``, which dualizes a binding ball."""
+    finds it, and whether it is certified: the coordinatewise minimizers of
+    the phase's ``(datasets, n0, d)`` sample block, one sorted row of
+    breakpoints per trial and coordinate, certified where they lie in their
+    region within ``erm._INTERIOR_TOL`` and pass the
+    subdifferential-interval certificate."""
     trials, d = x.shape
-    rows = np.ascontiguousarray(st.points(block).transpose(0, 2, 1))
+    rows = np.ascontiguousarray(block.transpose(0, 2, 1))
     rows.sort(axis=-1)
     if len(rows) < trials:
         rows = np.repeat(rows, trials, axis=0)
@@ -273,24 +267,22 @@ def _separable_phase(st: SeparableAbsolute, lam, tol, x, block, region_balls, pr
     below = (rows < col).sum(axis=1).reshape(trials, d)
     above = (rows > col).sum(axis=1).reshape(trials, d)
     gap = erm._separable_gap(below, above, m, st.weight, 2.0 * lam * (x_hat - x), lam)
-    ok = _inside(x_hat, region_balls, tol=erm._INTERIOR_TOL) & (gap <= tol)
-    for t in np.flatnonzero(~ok):
-        x_hat[t] = erm.solve(problem(t), tol=tol, max_iters=MAX_SOLVER_ITERS)
-    return x_hat
+    return x_hat, _inside(x_hat, region_balls, tol=erm._INTERIOR_TOL) & (gap <= tol)
 
 
-def _power_norm_phase(st: PowerNorm, lam, tol, x, lo, hi, qbar, gbar, problem) -> np.ndarray:
+def _power_norm_phase(st: PowerNorm, lam, tol, x, lo, hi, qbar, gbar):
     """Each trial's solution of a 1-D power-norm phase as ``erm.solve``
-    finds it: the solver's own bisection and 1-D certificate, in Python
-    floats, from the trial's anchor x[t], interval [lo[t], hi[t]], mean
-    linear term qbar[t] and linear term of the mean sample gbar[t], all
-    ``(trials, 1)`` arrays.  A trial whose certificate fails runs
-    ``erm.solve`` on ``problem(t)``."""
-    x_hat = []
-    for t, (a, lo_t, hi_t, ubar, g) in enumerate(zip(
-        x[:, 0].tolist(), lo[:, 0].tolist(), hi[:, 0].tolist(), qbar[:, 0].tolist(),
-        gbar[:, 0].tolist(),
-    )):
+    finds it, and whether it is certified: the solver's own bisection and
+    1-D certificate, in Python floats, from the trial's anchor x[t],
+    interval [lo[t], hi[t]], mean linear term qbar and linear term of the
+    mean sample gbar.  x, lo and hi are ``(trials, 1)`` arrays; qbar and
+    gbar have one row shared by every trial or one per trial."""
+    reps = len(x) // len(qbar)
+    x_hat, ok = [], []
+    for a, lo_t, hi_t, ubar, g in zip(
+        x[:, 0].tolist(), lo[:, 0].tolist(), hi[:, 0].tolist(), qbar[:, 0].tolist() * reps,
+        gbar[:, 0].tolist() * reps,
+    ):
         root = erm._power_norm_root(st.coef, st.power, ubar, lam, a, lo_t, hi_t)
 
         # The loss's batch derivative plus the regularizer's, added as
@@ -298,10 +290,9 @@ def _power_norm_phase(st: PowerNorm, lam, tol, x, lo, hi, qbar, gbar, problem) -
         def slope(u):
             return st.slope(u, g) + 2.0 * lam * (u - a)
 
-        if erm._interval_gap(slope, lam, lo_t, hi_t, root) > tol:
-            root = float(erm.solve(problem(t), tol=tol, max_iters=MAX_SOLVER_ITERS)[0])
+        ok.append(erm._interval_gap(slope, lam, lo_t, hi_t, root) <= tol)
         x_hat.append(root)
-    return np.array(x_hat)[:, None]
+    return np.array(x_hat)[:, None], np.array(ok)
 
 
 def _chain_trials(loss, samples, cfg, schedule, x, domain, z, epoch=None, trace=None):
@@ -325,22 +316,22 @@ def _chain_trials(loss, samples, cfg, schedule, x, domain, z, epoch=None, trace=
     inside its region; at d >= 2 also the quadratic's closed form and its
     certificate, and for a separable absolute loss the coordinatewise
     minimizers of every trial's sorted breakpoints and their
-    subdifferential-interval certificate.  Only the rare branches run one
-    trial at a time: a point outside its region goes through
-    ``core.project``, a separable minimizer outside its region or a failed
-    certificate through ``erm.solve``.  A 1-D power-norm phase's bisection
-    and certificate run per trial too, in Python floats.  A loss with no
-    closed form here (no solver hint, or a power norm at d >= 2) solves each
-    trial's phase with ``erm.solve`` unless the regularizer dominates.
+    subdifferential-interval certificate.  A 1-D power-norm phase's
+    bisection and certificate run per trial, in Python floats.  Only the
+    rare branches run one trial at a time: a point outside its region goes
+    through ``core.project``, a separable minimizer outside its region or a
+    failed certificate through the one fallback loop, ``erm.solve`` per
+    trial.  That loop also solves every non-dominated phase of a loss with
+    no closed form here (no solver hint, or a power norm at d >= 2).
     """
     st = loss.structure
     d = x.shape[1]
     clamp = d == 1 and isinstance(st, IsotropicQuadratic)
     power = d == 1 and isinstance(st, PowerNorm)
     if isinstance(st, IsotropicQuadratic) or power:
-        qbar = _block_means(samples, cfg, st.linear)
+        qbar = _block_means(samples, cfg, st.lin_scale)
         if not clamp:
-            gbar = st.linear(_block_means(samples, cfg))
+            gbar = st.lin_scale * _block_means(samples, cfg)
     balls = list(domain.balls())
     if epoch is not None:
         centers, radius = epoch
@@ -373,31 +364,29 @@ def _chain_trials(loss, samples, cfg, schedule, x, domain, z, epoch=None, trace=
             def region(t):
                 return Domain(x[t], radius_i, parent=outer(t))
 
-            def problem(t):
-                block = samples[min(t, len(samples) - 1), (i - 1) * cfg.n0 : i * cfg.n0]
-                return erm.RegularizedProblem(loss, Dataset(block), x[t], lam, region(t))
-
             tol = _phase_tol(sensitivity, sigma, tol_floor)
             if erm._dominated(L, lam, tol):
                 # Regularizer dominance: the solution is the anchor projected
                 # onto its region, whose own ball always holds it.
                 x_hat = _project_trials(x, balls, region)
-            elif isinstance(st, SeparableAbsolute):
-                block = samples[:, (i - 1) * cfg.n0 : i * cfg.n0]
-                x_hat = _separable_phase(st, lam, tol, x, block, [(x, radius_i)] + balls, problem)
-            elif power:
-                x_hat = _power_norm_phase(
-                    st, lam, tol, x, lo, hi, np.broadcast_to(qbar[i - 1], x.shape),
-                    np.broadcast_to(gbar[i - 1], x.shape), problem,
-                )
-            elif isinstance(st, IsotropicQuadratic):
-                x_hat = _quadratic_phase(
-                    st, lam, tol, x, qbar[i - 1], gbar[i - 1], [(x, radius_i)] + balls, region,
-                    problem,
-                )
             else:
-                x_hat = np.array([erm.solve(problem(t), tol=tol, max_iters=MAX_SOLVER_ITERS)
-                                  for t in range(len(x))])
+                block = samples[:, (i - 1) * cfg.n0 : i * cfg.n0]
+                if isinstance(st, SeparableAbsolute):
+                    x_hat, ok = _separable_phase(st, lam, tol, x, block, [(x, radius_i)] + balls)
+                elif power:
+                    x_hat, ok = _power_norm_phase(st, lam, tol, x, lo, hi, qbar[i - 1],
+                                                  gbar[i - 1])
+                elif isinstance(st, IsotropicQuadratic):
+                    x_hat, ok = _quadratic_phase(st, lam, tol, x, qbar[i - 1], gbar[i - 1],
+                                                 [(x, radius_i)] + balls, region)
+                else:
+                    x_hat, ok = np.empty(x.shape), np.zeros(len(x), bool)
+                # The one fallback: each trial without a certified solution
+                # solves its phase with erm.solve.  x_hat is a new array.
+                for t in np.flatnonzero(~ok):
+                    problem = erm.RegularizedProblem(
+                        loss, Dataset(block[min(t, len(block) - 1)]), x[t], lam, region(t))
+                    x_hat[t] = erm.solve(problem, tol=tol, max_iters=MAX_SOLVER_ITERS)
         if sigma_used > 0:
             noise = z[:, col] * sigma_used
             col += 1

@@ -434,7 +434,7 @@ def test_criterion_8_oracle_equivalence():
                 lambda x, s: float((x[0] - s[0]) ** 2),
                 lambda x, s: 2.0 * (x - s),
                 lipschitz=4.0,
-                structure=IsotropicQuadratic(curvature=2.0, linear=lambda s: -2.0 * s),
+                structure=IsotropicQuadratic(curvature=2.0, lin_scale=-2.0),
             )
             per = lambda g: (g[:, None] - samples[:, 0][None, :]) ** 2
         prob = RegularizedProblem(

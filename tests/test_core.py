@@ -349,7 +349,7 @@ def test_subgradient_bound_probes():
     for _ in range(500):
         x = project(inst.domain, rng.gen.normal(0, 0.7, 2))
         s = data.samples[rng.gen.integers(0, 50)]
-        assert np.linalg.norm(inst.loss.subgrad(x, s)) <= inst.loss.lipschitz + 1e-12
+        assert np.linalg.norm(inst.loss.batch_subgrad(x, s[None])) <= inst.loss.lipschitz + 1e-12
 
 
 def test_convexity_along_segments():
@@ -359,8 +359,8 @@ def test_convexity_along_segments():
         x = rng.gen.uniform(-1, 1, 1)
         y = rng.gen.uniform(-1, 1, 1)
         alpha = rng.gen.random()
-        s = np.array([1.0 if rng.gen.random() < 0.5 else -1.0])
+        s = np.array([[1.0 if rng.gen.random() < 0.5 else -1.0]])  # a one-sample batch
         mid = alpha * x + (1 - alpha) * y
-        lhs = inst.loss.value(mid, s)
-        rhs = alpha * inst.loss.value(x, s) + (1 - alpha) * inst.loss.value(y, s)
+        lhs = inst.loss.batch_value(mid, s)
+        rhs = alpha * inst.loss.batch_value(x, s) + (1 - alpha) * inst.loss.batch_value(y, s)
         assert lhs <= rhs + 1e-9

@@ -28,7 +28,7 @@ def _quadratic_loss():
         lambda x, s: float(np.sum((x - s) ** 2)),
         lambda x, s: 2.0 * (x - s),
         lipschitz=4.0,
-        structure=IsotropicQuadratic(curvature=2.0, linear=lambda s: -2.0 * s),
+        structure=IsotropicQuadratic(curvature=2.0, lin_scale=-2.0),
     )
 
 
@@ -159,7 +159,7 @@ def test_solve_constrained_isotropic_quadratic_at_a_lens_corner():
         lambda x, s: 2.0 * (x - s),
         lipschitz=4.0,
         point_dim=2,
-        structure=IsotropicQuadratic(curvature=2.0, linear=lambda s: -2.0 * s),
+        structure=IsotropicQuadratic(curvature=2.0, lin_scale=-2.0),
     )
     samples = np.array([[1.72, 1.04], [2.12, 1.24]])
     lens = Domain(np.array([0.5, 0.0]), 0.6, parent=Domain(np.zeros(2), 1.0))
@@ -222,7 +222,7 @@ def test_certificate_soundness_on_closed_forms():
             lambda x, s: 2.0 * (x - s),
             lipschitz=6.0,
             point_dim=2,
-            structure=IsotropicQuadratic(curvature=2.0, linear=lambda s: -2.0 * s),
+            structure=IsotropicQuadratic(curvature=2.0, lin_scale=-2.0),
         )
         prob = RegularizedProblem(loss, Dataset(samples), anchor, lam, Domain(np.zeros(2), 1.0))
         tol = 1e-9

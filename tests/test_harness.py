@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,31 @@ def test_load_config_rejects_unknown_algorithm(tmp_path):
     bad = TINY_CONFIG.replace("erm_oracle", "alchemy")
     with pytest.raises(InvalidInputError):
         load_config(_write(tmp_path, bad))
+
+
+def test_load_config_rejects_unknown_keys_and_sections(tmp_path):
+    # A misspelled key or section must not fall back to a default silently.
+    for old, new, message in (
+        ("beta = auto", "beta = auto\nx0_ofset = 0.3", "unknown key 'x0_ofset' in [experiment]"),
+        ("epsilon = 1.0", "epsilon = 1.0\nkapa_lower = 3", "unknown key 'kapa_lower' in [sweep]"),
+        ("[output]", "[algorithm]\nnoise_scal = 0.0\n\n[output]",
+         "unknown key 'noise_scal' in [algorithm]"),
+        ("prefix = tiny", "prefix = tiny\nsufix = x", "unknown key 'sufix' in [output]"),
+        ("[sweep]", "[sweeep]", "unknown section [sweeep]"),
+        ("n = 64", "n = 64, many", "[sweep] n: cannot read '64, many'"),
+        ("[output]", "[algorithm]\ngaussian_conservative = maybe\n\n[output]",
+         "[algorithm] gaussian_conservative: cannot read 'maybe'"),
+    ):
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            load_config(_write(tmp_path, TINY_CONFIG.replace(old, new)))
+    # Every key read is accepted, [experiment] n included; a boolean takes
+    # any spelling ConfigParser.getboolean takes, as [audit] sabotage does.
+    text = TINY_CONFIG.replace("beta = auto", "beta = auto\nn = 32\nx0_offset = 0.3").replace(
+        "[output]", "[algorithm]\nnoise_scale = 0.0\ngaussian_conservative = Yes\n\n[output]"
+    ).replace("n = 64\n", "")
+    cfg = load_config(_write(tmp_path, text))
+    assert (cfg.sweep_n, cfg.x0_offset, cfg.noise_scale) == ((32,), 0.3, 0.0)
+    assert cfg.gaussian_conservative is True
 
 
 def test_run_sweep_one_cell_three_seeds(tmp_path):
@@ -243,10 +269,25 @@ sabotage = false
 def test_cli_audit_rejects_unreadable_config_and_missing_section(tmp_path, capsys):
     missing = tmp_path / "missing.ini"
     no_audit = _write(tmp_path, "[experiment]\nname = x\n", name="no_audit.ini")
+    no_experiment = _write(tmp_path, "[instance]\nname = pure_convex\n", name="no_exp.ini")
+    no_header = _write(tmp_path, "x = 1\n", name="no_header.ini")
+    misspelled = _write(tmp_path, "[audit]\ntrails = 50\n", name="misspelled.ini")
+    bad_seeds = _write(tmp_path, TINY_CONFIG.replace("seeds = 3", "seeds = abc"), "seeds.ini")
+    bad_scale = _write(tmp_path, TINY_CONFIG.replace(
+        "[output]", "[algorithm]\nnoise_scale = lots\n\n[output]"), name="scale.ini")
+    bad_sabotage = _write(tmp_path, "[audit]\nsabotage = sure\n", name="sabotage.ini")
     for argv, message in (
         (["audit", str(missing)], f"cannot read config {missing}"),
         (["run", str(missing)], f"cannot read config {missing}"),
         (["audit", str(no_audit)], f"config {no_audit} has no [audit] section"),
+        (["run", str(no_experiment)], f"config {no_experiment} has no [experiment] section"),
+        (["run", str(no_header)], f"cannot parse config {no_header}: File contains no section "
+                                  f"headers. file: {str(no_header)!r}, line: 1 'x = 1\\n'"),
+        (["audit", str(misspelled)], f"config {misspelled}: unknown key 'trails' in [audit]; "
+                                     "known: bins, epsilons, n, pipelines, sabotage, trials"),
+        (["run", str(bad_seeds)], "config [experiment] seeds: cannot read 'abc'"),
+        (["run", str(bad_scale)], "config [algorithm] noise_scale: cannot read 'lots'"),
+        (["audit", str(bad_sabotage)], "config [audit] sabotage: cannot read 'sure'"),
     ):
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -260,6 +301,8 @@ def test_cli_verify_instance_rejects_missing_and_unknown_parameters(capsys):
         (["uniform_convex", "--param", "bogus=1"], "missing a required argument: 'd'"),
         (["sharp_growth", "--param", "kappa=1.5", "--param", "bias_delta=0.25",
           "--param", "bogus=1"], "got an unexpected keyword argument 'bogus'"),
+        (["uniform_convex", "--param", "d=1", "--param", "kappa=two", "--param", "lam=1",
+          "--param", "L=4", "--param", "R=1"], "'kappa' is not a number: 'two'"),
     ):
         assert main(["verify-instance", *argv]) == 2
         captured = capsys.readouterr()

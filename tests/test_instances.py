@@ -1,5 +1,6 @@
 import math
 import os
+import pickle
 import subprocess
 import sys
 
@@ -122,12 +123,12 @@ def test_knorm_subgrad_matches_finite_differences():
     h = 1e-6
     for _ in range(100):
         x = rng.gen.uniform(-0.6, 0.6, 2)
-        s = data.samples[rng.gen.integers(0, 10)]
-        g = inst.loss.subgrad(x, s)
+        s = data.samples[rng.gen.integers(0, 10)][None]  # a one-sample batch
+        g = inst.loss.batch_subgrad(x, s)
         for j in range(2):
             e = np.zeros(2)
             e[j] = h
-            fd = (inst.loss.value(x + e, s) - inst.loss.value(x - e, s)) / (2 * h)
+            fd = (inst.loss.batch_value(x + e, s) - inst.loss.batch_value(x - e, s)) / (2 * h)
             assert abs(g[j] - fd) < 1e-5
 
 
@@ -159,7 +160,7 @@ def test_pure_convex_lipschitz_probe():
     for _ in range(200):
         x = rng.gen.uniform(-0.4, 0.4, 5)
         s = data.samples[rng.gen.integers(0, 100)]
-        assert np.linalg.norm(inst.loss.subgrad(x, s)) <= 1.0 + 1e-12
+        assert np.linalg.norm(inst.loss.batch_subgrad(x, s[None])) <= 1.0 + 1e-12
 
 
 def test_pure_convex_population_closed_form():
@@ -232,8 +233,24 @@ def test_declared_lipschitz_respected_over_10k_probes():
         picks = probe_rng.gen.integers(0, 200, size=10_000)
         worst = 0.0
         for x, j in zip(xs, picks):
-            worst = max(worst, float(np.linalg.norm(inst.loss.subgrad(x, data.samples[j]))))
+            g = inst.loss.batch_subgrad(x, data.samples[j][None])
+            worst = max(worst, float(np.linalg.norm(g)))
         assert worst <= inst.loss.lipschitz + 1e-9, inst.description
+
+
+def test_every_shipped_loss_pickles_and_loads_back():
+    # A loss is numbers and methods: its solver hint holds no callables, so
+    # the loss pickles, and the copy computes the same batch oracles.
+    for name, params in SHIPPED_INSTANCES:
+        inst = build_instance(name, **params)
+        loss = pickle.loads(pickle.dumps(inst.loss))
+        assert type(loss) is type(inst.loss) and vars(loss) == vars(inst.loss), inst.description
+        samples = inst.draw(16, RngStream(15, 0)).samples
+        x = inst.xstar + 0.1 * inst.domain.radius
+        assert loss.batch_value(x, samples) == inst.loss.batch_value(x, samples)
+        assert loss.batch_subgrad(x, samples).tobytes() == inst.loss.batch_subgrad(
+            x, samples
+        ).tobytes()
 
 
 def test_registry_round_trip():

@@ -665,17 +665,17 @@ def test_block_means_equal_each_blocks_own_mean():
     # the mean erm.solve takes of it alone.  Continuous samples: sums of the
     # sweeps' +-1 samples are exact in any order and would not tell.
     rng = np.random.default_rng(14)
-    linear = _quad_instance().loss.structure.linear
+    lin_scale = _quad_instance().loss.structure.lin_scale
     for d in (1, 2, 4):
         for k, n0 in ((1, 3), (5, 8), (3, 9), (7, 18), (2, 129)):
             cfg = localization.LocalizationConfig(eta=1.0, privacy=PrivacyParams(1.0), k=k, n0=n0)
             samples = rng.standard_normal((3, k * n0 + 5, d)) * 10.0 ** rng.uniform(-3, 3)
-            for lin in (None, linear):
-                got = localization._block_means(samples, cfg, lin)
+            for scale in (None, lin_scale):
+                got = localization._block_means(samples, cfg, scale)
                 for i in range(k):
                     for t in range(3):
                         block = samples[t, i * n0 : (i + 1) * n0]
-                        want = (block if lin is None else lin(block)).mean(axis=0)
+                        want = (block if scale is None else scale * block).mean(axis=0)
                         assert got[i, t].tobytes() == want.tobytes()
 
 
@@ -749,7 +749,7 @@ def test_quadratic_phase_matches_erm_solve_bit_for_bit(monkeypatch):
                     noised = want + (z[t, 0] * sigma_used if sigma_used > 0 else 0.0)
                     want_next = project(outer[t], noised)
                     assert got[t].tobytes() == want_next.tobytes()
-                    closed = (2.0 * lam * x[t] - st.linear(samples[t]).mean(axis=0)) / (
+                    closed = (2.0 * lam * x[t] - (st.lin_scale * samples[t]).mean(axis=0)) / (
                         st.curvature + 2.0 * lam
                     )
                     counts["phases"] += 1
