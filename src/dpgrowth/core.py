@@ -543,12 +543,15 @@ def probe_points(
 ) -> np.ndarray:
     """Probe mix: uniform draws, boundary points, and near-minimizer points.
 
-    The domain must be a single ball.  With ``interior_shrink < 1`` all
-    probes are pulled strictly inside it (used by the gradient-domination
-    check, which is an interior statement for constrained problems).
+    The domain must be a single ball, and ``n_probes`` at least 1.  With
+    ``interior_shrink < 1`` all probes are pulled strictly inside it (used
+    by the gradient-domination check, which is an interior statement for
+    constrained problems).
     """
     if domain.parent is not None:
         raise InvalidInputError("probe points need a single-ball domain")
+    if n_probes < 1:
+        raise InvalidInputError(f"need at least one probe, got {n_probes}")
     if rng is None:
         rng = RngStream(0, 0)
     xstar = np.atleast_1d(np.asarray(xstar, dtype=float))

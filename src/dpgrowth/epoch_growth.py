@@ -165,6 +165,23 @@ def run(
     return x
 
 
+def _group(loss: LossOracle, data, domain: Domain, x0, cfg: EpochConfig,
+           streams: Iterable[RngStream]) -> tuple:
+    """The ``localization._run_chains`` group of a ``run_trials`` call: its
+    checked samples and starts, and the epochs of ``_epochs`` as chains."""
+    # Each block needs the 2 samples that ``default_eta0`` asks of it.
+    samples, starts = localization._trial_inputs(loss, data, domain, x0, 2 * cfg.T)
+    chains = [chain for _, chain in _epochs(cfg, len(samples[0]))]
+    return samples, starts, cfg.privacy, streams, chains
+
+
+def _records(cfg: EpochConfig, n: int, xs: list) -> list:
+    """One ``EpochRecord`` per epoch of a run on n samples whose iterates
+    before the first epoch and after each epoch are ``xs``."""
+    return [EpochRecord(i, xs[i], radius, eta_i, xs[i + 1], frozen=inner is None)
+            for i, (eta_i, (_, radius, inner)) in enumerate(_epochs(cfg, n))]
+
+
 def run_trials(
     loss: LossOracle,
     data: Dataset | Sequence[Dataset],
@@ -179,21 +196,17 @@ def run_trials(
     one output row per stream.
 
     The inputs are those of ``localization.run_trials``.  The epochs of
-    ``_epochs`` run as the chains of ``localization._run_chains``; trial
-    t's region in epoch i is the domain intersected with the ball of radius
-    R_i around its own iterate.  ``trace`` collects one ``EpochRecord`` per
-    epoch, frozen ones included, whose ``center`` and ``x_next`` are
-    ``(trials, d)`` arrays; ``phase_trace`` collects the chains'
-    ``PhaseRecord`` entries, epoch after epoch.
+    ``_epochs`` run as the chains of one ``localization._run_chains``
+    group; trial t's region in epoch i is the domain intersected with the
+    ball of radius R_i around its own iterate.  ``trace`` collects one
+    ``EpochRecord`` per epoch, frozen ones included, whose ``center`` and
+    ``x_next`` are ``(trials, d)`` arrays; ``phase_trace`` collects the
+    chains' ``PhaseRecord`` entries, epoch after epoch.
     """
-    # Each block needs the 2 samples that ``default_eta0`` asks of it.
-    datasets, starts = localization._trial_inputs(loss, data, domain, x0, 2 * cfg.T)
-    epochs = _epochs(cfg, datasets[0].n)
-    xs = localization._run_chains(loss, datasets, starts, domain, cfg.privacy, streams,
-                                  [chain for _, chain in epochs], phase_trace)
+    group = _group(loss, data, domain, x0, cfg, streams)
+    (xs,) = localization._run_chains(loss, domain, [group], phase_trace)
     if trace is not None:
-        for i, (eta_i, (_, radius, inner)) in enumerate(epochs):
-            trace.append(EpochRecord(i, xs[i], radius, eta_i, xs[i + 1], frozen=inner is None))
+        trace += _records(cfg, len(group[0][0]), xs)
     return xs[-1]
 
 

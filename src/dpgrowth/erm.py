@@ -414,11 +414,12 @@ def _solve_subgradient(problem: RegularizedProblem, tol: float, max_iters: int):
     return None, certified_gap(problem, best_x), best_x
 
 
-def _dominated(L: float, lam: float, tol: float) -> bool:
+def _dominated(L: float, lam, tol):
     """Regularizer dominance: at the anchor the loss part contributes a
     subgradient of norm <= L, so the projected anchor's gap is at most
-    L^2 / (4 lam); ``solve`` returns it when that is <= tol."""
-    return not math.isfinite(lam) or L * L / (4.0 * lam) <= tol
+    L^2 / (4 lam); ``solve`` returns it when that is <= tol.  lam and tol
+    are floats, or arrays of them for a test per trial."""
+    return ~np.isfinite(lam) | (L * L / (4.0 * lam) <= tol)
 
 
 def solve(problem: RegularizedProblem, tol: float, max_iters: int = 200_000) -> np.ndarray:

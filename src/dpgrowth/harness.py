@@ -11,11 +11,10 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from configparser import ConfigParser
 from configparser import Error as IniError
 from dataclasses import asdict, dataclass
-from itertools import product
+from itertools import accumulate, product
 from pathlib import Path
 
 import numpy as np
@@ -291,74 +290,127 @@ def _chain_config(algorithm: str, instance: ProblemInstance, n: int, d: int, bet
     )
 
 
-# A chain cell holds its trials' datasets at once; larger cells run in
-# batches of about this many sample values (n * d per trial) in all.
+def _cell_setup(cfg: ExperimentConfig, cell: dict, instance: ProblemInstance) -> tuple:
+    """A cell's privacy budget and, for a chain algorithm, its run config
+    (None otherwise)."""
+    privacy = PrivacyParams(cell["epsilon"], cell["delta"])
+    if cfg.algorithm not in _CHAINS:
+        return privacy, None
+    return privacy, _chain_config(
+        cfg.algorithm, instance, cell["n"], cell["d"], _cell_beta(cfg, cell), privacy,
+        cell["kappa_lower"], noise_scale=cfg.noise_scale,
+        gaussian_conservative=cfg.gaussian_conservative,
+    )
+
+
+# A unit of chain work holds its trials' datasets at once: it takes as many
+# seeds as hold about this many sample values (n * d per trial) in all.
 _BATCH_SAMPLES = 2**22
 
 
-def _execute_trial(args) -> TrialRecord:
-    """One sweep trial on its own streams."""
-    return _execute([args])[0]
+def _units(cfg: ExperimentConfig, cfg_hash: str, jobs: int) -> list:
+    """The sweep's units of work, each ``(cfg, cfg_hash, cells)`` with
+    ``cells`` a list of ``(cell index, cell, seed range)`` that share d.
+
+    A chain unit spans every cell of its d for a range of seeds: as many as
+    hold about ``_BATCH_SAMPLES`` sample values, and with ``jobs > 1`` at
+    most a ``jobs``-th of the seeds, so each worker gets a unit.  The other
+    algorithms run one trial per unit."""
+    cells = list(enumerate(cfg.cells()))
+    if cfg.algorithm not in _CHAINS:
+        return [(cfg, cfg_hash, [(index, cell, range(s, s + 1))])
+                for index, cell in cells for s in range(cfg.seeds)]
+    units = []
+    for d in dict.fromkeys(cell["d"] for _, cell in cells):
+        share = [(index, cell) for index, cell in cells if cell["d"] == d]
+        size = max(1, _BATCH_SAMPLES // sum(cell["n"] * d for _, cell in share))
+        if jobs > 1:
+            size = min(size, -(-cfg.seeds // jobs))
+        for lo in range(0, cfg.seeds, size):
+            seeds = range(lo, min(lo + size, cfg.seeds))
+            units.append((cfg, cfg_hash, [(index, cell, seeds) for index, cell in share]))
+    return units
 
 
-def _execute_cell(specs: list) -> list[TrialRecord]:
-    """One unit of sweep work: a single trial, or a batch of trials of a
-    chain cell."""
-    return [_execute_trial(specs[0])] if len(specs) == 1 else _execute(specs)
+def _chain_group(cfg: ExperimentConfig, instance: ProblemInstance, cell: dict, run_cfg,
+                 keys: list) -> tuple:
+    """The ``localization._run_chains`` group of a chain cell's trials, one
+    per stream key: each trial's data, start and noise come from its
+    streams 0, 2 and 1.  The datasets are drawn one at a time as the group
+    takes them in, so only their narrowed samples are held together."""
+    x0 = [_starting_point(instance, cfg.x0_offset, RngStream(key, 2)) for key in keys]
+    data = (instance.draw(cell["n"], RngStream(key, 0)) for key in keys)
+    return _CHAINS[cfg.algorithm]._group(instance.loss, data, instance.domain, np.array(x0),
+                                         run_cfg, [RngStream(key, 1) for key in keys])
 
 
-def _execute(specs: list) -> list[TrialRecord]:
-    """Run trials of one cell; a chain cell's trials run in one ``run_trials`` call.
+def _execute_trial(unit) -> list[TrialRecord]:
+    """A unit of one sweep trial, on its own streams."""
+    return _execute(unit)
 
-    Each trial keeps its own streams, data and start point, so a batched
-    record equals ``_execute_trial``'s apart from ``wall_ms``: that is the
-    batch's time divided by its trials.  A batch that raises runs again
-    trial by trial, since the error may be one trial's alone (a power-norm
-    phase whose certificate fails, say, and whose solve then raises
-    ``ConvergenceError``); each trial then writes the row it writes alone.
+
+def _execute_unit(unit) -> list[TrialRecord]:
+    """One unit of sweep work: a single trial, or a lockstep batch."""
+    (_, _, ((_, _, seeds), *more)) = unit
+    return _execute_trial(unit) if len(seeds) == 1 and not more else _execute(unit)
+
+
+def _execute(unit) -> list[TrialRecord]:
+    """Run a unit's trials, cell after cell and seed after seed.  The
+    trials of chain cells run as one ``localization._run_chains`` batch,
+    one group per cell, in lockstep.
+
+    Each trial keeps its own streams, data and start point, so a record
+    equals the one its trial writes alone, apart from ``wall_ms``: that is
+    the unit's time divided by its trials, across cells.  A unit that raises
+    runs again trial by trial, since the error may be one trial's alone (a
+    power-norm phase whose certificate fails, say, and whose solve then
+    raises ``ConvergenceError``); each trial then writes the row it writes
+    alone.
     """
-    cfg, cell = specs[0][:2]
-    keys = [derive_stream_key(cfg.master_seed, spec[2]) for spec in specs]
-    data_rngs, algo_rngs, start_rngs = zip(*([RngStream(k, i) for i in range(3)] for k in keys))
+    cfg, cfg_hash, cells = unit
+    trials = [(index, cell, s) for index, cell, seeds in cells for s in seeds]
+    keys = [derive_stream_key(cfg.master_seed, index * cfg.seeds + s) for index, _, s in trials]
     t0 = time.perf_counter()
-    instance = _build_cell_instance(cfg, cell)
-    epoch_i0 = [None] * len(specs)
+    instance = _build_cell_instance(cfg, cells[0][1])
+    epoch_i0 = [None] * len(trials)
     error = ""
-    excess = [(math.nan, math.nan)] * len(specs)
+    excess = [(math.nan, math.nan)] * len(trials)
     try:
-        data = [instance.draw(cell["n"], rng) for rng in data_rngs]
-        privacy = PrivacyParams(cell["epsilon"], cell["delta"])
         loss, domain = instance.loss, instance.domain
+        setups = [_cell_setup(cfg, cell, instance) for _, cell, _ in cells]
         if cfg.algorithm in _CHAINS:
-            x0 = [_starting_point(instance, cfg.x0_offset, rng) for rng in start_rngs]
-            run_cfg = _chain_config(
-                cfg.algorithm, instance, cell["n"], cell["d"], _cell_beta(cfg, cell), privacy,
-                cell["kappa_lower"], noise_scale=cfg.noise_scale,
-                gaussian_conservative=cfg.gaussian_conservative,
-            )
-            trace = [] if cfg.algorithm == "epoch_growth" else None
-            x_out = _CHAINS[cfg.algorithm].run_trials(
-                loss, data, domain, np.array(x0), run_cfg, algo_rngs, trace
-            )
-            if trace is not None:
-                epoch_i0 = epoch_growth.indices_in_region(trace, instance.xstar)
-        elif cfg.algorithm == "inv_sensitivity":
-            density = inv_sensitivity.build_density(
-                loss, data[0], domain, privacy.epsilon,
-                rho=cfg.rho, h=cfg.grid_spacing, growth=instance.growth,
-            )
-            x_out = [inv_sensitivity.sample(density, algo_rngs[0])]
-        elif cfg.algorithm == "erm_oracle":
-            x_out = [instance.empirical_min(data[0])[0]]
-        else:  # pragma: no cover - guarded at parse time
-            raise InvalidInputError(f"unknown algorithm {cfg.algorithm}")
-        excess = [(instance.excess_emp(x, ds), instance.excess_pop(x))
-                  for x, ds in zip(x_out, data)]
+            bounds = [0, *accumulate(len(seeds) for *_, seeds in cells)]
+            groups = [_chain_group(cfg, instance, cell, run_cfg, keys[a:b]) for (_, cell, _),
+                      (_, run_cfg), a, b in zip(cells, setups, bounds, bounds[1:])]
+            xs = localization._run_chains(loss, domain, groups)
+            x_out = [x for out in xs for x in out[-1]]
+            samples = [s for group in groups for s in group[0]]
+            if cfg.algorithm == "epoch_growth":
+                epoch_i0 = [
+                    i0 for (_, cell, _), (_, run_cfg), out in zip(cells, setups, xs)
+                    for i0 in epoch_growth.indices_in_region(
+                        epoch_growth._records(run_cfg, cell["n"], out), instance.xstar)
+                ]
+        else:
+            data = instance.draw(cells[0][1]["n"], RngStream(keys[0], 0))
+            samples = [data.samples]
+            if cfg.algorithm == "inv_sensitivity":
+                density = inv_sensitivity.build_density(
+                    loss, data, domain, setups[0][0].epsilon,
+                    rho=cfg.rho, h=cfg.grid_spacing, growth=instance.growth,
+                )
+                x_out = [inv_sensitivity.sample(density, RngStream(keys[0], 1))]
+            else:
+                x_out = [instance.empirical_min(data)[0]]
+        excess = [(instance.excess_emp(x, Dataset(s)), instance.excess_pop(x))
+                  for x, s in zip(x_out, samples)]
     except (InvalidInputError, RuntimeError) as exc:
-        if len(specs) > 1:
-            return [_execute_trial(spec) for spec in specs]
+        if len(trials) > 1:
+            return [rec for index, cell, s in trials
+                    for rec in _execute_trial((cfg, cfg_hash, [(index, cell, range(s, s + 1))]))]
         error = f"{type(exc).__name__}: {exc}"
-    wall_ms = (time.perf_counter() - t0) * 1e3 / len(specs)
+    wall_ms = (time.perf_counter() - t0) * 1e3 / len(trials)
     kappa = None if instance.growth is None else instance.growth.kappa
     return [
         TrialRecord(
@@ -371,7 +423,7 @@ def _execute(specs: list) -> list[TrialRecord]:
                 f"negative-excess: emp={emp:.3e} pop={pop:.3e}" if min(emp, pop) < -1e-7 else ""
             ),
         )
-        for (*_, seed_index, cfg_hash), (emp, pop), i0 in zip(specs, excess, epoch_i0)
+        for (_, cell, seed_index), (emp, pop), i0 in zip(trials, excess, epoch_i0)
     ]
 
 
@@ -393,32 +445,39 @@ def run_sweep(
     indexed by the trial's position in the sorted grid enumeration, and rows
     are written in that order regardless of scheduling.
     """
+    # Every cell's instance, budget and run config is built once here, so a
+    # bad sweep value fails before any trial runs or any file is written.
+    instances: dict = {}
+    for cell in cfg.cells():
+        if cell["d"] not in instances:
+            instances[cell["d"]] = _build_cell_instance(cfg, cell)
+        _cell_setup(cfg, cell, instances[cell["d"]])
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cfg_hash = cfg.config_hash()
-    # A unit of work is one trial, or a chain cell's trials, as many as hold
-    # about _BATCH_SAMPLES sample values between them.
-    units = []
-    for index, cell in enumerate(cfg.cells()):
-        specs = [(cfg, cell, index * cfg.seeds + s, s, cfg_hash) for s in range(cfg.seeds)]
-        size = max(1, _BATCH_SAMPLES // (cell["n"] * cell["d"])) if cfg.algorithm in _CHAINS else 1
-        units += [specs[i : i + size] for i in range(0, len(specs), size)]
+    units = _units(cfg, cfg.config_hash(), jobs)
     if jobs > 1:
+        # Imported here: multiprocessing is a large import that a serial run
+        # does not need.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(
-                pool.map(_execute_cell, units, chunksize=max(1, len(units) // (4 * jobs)))
+                pool.map(_execute_unit, units, chunksize=max(1, len(units) // (4 * jobs)))
             )
     else:
-        results = [_execute_cell(unit) for unit in units]
-    records = [rec for result in results for rec in result]
+        results = [_execute_unit(unit) for unit in units]
+    # Rows in grid order: by stream index, cell after cell, seed after seed.
+    order = [index * cfg.seeds + s for _, _, cells in units for index, _, seeds in cells
+             for s in seeds]
+    records = [rec for _, rec in sorted(zip(order, (rec for result in results for rec in result)),
+                                        key=lambda pair: pair[0])]
 
     csv_path = out_dir / f"{cfg.output_prefix}.csv"
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for rec in records:
-            row = asdict(rec)
-            writer.writerow([_format_field(row[col]) for col in CSV_COLUMNS])
+            writer.writerow([_format_field(getattr(rec, col)) for col in CSV_COLUMNS])
 
     summary_path = out_dir / f"{cfg.output_prefix}_summary.json"
     summary = summarize(cfg, records)
@@ -590,7 +649,8 @@ def _audit_config(pipeline: str, instance: ProblemInstance, noise_scale: float,
 
 # Phase-chain pipelines: the module whose ``run`` (one trial; its
 # ``phase_trace`` keyword collects PhaseRecords) and ``run_trials`` (the
-# audit's or a chain sweep cell's trials at once) execute the chain.
+# audit's trials at once) execute the chain, and whose ``_group`` makes a
+# sweep cell's trials one group of a ``localization._run_chains`` batch.
 _CHAINS = {"localization": localization, "epoch_growth": epoch_growth}
 
 
@@ -709,6 +769,8 @@ def privacy_audit(
         for idx, t in enumerate(tasks)
     ]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_audit_one, args))
     else:

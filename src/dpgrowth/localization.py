@@ -6,7 +6,9 @@ the per-phase budget."""
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, fields, replace
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -41,6 +43,10 @@ _START_TOL = 1e-9
 
 # Iteration budget of every ``erm.solve`` call a phase makes.
 MAX_SOLVER_ITERS = 200_000
+
+# ``_block_means`` widens the samples of its datasets about this many values
+# at a time.
+_BLOCK_VALUES = 2**14
 
 
 def default_eta(
@@ -137,11 +143,23 @@ def _tol_floor(L: float, domain: Domain) -> float:
     return _TOL_FLOOR_FACTOR * L * max(1.0, domain.diameter())
 
 
-def _phase_tol(sensitivity: float, sigma: float, tol_floor: float) -> float:
+def _phase_tol(sensitivity, sigma, tol_floor: float):
     """A phase's solver tolerance: two orders below both the sensitivity
     scale and the honest noise floor, so solver inexactness is negligible
-    for privacy."""
-    return max(min(sensitivity, sigma) / 100.0, tol_floor)
+    for privacy.  The values are floats or per-trial columns."""
+    return np.maximum(np.minimum(sensitivity, sigma) / 100.0, tol_floor)
+
+
+def _at(value, t: int) -> float:
+    """Trial t's entry of a schedule value: a float, or a ``(trials, 1)``
+    column."""
+    return float(value if np.ndim(value) == 0 else value[t, 0])
+
+
+def _flat(value):
+    """A schedule value as one entry per trial, ``(trials,)``, if it is a
+    column; a float as it is."""
+    return value[:, 0] if np.ndim(value) == 2 else value
 
 
 def _first_trial(records: list) -> list:
@@ -180,41 +198,72 @@ def run(
     return x
 
 
-def _block_means(samples: np.ndarray, cfg: LocalizationConfig, scale=None) -> np.ndarray:
-    """Per-phase batch means of a ``(datasets, m, d)`` sample array, or of
-    ``scale`` times it, as a ``(k, datasets, d)`` array.  numpy's sums depend
-    on the reduction's shape; this one reduces each block along its own
-    axis, as ``mean(axis=0)`` of the block alone does, so each mean has the
-    bits of ``erm.solve``'s."""
-    k, n0 = cfg.k, cfg.n0
-    s = samples[:, : k * n0] if scale is None else scale * samples[:, : k * n0]
-    return s.reshape(len(s), k, n0, -1).mean(axis=2).transpose(1, 0, 2)
+def _block_means(samples: np.ndarray, offsets, k: int, n0: int, scale=None) -> np.ndarray:
+    """Per-phase batch means of chains of k blocks of n0 samples, one chain
+    from each of ``offsets`` of every dataset of a ``(datasets, n, d)``
+    sample array, or of ``scale`` times the samples, as a ``(chains, k,
+    datasets, d)`` array.  numpy's sums depend on the reduction's shape;
+    this one reduces each block along its own axis, as ``mean(axis=0)`` of
+    the block alone does, so each mean has the bits of ``erm.solve``'s.
+    The blocks are widened to float64 ``_BLOCK_VALUES`` values at a time."""
+    rows = (np.asarray(offsets)[:, None] + np.arange(k * n0)).ravel()
+    out = np.empty((len(offsets), k, len(samples), samples.shape[-1]))
+    step = max(1, _BLOCK_VALUES // (len(rows) * samples.shape[-1]))
+    for lo in range(0, len(samples), step):
+        # C order: a fancy index lays its result out otherwise, and numpy's
+        # sums depend on the layout too.
+        blocks = samples[lo : lo + step, rows].astype(float, order="C")
+        if scale is not None:
+            blocks = scale * blocks
+        means = blocks.reshape(len(blocks), len(offsets), k, n0, -1).mean(axis=3)
+        out[:, :, lo : lo + step] = means.transpose(1, 2, 0, 3)
+    return out
+
+
+def _narrow(samples: np.ndarray) -> np.ndarray:
+    """``samples`` in the narrowest of int8 and float32 that holds every
+    value, and the sign of every zero, exactly; else as they are.  A sweep
+    unit holds every trial's samples at once, across cells.  The shipped
+    samplers draw few distinct values: uniform_convex's and sharp_growth's
+    0 and +-1 fit int8 in an eighth of the memory, pure_convex's +-R/2 fit
+    float32, and widening back to float64 is exact."""
+    for dtype in (np.int8, np.float32):
+        with np.errstate(invalid="ignore", over="ignore"):
+            narrow = samples.astype(dtype)
+        wide = narrow.astype(float)
+        if np.array_equal(wide, samples) and np.array_equal(np.signbit(wide),
+                                                             np.signbit(samples)):
+            return narrow
+    return samples
 
 
 def _trial_inputs(loss: LossOracle, data, domain: Domain, x0, min_n: int) -> tuple:
     """Check a ``run_trials`` call's datasets and starts: the datasets share
     one size of at least ``min_n`` samples, and every start lies in
-    ``domain`` within ``_START_TOL``.  Return the datasets as a list (one
-    shared by every trial, or one per trial) and the starts as rows of a
-    2-D array."""
-    datasets = [data] if isinstance(data, Dataset) else list(data)
-    if len({ds.n for ds in datasets}) != 1:
+    ``domain`` within ``_START_TOL``.  Return the datasets' samples as one
+    ``(datasets, n, d)`` array of ``_narrow`` values (one dataset shared by
+    every trial, or one per trial), taken from ``data`` one dataset at a
+    time, and the starts as rows of a 2-D array."""
+    # One shared dataset is held once, so only per-trial ones are narrowed.
+    samples = [data.samples] if isinstance(data, Dataset) else [_narrow(ds.samples) for ds in data]
+    if len({len(s) for s in samples}) != 1:
         raise InvalidInputError("the trials' datasets must share one size")
-    if datasets[0].n < min_n:
-        raise InvalidInputError(f"need at least {min_n} samples, got {datasets[0].n}")
+    if len(samples[0]) < min_n:
+        raise InvalidInputError(f"need at least {min_n} samples, got {len(samples[0])}")
     starts = np.reshape(np.asarray(x0, dtype=float), (-1, loss.point_dim))
     for start in starts:
         if not domain.contains(start, tol=_START_TOL):
             raise InvalidInputError("x0 must lie in the domain")
-    return datasets, starts
+    return np.stack(samples), starts
 
 
 def _inside(x: np.ndarray, balls: list, tol: float = 0.0) -> np.ndarray:
     """Per trial, whether the row x[t] lies in every ball (center, radius)
     by the test of ``Domain.contains`` with tolerance ``tol``; a center is
     one point or one row per trial."""
-    ok = np.ones(x.shape[0], dtype=bool)
-    for center, radius in balls:
+    (center, radius), *rest = balls
+    ok = erm._row_norms(x - center) <= radius + tol
+    for center, radius in rest:
         ok &= erm._row_norms(x - center) <= radius + tol
     return ok
 
@@ -238,14 +287,16 @@ def _quadratic_phase(st: IsotropicQuadratic, lam, tol, x, qbar, gbar, region_bal
     onto the trial's region where it lies outside, then
     ``erm.certified_gap``'s projected-gradient certificate, with the
     gradient curvature * x + gbar that the loss's ``batch_subgrad`` computes
-    from gbar = lin_scale * mean sample."""
+    from gbar = lin_scale * mean sample.  lam and tol are floats or
+    per-trial columns."""
     x_hat = _project_trials(
         (2.0 * lam * x - qbar) / (st.curvature + 2.0 * lam), region_balls, region
     )
     gamma = 1.0 / (2.0 * lam)
     g = st.curvature * x_hat + gbar + 2.0 * lam * (x_hat - x)
     step = _project_trials(x_hat - gamma * g, region_balls, region)
-    return x_hat, erm._gap_bound(erm._row_norms(x_hat - step) / gamma, lam) <= tol
+    residual = erm._row_norms(x_hat - step) / _flat(gamma)
+    return x_hat, erm._gap_bound(residual, _flat(lam)) <= _flat(tol)
 
 
 def _separable_phase(st: SeparableAbsolute, lam, tol, x, block, region_balls):
@@ -275,63 +326,176 @@ def _power_norm_phase(st: PowerNorm, lam, tol, x, lo, hi, qbar, gbar):
     finds it, and whether it is certified: the solver's own bisection and
     1-D certificate, in Python floats, from the trial's anchor x[t],
     interval [lo[t], hi[t]], mean linear term qbar and linear term of the
-    mean sample gbar.  x, lo and hi are ``(trials, 1)`` arrays; qbar and
-    gbar have one row shared by every trial or one per trial."""
+    mean sample gbar, lam and tol.  x, lo and hi are ``(trials, 1)``
+    arrays; qbar and gbar have one row shared by every trial or one per
+    trial; lam and tol are floats or per-trial columns."""
     reps = len(x) // len(qbar)
+    lams, tols = ([float(v)] * len(x) if np.ndim(v) == 0 else v[:, 0].tolist()
+                  for v in (lam, tol))
     x_hat, ok = [], []
-    for a, lo_t, hi_t, ubar, g in zip(
+    for a, lo_t, hi_t, ubar, g, lam_t, tol_t in zip(
         x[:, 0].tolist(), lo[:, 0].tolist(), hi[:, 0].tolist(), qbar[:, 0].tolist() * reps,
-        gbar[:, 0].tolist() * reps,
+        gbar[:, 0].tolist() * reps, lams, tols,
     ):
-        root = erm._power_norm_root(st.coef, st.power, ubar, lam, a, lo_t, hi_t)
+        root = erm._power_norm_root(st.coef, st.power, ubar, lam_t, a, lo_t, hi_t)
 
         # The loss's batch derivative plus the regularizer's, added as
         # ``RegularizedProblem.subgradient`` adds them.
         def slope(u):
-            return st.slope(u, g) + 2.0 * lam * (u - a)
+            return st.slope(u, g) + 2.0 * lam_t * (u - a)
 
-        ok.append(erm._interval_gap(slope, lam, lo_t, hi_t, root) <= tol)
+        ok.append(erm._interval_gap(slope, lam_t, lo_t, hi_t, root) <= tol_t)
         x_hat.append(root)
     return np.array(x_hat)[:, None], np.array(ok)
 
 
-def _chain_trials(loss, samples, cfg, schedule, x, domain, z, epoch=None, trace=None):
-    """The chain, all trials at once: the one phase kernel, which
-    ``_run_chains`` runs once per chain.
+# The schedule values (eta_i, radius, lam, sensitivity, sigma, sigma_used)
+# of a trial that sits a slot out.
+_IDLE = (1.0, 1.0, 1.0, 1.0, 1.0, 0.0)
 
-    ``samples`` holds the phase blocks' data as a ``(datasets, m, d)``
-    array, one dataset shared by every trial or one per trial; ``schedule``
-    is ``_schedule(cfg, ...)``; ``x`` holds one start row per trial, each in
-    its domain; ``z`` holds per-trial unit noise, ``(trials, noised phases,
-    d)``.  The chain runs in ``domain``, intersected with each trial's epoch
-    ball when ``epoch`` is ``(centers, radius)``, one center row per trial.
-    ``trace`` collects one ``PhaseRecord`` per phase, with every trial's
-    points as rows.
+
+def _lockstep(loss: LossOracle, plans: list, d: int):
+    """Lay groups of trials out in lockstep through their chains: yield,
+    for each chain index c, the ``(parts, slots)`` of the ``_chain_trials``
+    call that runs chain c of every group.
+
+    ``plans`` holds one ``(samples, chains, schedules, z)`` per group: its
+    ``(datasets, n, d)`` samples, its chains ``(offset, radius, cfg)`` and
+    their ``_schedule``s (empty where cfg is None), and its trials' unit
+    noise, ``(trials, noised phases, d)``, one column per phase with
+    sigma_used > 0 in chain order.  A group's live chains share k and n0.
+    Part g is ``(trials, samples, offset, n0)``, with offset None where the
+    group sits chain c out.  Slot j runs phase i = j + 1 of every group
+    whose chain c has one; it is ``(i, eta_i, radius, lam, sensitivity,
+    sigma, sigma_used, active, noise, qbar, gbar)``: the schedule's values,
+    as floats for one group and as ``(trials, 1)`` columns for several
+    (where a trial that sits the slot out reads ``_IDLE``); ``active``, the
+    mask of the trials that run it, or None for all; each trial's noise, a
+    ``(trials, d)`` array (a column of its unit noise times sigma_used), or
+    zero where the phase draws none; and the blocks' mean linear term qbar
+    (the mean of lin_scale times the samples) and linear term of the mean
+    sample gbar, or None where the phase reads neither: a row per trial, or
+    for one group a row per dataset.  Everything but the slots (and one
+    group's noise) is computed once, for every chain."""
+    st = loss.structure
+    sizes = [len(z) for *_, z in plans]
+    bounds = [0, *accumulate(sizes)]
+    C = max(len(chains) for _, chains, _, _ in plans)
+    phases = [[len(schedules[c]) if c < len(schedules) else 0 for _, _, schedules, _ in plans]
+              for c in range(C)]
+    K = max(map(max, phases))
+    # One group's means have one row per dataset, several groups' one per trial.
+    R = bounds[-1] if len(plans) > 1 else len(plans[0][0])
+    qbar = gbar = None
+    if isinstance(st, IsotropicQuadratic) or (d == 1 and isinstance(st, PowerNorm)):
+        qbar = np.zeros((C, K, R, d))
+        if not (d == 1 and isinstance(st, IsotropicQuadratic)):
+            gbar = np.zeros((C, K, R, d))
+    for (samples, chains, schedules, z), a, b in zip(plans, bounds, bounds[1:]):
+        live = [c for c, schedule in enumerate(schedules) if schedule]
+        if not live:
+            continue
+        k, n0 = chains[live[0]][2].k, chains[live[0]][2].n0
+        if any((chains[c][2].k, chains[c][2].n0) != (k, n0) for c in live):
+            raise InvalidInputError("a group's chains must share k and n0")
+        offsets = [chains[c][0] for c in live]
+        rows = slice(a, b) if len(plans) > 1 else slice(None)
+        if qbar is not None:
+            qbar[live, :k, rows] = _block_means(samples, offsets, k, n0, st.lin_scale)
+        if gbar is not None:
+            gbar[live, :k, rows] = st.lin_scale * _block_means(samples, offsets, k, n0)
+    if len(plans) > 1:
+        table = np.empty((C, len(plans), K, 6))
+        table[...] = _IDLE
+        noise = np.zeros((C, K, bounds[-1], d))
+        for g, ((_, _, schedules, z), a, b) in enumerate(zip(plans, bounds, bounds[1:])):
+            live = [c for c, counts in enumerate(phases) if counts[g]]
+            if not live:
+                continue
+            table[live, g, : phases[live[0]][g]] = [[phase[1:] for phase in schedules[c]]
+                                                    for c in live]
+            # The phases with noise, in chain order: one column of z each.
+            noisy = [(c, j, phase[6]) for c in live for j, phase in enumerate(schedules[c])
+                     if phase[6] > 0]
+            if noisy:
+                cs, js, scales = map(list, zip(*noisy))
+                noise[cs, js, a:b] = (z[:, : len(cs)] * np.array(scales)[:, None]).transpose(
+                    1, 0, 2)
+        running = np.repeat(phases, sizes, axis=1)
+    col = 0
+    for c, counts in enumerate(phases):
+        parts = [(size, samples, chains[c][0] if count else None, chains[c][2].n0 if count else None)
+                 for count, size, (samples, chains, _, _) in zip(counts, sizes, plans)]
+        slots, every = max(counts), min(counts)
+        if len(plans) == 1:
+            # One group: its schedule's floats, and each phase's noise as it
+            # comes, as a one-cell run scales it.
+            values = [phase[1:] for phase in plans[0][2][c]]
+            noises, z = [], plans[0][3]
+            for *_, sigma_used in plans[0][2][c]:
+                noises.append(z[:, col] * sigma_used if sigma_used > 0 else 0.0)
+                col += sigma_used > 0
+        else:
+            values = np.repeat(table[c, :, :slots], sizes, axis=0).transpose(1, 2, 0)[..., None]
+            noises = noise[c]
+        yield parts, [(j + 1, *values[j], None if j < every else running[c] > j, noises[j],
+                       None if qbar is None else qbar[c, j], None if gbar is None else gbar[c, j])
+                      for j in range(slots)]
+
+
+def _rows(mask: np.ndarray, a: int, b: int):
+    """The rows in [a, b) that ``mask`` selects: the slice a:b if all, None
+    if none, else their indices."""
+    if mask[a:b].all():
+        return slice(a, b)
+    if not mask[a:b].any():
+        return None
+    return a + np.flatnonzero(mask[a:b])
+
+
+def _chain_trials(loss, parts, slots, x, domain, epoch=None, trace=None):
+    """The chain, all trials at once: the one phase kernel, which
+    ``_run_chains`` runs once per chain on the parts and slots of
+    ``_lockstep``.
+
+    ``parts`` splits the trials, in row order, into groups that share a
+    schedule, one ``(trials, samples, offset, n0)`` each: the chain's phase
+    i takes the n0 samples from offset + (i - 1) n0 of each dataset of the
+    ``(datasets, n, d)`` array ``samples``, one dataset shared by every
+    trial of the part or one per trial; offset is None for a part that sits
+    the chain out.  The parts run in lockstep: slot i runs phase i of every
+    part that has one, reads its schedule's values as per-trial columns,
+    and leaves the point of every other trial as it is.  Every float
+    operation acts on each row's own operands, so each trial gets the bits
+    its part gives alone.
+
+    ``x`` holds one start row per trial, each in its domain.  The chain runs
+    in ``domain``, intersected with each trial's epoch ball when ``epoch``
+    is ``(centers, radius)``, one center row per trial.  ``trace`` collects
+    one ``PhaseRecord`` per phase, with every trial's points as rows.
 
     A 1-D isotropic-quadratic phase is closed form: every trust region is an
     interval, the constrained minimizer is the clamped stationary point, and
-    a clamp takes the noised point back into the domain.  Every other phase
-    makes its checks and steps on arrays: the anchor check, ``erm.solve``'s
-    regularizer-dominance shortcut, the noise, and the test for a point
-    inside its region; at d >= 2 also the quadratic's closed form and its
-    certificate, and for a separable absolute loss the coordinatewise
-    minimizers of every trial's sorted breakpoints and their
+    a clamp takes the noised point back into the domain.  Every other chain
+    checks its anchors once, and its phases make their steps on arrays:
+    ``erm.solve``'s regularizer-dominance shortcut, the noise, and the test
+    for a point inside its region; at d >= 2 also the quadratic's closed
+    form and its
+    certificate, and for a separable absolute loss, part by part, the
+    coordinatewise minimizers of every trial's sorted breakpoints and their
     subdifferential-interval certificate.  A 1-D power-norm phase's
     bisection and certificate run per trial, in Python floats.  Only the
     rare branches run one trial at a time: a point outside its region goes
     through ``core.project``, a separable minimizer outside its region or a
     failed certificate through the one fallback loop, ``erm.solve`` per
-    trial.  That loop also solves every non-dominated phase of a loss with
-    no closed form here (no solver hint, or a power norm at d >= 2).
+    trial with its own lam, tol and region.  That loop also solves every
+    non-dominated phase of a loss with no closed form here (no solver hint,
+    or a power norm at d >= 2).
     """
     st = loss.structure
     d = x.shape[1]
     clamp = d == 1 and isinstance(st, IsotropicQuadratic)
     power = d == 1 and isinstance(st, PowerNorm)
-    if isinstance(st, IsotropicQuadratic) or power:
-        qbar = _block_means(samples, cfg, st.lin_scale)
-        if not clamp:
-            gbar = st.lin_scale * _block_means(samples, cfg)
     balls = list(domain.balls())
     if epoch is not None:
         centers, radius = epoch
@@ -343,102 +507,154 @@ def _chain_trials(loss, samples, cfg, schedule, x, domain, z, epoch=None, trace=
             hi_dom = np.minimum(centers + radius, hi_dom)
     if not clamp:
         L = loss.lipschitz
+        bounds = [0, *accumulate(size for size, *_ in parts)]
 
         def outer(t):
             return domain if epoch is None else Domain(centers[t], radius, parent=domain)
 
         # Every trial's domain has the same radii, so one diameter.
         tol_floor = _tol_floor(L, outer(0))
-    col = 0
-    for i, eta_i, radius_i, lam, sensitivity, sigma, sigma_used in schedule:
+        # Checked once: each later anchor is a point the chain projected
+        # onto its domain.
+        if not _inside(x, balls, tol=erm._ANCHOR_TOL).all():
+            raise InvalidInputError("domain must contain the anchor")
+    for i, eta_i, radius_i, lam, sensitivity, sigma, sigma_used, active, noise, qbar, gbar in slots:
         if d == 1:
             lo = np.maximum(lo_dom, x - radius_i)
             hi = np.minimum(hi_dom, x + radius_i)
         if clamp:
-            x_hat = (2.0 * lam * x - qbar[i - 1]) / (st.curvature + 2.0 * lam)
+            x_hat = (2.0 * lam * x - qbar) / (st.curvature + 2.0 * lam)
             x_hat = np.where(x_hat < lo, lo, np.where(x_hat > hi, hi, x_hat))
         else:
-            if not _inside(x, balls, tol=erm._ANCHOR_TOL).all():
-                raise InvalidInputError("domain must contain the anchor")
 
             def region(t):
-                return Domain(x[t], radius_i, parent=outer(t))
+                return Domain(x[t], _at(radius_i, t), parent=outer(t))
 
             tol = _phase_tol(sensitivity, sigma, tol_floor)
-            if erm._dominated(L, lam, tol):
-                # Regularizer dominance: the solution is the anchor projected
-                # onto its region, whose own ball always holds it.
-                x_hat = _project_trials(x, balls, region)
-            else:
-                block = samples[:, (i - 1) * cfg.n0 : i * cfg.n0]
-                if isinstance(st, SeparableAbsolute):
-                    x_hat, ok = _separable_phase(st, lam, tol, x, block, [(x, radius_i)] + balls)
-                elif power:
-                    x_hat, ok = _power_norm_phase(st, lam, tol, x, lo, hi, qbar[i - 1],
-                                                  gbar[i - 1])
-                elif isinstance(st, IsotropicQuadratic):
-                    x_hat, ok = _quadratic_phase(st, lam, tol, x, qbar[i - 1], gbar[i - 1],
-                                                 [(x, radius_i)] + balls, region)
-                else:
-                    x_hat, ok = np.empty(x.shape), np.zeros(len(x), bool)
-                # The one fallback: each trial without a certified solution
-                # solves its phase with erm.solve.  x_hat is a new array.
-                for t in np.flatnonzero(~ok):
-                    problem = erm.RegularizedProblem(
-                        loss, Dataset(block[min(t, len(block) - 1)]), x[t], lam, region(t))
-                    x_hat[t] = erm.solve(problem, tol=tol, max_iters=MAX_SOLVER_ITERS)
-        if sigma_used > 0:
-            noise = z[:, col] * sigma_used
-            col += 1
-        else:
-            noise = 0.0
-        x = x_hat + noise
+            dominated = erm._dominated(L, lam, tol)
+            dominated = np.full(len(x), dominated) if np.ndim(dominated) == 0 else dominated[:, 0]
+            if active is not None:
+                dominated &= active
+            solve = ~dominated if active is None else active & ~dominated
+            # Regularizer dominance: the solution is the anchor projected
+            # onto its region, whose own ball always holds it.  A trial that
+            # sits the slot out keeps its point.
+            x_hat = np.array(_project_trials(x, balls, region) if dominated.any() else x)
+            ok = ~solve
+            if isinstance(st, SeparableAbsolute):
+                # Part by part: the parts' blocks differ in length.
+                for (_, samples, offset, n0), a, b in zip(parts, bounds, bounds[1:]):
+                    rows = _rows(solve, a, b)
+                    if rows is None:
+                        continue
+                    block = samples[:, offset + (i - 1) * n0 : offset + i * n0]
+                    if len(block) > 1 and not isinstance(rows, slice):
+                        block = block[rows - a]
+                    x_hat[rows], ok[rows] = _separable_phase(
+                        st, _at(lam, a), _at(tol, a), x[rows], block.astype(float),
+                        [(x[rows], _at(radius_i, a))] + [(c[rows] if np.ndim(c) == 2 else c, r)
+                                                         for c, r in balls])
+            elif power or isinstance(st, IsotropicQuadratic):
+                rows = _rows(solve, 0, len(x))
+
+                def take(v):
+                    # The solving trials' rows of a per-trial value.
+                    return v if np.ndim(v) == 0 or len(v) == 1 else v[rows]
+
+                if rows is not None and power:
+                    x_hat[rows], ok[rows] = _power_norm_phase(
+                        st, take(lam), take(tol), take(x), take(lo), take(hi), take(qbar),
+                        take(gbar))
+                elif rows is not None:
+                    region_balls = [(x, _flat(radius_i))] + balls
+                    x_hat[rows], ok[rows] = _quadratic_phase(
+                        st, take(lam), take(tol), take(x), take(qbar), take(gbar),
+                        [(take(c) if np.ndim(c) == 2 else c, take(r)) for c, r in region_balls],
+                        region if isinstance(rows, slice) else lambda t: region(rows[t]))
+            # The one fallback: each trial without a certified solution
+            # solves its phase with erm.solve.
+            for t in np.flatnonzero(~ok):
+                problem = erm.RegularizedProblem(
+                    loss, Dataset(_block(parts, bounds, i, t)), x[t], _at(lam, t), region(t))
+                x_hat[t] = erm.solve(problem, tol=_at(tol, t), max_iters=MAX_SOLVER_ITERS)
+        x_next = x_hat + noise
         if clamp:
-            x = np.where(x < lo_dom, lo_dom, np.where(x > hi_dom, hi_dom, x))
+            x_next = np.where(x_next < lo_dom, lo_dom, np.where(x_next > hi_dom, hi_dom, x_next))
         else:
-            x = _project_trials(x, balls, outer)
+            x_next = _project_trials(x_next, balls, outer)
         if trace is not None:
-            trace.append(PhaseRecord(i, eta_i, radius_i, sigma_used, x_hat, x))
+            trace.append(PhaseRecord(i, eta_i, radius_i, sigma_used, x_hat, x_next))
+        x = x_next if active is None else np.where(active[:, None], x_next, x)
     return x
 
 
-def _run_chains(loss: LossOracle, datasets: list, starts: np.ndarray, domain: Domain,
-                privacy: PrivacyParams, streams: Iterable[RngStream], chains: list,
-                phase_trace: Optional[list] = None) -> list:
-    """Run chains one after another, all trials at once: the one driver of
-    both ``run_trials``.  Return the trials' iterates before the first chain
-    and after each chain, ``(trials, d)`` arrays.
+def _block(parts: list, bounds: list, i: int, t: int) -> np.ndarray:
+    """Trial t's phase-i block, ``(n0, d)``."""
+    g = bisect_right(bounds, t) - 1
+    _, samples, offset, n0 = parts[g]
+    return samples[min(t - bounds[g], len(samples) - 1), offset + (i - 1) * n0 : offset + i * n0]
 
-    Each chain is ``(offset, radius, cfg)``.  It runs ``_chain_trials`` with
-    ``_schedule(cfg, ...)`` on the k * n0 samples from ``offset`` of each
-    dataset, in ``domain`` intersected, when ``radius`` is not None, with
-    each trial's ball of that radius around its iterate; a chain whose
-    ``cfg`` is None leaves the iterate as it is.  ``datasets`` and
-    ``starts`` are one shared by every trial or one per stream.
+
+def _run_chains(loss: LossOracle, domain: Domain, groups: list,
+                phase_trace: Optional[list] = None) -> list:
+    """Run groups of trials through their chains, all trials of all groups
+    at once: the one driver of both ``run_trials`` and of a sweep unit.
+    Return, per group, its trials' iterates before its first chain and
+    after each of its chains, ``(trials, d)`` arrays.
+
+    A group is ``(samples, starts, privacy, streams, chains)``.  Each chain
+    is ``(offset, radius, cfg)``: it runs ``_schedule(cfg, ...)`` on the
+    k * n0 samples from ``offset`` of each dataset, in ``domain``
+    intersected, when ``radius`` is not None, with each trial's ball of
+    that radius around its iterate; a chain whose ``cfg`` is None leaves
+    the iterate as it is.  ``samples`` (a ``(datasets, n, d)`` array)
+    and ``starts`` hold one dataset and start shared by every trial of the
+    group or one per stream; the samples may be ``_narrow``, and each
+    chain's blocks are widened to float64.  Chain c of every group
+    runs in one ``_chain_trials`` call, one part per group; a group with a
+    frozen chain c, or with fewer chains, sits it out.  The groups that run
+    chain c must share its radius, as the groups of a sweep unit do: they
+    share one domain, so one epoch schedule of radii.
 
     Trial t's unit noise for every chain is one row of
-    ``mechanisms.noise_rows`` on ``streams[t]``, taken chain by chain in
-    order.  Scaling a unit draw by sigma gives the same bits as drawing at
-    scale sigma, so a stream's draws are exactly those a phase-by-phase run
-    would make on it.  ``phase_trace`` collects the chains' ``PhaseRecord``
+    ``mechanisms.noise_rows`` on its stream, taken chain by chain in order.
+    Scaling a unit draw by sigma gives the same bits as drawing at scale
+    sigma, so a stream's draws are exactly those a phase-by-phase run would
+    make on it.  ``phase_trace`` collects one group's ``PhaseRecord``
     entries, chain after chain."""
     L, d = loss.lipschitz, loss.point_dim
-    schedules = [[] if cfg is None else _schedule(cfg, L, d) for *_, cfg in chains]
-    counts = [sum(1 for *_, sigma_used in schedule if sigma_used > 0) for schedule in schedules]
-    rows = mechanisms.noise_rows(privacy, streams, sum(counts) * d)
-    z = rows.reshape(len(rows), sum(counts), d)
-    if not {len(datasets), len(starts)} <= {1, len(z)}:
-        raise InvalidInputError("need one dataset and one start point, or one per stream")
-    x = np.broadcast_to(starts, (len(z), d))
-    xs, col = [x], 0
-    for (offset, radius, cfg), schedule, count in zip(chains, schedules, counts):
-        if cfg is not None:
-            samples = np.stack([ds.samples[offset : offset + cfg.k * cfg.n0] for ds in datasets])
-            x = _chain_trials(loss, samples, cfg, schedule, x, domain, z[:, col : col + count],
+    if phase_trace is not None and len(groups) > 1:
+        raise InvalidInputError("a phase trace records one group")
+    plans, xs = [], []
+    for samples, starts, privacy, streams, chains in groups:
+        schedules = [[] if cfg is None else _schedule(cfg, L, d) for *_, cfg in chains]
+        count = sum(1 for schedule in schedules for *_, sigma_used in schedule if sigma_used > 0)
+        rows = mechanisms.noise_rows(privacy, streams, count * d)
+        z = rows.reshape(len(rows), count, d)
+        if not {len(samples), len(starts)} <= {1, len(z)}:
+            raise InvalidInputError("need one dataset and one start point, or one per stream")
+        plans.append((samples, chains, schedules, z))
+        xs.append([np.broadcast_to(starts, (len(z), d))])
+    x = xs[0][0] if len(xs) == 1 else np.concatenate([out[0] for out in xs])
+    bounds = [0, *accumulate(len(z) for *_, z in plans)]
+    for c, (parts, slots) in enumerate(_lockstep(loss, plans, d)):
+        if slots:
+            radius = next(chains[c][1] for (_, chains, _, _), part in zip(plans, parts)
+                          if part[2] is not None)
+            x = _chain_trials(loss, parts, slots, x, domain,
                               None if radius is None else (x, radius), phase_trace)
-        xs.append(x)
-        col += count
+        for (_, chains, _, _), out, a, b in zip(plans, xs, bounds, bounds[1:]):
+            if c < len(chains):
+                out.append(x[a:b])
     return xs
+
+
+def _group(loss: LossOracle, data, domain: Domain, x0, cfg: LocalizationConfig,
+           streams: Iterable[RngStream]) -> tuple:
+    """The ``_run_chains`` group of a ``run_trials`` call: its checked
+    samples and starts, and the one chain of ``cfg``."""
+    samples, starts = _trial_inputs(loss, data, domain, x0, cfg.k * cfg.n0)
+    return samples, starts, cfg.privacy, streams, [(0, None, cfg)]
 
 
 def run_trials(
@@ -455,12 +671,11 @@ def run_trials(
 
     ``data`` is one dataset shared by every trial or one per trial, and
     ``x0`` is one start point or one row per trial.  Trial t runs the chain
-    ``run`` describes on its own data and start, as the one chain of
+    ``run`` describes on its own data and start, as the one group of
     ``_run_chains``, with its noise drawn from ``streams[t]`` by
     ``mechanisms.noise_rows`` (a block of ``RngStream.children`` has its
     Laplace draws made in arrays).  ``phase_trace`` collects one
     ``PhaseRecord`` per phase whose points are ``(trials, d)`` arrays.
     """
-    datasets, starts = _trial_inputs(loss, data, domain, x0, cfg.k * cfg.n0)
-    return _run_chains(loss, datasets, starts, domain, cfg.privacy, streams, [(0, None, cfg)],
-                       phase_trace)[-1]
+    (xs,) = _run_chains(loss, domain, [_group(loss, data, domain, x0, cfg, streams)], phase_trace)
+    return xs[-1]

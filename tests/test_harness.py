@@ -310,6 +310,48 @@ def test_cli_verify_instance_rejects_missing_and_unknown_parameters(capsys):
         assert captured.err == f"dpgrowth: error: instance {argv[0]!r}: {message}\n"
 
 
+def test_cli_verify_instance_rejects_a_probe_count_below_one(capsys):
+    for probes in ("0", "-3"):
+        argv = ["verify-instance", "sharp_growth", "--param", "kappa=1.5", "--param",
+                "bias_delta=0.25", "--probes", probes]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"dpgrowth: error: need at least one probe, got {probes}\n"
+
+
+EPOCH_CONFIG = TINY_CONFIG.replace("algorithm = erm_oracle", "algorithm = epoch_growth").replace(
+    "[output]", "[algorithm]\nkappa_lower = 3.0\n\n[output]")
+
+
+def test_cli_run_rejects_out_of_range_sweep_values_before_any_trial(tmp_path, capsys):
+    # Each value is out of range in one cell only; the sweep must stop with
+    # one error line before it runs a trial or writes a file.
+    for algorithm_config in (TINY_CONFIG, EPOCH_CONFIG):
+        for old, new, message in (
+            ("epsilon = 1.0", "epsilon = 1.0, -1", "epsilon must be finite and positive, got -1.0"),
+            ("epsilon = 1.0", "epsilon = 1.0\ndelta = 0.0, 1.5", "delta must lie in [0, 1), got 1.5"),
+        ):
+            out = tmp_path / f"out{len(list(tmp_path.iterdir()))}"
+            path = _write(tmp_path, algorithm_config.replace(old, new))
+            assert main(["run", str(path), "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"dpgrowth: error: {message}\n"
+            assert not out.exists()
+    # Chain configs are built for every cell too: an approximate budget past
+    # the noise's range, and a cell too small for its epochs.
+    for old, new, message in (
+        ("epsilon = 1.0", "epsilon = 1.0\ndelta = 0.0, 0.7",
+         "approximate mode needs delta <= 0.5, got 0.7"),
+        ("n = 64", "n = 64, 3", "per-epoch batch too small (n0=1); reduce the epoch count"),
+    ):
+        path = _write(tmp_path, EPOCH_CONFIG.replace(old, new))
+        assert main(["run", str(path), "--out", str(tmp_path / "chain")]) == 2
+        assert capsys.readouterr().err == f"dpgrowth: error: {message}\n"
+        assert not (tmp_path / "chain").exists()
+
+
 def test_audit_skips_noiseless_budget_with_notice():
     rows = privacy_audit(
         epsilons=(math.inf,), trials=100, pipelines=("localization",)

@@ -21,11 +21,13 @@ and separable phases are also checked against ``erm.solve`` on their own
 problems, phase by phase, and the kernel's row norms against
 ``np.linalg.norm``.
 
-A chain's sweep cell runs in ``run_trials`` batches with per-trial data
-and starts; it must write the rows of a trial-by-trial run, also when one
-trial's solve raises, and a sweep's CSV must depend neither on ``--jobs``
-nor on the batch size.
+A sweep unit runs the trials of every chain cell of one d as one lockstep
+batch, with per-trial data and starts; it must write the rows of a
+trial-by-trial run and of each cell's own unit, also when one trial's solve
+raises, and a sweep's CSV must depend neither on ``--jobs`` nor on the batch
+size.
 """
+import csv
 import dataclasses
 import hashlib
 import math
@@ -661,22 +663,49 @@ def test_row_norms_equal_numpy_norm_row_for_row():
 
 
 def test_block_means_equal_each_blocks_own_mean():
-    # One pass over every dataset's blocks must give each block the bits of
-    # the mean erm.solve takes of it alone.  Continuous samples: sums of the
-    # sweeps' +-1 samples are exact in any order and would not tell.
+    # One pass over every dataset's chains of blocks must give each block
+    # the bits of the mean erm.solve takes of it alone.  Continuous samples:
+    # sums of the sweeps' +-1 samples are exact in any order and would not
+    # tell.
     rng = np.random.default_rng(14)
     lin_scale = _quad_instance().loss.structure.lin_scale
     for d in (1, 2, 4):
         for k, n0 in ((1, 3), (5, 8), (3, 9), (7, 18), (2, 129)):
-            cfg = localization.LocalizationConfig(eta=1.0, privacy=PrivacyParams(1.0), k=k, n0=n0)
-            samples = rng.standard_normal((3, k * n0 + 5, d)) * 10.0 ** rng.uniform(-3, 3)
+            offsets = [0, k * n0 + 3, 2 * k * n0 + 11]
+            samples = rng.standard_normal((3, 3 * k * n0 + 16, d)) * 10.0 ** rng.uniform(-3, 3)
             for scale in (None, lin_scale):
-                got = localization._block_means(samples, cfg, scale)
-                for i in range(k):
-                    for t in range(3):
-                        block = samples[t, i * n0 : (i + 1) * n0]
-                        want = (block if scale is None else scale * block).mean(axis=0)
-                        assert got[i, t].tobytes() == want.tobytes()
+                got = localization._block_means(samples, offsets, k, n0, scale)
+                for c, offset in enumerate(offsets):
+                    for i in range(k):
+                        for t in range(3):
+                            block = samples[t, offset + i * n0 : offset + (i + 1) * n0]
+                            want = (block if scale is None else scale * block).mean(axis=0)
+                            assert got[c, i, t].tobytes() == want.tobytes()
+
+
+def test_narrow_storage_keeps_every_value_and_the_sign_of_zero():
+    # A sweep unit stores its samples in the narrowest exact type; widening
+    # them back must give the float64 bits, signed zeros included.
+    cases = [
+        (np.array([[1.0], [-1.0], [0.0]]), np.int8),
+        (np.array([[-0.0], [1.0]]), np.float32),
+        (np.array([[0.5, -0.5], [0.0, 0.5]]), np.float32),
+        (np.array([[200.0], [1.0]]), np.float32),
+        (np.array([[0.1], [1e300]]), np.float64),
+        (np.array([[np.nan], [1.0]]), np.float64),
+    ]
+    for samples, dtype in cases:
+        narrow = localization._narrow(samples)
+        assert narrow.dtype == dtype
+        assert narrow.astype(float).tobytes() == samples.tobytes()
+
+
+def _one_chain(loss, samples, cfg, schedule, z, x, domain, epoch, trace):
+    """The phase kernel on one chain of one group of trials, with its own
+    schedule and unit noise."""
+    plan = (samples, [(0, None, cfg)], [schedule], z)
+    ((parts, slots),) = localization._lockstep(loss, [plan], x.shape[1])
+    return localization._chain_trials(loss, parts, slots, x, domain, epoch, trace)
 
 
 def test_quadratic_phase_matches_erm_solve_bit_for_bit(monkeypatch):
@@ -734,9 +763,7 @@ def test_quadratic_phase_matches_erm_solve_bit_for_bit(monkeypatch):
                 schedule = [(1, 1.0, radius, lam, sensitivity, sigma, sigma_used)]
                 trace: list = []
                 fallbacks.clear()
-                got = localization._chain_trials(
-                    loss, samples, cfg, schedule, x, domain, z, epoch, trace
-                )
+                got = _one_chain(loss, samples, cfg, schedule, z, x, domain, epoch, trace)
                 descents.clear()
                 for t in range(trials):
                     region = Domain(x[t], radius, parent=outer[t])
@@ -820,9 +847,7 @@ def test_separable_phase_matches_erm_solve_bit_for_bit(monkeypatch):
                 schedule = [(1, 1.0, radius, lam, sensitivity, sigma, sigma_used)]
                 trace: list = []
                 fallbacks.clear()
-                got = localization._chain_trials(
-                    loss, samples, cfg, schedule, x, domain, z, epoch, trace
-                )
+                got = _one_chain(loss, samples, cfg, schedule, z, x, domain, epoch, trace)
                 reference_slow = 0
                 for t in range(trials):
                     region = Domain(x[t], radius, parent=outer[t])
@@ -912,9 +937,8 @@ def test_power_norm_phase_matches_erm_solve_bit_for_bit(monkeypatch):
                 schedule = [(1, 1.0, radius, lam, sensitivity, sigma, sigma_used)]
                 trace: list = []
                 fallbacks.clear()
-                got = localization._chain_trials(
-                    loss, samples[:, :, None], cfg, schedule, x[:, None], domain, z, epoch, trace
-                )
+                got = _one_chain(loss, samples[:, :, None], cfg, schedule, z, x[:, None], domain,
+                                 epoch, trace)
                 descents.clear()
                 for t in range(trials):
                     problem = erm.RegularizedProblem(
@@ -1130,13 +1154,24 @@ def _rows(records):
     ]
 
 
+def _unit(cfg, cells, seeds):
+    """A sweep unit of ``cells``, (grid index, cell) pairs, over ``seeds``."""
+    return cfg, cfg.config_hash(), [(index, cell, seeds) for index, cell in cells]
+
+
+def _alone(cfg, index, cell):
+    """Each trial of a cell with grid index ``index``, run alone."""
+    return [rec for s in range(cfg.seeds)
+            for rec in harness._execute_trial(_unit(cfg, [(index, cell)], range(s, s + 1)))]
+
+
 @pytest.mark.parametrize("case", sorted(CELLS))
 def test_batched_sweep_cell_matches_per_trial_execution(tmp_path, case):
     cfg = _sweep_config(tmp_path, **CELLS[case])
     (cell,) = cfg.cells()
-    specs = [(cfg, cell, 40 + s, s, cfg.config_hash()) for s in range(cfg.seeds)]
-    batched = _rows(harness._execute_cell(specs))
-    assert batched == _rows([harness._execute_trial(spec) for spec in specs])
+    # Grid index 8 at 5 seeds: trial s runs on stream 40 + s.
+    batched = _rows(harness._execute_unit(_unit(cfg, [(8, cell)], range(cfg.seeds))))
+    assert batched == _rows(_alone(cfg, 8, cell))
     errors = [row[CSV_INDEX["error"]] for row in batched]
     if case == "epoch-too-small":
         assert all(error.startswith("InvalidInputError") for error in errors)
@@ -1155,7 +1190,6 @@ def test_a_batch_that_raises_runs_trial_by_trial(tmp_path, monkeypatch):
     # on the trial's data, so no other trial shares the error.
     cfg = _sweep_config(tmp_path, **CELLS["epoch-kappa4"])
     (cell,) = cfg.cells()
-    specs = [(cfg, cell, 40 + s, s, cfg.config_hash()) for s in range(cfg.seeds)]
     certified = erm._interval_gap
     regions = []
 
@@ -1164,7 +1198,7 @@ def test_a_batch_that_raises_runs_trial_by_trial(tmp_path, monkeypatch):
         return certified(slope, lam, lo, hi, t)
 
     monkeypatch.setattr(erm, "_interval_gap", recording)
-    harness._execute_trial(specs[2])
+    harness._execute_trial(_unit(cfg, [(8, cell)], range(2, 3)))
     target = regions[-1]
 
     def failing(slope, lam, lo, hi, t):
@@ -1172,8 +1206,8 @@ def test_a_batch_that_raises_runs_trial_by_trial(tmp_path, monkeypatch):
 
     monkeypatch.setattr(erm, "_interval_gap", failing)
     monkeypatch.setattr(localization, "MAX_SOLVER_ITERS", 2)
-    batched = _rows(harness._execute_cell(specs))
-    assert batched == _rows([harness._execute_trial(spec) for spec in specs])
+    batched = _rows(harness._execute_unit(_unit(cfg, [(8, cell)], range(cfg.seeds))))
+    assert batched == _rows(_alone(cfg, 8, cell))
     errors = [row[CSV_INDEX["error"]] for row in batched]
     assert errors[2].startswith("ConvergenceError: no accuracy certificate")
     assert not any(errors[:2] + errors[3:])
@@ -1187,7 +1221,6 @@ def test_a_d4_batch_that_raises_runs_trial_by_trial(tmp_path, monkeypatch):
     # ConvergenceError.
     cfg = _sweep_config(tmp_path, **CELLS["epoch-d4"])
     (cell,) = cfg.cells()
-    specs = [(cfg, cell, 40 + s, s, cfg.config_hash()) for s in range(cfg.seeds)]
     bound = erm._gap_bound
     residuals = []
 
@@ -1196,7 +1229,7 @@ def test_a_d4_batch_that_raises_runs_trial_by_trial(tmp_path, monkeypatch):
         return bound(residual, lam)
 
     monkeypatch.setattr(erm, "_gap_bound", recording)
-    harness._execute_trial(specs[2])
+    harness._execute_trial(_unit(cfg, [(8, cell)], range(2, 3)))
     target = next(r[0] for r in reversed(residuals) if r[0] > 0)
 
     def failing(residual, lam):
@@ -1207,8 +1240,8 @@ def test_a_d4_batch_that_raises_runs_trial_by_trial(tmp_path, monkeypatch):
 
     monkeypatch.setattr(erm, "_gap_bound", failing)
     monkeypatch.setattr(localization, "MAX_SOLVER_ITERS", 2)
-    batched = _rows(harness._execute_cell(specs))
-    assert batched == _rows([harness._execute_trial(spec) for spec in specs])
+    batched = _rows(harness._execute_unit(_unit(cfg, [(8, cell)], range(cfg.seeds))))
+    assert batched == _rows(_alone(cfg, 8, cell))
     errors = [row[CSV_INDEX["error"]] for row in batched]
     assert errors[2].startswith("ConvergenceError: no accuracy certificate")
     assert not any(errors[:2] + errors[3:])
@@ -1222,7 +1255,6 @@ def test_a_separable_batch_that_raises_runs_trial_by_trial(tmp_path, monkeypatch
     # raises ConvergenceError.
     cfg = _sweep_config(tmp_path, **CELLS["localization-abs-d4"])
     (cell,) = cfg.cells()
-    specs = [(cfg, cell, 40 + s, s, cfg.config_hash()) for s in range(cfg.seeds)]
     gap, certificate = erm._separable_gap, erm._separable_certificate
     grads, in_solve = [], []
 
@@ -1240,7 +1272,7 @@ def test_a_separable_batch_that_raises_runs_trial_by_trial(tmp_path, monkeypatch
 
     monkeypatch.setattr(erm, "_separable_certificate", solve_certificate)
     monkeypatch.setattr(erm, "_separable_gap", recording)
-    harness._execute_trial(specs[2])
+    harness._execute_trial(_unit(cfg, [(8, cell)], range(2, 3)))
     target = grads[-1][0]
 
     def failing(below, above, m, weight, grad, lam):
@@ -1250,19 +1282,95 @@ def test_a_separable_batch_that_raises_runs_trial_by_trial(tmp_path, monkeypatch
     monkeypatch.setattr(erm, "_separable_certificate", lambda *args: math.inf)
     monkeypatch.setattr(erm, "_separable_gap", failing)
     monkeypatch.setattr(localization, "MAX_SOLVER_ITERS", 2)
-    batched = _rows(harness._execute_cell(specs))
-    assert batched == _rows([harness._execute_trial(spec) for spec in specs])
+    batched = _rows(harness._execute_unit(_unit(cfg, [(8, cell)], range(cfg.seeds))))
+    assert batched == _rows(_alone(cfg, 8, cell))
     errors = [row[CSV_INDEX["error"]] for row in batched]
     assert errors[2].startswith("ConvergenceError: no accuracy certificate")
     assert not any(errors[:2] + errors[3:])
 
 
+# Sweeps whose cells mix two n, two epsilon and delta in {0, 1e-6} (Laplace
+# and Gaussian noise), and for the epoch pipeline two kappa_lower: the 1-D
+# quadratic's clamped phases, the kappa = 4 power norm's bisections, the
+# d = 2 quadratic (its d = 1 cells in a unit of their own), and
+# pure_convex's separable absolute loss.  At kappa_lower = 1.2 and epsilon
+# in {0.05, 1e6} the late epochs' steps are so small that the
+# regularizer dominates some cells' phases and not others' in one slot.
+DOMINANCE = dict(sweep_n=(256, 512), sweep_kappa_lower=(1.2,), sweep_epsilon=(0.05, 1e6))
+GROUPED = {
+    "localization": dict(algorithm="localization"),
+    "epoch": dict(sweep_kappa_lower=(2.0, 3.0)),
+    "epoch-kappa4": dict(instance_params=KAPPA4, sweep_kappa_lower=(2.0, 3.0)),
+    "epoch-d1-d2": dict(sweep_d=(1, 2), sweep_kappa_lower=(2.0, 3.0)),
+    "localization-abs-d2": dict(algorithm="localization", sweep_d=(2,), **ABS),
+    "epoch-kappa4-dominance": dict(instance_params=KAPPA4, **DOMINANCE),
+    "epoch-d2-dominance": dict(sweep_d=(2,), **DOMINANCE),
+    "epoch-abs-d2-dominance": dict(sweep_d=(2,), **DOMINANCE, **ABS),
+}
+
+
+def _grouped_config(tmp_path, case):
+    base = dict(seeds=3, sweep_n=(128, 256), sweep_epsilon=(0.5, 2.0), sweep_delta=(0.0, 1e-6))
+    return _sweep_config(tmp_path, **{**base, **GROUPED[case]})
+
+
+@pytest.mark.parametrize("case", sorted(GROUPED))
+def test_a_grouped_unit_writes_each_cells_own_rows(tmp_path, case):
+    # A unit runs every cell of its d in lockstep; each row, epoch_i0
+    # included, must be the row the cell's trials write as a unit of their
+    # own, at --jobs 1 and 2.
+    cfg = _grouped_config(tmp_path, case)
+    cells = list(enumerate(cfg.cells()))
+    units = harness._units(cfg, cfg.config_hash(), 1)
+    assert len(units) == len({cell["d"] for _, cell in cells})
+    assert sum(len(unit[2]) for unit in units) == len(cells)
+    alone = [_rows(harness._execute_unit(_unit(cfg, [pair], range(cfg.seeds)))) for pair in cells]
+    want = [row for rows in alone for row in rows]
+    assert not any(row[CSV_INDEX["error"]] for row in want)
+    if cfg.algorithm == "epoch_growth":
+        assert len({row[CSV_INDEX["epoch_i0"]] for row in want}) > 1
+    for jobs in (1, 2):
+        _, csv_path, _ = harness.run_sweep(cfg, tmp_path / f"jobs{jobs}", jobs=jobs)
+        with open(csv_path, newline="") as fh:
+            assert list(csv.reader(fh))[1:] == want
+
+
+def test_a_grouped_unit_that_raises_runs_trial_by_trial(tmp_path, monkeypatch):
+    # Force every certificate on the last solved trust region of one trial
+    # of one cell to fail, as the one-cell test above does: only that
+    # trial's row may carry the error.
+    cfg = _grouped_config(tmp_path, "epoch-kappa4")
+    cells = list(enumerate(cfg.cells()))
+    certified = erm._interval_gap
+    regions = []
+
+    def recording(slope, lam, lo, hi, t):
+        regions.append((lo, hi))
+        return certified(slope, lam, lo, hi, t)
+
+    monkeypatch.setattr(erm, "_interval_gap", recording)
+    harness._execute_trial(_unit(cfg, [cells[5]], range(1, 2)))
+    target = regions[-1]
+
+    def failing(slope, lam, lo, hi, t):
+        return math.inf if (lo, hi) == target else certified(slope, lam, lo, hi, t)
+
+    monkeypatch.setattr(erm, "_interval_gap", failing)
+    monkeypatch.setattr(localization, "MAX_SOLVER_ITERS", 2)
+    grouped = _rows(harness._execute_unit(_unit(cfg, cells, range(cfg.seeds))))
+    assert grouped == _rows([rec for index, cell in cells for rec in _alone(cfg, index, cell)])
+    errors = [row[CSV_INDEX["error"]] for row in grouped]
+    failed = 5 * cfg.seeds + 1
+    assert errors[failed].startswith("ConvergenceError: no accuracy certificate")
+    assert not any(errors[:failed] + errors[failed + 1 :])
+
+
 def test_negative_excess_is_recorded_as_an_error(tmp_path, monkeypatch):
     cfg = _sweep_config(tmp_path)
     (cell,) = cfg.cells()
-    specs = [(cfg, cell, s, s, cfg.config_hash()) for s in range(cfg.seeds)]
     monkeypatch.setattr(ProblemInstance, "excess_pop", lambda self, x: -1.0)
-    for rec in harness._execute_cell(specs) + [harness._execute_trial(specs[0])]:
+    unit = _unit(cfg, [(0, cell)], range(cfg.seeds))
+    for rec in harness._execute_unit(unit) + _alone(cfg, 0, cell)[:1]:
         assert rec.error.startswith("negative-excess: emp=")
         assert rec.error.endswith(" pop=-1.000e+00")
 
@@ -1277,7 +1385,7 @@ def test_sweep_csv_is_independent_of_jobs_and_batch_size(tmp_path, monkeypatch):
     _, serial, _ = harness.run_sweep(cfg, tmp_path / "serial", jobs=1)
     _, parallel, _ = harness.run_sweep(cfg, tmp_path / "parallel", jobs=2)
     assert serial.read_bytes() == parallel.read_bytes()
-    # Batches of two trials and of one at n * d = 128, of one at n * d >= 256.
+    # Units of one seed: each d's cells hold more than 256 sample values.
     monkeypatch.setattr(harness, "_BATCH_SAMPLES", 256)
     _, split, _ = harness.run_sweep(cfg, tmp_path / "split", jobs=1)
     assert split.read_bytes() == serial.read_bytes()
