@@ -363,10 +363,10 @@ def _execute(unit) -> list[TrialRecord]:
     Each trial keeps its own streams, data and start point, so a record
     equals the one its trial writes alone, apart from ``wall_ms``: that is
     the unit's time divided by its trials, across cells.  A unit that raises
-    runs again trial by trial, since the error may be one trial's alone (a
-    power-norm phase whose certificate fails, say, and whose solve then
-    raises ``ConvergenceError``); each trial then writes the row it writes
-    alone.
+    runs again cell by cell, and a cell that raises trial by trial, since the
+    error may be one trial's alone (a power-norm phase whose certificate
+    fails, say, and whose solve then raises ``ConvergenceError``); each
+    trial then writes the row it writes alone.
     """
     cfg, cfg_hash, cells = unit
     trials = [(index, cell, s) for index, cell, seeds in cells for s in seeds]
@@ -407,8 +407,9 @@ def _execute(unit) -> list[TrialRecord]:
                   for x, s in zip(x_out, samples)]
     except (InvalidInputError, RuntimeError) as exc:
         if len(trials) > 1:
-            return [rec for index, cell, s in trials
-                    for rec in _execute_trial((cfg, cfg_hash, [(index, cell, range(s, s + 1))]))]
+            parts = [[c] for c in cells] if len(cells) > 1 else [
+                [(index, cell, range(s, s + 1))] for index, cell, s in trials]
+            return [rec for part in parts for rec in _execute_unit((cfg, cfg_hash, part))]
         error = f"{type(exc).__name__}: {exc}"
     wall_ms = (time.perf_counter() - t0) * 1e3 / len(trials)
     kappa = None if instance.growth is None else instance.growth.kappa

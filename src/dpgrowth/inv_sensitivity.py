@@ -7,7 +7,7 @@ the grid spacing is tied to the smoothing radius."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,6 +41,7 @@ class GridDensity:
     log_probs: np.ndarray  # normalized
     spacing: float
     rho: float
+    probabilities: np.ndarray = field(init=False, repr=False)  # exp(log_probs)
 
     def __post_init__(self):
         probs = np.exp(self.log_probs)
@@ -49,10 +50,7 @@ class GridDensity:
             raise InvalidInputError(f"density normalization off by {total - 1.0:g}")
         if not (self.spacing <= self.rho / 4.0 + 1e-15):
             raise InvalidInputError("grid spacing must satisfy h <= rho / 4")
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        return np.exp(self.log_probs)
+        object.__setattr__(self, "probabilities", probs)
 
 
 def default_rho(
@@ -72,7 +70,35 @@ def _grid_1d(domain: Domain, h: float) -> np.ndarray:
         raise ResourceError(
             f"grid of {count} points exceeds the cap; use a coarser spacing"
         )
-    return (lo + h * np.arange(count))[:, None]
+    points = lo + h * np.arange(count)
+    return points[points <= hi, None]  # a rounded (hi - lo) / h can count one too many
+
+
+def _logsumexp(a: np.ndarray) -> float:
+    """``scipy.special.logsumexp`` of a real 1-D array, bit for bit: scipy
+    1.17.1's steps, and its fallback log(sum(exp(a))) where they give a
+    non-finite result.  Its "s / m unless s == 0" is s / m here, the same
+    value, since s == 0 implies m >= 1."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.max(a, axis=0, keepdims=True)
+        at_max = a == a_max
+        m = np.sum(at_max, axis=0, keepdims=True, dtype=a.dtype)
+        s = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max), axis=0, keepdims=True) / m
+        out = float((np.log1p(s) + np.log(m) + a_max)[0])
+        return out if math.isfinite(out) else float(np.log(np.sum(np.exp(a))))
+
+
+def _window_min(values: np.ndarray, footprint: np.ndarray) -> np.ndarray:
+    """``scipy.ndimage.minimum_filter(values, footprint=footprint,
+    mode="nearest")`` exactly, as min is exact: one shifted ``np.minimum`` per
+    footprint offset, so memory stays at two copies of the grid."""
+    w = footprint.shape[0] // 2
+    padded = np.pad(values, w, mode="edge")
+    out = np.full_like(values, np.inf)
+    for offset in zip(*np.nonzero(footprint)):
+        window = tuple(slice(o, o + k) for o, k in zip(offset, values.shape))
+        np.minimum(out, padded[window], out=out)
+    return out
 
 
 def _refined_norms_1d(loss: LossOracle, data: Dataset, points: np.ndarray) -> np.ndarray:
@@ -107,12 +133,6 @@ def build_density(
     ``rho`` defaults to the growth-adapted smoothing radius when a growth
     certificate is supplied.  ``h`` defaults to rho/4 and must not exceed it.
     """
-    # Imported here, as erm imports scipy.optimize: scipy.special and
-    # scipy.ndimage are most of the package's import time, and only the grid
-    # sampler needs them.
-    from scipy.ndimage import minimum_filter, minimum_filter1d
-    from scipy.special import logsumexp
-
     if not (epsilon > 0):
         raise InvalidInputError("epsilon must be positive")
     if rho is None:
@@ -130,7 +150,7 @@ def build_density(
     if d == 1:
         points = _grid_1d(domain, h)
         norms = _refined_norms_1d(loss, data, points)
-        smoothed = minimum_filter1d(norms, size=2 * window + 1, mode="nearest")
+        smoothed = _window_min(norms, np.ones(2 * window + 1, bool))
     elif d == 2:
         lo_x = domain.center[0] - domain.radius
         lo_y = domain.center[1] - domain.radius
@@ -153,13 +173,12 @@ def build_density(
             np.arange(-window, window + 1), np.arange(-window, window + 1), indexing="ij"
         )
         footprint = (ii * ii + jj * jj) * h * h <= rho * rho + 1e-12
-        smoothed_grid = minimum_filter(grid_norms, footprint=footprint, mode="nearest")
         points = lattice[feasible]
-        smoothed = smoothed_grid.ravel()[feasible]
+        smoothed = _window_min(grid_norms, footprint).ravel()[feasible]
     else:
         raise InvalidInputError("the grid sampler is realized only for d <= 2")
     log_weights = -epsilon * data.n * smoothed / (2.0 * loss.lipschitz)
-    log_probs = log_weights - logsumexp(log_weights)
+    log_probs = log_weights - _logsumexp(log_weights)
     # Renormalize away the last float ulps so probabilities sum to one exactly
     # enough for inverse-CDF sampling.
     log_probs = log_probs - math.log(float(np.exp(log_probs).sum()))

@@ -7,7 +7,9 @@ analysis is in the decisions ledger, ``docs/decisions.md``, whose numbers
 ``scripts/decisions_ledger.py`` reproduces.
 """
 
+import dataclasses
 import hashlib
+import json
 import math
 import time
 from pathlib import Path
@@ -490,3 +492,16 @@ def test_acceptance_csvs_match_pinned_digests(sweep_results):
     got = {key: hashlib.sha256(res["csv"].read_bytes()).hexdigest()
            for key, res in sweep_results.items()}
     assert got == PINNED_CSV_SHA256
+
+
+# sha256 of the audit_rows fixture's rows (pipeline, epsilon, mode and the
+# report's fields, as JSON with sorted keys), on the same platform as above.
+PINNED_AUDIT_SHA256 = "4a9b50b5a81e28d0d09b5866d8b76e832cd34e21cb3529ebbd812551aa9f23e8"
+
+
+def test_audit_rows_match_pinned_digest(audit_rows):
+    blob = json.dumps(
+        [[r.pipeline, r.epsilon, r.mode, dataclasses.asdict(r.report)] for r in audit_rows],
+        sort_keys=True,
+    )
+    assert hashlib.sha256(blob.encode()).hexdigest() == PINNED_AUDIT_SHA256

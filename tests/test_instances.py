@@ -3,6 +3,7 @@ import os
 import pickle
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -346,12 +347,10 @@ def test_certify_matches_a_per_probe_loop(idx):
     assert k.max_violation == pytest.approx(max(kl), abs=1e-14)
 
 
-def test_import_and_instance_build_leave_scipy_unloaded():
-    # scipy.special, scipy.ndimage and scipy.optimize are most of the
-    # package's import time, so only the functions that use them import them.
-    code = (
-        "import sys, dpgrowth\n"
-        "dpgrowth.build_instance('uniform_convex', d=1, kappa=2, lam=1.0, L=4.0, R=1.0)\n"
+def _scipy_modules_after(code: str) -> str:
+    """The scipy submodules loaded after ``code`` runs in a fresh process."""
+    code += (
+        "\nimport sys\n"
         "print([m for m in ('scipy.special', 'scipy.ndimage', 'scipy.optimize')"
         " if m in sys.modules])"
     )
@@ -359,4 +358,27 @@ def test_import_and_instance_build_leave_scipy_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_and_instance_build_leave_scipy_unloaded():
+    # scipy.special, scipy.ndimage and scipy.optimize are most of the
+    # package's import time, so only the functions that use them import them.
+    code = (
+        "import dpgrowth\n"
+        "dpgrowth.build_instance('uniform_convex', d=1, kappa=2, lam=1.0, L=4.0, R=1.0)"
+    )
+    assert _scipy_modules_after(code) == "[]"
+
+
+def test_grid_sampler_sweep_and_audit_leave_scipy_unloaded(tmp_path):
+    # The grid sampler runs on numpy alone, so an inv_sensitivity sweep and
+    # audit load none of scipy's large submodules either.
+    config = Path(__file__).resolve().parent.parent / "configs" / "acceptance_invsens.ini"
+    code = (
+        "import dataclasses\n"
+        "from dpgrowth.harness import load_config, privacy_audit, run_sweep\n"
+        f"run_sweep(dataclasses.replace(load_config({str(config)!r}), seeds=2), {str(tmp_path)!r})\n"
+        "privacy_audit(epsilons=(1.0,), trials=200, pipelines=('inv_sensitivity',))"
+    )
+    assert _scipy_modules_after(code) == "[]"

@@ -14,6 +14,9 @@ from dpgrowth.core import (
 )
 from dpgrowth.inv_sensitivity import (
     GridDensity,
+    _grid_1d,
+    _logsumexp,
+    _window_min,
     build_density,
     default_rho,
     excess_risk_bound,
@@ -145,6 +148,61 @@ def test_density_requires_rho_or_growth():
     data = inst.draw(8, RngStream(3, 0))
     with pytest.raises(InvalidInputError):
         build_density(inst.loss, data, inst.domain, epsilon=1.0)
+
+
+def test_one_dimensional_lattice_stays_inside_its_interval():
+    # (hi - lo) / h reads 6.000000000000001 here, so floor counts seven
+    # points, and the seventh, lo + 6h = 0.050000000000000044, lies past
+    # hi = 0.04999999999999999.
+    domain = Domain(np.array([-0.25]), 0.3)
+    points = _grid_1d(domain, 0.1)[:, 0]
+    assert len(points) == 6 and points[-1] <= domain.interval()[1]
+    # The shipped lattices keep every point: the invsens sweep's and the
+    # audit's both end exactly at the domain's right end.
+    for h, count in ((2.5e-4, 8001), (0.025, 81)):
+        points = _grid_1d(Domain(np.zeros(1), 1.0), h)[:, 0]
+        assert len(points) == count and points[-1] == 1.0
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def test_logsumexp_equals_scipy_bit_for_bit():
+    from scipy.special import logsumexp
+
+    rng = np.random.default_rng(17)
+    cases = [np.zeros(1), np.full(3, -np.inf), np.array([-np.inf, -1.0, -np.inf])]
+    for case in range(1200):
+        size = int(10.0 ** rng.uniform(0.0, math.log10(20_000)))
+        # Spreads from 1e-3 to 1e4: beyond about 745 the smallest terms underflow.
+        a = -(10.0 ** rng.uniform(-3.0, 4.0)) * rng.random(size) + rng.normal()
+        if case % 3 == 1:
+            a = np.round(a, int(rng.integers(0, 3)))
+        elif case % 3 == 2:
+            a[rng.integers(0, size, size // 4 + 1)] = a.max()
+        cases.append(a)
+    for a in cases:
+        assert _bits(_logsumexp(a)) == _bits(logsumexp(a)), a
+
+
+def test_window_min_equals_scipy_bit_for_bit():
+    from scipy.ndimage import minimum_filter, minimum_filter1d
+
+    rng = np.random.default_rng(18)
+    for w in range(7):
+        ii, jj = np.meshgrid(np.arange(-w, w + 1), np.arange(-w, w + 1), indexing="ij")
+        # build_density's disc: radius rho / h in [w, w + 1).
+        disc = ii * ii + jj * jj <= (w + rng.random()) ** 2
+        for side in range(1, 41):
+            line = np.round(rng.random(side), 1)
+            line[rng.random(side) < 0.2] = np.inf
+            got = _window_min(line, np.ones(2 * w + 1, bool))
+            assert _bits(got) == _bits(minimum_filter1d(line, 2 * w + 1, mode="nearest"))
+            grid = np.round(rng.random((side, side)), 1)
+            grid[rng.random((side, side)) < 0.2] = np.inf
+            got = _window_min(grid, disc)
+            assert _bits(got) == _bits(minimum_filter(grid, footprint=disc, mode="nearest"))
 
 
 def test_two_dimensional_density_smoke():

@@ -1357,7 +1357,13 @@ def test_a_grouped_unit_that_raises_runs_trial_by_trial(tmp_path, monkeypatch):
 
     monkeypatch.setattr(erm, "_interval_gap", failing)
     monkeypatch.setattr(localization, "MAX_SOLVER_ITERS", 2)
+    # Only the failing cell runs again trial by trial; the others run again
+    # as their own units.
+    alone, calls = harness._execute_trial, []
+    monkeypatch.setattr(harness, "_execute_trial", lambda unit: calls.append(unit) or alone(unit))
     grouped = _rows(harness._execute_unit(_unit(cfg, cells, range(cfg.seeds))))
+    assert [unit[2] for unit in calls] == [[(*cells[5], range(s, s + 1))]
+                                           for s in range(cfg.seeds)]
     assert grouped == _rows([rec for index, cell in cells for rec in _alone(cfg, index, cell)])
     errors = [row[CSV_INDEX["error"]] for row in grouped]
     failed = 5 * cfg.seeds + 1
