@@ -24,6 +24,7 @@ from .core import (
     Dataset,
     InvalidInputError,
     PrivacyParams,
+    ResourceError,
     RngStream,
     derive_stream_key,
     project,
@@ -222,6 +223,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
     seeds = _get(exp, "seeds", int, 1)
     if seeds < 1:
         raise InvalidInputError("seeds must be >= 1")
+    x0_offset = _get(exp, "x0_offset", float, 0.05)
+    if not math.isfinite(x0_offset):
+        raise InvalidInputError(f"x0_offset must be finite, got {x0_offset}")
     cfg = ExperimentConfig(
         name=exp.get("name", Path(path).stem).strip(),
         algorithm=algorithm,
@@ -231,7 +235,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         seeds=seeds,
         master_seed=_get(exp, "master_seed", int, 0),
         beta=_get(exp, "beta", lambda text: None if text.lower() == "auto" else float(text)),
-        x0_offset=_get(exp, "x0_offset", float, 0.05),
+        x0_offset=x0_offset,
         sweep_n=_get(sweep, "n", _numbers, (_get(exp, "n", int, 256),)),
         sweep_epsilon=_get(sweep, "epsilon", _numbers, (1.0,)),
         sweep_delta=_get(sweep, "delta", _numbers, (0.0,)),
@@ -291,9 +295,13 @@ def _chain_config(algorithm: str, instance: ProblemInstance, n: int, d: int, bet
 
 
 def _cell_setup(cfg: ExperimentConfig, cell: dict, instance: ProblemInstance) -> tuple:
-    """A cell's privacy budget and, for a chain algorithm, its run config
-    (None otherwise)."""
+    """A cell's privacy budget and its run config: a chain algorithm's config,
+    the grid sampler's checked ``(rho, h)``, or None for the ERM oracle."""
     privacy = PrivacyParams(cell["epsilon"], cell["delta"])
+    if cfg.algorithm == "inv_sensitivity":
+        return privacy, inv_sensitivity.grid_parameters(
+            instance.loss, cell["n"], instance.domain, privacy.epsilon, cfg.rho,
+            cfg.grid_spacing, instance.growth)
     if cfg.algorithm not in _CHAINS:
         return privacy, None
     return privacy, _chain_config(
@@ -396,10 +404,9 @@ def _execute(unit) -> list[TrialRecord]:
             data = instance.draw(cells[0][1]["n"], RngStream(keys[0], 0))
             samples = [data.samples]
             if cfg.algorithm == "inv_sensitivity":
-                density = inv_sensitivity.build_density(
-                    loss, data, domain, setups[0][0].epsilon,
-                    rho=cfg.rho, h=cfg.grid_spacing, growth=instance.growth,
-                )
+                privacy, (rho, h) = setups[0]
+                density = inv_sensitivity.build_density(loss, data, domain, privacy.epsilon,
+                                                        rho=rho, h=h)
                 x_out = [inv_sensitivity.sample(density, RngStream(keys[0], 1))]
             else:
                 x_out = [instance.empirical_min(data)[0]]
@@ -594,16 +601,28 @@ def fit_rate(
 
 
 def read_csv(path: str | Path) -> list[dict]:
+    try:
+        fh = open(path, newline="")
+    except OSError:
+        raise InvalidInputError(f"cannot read csv {path}") from None
     out = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
+    with fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise InvalidInputError(f"csv {path} lacks the sweep columns {', '.join(missing)}")
+        for line, row in enumerate(reader, start=2):
             rec = dict(row)
-            for key in ("n", "d", "seed"):
-                rec[key] = int(rec[key])
-            for key in ("epsilon", "delta", "excess_emp", "excess_pop"):
-                rec[key] = float(rec[key]) if rec[key] else math.nan
-            for key in ("kappa", "kappa_lower"):
-                rec[key] = float(rec[key]) if rec[key] else None
+            try:
+                for key in ("n", "d", "seed"):
+                    rec[key] = int(rec[key])
+                for key in ("epsilon", "delta", "excess_emp", "excess_pop"):
+                    rec[key] = float(rec[key]) if rec[key] else math.nan
+                for key in ("kappa", "kappa_lower"):
+                    rec[key] = float(rec[key]) if rec[key] else None
+            except (TypeError, ValueError):
+                raise InvalidInputError(f"csv {path} line {line}: cannot read {key} "
+                                        f"{rec[key]!r}") from None
             out.append(rec)
     return out
 
@@ -825,7 +844,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _command(args)
-    except InvalidInputError as exc:
+    except (InvalidInputError, ResourceError) as exc:
         print(f"dpgrowth: error: {exc}", file=sys.stderr)
         return 2
 

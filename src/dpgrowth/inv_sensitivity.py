@@ -1,8 +1,8 @@
-"""Smoothed gradient-based exponential sampler on a discretized domain
-(d <= 2): score each grid point by the windowed infimum of the mean-gradient
-norm, exponentiate, normalize, and sample by inverse CDF.  The discrete
+"""Smoothed gradient-based exponential sampler on a 1-D lattice: score each
+lattice point by the windowed infimum of the mean-gradient norm,
+exponentiate, normalize, and sample by inverse CDF.  The discrete
 realization keeps the per-point score sensitivity of the continuous design;
-the grid spacing is tied to the smoothing radius."""
+the lattice spacing is tied to the smoothing radius."""
 
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ from .core import (
 __all__ = [
     "GridDensity",
     "default_rho",
+    "grid_parameters",
     "build_density",
     "sample",
     "excess_risk_bound",
@@ -36,7 +37,7 @@ MAX_GRID_POINTS = 10_000_000
 class GridDensity:
     """Normalized sampling density over a lattice covering the domain."""
 
-    points: np.ndarray  # (G, d)
+    points: np.ndarray  # (G, 1)
     log_weights: np.ndarray  # raw scores: -eps * n * G_rho / (2 L)
     log_probs: np.ndarray  # normalized
     spacing: float
@@ -63,14 +64,40 @@ def default_rho(
     return (L / lam) ** inv * (d / (n * epsilon)) ** (kappa_lower * inv)
 
 
+def grid_parameters(loss: LossOracle, n: int, domain: Domain, epsilon: float,
+                    rho: float | None = None, h: float | None = None,
+                    growth: GrowthSpec | None = None) -> tuple[float, float]:
+    """Check the sampler's inputs for n samples and return its smoothing
+    radius and lattice spacing ``(rho, h)``.
+
+    ``rho`` defaults to the growth-adapted smoothing radius when a growth
+    certificate is supplied.  ``h`` defaults to rho/4 and must not exceed it.
+    A lattice of more than ``MAX_GRID_POINTS`` points raises ``ResourceError``.
+    """
+    if domain.dim != 1:
+        raise InvalidInputError(f"the grid sampler needs d = 1, got d = {domain.dim}")
+    if not (0 < epsilon < math.inf):
+        raise InvalidInputError(f"epsilon must be finite and positive, got {epsilon}")
+    if rho is None:
+        if growth is None:
+            raise InvalidInputError("supply rho or a growth certificate")
+        rho = default_rho(loss.lipschitz, growth.lam, growth.kappa, n, 1, epsilon)
+    if not (0 < rho < math.inf):
+        raise InvalidInputError(f"rho must be finite and positive, got {rho}")
+    if h is None:
+        h = rho / 4.0
+    if not (0 < h <= rho / 4.0 + 1e-15):
+        raise InvalidInputError(f"grid spacing must satisfy 0 < h <= rho / 4, got h = {h}")
+    lo, hi = domain.interval()
+    if not (hi - lo) / h < MAX_GRID_POINTS:
+        raise ResourceError(f"grid spacing {h!r} puts more than {MAX_GRID_POINTS} points on "
+                            f"[{lo!r}, {hi!r}]; use a coarser spacing")
+    return rho, h
+
+
 def _grid_1d(domain: Domain, h: float) -> np.ndarray:
     lo, hi = domain.interval()
-    count = int(math.floor((hi - lo) / h)) + 1
-    if count > MAX_GRID_POINTS:
-        raise ResourceError(
-            f"grid of {count} points exceeds the cap; use a coarser spacing"
-        )
-    points = lo + h * np.arange(count)
+    points = lo + h * np.arange(int(math.floor((hi - lo) / h)) + 1)
     return points[points <= hi, None]  # a rounded (hi - lo) / h can count one too many
 
 
@@ -88,16 +115,15 @@ def _logsumexp(a: np.ndarray) -> float:
         return out if math.isfinite(out) else float(np.log(np.sum(np.exp(a))))
 
 
-def _window_min(values: np.ndarray, footprint: np.ndarray) -> np.ndarray:
-    """``scipy.ndimage.minimum_filter(values, footprint=footprint,
-    mode="nearest")`` exactly, as min is exact: one shifted ``np.minimum`` per
-    footprint offset, so memory stays at two copies of the grid."""
-    w = footprint.shape[0] // 2
+def _window_min(values: np.ndarray, w: int) -> np.ndarray:
+    """``scipy.ndimage.minimum_filter1d(values, 2 * w + 1, mode="nearest")``
+    exactly, as min is exact: the line padded with its edge values, then one
+    shifted ``np.minimum`` per window offset, so memory stays at the padded
+    line and the output."""
     padded = np.pad(values, w, mode="edge")
-    out = np.full_like(values, np.inf)
-    for offset in zip(*np.nonzero(footprint)):
-        window = tuple(slice(o, o + k) for o, k in zip(offset, values.shape))
-        np.minimum(out, padded[window], out=out)
+    out = padded[: len(values)].copy()
+    for offset in range(1, 2 * w + 1):
+        np.minimum(out, padded[offset : offset + len(values)], out=out)
     return out
 
 
@@ -119,64 +145,15 @@ def _refined_norms_1d(loss: LossOracle, data: Dataset, points: np.ndarray) -> np
     return norms
 
 
-def build_density(
-    loss: LossOracle,
-    data: Dataset,
-    domain: Domain,
-    epsilon: float,
-    rho: float | None = None,
-    h: float | None = None,
-    growth: GrowthSpec | None = None,
-) -> GridDensity:
-    """Score every grid point and normalize.
-
-    ``rho`` defaults to the growth-adapted smoothing radius when a growth
-    certificate is supplied.  ``h`` defaults to rho/4 and must not exceed it.
-    """
-    if not (epsilon > 0):
-        raise InvalidInputError("epsilon must be positive")
-    if rho is None:
-        if growth is None:
-            raise InvalidInputError("supply rho or a growth certificate")
-        rho = default_rho(loss.lipschitz, growth.lam, growth.kappa, data.n, domain.dim, epsilon)
-    if not (rho > 0):
-        raise InvalidInputError("rho must be positive")
-    if h is None:
-        h = rho / 4.0
-    if h > rho / 4.0 + 1e-15:
-        raise InvalidInputError("grid spacing must satisfy h <= rho / 4")
-    d = domain.dim
-    window = int(math.floor(rho / h + 1e-9))
-    if d == 1:
-        points = _grid_1d(domain, h)
-        norms = _refined_norms_1d(loss, data, points)
-        smoothed = _window_min(norms, np.ones(2 * window + 1, bool))
-    elif d == 2:
-        lo_x = domain.center[0] - domain.radius
-        lo_y = domain.center[1] - domain.radius
-        count = int(math.floor(2.0 * domain.radius / h)) + 1
-        if count * count > MAX_GRID_POINTS:
-            raise ResourceError(
-                f"grid of {count * count} points exceeds the cap; use a coarser spacing"
-            )
-        gx = lo_x + h * np.arange(count)
-        gy = lo_y + h * np.arange(count)
-        mx, my = np.meshgrid(gx, gy, indexing="ij")
-        lattice = np.column_stack([mx.ravel(), my.ravel()])
-        feasible = np.array([domain.contains(p, tol=1e-12) for p in lattice])
-        norms = np.full(lattice.shape[0], np.inf)
-        norms[feasible] = np.linalg.norm(
-            loss.mean_grads(lattice[feasible], data.samples), axis=1
-        )
-        grid_norms = norms.reshape(count, count)
-        ii, jj = np.meshgrid(
-            np.arange(-window, window + 1), np.arange(-window, window + 1), indexing="ij"
-        )
-        footprint = (ii * ii + jj * jj) * h * h <= rho * rho + 1e-12
-        points = lattice[feasible]
-        smoothed = _window_min(grid_norms, footprint).ravel()[feasible]
-    else:
-        raise InvalidInputError("the grid sampler is realized only for d <= 2")
+def build_density(loss: LossOracle, data: Dataset, domain: Domain, epsilon: float,
+                  rho: float | None = None, h: float | None = None,
+                  growth: GrowthSpec | None = None) -> GridDensity:
+    """Score every lattice point and normalize, with ``rho`` and ``h`` as
+    ``grid_parameters`` checks and resolves them."""
+    rho, h = grid_parameters(loss, data.n, domain, epsilon, rho, h, growth)
+    points = _grid_1d(domain, h)
+    norms = _refined_norms_1d(loss, data, points)
+    smoothed = _window_min(norms, int(math.floor(rho / h + 1e-9)))
     log_weights = -epsilon * data.n * smoothed / (2.0 * loss.lipschitz)
     log_probs = log_weights - _logsumexp(log_weights)
     # Renormalize away the last float ulps so probabilities sum to one exactly
@@ -194,7 +171,7 @@ def build_density(
 def sample(density: GridDensity, rng: RngStream, size: int | None = None) -> np.ndarray:
     """Inverse-CDF draws from the grid density.
 
-    Returns a single point of shape (d,) when ``size`` is None, else (size, d).
+    Returns a single point of shape (1,) when ``size`` is None, else (size, 1).
     """
     cdf = np.cumsum(density.probabilities)
     cdf[-1] = 1.0

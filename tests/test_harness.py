@@ -276,6 +276,10 @@ def test_cli_audit_rejects_unreadable_config_and_missing_section(tmp_path, capsy
     bad_scale = _write(tmp_path, TINY_CONFIG.replace(
         "[output]", "[algorithm]\nnoise_scale = lots\n\n[output]"), name="scale.ini")
     bad_sabotage = _write(tmp_path, "[audit]\nsabotage = sure\n", name="sabotage.ini")
+    missing_csv = tmp_path / "missing.csv"
+    no_columns = _write(tmp_path, "n,slope\n64,1.0\n", name="no_columns.csv")
+    bad_row = _write(tmp_path, ",".join(CSV_COLUMNS) + "\n" + ",".join(
+        "six" if c == "n" else "1" for c in CSV_COLUMNS) + "\n", name="bad_row.csv")
     for argv, message in (
         (["audit", str(missing)], f"cannot read config {missing}"),
         (["run", str(missing)], f"cannot read config {missing}"),
@@ -288,6 +292,10 @@ def test_cli_audit_rejects_unreadable_config_and_missing_section(tmp_path, capsy
         (["run", str(bad_seeds)], "config [experiment] seeds: cannot read 'abc'"),
         (["run", str(bad_scale)], "config [algorithm] noise_scale: cannot read 'lots'"),
         (["audit", str(bad_sabotage)], "config [audit] sabotage: cannot read 'sure'"),
+        (["fit", str(missing_csv), "--axis", "n"], f"cannot read csv {missing_csv}"),
+        (["fit", str(no_columns), "--axis", "n"], f"csv {no_columns} lacks the sweep columns "
+         + ", ".join(c for c in CSV_COLUMNS if c != "n")),
+        (["fit", str(bad_row), "--axis", "n"], f"csv {bad_row} line 2: cannot read n 'six'"),
     ):
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -324,6 +332,11 @@ EPOCH_CONFIG = TINY_CONFIG.replace("algorithm = erm_oracle", "algorithm = epoch_
     "[output]", "[algorithm]\nkappa_lower = 3.0\n\n[output]")
 
 
+INVSENS_CONFIG = TINY_CONFIG.replace(
+    "algorithm = erm_oracle", "algorithm = inv_sensitivity").replace(
+    "[output]", "[algorithm]\nrho = 1e-2\n\n[output]")
+
+
 def test_cli_run_rejects_out_of_range_sweep_values_before_any_trial(tmp_path, capsys):
     # Each value is out of range in one cell only; the sweep must stop with
     # one error line before it runs a trial or writes a file.
@@ -340,16 +353,39 @@ def test_cli_run_rejects_out_of_range_sweep_values_before_any_trial(tmp_path, ca
             assert captured.err == f"dpgrowth: error: {message}\n"
             assert not out.exists()
     # Chain configs are built for every cell too: an approximate budget past
-    # the noise's range, and a cell too small for its epochs.
+    # the noise's range, and a cell too small for its epochs; and the start
+    # offset is checked.
     for old, new, message in (
         ("epsilon = 1.0", "epsilon = 1.0\ndelta = 0.0, 0.7",
          "approximate mode needs delta <= 0.5, got 0.7"),
         ("n = 64", "n = 64, 3", "per-epoch batch too small (n0=1); reduce the epoch count"),
+        ("beta = auto", "beta = auto\nx0_offset = nan", "x0_offset must be finite, got nan"),
     ):
         path = _write(tmp_path, EPOCH_CONFIG.replace(old, new))
         assert main(["run", str(path), "--out", str(tmp_path / "chain")]) == 2
         assert capsys.readouterr().err == f"dpgrowth: error: {message}\n"
         assert not (tmp_path / "chain").exists()
+    # So are the grid sampler's radius, spacing and lattice; rho is required
+    # on an instance without a growth certificate.
+    no_growth = INVSENS_CONFIG.replace("rho = 1e-2\n", "").replace(
+        "uniform_convex", "pure_convex").replace("kappa = 2\nlam = 1.0\n", "").replace(
+        "bias_delta = 0.1\n", "")
+    for config, message in (
+        (INVSENS_CONFIG.replace("rho = 1e-2", "rho = 1e-2\ngrid_spacing = 0"),
+         "grid spacing must satisfy 0 < h <= rho / 4, got h = 0.0"),
+        (INVSENS_CONFIG.replace("rho = 1e-2", "rho = 1e-2\ngrid_spacing = -1e-3"),
+         "grid spacing must satisfy 0 < h <= rho / 4, got h = -0.001"),
+        (INVSENS_CONFIG.replace("rho = 1e-2", "rho = -1"),
+         "rho must be finite and positive, got -1.0"),
+        (INVSENS_CONFIG.replace("rho = 1e-2", "rho = 1e-8"),
+         "grid spacing 2.5e-09 puts more than 10000000 points on [-1.0, 1.0]; "
+         "use a coarser spacing"),
+        (no_growth, "supply rho or a growth certificate"),
+    ):
+        path = _write(tmp_path, config)
+        assert main(["run", str(path), "--out", str(tmp_path / "grid")]) == 2
+        assert capsys.readouterr().err == f"dpgrowth: error: {message}\n"
+        assert not (tmp_path / "grid").exists()
 
 
 def test_audit_skips_noiseless_budget_with_notice():

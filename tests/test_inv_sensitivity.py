@@ -187,37 +187,24 @@ def test_logsumexp_equals_scipy_bit_for_bit():
 
 
 def test_window_min_equals_scipy_bit_for_bit():
-    from scipy.ndimage import minimum_filter, minimum_filter1d
+    from scipy.ndimage import minimum_filter1d
 
     rng = np.random.default_rng(18)
     for w in range(7):
-        ii, jj = np.meshgrid(np.arange(-w, w + 1), np.arange(-w, w + 1), indexing="ij")
-        # build_density's disc: radius rho / h in [w, w + 1).
-        disc = ii * ii + jj * jj <= (w + rng.random()) ** 2
         for side in range(1, 41):
             line = np.round(rng.random(side), 1)
             line[rng.random(side) < 0.2] = np.inf
-            got = _window_min(line, np.ones(2 * w + 1, bool))
+            got = _window_min(line, w)
             assert _bits(got) == _bits(minimum_filter1d(line, 2 * w + 1, mode="nearest"))
-            grid = np.round(rng.random((side, side)), 1)
-            grid[rng.random((side, side)) < 0.2] = np.inf
-            got = _window_min(grid, disc)
-            assert _bits(got) == _bits(minimum_filter(grid, footprint=disc, mode="nearest"))
 
 
-def test_two_dimensional_density_smoke():
+def test_density_refuses_a_two_dimensional_domain():
     inst = build_instance(
         "uniform_convex", d=2, kappa=2, lam=1.0, L=4.0, R=1.0, bias_delta=0.1
     )
     data = inst.draw(64, RngStream(4, 0))
-    dens = build_density(inst.loss, data, inst.domain, epsilon=2.0, rho=0.15)
-    assert abs(dens.probabilities.sum() - 1.0) <= 1e-12
-    draw = sample(dens, RngStream(4, 1))
-    assert inst.domain.contains(draw, tol=1e-9)
-    # Mass concentrates near the empirical minimizer.
-    xemp, _ = inst.empirical_min(data)
-    mean = dens.probabilities @ dens.points
-    assert np.linalg.norm(mean - xemp) < 0.25
+    with pytest.raises(InvalidInputError, match="needs d = 1, got d = 2"):
+        build_density(inst.loss, data, inst.domain, epsilon=2.0, rho=0.15)
 
 
 # ---------------------------------------------------------------------------
