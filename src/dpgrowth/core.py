@@ -440,16 +440,11 @@ class IsotropicQuadratic:
 
 @dataclass(frozen=True)
 class PowerNorm:
-    """Solver hint: F(x; s) = coef * ||x||^power + lin_scale * <s, x>.  In
-    1-D the loss's ``batch_subgrad`` is ``slope``."""
+    """Solver hint: F(x; s) = coef * ||x||^power + lin_scale * <s, x>."""
 
     coef: float
     power: float
     lin_scale: float
-
-    def slope(self, u: float, gbar: float) -> float:
-        """The 1-D batch derivative at u, with gbar = lin_scale * mean sample."""
-        return self.coef * self.power * math.sqrt(u * u) ** (self.power - 2.0) * u + gbar
 
 
 @dataclass(frozen=True)

@@ -156,20 +156,20 @@ def _separable_certificate(problem, st, x, grad, lam):
 
 
 def _gap_1d(problem: RegularizedProblem, x: np.ndarray) -> float:
-    return _interval_gap(
-        lambda u: float(problem.subgradient(np.array([u]))[0]),
-        problem.reg_weight, *problem.domain.interval(), float(x[0]),
-    )
+    lo, hi = problem.domain.interval()
+    t = float(x[0])
+    h = 1e-9 * max(abs(t), abs(lo), abs(hi), 1.0)
+    g_left, g_right = (float(problem.subgradient(np.array([u]))[0]) for u in (t - h, t + h))
+    return _interval_gap(g_left, g_right, problem.reg_weight, lo, hi, t, h)
 
 
-def _interval_gap(slope, lam: float, lo: float, hi: float, t: float) -> float:
+def _interval_gap(g_left: float, g_right: float, lam: float, lo: float, hi: float, t: float,
+                  h: float) -> float:
     """Gap bound at t of a 1-D objective on [lo, hi] with strong convexity
-    2 lam, from its one-sided slopes: ``slope(u)`` is the objective's
-    derivative (min-norm subgradient) at u, in Python floats."""
-    scale = max(abs(t), abs(lo), abs(hi), 1.0)
-    h = 1e-9 * scale
-    g_left = slope(t - h)
-    g_right = slope(t + h)
+    2 lam, from its one-sided slopes: g_left and g_right are the objective's
+    derivative (min-norm subgradient) at t - h and t + h, in Python floats,
+    with h = 1e-9 max(|t|, |lo|, |hi|, 1).  The one 1-D certificate rule,
+    of ``certified_gap`` and ``_power_norm_1d``."""
     if t - h <= lo:
         residual = max(0.0, -g_right)
     elif t + h >= hi:
@@ -343,34 +343,42 @@ def _dual_ball_separable(rows, w, lam, anchor, center, radius, tol):
     return solve_at(hi), hi, abs(s_hi)
 
 
-def _power_norm_root(coef, power, ubar, lam, a, lo, hi) -> float:
-    """Minimizer over [lo, hi] of coef |t|^power + ubar t + lam (t - a)^2,
-    by bisection on its strictly increasing derivative.  Python floats
-    throughout: numpy's vectorized power differs from libm's in the last bit."""
-    cp, pm1, two_lam = coef * power, power - 1.0, 2.0 * lam
-    copysign = math.copysign
-
-    def deriv(t: float) -> float:
-        return cp * abs(t) ** pm1 * copysign(1.0, t) + ubar + two_lam * (t - a)
-
-    if deriv(lo) >= 0.0:
-        return lo
-    if deriv(hi) <= 0.0:
-        return hi
-    left, right = lo, hi
-    # The stopping width is 1e-15 max(1, |left|, |right|): 1e-15 throughout
-    # when [lo, hi] lies in [-1, 1].  The loop inlines deriv and, there,
-    # skips max: in CPython each call costs about as much as the arithmetic.
-    unit = max(abs(lo), abs(hi)) <= 1.0
-    for _ in range(200):
-        mid = 0.5 * (left + right)
-        if cp * abs(mid) ** pm1 * copysign(1.0, mid) + ubar + two_lam * (mid - a) < 0.0:
-            left = mid
-        else:
-            right = mid
-        if right - left <= (1e-15 if unit else 1e-15 * max(1.0, abs(left), abs(right))):
-            break
-    return 0.5 * (left + right)
+def _power_norm_1d(coef, power, ubar, gbar, lam, a, lo, hi):
+    """The minimizer t over [lo, hi] of coef |t|^power + ubar t + lam (t - a)^2,
+    by bisection on its strictly increasing derivative, and the gap bound
+    ``_interval_gap`` certifies at t from the derivative the loss's batch
+    subgradient gives, coef power |u|^(power - 2) u + gbar, plus the
+    regularizer's: one pass in Python floats for ``solve`` and the phase
+    kernel.  numpy's vectorized power differs from libm's in the last bit.
+    The bisection takes the derivative's sign from a branch, exactly as
+    |t|^(power - 1) times copysign(1, t) gives it; at t = +-0 only the sign
+    of a zero term can differ, and no comparison with 0.0 sees it."""
+    cp, pm1, pm2, two_lam = coef * power, power - 1.0, power - 2.0, 2.0 * lam
+    if (cp * lo ** pm1 if lo > 0.0 else -(cp * (-lo) ** pm1)) + ubar + two_lam * (lo - a) >= 0.0:
+        t = lo
+    elif (cp * hi ** pm1 if hi > 0.0 else -(cp * (-hi) ** pm1)) + ubar + two_lam * (hi - a) <= 0.0:
+        t = hi
+    else:
+        left, right = lo, hi
+        # The stopping width is 1e-15 max(1, |left|, |right|): 1e-15
+        # throughout when [lo, hi] lies in [-1, 1], where the loop skips max.
+        unit = max(abs(lo), abs(hi)) <= 1.0
+        for _ in range(200):
+            mid = 0.5 * (left + right)
+            power_term = cp * mid**pm1 if mid > 0.0 else -(cp * (-mid) ** pm1)
+            if power_term + ubar + two_lam * (mid - a) < 0.0:
+                left = mid
+            else:
+                right = mid
+            if right - left <= (1e-15 if unit else 1e-15 * max(1.0, abs(left), abs(right))):
+                break
+        t = 0.5 * (left + right)
+    h = 1e-9 * max(abs(t), abs(lo), abs(hi), 1.0)
+    u = t - h
+    g_left = cp * math.sqrt(u * u) ** pm2 * u + gbar + two_lam * (u - a)
+    u = t + h
+    g_right = cp * math.sqrt(u * u) ** pm2 * u + gbar + two_lam * (u - a)
+    return t, _interval_gap(g_left, g_right, lam, lo, hi, t, h)
 
 
 def _solve_scalar(problem: RegularizedProblem, lo: float, hi: float):
@@ -446,10 +454,15 @@ def solve(problem: RegularizedProblem, tol: float, max_iters: int = 200_000) -> 
                 return x
             candidate = x
     elif isinstance(st, PowerNorm) and problem.anchor.shape[0] == 1:
-        ubar = float((st.lin_scale * problem.batch.samples).mean(axis=0)[0])
-        candidate = np.array([_power_norm_root(
-            st.coef, st.power, ubar, lam, float(problem.anchor[0]), *problem.domain.interval()
-        )])
+        s = problem.batch.samples
+        root, gap = _power_norm_1d(
+            st.coef, st.power, float((st.lin_scale * s).mean(axis=0)[0]),
+            float(st.lin_scale * s.mean(axis=0)[0]), lam, float(problem.anchor[0]),
+            *problem.domain.interval(),
+        )
+        candidate = np.array([root])
+        if gap <= tol:
+            return candidate
     if candidate is None and problem.anchor.shape[0] == 1:
         candidate = _solve_scalar(problem, *problem.domain.interval())
 

@@ -75,11 +75,11 @@ class PowerNormLinearLoss(LossOracle):
 
     def batch_subgrad(self, x, samples):
         x = np.atleast_1d(x)
-        gbar = self.lin_scale * samples.mean(axis=0)
-        if self.point_dim == 1 and isinstance(self.structure, PowerNorm):
-            return np.array([self.structure.slope(float(x[0]), float(gbar[0]))])
         r = float(np.linalg.norm(x))
-        return self.coef * self.power * r ** (self.power - 2.0) * x + gbar
+        return (
+            self.coef * self.power * r ** (self.power - 2.0) * x
+            + self.lin_scale * samples.mean(axis=0)
+        )
 
     def mean_grads(self, points, samples):
         sbar = samples.mean(axis=0)
@@ -331,6 +331,9 @@ def make_uniform_convex(
     p_plus = (1.0 + bias_delta) / 2.0
 
     def sampler(rng: RngStream, n: int) -> np.ndarray:
+        if d == 1:
+            # integers(0, 1) draws nothing from the stream, and v[idx] is v[0].
+            return np.where(rng.gen.random(n) < p_plus, v[0], -v[0])[:, None]
         idx = rng.gen.integers(0, d, size=n)
         signs = np.where(rng.gen.random(n) < p_plus, 1.0, -1.0) * v[idx]
         rows = np.zeros((n, d))

@@ -324,29 +324,21 @@ def _separable_phase(st: SeparableAbsolute, lam, tol, x, block, region_balls):
 def _power_norm_phase(st: PowerNorm, lam, tol, x, lo, hi, qbar, gbar):
     """Each trial's solution of a 1-D power-norm phase as ``erm.solve``
     finds it, and whether it is certified: the solver's own bisection and
-    1-D certificate, in Python floats, from the trial's anchor x[t],
-    interval [lo[t], hi[t]], mean linear term qbar and linear term of the
-    mean sample gbar, lam and tol.  x, lo and hi are ``(trials, 1)``
-    arrays; qbar and gbar have one row shared by every trial or one per
-    trial; lam and tol are floats or per-trial columns."""
+    1-D certificate, ``erm._power_norm_1d``, in one call per trial, from
+    the trial's anchor x[t], interval [lo[t], hi[t]], mean linear term qbar
+    and linear term of the mean sample gbar, lam and tol.  x, lo and hi are
+    ``(trials, 1)`` arrays; qbar and gbar have one row shared by every
+    trial or one per trial; lam and tol are floats or per-trial columns."""
     reps = len(x) // len(qbar)
-    lams, tols = ([float(v)] * len(x) if np.ndim(v) == 0 else v[:, 0].tolist()
-                  for v in (lam, tol))
-    x_hat, ok = [], []
-    for a, lo_t, hi_t, ubar, g, lam_t, tol_t in zip(
-        x[:, 0].tolist(), lo[:, 0].tolist(), hi[:, 0].tolist(), qbar[:, 0].tolist() * reps,
-        gbar[:, 0].tolist() * reps, lams, tols,
-    ):
-        root = erm._power_norm_root(st.coef, st.power, ubar, lam_t, a, lo_t, hi_t)
-
-        # The loss's batch derivative plus the regularizer's, added as
-        # ``RegularizedProblem.subgradient`` adds them.
-        def slope(u):
-            return st.slope(u, g) + 2.0 * lam_t * (u - a)
-
-        ok.append(erm._interval_gap(slope, lam_t, lo_t, hi_t, root) <= tol_t)
-        x_hat.append(root)
-    return np.array(x_hat)[:, None], np.array(ok)
+    lams = [float(lam)] * len(x) if np.ndim(lam) == 0 else lam[:, 0].tolist()
+    solved = np.array([
+        erm._power_norm_1d(st.coef, st.power, ubar, g, lam_t, a, lo_t, hi_t)
+        for a, lo_t, hi_t, ubar, g, lam_t in zip(
+            x[:, 0].tolist(), lo[:, 0].tolist(), hi[:, 0].tolist(), qbar[:, 0].tolist() * reps,
+            gbar[:, 0].tolist() * reps, lams,
+        )
+    ])
+    return solved[:, :1], solved[:, 1] <= _flat(tol)
 
 
 # The schedule values (eta_i, radius, lam, sensitivity, sigma, sigma_used)

@@ -150,6 +150,105 @@ def test_screened_search_matches_the_brute_force_scan_bit_for_bit():
     assert np.median(kept) < 5
 
 
+def _reference_power_norm_root(coef, power, ubar, lam, a, lo, hi):
+    """The reference bisection of the 1-D power-norm solve: the derivative
+    with its sign from copysign, as the solver computed it before its one
+    Python-float pass (``erm._power_norm_1d``)."""
+    cp, pm1, two_lam = coef * power, power - 1.0, 2.0 * lam
+
+    def deriv(t):
+        return cp * abs(t) ** pm1 * math.copysign(1.0, t) + ubar + two_lam * (t - a)
+
+    if deriv(lo) >= 0.0:
+        return lo
+    if deriv(hi) <= 0.0:
+        return hi
+    left, right = lo, hi
+    for _ in range(200):
+        mid = 0.5 * (left + right)
+        if deriv(mid) < 0.0:
+            left = mid
+        else:
+            right = mid
+        if right - left <= 1e-15 * max(1.0, abs(left), abs(right)):
+            break
+    return 0.5 * (left + right)
+
+
+def _reference_interval_gap(slope, lam, lo, hi, t):
+    """The reference 1-D certificate, from a slope function."""
+    h = 1e-9 * max(abs(t), abs(lo), abs(hi), 1.0)
+    g_left, g_right = slope(t - h), slope(t + h)
+    if t - h <= lo:
+        residual = max(0.0, -g_right)
+    elif t + h >= hi:
+        residual = max(0.0, g_left)
+    elif g_left <= 0.0 <= g_right:
+        residual = 0.0
+    else:
+        residual = min(abs(g_left), abs(g_right))
+    return residual * residual / (4.0 * lam)
+
+
+def test_power_norm_pass_matches_the_reference_bisection_bit_for_bit():
+    # 2 powers x 12 000 random phases, lam over 14 decades: brackets in
+    # [-1, 1] and wider (the stopping width then scales), brackets that
+    # straddle 0 symmetrically (the first midpoint is 0.0) with roots at
+    # exactly 0, brackets ending at -0.0, roots at lo and at hi, and at
+    # power 4 anchors on the lower edge where numpy's cube falls below
+    # libm's, with the data putting the derivative at exactly 0 there.
+    rng = np.random.default_rng(19)
+    kinds, positive_gaps = dict.fromkeys(range(7), 0), 0
+    for power in (3.0, 4.0):
+        coef = float(rng.uniform(0.05, 0.5))
+        cp = coef * power
+        for case in range(12_000):
+            kind = case % 7
+            lam = float(10.0 ** rng.uniform(-2, 12))
+            lo, hi = np.sort(rng.uniform(-1.0, 1.0, 2)).tolist()
+            a = float(rng.uniform(lo, hi))
+            ubar = float(rng.uniform(-2.0, 2.0) * rng.choice([1.0, 1e-6, lam]))
+            if kind == 1:
+                lo, hi = np.sort(rng.uniform(-1.0, 1.0, 2) * 10.0 ** rng.uniform(0, 3, 2)).tolist()
+                a = float(rng.uniform(lo, hi))
+            elif kind == 2:
+                hi = float(rng.uniform(0.01, 4.0))
+                lo, a = -hi, float(rng.uniform(-hi, hi))
+                ubar = 2.0 * lam * a if case % 2 else ubar
+            elif kind == 3:
+                lo, hi = -float(rng.uniform(0.01, 2.0)), -0.0
+                a = float(rng.uniform(lo, 0.0))
+            elif kind == 4:
+                ubar = 2.0 * (cp + 2.0 * lam) * 10.0 ** rng.uniform(0, 3)
+            elif kind == 5:
+                ubar = -2.0 * (cp + 2.0 * lam) * 10.0 ** rng.uniform(0, 3)
+            elif kind == 6 and power == 4.0:
+                while True:
+                    a = float(rng.uniform(0.05, 0.9))
+                    if np.power(a, 3.0) < a**3.0:
+                        break
+                lo, hi, ubar = a, float(rng.uniform(a + 1e-3, 1.0)), -(cp * a**3.0)
+            # gbar is ubar up to rounding; in every other phase it is off by
+            # up to 1, so the root is off and the certificate's bound is not 0.
+            gbar = ubar * float(1.0 + rng.uniform(-1e-15, 1e-15))
+            if case % 2:
+                gbar += float(rng.standard_normal() * 10.0 ** rng.uniform(-12, 0))
+
+            def slope(u):
+                return cp * math.sqrt(u * u) ** (power - 2.0) * u + gbar + 2.0 * lam * (u - a)
+
+            want = _reference_power_norm_root(coef, power, ubar, lam, a, lo, hi)
+            gap = _reference_interval_gap(slope, lam, lo, hi, want)
+            got = erm._power_norm_1d(coef, power, ubar, gbar, lam, a, lo, hi)
+            assert (got[0].hex(), got[1].hex()) == (want.hex(), gap.hex()), (power, case)
+            assert math.copysign(1.0, got[0]) == math.copysign(1.0, want)
+            positive_gaps += gap > 0.0
+            kinds[kind] += (kind != 4 or want == lo) and (kind != 5 or want == hi) and (
+                kind != 6 or want == a)
+    assert min(kinds.values()) >= 1700, kinds
+    assert positive_gaps >= 1500
+
+
 def test_solve_constrained_isotropic_quadratic_at_a_lens_corner():
     # mean ||x - s||^2 + 0.5 ||x||^2 has its unconstrained minimizer
     # x_u = s / 1.5 = (1.28, 0.76), outside both balls of the lens and inside

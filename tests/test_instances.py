@@ -61,6 +61,26 @@ def test_uniform_convex_sample_support_and_mean():
     assert np.count_nonzero(data.samples) == 5000  # one live coordinate each
 
 
+def test_one_dimensional_draws_equal_the_general_construction():
+    # At d = 1 the sampler draws one random(n) and picks +-v[0]; the general
+    # construction draws the coordinate index (integers(0, 1) takes nothing
+    # from the stream) and scatters signs * v[idx].  Same rows, same bytes,
+    # and the stream is left at the same place.
+    for direction in (1.0, -1.0):
+        for bias in (0.0, 0.1, 0.3, 0.5):
+            inst = make_uniform_convex(d=1, kappa=4, lam=0.25, L=2.0, R=1.0, bias_delta=bias,
+                                       direction=np.array([direction]))
+            for n in (1, 2, 7, 1000):
+                got_rng, want_rng = RngStream(5, n), RngStream(5, n)
+                got = inst.draw(n, got_rng).samples
+                idx = want_rng.gen.integers(0, 1, size=n)
+                signs = np.where(want_rng.gen.random(n) < (1.0 + bias) / 2.0, 1.0, -1.0)
+                want = np.zeros((n, 1))
+                want[np.arange(n), idx] = signs * np.array([direction])[idx]
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                assert got_rng.gen.random() == want_rng.gen.random()
+
+
 # ---------------------------------------------------------------------------
 # Sharp-growth family
 # ---------------------------------------------------------------------------

@@ -1193,16 +1193,16 @@ def test_a_batch_that_raises_runs_trial_by_trial(tmp_path, monkeypatch):
     certified = erm._interval_gap
     regions = []
 
-    def recording(slope, lam, lo, hi, t):
+    def recording(g_left, g_right, lam, lo, hi, t, h):
         regions.append((lo, hi))
-        return certified(slope, lam, lo, hi, t)
+        return certified(g_left, g_right, lam, lo, hi, t, h)
 
     monkeypatch.setattr(erm, "_interval_gap", recording)
     harness._execute_trial(_unit(cfg, [(8, cell)], range(2, 3)))
     target = regions[-1]
 
-    def failing(slope, lam, lo, hi, t):
-        return math.inf if (lo, hi) == target else certified(slope, lam, lo, hi, t)
+    def failing(g_left, g_right, lam, lo, hi, t, h):
+        return math.inf if (lo, hi) == target else certified(g_left, g_right, lam, lo, hi, t, h)
 
     monkeypatch.setattr(erm, "_interval_gap", failing)
     monkeypatch.setattr(localization, "MAX_SOLVER_ITERS", 2)
@@ -1344,16 +1344,16 @@ def test_a_grouped_unit_that_raises_runs_trial_by_trial(tmp_path, monkeypatch):
     certified = erm._interval_gap
     regions = []
 
-    def recording(slope, lam, lo, hi, t):
+    def recording(g_left, g_right, lam, lo, hi, t, h):
         regions.append((lo, hi))
-        return certified(slope, lam, lo, hi, t)
+        return certified(g_left, g_right, lam, lo, hi, t, h)
 
     monkeypatch.setattr(erm, "_interval_gap", recording)
     harness._execute_trial(_unit(cfg, [cells[5]], range(1, 2)))
     target = regions[-1]
 
-    def failing(slope, lam, lo, hi, t):
-        return math.inf if (lo, hi) == target else certified(slope, lam, lo, hi, t)
+    def failing(g_left, g_right, lam, lo, hi, t, h):
+        return math.inf if (lo, hi) == target else certified(g_left, g_right, lam, lo, hi, t, h)
 
     monkeypatch.setattr(erm, "_interval_gap", failing)
     monkeypatch.setattr(localization, "MAX_SOLVER_ITERS", 2)
