@@ -36,12 +36,15 @@ _ANCHOR_TOL = 1e-7
 # may lie and still be taken as interior.
 _INTERIOR_TOL = 1e-12
 
-# Unit roundoff of float64, for the bounds of ``_screen``.
+# Unit roundoff of float64, for the rounding bounds of ``_window``.
 _UNIT_ROUNDOFF = 2.0**-53
 
-# ``_coordwise_abs_quadratic`` screens rows in chunks, and evaluates kept
-# candidates in blocks, of at most about this many values per temporary.
+# ``_coordwise_abs_quadratic`` evaluates candidates in blocks of at most
+# about this many values per temporary, and scans a call that fits in one.
 _BLOCK = 2**12
+
+# Half-width of ``_window``'s window, in units of sqrt(G * bound / q).
+_WINDOW = 2.5
 
 
 @dataclass(frozen=True)
@@ -192,47 +195,69 @@ def _solve_isotropic_quadratic(problem: RegularizedProblem, st: IsotropicQuadrat
     return project(problem.domain, x)
 
 
-def _screen(rows, weight: float, quad, anchor):
-    """The candidate minimizers of weight * mean_j |t - p_j| + quad (t - a)^2
-    per row of the ``(r, m)`` matrix ``rows`` of sorted breakpoints p, with
-    one anchor a per row and one ``quad`` per row or for all, and a mask of
-    the candidates that may hold the least value.
+def _values(c, t, rows, weight: float, q, a):
+    """weight * mean(|c - p|) + q (c - a)^2 of each candidate c[k] against
+    row t[k] of the ``(r, m)`` breakpoints, with that row's q and anchor a:
+    the reference scan's expression, bit for bit, in blocks of about
+    ``_BLOCK`` values."""
+    m = rows.shape[1]
+    out = np.empty(len(c))
+    step = max(1, _BLOCK // m)
+    for lo in range(0, len(c), step):
+        cb, tb = c[lo : lo + step], t[lo : lo + step]
+        d = cb - a[tb]
+        out[lo : lo + step] = weight * (np.abs(rows[tb] - cb[:, None]).sum(axis=1) / m) + q[
+            tb
+        ] * (d * d)
+    return out
 
-    The candidates are, in this order, the m + 1 roots of the derivative's
-    linear pieces (nonincreasing) and the breakpoints; the convex minimum is
-    among them.  Their values A from prefix sums lie within E of the values
-    V that ``_coordwise_abs_quadratic`` evaluates (docs/decisions.md derives
-    E), so the mask drops a candidate whose A - E exceeds another's A + E.
-    It also drops a candidate equal to the one before it in its group: equal
-    candidates have equal values, and the first comes first."""
+
+def _scan(rows, weight: float, q, a, roots):
+    """Each row's candidate of least value, the first on ties: every root,
+    then every breakpoint, evaluated and ``np.argmin``-ed."""
     r, m = rows.shape
-    q = np.asarray(quad, dtype=float)[..., None]
-    a = anchor[:, None]
-    roots = a - weight * (2.0 * np.arange(m + 1) - m) / (2.0 * q * m)
-    # The breakpoints below each root: those before it in a stable merge of
-    # the ascending roots with the breakpoints, in which the roots come first
-    # and in order; breakpoint j has j below it.
-    merged = np.concatenate((roots[:, ::-1], rows), axis=1)
-    is_point = np.argsort(merged, axis=1, kind="stable") > m
-    below = np.cumsum(is_point, axis=1)[~is_point].reshape(r, m + 1)[:, ::-1]
-    prefix = np.zeros((r, m + 1))
-    np.cumsum(rows, axis=1, out=prefix[:, 1:])
-    s_below = np.take(prefix, below + np.arange(0, r * (m + 1), m + 1)[:, None])
-    # sum_j |c - p_j| = (2 k - m) c + sum(p) - 2 (sum of the k points below c).
     cands = np.concatenate((roots, rows), axis=1)
-    slope = np.concatenate(
-        (2.0 * below - m, np.broadcast_to(2.0 * np.arange(m) - m, (r, m))), axis=1
-    )
-    offset = np.concatenate((s_below, prefix[:, :m]), axis=1)
-    reg = q * (cands - a) ** 2
-    approx = (weight / m) * (slope * cands + (prefix[:, -1:] - 2.0 * offset)) + reg
-    bound = ((5 * m + 32) * _UNIT_ROUNDOFF) * (
-        weight * np.abs(cands) + (weight / m) * np.abs(rows).sum(axis=1, keepdims=True) + reg
-    )
-    keep = approx - bound <= (approx + bound).min(axis=1, keepdims=True)
-    keep[:, 1 : m + 1] &= roots[:, 1:] != roots[:, :-1]
-    keep[:, m + 2 :] &= rows[:, 1:] != rows[:, :-1]
-    return cands, keep
+    v = _values(cands.ravel(), np.repeat(np.arange(r), 2 * m + 1), rows, weight, q, a)
+    return cands[np.arange(r), np.argmin(v.reshape(r, -1), axis=1)]
+
+
+def _window(rows, weight: float, q, a, roots):
+    """The scan's pick per row, searched only among the candidates within a
+    window (t - delta, t + delta) around the row's minimizer t, and whether
+    the window is certified to hold it; also each row's count of window
+    candidates.  docs/decisions.md gives the certificate's argument."""
+    r, m = rows.shape
+    g = (m + 5) * _UNIT_ROUNDOFF
+    i = np.arange(r)
+    # p_j - r_j increases with j, so j counts the roots' linear pieces below
+    # the minimizer, which the root of piece j clipped to its segment gives.
+    j = np.count_nonzero(rows < roots[:, :m], axis=1)
+    t = np.maximum(roots[i, j], np.where(j > 0, rows[i, j - 1], -np.inf))
+    t = np.minimum(t, np.where(j < m, rows[i, np.minimum(j, m - 1)], np.inf))
+    bound = weight * (np.abs(t) + np.abs(rows).sum(axis=1) / m) + q * (t - a) ** 2
+    delta = _WINDOW * np.sqrt(g * bound / q)
+    ends = np.concatenate((t - delta, t + delta))
+    lo, hi = ends[:r, None], ends[r:, None]
+    # The roots and breakpoints inside, a run of equal breakpoints once (the
+    # first holds the run's value).  The stable sort by row, then value,
+    # keeps each row's candidates in candidate order, so a row's head is its
+    # first candidate of least value.
+    in_p = (rows > lo) & (rows < hi)
+    in_p[:, 1:] &= rows[:, 1:] != rows[:, :-1]
+    fr, fp = np.flatnonzero((roots > lo) & (roots < hi)), np.flatnonzero(in_p)
+    tk = np.concatenate((fr // (m + 1), fp // m))
+    ck = np.concatenate((roots.ravel()[fr], rows.ravel()[fp]))
+    k = len(ck)
+    v = _values(np.concatenate((ck, ends)), np.concatenate((tk, i, i)), rows, weight, q, a)
+    order = np.lexsort((v[:k], tk))
+    first = np.ones(k, dtype=bool)
+    first[1:] = tk[order[1:]] != tk[order[:-1]]
+    head = order[first]
+    th = tk[head]
+    x, ok = np.empty(r), np.zeros(r, dtype=bool)
+    x[th] = ck[head]
+    ok[th] = (1.0 - 3.0 * g) * np.minimum(v[k : k + r], v[k + r :])[th] > v[head]
+    return x, ok, np.bincount(tk, minlength=r)
 
 
 def _coordwise_abs_quadratic(rows, weight: float, quad, anchor):
@@ -240,34 +265,22 @@ def _coordwise_abs_quadratic(rows, weight: float, quad, anchor):
     per row of the ``(r, m)`` matrix ``rows`` of sorted breakpoints, with
     one anchor a per row and one ``quad`` per row or for all.
 
-    Each is the candidate of ``_screen`` whose value
-    weight * mean(|c - p|) + quad (c - a)^2 is least, the first in
-    candidate order on ties, as ``np.argmin`` over all candidates picks it.
-    The screen keeps that candidate; only rows where it keeps more than one
-    evaluate them.  Rows are screened in chunks, and kept candidates
-    evaluated in blocks, of at most about ``_BLOCK`` values per temporary."""
+    Each is the candidate of least value
+    weight * mean(|c - p|) + quad (c - a)^2, the first on ties, among the
+    m + 1 roots of the derivative's linear pieces (nonincreasing), then the
+    breakpoints: ``_scan``'s pick, which a call of at most ``_BLOCK``
+    candidate-breakpoint pairs computes outright.  Larger calls search each
+    row's certified window, and scan the rows it does not certify."""
     r, m = rows.shape
     q = np.broadcast_to(np.asarray(quad, dtype=float), (r,))
-    out = np.empty(r)
-    chunk, block = max(1, _BLOCK // (2 * m + 1)), max(1, _BLOCK // m)
-    for lo in range(0, r, chunk):
-        p, qc, a = rows[lo : lo + chunk], q[lo : lo + chunk], anchor[lo : lo + chunk]
-        cands, keep = _screen(p, weight, qc, a)
-        pick = np.argmax(keep, axis=1)
-        many = np.flatnonzero(keep.sum(axis=1) > 1)
-        if many.size:
-            vals = np.full((many.size, cands.shape[1]), np.inf)
-            ri, ci = np.nonzero(keep[many])
-            for b in range(0, len(ri), block):
-                rr, cc = ri[b : b + block], ci[b : b + block]
-                t = many[rr]
-                c = cands[t, cc]
-                vals[rr, cc] = weight * np.mean(np.abs(c[:, None] - p[t]), axis=1) + qc[t] * (
-                    c - a[t]
-                ) ** 2
-            pick[many] = np.argmin(vals, axis=1)
-        out[lo : lo + chunk] = cands[np.arange(len(p)), pick]
-    return out
+    roots = anchor[:, None] - weight * (2.0 * np.arange(m + 1) - m) / (2.0 * q * m)[:, None]
+    if r * (2 * m + 1) * m <= _BLOCK:
+        return _scan(rows, weight, q, anchor, roots)
+    x, ok, _ = _window(rows, weight, q, anchor, roots)
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        x[bad] = _scan(rows[bad], weight, q[bad], anchor[bad], roots[bad])
+    return x
 
 
 def _solve_separable_abs(problem: RegularizedProblem, st: SeparableAbsolute, tol: float):

@@ -116,38 +116,111 @@ def _brute_force_minimizers(pts_sorted, weight, quad, anchor):
     return out
 
 
-def test_screened_search_matches_the_brute_force_scan_bit_for_bit():
+def _count_paths(monkeypatch):
+    """Wrap the separable solve's window and scan to count the rows the
+    window certifies, the rows it sends to the scan, and every scanned row,
+    and to collect the certified rows' window candidate counts."""
+    counts = {"certified": 0, "fallback": 0, "scanned": 0, "kept": []}
+    window, scan = erm._window, erm._scan
+
+    def counted_window(*args):
+        x, ok, kept = window(*args)
+        counts["certified"] += int(ok.sum())
+        counts["fallback"] += int((~ok).sum())
+        counts["kept"] += kept[ok].tolist()
+        return x, ok, kept
+
+    def counted_scan(rows, *args):
+        counts["scanned"] += len(rows)
+        return scan(rows, *args)
+
+    monkeypatch.setattr(erm, "_window", counted_window)
+    monkeypatch.setattr(erm, "_scan", counted_scan)
+    return counts
+
+
+def _random_case(rng, case, m_lo=1, m_hi=301):
+    m, d = int(rng.integers(m_lo, m_hi)), int(rng.integers(1, 5))
+    kind = case % 3
+    if kind == 0:
+        c = rng.uniform(0.1, 1.0)
+        u = rng.random((m, d))
+        samples = np.where(u < 0.25, -c, np.where(u < 0.75, 0.0, c))
+    elif kind == 1:
+        samples = rng.standard_normal((m, d)) * 10.0 ** rng.uniform(-3, 1)
+    else:
+        samples = np.round(rng.standard_normal((m, d)), int(rng.integers(0, 3)))
+    weight = float(10.0 ** rng.uniform(-1, 0.5))
+    quad = float(10.0 ** rng.uniform(-2, 14))
+    anchor = rng.uniform(-1.0, 1.0, d) * rng.choice([1.0, 1e-3, 0.0])
+    if case % 5 == 0:
+        # An anchor within rounding of a breakpoint.
+        anchor = samples[rng.integers(0, m)] + rng.standard_normal(d) * 1e-14
+    return np.sort(samples, axis=0), weight, quad, anchor
+
+
+def _assert_matches_brute_force(pts, weight, quad, anchor, label):
+    want = _brute_force_minimizers(pts, weight, quad, anchor)
+    got = erm._coordwise_abs_quadratic(pts.T, weight, quad, anchor)
+    assert got.tobytes() == want.tobytes(), label
+
+
+def test_screened_search_matches_the_brute_force_scan_bit_for_bit(monkeypatch):
     # 3000 random cases: three-atom (pure_convex-like), continuous and
     # rounded samples; m = 1 ... 300 breakpoints; quad over 16 decades.  At
     # large quad all m + 1 roots sit within ulps of the anchor, their values
-    # differ by less than rounding, and the screen must keep many of them:
+    # differ by less than rounding, and the window must hold many of them:
     # the brute force's pick among them is decided by rounding alone.
+    counts = _count_paths(monkeypatch)
     rng = np.random.default_rng(21)
-    kept = []
     for case in range(3000):
-        m, d = int(rng.integers(1, 301)), int(rng.integers(1, 5))
-        kind = case % 3
-        if kind == 0:
-            c = rng.uniform(0.1, 1.0)
-            u = rng.random((m, d))
-            samples = np.where(u < 0.25, -c, np.where(u < 0.75, 0.0, c))
-        elif kind == 1:
-            samples = rng.standard_normal((m, d)) * 10.0 ** rng.uniform(-3, 1)
-        else:
-            samples = np.round(rng.standard_normal((m, d)), int(rng.integers(0, 3)))
-        weight = float(10.0 ** rng.uniform(-1, 0.5))
+        pts, weight, quad, anchor = _random_case(rng, case)
+        _assert_matches_brute_force(pts, weight, quad, anchor, (case, pts.shape, weight, quad))
+    # The scan/window boundary at _BLOCK = 2**12: one row of m = 45 has
+    # 91 * 45 = 4095 candidate-breakpoint pairs and is scanned outright; one
+    # of m = 46, or two of m = 45, go through the window.
+    assert erm._BLOCK == 2**12
+    for case in range(300):
+        m, d = (45, 1) if case % 3 == 0 else (46, 1) if case % 3 == 1 else (45, 2)
+        samples = np.round(rng.standard_normal((m, d)), int(rng.integers(0, 3)))
         quad = float(10.0 ** rng.uniform(-2, 14))
-        anchor = rng.uniform(-1.0, 1.0, d) * rng.choice([1.0, 1e-3, 0.0])
-        if case % 5 == 0:
-            # An anchor within rounding of a breakpoint.
-            anchor = samples[rng.integers(0, m)] + rng.standard_normal(d) * 1e-14
-        pts = np.sort(samples, axis=0)
-        want = _brute_force_minimizers(pts, weight, quad, anchor)
-        got = erm._coordwise_abs_quadratic(pts.T, weight, quad, anchor)
-        assert got.tobytes() == want.tobytes(), (case, m, d, kind, weight, quad)
-        kept.append(int(erm._screen(pts.T, weight, quad, anchor)[1].sum(axis=1).max()))
-    assert max(kept) > 50
-    assert np.median(kept) < 5
+        anchor = rng.uniform(-1.0, 1.0, d) * rng.choice([1.0, 1e-3])
+        _assert_matches_brute_force(np.sort(samples, axis=0), 0.5, quad, anchor, (case, m, quad))
+    # Rows shaped like a priv_pure phase: 80 rows of m = 102 breakpoints on
+    # pure_convex's three atoms, weight L / sqrt(d) = 1/2, q from 1 to 1e12.
+    for case in range(40):
+        u = rng.random((102, 80))
+        samples = np.where(u < 0.25, -0.5, np.where(u < 0.75, 0.0, 0.5))
+        quad = float(10.0 ** rng.uniform(0, 12))
+        anchor = rng.uniform(-0.5, 0.5, 80) * 10.0 ** rng.uniform(-6, 0, 80)
+        _assert_matches_brute_force(np.sort(samples, axis=0), 0.5, quad, anchor, (case, quad))
+    # Rows whose every breakpoint is the anchor 0: the window bound is 0,
+    # the window is empty, and the rows go to the scan.
+    before = counts["fallback"]
+    for m in (46, 102):
+        _assert_matches_brute_force(np.zeros((m, 3)), 0.5, 7.0, np.zeros(3), m)
+    assert counts["fallback"] == before + 6
+    outright = counts["scanned"] - counts["fallback"]
+    assert counts["certified"] > 10_000 and outright > 500
+    assert max(counts["kept"]) > 20
+    assert np.median(counts["kept"]) <= 2
+
+
+def test_window_certificate_holds_at_any_width(monkeypatch):
+    # The window's half-width only trades window candidates against scanned
+    # rows: at any width, a row the certificate accepts must have the scan's
+    # pick.  Narrow windows put the certificate on its margin, and wide ones
+    # hold many candidates; every width certifies some rows.
+    counts = _count_paths(monkeypatch)
+    rng = np.random.default_rng(22)
+    for width in (0.05, 0.5, 1.0, 1.5, 8.0):
+        monkeypatch.setattr(erm, "_WINDOW", width)
+        before = dict(counts)
+        for case in range(150):
+            pts, weight, quad, anchor = _random_case(rng, case, m_lo=46, m_hi=160)
+            _assert_matches_brute_force(pts, weight, quad, anchor, (width, case, quad))
+        assert counts["certified"] > before["certified"]
+    assert counts["fallback"] > 100
 
 
 def _reference_power_norm_root(coef, power, ubar, lam, a, lo, hi):
