@@ -12,8 +12,14 @@ weight against the curvature of the kappa = 2 sweep instance, its movement
 budget, the median excess of both statistical sweeps next to a drift model
 that neglects the curvature, and the fitted slopes.
 
+Screen: the separable solve's window over one priv_pure round at the
+benchmark's size (20 seeds per cell, master seed offset 0): per band of the
+phase's regularizer weight q, the rows, the rows the window certifies, the
+rows it sends to the scan, and the window candidates per certified row.
+
 Run from the repository root (on 2 CPUs with --jobs 2, --part 2 took
-11.4-11.6 s and --part 4 1.9-2.7 s over two runs each):
+11.4-11.6 s and --part 4 1.9-2.7 s over two runs each; --part screen runs
+in-process and takes under a second):
 
     PYTHONPATH=src python scripts/decisions_ledger.py --part all --jobs 2
 """
@@ -21,6 +27,7 @@ Run from the repository root (on 2 CPUs with --jobs 2, --part 2 took
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import multiprocessing
 import tempfile
@@ -30,7 +37,7 @@ from pathlib import Path
 import numpy as np
 from scipy.stats import chi2
 
-from dpgrowth import epoch_growth, localization
+from dpgrowth import epoch_growth, erm, localization
 from dpgrowth.core import PrivacyParams
 from dpgrowth.harness import (
     _audit_datasets,
@@ -197,9 +204,47 @@ def criterion_4(jobs: int) -> None:
           f"{fits['stat_kappa4'].slope - fits['stat_kappa2'].slope:.3f}")
 
 
+# The bands of the screen table, in the phase's regularizer weight q.
+Q_BANDS = ((1.0, 1e2), (1e2, 1e8), (1e8, 1e10), (1e10, 1e12))
+
+
+def screen(seeds: int = 20) -> None:
+    cfg = dataclasses.replace(load_config(CONFIGS / "acceptance_priv_pure.ini"), seeds=seeds)
+    calls, window = [], erm._window
+
+    def recording(rows, weight, q, a, roots):
+        x, ok, kept = window(rows, weight, q, a, roots)
+        calls.append((rows.shape, q.copy(), ok, kept))
+        return x, ok, kept
+
+    erm._window = recording
+    try:
+        with tempfile.TemporaryDirectory() as out:
+            run_sweep(cfg, Path(out), jobs=1)
+    finally:
+        erm._window = window
+    shapes = sorted({shape for shape, *_ in calls})
+    print(f"## Screen (priv_pure, {seeds} seeds per cell, {len(calls)} window calls "
+          f"of shape {', '.join(f'{r}x{m}' for r, m in shapes)})\n")
+    print("| q | rows | certified | sent to the scan | mean kept | max kept |")
+    print("|---|---|---|---|---|---|")
+    q = np.concatenate([c[1] for c in calls])
+    ok = np.concatenate([c[2] for c in calls])
+    kept = np.concatenate([c[3] for c in calls])
+    for lo, hi in Q_BANDS:
+        band = (q >= lo) & (q < hi)
+        if not band.any():
+            continue
+        k = kept[band & ok]
+        print(f"| [{lo:g}, {hi:g}) | {int(band.sum())} | {k.size} | {int((band & ~ok).sum())} "
+              f"| {k.mean() if k.size else float('nan'):.1f} | {k.max(initial=0)} |")
+    print(f"\nOver the round: {ok.mean():.0%} of rows certified, "
+          f"{(kept[ok] == 1).mean():.0%} of them with one candidate, mean {kept[ok].mean():.1f}.\n")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--part", choices=("2", "4", "all"), default="all")
+    parser.add_argument("--part", choices=("2", "4", "screen", "all"), default="all")
     parser.add_argument("--jobs", type=int, default=2)
     parser.add_argument("--streams", type=int, default=9,
                         help="independent streams for the eps = 0.5 margins")
@@ -209,6 +254,8 @@ def main() -> None:
         criterion_2(args.jobs, args.streams, args.trials)
     if args.part in ("4", "all"):
         criterion_4(args.jobs)
+    if args.part in ("screen", "all"):
+        screen()
 
 
 if __name__ == "__main__":

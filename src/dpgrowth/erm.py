@@ -41,7 +41,7 @@ _UNIT_ROUNDOFF = 2.0**-53
 
 # ``_coordwise_abs_quadratic`` evaluates candidates in blocks of at most
 # about this many values per temporary, and scans a call that fits in one.
-_BLOCK = 2**12
+_BLOCK = 2**14
 
 # Half-width of ``_window``'s window, in units of sqrt(G * bound / q).
 _WINDOW = 2.5
