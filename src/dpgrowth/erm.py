@@ -205,10 +205,8 @@ def _values(c, t, rows, weight: float, q, a):
     step = max(1, _BLOCK // m)
     for lo in range(0, len(c), step):
         cb, tb = c[lo : lo + step], t[lo : lo + step]
-        d = cb - a[tb]
-        out[lo : lo + step] = weight * (np.abs(rows[tb] - cb[:, None]).sum(axis=1) / m) + q[
-            tb
-        ] * (d * d)
+        d, s = cb - a[tb], np.abs(rows[tb] - cb[:, None]).sum(axis=1)
+        out[lo : lo + step] = weight * (s / m) + q[tb] * (d * d)
     return out
 
 
@@ -229,8 +227,9 @@ def _window(rows, weight: float, q, a, roots):
     r, m = rows.shape
     g = (m + 5) * _UNIT_ROUNDOFF
     i = np.arange(r)
-    # p_j - r_j increases with j, so j counts the roots' linear pieces below
-    # the minimizer, which the root of piece j clipped to its segment gives.
+    # p_j - r_j does not decrease with j, so the j with p_j < r_j form a
+    # prefix.  Its length j is the linear piece that holds the minimizer t:
+    # the piece's root, clipped to its segment [p_{j-1}, p_j].
     j = np.count_nonzero(rows < roots[:, :m], axis=1)
     t = np.maximum(roots[i, j], np.where(j > 0, rows[i, j - 1], -np.inf))
     t = np.minimum(t, np.where(j < m, rows[i, np.minimum(j, m - 1)], np.inf))

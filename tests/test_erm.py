@@ -101,10 +101,12 @@ def test_solve_separable_abs_checks_balls_sharing_a_center():
 def _brute_force_minimizers(pts_sorted, weight, quad, anchor):
     """The reference scan of the separable solve: every candidate's value
     evaluated against every breakpoint, and np.argmin's first minimum, one
-    coordinate (column) at a time."""
+    coordinate (column) at a time.  Returns the minimizers, and every
+    candidate and its value, coordinate by coordinate."""
     m, d = pts_sorted.shape
     jj = np.arange(m + 1)
     out = np.empty(d)
+    candidates, values = [], []
     for c in range(d):
         p = pts_sorted[:, c]
         roots = anchor[c] - weight * (2.0 * jj - m) / (2.0 * quad * m)
@@ -113,7 +115,9 @@ def _brute_force_minimizers(pts_sorted, weight, quad, anchor):
             cands - anchor[c]
         ) ** 2
         out[c] = cands[int(np.argmin(vals))]
-    return out
+        candidates.append(cands)
+        values.append(vals)
+    return out, np.concatenate(candidates), np.concatenate(values)
 
 
 def _count_paths(monkeypatch):
@@ -160,9 +164,14 @@ def _random_case(rng, case, m_lo=1, m_hi=301):
 
 
 def _assert_matches_brute_force(pts, weight, quad, anchor, label):
-    want = _brute_force_minimizers(pts, weight, quad, anchor)
+    want, cands, want_values = _brute_force_minimizers(pts, weight, quad, anchor)
     got = erm._coordwise_abs_quadratic(pts.T, weight, quad, anchor)
     assert got.tobytes() == want.tobytes(), label
+    # The values themselves are the scan's, bit for bit.
+    m, d = pts.shape
+    t = np.repeat(np.arange(d), 2 * m + 1)
+    values = erm._values(cands, t, pts.T, weight, np.full(d, quad), anchor)
+    assert values.tobytes() == want_values.tobytes(), label
 
 
 def test_screened_search_matches_the_brute_force_scan_bit_for_bit(monkeypatch):
