@@ -17,7 +17,8 @@ benchmark's size (20 seeds per cell, master seed offset 0): per band of the
 phase's regularizer weight q, the rows, the rows the window certifies, the
 rows it sends to the scan, and the window candidates per certified row.
 
-Run from the repository root (on 2 CPUs with --jobs 2, --part 2 took
+It needs scipy (``scipy.stats``), which the package's ``test`` extra
+installs. Run from the repository root (on 2 CPUs with --jobs 2, --part 2 took
 11.4-11.6 s and --part 4 1.9-2.7 s over two runs each; --part screen runs
 in-process and takes under a second):
 

@@ -393,20 +393,25 @@ def _power_norm_1d(coef, power, ubar, gbar, lam, a, lo, hi):
     return t, _interval_gap(g_left, g_right, lam, lo, hi, t, h)
 
 
-def _solve_scalar(problem: RegularizedProblem, lo: float, hi: float):
-    if hi - lo <= 1e-15 * max(1.0, abs(lo), abs(hi)):
-        return np.array([0.5 * (lo + hi)])
-    # Imported here: scipy.optimize is a third of the package's import time,
-    # and no other path needs it.
-    from scipy.optimize import minimize_scalar
+def _bisect_1d(problem: RegularizedProblem, lo: float, hi: float):
+    """The minimizer over [lo, hi] of a 1-D problem, by bisection on its
+    subgradient (nondecreasing for a convex loss, whatever it selects) to a
+    bracket 1e-12 max(1, |lo|, |hi|) wide, which ``_gap_1d``'s probes straddle."""
+    loss, samples = problem.loss, problem.batch.samples
+    two_lam, a = 2.0 * problem.reg_weight, float(problem.anchor[0])
 
-    res = minimize_scalar(
-        lambda t: problem.objective(np.array([t])),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": 1e-12 * max(1.0, abs(lo), abs(hi))},
-    )
-    return np.array([float(res.x)])
+    def slope(t):  # ``problem.subgradient``'s bits, in Python floats
+        return float(loss.batch_subgrad(np.array([t]), samples)[0]) + two_lam * (t - a)
+
+    width = 1e-12 * max(1.0, abs(lo), abs(hi))
+    if slope(lo) >= 0.0:
+        hi = lo
+    elif slope(hi) <= 0.0:
+        lo = hi
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if slope(mid) < 0.0 else (lo, mid)
+    return np.array([0.5 * (lo + hi)])
 
 
 def _solve_subgradient(problem: RegularizedProblem, tol: float, max_iters: int):
@@ -476,12 +481,10 @@ def solve(problem: RegularizedProblem, tol: float, max_iters: int = 200_000) -> 
         if gap <= tol:
             return candidate
     if candidate is None and problem.anchor.shape[0] == 1:
-        candidate = _solve_scalar(problem, *problem.domain.interval())
+        candidate = _bisect_1d(problem, *problem.domain.interval())
 
-    if candidate is not None:
-        gap = certified_gap(problem, candidate)
-        if gap <= tol:
-            return candidate
+    if candidate is not None and certified_gap(problem, candidate) <= tol:
+        return candidate
 
     solved, residual_gap, best_x = _solve_subgradient(problem, tol, max_iters)
     if solved is not None:

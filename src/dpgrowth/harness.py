@@ -651,8 +651,7 @@ def _audit_abs_instance():
 
 
 def _audit_datasets(n: int) -> tuple[Dataset, Dataset]:
-    # Fixed neighboring pair: flipping one extreme sample maximizes the shift
-    # of every batch statistic the pipelines consume.
+    # A fixed neighboring pair, not a worst case (ROADMAP items 1 and 10).
     base = np.ones(n)
     base[: n // 2] = -1.0
     neighbor = base.copy()
@@ -768,6 +767,8 @@ def privacy_audit(
     ``RngStream.children`` block, whose Laplace draws are computed for all
     outputs in uint64 and float arrays, bit for bit numpy's.
     """
+    if n < 2:
+        raise InvalidInputError(f"n must be >= 2, got {n}")
     data, neighbor = _audit_datasets(n)
     sabotage_scales = sabotage_scales or {}
     tasks = []

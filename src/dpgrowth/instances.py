@@ -120,14 +120,14 @@ class SharpGrowthLoss(LossOracle):
 
     def batch_value(self, x, samples):
         t = float(np.atleast_1d(x)[0])
-        frac_pos = float(np.mean(samples[:, 0] > 0))
+        frac_pos = np.count_nonzero(samples[:, 0] > 0) / len(samples)
         return frac_pos * float(self._value_plus(t)) + (1.0 - frac_pos) * float(
             self._value_minus(t)
         )
 
     def batch_subgrad(self, x, samples):
         t = float(np.atleast_1d(x)[0])
-        frac_pos = float(np.mean(samples[:, 0] > 0))
+        frac_pos = np.count_nonzero(samples[:, 0] > 0) / len(samples)
         g = frac_pos * float(self._deriv_plus(t)) + (1.0 - frac_pos) * float(
             self._deriv_minus(t)
         )
@@ -135,7 +135,7 @@ class SharpGrowthLoss(LossOracle):
 
     def mean_grads(self, points, samples):
         t = points[:, 0]
-        frac_pos = float(np.mean(samples[:, 0] > 0))
+        frac_pos = np.count_nonzero(samples[:, 0] > 0) / len(samples)
         g = frac_pos * self._deriv_plus(t) + (1.0 - frac_pos) * self._deriv_minus(t)
         return g[:, None]
 
@@ -420,7 +420,7 @@ def make_sharp_growth_1d(kappa: float, bias_delta: float, v: int = 1) -> Problem
         return np.where((lo <= 0.0) & (0.0 <= hi), 0.0, g)[:, None]
 
     def emp_min(samples):
-        frac_pos = float(np.mean(samples[:, 0] > 0))
+        frac_pos = np.count_nonzero(samples[:, 0] > 0) / len(samples)
         x = a if frac_pos >= 0.5 else -a
         return np.array([x]), float(
             frac_pos * loss._value_plus(x) + (1.0 - frac_pos) * loss._value_minus(x)
@@ -465,14 +465,9 @@ def make_knorm_regression(
         raise InvalidInputError("x_true must be interior to the domain ball")
     reach = R + float(np.linalg.norm(x_true))
     L = kappa * design_scale**kappa * reach ** (kappa - 1)
-    # Imported here, as erm imports scipy.optimize: scipy.special is most of
-    # the package's import time, and only this generator needs gammaln.
-    from scipy.special import gammaln
-
     # E|<unit sphere, e1>|^kappa via the Dirichlet moment formula.
-    m_const = math.exp(
-        gammaln((kappa + 1) / 2.0) + gammaln(d / 2.0) - gammaln((d + kappa) / 2.0)
-    ) / math.sqrt(math.pi)
+    m_const = math.exp(math.lgamma((kappa + 1) / 2.0) + math.lgamma(d / 2.0)
+                       - math.lgamma((d + kappa) / 2.0)) / math.sqrt(math.pi)
     C = m_const * design_scale**kappa
 
     def sampler(rng: RngStream, n: int) -> np.ndarray:

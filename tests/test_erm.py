@@ -19,7 +19,13 @@ from dpgrowth.erm import (
     certified_gap,
     solve,
 )
-from dpgrowth.instances import make_pure_convex, make_uniform_convex
+from dpgrowth.instances import (
+    SeparableAbsLoss,
+    make_knorm_regression,
+    make_pure_convex,
+    make_sharp_growth_1d,
+    make_uniform_convex,
+)
 
 
 def _quadratic_loss():
@@ -392,6 +398,45 @@ def test_solve_random_1d_problems_vs_grid():
         vals = per_sample.mean(axis=1) + lam * (grid - anchor[0]) ** 2
         oracle = grid[int(np.argmin(vals))]
         assert abs(x[0] - oracle) < 1e-3
+
+
+def test_every_1d_solve_without_a_closed_form_is_certified(monkeypatch):
+    # Random 1-D problems on intervals 2e-8 to 2 wide, a quarter of them
+    # scaled by 1e6, with the minimizer inside or at either end: the bisection on
+    # the subgradient certifies each one, so the projected-subgradient loop
+    # never runs.  The separable problems reach the 1-D path as when their
+    # dual-ball solve gives up.
+    def descend(*args, **kwargs):
+        raise AssertionError("projected-subgradient fallback entered")
+
+    gave_up = []
+    monkeypatch.setattr(erm, "_solve_subgradient", descend)
+    monkeypatch.setattr(erm, "_dual_ball_separable", lambda *args: gave_up.append(1))
+    instances = [make_sharp_growth_1d(1.5, 0.25), make_sharp_growth_1d(2.0, 0.5, v=-1),
+                 make_knorm_regression(d=1, kappa=2, R=1.0)]
+    losses = [inst.loss for inst in instances] + [_abs_loss(), SeparableAbsLoss(1.0, 1, 1.0)]
+    rng = np.random.default_rng(21)
+    tol = 1e-12
+    ends = {"lo": 0, "hi": 0, "inside": 0}
+    for trial in range(500):
+        kind = trial % len(losses)
+        m = int(rng.integers(1, 40))
+        scale = 1e6 if trial % 4 == 3 else 1.0
+        center, radius = scale * rng.uniform(-1.0, 1.0), scale * 10.0 ** rng.uniform(-8.0, 0.0)
+        if kind < len(instances):
+            samples = instances[kind].draw(m, RngStream(21, trial)).samples
+        else:
+            samples = center + scale * rng.uniform(-1.0, 1.0, (m, 1))
+        anchor = center + radius * rng.choice([-1.0, 1.0, rng.uniform(-1.0, 1.0)])
+        lam = 10.0 ** rng.uniform(-3.0, 2.0)
+        prob = RegularizedProblem(losses[kind], Dataset(samples), np.array([anchor]), lam,
+                                  Domain(np.array([center]), radius))
+        x = solve(prob, tol=tol)
+        assert certified_gap(prob, x) <= tol
+        lo, hi = prob.domain.interval()
+        ends["lo" if x[0] == lo else "hi" if x[0] == hi else "inside"] += 1
+    assert min(ends.values()) > 50, ends
+    assert len(gave_up) > 20
 
 
 def test_certificate_soundness_on_closed_forms():

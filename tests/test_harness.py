@@ -303,6 +303,16 @@ def test_cli_audit_rejects_unreadable_config_and_missing_section(tmp_path, capsy
         assert captured.err == f"dpgrowth: error: {message}\n"
 
 
+def test_cli_audit_rejects_fewer_than_two_samples(tmp_path, capsys):
+    # Two datasets that differ in one sample need n >= 2.
+    for n in (0, 1, -4):
+        audit_ini = _write(tmp_path, f"[audit]\nn = {n}\ntrials = 50\n", name="audit.ini")
+        assert main(["audit", str(audit_ini)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"dpgrowth: error: n must be >= 2, got {n}\n"
+
+
 def test_cli_verify_instance_rejects_missing_and_unknown_parameters(capsys):
     for argv, message in (
         (["sharp_growth"], "missing a required argument: 'kappa'"),
