@@ -367,30 +367,39 @@ def test_certify_matches_a_per_probe_loop(idx):
     assert k.max_violation == pytest.approx(max(kl), abs=1e-14)
 
 
-def test_package_runs_without_scipy(tmp_path):
-    # The package depends on numpy alone: in a fresh process where every
-    # scipy import fails, a knorm build, a 1-D solve without a closed form,
-    # a grid-sampler sweep and an audit all run.
-    config = Path(__file__).resolve().parent.parent / "configs" / "acceptance_invsens.ini"
-    code = (
-        "import dataclasses, sys\n"
-        "sys.modules['scipy'] = None\n"
+def _runs_without_scipy(code):
+    # Runs `code` in a fresh process where every scipy import fails.
+    src = os.path.dirname(os.path.dirname(dpgrowth.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", "import sys\nsys.modules['scipy'] = None\n"
+                          + code + "\nprint('ok')"],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "ok"
+
+
+def test_import_and_instance_build_leave_scipy_unloaded():
+    # The package depends on numpy alone: a knorm build and a 1-D solve
+    # without a closed form run with scipy unimportable.
+    _runs_without_scipy(
         "import numpy as np\n"
         "from dpgrowth import build_instance\n"
         "from dpgrowth.core import Domain, RngStream\n"
         "from dpgrowth.erm import RegularizedProblem, certified_gap, solve\n"
-        "from dpgrowth.harness import load_config, privacy_audit, run_sweep\n"
         "inst = build_instance('knorm_regression', d=1, kappa=2, R=1.0)\n"
         "prob = RegularizedProblem(inst.loss, inst.draw(16, RngStream(5, 0)), np.zeros(1), 0.1,\n"
         "                          Domain(np.zeros(1), 1.0))\n"
-        "assert certified_gap(prob, solve(prob, tol=1e-12)) <= 1e-12\n"
-        f"run_sweep(dataclasses.replace(load_config({str(config)!r}), seeds=2), {str(tmp_path)!r})\n"
-        "privacy_audit(epsilons=(1.0,), trials=200)\n"
-        "print('ok')"
+        "assert certified_gap(prob, solve(prob, tol=1e-12)) <= 1e-12"
     )
-    src = os.path.dirname(os.path.dirname(dpgrowth.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, timeout=120)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "ok"
+
+
+def test_grid_sampler_sweep_and_audit_leave_scipy_unloaded(tmp_path):
+    # The grid sampler runs on numpy alone, so an inv_sensitivity sweep and
+    # an audit run with scipy unimportable.
+    config = Path(__file__).resolve().parent.parent / "configs" / "acceptance_invsens.ini"
+    _runs_without_scipy(
+        "import dataclasses\n"
+        "from dpgrowth.harness import load_config, privacy_audit, run_sweep\n"
+        f"run_sweep(dataclasses.replace(load_config({str(config)!r}), seeds=2), {str(tmp_path)!r})\n"
+        "privacy_audit(epsilons=(1.0,), trials=200)"
+    )
