@@ -21,7 +21,7 @@ from .core import (
     RngStream,
 )
 
-__all__ = ["EpochConfig", "EpochRecord", "default_eta0", "epoch_count", "run", "run_trials"]
+__all__ = ["EpochConfig", "EpochRecord", "default_eta0", "epoch_count", "run"]
 
 # Epochs whose radius has decayed below this fraction of the initial radius
 # cannot move the iterate at double precision; they are recorded as frozen.
@@ -138,36 +138,9 @@ def _epochs(cfg: EpochConfig, n: int) -> list[tuple]:
     return epochs
 
 
-def run(
-    loss: LossOracle,
-    data: Dataset,
-    domain: Domain,
-    x0: np.ndarray,
-    cfg: EpochConfig,
-    rng: RngStream,
-    trace: Optional[list] = None,
-    phase_trace: Optional[list] = None,
-) -> np.ndarray:
-    """Run T epochs and return the final iterate.
-
-    Epoch i restricts to {x in domain : ||x - x_i|| <= R_i}, runs the
-    localization chain on block i with step eta_i, and adopts its output.
-    Disjoint blocks keep the total budget at the per-epoch (epsilon, delta).
-    ``trace`` collects one ``EpochRecord`` per epoch; ``phase_trace`` collects
-    the inner chains' ``PhaseRecord`` entries, epoch after epoch.  This is
-    ``run_trials`` as one trial on ``rng``.
-    """
-    records, phases = ([] if t is not None else None for t in (trace, phase_trace))
-    x = run_trials(loss, data, domain, x0, cfg, (rng,), records, phases)[0]
-    for out, batch in ((trace, records), (phase_trace, phases)):
-        if out is not None:
-            out += localization._first_trial(batch)
-    return x
-
-
 def _group(loss: LossOracle, data, domain: Domain, x0, cfg: EpochConfig,
            streams: Iterable[RngStream]) -> tuple:
-    """The ``localization._run_chains`` group of a ``run_trials`` call: its
+    """The ``localization._run_chains`` group of a ``run`` call: its
     checked samples and starts, and the epochs of ``_epochs`` as chains."""
     # Each block needs the 2 samples that ``default_eta0`` asks of it.
     samples, starts = localization._trial_inputs(loss, data, domain, x0, 2 * cfg.T)
@@ -182,7 +155,7 @@ def _records(cfg: EpochConfig, n: int, xs: list) -> list:
             for i, (eta_i, (_, radius, inner)) in enumerate(_epochs(cfg, n))]
 
 
-def run_trials(
+def run(
     loss: LossOracle,
     data: Dataset | Sequence[Dataset],
     domain: Domain,
@@ -192,10 +165,14 @@ def run_trials(
     trace: Optional[list] = None,
     phase_trace: Optional[list] = None,
 ) -> np.ndarray:
-    """Run the epoch loop once per stream, all trials at once, and return
-    one output row per stream.
+    """Run T epochs once per stream, all trials at once, and return one
+    final iterate per stream, as the rows of a ``(trials, d)`` array.
 
-    The inputs are those of ``localization.run_trials``.  The epochs of
+    Epoch i restricts to {x in domain : ||x - x_i|| <= R_i}, runs the
+    localization chain on block i with step eta_i, and adopts its output.
+    Disjoint blocks keep the total budget at the per-epoch (epsilon, delta).
+
+    The inputs are those of ``localization.run``.  The epochs of
     ``_epochs`` run as the chains of one ``localization._run_chains``
     group; trial t's region in epoch i is the domain intersected with the
     ball of radius R_i around its own iterate.  ``trace`` collects one
@@ -212,8 +189,8 @@ def run_trials(
 
 def indices_in_region(trace: list, xstar: np.ndarray) -> list[int]:
     """Each trial's largest epoch index whose trust region contains
-    ``xstar`` (-1 if none): one entry for a ``run`` trace, one per center
-    row of a ``run_trials`` trace.  Each distance is the one
+    ``xstar`` (-1 if none): one entry per center row of a ``run`` trace
+    (a 1-D center is one row).  Each distance is the one
     ``np.linalg.norm`` gives, bit for bit."""
     xstar = np.atleast_1d(np.asarray(xstar, dtype=float))
     best = np.full(1, -1)

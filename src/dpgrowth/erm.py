@@ -172,10 +172,14 @@ def _interval_gap(g_left: float, g_right: float, lam: float, lo: float, hi: floa
     2 lam, from its one-sided slopes: g_left and g_right are the objective's
     derivative (min-norm subgradient) at t - h and t + h, in Python floats,
     with h = 1e-9 max(|t|, |lo|, |hi|, 1).  The one 1-D certificate rule,
-    of ``certified_gap`` and ``_power_norm_1d``."""
-    if t - h <= lo:
+    of ``certified_gap`` and ``_power_norm_1d``.  On an interval narrower
+    than 2h both probes lie outside it, and t is checked at its nearer end."""
+    at_lo, at_hi = t - h <= lo, t + h >= hi
+    if at_lo and at_hi:
+        at_lo = t - lo <= hi - t
+    if at_lo:
         residual = max(0.0, -g_right)
-    elif t + h >= hi:
+    elif at_hi:
         residual = max(0.0, g_left)
     elif g_left <= 0.0 <= g_right:
         residual = 0.0

@@ -262,7 +262,12 @@ def _build_cell_instance(cfg: ExperimentConfig, cell: dict) -> ProblemInstance:
     params = dict(cfg.instance_params)
     if cfg.instance_name != "sharp_growth":
         params["d"] = cell["d"]
-    return build_instance(cfg.instance_name, **params)
+    instance = build_instance(cfg.instance_name, **params)
+    # sharp_growth is one-dimensional whatever d the config gives.
+    if instance.domain.dim != cell["d"]:
+        raise InvalidInputError(f"instance {cfg.instance_name!r} has d = {instance.domain.dim}, "
+                                f"not {cell['d']}")
+    return instance
 
 
 def _cell_beta(cfg: ExperimentConfig, cell: dict) -> float:
@@ -439,7 +444,8 @@ def _format_field(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        return repr(value)
+        # A numpy float's repr reads "np.float64(...)".
+        return repr(float(value))
     return str(value)
 
 
@@ -666,10 +672,10 @@ def _audit_config(pipeline: str, instance: ProblemInstance, noise_scale: float,
                          noise_scale=noise_scale)
 
 
-# Phase-chain pipelines: the module whose ``run`` (one trial; its
-# ``phase_trace`` keyword collects PhaseRecords) and ``run_trials`` (the
-# audit's trials at once) execute the chain, and whose ``_group`` makes a
-# sweep cell's trials one group of a ``localization._run_chains`` batch.
+# Phase-chain pipelines: the module whose ``run`` executes the chain once
+# per stream (its ``phase_trace`` keyword collects PhaseRecords), and whose
+# ``_group`` makes a sweep cell's trials one group of a
+# ``localization._run_chains`` batch.
 _CHAINS = {"localization": localization, "epoch_growth": epoch_growth}
 
 
@@ -683,8 +689,8 @@ def _audit_mechanism(pipeline: str, noise_scale: float, epsilon: float):
     """The audited mechanism ``(dataset, rng, trials) -> outputs`` of a pipeline.
 
     The phase chains run on the quadratic audit instance with every noise
-    scale multiplied by ``noise_scale``, all trials in one ``run_trials``
-    pass with one child stream per trial; the grid sampler runs on the
+    scale multiplied by ``noise_scale``, all trials in one ``run`` call
+    with one child stream per trial; the grid sampler runs on the
     absolute-loss instance at epsilon / noise_scale.
     """
     if pipeline == "inv_sensitivity":
@@ -706,8 +712,8 @@ def _audit_mechanism(pipeline: str, noise_scale: float, epsilon: float):
 
     def mech(dataset, rng, trials):
         cfg = _audit_config(pipeline, instance, noise_scale, epsilon, dataset.n)
-        # A block of child streams: run_trials draws its Laplace noise in arrays.
-        return module.run_trials(loss, dataset, domain, x0, cfg, rng.children(trials))[:, 0]
+        # A block of child streams: run draws its Laplace noise in arrays.
+        return module.run(loss, dataset, domain, x0, cfg, rng.children(trials))[:, 0]
 
     return mech
 
@@ -727,9 +733,9 @@ def _audit_first_phase(pipeline: str, epsilon: float, n: int) -> tuple[float, fl
     first = []
     for dataset in _audit_datasets(n):
         phases: list = []
-        module.run(loss, dataset, domain, np.zeros(1), cfg, RngStream(0), phase_trace=phases)
+        module.run(loss, dataset, domain, np.zeros(1), cfg, [RngStream(0)], phase_trace=phases)
         first.append(phases[0])
-    shift = float(np.linalg.norm(first[0].x_solved - first[1].x_solved))
+    shift = float(np.linalg.norm(first[0].x_solved[0] - first[1].x_solved[0]))
     return shift, first[0].sigma
 
 
@@ -761,9 +767,9 @@ def privacy_audit(
     epsilon/4.  ``_audit_first_phase`` measures the shift and sigma_1, and
     ``docs/decisions.md`` gives the numbers.
 
-    Each chain row runs its ``trials`` outputs per dataset in one
-    ``run_trials`` pass, on one child stream per output, so the reports
-    equal those of single ``run`` calls.  The streams are one
+    Each chain row runs its ``trials`` outputs per dataset in one ``run``
+    call, on one child stream per output, so the reports equal those of
+    one-stream ``run`` calls.  The streams are one
     ``RngStream.children`` block, whose Laplace draws are computed for all
     outputs in uint64 and float arrays, bit for bit numpy's.
     """

@@ -120,7 +120,7 @@ class SharpGrowthLoss(LossOracle):
 
     def batch_value(self, x, samples):
         t = float(np.atleast_1d(x)[0])
-        frac_pos = np.count_nonzero(samples[:, 0] > 0) / len(samples)
+        frac_pos = int(np.count_nonzero(samples[:, 0] > 0)) / len(samples)
         return frac_pos * float(self._value_plus(t)) + (1.0 - frac_pos) * float(
             self._value_minus(t)
         )

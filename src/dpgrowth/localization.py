@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
@@ -32,7 +32,6 @@ __all__ = [
     "PhaseRecord",
     "default_eta",
     "run",
-    "run_trials",
 ]
 
 # Absolute floor keeping solver tolerances meaningful in double precision.
@@ -162,42 +161,6 @@ def _flat(value):
     return value[:, 0] if np.ndim(value) == 2 else value
 
 
-def _first_trial(records: list) -> list:
-    """A one-trial ``run_trials`` trace as ``run`` records it: each array
-    field holds the trial's point instead of a row per trial."""
-    return [
-        replace(rec, **{f.name: getattr(rec, f.name)[0] for f in fields(rec)
-                        if isinstance(getattr(rec, f.name), np.ndarray)})
-        for rec in records
-    ]
-
-
-def run(
-    loss: LossOracle,
-    data: Dataset,
-    domain: Domain,
-    x0: np.ndarray,
-    cfg: LocalizationConfig,
-    rng: RngStream,
-    phase_trace: Optional[list] = None,
-) -> np.ndarray:
-    """Run the localization chain and return the final (noised, projected) iterate.
-
-    Phase i solves the batch ERM anchored at the previous iterate over the
-    trust region {x in domain : ||x - x_{i-1}|| <= 2 L eta_i n0} with
-    eta_i = 2^{-4i} eta, then adds iid Laplace (pure mode) or isotropic
-    Gaussian (approximate mode) noise and projects back onto ``domain``.
-    Each sample is consumed by exactly one phase; leftover samples beyond
-    k * n0 are discarded.  ``phase_trace`` collects one ``PhaseRecord`` per
-    phase.  This is ``run_trials`` as one trial on ``rng``.
-    """
-    records = None if phase_trace is None else []
-    x = run_trials(loss, data, domain, x0, cfg, (rng,), records)[0]
-    if phase_trace is not None:
-        phase_trace += _first_trial(records)
-    return x
-
-
 def _block_means(samples: np.ndarray, offsets, k: int, n0: int, scale=None) -> np.ndarray:
     """Per-phase batch means of chains of k blocks of n0 samples, one chain
     from each of ``offsets`` of every dataset of a ``(datasets, n, d)``
@@ -238,7 +201,7 @@ def _narrow(samples: np.ndarray) -> np.ndarray:
 
 
 def _trial_inputs(loss: LossOracle, data, domain: Domain, x0, min_n: int) -> tuple:
-    """Check a ``run_trials`` call's datasets and starts: the datasets share
+    """Check a ``run`` call's datasets and starts: the datasets share
     one size of at least ``min_n`` samples, and every start lies in
     ``domain`` within ``_START_TOL``.  Return the datasets' samples as one
     ``(datasets, n, d)`` array of ``_narrow`` values (one dataset shared by
@@ -590,7 +553,7 @@ def _block(parts: list, bounds: list, i: int, t: int) -> np.ndarray:
 def _run_chains(loss: LossOracle, domain: Domain, groups: list,
                 phase_trace: Optional[list] = None) -> list:
     """Run groups of trials through their chains, all trials of all groups
-    at once: the one driver of both ``run_trials`` and of a sweep unit.
+    at once: the one driver of both ``run`` and of a sweep unit.
     Return, per group, its trials' iterates before its first chain and
     after each of its chains, ``(trials, d)`` arrays.
 
@@ -643,13 +606,13 @@ def _run_chains(loss: LossOracle, domain: Domain, groups: list,
 
 def _group(loss: LossOracle, data, domain: Domain, x0, cfg: LocalizationConfig,
            streams: Iterable[RngStream]) -> tuple:
-    """The ``_run_chains`` group of a ``run_trials`` call: its checked
+    """The ``_run_chains`` group of a ``run`` call: its checked
     samples and starts, and the one chain of ``cfg``."""
     samples, starts = _trial_inputs(loss, data, domain, x0, cfg.k * cfg.n0)
     return samples, starts, cfg.privacy, streams, [(0, None, cfg)]
 
 
-def run_trials(
+def run(
     loss: LossOracle,
     data: Dataset | Sequence[Dataset],
     domain: Domain,
@@ -658,16 +621,24 @@ def run_trials(
     streams: Iterable[RngStream],
     phase_trace: Optional[list] = None,
 ) -> np.ndarray:
-    """Run the chain once per stream, all trials at once, and return one
-    output row per stream.
+    """Run the localization chain once per stream, all trials at once, and
+    return one final (noised, projected) iterate per stream, as the rows of
+    a ``(trials, d)`` array.
+
+    Phase i solves the batch ERM anchored at the previous iterate over the
+    trust region {x in domain : ||x - x_{i-1}|| <= 2 L eta_i n0} with
+    eta_i = 2^{-4i} eta, then adds iid Laplace (pure mode) or isotropic
+    Gaussian (approximate mode) noise and projects back onto ``domain``.
+    Each sample is consumed by exactly one phase; leftover samples beyond
+    k * n0 are discarded.
 
     ``data`` is one dataset shared by every trial or one per trial, and
     ``x0`` is one start point or one row per trial.  Trial t runs the chain
-    ``run`` describes on its own data and start, as the one group of
-    ``_run_chains``, with its noise drawn from ``streams[t]`` by
-    ``mechanisms.noise_rows`` (a block of ``RngStream.children`` has its
-    Laplace draws made in arrays).  ``phase_trace`` collects one
-    ``PhaseRecord`` per phase whose points are ``(trials, d)`` arrays.
+    on its own data and start, as the one group of ``_run_chains``, with
+    its noise drawn from ``streams[t]`` by ``mechanisms.noise_rows`` (a
+    block of ``RngStream.children`` has its Laplace draws made in arrays).
+    ``phase_trace`` collects one ``PhaseRecord`` per phase whose points are
+    ``(trials, d)`` arrays.
     """
     (xs,) = _run_chains(loss, domain, [_group(loss, data, domain, x0, cfg, streams)], phase_trace)
     return xs[-1]

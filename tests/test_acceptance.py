@@ -320,9 +320,9 @@ def test_criterion_6_inv_sensitivity_utility(sweep_results):
 
 
 def _region_membership_is_prefix(trace: list, xstar: np.ndarray) -> bool:
-    """Whether the epochs of a ``run`` trace whose trust region contains
-    xstar are a nonempty prefix of its epochs."""
-    flags = [float(np.linalg.norm(xstar - rec.center)) <= rec.radius for rec in trace]
+    """Whether the epochs of a one-stream ``run`` trace whose trust region
+    contains xstar are a nonempty prefix of its epochs."""
+    flags = [float(np.linalg.norm(xstar - rec.center[0])) <= rec.radius for rec in trace]
     return any(flags) and flags == sorted(flags, reverse=True)
 
 
@@ -345,13 +345,13 @@ def test_criterion_7_epoch_adaptivity():
         x0 = project(inst.domain, inst.xstar + 0.1 * inst.domain.radius * u)
         trace = []
         out = epoch_growth.run(
-            inst.loss, data, inst.domain, x0, cfg, st.child(1), trace=trace
-        )
+            inst.loss, data, inst.domain, x0, cfg, [st.child(1)], trace=trace
+        )[0]
         if _region_membership_is_prefix(trace, inst.xstar):
             prefix_ok += 1
         i0 = epoch_growth.indices_in_region(trace, inst.xstar)[0]
         finals.append(inst.excess_pop(out))
-        at_i0.append(inst.excess_pop(trace[i0].x_next))
+        at_i0.append(inst.excess_pop(trace[i0].x_next[0]))
     prefix_frac = prefix_ok / seeds
     ratio = float(np.median(finals) / np.median(at_i0))
     ok = prefix_frac >= 0.95 and ratio <= 4.0

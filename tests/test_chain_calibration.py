@@ -40,8 +40,8 @@ def _localization(d, mode):
     )
     trace: list = []
     x = localization.run(
-        inst.loss, data, inst.domain, np.zeros(d), cfg, RngStream(40 + d, 1), phase_trace=trace
-    )
+        inst.loss, data, inst.domain, np.zeros(d), cfg, [RngStream(40 + d, 1)], phase_trace=trace
+    )[0]
     return [rec.sigma for rec in trace], x
 
 
@@ -55,9 +55,9 @@ def _epoch(d, mode):
     )
     phases: list = []
     x = epoch_growth.run(
-        inst.loss, data, inst.domain, np.zeros(d), cfg, RngStream(50 + d, 1),
+        inst.loss, data, inst.domain, np.zeros(d), cfg, [RngStream(50 + d, 1)],
         phase_trace=phases,
-    )
+    )[0]
     sigmas = [rec.sigma for rec in phases]
     return [len(sigmas), sigmas[0], sigmas[-1], sum(sigmas)], x
 

@@ -58,12 +58,12 @@ def test_single_epoch_degenerates_to_one_localization_call():
     cfg = EpochConfig.for_run(n, inst.loss, inst.domain, 30.0, 1e-3, PrivacyParams(1.0))
     assert cfg.T == 1
     data = inst.draw(n, RngStream(41, 0))
-    out = run(inst.loss, data, inst.domain, np.zeros(1), cfg, RngStream(41, 1))
+    out = run(inst.loss, data, inst.domain, np.zeros(1), cfg, [RngStream(41, 1)])[0]
     inner = localization.LocalizationConfig.for_data_size(n, cfg.eta0, PrivacyParams(1.0))
     region = Domain(np.zeros(1), cfg.R0, parent=inst.domain)
     manual = localization.run(
-        inst.loss, data, region, np.zeros(1), inner, RngStream(41, 1)
-    )
+        inst.loss, data, region, np.zeros(1), inner, [RngStream(41, 1)]
+    )[0]
     assert np.array_equal(out, manual)
 
 
@@ -73,12 +73,12 @@ def test_radius_halving_and_region_centers():
     cfg = EpochConfig.for_run(n, inst.loss, inst.domain, 2.0, 1.0 / n, PrivacyParams(1.0))
     data = inst.draw(n, RngStream(42, 0))
     trace = []
-    run(inst.loss, data, inst.domain, np.zeros(1), cfg, RngStream(42, 1), trace=trace)
+    run(inst.loss, data, inst.domain, np.zeros(1), cfg, [RngStream(42, 1)], trace=trace)
     assert len(trace) == cfg.T
     for i, rec in enumerate(trace):
         assert rec.radius == cfg.R0 * 2.0 ** (-i)
         # The region is centered at the entering iterate, which it contains.
-        assert np.linalg.norm(rec.center - rec.center) <= rec.radius
+        assert np.linalg.norm(rec.center[0] - rec.center[0]) <= rec.radius
 
 
 def test_insufficient_data_rejected():
@@ -86,7 +86,7 @@ def test_insufficient_data_rejected():
     data = inst.draw(16, RngStream(43, 0))
     cfg = EpochConfig.for_run(1024, inst.loss, inst.domain, 1.5, 1e-4, PrivacyParams(1.0))
     with pytest.raises(InvalidInputError):
-        run(inst.loss, data, inst.domain, np.zeros(1), cfg, RngStream(43, 1))
+        run(inst.loss, data, inst.domain, np.zeros(1), cfg, [RngStream(43, 1)])
     with pytest.raises(InvalidInputError):
         EpochConfig.for_run(16, inst.loss, inst.domain, 1.1, 1e-2, PrivacyParams(1.0))
 
@@ -101,7 +101,7 @@ def test_kappa_lower_15_runs_on_kappa_2_3_4():
             n, inst.loss, inst.domain, 1.5, 1.0 / (n + 1), PrivacyParams(1.0)
         )
         out = run(inst.loss, inst.draw(n, RngStream(44, kappa)), inst.domain,
-                  np.zeros(1), cfg, RngStream(44, 10 + kappa))
+                  np.zeros(1), cfg, [RngStream(44, 10 + kappa)])[0]
         assert inst.domain.contains(out, tol=1e-9)
 
 
@@ -121,8 +121,10 @@ def test_noiseless_mode_matches_zero_noise_oracle_within_3x():
         st = RngStream(45, seed)
         data = inst.draw(n, st.child(0))
         x0 = project(inst.domain, inst.xstar + np.array([0.02]))
-        noisy.append(inst.excess_pop(run(inst.loss, data, inst.domain, x0, noisy_cfg, st.child(1))))
-        oracle.append(inst.excess_pop(run(inst.loss, data, inst.domain, x0, oracle_cfg, st.child(1))))
+        noisy.append(inst.excess_pop(
+            run(inst.loss, data, inst.domain, x0, noisy_cfg, [st.child(1)])[0]))
+        oracle.append(inst.excess_pop(
+            run(inst.loss, data, inst.domain, x0, oracle_cfg, [st.child(1)])[0]))
     assert np.median(noisy) <= 3.0 * np.median(oracle) + 1e-12
     assert np.median(oracle) <= 3.0 * np.median(noisy) + 1e-12
 
@@ -136,7 +138,7 @@ def test_many_epochs_freeze_numerically():
     assert cfg.T >= 400
     data = inst.draw(n, RngStream(46, 0))
     trace = []
-    out = run(inst.loss, data, inst.domain, np.zeros(1), cfg, RngStream(46, 1), trace=trace)
+    out = run(inst.loss, data, inst.domain, np.zeros(1), cfg, [RngStream(46, 1)], trace=trace)[0]
     assert np.all(np.isfinite(out))
     assert any(rec.frozen for rec in trace)
     frozen_start = min(i for i, rec in enumerate(trace) if rec.frozen)
@@ -147,8 +149,8 @@ def test_determinism():
     inst = _instance()
     data = inst.draw(256, RngStream(47, 0))
     cfg = EpochConfig.for_run(256, inst.loss, inst.domain, 1.5, 1e-3, PrivacyParams(1.0))
-    a = run(inst.loss, data, inst.domain, np.zeros(1), cfg, RngStream(47, 1))
-    b = run(inst.loss, data, inst.domain, np.zeros(1), cfg, RngStream(47, 1))
+    a = run(inst.loss, data, inst.domain, np.zeros(1), cfg, [RngStream(47, 1)])[0]
+    b = run(inst.loss, data, inst.domain, np.zeros(1), cfg, [RngStream(47, 1)])[0]
     assert np.array_equal(a, b)
 
 
@@ -167,9 +169,9 @@ def test_per_epoch_excess_nonincreasing_until_i0():
         u /= abs(u)
         x0 = project(inst.domain, inst.xstar + 0.1 * inst.domain.radius * u)
         trace = []
-        run(inst.loss, data, inst.domain, x0, cfg, st.child(1), trace=trace)
+        run(inst.loss, data, inst.domain, x0, cfg, [st.child(1)], trace=trace)
         i0s.append(indices_in_region(trace, inst.xstar)[0])
-        per_epoch.append([inst.excess_pop(rec.x_next) for rec in trace])
+        per_epoch.append([inst.excess_pop(rec.x_next[0]) for rec in trace])
     i0_min = min(i0s)
     assert i0_min >= 1
     med = np.median(np.array(per_epoch), axis=0)
@@ -185,18 +187,18 @@ def test_region_tracking_helpers():
     data = inst.draw(n, st.child(0))
     x0 = project(inst.domain, inst.xstar + np.array([0.1]))
     trace = []
-    run(inst.loss, data, inst.domain, x0, cfg, st.child(1), trace=trace)
+    run(inst.loss, data, inst.domain, x0, cfg, [st.child(1)], trace=trace)
     i0 = indices_in_region(trace, inst.xstar)[0]
     assert 0 <= i0 < cfg.T
     # The regions that contain xstar are those of epochs 0 to i0.
-    inside = [float(np.linalg.norm(inst.xstar - rec.center)) <= rec.radius for rec in trace]
+    inside = [float(np.linalg.norm(inst.xstar - rec.center[0])) <= rec.radius for rec in trace]
     assert inside == [i <= i0 for i in range(cfg.T)]
     # A point far outside every region reports -1.
     assert indices_in_region(trace, np.array([55.0])) == [-1]
 
 
 def test_indices_in_region_reads_each_trials_center_and_closed_regions():
-    # A run_trials trace holds one center row per trial.  Trial 0 has
+    # A run trace holds one center row per trial.  Trial 0 has
     # xstar on the boundary of epoch 1's region, trial 1 leaves it.
     trace = [
         EpochRecord(0, np.array([[0.0], [0.0]]), 1.0, 1.0, np.array([[0.5], [5.0]])),

@@ -437,6 +437,15 @@ def test_every_1d_solve_without_a_closed_form_is_certified(monkeypatch):
         ends["lo" if x[0] == lo else "hi" if x[0] == hi else "inside"] += 1
     assert min(ends.values()) > 50, ends
     assert len(gave_up) > 20
+    # An interval narrower than the certificate's two probes are apart, with
+    # the answer of |x - s| + x^2 at its upper end (s = 2) and at its lower
+    # end (s = -2): both probes fall outside the interval.
+    for s, end in ((2.0, 1), (-2.0, 0)):
+        prob = RegularizedProblem(_abs_loss(), Dataset(np.array([[s]])), np.zeros(1), 1.0,
+                                  Domain(np.zeros(1), 1e-10))
+        x = solve(prob, tol=tol)
+        assert x[0] == prob.domain.interval()[end]
+        assert certified_gap(prob, x) <= tol
 
 
 def test_certificate_soundness_on_closed_forms():

@@ -46,6 +46,28 @@ prefix = tiny
 """
 
 
+SHARP_CONFIG = """
+[experiment]
+name = sharp
+algorithm = localization
+seeds = 2
+master_seed = 99
+beta = auto
+
+[instance]
+name = sharp_growth
+kappa = 1.5
+bias_delta = 0.25
+
+[sweep]
+n = 256, 512, 1024
+epsilon = 1.0
+
+[output]
+prefix = sharp
+"""
+
+
 def _write(tmp_path, text, name="cfg.ini"):
     path = tmp_path / name
     path.write_text(text)
@@ -228,6 +250,12 @@ def test_cli_run_fit_and_verify(tmp_path, capsys):
     assert main(["fit", str(csv_path), "--axis", "n"]) == 0
     out = capsys.readouterr().out
     assert "slope" in out
+    # sharp_growth's empirical excess is written as a number that fit reads.
+    sharp_path = _write(tmp_path, SHARP_CONFIG, name="sharp.ini")
+    assert main(["run", str(sharp_path), "--out", str(tmp_path / "sharp")]) == 0
+    assert main(["fit", str(tmp_path / "sharp" / "sharp.csv"), "--axis", "n",
+                 "--y", "excess_emp"]) == 0
+    assert "slope" in capsys.readouterr().out
     assert (
         main(
             [
@@ -363,12 +391,16 @@ def test_cli_run_rejects_out_of_range_sweep_values_before_any_trial(tmp_path, ca
             assert captured.err == f"dpgrowth: error: {message}\n"
             assert not out.exists()
     # Chain configs are built for every cell too: an approximate budget past
-    # the noise's range, and a cell too small for its epochs; and the start
-    # offset is checked.
+    # the noise's range, a cell too small for its epochs, and a d that the
+    # one-dimensional sharp_growth does not have; and the start offset is
+    # checked.
     for old, new, message in (
         ("epsilon = 1.0", "epsilon = 1.0\ndelta = 0.0, 0.7",
          "approximate mode needs delta <= 0.5, got 0.7"),
         ("n = 64", "n = 64, 3", "per-epoch batch too small (n0=1); reduce the epoch count"),
+        ("name = uniform_convex\nd = 1\nkappa = 2\nlam = 1.0\nL = 4.0\nR = 1.0\nbias_delta = 0.1",
+         "name = sharp_growth\nd = 3\nkappa = 1.5\nbias_delta = 0.25",
+         "instance 'sharp_growth' has d = 1, not 3"),
         ("beta = auto", "beta = auto\nx0_offset = nan", "x0_offset must be finite, got nan"),
     ):
         path = _write(tmp_path, EPOCH_CONFIG.replace(old, new))

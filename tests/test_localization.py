@@ -63,7 +63,7 @@ def test_run_bookkeeping_n8():
     cfg = LocalizationConfig.for_data_size(8, 0.01, PrivacyParams(1.0))
     assert (cfg.k, cfg.n0) == (3, 2)
     trace = []
-    run(inst.loss, data, inst.domain, np.zeros(1), cfg, RngStream(1, 1), phase_trace=trace)
+    run(inst.loss, data, inst.domain, np.zeros(1), cfg, [RngStream(1, 1)], phase_trace=trace)
     assert len(trace) == 3
 
 
@@ -75,23 +75,23 @@ def test_run_trust_regions_shrink_16x_and_confine():
     cfg = LocalizationConfig.for_data_size(n, eta, PrivacyParams(1.0))
     data = inst.draw(n, RngStream(2, 0))
     trace = []
-    run(inst.loss, data, inst.domain, np.zeros(1), cfg, RngStream(2, 1), phase_trace=trace)
+    run(inst.loss, data, inst.domain, np.zeros(1), cfg, [RngStream(2, 1)], phase_trace=trace)
     radii = [rec.radius for rec in trace]
     for a, b in zip(radii, radii[1:]):
         assert a / b == pytest.approx(16.0)
     anchor = np.zeros(1)
     for rec in trace:
-        assert np.linalg.norm(rec.x_solved - anchor) <= rec.radius + 1e-9
-        assert inst.domain.contains(rec.x_noised, tol=1e-9)
-        anchor = rec.x_noised
+        assert np.linalg.norm(rec.x_solved[0] - anchor) <= rec.radius + 1e-9
+        assert inst.domain.contains(rec.x_noised[0], tol=1e-9)
+        anchor = rec.x_noised[0]
 
 
 def test_run_is_deterministic_given_stream():
     inst = _quad_instance()
     data = inst.draw(64, RngStream(3, 0))
     cfg = LocalizationConfig.for_data_size(64, 0.005, PrivacyParams(1.0))
-    a = run(inst.loss, data, inst.domain, np.zeros(1), cfg, RngStream(3, 9))
-    b = run(inst.loss, data, inst.domain, np.zeros(1), cfg, RngStream(3, 9))
+    a = run(inst.loss, data, inst.domain, np.zeros(1), cfg, [RngStream(3, 9)])[0]
+    b = run(inst.loss, data, inst.domain, np.zeros(1), cfg, [RngStream(3, 9)])[0]
     assert np.array_equal(a, b)
 
 
@@ -100,10 +100,10 @@ def test_run_input_validation():
     data = inst.draw(4, RngStream(4, 0))
     cfg = LocalizationConfig(eta=0.01, privacy=PrivacyParams(1.0), k=5, n0=1)
     with pytest.raises(InvalidInputError):
-        run(inst.loss, data, inst.domain, np.zeros(1), cfg, RngStream(4, 1))
+        run(inst.loss, data, inst.domain, np.zeros(1), cfg, [RngStream(4, 1)])
     cfg2 = LocalizationConfig.for_data_size(4, 0.01, PrivacyParams(1.0))
     with pytest.raises(InvalidInputError):
-        run(inst.loss, data, inst.domain, np.array([9.0]), cfg2, RngStream(4, 2))
+        run(inst.loss, data, inst.domain, np.array([9.0]), cfg2, [RngStream(4, 2)])
 
 
 def test_gaussian_modes_change_noise_scale():
@@ -114,8 +114,8 @@ def test_gaussian_modes_change_noise_scale():
         64, 0.005, PrivacyParams(1.0, 1e-6), gaussian_conservative=True
     )
     t1, t2 = [], []
-    run(inst.loss, data, inst.domain, np.zeros(1), approx, RngStream(5, 1), phase_trace=t1)
-    run(inst.loss, data, inst.domain, np.zeros(1), strict, RngStream(5, 1), phase_trace=t2)
+    run(inst.loss, data, inst.domain, np.zeros(1), approx, [RngStream(5, 1)], phase_trace=t1)
+    run(inst.loss, data, inst.domain, np.zeros(1), strict, [RngStream(5, 1)], phase_trace=t2)
     # 2 * Delta * log(2/delta) / eps vs Delta * sqrt(log(1/delta)) / eps.
     ratio = 2.0 * math.log(2.0 / 1e-6) / math.sqrt(math.log(1.0 / 1e-6))
     assert t2[0].sigma / t1[0].sigma == pytest.approx(ratio)
@@ -132,8 +132,8 @@ def test_fast_scalar_path_matches_generic_solver():
     generic_loss = copy.copy(inst.loss)
     generic_loss.structure = None
     for t in range(20):
-        a = run(inst.loss, data, inst.domain, np.zeros(1), cfg, RngStream(6, t))
-        b = run(generic_loss, data, inst.domain, np.zeros(1), cfg, RngStream(6, t))
+        a = run(inst.loss, data, inst.domain, np.zeros(1), cfg, [RngStream(6, t)])[0]
+        b = run(generic_loss, data, inst.domain, np.zeros(1), cfg, [RngStream(6, t)])[0]
         assert abs(a[0] - b[0]) < 1e-12
 
 
@@ -157,7 +157,7 @@ def test_noiseless_run_tracks_empirical_minimizer():
         st = RngStream(31, seed)
         data = inst.draw(n, st.child(0))
         x0 = project(inst.domain, inst.xstar + np.array([0.05]))
-        out = run(inst.loss, data, inst.domain, x0, cfg, st.child(1))
+        out = run(inst.loss, data, inst.domain, x0, cfg, [st.child(1)])[0]
         xemp, _ = inst.empirical_min(data)
         dists.append(abs(out[0] - xemp[0]))
         excesses.append(inst.excess_pop(out))
@@ -182,7 +182,7 @@ def test_pure_convex_risk_regression_bound():
     for seed in range(100):
         st = RngStream(880000 + seed, 0)
         data = inst.draw(n, st.child(0))
-        out = run(inst.loss, data, inst.domain, np.zeros(d), cfg, st.child(1))
+        out = run(inst.loss, data, inst.domain, np.zeros(d), cfg, [st.child(1)])[0]
         vals.append(inst.excess_pop(out))
     shape = 1.0 / math.sqrt(n) + d * math.log(1.0 / beta) * math.log2(n) / n
     # Frozen at first implementation: measured C ~ 0.035.
@@ -203,7 +203,7 @@ def test_high_probability_quantile_decreases_with_n():
             st = RngStream(991000 + 17 * n + seed, 0)
             data = inst.draw(n, st.child(0))
             x0 = project(inst.domain, inst.xstar + np.array([0.05]))
-            out = run(inst.loss, data, inst.domain, x0, cfg, st.child(1))
+            out = run(inst.loss, data, inst.domain, x0, cfg, [st.child(1)])[0]
             ex.append(inst.excess_pop(out))
         quantiles.append(float(np.quantile(ex, 1.0 - beta, method="higher")))
         assert np.isfinite(quantiles[-1])

@@ -1,10 +1,10 @@
 """The phase kernel against pinned outputs and against ``erm.solve``, and
 batched sweep cells against trial-by-trial execution.
 
-``localization.run_trials`` and ``epoch_growth.run_trials`` run the one
-phase kernel over many trials at once, and ``run`` runs it as a single
-trial, for every loss.  Both are checked bit for bit against outputs
-recorded before the kernel took over each loss: from the Python-float
+``localization.run`` and ``epoch_growth.run`` run the one phase kernel
+over a batch of streams, many trials at once or a single one, for every
+loss.  Both are checked bit for bit against outputs recorded before the
+kernel took over each loss: from the Python-float
 scalar chain for the 1-D quadratic, and from the generic per-phase loop
 (``erm.solve`` and ``core.project``) for 1-D power norms at kappa 3 and 4,
 for the quadratic at d = 2 and d = 4, for pure_convex's separable absolute
@@ -441,10 +441,10 @@ def _streams(seed):
 
 
 def _assert_matches_pinned(module, loss, data, domain, x0, cfg, seed, pinned, trace=None):
-    got = module.run_trials(loss, data, domain, x0, cfg, _streams(seed), trace)
+    got = module.run(loss, data, domain, x0, cfg, _streams(seed), trace)
     assert got.shape == (TRIALS, 1)
     assert tuple(float(v).hex() for v in got[:3, 0]) == pinned
-    single = [module.run(loss, data, domain, x0, cfg, s)[0] for s in islice(_streams(seed), 3)]
+    single = [module.run(loss, data, domain, x0, cfg, [s])[0][0] for s in islice(_streams(seed), 3)]
     assert tuple(float(v).hex() for v in single) == pinned
     return got
 
@@ -549,12 +549,12 @@ def test_quadratic_chains_match_pinned_outputs(pipeline, d, budget, monkeypatch)
         lambda dom, x: dykstra.append(dom.parent is not None) or project(dom, x),
     )
     module = MODULES[pipeline]
-    got = module.run_trials(inst.loss, data, domain, x0, cfg, _streams(81 + d))
+    got = module.run(inst.loss, data, domain, x0, cfg, _streams(81 + d))
     first, digest = PINNED_QUAD[(pipeline, d, budget)]
     assert got.shape == (TRIALS, d)
     assert tuple(float(v).hex() for v in got[0]) == first
     assert hashlib.sha256(got.tobytes()).hexdigest()[:16] == digest
-    single = np.array([module.run(inst.loss, data, domain, x0, cfg, s)
+    single = np.array([module.run(inst.loss, data, domain, x0, cfg, [s])[0]
                        for s in islice(_streams(81 + d), 3)])
     assert single.tobytes() == got[:3].tobytes()
     if budget == "small-eps":
@@ -600,16 +600,16 @@ def test_separable_chains_match_pinned_outputs(pipeline, d, budget, monkeypatch)
     def streams(keep):
         return [s for t, s in enumerate(_streams(91 + d)) if (t in raised) != keep]
 
-    got = module.run_trials(inst.loss, data, domain, x0, cfg, streams(True))
+    got = module.run(inst.loss, data, domain, x0, cfg, streams(True))
     assert got.shape == (TRIALS - len(raised), d)
     assert tuple(float(v).hex() for v in got[0]) == first
     assert hashlib.sha256(got.tobytes()).hexdigest()[:16] == digest
-    single = np.array([module.run(inst.loss, data, domain, x0, cfg, s)
+    single = np.array([module.run(inst.loss, data, domain, x0, cfg, [s])[0]
                        for s in streams(True)[:3]])
     assert single.tobytes() == got[:3].tobytes()
     for s in streams(False):
         with pytest.raises(ConvergenceError):
-            module.run(inst.loss, data, domain, x0, cfg, s)
+            module.run(inst.loss, data, domain, x0, cfg, [s])
     if budget == "small-eps":
         assert min(fallbacks.values()) > 0, fallbacks
 
@@ -641,12 +641,12 @@ def test_hintless_chains_match_pinned_outputs(pipeline, case, budget):
     cfg = _budget_config(pipeline, inst, n, budget)
     module = MODULES[pipeline]
     first, digest = PINNED_GENERIC[(pipeline, case, budget)]
-    got = module.run_trials(inst.loss, data, inst.domain, x0, cfg,
-                            islice(_streams(101), GENERIC_STREAMS))
+    got = module.run(inst.loss, data, inst.domain, x0, cfg,
+                     islice(_streams(101), GENERIC_STREAMS))
     assert got.shape == (GENERIC_STREAMS, d)
     assert tuple(float(v).hex() for v in got[0]) == first
     assert hashlib.sha256(got.tobytes()).hexdigest()[:16] == digest
-    single = module.run(inst.loss, data, inst.domain, x0, cfg, next(_streams(101)))
+    single = module.run(inst.loss, data, inst.domain, x0, cfg, [next(_streams(101))])[0]
     assert single.tobytes() == got[0].tobytes()
 
 
@@ -985,13 +985,13 @@ def test_epoch_run_trials_skips_frozen_epochs():
     cfg = _config("epoch_growth", inst, n, PrivacyParams(1.0), False, 1.0, kappa_lower=1.2)
     data = inst.draw(n, RngStream(63, 0))
     trace: list = []
-    epoch_growth.run(inst.loss, data, inst.domain, np.zeros(1), cfg, RngStream(63, 1),
+    epoch_growth.run(inst.loss, data, inst.domain, np.zeros(1), cfg, [RngStream(63, 1)],
                      trace=trace)
     assert cfg.T == 101
     assert sum(rec.frozen for rec in trace) == 51
     batched: list = []
-    epoch_growth.run_trials(inst.loss, data, inst.domain, np.zeros(1), cfg, _streams(64),
-                            trace=batched)
+    epoch_growth.run(inst.loss, data, inst.domain, np.zeros(1), cfg, _streams(64),
+                     trace=batched)
     assert [rec.frozen for rec in batched] == [rec.frozen for rec in trace]
     _assert_matches_pinned(
         epoch_growth, inst.loss, data, inst.domain, np.zeros(1), cfg, 64, PINNED_FROZEN
@@ -1008,7 +1008,7 @@ def test_epoch_run_trials_clamps_to_each_trials_region():
     data = inst.draw(n, RngStream(67, 0))
     x0 = np.array([0.9])
     trace: list = []
-    epoch_growth.run_trials(inst.loss, data, inst.domain, x0, cfg, _streams(68), trace=trace)
+    epoch_growth.run(inst.loss, data, inst.domain, x0, cfg, _streams(68), trace=trace)
     on_region_edge = sum(
         int(np.sum((np.abs(rec.x_next - rec.center) >= rec.radius * (1 - 1e-12))
                    & (np.abs(rec.x_next) < 1.0)))
@@ -1029,22 +1029,22 @@ def test_run_trials_rejects_bad_inputs(pipeline):
     data = quad.draw(64, RngStream(65, 2))
     cfg = _config(pipeline, quad, 64, privacy, False, 1.0)
     with pytest.raises(InvalidInputError):
-        module.run_trials(quad.loss, data, quad.domain, np.array([9.0]), cfg, _streams(66))
+        module.run(quad.loss, data, quad.domain, np.array([9.0]), cfg, _streams(66))
     with pytest.raises(InvalidInputError):
-        module.run_trials(quad.loss, quad.draw(4, RngStream(65, 3)), quad.domain,
-                          np.zeros(1), cfg, _streams(66))
+        module.run(quad.loss, quad.draw(4, RngStream(65, 3)), quad.domain,
+                   np.zeros(1), cfg, _streams(66))
     # Per-trial inputs: one start outside the domain, a count that is neither
     # one nor the number of streams, datasets of different sizes.
     starts = np.zeros((TRIALS, 1))
     starts[7] = 9.0
     with pytest.raises(InvalidInputError):
-        module.run_trials(quad.loss, data, quad.domain, starts, cfg, _streams(66))
+        module.run(quad.loss, data, quad.domain, starts, cfg, _streams(66))
     with pytest.raises(InvalidInputError):
-        module.run_trials(quad.loss, [data, data], quad.domain, np.zeros(1), cfg,
-                          _streams(66))
+        module.run(quad.loss, [data, data], quad.domain, np.zeros(1), cfg,
+                   _streams(66))
     with pytest.raises(InvalidInputError):
-        module.run_trials(quad.loss, [data, quad.draw(65, RngStream(65, 4))], quad.domain,
-                          np.zeros(1), cfg, _streams(66))
+        module.run(quad.loss, [data, quad.draw(65, RngStream(65, 4))], quad.domain,
+                   np.zeros(1), cfg, _streams(66))
     # The boundaries of the one input check: the fewest samples a run takes
     # (k * n0 for localization, two per epoch), and a start just inside and
     # just outside the start tolerance, on the closed-form 1-D chain and on
@@ -1062,8 +1062,8 @@ def test_run_trials_rejects_bad_inputs(pipeline):
         x0[0] = offset
 
         def run():
-            return module.run_trials(inst.loss, inst.draw(n, RngStream(65, 5)), inst.domain,
-                                     x0, inst_cfg, _streams(66))
+            return module.run(inst.loss, inst.draw(n, RngStream(65, 5)), inst.domain,
+                              x0, inst_cfg, _streams(66))
 
         if runs:
             assert np.isfinite(run()).all()

@@ -1,9 +1,11 @@
 """The benchmark's traced mode wraps the functions that ``bench/tracer.py``
 names in ``TARGETS``, by ``getattr`` on their owners, and fails if one is
 gone.  This reads that list, without importing or changing ``bench/``, and
-checks that each entry still resolves to a callable."""
+checks that each entry still resolves to a callable.  The tracer's argument
+hooks read some arguments by position, so those positions are checked too."""
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -32,3 +34,14 @@ def test_every_traced_target_resolves():
     assert ("epoch_growth", "run") in targets
     for owner, attr in targets:
         assert callable(getattr(_resolve(owner), attr)), f"{owner}.{attr}"
+    for owner, attr, positions in (
+        ("localization", "run", {"loss": 0, "cfg": 4}),
+        ("epoch_growth", "run", {"trace": 6}),
+        ("erm", "solve", {"problem": 0, "tol": 1}),
+        ("core", "project", {"domain": 0}),
+        ("mechanisms", "empirical_dp_test", {"trials": 4}),
+    ):
+        assert (owner, attr) in targets
+        params = list(inspect.signature(getattr(_resolve(owner), attr)).parameters)
+        for name, pos in positions.items():
+            assert params[pos] == name, f"{owner}.{attr}: {name} is not argument {pos}"
