@@ -124,7 +124,7 @@ class ExperimentConfig:
             self.sweep_n, d_axis, self.sweep_epsilon, self.sweep_delta, kl_axis
         ):
             out.append(dict(n=int(n), d=int(d), epsilon=float(eps), delta=float(delta),
-                            kappa_lower=kl))
+                            kappa_lower=None if kl is None else float(kl)))
         return out
 
 
@@ -302,6 +302,8 @@ def _chain_config(algorithm: str, instance: ProblemInstance, n: int, d: int, bet
 def _cell_setup(cfg: ExperimentConfig, cell: dict, instance: ProblemInstance) -> tuple:
     """A cell's privacy budget and its run config: a chain algorithm's config,
     the grid sampler's checked ``(rho, h)``, or None for the ERM oracle."""
+    if cell["n"] < 1:
+        raise InvalidInputError(f"n must be >= 1, got {cell['n']}")
     privacy = PrivacyParams(cell["epsilon"], cell["delta"])
     if cfg.algorithm == "inv_sensitivity":
         return privacy, inv_sensitivity.grid_parameters(
@@ -449,6 +451,11 @@ def _format_field(value) -> str:
     return str(value)
 
 
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise InvalidInputError(f"jobs must be >= 1, got {jobs}")
+
+
 def run_sweep(
     cfg: ExperimentConfig, out_dir: str | Path, jobs: int = 1
 ) -> tuple[list[TrialRecord], Path, Path]:
@@ -459,6 +466,7 @@ def run_sweep(
     indexed by the trial's position in the sorted grid enumeration, and rows
     are written in that order regardless of scheduling.
     """
+    _check_jobs(jobs)
     # Every cell's instance, budget and run config is built once here, so a
     # bad sweep value fails before any trial runs or any file is written.
     instances: dict = {}
@@ -773,6 +781,7 @@ def privacy_audit(
     ``RngStream.children`` block, whose Laplace draws are computed for all
     outputs in uint64 and float arrays, bit for bit numpy's.
     """
+    _check_jobs(jobs)
     if n < 2:
         raise InvalidInputError(f"n must be >= 2, got {n}")
     data, neighbor = _audit_datasets(n)

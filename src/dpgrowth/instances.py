@@ -286,6 +286,11 @@ def _fit_growth_constant(pop_value_many, xstar, fstar, kappa, domain, probes=200
 # ---------------------------------------------------------------------------
 
 
+def _check_dim(d) -> None:
+    if not d >= 1:
+        raise InvalidInputError(f"d must be >= 1, got {d}")
+
+
 def make_uniform_convex(
     d: int,
     kappa: float,
@@ -301,6 +306,7 @@ def make_uniform_convex(
     supported on signed coordinate vectors; the bias tilts the population
     minimizer away from the origin along ``direction``.
     """
+    _check_dim(d)
     if kappa < 2:
         raise InvalidInputError("kappa must be >= 2 for this family")
     if not (0.0 <= bias_delta < 1.0):
@@ -455,6 +461,7 @@ def make_knorm_regression(
     of the distance to ``x_true``, so the minimizer is exact and the growth
     constant is certified empirically from probes.
     """
+    _check_dim(d)
     if int(kappa) != kappa or kappa < 2:
         raise InvalidInputError("kappa must be an integer >= 2")
     kappa = int(kappa)
@@ -517,6 +524,7 @@ def make_pure_convex(d: int, L: float, R: float) -> ProblemInstance:
     so the population objective keeps a kink (nonzero slope) at its interior
     minimizer.
     """
+    _check_dim(d)
     c = R / 2.0
     w = L / math.sqrt(d)
     loss = SeparableAbsLoss(weight=w, d=d, lipschitz=L)

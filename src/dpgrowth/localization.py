@@ -6,7 +6,6 @@ the per-phase budget."""
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Optional, Sequence
@@ -204,9 +203,8 @@ def _trial_inputs(loss: LossOracle, data, domain: Domain, x0, min_n: int) -> tup
     """Check a ``run`` call's datasets and starts: the datasets share
     one size of at least ``min_n`` samples, and every start lies in
     ``domain`` within ``_START_TOL``.  Return the datasets' samples as one
-    ``(datasets, n, d)`` array of ``_narrow`` values (one dataset shared by
-    every trial, or one per trial), taken from ``data`` one dataset at a
-    time, and the starts as rows of a 2-D array."""
+    ``(datasets, n, d)`` array of ``_narrow`` values, taken from ``data``
+    one dataset at a time, and the starts as rows of a 2-D array."""
     # One shared dataset is held once, so only per-trial ones are narrowed.
     samples = [data.samples] if isinstance(data, Dataset) else [_narrow(ds.samples) for ds in data]
     if len({len(s) for s in samples}) != 1:
@@ -265,15 +263,13 @@ def _quadratic_phase(st: IsotropicQuadratic, lam, tol, x, qbar, gbar, region_bal
 def _separable_phase(st: SeparableAbsolute, lam, tol, x, block, region_balls):
     """Each trial's solution of a separable-absolute phase as ``erm.solve``
     finds it, and whether it is certified: the coordinatewise minimizers of
-    the phase's ``(datasets, n0, d)`` sample block, one sorted row of
+    the phase's ``(trials, n0, d)`` sample block, one sorted row of
     breakpoints per trial and coordinate, certified where they lie in their
     region within ``erm._INTERIOR_TOL`` and pass the
     subdifferential-interval certificate."""
     trials, d = x.shape
     rows = np.ascontiguousarray(block.transpose(0, 2, 1))
     rows.sort(axis=-1)
-    if len(rows) < trials:
-        rows = np.repeat(rows, trials, axis=0)
     m = rows.shape[-1]
     rows = rows.reshape(-1, m)
     x_hat = erm._coordwise_abs_quadratic(rows, st.weight, lam, x.reshape(-1)).reshape(trials, d)
@@ -289,16 +285,15 @@ def _power_norm_phase(st: PowerNorm, lam, tol, x, lo, hi, qbar, gbar):
     finds it, and whether it is certified: the solver's own bisection and
     1-D certificate, ``erm._power_norm_1d``, in one call per trial, from
     the trial's anchor x[t], interval [lo[t], hi[t]], mean linear term qbar
-    and linear term of the mean sample gbar, lam and tol.  x, lo and hi are
-    ``(trials, 1)`` arrays; qbar and gbar have one row shared by every
-    trial or one per trial; lam and tol are floats or per-trial columns."""
-    reps = len(x) // len(qbar)
+    and linear term of the mean sample gbar, lam and tol.  x, lo, hi, qbar
+    and gbar are ``(trials, 1)`` arrays; lam and tol are floats or
+    per-trial columns."""
     lams = [float(lam)] * len(x) if np.ndim(lam) == 0 else lam[:, 0].tolist()
     solved = np.array([
         erm._power_norm_1d(st.coef, st.power, ubar, g, lam_t, a, lo_t, hi_t)
         for a, lo_t, hi_t, ubar, g, lam_t in zip(
-            x[:, 0].tolist(), lo[:, 0].tolist(), hi[:, 0].tolist(), qbar[:, 0].tolist() * reps,
-            gbar[:, 0].tolist() * reps, lams,
+            x[:, 0].tolist(), lo[:, 0].tolist(), hi[:, 0].tolist(), qbar[:, 0].tolist(),
+            gbar[:, 0].tolist(), lams,
         )
     ])
     return solved[:, :1], solved[:, 1] <= _flat(tol)
@@ -319,19 +314,20 @@ def _lockstep(loss: LossOracle, plans: list, d: int):
     their ``_schedule``s (empty where cfg is None), and its trials' unit
     noise, ``(trials, noised phases, d)``, one column per phase with
     sigma_used > 0 in chain order.  A group's live chains share k and n0.
-    Part g is ``(trials, samples, offset, n0)``, with offset None where the
-    group sits chain c out.  Slot j runs phase i = j + 1 of every group
-    whose chain c has one; it is ``(i, eta_i, radius, lam, sensitivity,
-    sigma, sigma_used, active, noise, qbar, gbar)``: the schedule's values,
-    as floats for one group and as ``(trials, 1)`` columns for several
-    (where a trial that sits the slot out reads ``_IDLE``); ``active``, the
-    mask of the trials that run it, or None for all; each trial's noise, a
+    Part g is ``(samples, offset, n0)``: group g's samples broadcast once
+    to one ``(n, d)`` row per trial, and offset None where the group sits
+    chain c out.  Slot j runs phase i = j + 1 of every group whose chain c
+    has one; it is ``(i, eta_i, radius, lam, sensitivity, sigma,
+    sigma_used, active, noise, qbar, gbar)``: the schedule's values, as
+    floats for one group and as ``(trials, 1)`` columns for several (where
+    a trial that sits the slot out reads ``_IDLE``); ``active``, the mask
+    of the trials that run it, or None for all; each trial's noise, a
     ``(trials, d)`` array (a column of its unit noise times sigma_used), or
     zero where the phase draws none; and the blocks' mean linear term qbar
     (the mean of lin_scale times the samples) and linear term of the mean
-    sample gbar, or None where the phase reads neither: a row per trial, or
-    for one group a row per dataset.  Everything but the slots (and one
-    group's noise) is computed once, for every chain."""
+    sample gbar, a row per trial, or None where the phase reads neither.
+    Everything but the slots (and one group's noise) is computed once, for
+    every chain."""
     st = loss.structure
     sizes = [len(z) for *_, z in plans]
     bounds = [0, *accumulate(sizes)]
@@ -339,13 +335,11 @@ def _lockstep(loss: LossOracle, plans: list, d: int):
     phases = [[len(schedules[c]) if c < len(schedules) else 0 for _, _, schedules, _ in plans]
               for c in range(C)]
     K = max(map(max, phases))
-    # One group's means have one row per dataset, several groups' one per trial.
-    R = bounds[-1] if len(plans) > 1 else len(plans[0][0])
     qbar = gbar = None
     if isinstance(st, IsotropicQuadratic) or (d == 1 and isinstance(st, PowerNorm)):
-        qbar = np.zeros((C, K, R, d))
+        qbar = np.zeros((C, K, bounds[-1], d))
         if not (d == 1 and isinstance(st, IsotropicQuadratic)):
-            gbar = np.zeros((C, K, R, d))
+            gbar = np.zeros((C, K, bounds[-1], d))
     for (samples, chains, schedules, z), a, b in zip(plans, bounds, bounds[1:]):
         live = [c for c, schedule in enumerate(schedules) if schedule]
         if not live:
@@ -354,11 +348,12 @@ def _lockstep(loss: LossOracle, plans: list, d: int):
         if any((chains[c][2].k, chains[c][2].n0) != (k, n0) for c in live):
             raise InvalidInputError("a group's chains must share k and n0")
         offsets = [chains[c][0] for c in live]
-        rows = slice(a, b) if len(plans) > 1 else slice(None)
+        # A dataset shared by the group's trials gives one row of means,
+        # written to every trial's row.
         if qbar is not None:
-            qbar[live, :k, rows] = _block_means(samples, offsets, k, n0, st.lin_scale)
+            qbar[live, :k, a:b] = _block_means(samples, offsets, k, n0, st.lin_scale)
         if gbar is not None:
-            gbar[live, :k, rows] = st.lin_scale * _block_means(samples, offsets, k, n0)
+            gbar[live, :k, a:b] = st.lin_scale * _block_means(samples, offsets, k, n0)
     if len(plans) > 1:
         table = np.empty((C, len(plans), K, 6))
         table[...] = _IDLE
@@ -377,10 +372,13 @@ def _lockstep(loss: LossOracle, plans: list, d: int):
                 noise[cs, js, a:b] = (z[:, : len(cs)] * np.array(scales)[:, None]).transpose(
                     1, 0, 2)
         running = np.repeat(phases, sizes, axis=1)
+    # One sample row per trial: a view, not a copy, of a shared dataset.
+    per_trial = [np.broadcast_to(samples, (size, *samples.shape[1:]))
+                 for size, (samples, *_) in zip(sizes, plans)]
     col = 0
     for c, counts in enumerate(phases):
-        parts = [(size, samples, chains[c][0] if count else None, chains[c][2].n0 if count else None)
-                 for count, size, (samples, chains, _, _) in zip(counts, sizes, plans)]
+        parts = [(samples, chains[c][0] if count else None, chains[c][2].n0 if count else None)
+                 for count, samples, (_, chains, _, _) in zip(counts, per_trial, plans)]
         slots, every = max(counts), min(counts)
         if len(plans) == 1:
             # One group: its schedule's floats, and each phase's noise as it
@@ -414,15 +412,14 @@ def _chain_trials(loss, parts, slots, x, domain, epoch=None, trace=None):
     ``_lockstep``.
 
     ``parts`` splits the trials, in row order, into groups that share a
-    schedule, one ``(trials, samples, offset, n0)`` each: the chain's phase
-    i takes the n0 samples from offset + (i - 1) n0 of each dataset of the
-    ``(datasets, n, d)`` array ``samples``, one dataset shared by every
-    trial of the part or one per trial; offset is None for a part that sits
-    the chain out.  The parts run in lockstep: slot i runs phase i of every
-    part that has one, reads its schedule's values as per-trial columns,
-    and leaves the point of every other trial as it is.  Every float
-    operation acts on each row's own operands, so each trial gets the bits
-    its part gives alone.
+    schedule, one ``(samples, offset, n0)`` each: the chain's phase i takes
+    the n0 samples from offset + (i - 1) n0 of each trial's row of the
+    ``(trials, n, d)`` array ``samples``; offset is None for a part that
+    sits the chain out.  The parts run in lockstep: slot i runs phase i of
+    every part that has one, reads its schedule's values as per-trial
+    columns, and leaves the point of every other trial as it is.  Every
+    float operation acts on each row's own operands, so each trial gets the
+    bits its part gives alone.
 
     ``x`` holds one start row per trial, each in its domain.  The chain runs
     in ``domain``, intersected with each trial's epoch ball when ``epoch``
@@ -462,7 +459,7 @@ def _chain_trials(loss, parts, slots, x, domain, epoch=None, trace=None):
             hi_dom = np.minimum(centers + radius, hi_dom)
     if not clamp:
         L = loss.lipschitz
-        bounds = [0, *accumulate(size for size, *_ in parts)]
+        bounds = [0, *accumulate(len(samples) for samples, *_ in parts)]
 
         def outer(t):
             return domain if epoch is None else Domain(centers[t], radius, parent=domain)
@@ -498,12 +495,12 @@ def _chain_trials(loss, parts, slots, x, domain, epoch=None, trace=None):
             ok = ~solve
             if isinstance(st, SeparableAbsolute):
                 # Part by part: the parts' blocks differ in length.
-                for (_, samples, offset, n0), a, b in zip(parts, bounds, bounds[1:]):
+                for (samples, offset, n0), a, b in zip(parts, bounds, bounds[1:]):
                     rows = _rows(solve, a, b)
                     if rows is None:
                         continue
                     block = samples[:, offset + (i - 1) * n0 : offset + i * n0]
-                    if len(block) > 1 and not isinstance(rows, slice):
+                    if not isinstance(rows, slice):
                         block = block[rows - a]
                     x_hat[rows], ok[rows] = _separable_phase(
                         st, _at(lam, a), _at(tol, a), x[rows], block.astype(float),
@@ -514,7 +511,7 @@ def _chain_trials(loss, parts, slots, x, domain, epoch=None, trace=None):
 
                 def take(v):
                     # The solving trials' rows of a per-trial value.
-                    return v if np.ndim(v) == 0 or len(v) == 1 else v[rows]
+                    return v if np.ndim(v) == 0 else v[rows]
 
                 if rows is not None and power:
                     x_hat[rows], ok[rows] = _power_norm_phase(
@@ -527,11 +524,16 @@ def _chain_trials(loss, parts, slots, x, domain, epoch=None, trace=None):
                         [(take(c) if np.ndim(c) == 2 else c, take(r)) for c, r in region_balls],
                         region if isinstance(rows, slice) else lambda t: region(rows[t]))
             # The one fallback: each trial without a certified solution
-            # solves its phase with erm.solve.
-            for t in np.flatnonzero(~ok):
-                problem = erm.RegularizedProblem(
-                    loss, Dataset(_block(parts, bounds, i, t)), x[t], _at(lam, t), region(t))
-                x_hat[t] = erm.solve(problem, tol=_at(tol, t), max_iters=MAX_SOLVER_ITERS)
+            # solves its phase with erm.solve.  Tested once first: the walk
+            # over the parts costs a sweep slot more than the test.
+            if not ok.all():
+                for (samples, offset, n0), a, b in zip(parts, bounds, bounds[1:]):
+                    for t in a + np.flatnonzero(~ok[a:b]):
+                        block = samples[t - a, offset + (i - 1) * n0 : offset + i * n0]
+                        problem = erm.RegularizedProblem(loss, Dataset(block), x[t],
+                                                         _at(lam, t), region(t))
+                        x_hat[t] = erm.solve(problem, tol=_at(tol, t),
+                                             max_iters=MAX_SOLVER_ITERS)
         x_next = x_hat + noise
         if clamp:
             x_next = np.where(x_next < lo_dom, lo_dom, np.where(x_next > hi_dom, hi_dom, x_next))
@@ -541,13 +543,6 @@ def _chain_trials(loss, parts, slots, x, domain, epoch=None, trace=None):
             trace.append(PhaseRecord(i, eta_i, radius_i, sigma_used, x_hat, x_next))
         x = x_next if active is None else np.where(active[:, None], x_next, x)
     return x
-
-
-def _block(parts: list, bounds: list, i: int, t: int) -> np.ndarray:
-    """Trial t's phase-i block, ``(n0, d)``."""
-    g = bisect_right(bounds, t) - 1
-    _, samples, offset, n0 = parts[g]
-    return samples[min(t - bounds[g], len(samples) - 1), offset + (i - 1) * n0 : offset + i * n0]
 
 
 def _run_chains(loss: LossOracle, domain: Domain, groups: list,
@@ -562,9 +557,9 @@ def _run_chains(loss: LossOracle, domain: Domain, groups: list,
     k * n0 samples from ``offset`` of each dataset, in ``domain``
     intersected, when ``radius`` is not None, with each trial's ball of
     that radius around its iterate; a chain whose ``cfg`` is None leaves
-    the iterate as it is.  ``samples`` (a ``(datasets, n, d)`` array)
-    and ``starts`` hold one dataset and start shared by every trial of the
-    group or one per stream; the samples may be ``_narrow``, and each
+    the iterate as it is.  ``samples``, a ``(datasets, n, d)`` array, and
+    ``starts`` have one row or one per stream, and ``_lockstep`` lays every
+    group out one row per trial; the samples may be ``_narrow``, and each
     chain's blocks are widened to float64.  Chain c of every group
     runs in one ``_chain_trials`` call, one part per group; a group with a
     frozen chain c, or with fewer chains, sits it out.  The groups that run

@@ -75,10 +75,14 @@ def test_radius_halving_and_region_centers():
     trace = []
     run(inst.loss, data, inst.domain, np.zeros(1), cfg, [RngStream(42, 1)], trace=trace)
     assert len(trace) == cfg.T
+    entering = np.zeros((1, 1))
     for i, rec in enumerate(trace):
         assert rec.radius == cfg.R0 * 2.0 ** (-i)
-        # The region is centered at the entering iterate, which it contains.
-        assert np.linalg.norm(rec.center[0] - rec.center[0]) <= rec.radius
+        # The region is centered at the entering iterate (x0, then the
+        # previous epoch's output), and the epoch's output lies in it.
+        assert rec.center.tobytes() == entering.tobytes()
+        assert np.linalg.norm(rec.x_next[0] - rec.center[0]) <= rec.radius
+        entering = rec.x_next
 
 
 def test_insufficient_data_rejected():

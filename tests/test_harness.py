@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import re
@@ -366,6 +367,29 @@ def test_cli_verify_instance_rejects_a_probe_count_below_one(capsys):
         assert captured.err == f"dpgrowth: error: need at least one probe, got {probes}\n"
 
 
+def test_cli_verify_instance_rejects_a_dimension_below_one(capsys):
+    argv = ["verify-instance", "pure_convex", "--param", "d=0", "--param", "L=1", "--param", "R=1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "dpgrowth: error: d must be >= 1, got 0\n"
+
+
+def test_cli_rejects_a_job_count_below_one(tmp_path, capsys):
+    cfg_path = _write(tmp_path, TINY_CONFIG)
+    audit_ini = _write(tmp_path, "[audit]\nepsilons = 1.0\nn = 16\ntrials = 50\n"
+                                 "pipelines = localization\n", name="audit.ini")
+    for jobs in ("0", "-3"):
+        for argv in (["run", str(cfg_path), "--out", str(tmp_path / "res")],
+                     ["audit", str(audit_ini), "--out", str(tmp_path / "audit.json")]):
+            assert main([*argv, "--jobs", jobs]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"dpgrowth: error: jobs must be >= 1, got {jobs}\n"
+            assert not (tmp_path / "res").exists()
+            assert not (tmp_path / "audit.json").exists()
+
+
 EPOCH_CONFIG = TINY_CONFIG.replace("algorithm = erm_oracle", "algorithm = epoch_growth").replace(
     "[output]", "[algorithm]\nkappa_lower = 3.0\n\n[output]")
 
@@ -376,12 +400,17 @@ INVSENS_CONFIG = TINY_CONFIG.replace(
 
 
 def test_cli_run_rejects_out_of_range_sweep_values_before_any_trial(tmp_path, capsys):
-    # Each value is out of range in one cell only; the sweep must stop with
-    # one error line before it runs a trial or writes a file.
-    for algorithm_config in (TINY_CONFIG, EPOCH_CONFIG):
+    # Each value but the instance's d is out of range in one cell only; the
+    # sweep must stop with one error line before it runs a trial or writes a
+    # file, whatever the algorithm.
+    for algorithm_config in (TINY_CONFIG, EPOCH_CONFIG, INVSENS_CONFIG):
         for old, new, message in (
             ("epsilon = 1.0", "epsilon = 1.0, -1", "epsilon must be finite and positive, got -1.0"),
             ("epsilon = 1.0", "epsilon = 1.0\ndelta = 0.0, 1.5", "delta must lie in [0, 1), got 1.5"),
+            ("n = 64", "n = 64, 0", "n must be >= 1, got 0"),
+            ("d = 1\nkappa", "d = 0\nkappa", "d must be >= 1, got 0"),
+            ("epsilon = 1.0", "epsilon = 1.0\nd = 1, 0", "d must be >= 1, got 0"),
+            ("epsilon = 1.0", "epsilon = 1.0\nd = 1, -2", "d must be >= 1, got -2"),
         ):
             out = tmp_path / f"out{len(list(tmp_path.iterdir()))}"
             path = _write(tmp_path, algorithm_config.replace(old, new))
@@ -391,16 +420,19 @@ def test_cli_run_rejects_out_of_range_sweep_values_before_any_trial(tmp_path, ca
             assert captured.err == f"dpgrowth: error: {message}\n"
             assert not out.exists()
     # Chain configs are built for every cell too: an approximate budget past
-    # the noise's range, a cell too small for its epochs, and a d that the
-    # one-dimensional sharp_growth does not have; and the start offset is
-    # checked.
+    # the noise's range, a cell too small for its epochs, a d that the
+    # one-dimensional sharp_growth does not have, and a negative d of
+    # knorm_regression; and the start offset is checked.
+    instance = ("name = uniform_convex\nd = 1\nkappa = 2\nlam = 1.0\nL = 4.0\nR = 1.0\n"
+                "bias_delta = 0.1")
     for old, new, message in (
         ("epsilon = 1.0", "epsilon = 1.0\ndelta = 0.0, 0.7",
          "approximate mode needs delta <= 0.5, got 0.7"),
         ("n = 64", "n = 64, 3", "per-epoch batch too small (n0=1); reduce the epoch count"),
-        ("name = uniform_convex\nd = 1\nkappa = 2\nlam = 1.0\nL = 4.0\nR = 1.0\nbias_delta = 0.1",
-         "name = sharp_growth\nd = 3\nkappa = 1.5\nbias_delta = 0.25",
+        (instance, "name = sharp_growth\nd = 3\nkappa = 1.5\nbias_delta = 0.25",
          "instance 'sharp_growth' has d = 1, not 3"),
+        (instance, "name = knorm_regression\nd = -1\nkappa = 2\nR = 1.0",
+         "d must be >= 1, got -1"),
         ("beta = auto", "beta = auto\nx0_offset = nan", "x0_offset must be finite, got nan"),
     ):
         path = _write(tmp_path, EPOCH_CONFIG.replace(old, new))
@@ -428,6 +460,22 @@ def test_cli_run_rejects_out_of_range_sweep_values_before_any_trial(tmp_path, ca
         assert main(["run", str(path), "--out", str(tmp_path / "grid")]) == 2
         assert capsys.readouterr().err == f"dpgrowth: error: {message}\n"
         assert not (tmp_path / "grid").exists()
+
+
+def test_kappa_lower_in_sweep_or_algorithm_writes_the_same_rows(tmp_path):
+    # A config's hash differs between the two spellings; every other field
+    # of every row is the same, kappa_lower written as a float.
+    rows = []
+    for text in (
+        EPOCH_CONFIG.replace("kappa_lower = 3.0", "kappa_lower = 3"),
+        EPOCH_CONFIG.replace("[algorithm]\nkappa_lower = 3.0\n\n", "").replace(
+            "epsilon = 1.0", "epsilon = 1.0\nkappa_lower = 3"),
+    ):
+        _, csv_path, _ = run_sweep(load_config(_write(tmp_path, text)),
+                                   tmp_path / f"out{len(rows)}")
+        rows.append([{**row, "config_hash": ""} for row in csv.DictReader(csv_path.open())])
+    assert rows[0] == rows[1]
+    assert [row["kappa_lower"] for row in rows[0]] == ["3.0"] * 3
 
 
 def test_audit_skips_noiseless_budget_with_notice():
