@@ -36,7 +36,7 @@ _ANCHOR_TOL = 1e-7
 # may lie and still be taken as interior.
 _INTERIOR_TOL = 1e-12
 
-# Unit roundoff of float64, for the rounding bounds of ``_window``.
+# Unit roundoff of float64, for the rounding bounds of ``_window`` and ``_sign_zone``.
 _UNIT_ROUNDOFF = 2.0**-53
 
 # ``_coordwise_abs_quadratic`` evaluates candidates in blocks of at most
@@ -359,6 +359,31 @@ def _dual_ball_separable(rows, w, lam, anchor, center, radius, tol):
     return solve_at(hi), hi, abs(s_hi)
 
 
+def _power_slope(t, cp, pm1, ubar, two_lam, a):
+    """The float slope whose sign ``_power_norm_1d``'s bisection takes."""
+    return (cp * t**pm1 if t > 0.0 else -(cp * (-t) ** pm1)) + ubar + two_lam * (t - a)
+
+
+def _sign_zone(cp, pm1, ubar, two_lam, a, lo, hi):
+    """An interval (zlo, zhi) inside (lo, hi) around the slope's root, one
+    Newton step from the regularizer's, such that ``_power_slope`` is
+    negative for t in [lo, zlo) and positive for t in (zhi, hi]; (-inf,
+    inf) if its rounding bound cannot certify one (docs/decisions.md)."""
+    if not (cp >= 0.0 and pm1 >= 1.0 and two_lam > 0.0):  # the bound's argument needs these
+        return -math.inf, math.inf
+    err = 16.0 * _UNIT_ROUNDOFF * (cp * max(-lo, hi) ** pm1 + abs(ubar)
+                                   + two_lam * max(a - lo, hi - a)) + 1e-300 * (1.0 + cp)
+    r = a - ubar / two_lam
+    if lo < r < hi:
+        r -= _power_slope(r, cp, pm1, ubar, two_lam, a) / (cp * pm1 * abs(r) ** (pm1 - 1.0)
+                                                          + two_lam)
+    w = 4.0 * err / two_lam + 8.0 * _UNIT_ROUNDOFF * abs(r)
+    zlo, zhi = r - w, r + w
+    held = (lo < zlo and zhi < hi and _power_slope(zlo, cp, pm1, ubar, two_lam, a) <= -2.0 * err
+            and _power_slope(zhi, cp, pm1, ubar, two_lam, a) >= 2.0 * err)
+    return (zlo, zhi) if held else (-math.inf, math.inf)
+
+
 def _power_norm_1d(coef, power, ubar, gbar, lam, a, lo, hi):
     """The minimizer t over [lo, hi] of coef |t|^power + ubar t + lam (t - a)^2,
     by bisection on its strictly increasing derivative, and the gap bound
@@ -368,11 +393,13 @@ def _power_norm_1d(coef, power, ubar, gbar, lam, a, lo, hi):
     kernel.  numpy's vectorized power differs from libm's in the last bit.
     The bisection takes the derivative's sign from a branch, exactly as
     |t|^(power - 1) times copysign(1, t) gives it; at t = +-0 only the sign
-    of a zero term can differ, and no comparison with 0.0 sees it."""
+    of a zero term can differ, and no comparison with 0.0 sees it.  Outside
+    ``_sign_zone`` and at lo and hi it takes the signs the zone certifies."""
     cp, pm1, pm2, two_lam = coef * power, power - 1.0, power - 2.0, 2.0 * lam
-    if (cp * lo ** pm1 if lo > 0.0 else -(cp * (-lo) ** pm1)) + ubar + two_lam * (lo - a) >= 0.0:
+    zlo, zhi = _sign_zone(cp, pm1, ubar, two_lam, a, lo, hi)
+    if zlo <= lo and _power_slope(lo, cp, pm1, ubar, two_lam, a) >= 0.0:
         t = lo
-    elif (cp * hi ** pm1 if hi > 0.0 else -(cp * (-hi) ** pm1)) + ubar + two_lam * (hi - a) <= 0.0:
+    elif zhi >= hi and _power_slope(hi, cp, pm1, ubar, two_lam, a) <= 0.0:
         t = hi
     else:
         left, right = lo, hi
@@ -381,8 +408,7 @@ def _power_norm_1d(coef, power, ubar, gbar, lam, a, lo, hi):
         unit = max(abs(lo), abs(hi)) <= 1.0
         for _ in range(200):
             mid = 0.5 * (left + right)
-            power_term = cp * mid**pm1 if mid > 0.0 else -(cp * (-mid) ** pm1)
-            if power_term + ubar + two_lam * (mid - a) < 0.0:
+            if mid < zlo or (mid <= zhi and _power_slope(mid, cp, pm1, ubar, two_lam, a) < 0.0):
                 left = mid
             else:
                 right = mid

@@ -123,6 +123,8 @@ class ExperimentConfig:
         for n, d, eps, delta, kl in product(
             self.sweep_n, d_axis, self.sweep_epsilon, self.sweep_delta, kl_axis
         ):
+            if not all(isinstance(v, int) or v.is_integer() for v in (n, d)):
+                raise InvalidInputError(f"n and d must be integers, got n = {n}, d = {d}")
             out.append(dict(n=int(n), d=int(d), epsilon=float(eps), delta=float(delta),
                             kappa_lower=None if kl is None else float(kl)))
         return out
@@ -353,7 +355,10 @@ def _chain_group(cfg: ExperimentConfig, instance: ProblemInstance, cell: dict, r
     per stream key: each trial's data, start and noise come from its
     streams 0, 2 and 1.  The datasets are drawn one at a time as the group
     takes them in, so only their narrowed samples are held together."""
-    x0 = [_starting_point(instance, cfg.x0_offset, RngStream(key, 2)) for key in keys]
+    # At offset 0 every start is xstar + 0 * direction, which has xstar's bits
+    # unless xstar holds a -0.0 (no instance's does): one shared row, no draws.
+    x0 = [project(instance.domain, instance.xstar)] if cfg.x0_offset == 0.0 else [
+        _starting_point(instance, cfg.x0_offset, RngStream(key, 2)) for key in keys]
     data = (instance.draw(cell["n"], RngStream(key, 0)) for key in keys)
     return _CHAINS[cfg.algorithm]._group(instance.loss, data, instance.domain, np.array(x0),
                                          run_cfg, [RngStream(key, 1) for key in keys])

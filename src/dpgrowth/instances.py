@@ -287,6 +287,8 @@ def _fit_growth_constant(pop_value_many, xstar, fstar, kappa, domain, probes=200
 
 
 def _check_dim(d) -> None:
+    if not isinstance(d, (int, np.integer)):
+        raise InvalidInputError(f"d must be an integer, got {d}")
     if not d >= 1:
         raise InvalidInputError(f"d must be >= 1, got {d}")
 

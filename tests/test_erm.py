@@ -340,6 +340,149 @@ def test_power_norm_pass_matches_the_reference_bisection_bit_for_bit():
     assert positive_gaps >= 1500
 
 
+def _count_slopes(monkeypatch):
+    """Count, through wrappers, the slopes ``erm._power_norm_1d`` evaluates
+    outside ``erm._sign_zone`` (its bisection steps and end checks) and the
+    zones that hold."""
+    counts, inside = dict(slopes=0, held=0), []
+    slope, zone = erm._power_slope, erm._sign_zone
+
+    def counted_slope(*args):
+        counts["slopes"] += not inside
+        return slope(*args)
+
+    def counted_zone(*args):
+        inside.append(True)
+        try:
+            zlo, zhi = zone(*args)
+        finally:
+            inside.pop()
+        counts["held"] += zlo != -math.inf
+        return zlo, zhi
+
+    monkeypatch.setattr(erm, "_power_slope", counted_slope)
+    monkeypatch.setattr(erm, "_sign_zone", counted_zone)
+    return counts
+
+
+def _assert_power_norm_matches_reference(coef, power, ubar, gbar, lam, a, lo, hi, label):
+    want = _reference_power_norm_root(coef, power, ubar, lam, a, lo, hi)
+    got = erm._power_norm_1d(coef, power, ubar, gbar, lam, a, lo, hi)
+    assert got[0].hex() == want.hex(), label
+    assert math.copysign(1.0, got[0]) == math.copysign(1.0, want), label
+    if hi - lo > 2e-9 * max(abs(want), abs(lo), abs(hi), 1.0):  # the reference's probe rule
+
+        def slope(u):
+            return coef * power * math.sqrt(u * u) ** (power - 2.0) * u + gbar + 2.0 * lam * (u - a)
+
+        assert got[1].hex() == _reference_interval_gap(slope, lam, lo, hi, want).hex(), label
+
+
+def _ubar_for_root(coef, power, lam, a, root):
+    """The linear term that puts the slope's root at ``root``, up to rounding."""
+    return -(coef * power * abs(root) ** (power - 1.0) * math.copysign(1.0, root)
+             + 2.0 * lam * (root - a))
+
+
+def test_sign_zone_spares_nearly_every_slope_in_sweep_shaped_phases(monkeypatch):
+    # Phases shaped like the kappa=4 sweep's: coef 0.25 at power 4, lam from
+    # 1e2 to 5e12, the bracket a trust region 8 / lam wide around the anchor
+    # with the root near its middle, so that 2 lam is at least 1e4 times the
+    # power term's curvature.  The zone holds on nearly every phase and the
+    # bisection then evaluates under a tenth of the slopes it evaluates with
+    # a zone that never holds; the bits are the same either way.
+    rng = np.random.default_rng(24)
+    phases = []
+    for case in range(3000):
+        coef, power, lam = 0.25, 4.0, float(10.0 ** rng.uniform(2, 12.7))
+        a, width = float(rng.uniform(-3.5e-3, 3.5e-3)), 8.0 / lam
+        root = a + width * float(rng.uniform(-0.06, 0.06))
+        ubar = _ubar_for_root(coef, power, lam, a, root)
+        gbar = ubar + (case % 2) * float(rng.standard_normal() * 10.0 ** rng.uniform(-12, 0))
+        phases.append((coef, power, ubar, gbar, lam, a, a - 0.5 * width, a + 0.5 * width))
+    counts = _count_slopes(monkeypatch)
+    screened = [erm._power_norm_1d(*phase) for phase in phases]
+    held, evaluated = counts["held"], counts["slopes"]
+    counts.update(slopes=0, held=0)
+    monkeypatch.setattr(erm, "_sign_zone", lambda *args: (-math.inf, math.inf))
+    unscreened = [erm._power_norm_1d(*phase) for phase in phases]
+    assert [(t.hex(), g.hex()) for t, g in screened] == [(t.hex(), g.hex()) for t, g in unscreened]
+    assert held >= 0.98 * len(phases), held
+    assert counts["slopes"] > 10 * evaluated, (counts["slopes"], evaluated)
+
+
+def test_power_norm_pass_matches_the_reference_where_the_sign_zone_is_tight():
+    # The cases that could make the zone certify a sign it should not, each
+    # against the reference bisection: phases at the edge where the zone
+    # stops holding, found by bisecting lam to adjacent floats (the root a
+    # few ulps from zlo or zhi, or zlo and zhi a few ulps from lo and hi);
+    # lam = 1e-2 with wide brackets, where the power term dominates and the
+    # zone must fail safely; brackets beyond [-1, 1], where the stopping
+    # width scales; terms near underflow, where only the absolute floor
+    # keeps the bound above 0; and powers 2.5 and 6 besides 3 and 4.
+    rng = np.random.default_rng(2024)
+    edges = 0
+    for power in (2.5, 3.0, 4.0, 6.0):
+        coef = float(rng.uniform(0.05, 0.5))
+        for case in range(400):
+            lo, hi = np.sort(rng.uniform(-1.0, 1.0, 2)).tolist()
+            a, root = (float(v) for v in rng.uniform(lo, hi, 2))
+
+            def holds(lam):
+                ubar = _ubar_for_root(coef, power, lam, a, root)
+                zlo, _ = erm._sign_zone(coef * power, power - 1.0, ubar, 2.0 * lam, a, lo, hi)
+                return zlo != -math.inf
+
+            fails, held = 1e-6, 1e14
+            if holds(fails) or not holds(held):
+                continue
+            while math.nextafter(fails, held) < held:
+                mid = math.sqrt(fails * held)
+                mid = mid if fails < mid < held else 0.5 * (fails + held)
+                if holds(mid):
+                    held = mid
+                else:
+                    fails = mid
+            edges += 1
+            for lam in (fails, held):
+                for _ in range(3):
+                    ubar = _ubar_for_root(coef, power, lam, a, root)
+                    gbar = ubar + float(rng.standard_normal() * 1e-9)
+                    _assert_power_norm_matches_reference(coef, power, ubar, gbar, lam, a, lo, hi,
+                                                         (power, case, lam))
+                    lam = math.nextafter(lam, math.inf if lam == held else 0.0)
+        for case in range(1500):
+            kind = case % 3
+            lo, hi = np.sort(rng.uniform(-1.0, 1.0, 2)).tolist()
+            lam = float(10.0 ** rng.uniform(-2, 10))
+            if kind == 0:  # lam = 1e-2, wide brackets
+                lam = 1e-2
+                lo, hi = np.sort(rng.uniform(-3.0, 3.0, 2)).tolist()
+            elif kind == 1:  # beyond [-1, 1]
+                lo, hi = np.sort(rng.uniform(-1.0, 1.0, 2) * 10.0 ** rng.uniform(0, 3, 2)).tolist()
+            a = float(rng.uniform(lo, hi))
+            root = float(rng.uniform(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo)))
+            ubar = _ubar_for_root(coef, power, lam, a, root)
+            gbar = ubar * float(1.0 + rng.uniform(-1e-15, 1e-15))
+            _assert_power_norm_matches_reference(coef, power, ubar, gbar, lam, a, lo, hi,
+                                                 (power, case))
+        for case in range(300):  # near underflow: every term of the slope subnormal or 0
+            tiny = [float(10.0 ** rng.uniform(-323, -300)) for _ in range(3)]
+            lo, hi = np.sort(rng.uniform(-1.0, 1.0, 2) * (1.0 if case % 2 else tiny[2])).tolist()
+            a = float(rng.uniform(lo, hi))
+            ubar = float(rng.choice([0.0, tiny[1], -tiny[1]]))
+            _assert_power_norm_matches_reference(tiny[0] * (case % 3 > 0), power, ubar, ubar,
+                                                 tiny[2], a, lo, hi, (power, "tiny", case))
+    assert edges >= 1000, edges
+    # Outside PowerNorm's range, a negative coefficient makes the slope
+    # non-monotone, and no zone may be taken: here the reference returns hi
+    # while the slope has a root inside.
+    coef, lam, a = -0.34539591354170335, 0.3423363906503234, 0.5470319749502608
+    ubar = _ubar_for_root(coef, 6.0, lam, a, 0.04657270079867526)
+    _assert_power_norm_matches_reference(coef, 6.0, ubar, ubar, lam, a, -0.4928883548093608,
+                                         0.7979187377617611, "concave")
+
+
 def test_solve_constrained_isotropic_quadratic_at_a_lens_corner():
     # mean ||x - s||^2 + 0.5 ||x||^2 has its unconstrained minimizer
     # x_u = s / 1.5 = (1.28, 0.76), outside both balls of the lens and inside

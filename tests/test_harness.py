@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import re
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dpgrowth import harness
 from dpgrowth.core import InvalidInputError
 from dpgrowth.harness import (
     CSV_COLUMNS,
@@ -375,6 +377,15 @@ def test_cli_verify_instance_rejects_a_dimension_below_one(capsys):
     assert captured.err == "dpgrowth: error: d must be >= 1, got 0\n"
 
 
+def test_cli_verify_instance_rejects_a_fractional_dimension(capsys):
+    argv = ["verify-instance", "pure_convex", "--param", "d=1.5", "--param", "L=1", "--param",
+            "R=1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "dpgrowth: error: d must be an integer, got 1.5\n"
+
+
 def test_cli_rejects_a_job_count_below_one(tmp_path, capsys):
     cfg_path = _write(tmp_path, TINY_CONFIG)
     audit_ini = _write(tmp_path, "[audit]\nepsilons = 1.0\nn = 16\ntrials = 50\n"
@@ -411,6 +422,9 @@ def test_cli_run_rejects_out_of_range_sweep_values_before_any_trial(tmp_path, ca
             ("d = 1\nkappa", "d = 0\nkappa", "d must be >= 1, got 0"),
             ("epsilon = 1.0", "epsilon = 1.0\nd = 1, 0", "d must be >= 1, got 0"),
             ("epsilon = 1.0", "epsilon = 1.0\nd = 1, -2", "d must be >= 1, got -2"),
+            ("n = 64", "n = 64, 64.7", "n and d must be integers, got n = 64.7, d = 1"),
+            ("epsilon = 1.0", "epsilon = 1.0\nd = 1, 1.5",
+             "n and d must be integers, got n = 64, d = 1.5"),
         ):
             out = tmp_path / f"out{len(list(tmp_path.iterdir()))}"
             path = _write(tmp_path, algorithm_config.replace(old, new))
@@ -504,3 +518,28 @@ def test_csv_schema_is_frozen():
         "epoch_i0",
         "error",
     )
+
+
+LOCALIZATION_CONFIG = TINY_CONFIG.replace("algorithm = erm_oracle", "algorithm = localization"
+                                          ).replace("epsilon = 1.0", "epsilon = 1.0\nd = 1, 2")
+
+
+def test_localization_sweep_draws_start_directions_only_at_a_nonzero_offset(tmp_path,
+                                                                              monkeypatch):
+    # At x0_offset = 0 every trial starts at the projected xstar: the rows
+    # are those the per-trial draws gave (sha256 of the CSV bytes at the
+    # commit that drew them), and no direction is drawn.  At 0.3 each trial
+    # still draws its own.
+    calls = []
+    drawn = harness._starting_point
+    monkeypatch.setattr(harness, "_starting_point", lambda *args: calls.append(1) or drawn(*args))
+    for offset, digest, draws in (
+        ("0.0", "6b86344e135babfc8e1e4cf072701a2b663da98b56b84631786ed99ff7a7f8fa", 0),
+        ("0.3", "760c9d6039768f09fb7e23bf3d758864b5f7b15d09fa72851d5da22cdbad9441", 6),
+    ):
+        calls.clear()
+        text = LOCALIZATION_CONFIG.replace("beta = auto", f"beta = auto\nx0_offset = {offset}")
+        records, csv_path, _ = run_sweep(load_config(_write(tmp_path, text)), tmp_path / offset)
+        assert len(records) == 6 and all(r.error == "" for r in records)
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == digest
+        assert len(calls) == draws
