@@ -17,10 +17,16 @@ benchmark's size (20 seeds per cell, master seed offset 0): per band of the
 phase's regularizer weight q, the rows, the rows the window certifies, the
 rows it sends to the scan, and the window candidates per certified row.
 
+Unit set-up: over one benchmark-sized round of each sweep chain config (the
+seed counts of bench/run.py), the in-process time of each part of a sweep
+unit's set-up and slots: the block sums, the schedule tables, the slot
+masks and the 1-D power-norm kernel, each timed by replaying the calls the
+round made.
+
 It needs scipy (``scipy.stats``), which the package's ``test`` extra
 installs. Run from the repository root (on 2 CPUs with --jobs 2, --part 2 took
 11.4-11.6 s and --part 4 1.9-2.7 s over two runs each; --part screen runs
-in-process and takes under a second):
+in-process and takes under a second, --part unit-setup a few seconds):
 
     PYTHONPATH=src python scripts/decisions_ledger.py --part all --jobs 2
 """
@@ -31,7 +37,9 @@ import argparse
 import dataclasses
 import math
 import multiprocessing
+import statistics
 import tempfile
+import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -243,9 +251,79 @@ def screen(seeds: int = 20) -> None:
           f"{(kept[ok] == 1).mean():.0%} of them with one candidate, mean {kept[ok].mean():.1f}.\n")
 
 
+# The benchmark's sweep chain configs and their seeds per cell.
+UNIT_CONFIGS = (("stat_kappa2", 20), ("stat_kappa4", 8), ("priv_epoch", 20), ("priv_pure", 20))
+# The parts of a sweep unit: (label, module, function).  A schedule table is
+# epoch_growth._chains for an epoch cell (which calls localization._table)
+# and localization._table for a localization cell; the slot masks are the
+# kernel's tolerance and regularizer-dominance tests.
+UNIT_PARTS = (
+    ("block sums", localization, "_block_means"),
+    ("schedule", epoch_growth, "_chains"),
+    ("schedule", localization, "_table"),
+    ("slot masks", localization, "_phase_tol"),
+    ("slot masks", erm, "_dominated"),
+    ("kernel", erm, "_power_norm_1d"),
+)
+
+
+def _replay(calls, repeats: int) -> float:
+    """Median seconds, over ``repeats`` passes, of making the recorded calls."""
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for f, args in calls:
+            f(*args)
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
+def unit_setup(repeats: int = 20) -> None:
+    labels = list(dict.fromkeys(label for label, *_ in UNIT_PARTS))
+    print(f"## Unit set-up (one bench-sized round per config, in-process; each part's "
+          f"calls replayed, median of {repeats} passes, ms)\n")
+    print(f"| config | seeds | round | {' | '.join(labels)} | kernel calls |")
+    print("|---|---|---|" + "---|" * len(labels) + "---|")
+    for key, seeds in UNIT_CONFIGS:
+        cfg = dataclasses.replace(load_config(CONFIGS / f"acceptance_{key}.ini"), seeds=seeds)
+        calls = {label: [] for label in labels}
+        inside = []
+
+        def recorder(label, f):
+            def recorded(*args):
+                if not inside:  # _table inside _chains is the schedule's own
+                    calls[label].append((f, args))
+                inside.append(label)
+                try:
+                    return f(*args)
+                finally:
+                    inside.pop()
+            return recorded
+
+        with tempfile.TemporaryDirectory() as out:
+            rounds = []
+            for _ in range(5):
+                start = time.perf_counter()
+                run_sweep(cfg, Path(out), jobs=1)
+                rounds.append(time.perf_counter() - start)
+            originals = [(module, name, getattr(module, name)) for _, module, name in UNIT_PARTS]
+            for (label, *_), (module, name, f) in zip(UNIT_PARTS, originals):
+                setattr(module, name, recorder(label, f))
+            try:
+                run_sweep(cfg, Path(out), jobs=1)
+            finally:
+                for module, name, f in originals:
+                    setattr(module, name, f)
+        parts = " | ".join(f"{1e3 * _replay(calls[label], repeats):.2f}" for label in labels)
+        print(f"| {key} | {seeds} | {1e3 * statistics.median(rounds):.2f} | {parts} "
+              f"| {len(calls['kernel'])} |")
+    print()
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--part", choices=("2", "4", "screen", "all"), default="all")
+    parser.add_argument("--part", choices=("2", "4", "screen", "unit-setup", "all"),
+                        default="all")
     parser.add_argument("--jobs", type=int, default=2)
     parser.add_argument("--streams", type=int, default=9,
                         help="independent streams for the eps = 0.5 margins")
@@ -257,6 +335,8 @@ def main() -> None:
         criterion_4(args.jobs)
     if args.part in ("screen", "all"):
         screen()
+    if args.part in ("unit-setup", "all"):
+        unit_setup()
 
 
 if __name__ == "__main__":

@@ -115,44 +115,56 @@ def _block_size(n: int, T: int) -> int:
 
 
 def _epochs(cfg: EpochConfig, n: int) -> list[tuple]:
-    """The T epochs of a run on n samples as pairs (eta_i, chain): epoch i
-    takes radius R0 2^-i, step eta_i = eta0 2^-i and the i-th block of
-    ``_block_size(n, T)`` samples, and ``chain`` is its
-    ``localization._run_chains`` entry (offset, radius, inner config).  The
-    inner config is ``LocalizationConfig.for_data_size`` of the block at
-    eta_i, or None for a frozen epoch."""
+    """The T epochs of a run on n samples, one at a time, as ``_chains``
+    tabulates them: pairs (eta_i, (offset, radius, inner config)) of epoch
+    i's step eta0 2^-i, the offset of its block of ``_block_size(n, T)``
+    samples, its radius R0 2^-i, and ``LocalizationConfig.for_data_size``
+    of the block at eta_i, or None for a frozen epoch."""
     n0 = _block_size(n, cfg.T)
     epochs = []
     for i in range(cfg.T):
-        radius = cfg.R0 * 2.0 ** (-i)
-        eta_i = cfg.eta0 * 2.0 ** (-i)
-        inner = None
+        radius, eta_i = cfg.R0 * 2.0 ** (-i), cfg.eta0 * 2.0 ** (-i)
         # Movement per epoch is bounded by the trust radius plus noise of the
         # same decay; below this radius the iterate is numerically fixed.
-        if radius >= _FROZEN_RADIUS_FRACTION * cfg.R0:
-            inner = localization.LocalizationConfig.for_data_size(
+        inner = None if radius < _FROZEN_RADIUS_FRACTION * cfg.R0 else (
+            localization.LocalizationConfig.for_data_size(
                 n0, eta_i, cfg.privacy, noise_scale=cfg.noise_scale,
-                gaussian_conservative=cfg.gaussian_conservative,
-            )
+                gaussian_conservative=cfg.gaussian_conservative))
         epochs.append((eta_i, (i * n0, radius, inner)))
     return epochs
+
+
+def _chains(cfg: EpochConfig, n: int, L: float, d: int) -> tuple:
+    """The ``localization._run_chains`` chains of a run on n samples: the
+    epochs of ``_epochs`` as one ``localization._table`` of the inner config
+    at eta0 (their steps alone differ), with rows up to the first frozen one."""
+    n0 = _block_size(n, cfg.T)
+    halvings = np.ldexp(1.0, -np.arange(cfg.T))
+    radii = cfg.R0 * halvings
+    live = np.count_nonzero(radii >= _FROZEN_RADIUS_FRACTION * cfg.R0)
+    inner = localization.LocalizationConfig.for_data_size(
+        n0, cfg.eta0, cfg.privacy, noise_scale=cfg.noise_scale,
+        gaussian_conservative=cfg.gaussian_conservative)
+    table = localization._table(inner, L, d, cfg.eta0 * halvings[:live])
+    return range(0, cfg.T * n0, n0), radii.tolist(), inner.n0, table
 
 
 def _group(loss: LossOracle, data, domain: Domain, x0, cfg: EpochConfig,
            streams: Iterable[RngStream]) -> tuple:
     """The ``localization._run_chains`` group of a ``run`` call: its
-    checked samples and starts, and the epochs of ``_epochs`` as chains."""
+    checked samples and starts, and the epochs of ``_chains``."""
     # Each block needs the 2 samples that ``default_eta0`` asks of it.
     samples, starts = localization._trial_inputs(loss, data, domain, x0, 2 * cfg.T)
-    chains = [chain for _, chain in _epochs(cfg, len(samples[0]))]
+    chains = _chains(cfg, len(samples[0]), loss.lipschitz, loss.point_dim)
     return samples, starts, cfg.privacy, streams, chains
 
 
-def _records(cfg: EpochConfig, n: int, xs: list) -> list:
-    """One ``EpochRecord`` per epoch of a run on n samples whose iterates
-    before the first epoch and after each epoch are ``xs``."""
-    return [EpochRecord(i, xs[i], radius, eta_i, xs[i + 1], frozen=inner is None)
-            for i, (eta_i, (_, radius, inner)) in enumerate(_epochs(cfg, n))]
+def _records(cfg: EpochConfig, chains: tuple, xs: list) -> list:
+    """One ``EpochRecord`` per epoch of a run with ``_chains`` chains whose
+    iterates before the first epoch and after each epoch are ``xs``."""
+    _, radii, _, table = chains
+    return [EpochRecord(i, xs[i], radius, cfg.eta0 * 2.0 ** (-i), xs[i + 1],
+                        frozen=i >= len(table)) for i, radius in enumerate(radii)]
 
 
 def run(
@@ -173,7 +185,7 @@ def run(
     Disjoint blocks keep the total budget at the per-epoch (epsilon, delta).
 
     The inputs are those of ``localization.run``.  The epochs of
-    ``_epochs`` run as the chains of one ``localization._run_chains``
+    ``_chains`` run as the chains of one ``localization._run_chains``
     group; trial t's region in epoch i is the domain intersected with the
     ball of radius R_i around its own iterate.  ``trace`` collects one
     ``EpochRecord`` per epoch, frozen ones included, whose ``center`` and
@@ -183,7 +195,7 @@ def run(
     group = _group(loss, data, domain, x0, cfg, streams)
     (xs,) = localization._run_chains(loss, domain, [group], phase_trace)
     if trace is not None:
-        trace += _records(cfg, len(group[0][0]), xs)
+        trace += _records(cfg, group[4], xs)
     return xs[-1]
 
 

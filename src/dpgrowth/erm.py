@@ -368,19 +368,24 @@ def _sign_zone(cp, pm1, ubar, two_lam, a, lo, hi):
     """An interval (zlo, zhi) inside (lo, hi) around the slope's root, one
     Newton step from the regularizer's, such that ``_power_slope`` is
     negative for t in [lo, zlo) and positive for t in (zhi, hi]; (-inf,
-    inf) if its rounding bound cannot certify one (docs/decisions.md)."""
+    inf) if its rounding bound cannot certify one (docs/decisions.md).  Its
+    slopes and maxima are inline: it runs once per kappa=4 phase and trial."""
     if not (cp >= 0.0 and pm1 >= 1.0 and two_lam > 0.0):  # the bound's argument needs these
         return -math.inf, math.inf
-    err = 16.0 * _UNIT_ROUNDOFF * (cp * max(-lo, hi) ** pm1 + abs(ubar)
-                                   + two_lam * max(a - lo, hi - a)) + 1e-300 * (1.0 + cp)
+    below, above = a - lo, hi - a
+    err = 16.0 * _UNIT_ROUNDOFF * (cp * (hi if hi > -lo else -lo) ** pm1 + abs(ubar) + two_lam
+                                   * (above if above > below else below)) + 1e-300 * (1.0 + cp)
     r = a - ubar / two_lam
     if lo < r < hi:
-        r -= _power_slope(r, cp, pm1, ubar, two_lam, a) / (cp * pm1 * abs(r) ** (pm1 - 1.0)
-                                                          + two_lam)
+        r -= (((cp * r**pm1 if r > 0.0 else -(cp * (-r) ** pm1)) + ubar + two_lam * (r - a))
+              / (cp * pm1 * abs(r) ** (pm1 - 1.0) + two_lam))
     w = 4.0 * err / two_lam + 8.0 * _UNIT_ROUNDOFF * abs(r)
     zlo, zhi = r - w, r + w
-    held = (lo < zlo and zhi < hi and _power_slope(zlo, cp, pm1, ubar, two_lam, a) <= -2.0 * err
-            and _power_slope(zhi, cp, pm1, ubar, two_lam, a) >= 2.0 * err)
+    held = (lo < zlo and zhi < hi
+            and (cp * zlo**pm1 if zlo > 0.0 else -(cp * (-zlo) ** pm1)) + ubar
+            + two_lam * (zlo - a) <= -2.0 * err
+            and (cp * zhi**pm1 if zhi > 0.0 else -(cp * (-zhi) ** pm1)) + ubar
+            + two_lam * (zhi - a) >= 2.0 * err)
     return (zlo, zhi) if held else (-math.inf, math.inf)
 
 

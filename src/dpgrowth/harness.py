@@ -408,9 +408,9 @@ def _execute(unit) -> list[TrialRecord]:
             samples = [s for group in groups for s in group[0]]
             if cfg.algorithm == "epoch_growth":
                 epoch_i0 = [
-                    i0 for (_, cell, _), (_, run_cfg), out in zip(cells, setups, xs)
+                    i0 for (_, run_cfg), group, out in zip(setups, groups, xs)
                     for i0 in epoch_growth.indices_in_region(
-                        epoch_growth._records(run_cfg, cell["n"], out), instance.xstar)
+                        epoch_growth._records(run_cfg, group[4], out), instance.xstar)
                 ]
         else:
             data = instance.draw(cells[0][1]["n"], RngStream(keys[0], 0))

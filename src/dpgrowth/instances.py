@@ -286,11 +286,16 @@ def _fit_growth_constant(pop_value_many, xstar, fstar, kappa, domain, probes=200
 # ---------------------------------------------------------------------------
 
 
-def _check_dim(d) -> None:
+def _check_dim(d, **scales) -> None:
+    """Check a generator's d and, before any arithmetic on them, that its
+    ``scales`` (lam, L, R) are finite and positive."""
     if not isinstance(d, (int, np.integer)):
         raise InvalidInputError(f"d must be an integer, got {d}")
     if not d >= 1:
         raise InvalidInputError(f"d must be >= 1, got {d}")
+    for key, value in scales.items():
+        if not (math.isfinite(value) and value > 0):
+            raise InvalidInputError(f"{key} must be finite and positive, got {value}")
 
 
 def make_uniform_convex(
@@ -308,7 +313,7 @@ def make_uniform_convex(
     supported on signed coordinate vectors; the bias tilts the population
     minimizer away from the origin along ``direction``.
     """
-    _check_dim(d)
+    _check_dim(d, lam=lam, L=L, R=R)
     if kappa < 2:
         raise InvalidInputError("kappa must be >= 2 for this family")
     if not (0.0 <= bias_delta < 1.0):
@@ -463,7 +468,7 @@ def make_knorm_regression(
     of the distance to ``x_true``, so the minimizer is exact and the growth
     constant is certified empirically from probes.
     """
-    _check_dim(d)
+    _check_dim(d, R=R)
     if int(kappa) != kappa or kappa < 2:
         raise InvalidInputError("kappa must be an integer >= 2")
     kappa = int(kappa)
@@ -526,7 +531,7 @@ def make_pure_convex(d: int, L: float, R: float) -> ProblemInstance:
     so the population objective keeps a kink (nonzero slope) at its interior
     minimizer.
     """
-    _check_dim(d)
+    _check_dim(d, L=L, R=R)
     c = R / 2.0
     w = L / math.sqrt(d)
     loss = SeparableAbsLoss(weight=w, d=d, lipschitz=L)

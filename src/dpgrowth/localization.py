@@ -137,6 +137,19 @@ def _schedule(cfg: LocalizationConfig, L: float, d: int) -> list[tuple]:
     return phases
 
 
+def _table(cfg: LocalizationConfig, L: float, d: int, etas=None) -> np.ndarray:
+    """``_schedule`` of chains that share cfg but for their base steps
+    ``etas`` (cfg's eta if None), as one ``(chains, k, 6)`` array whose entry
+    [c, i - 1] is chain c's phase i without its index: the same operations
+    in the same order on arrays, so the same bits."""
+    eta_i = np.reshape(cfg.eta if etas is None else etas, (-1, 1)) * np.ldexp(
+        1.0, -4 * np.arange(1, cfg.k + 1))
+    sensitivity = 4.0 * L * eta_i
+    sigma = mechanisms.noise_sigma(sensitivity, d, cfg.privacy, cfg.gaussian_conservative)
+    return np.array((eta_i, 2.0 * L * eta_i * cfg.n0, 1.0 / (eta_i * cfg.n0), sensitivity, sigma,
+                     sigma * cfg.noise_scale)).transpose(1, 2, 0)
+
+
 def _tol_floor(L: float, domain: Domain) -> float:
     return _TOL_FLOOR_FACTOR * L * max(1.0, domain.diameter())
 
@@ -160,25 +173,35 @@ def _flat(value):
     return value[:, 0] if np.ndim(value) == 2 else value
 
 
-def _block_means(samples: np.ndarray, offsets, k: int, n0: int, scale=None) -> np.ndarray:
+def _block_means(samples: np.ndarray, offsets, k: int, n0: int, scales: tuple) -> list:
     """Per-phase batch means of chains of k blocks of n0 samples, one chain
     from each of ``offsets`` of every dataset of a ``(datasets, n, d)``
-    sample array, or of ``scale`` times the samples, as a ``(chains, k,
-    datasets, d)`` array.  numpy's sums depend on the reduction's shape;
-    this one reduces each block along its own axis, as ``mean(axis=0)`` of
-    the block alone does, so each mean has the bits of ``erm.solve``'s.
-    The blocks are widened to float64 ``_BLOCK_VALUES`` values at a time."""
+    sample array, of each of ``scales`` (None for 1) times the samples, as
+    ``(chains, k, datasets, d)`` arrays.  numpy's sums depend on the
+    reduction's shape; this one reduces each block along its own axis, as
+    ``mean(axis=0)`` of the block alone does, so each mean has the bits of
+    ``erm.solve``'s.  The blocks are widened to float64 ``_BLOCK_VALUES``
+    values at a time.  ``_narrow``'s int8 samples and a scale 2^e, |e| < 900,
+    take each block's int64 sum over n0 times the scale instead: every partial
+    sum of the float reduction is exact, and scaling by 2^e commutes with
+    rounding, so the bits are the same (docs/decisions.md)."""
     rows = (np.asarray(offsets)[:, None] + np.arange(k * n0)).ravel()
-    out = np.empty((len(offsets), k, len(samples), samples.shape[-1]))
+    shape = (len(samples), len(offsets), k, n0, samples.shape[-1])
+    powers = (math.frexp(1.0 if scale is None else scale) for scale in scales)
+    if samples.dtype == np.int8 and all(m == 0.5 and abs(e) < 900 for m, e in powers):
+        means = (samples[:, rows].reshape(shape).sum(axis=3, dtype=np.int64) / n0).transpose(
+            1, 2, 0, 3)
+        return [means if scale is None else scale * means for scale in scales]
+    out = [np.empty((len(offsets), k, len(samples), samples.shape[-1])) for _ in scales]
     step = max(1, _BLOCK_VALUES // (len(rows) * samples.shape[-1]))
     for lo in range(0, len(samples), step):
         # C order: a fancy index lays its result out otherwise, and numpy's
         # sums depend on the layout too.
         blocks = samples[lo : lo + step, rows].astype(float, order="C")
-        if scale is not None:
-            blocks = scale * blocks
-        means = blocks.reshape(len(blocks), len(offsets), k, n0, -1).mean(axis=3)
-        out[:, :, lo : lo + step] = means.transpose(1, 2, 0, 3)
+        for scale, means in zip(scales, out):
+            scaled = blocks if scale is None else scale * blocks
+            means[:, :, lo : lo + step] = scaled.reshape(len(blocks), *shape[1:]).mean(
+                axis=3).transpose(1, 2, 0, 3)
     return out
 
 
@@ -280,25 +303,6 @@ def _separable_phase(st: SeparableAbsolute, lam, tol, x, block, region_balls):
     return x_hat, _inside(x_hat, region_balls, tol=erm._INTERIOR_TOL) & (gap <= tol)
 
 
-def _power_norm_phase(st: PowerNorm, lam, tol, x, lo, hi, qbar, gbar):
-    """Each trial's solution of a 1-D power-norm phase as ``erm.solve``
-    finds it, and whether it is certified: the solver's own bisection and
-    1-D certificate, ``erm._power_norm_1d``, in one call per trial, from
-    the trial's anchor x[t], interval [lo[t], hi[t]], mean linear term qbar
-    and linear term of the mean sample gbar, lam and tol.  x, lo, hi, qbar
-    and gbar are ``(trials, 1)`` arrays; lam and tol are floats or
-    per-trial columns."""
-    lams = [float(lam)] * len(x) if np.ndim(lam) == 0 else lam[:, 0].tolist()
-    solved = np.array([
-        erm._power_norm_1d(st.coef, st.power, ubar, g, lam_t, a, lo_t, hi_t)
-        for a, lo_t, hi_t, ubar, g, lam_t in zip(
-            x[:, 0].tolist(), lo[:, 0].tolist(), hi[:, 0].tolist(), qbar[:, 0].tolist(),
-            gbar[:, 0].tolist(), lams,
-        )
-    ])
-    return solved[:, :1], solved[:, 1] <= _flat(tol)
-
-
 # The schedule values (eta_i, radius, lam, sensitivity, sigma, sigma_used)
 # of a trial that sits a slot out.
 _IDLE = (1.0, 1.0, 1.0, 1.0, 1.0, 0.0)
@@ -306,94 +310,71 @@ _IDLE = (1.0, 1.0, 1.0, 1.0, 1.0, 0.0)
 
 def _lockstep(loss: LossOracle, plans: list, d: int):
     """Lay groups of trials out in lockstep through their chains: yield,
-    for each chain index c, the ``(parts, slots)`` of the ``_chain_trials``
-    call that runs chain c of every group.
+    for each chain index c, the ``(parts, phases)`` of the ``_chain_trials``
+    call that runs chain c of every group, with phases None where no group
+    has a phase in chain c.
 
-    ``plans`` holds one ``(samples, chains, schedules, z)`` per group: its
-    ``(datasets, n, d)`` samples, its chains ``(offset, radius, cfg)`` and
-    their ``_schedule``s (empty where cfg is None), and its trials' unit
-    noise, ``(trials, noised phases, d)``, one column per phase with
-    sigma_used > 0 in chain order.  A group's live chains share k and n0.
-    Part g is ``(samples, offset, n0)``: group g's samples broadcast once
-    to one ``(n, d)`` row per trial, and offset None where the group sits
-    chain c out.  Slot j runs phase i = j + 1 of every group whose chain c
-    has one; it is ``(i, eta_i, radius, lam, sensitivity, sigma,
-    sigma_used, active, noise, qbar, gbar)``: the schedule's values, as
-    floats for one group and as ``(trials, 1)`` columns for several (where
-    a trial that sits the slot out reads ``_IDLE``); ``active``, the mask
-    of the trials that run it, or None for all; each trial's noise, a
-    ``(trials, d)`` array (a column of its unit noise times sigma_used), or
-    zero where the phase draws none; and the blocks' mean linear term qbar
-    (the mean of lin_scale times the samples) and linear term of the mean
-    sample gbar, a row per trial, or None where the phase reads neither.
-    Everything but the slots (and one group's noise) is computed once, for
-    every chain."""
+    ``plans`` holds one ``(samples, chains, z)`` per group: its ``(datasets,
+    n, d)`` samples, its ``_run_chains`` chains ``(offsets, radii, n0,
+    table)``, and its trials' unit noise, ``(trials, noised phases, d)``, one
+    column per phase with sigma_used > 0 in chain order.  Part g is
+    ``(samples, offset, n0)``: group g's samples broadcast once to one ``(n,
+    d)`` row per trial, and offset None where the group sits chain c out.
+    Slot j runs phase j + 1 of every group whose chain c has one; phases is
+    ``(values, active, noise, qbar, gbar)``, one entry per slot each: the
+    schedule's six values, a row of the group's table for one group and
+    ``(6, trials, 1)`` columns for several (where a trial that sits the
+    slot out reads ``_IDLE``); the mask of the trials that run it, or None
+    if every trial runs every slot; each trial's noise, ``(trials, d)``, its
+    unit noise times sigma_used, or zero where the phase draws none; and the
+    blocks' mean linear term qbar (the mean of lin_scale times the samples)
+    and linear term of the mean sample gbar, a row per trial, or None where
+    the phase reads neither.  All but the columns is computed once, for every
+    chain."""
     st = loss.structure
     sizes = [len(z) for *_, z in plans]
     bounds = [0, *accumulate(sizes)]
-    C = max(len(chains) for _, chains, _, _ in plans)
-    phases = [[len(schedules[c]) if c < len(schedules) else 0 for _, _, schedules, _ in plans]
-              for c in range(C)]
-    K = max(map(max, phases))
+    tables = [table for _, (*_, table), _ in plans]
+    C = max(len(chains[0]) for _, chains, _ in plans)
+    K = max(table.shape[1] for table in tables)
+    counts = [[table.shape[1] if c < len(table) else 0 for table in tables] for c in range(C)]
     qbar = gbar = None
     if isinstance(st, IsotropicQuadratic) or (d == 1 and isinstance(st, PowerNorm)):
         qbar = np.zeros((C, K, bounds[-1], d))
         if not (d == 1 and isinstance(st, IsotropicQuadratic)):
             gbar = np.zeros((C, K, bounds[-1], d))
-    for (samples, chains, schedules, z), a, b in zip(plans, bounds, bounds[1:]):
-        live = [c for c, schedule in enumerate(schedules) if schedule]
-        if not live:
-            continue
-        k, n0 = chains[live[0]][2].k, chains[live[0]][2].n0
-        if any((chains[c][2].k, chains[c][2].n0) != (k, n0) for c in live):
-            raise InvalidInputError("a group's chains must share k and n0")
-        offsets = [chains[c][0] for c in live]
-        # A dataset shared by the group's trials gives one row of means,
-        # written to every trial's row.
-        if qbar is not None:
-            qbar[live, :k, a:b] = _block_means(samples, offsets, k, n0, st.lin_scale)
-        if gbar is not None:
-            gbar[live, :k, a:b] = st.lin_scale * _block_means(samples, offsets, k, n0)
+    noise = np.zeros((C, K, bounds[-1], d))
+    for (samples, (offsets, _, n0, table), z), a, b in zip(plans, bounds, bounds[1:]):
+        live, k = table.shape[:2]
+        if qbar is not None and live:
+            # A dataset shared by the group's trials gives one row of means,
+            # written to every trial's row.
+            means = _block_means(samples, offsets[:live], k, n0,
+                                 (st.lin_scale,) if gbar is None else (st.lin_scale, None))
+            qbar[:live, :k, a:b] = means[0]
+            if gbar is not None:
+                gbar[:live, :k, a:b] = st.lin_scale * means[1]
+        # The phases with noise, in chain order: one column of z each.
+        cs, js = np.nonzero(table[..., 5] > 0)
+        noise[cs, js, a:b] = (z * table[cs, js, 5][:, None]).transpose(1, 0, 2)
+    values = tables[0]
     if len(plans) > 1:
-        table = np.empty((C, len(plans), K, 6))
-        table[...] = _IDLE
-        noise = np.zeros((C, K, bounds[-1], d))
-        for g, ((_, _, schedules, z), a, b) in enumerate(zip(plans, bounds, bounds[1:])):
-            live = [c for c, counts in enumerate(phases) if counts[g]]
-            if not live:
-                continue
-            table[live, g, : phases[live[0]][g]] = [[phase[1:] for phase in schedules[c]]
-                                                    for c in live]
-            # The phases with noise, in chain order: one column of z each.
-            noisy = [(c, j, phase[6]) for c in live for j, phase in enumerate(schedules[c])
-                     if phase[6] > 0]
-            if noisy:
-                cs, js, scales = map(list, zip(*noisy))
-                noise[cs, js, a:b] = (z[:, : len(cs)] * np.array(scales)[:, None]).transpose(
-                    1, 0, 2)
-        running = np.repeat(phases, sizes, axis=1)
+        values = np.empty((C, K, 6, len(plans)))
+        values[...] = np.array(_IDLE)[:, None]
+        for g, table in enumerate(tables):
+            values[: len(table), : table.shape[1], :, g] = table
     # One sample row per trial: a view, not a copy, of a shared dataset.
     per_trial = [np.broadcast_to(samples, (size, *samples.shape[1:]))
                  for size, (samples, *_) in zip(sizes, plans)]
-    col = 0
-    for c, counts in enumerate(phases):
-        parts = [(samples, chains[c][0] if count else None, chains[c][2].n0 if count else None)
-                 for count, samples, (_, chains, _, _) in zip(counts, per_trial, plans)]
-        slots, every = max(counts), min(counts)
-        if len(plans) == 1:
-            # One group: its schedule's floats, and each phase's noise as it
-            # comes, as a one-cell run scales it.
-            values = [phase[1:] for phase in plans[0][2][c]]
-            noises, z = [], plans[0][3]
-            for *_, sigma_used in plans[0][2][c]:
-                noises.append(z[:, col] * sigma_used if sigma_used > 0 else 0.0)
-                col += sigma_used > 0
-        else:
-            values = np.repeat(table[c, :, :slots], sizes, axis=0).transpose(1, 2, 0)[..., None]
-            noises = noise[c]
-        yield parts, [(j + 1, *values[j], None if j < every else running[c] > j, noises[j],
-                       None if qbar is None else qbar[c, j], None if gbar is None else gbar[c, j])
-                      for j in range(slots)]
+    for c, row in enumerate(counts):
+        parts = [(samples, chains[0][c] if count else None, chains[2])
+                 for count, samples, (_, chains, _) in zip(row, per_trial, plans)]
+        slots = max(row)
+        active = None if min(row) == slots else np.repeat(row, sizes) > np.arange(slots)[:, None]
+        yield parts, None if not slots else (
+            values[c, :slots] if len(plans) == 1 else
+            np.repeat(values[c, :slots], sizes, axis=2)[..., None], active, noise[c, :slots],
+            None if qbar is None else qbar[c, :slots], None if gbar is None else gbar[c, :slots])
 
 
 def _rows(mask: np.ndarray, a: int, b: int):
@@ -406,9 +387,9 @@ def _rows(mask: np.ndarray, a: int, b: int):
     return a + np.flatnonzero(mask[a:b])
 
 
-def _chain_trials(loss, parts, slots, x, domain, epoch=None, trace=None):
+def _chain_trials(loss, parts, phases, x, domain, epoch=None, trace=None):
     """The chain, all trials at once: the one phase kernel, which
-    ``_run_chains`` runs once per chain on the parts and slots of
+    ``_run_chains`` runs once per chain on the parts and phases of
     ``_lockstep``.
 
     ``parts`` splits the trials, in row order, into groups that share a
@@ -419,7 +400,9 @@ def _chain_trials(loss, parts, slots, x, domain, epoch=None, trace=None):
     every part that has one, reads its schedule's values as per-trial
     columns, and leaves the point of every other trial as it is.  Every
     float operation acts on each row's own operands, so each trial gets the
-    bits its part gives alone.
+    bits its part gives alone.  What a slot reads of the schedule is set up
+    once, for every slot: the tolerances, the dominance and solve masks,
+    and a power-norm chain's lam and tol lists.
 
     ``x`` holds one start row per trial, each in its domain.  The chain runs
     in ``domain``, intersected with each trial's epoch ball when ``epoch``
@@ -446,6 +429,9 @@ def _chain_trials(loss, parts, slots, x, domain, epoch=None, trace=None):
     """
     st = loss.structure
     d = x.shape[1]
+    values, active, noise, qbar, gbar = phases
+    slots, lams = len(values), values[:, 2]
+    every = [True] * slots if active is None else active.all(axis=1).tolist()
     clamp = d == 1 and isinstance(st, IsotropicQuadratic)
     power = d == 1 and isinstance(st, PowerNorm)
     balls = list(domain.balls())
@@ -457,7 +443,10 @@ def _chain_trials(loss, parts, slots, x, domain, epoch=None, trace=None):
         if epoch is not None:
             lo_dom = np.maximum(centers - radius, lo_dom)
             hi_dom = np.minimum(centers + radius, hi_dom)
-    if not clamp:
+    if clamp:
+        two_lam = 2.0 * lams
+        denom = st.curvature + two_lam
+    else:
         L = loss.lipschitz
         bounds = [0, *accumulate(len(samples) for samples, *_ in parts)]
 
@@ -465,62 +454,72 @@ def _chain_trials(loss, parts, slots, x, domain, epoch=None, trace=None):
             return domain if epoch is None else Domain(centers[t], radius, parent=domain)
 
         # Every trial's domain has the same radii, so one diameter.
-        tol_floor = _tol_floor(L, outer(0))
+        tol = _phase_tol(values[:, 3], values[:, 4], _tol_floor(L, outer(0)))
+        dominated = np.broadcast_to(erm._dominated(L, lams, tol).reshape(slots, -1),
+                                    (slots, len(x)))
+        solve = ~dominated if active is None else active & ~dominated
+        projected = (dominated if active is None else dominated & active).any(axis=1).tolist()
+        if power:
+            trial_lams, trial_tols = (np.broadcast_to(v.reshape(slots, -1), (slots, len(x)))
+                                      .tolist() for v in (lams, tol))
+            solving = [np.flatnonzero(row).tolist() for row in solve]
         # Checked once: each later anchor is a point the chain projected
         # onto its domain.
         if not _inside(x, balls, tol=erm._ANCHOR_TOL).all():
             raise InvalidInputError("domain must contain the anchor")
-    for i, eta_i, radius_i, lam, sensitivity, sigma, sigma_used, active, noise, qbar, gbar in slots:
+    # Per slot: the schedule's six floats for one part, or six columns.
+    for j, (eta_i, radius_i, lam, _, _, sigma_used) in enumerate(
+            values.tolist() if values.ndim == 2 else values):
         if d == 1:
             lo = np.maximum(lo_dom, x - radius_i)
             hi = np.minimum(hi_dom, x + radius_i)
         if clamp:
-            x_hat = (2.0 * lam * x - qbar) / (st.curvature + 2.0 * lam)
-            x_hat = np.where(x_hat < lo, lo, np.where(x_hat > hi, hi, x_hat))
+            x_hat = (two_lam[j] * x - qbar[j]) / denom[j]
+            # np.minimum(v, hi) is np.where(v > hi, hi, v), signed zeros too,
+            # unless hi is NaN, which takes a NaN anchor and so a NaN v.
+            x_hat = np.where(x_hat < lo, lo, np.minimum(x_hat, hi))
         else:
 
             def region(t):
                 return Domain(x[t], _at(radius_i, t), parent=outer(t))
 
-            tol = _phase_tol(sensitivity, sigma, tol_floor)
-            dominated = erm._dominated(L, lam, tol)
-            dominated = np.full(len(x), dominated) if np.ndim(dominated) == 0 else dominated[:, 0]
-            if active is not None:
-                dominated &= active
-            solve = ~dominated if active is None else active & ~dominated
             # Regularizer dominance: the solution is the anchor projected
             # onto its region, whose own ball always holds it.  A trial that
             # sits the slot out keeps its point.
-            x_hat = np.array(_project_trials(x, balls, region) if dominated.any() else x)
-            ok = ~solve
+            x_hat = np.array(_project_trials(x, balls, region) if projected[j] else x)
+            ok = ~solve[j]
             if isinstance(st, SeparableAbsolute):
                 # Part by part: the parts' blocks differ in length.
                 for (samples, offset, n0), a, b in zip(parts, bounds, bounds[1:]):
-                    rows = _rows(solve, a, b)
+                    rows = _rows(solve[j], a, b)
                     if rows is None:
                         continue
-                    block = samples[:, offset + (i - 1) * n0 : offset + i * n0]
+                    block = samples[:, offset + j * n0 : offset + (j + 1) * n0]
                     if not isinstance(rows, slice):
                         block = block[rows - a]
                     x_hat[rows], ok[rows] = _separable_phase(
-                        st, _at(lam, a), _at(tol, a), x[rows], block.astype(float),
+                        st, _at(lam, a), _at(tol[j], a), x[rows], block.astype(float),
                         [(x[rows], _at(radius_i, a))] + [(c[rows] if np.ndim(c) == 2 else c, r)
                                                          for c, r in balls])
-            elif power or isinstance(st, IsotropicQuadratic):
-                rows = _rows(solve, 0, len(x))
+            elif power and solving[j]:
+                # The solver's own bisection and 1-D certificate, per trial.
+                args = np.hstack((qbar[j], gbar[j], x, lo, hi)).tolist()
+                rows, lams_j, tols_j = solving[j], trial_lams[j], trial_tols[j]
+                solved = [erm._power_norm_1d(st.coef, st.power, ubar, g, lams_j[t], a, lo_t, hi_t)
+                          for t in rows for ubar, g, a, lo_t, hi_t in [args[t]]]
+                x_hat[rows, 0] = [root for root, _ in solved]
+                ok[rows] = [gap <= tols_j[t] for (_, gap), t in zip(solved, rows)]
+            elif isinstance(st, IsotropicQuadratic):
+                rows = _rows(solve[j], 0, len(x))
 
                 def take(v):
                     # The solving trials' rows of a per-trial value.
                     return v if np.ndim(v) == 0 else v[rows]
 
-                if rows is not None and power:
-                    x_hat[rows], ok[rows] = _power_norm_phase(
-                        st, take(lam), take(tol), take(x), take(lo), take(hi), take(qbar),
-                        take(gbar))
-                elif rows is not None:
+                if rows is not None:
                     region_balls = [(x, _flat(radius_i))] + balls
                     x_hat[rows], ok[rows] = _quadratic_phase(
-                        st, take(lam), take(tol), take(x), take(qbar), take(gbar),
+                        st, take(lam), take(tol[j]), take(x), take(qbar[j]), take(gbar[j]),
                         [(take(c) if np.ndim(c) == 2 else c, take(r)) for c, r in region_balls],
                         region if isinstance(rows, slice) else lambda t: region(rows[t]))
             # The one fallback: each trial without a certified solution
@@ -529,19 +528,19 @@ def _chain_trials(loss, parts, slots, x, domain, epoch=None, trace=None):
             if not ok.all():
                 for (samples, offset, n0), a, b in zip(parts, bounds, bounds[1:]):
                     for t in a + np.flatnonzero(~ok[a:b]):
-                        block = samples[t - a, offset + (i - 1) * n0 : offset + i * n0]
+                        block = samples[t - a, offset + j * n0 : offset + (j + 1) * n0]
                         problem = erm.RegularizedProblem(loss, Dataset(block), x[t],
                                                          _at(lam, t), region(t))
-                        x_hat[t] = erm.solve(problem, tol=_at(tol, t),
+                        x_hat[t] = erm.solve(problem, tol=_at(tol[j], t),
                                              max_iters=MAX_SOLVER_ITERS)
-        x_next = x_hat + noise
+        x_next = x_hat + noise[j]
         if clamp:
-            x_next = np.where(x_next < lo_dom, lo_dom, np.where(x_next > hi_dom, hi_dom, x_next))
+            x_next = np.where(x_next < lo_dom, lo_dom, np.minimum(x_next, hi_dom))
         else:
             x_next = _project_trials(x_next, balls, outer)
         if trace is not None:
-            trace.append(PhaseRecord(i, eta_i, radius_i, sigma_used, x_hat, x_next))
-        x = x_next if active is None else np.where(active[:, None], x_next, x)
+            trace.append(PhaseRecord(j + 1, eta_i, radius_i, sigma_used, x_hat, x_next))
+        x = x_next if every[j] else np.where(active[j][:, None], x_next, x)
     return x
 
 
@@ -552,19 +551,20 @@ def _run_chains(loss: LossOracle, domain: Domain, groups: list,
     Return, per group, its trials' iterates before its first chain and
     after each of its chains, ``(trials, d)`` arrays.
 
-    A group is ``(samples, starts, privacy, streams, chains)``.  Each chain
-    is ``(offset, radius, cfg)``: it runs ``_schedule(cfg, ...)`` on the
-    k * n0 samples from ``offset`` of each dataset, in ``domain``
-    intersected, when ``radius`` is not None, with each trial's ball of
-    that radius around its iterate; a chain whose ``cfg`` is None leaves
-    the iterate as it is.  ``samples``, a ``(datasets, n, d)`` array, and
-    ``starts`` have one row or one per stream, and ``_lockstep`` lays every
-    group out one row per trial; the samples may be ``_narrow``, and each
-    chain's blocks are widened to float64.  Chain c of every group
-    runs in one ``_chain_trials`` call, one part per group; a group with a
-    frozen chain c, or with fewer chains, sits it out.  The groups that run
-    chain c must share its radius, as the groups of a sweep unit do: they
-    share one domain, so one epoch schedule of radii.
+    A group is ``(samples, starts, privacy, streams, chains)``.  Its chains
+    are ``(offsets, radii, n0, table)``: chain c runs the phases of
+    ``table[c]``, a ``_table``, on the n0-sample blocks from ``offsets[c]``
+    of each dataset, in ``domain`` intersected, when ``radii[c]`` is not
+    None, with each trial's ball of that radius around its iterate; a chain
+    past the table's rows leaves the iterate as it is.  ``samples``, a
+    ``(datasets, n, d)`` array, and ``starts`` have one row or one per
+    stream, and ``_lockstep`` lays every group out one row per trial; the
+    samples may be ``_narrow``, and each chain's blocks are widened to
+    float64.  Chain c of every group runs in one ``_chain_trials`` call,
+    one part per group; a group with a frozen chain c, or with fewer
+    chains, sits it out.  The groups that run chain c must share its
+    radius, as the groups of a sweep unit do: they share one domain, so one
+    epoch schedule of radii.
 
     Trial t's unit noise for every chain is one row of
     ``mechanisms.noise_rows`` on its stream, taken chain by chain in order.
@@ -572,39 +572,39 @@ def _run_chains(loss: LossOracle, domain: Domain, groups: list,
     sigma, so a stream's draws are exactly those a phase-by-phase run would
     make on it.  ``phase_trace`` collects one group's ``PhaseRecord``
     entries, chain after chain."""
-    L, d = loss.lipschitz, loss.point_dim
+    d = loss.point_dim
     if phase_trace is not None and len(groups) > 1:
         raise InvalidInputError("a phase trace records one group")
     plans, xs = [], []
     for samples, starts, privacy, streams, chains in groups:
-        schedules = [[] if cfg is None else _schedule(cfg, L, d) for *_, cfg in chains]
-        count = sum(1 for schedule in schedules for *_, sigma_used in schedule if sigma_used > 0)
+        count = int(np.count_nonzero(chains[3][..., 5] > 0))
         rows = mechanisms.noise_rows(privacy, streams, count * d)
         z = rows.reshape(len(rows), count, d)
         if not {len(samples), len(starts)} <= {1, len(z)}:
             raise InvalidInputError("need one dataset and one start point, or one per stream")
-        plans.append((samples, chains, schedules, z))
+        plans.append((samples, chains, z))
         xs.append([np.broadcast_to(starts, (len(z), d))])
     x = xs[0][0] if len(xs) == 1 else np.concatenate([out[0] for out in xs])
     bounds = [0, *accumulate(len(z) for *_, z in plans)]
-    for c, (parts, slots) in enumerate(_lockstep(loss, plans, d)):
-        if slots:
-            radius = next(chains[c][1] for (_, chains, _, _), part in zip(plans, parts)
-                          if part[2] is not None)
-            x = _chain_trials(loss, parts, slots, x, domain,
+    for c, (parts, phases) in enumerate(_lockstep(loss, plans, d)):
+        if phases is not None:
+            radius = next(chains[1][c] for (_, chains, _), part in zip(plans, parts)
+                          if part[1] is not None)
+            x = _chain_trials(loss, parts, phases, x, domain,
                               None if radius is None else (x, radius), phase_trace)
-        for (_, chains, _, _), out, a, b in zip(plans, xs, bounds, bounds[1:]):
-            if c < len(chains):
+        for (_, chains, _), out, a, b in zip(plans, xs, bounds, bounds[1:]):
+            if c < len(chains[0]):
                 out.append(x[a:b])
     return xs
 
 
 def _group(loss: LossOracle, data, domain: Domain, x0, cfg: LocalizationConfig,
            streams: Iterable[RngStream]) -> tuple:
-    """The ``_run_chains`` group of a ``run`` call: its checked
-    samples and starts, and the one chain of ``cfg``."""
+    """The ``_run_chains`` group of a ``run`` call: its checked samples and
+    starts, and the one chain of ``cfg``."""
     samples, starts = _trial_inputs(loss, data, domain, x0, cfg.k * cfg.n0)
-    return samples, starts, cfg.privacy, streams, [(0, None, cfg)]
+    return samples, starts, cfg.privacy, streams, (
+        [0], [None], cfg.n0, _table(cfg, loss.lipschitz, loss.point_dim))
 
 
 def run(

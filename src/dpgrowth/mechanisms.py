@@ -45,7 +45,7 @@ MIN_BIN_COUNT = 50
 
 def laplace_sigma(l1_sensitivity: float, epsilon: float) -> float:
     """Laplace scale for a statistic with the given l1 sensitivity: sigma = Delta / epsilon."""
-    if not (l1_sensitivity > 0):
+    if not np.all(l1_sensitivity > 0):
         raise InvalidInputError("l1 sensitivity must be positive")
     if not (epsilon > 0):
         raise InvalidInputError("epsilon must be positive")
@@ -54,7 +54,7 @@ def laplace_sigma(l1_sensitivity: float, epsilon: float) -> float:
 def gaussian_sigma(l2_sensitivity: float, epsilon: float, delta: float) -> float:
     """Gaussian standard deviation for the given l2 sensitivity:
     sigma = 2 * Delta * log(2/delta) / epsilon (natural log)."""
-    if not (l2_sensitivity > 0):
+    if not np.all(l2_sensitivity > 0):
         raise InvalidInputError("l2 sensitivity must be positive")
     if not (epsilon > 0):
         raise InvalidInputError("epsilon must be positive")
@@ -85,7 +85,7 @@ def noise_sigma(
     l2_sensitivity: float, d: int, privacy: PrivacyParams, conservative: bool = False
 ) -> float:
     """Per-coordinate noise scale for a d-dimensional statistic with the
-    given l2 sensitivity Delta.
+    given l2 sensitivity Delta, a float or an array of them.
 
     Pure budgets use Laplace noise calibrated to the l1 bound Delta sqrt(d).
     Approximate budgets use Gaussian noise Delta sqrt(log(1/delta)) / epsilon,

@@ -1,14 +1,16 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dpgrowth.core import Domain, InvalidInputError, PrivacyParams, RngStream, project
-from dpgrowth import localization
+from dpgrowth import harness, localization
 from dpgrowth.epoch_growth import (
     EpochConfig,
     EpochRecord,
+    _chains,
     _epochs,
     default_eta0,
     epoch_count,
@@ -241,16 +243,72 @@ def test_every_chain_config_field_changes_the_schedule(chain):
         base = localization.LocalizationConfig.for_data_size(n, 0.01, privacy)
 
         def schedule(cfg):
-            return localization._schedule(cfg, L, 1)
+            return cfg.n0, localization._table(cfg, L, 1).tobytes()
     else:
         base = EpochConfig.for_run(n, inst.loss, inst.domain, 3.0, 1.0 / (n + 1), privacy)
 
         def schedule(cfg):
-            return [
-                (offset, radius, None if inner is None else localization._schedule(inner, L, 1))
-                for _, (offset, radius, inner) in _epochs(cfg, n)
-            ]
+            offsets, radii, n0, table = _chains(cfg, n, L, 1)
+            return list(offsets), radii, n0, table.tobytes()
 
     for field in dataclasses.fields(base):
         changed = dataclasses.replace(base, **{field.name: _other_value(getattr(base, field.name))})
         assert schedule(changed) != schedule(base), field.name
+
+
+def _variants(cfg):
+    """A chain config as the acceptance sweeps run it, then under a Gaussian
+    budget, with the conservative Gaussian calibration, and with noise_scale
+    != 1."""
+    return (cfg, dataclasses.replace(cfg, privacy=PrivacyParams(cfg.privacy.epsilon, 1e-6)),
+            dataclasses.replace(cfg, privacy=PrivacyParams(cfg.privacy.epsilon, 1e-6),
+                                gaussian_conservative=True),
+            dataclasses.replace(cfg, noise_scale=0.5))
+
+
+def test_schedule_tables_equal_the_schedule_of_every_epoch_bit_for_bit():
+    # The sweeps run one schedule table per cell; each of its rows must be
+    # localization._schedule of its epoch's inner config, as _epochs builds
+    # it one epoch at a time, with the same offset, radius and frozen
+    # epochs.  Every acceptance chain config, and the audit's two chains.
+    from pathlib import Path
+
+    from dpgrowth import harness
+
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    checked = dict(epochs=0, frozen=0, phases=0, localization=0)
+    cells = []
+    for name in ("stat_kappa2", "stat_kappa4", "priv_epoch", "priv_pure"):
+        cfg = harness.load_config(configs / f"acceptance_{name}.ini")
+        for cell in cfg.cells():
+            inst = harness._build_cell_instance(cfg, cell)
+            cells.append((inst, cell["n"], harness._cell_setup(cfg, cell, inst)[1]))
+    audit = harness._audit_quadratic_instance()
+    for pipeline in ("localization", "epoch_growth"):
+        for eps in (0.5, 1.0, 2.0):
+            cells.append((audit, 32, harness._audit_config(pipeline, audit, 1.0, eps, 32)))
+    for inst, n, run_cfg in cells:
+        L, d = inst.loss.lipschitz, inst.loss.point_dim
+        for cfg in _variants(run_cfg):
+            if isinstance(cfg, localization.LocalizationConfig):
+                want = [phase[1:] for phase in localization._schedule(cfg, L, d)]
+                got = localization._table(cfg, L, d)
+                assert got.shape == (1, cfg.k, 6)
+                assert got[0].tobytes() == np.array(want).tobytes()
+                checked["localization"] += 1
+                continue
+            offsets, radii, n0, table = _chains(cfg, n, L, d)
+            epochs = _epochs(cfg, n)
+            assert len(offsets) == len(radii) == len(epochs) == cfg.T
+            for i, (_, (offset, radius, inner)) in enumerate(epochs):
+                assert (offsets[i], radii[i].hex()) == (offset, radius.hex())
+                assert (i >= len(table)) == (inner is None)
+                checked["epochs"] += 1
+                if inner is None:
+                    checked["frozen"] += 1
+                    continue
+                want = [phase[1:] for phase in localization._schedule(inner, L, d)]
+                assert (inner.n0, table.shape[1]) == (n0, inner.k)
+                assert table[i].tobytes() == np.array(want).tobytes()
+                checked["phases"] += len(want)
+    assert min(checked.values()) > 0, checked

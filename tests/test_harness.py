@@ -386,6 +386,29 @@ def test_cli_verify_instance_rejects_a_fractional_dimension(capsys):
     assert captured.err == "dpgrowth: error: d must be an integer, got 1.5\n"
 
 
+def test_cli_verify_instance_rejects_a_scale_that_is_not_finite_and_positive(capsys):
+    # A negative lam once reached a complex power and a traceback, a
+    # negative L was accepted, and an infinite L reported "nan (FAIL)".
+    for instance, params, message in (
+        ("uniform_convex", "kappa=4 lam=-1 L=4 R=1 bias_delta=0.1", "lam must be finite and "
+         "positive, got -1"),
+        ("uniform_convex", "kappa=2 lam=1 L=inf R=1 bias_delta=0.1", "L must be finite and "
+         "positive, got inf"),
+        ("uniform_convex", "kappa=2 lam=1 L=4 R=nan bias_delta=0.1", "R must be finite and "
+         "positive, got nan"),
+        ("pure_convex", "L=-1 R=1", "L must be finite and positive, got -1"),
+        ("pure_convex", "L=1 R=0", "R must be finite and positive, got 0"),
+        ("knorm_regression", "kappa=2 R=-inf", "R must be finite and positive, got -inf"),
+    ):
+        argv = ["verify-instance", instance, "--param", "d=1"]
+        for param in params.split():
+            argv += ["--param", param]
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"dpgrowth: error: {message}\n"
+
+
 def test_cli_rejects_a_job_count_below_one(tmp_path, capsys):
     cfg_path = _write(tmp_path, TINY_CONFIG)
     audit_ini = _write(tmp_path, "[audit]\nepsilons = 1.0\nn = 16\ntrials = 50\n"

@@ -674,13 +674,47 @@ def test_block_means_equal_each_blocks_own_mean():
             offsets = [0, k * n0 + 3, 2 * k * n0 + 11]
             samples = rng.standard_normal((3, 3 * k * n0 + 16, d)) * 10.0 ** rng.uniform(-3, 3)
             for scale in (None, lin_scale):
-                got = localization._block_means(samples, offsets, k, n0, scale)
+                (got,) = localization._block_means(samples, offsets, k, n0, (scale,))
                 for c, offset in enumerate(offsets):
                     for i in range(k):
                         for t in range(3):
                             block = samples[t, offset + i * n0 : offset + (i + 1) * n0]
                             want = (block if scale is None else scale * block).mean(axis=0)
                             assert got[c, i, t].tobytes() == want.tobytes()
+
+
+def test_integer_block_sums_equal_the_float_reduction_bit_for_bit():
+    # int8 samples, as _narrow stores the sweeps' 0 and +-1, with a scale of
+    # None or a power of two take exact int64 block sums; every block's mean
+    # must have the bits of the float reduction, the sign of zero included.
+    # Scales 0.3 and -2 must take the float path: at -2 a block that sums to
+    # 0 reads +0.0 there, and -2 * (0 / n0) would read -0.0.
+    rng = np.random.default_rng(25)
+    n0s = (1, 2, 3, 7, 8, 9, 100, 129, 1000, 2**14)
+    zeros = 0
+    for d in (1, 4):
+        for n0 in n0s:
+            k = 2 if n0 < 2**14 else 1
+            datasets = 3 if n0 < 1000 else 2
+            offsets = [0, k * n0 + 5]
+            samples = rng.integers(-1, 2, (datasets, 2 * k * n0 + 5, d)).astype(np.int8)
+            if n0 >= 100:  # some blocks of large values
+                samples[0] = rng.integers(-128, 128, samples.shape[1:])
+            # Each scale alone, and a pair as the kernel asks for qbar and gbar.
+            calls = [(scale,) for scale in (None, 1.0, 2.0, 0.5, 0.3, -2.0)] + [(2.0, None)]
+            wide = samples.astype(float)
+            for scales in calls:
+                got = localization._block_means(samples, offsets, k, n0, scales)
+                for scale, means in zip(scales, got):
+                    for c, offset in enumerate(offsets):
+                        for i in range(k):
+                            blocks = wide[:, offset + i * n0 : offset + (i + 1) * n0]
+                            for t in range(datasets):
+                                block = blocks[t] if scale is None else scale * blocks[t]
+                                want = block.mean(axis=0)
+                                assert means[c, i, t].tobytes() == want.tobytes(), (n0, scale)
+                                zeros += int(np.sum((want == 0.0) & (block != 0.0).any(axis=0)))
+    assert zeros > 0
 
 
 def test_narrow_storage_keeps_every_value_and_the_sign_of_zero():
@@ -703,9 +737,10 @@ def test_narrow_storage_keeps_every_value_and_the_sign_of_zero():
 def _one_chain(loss, samples, cfg, schedule, z, x, domain, epoch, trace):
     """The phase kernel on one chain of one group of trials, with its own
     schedule and unit noise."""
-    plan = (samples, [(0, None, cfg)], [schedule], z)
-    ((parts, slots),) = localization._lockstep(loss, [plan], x.shape[1])
-    return localization._chain_trials(loss, parts, slots, x, domain, epoch, trace)
+    table = np.array([[phase[1:] for phase in schedule]])
+    plan = (samples, ([0], [None], cfg.n0, table), z)
+    ((parts, phases),) = localization._lockstep(loss, [plan], x.shape[1])
+    return localization._chain_trials(loss, parts, phases, x, domain, epoch, trace)
 
 
 def test_quadratic_phase_matches_erm_solve_bit_for_bit(monkeypatch):
