@@ -47,16 +47,17 @@ import numpy as np
 from scipy.stats import chi2
 
 from dpgrowth import epoch_growth, erm, localization
-from dpgrowth.core import PrivacyParams
+from dpgrowth.core import PrivacyParams, RngStream
 from dpgrowth.harness import (
+    _audit_chains,
     _audit_datasets,
     _audit_first_phase,
-    _audit_one,
     fit_rate,
     load_config,
     run_sweep,
 )
 from dpgrowth.instances import build_instance
+from dpgrowth.mechanisms import histogram_test
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -76,12 +77,15 @@ def _stream_index(pipeline: str, eps: float, sabotaged: bool) -> int:
     return PIPELINES.index(pipeline) * 2 * len(EPSILONS) + 2 * EPSILONS.index(eps) + sabotaged
 
 
-def _task(pipeline, eps, scale, seed, trials):
-    """One packed falsifier run for ``harness._audit_one``."""
-    data, neighbor = _audit_datasets(N)
-    mode = "honest" if scale == 1.0 else "sabotaged"
-    index = _stream_index(pipeline, eps, mode == "sabotaged")
-    return (pipeline, eps, mode, scale), index, trials, BINS, seed, data, neighbor
+def _report(task):
+    """The audit report of a falsifier run ``(pipeline, eps, scale, seed,
+    trials)``: the chain's outputs on each audit dataset, on the streams
+    privacy_audit gives that row, compared by the audit's histogram test."""
+    pipeline, eps, scale, seed, trials = task
+    stream = RngStream(seed, _stream_index(pipeline, eps, scale != 1.0))
+    outs = [_audit_chains(pipeline, [(scale, eps, dataset, stream.child(side), trials)])[0]
+            for side, dataset in enumerate(_audit_datasets(N))]
+    return histogram_test(*outs, eps, BINS)
 
 
 def criterion_2(jobs: int, streams: int, trials: int) -> None:
@@ -93,15 +97,15 @@ def criterion_2(jobs: int, streams: int, trials: int) -> None:
     tasks, keys = [], []
     for (pipeline, eps), (_, _, derived) in premise.items():
         for label, fixed in NOISES:
-            tasks.append(_task(pipeline, eps, fixed or derived, SEED, trials))
+            tasks.append((pipeline, eps, fixed or derived, SEED, trials))
             keys.append((pipeline, eps, label, SEED))
     for pipeline in PIPELINES:
         derived = premise[(pipeline, 0.5)][2]
         for j in range(1, streams):
-            tasks.append(_task(pipeline, 0.5, derived, SEED + j, trials))
+            tasks.append((pipeline, 0.5, derived, SEED + j, trials))
             keys.append((pipeline, 0.5, "2-eps", SEED + j))
     with ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("spawn")) as pool:
-        reports = dict(zip(keys, (row.report for row in pool.map(_audit_one, tasks))))
+        reports = dict(zip(keys, pool.map(_report, tasks)))
 
     print(f"## Criterion 2 (n={N}, trials={trials}, bins={BINS}, seed={SEED})\n")
     print("| pipeline | eps | shift | sigma_1 | noise | scale | loss | loss in eps "
@@ -137,8 +141,8 @@ def criterion_2(jobs: int, streams: int, trials: int) -> None:
 
 def _schedule(instance, n: int, kappa_lower: float):
     """Epoch schedule of a noiseless stat sweep cell, read from the one
-    schedule the chains run: ``epoch_growth._epochs`` for the epochs and
-    their inner configs, ``localization._schedule`` for the phases.
+    schedule table the chains run, ``epoch_growth._chains``: one row per
+    live epoch, one (eta_i, radius, reg_weight, ...) entry per phase.
 
     Returns the first phase's regularizer weight 2 lambda_1 = 2 / (eta_1 m)
     (m samples per phase), the bound 64 k sqrt(ln n0 ln(1/beta) / n0) that
@@ -155,15 +159,15 @@ def _schedule(instance, n: int, kappa_lower: float):
         n, instance.loss, instance.domain, kappa_lower, beta, PrivacyParams(1e6)
     )
     n0 = epoch_growth._block_size(n, cfg.T)
-    live = [inner for _, (_, _, inner) in epoch_growth._epochs(cfg, n) if inner is not None]
-    _, _, _, lam1, *_ = localization._schedule(live[0], L, d)[0]
-    two_lam1 = 2.0 * lam1
-    bound = 64.0 * live[0].k * math.sqrt(math.log(n0) * math.log(1.0 / beta) / n0)
+    _, _, m, table = epoch_growth._chains(cfg, n, L, d)
+    phases = table.tolist()
+    two_lam1 = 2.0 * phases[0][0][2]
+    bound = 64.0 * table.shape[1] * math.sqrt(math.log(n0) * math.log(1.0 / beta) / n0)
     budget = drift_var = 0.0
-    for inner in live:
-        for _, eta, radius, *_ in localization._schedule(inner, L, d):
+    for epoch in phases:
+        for eta, radius, *_ in epoch:
             budget += radius
-            drift_var += L * L * eta * eta * inner.n0 / 16.0
+            drift_var += L * L * eta * eta * m / 16.0
     return two_lam1, bound, budget, drift_var
 
 

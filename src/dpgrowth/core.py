@@ -5,8 +5,10 @@ verification of growth and gradient-domination inequalities."""
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from itertools import accumulate
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -16,6 +18,7 @@ __all__ = [
     "ResourceError",
     "RngStream",
     "ChildStreams",
+    "children_laplace",
     "derive_stream_key",
     "Dataset",
     "Domain",
@@ -82,7 +85,7 @@ def derive_stream_key(seed: int, stream):
 
 
 # numpy's SeedSequence hash (pool size 4), PCG64's seeding step and XSL-RR
-# output, and Generator.laplace's rule, for :meth:`ChildStreams.laplace`;
+# output, and Generator.laplace's rule, for :func:`children_laplace`;
 # ``tests/test_core.py`` checks them against ``np.random.PCG64(key)`` and
 # ``child(t)`` draws.  128-bit values are (hi, lo) pairs of uint64 arrays.
 _SEED_BLOCK = 4096
@@ -176,17 +179,24 @@ class RngStream:
 
     Identical ``(seed, stream)`` pairs produce bit-identical draw sequences;
     distinct stream ids give statistically independent streams.  ``gen`` is a
-    numpy ``Generator`` (PCG64) seeded with :func:`derive_stream_key`.
+    numpy ``Generator`` (PCG64) seeded with :func:`derive_stream_key`, made
+    on first use: a stream that only derives children (an audit row's, or
+    the parent of a ``children`` block) never seeds one.
     """
 
-    __slots__ = ("seed", "stream", "gen")
+    __slots__ = ("seed", "stream", "_gen")
 
     def __init__(self, seed: int, stream: int = 0):
         self.seed = int(seed) & _MASK64
         self.stream = int(stream) & _MASK64
-        self.gen = np.random.Generator(
-            np.random.PCG64(derive_stream_key(self.seed, self.stream))
-        )
+        self._gen = None
+
+    @property
+    def gen(self) -> np.random.Generator:
+        if self._gen is None:
+            self._gen = np.random.Generator(
+                np.random.PCG64(derive_stream_key(self.seed, self.stream)))
+        return self._gen
 
     def child(self, substream: int) -> "RngStream":
         """Derive an independent stream; the parent's key becomes the child seed."""
@@ -205,7 +215,8 @@ class ChildStreams:
     """The streams ``parent.child(t)`` for t < ``count``.
 
     Iterating yields each ``child(t)`` in order.  :meth:`laplace` returns
-    their unit Laplace draws as one array, bit for bit those of the streams.
+    their unit Laplace draws as one array, bit for bit those of the streams;
+    :func:`children_laplace` does so for several blocks in one pass.
     """
 
     __slots__ = ("parent", "count")
@@ -218,30 +229,50 @@ class ChildStreams:
 
     def laplace(self, size: int) -> np.ndarray:
         """``[child(t).gen.laplace(0.0, 1.0, size) for t in range(count)]`` as
-        a ``(count, size)`` array, computed in blocks of ``_SEED_BLOCK``
-        streams.
+        a ``(count, size)`` array: :func:`children_laplace` of this block."""
+        return children_laplace([self], size)
 
-        Each draw follows numpy's ``random_laplace`` with loc 0 and scale 1:
-        U = (raw >> 11) 2^-53 gives ``0.0 - log(2.0 - U - U)`` for U >= 1/2
-        (+0.0 at U = 1/2) and ``0.0 + log(U + U)`` for 0 < U < 1/2, with
-        libm's log (``math.log``; ``np.log`` differs in the last bit on some
-        arguments).  numpy redraws U = 0 from the same stream, shifting the
-        row's later draws, so such a row is drawn by its ``child(t)``.
-        """
-        key = derive_stream_key(self.parent.seed, self.parent.stream)
-        out = np.empty((self.count, size))
-        for lo in range(0, self.count, _SEED_BLOCK):
-            keys = derive_stream_key(key, np.arange(lo, min(lo + _SEED_BLOCK, self.count),
-                                                    dtype=np.uint64))
-            u = (_pcg64_outputs(keys, size) >> np.uint64(11)) * 2.0**-53
+
+# Rows of draws that :func:`children_laplace` turns into Laplace values at a
+# time, which bounds the list of Python floats handed to ``math.log``.
+_LOG_ROWS = 600
+
+
+def children_laplace(blocks: Sequence[ChildStreams], size: int) -> np.ndarray:
+    """The unit Laplace draws of every stream of ``blocks``, block after
+    block, ``[c.gen.laplace(0.0, 1.0, size) for b in blocks for c in b]``,
+    as one ``(streams, size)`` array, bit for bit those of the streams.
+
+    Every block's streams are seeded and stepped together, ``_SEED_BLOCK``
+    at a time, and their raw outputs turned into draws ``_LOG_ROWS`` rows at
+    a time.  Each draw follows numpy's ``random_laplace`` with loc 0 and
+    scale 1: U = (raw >> 11) 2^-53 gives ``0.0 - log(2.0 - U - U)`` for U >=
+    1/2 (+0.0 at U = 1/2) and ``0.0 + log(U + U)`` for 0 < U < 1/2, with
+    libm's log (``math.log``; ``np.log`` differs in the last bit on some
+    arguments).  numpy redraws U = 0 from the same stream, shifting the
+    row's later draws, so such a row is drawn by its own ``child(t)``.
+    """
+    counts = [b.count for b in blocks]
+    bounds = [0, *accumulate(counts)]
+    parents = np.repeat(np.array([derive_stream_key(b.parent.seed, b.parent.stream)
+                                  for b in blocks], dtype=np.uint64), counts)
+    index = np.arange(bounds[-1], dtype=np.uint64) - np.repeat(
+        np.array(bounds[:-1], dtype=np.uint64), counts)
+    out = np.empty((bounds[-1], size))
+    for lo in range(0, bounds[-1], _SEED_BLOCK):
+        hi = min(lo + _SEED_BLOCK, bounds[-1])
+        raw = _pcg64_outputs(derive_stream_key(parents[lo:hi], index[lo:hi]), size)
+        for a in range(0, hi - lo, _LOG_ROWS):
+            u = (raw[a : a + _LOG_ROWS] >> np.uint64(11)) * 2.0**-53
             upper, zero = u >= 0.5, u == 0.0
             arg = np.where(upper, 2.0 - u - u, np.where(zero, 1.0, u + u))
             log = np.fromiter(map(math.log, arg.ravel().tolist()), float, arg.size)
             log = log.reshape(arg.shape)
-            out[lo : lo + len(keys)] = np.where(upper, 0.0 - log, 0.0 + log)
-            for row in np.flatnonzero(zero.any(axis=1)):
-                out[lo + row] = self.parent.child(lo + row).gen.laplace(0.0, 1.0, size)
-        return out
+            out[lo + a : lo + a + len(u)] = np.where(upper, 0.0 - log, 0.0 + log)
+            for row in lo + a + np.flatnonzero(zero.any(axis=1)):
+                b = bisect_right(bounds, row) - 1
+                out[row] = blocks[b].parent.child(row - bounds[b]).gen.laplace(0.0, 1.0, size)
+    return out
 
 
 # ---------------------------------------------------------------------------

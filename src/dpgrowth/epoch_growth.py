@@ -63,7 +63,7 @@ class EpochConfig:
 
     ``T`` epochs consume disjoint blocks of size floor(n/T); epoch i uses
     radius R0 * 2^-i and step eta0 * 2^-i.  The confidence beta enters only
-    through eta0 (``default_eta0``).  ``_epochs`` applies this schedule.
+    through eta0 (``default_eta0``).  ``_chains`` tabulates this schedule.
     """
 
     privacy: PrivacyParams
@@ -114,30 +114,17 @@ def _block_size(n: int, T: int) -> int:
     return n // T
 
 
-def _epochs(cfg: EpochConfig, n: int) -> list[tuple]:
-    """The T epochs of a run on n samples, one at a time, as ``_chains``
-    tabulates them: pairs (eta_i, (offset, radius, inner config)) of epoch
-    i's step eta0 2^-i, the offset of its block of ``_block_size(n, T)``
-    samples, its radius R0 2^-i, and ``LocalizationConfig.for_data_size``
-    of the block at eta_i, or None for a frozen epoch."""
-    n0 = _block_size(n, cfg.T)
-    epochs = []
-    for i in range(cfg.T):
-        radius, eta_i = cfg.R0 * 2.0 ** (-i), cfg.eta0 * 2.0 ** (-i)
-        # Movement per epoch is bounded by the trust radius plus noise of the
-        # same decay; below this radius the iterate is numerically fixed.
-        inner = None if radius < _FROZEN_RADIUS_FRACTION * cfg.R0 else (
-            localization.LocalizationConfig.for_data_size(
-                n0, eta_i, cfg.privacy, noise_scale=cfg.noise_scale,
-                gaussian_conservative=cfg.gaussian_conservative))
-        epochs.append((eta_i, (i * n0, radius, inner)))
-    return epochs
-
-
 def _chains(cfg: EpochConfig, n: int, L: float, d: int) -> tuple:
-    """The ``localization._run_chains`` chains of a run on n samples: the
-    epochs of ``_epochs`` as one ``localization._table`` of the inner config
-    at eta0 (their steps alone differ), with rows up to the first frozen one."""
+    """The ``localization._run_chains`` chains of a run on n samples, one
+    per epoch i < T: the offset i n0 of its block of n0 = ``_block_size(n,
+    T)`` samples, its radius R0 2^-i, and the inner config
+    ``LocalizationConfig.for_data_size(n0, ...)``'s n0; and one
+    ``localization._table`` of that config whose row i is epoch i's phases
+    at step eta0 2^-i (the epochs' configs differ in their steps alone), with
+    rows up to the first frozen epoch.  An epoch whose radius is below
+    ``_FROZEN_RADIUS_FRACTION`` R0 is frozen: movement per epoch is bounded
+    by the trust radius plus noise of the same decay, so below this radius
+    the iterate is numerically fixed."""
     n0 = _block_size(n, cfg.T)
     halvings = np.ldexp(1.0, -np.arange(cfg.T))
     radii = cfg.R0 * halvings

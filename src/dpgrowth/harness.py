@@ -30,7 +30,7 @@ from .core import (
     project,
 )
 from .instances import ProblemInstance, build_instance
-from .mechanisms import DpTestReport, empirical_dp_test
+from .mechanisms import DpTestReport, check_dp_test, empirical_dp_test, histogram_test
 
 __all__ = [
     "ExperimentConfig",
@@ -687,9 +687,18 @@ def _audit_config(pipeline: str, instance: ProblemInstance, noise_scale: float,
 
 # Phase-chain pipelines: the module whose ``run`` executes the chain once
 # per stream (its ``phase_trace`` keyword collects PhaseRecords), and whose
-# ``_group`` makes a sweep cell's trials one group of a
-# ``localization._run_chains`` batch.
+# ``_group`` makes a sweep cell's trials, or an audit row's outputs on one
+# dataset, one group of a ``localization._run_chains`` batch.
 _CHAINS = {"localization": localization, "epoch_growth": epoch_growth}
+
+_AUDIT_PIPELINES = (*_CHAINS, "inv_sensitivity")
+
+# The audit runs its chain rows' outputs in ``_run_chains`` batches of at
+# most this many trials; a larger group of outputs runs alone.  A batch
+# holds its trials' noise, block means and schedule columns at once (about
+# 0.4 KB per trial on the audit's epoch chains), and larger batches saved
+# little more time (docs/decisions.md, "The audit's capped chain batches").
+_AUDIT_BATCH = 2400
 
 
 def _chain(pipeline: str):
@@ -698,37 +707,34 @@ def _chain(pipeline: str):
     return _CHAINS[pipeline]
 
 
-def _audit_mechanism(pipeline: str, noise_scale: float, epsilon: float):
-    """The audited mechanism ``(dataset, rng, trials) -> outputs`` of a pipeline.
+def _grid_mechanism(noise_scale: float, epsilon: float):
+    """The audited grid sampler ``(dataset, rng, trials) -> outputs``: it
+    runs on the absolute-loss instance at epsilon / noise_scale."""
+    instance = _audit_abs_instance()
+    loss, domain = instance.loss, instance.domain
+    epsilon_actual = epsilon / noise_scale
 
-    The phase chains run on the quadratic audit instance with every noise
-    scale multiplied by ``noise_scale``, all trials in one ``run`` call
-    with one child stream per trial; the grid sampler runs on the
-    absolute-loss instance at epsilon / noise_scale.
-    """
-    if pipeline == "inv_sensitivity":
-        instance = _audit_abs_instance()
-        loss, domain = instance.loss, instance.domain
-        epsilon_actual = epsilon / noise_scale
+    def mech(dataset, rng, trials):
+        density = inv_sensitivity.build_density(loss, dataset, domain, epsilon_actual, rho=0.1)
+        return inv_sensitivity.sample(density, rng, size=trials)[:, 0]
 
-        def mech(dataset, rng, trials):
-            density = inv_sensitivity.build_density(
-                loss, dataset, domain, epsilon_actual, rho=0.1
-            )
-            return inv_sensitivity.sample(density, rng, size=trials)[:, 0]
+    return mech
 
-        return mech
+
+def _audit_chains(pipeline: str, groups: list) -> list:
+    """The audited chain's outputs on each of ``groups``, ``(noise_scale,
+    epsilon, dataset, rng, trials)`` each: ``trials`` outputs on the
+    quadratic audit instance, with every noise scale multiplied by
+    noise_scale, one per stream of the block ``rng.children(trials)``, all
+    groups run as one ``localization._run_chains`` batch."""
     module = _chain(pipeline)
     instance = _audit_quadratic_instance()
     loss, domain = instance.loss, instance.domain
-    x0 = np.zeros(1)
-
-    def mech(dataset, rng, trials):
-        cfg = _audit_config(pipeline, instance, noise_scale, epsilon, dataset.n)
-        # A block of child streams: run draws its Laplace noise in arrays.
-        return module.run(loss, dataset, domain, x0, cfg, rng.children(trials))[:, 0]
-
-    return mech
+    batch = [module._group(loss, dataset, domain, np.zeros(1),
+                           _audit_config(pipeline, instance, scale, eps, dataset.n),
+                           rng.children(trials))
+             for scale, eps, dataset, rng, trials in groups]
+    return [xs[-1][:, 0] for xs in localization._run_chains(loss, domain, batch)]
 
 
 def _audit_first_phase(pipeline: str, epsilon: float, n: int) -> tuple[float, float]:
@@ -769,7 +775,8 @@ def privacy_audit(
     scale (for the grid sampler: double the score temperature's inverse,
     the same miscalibration expressed for an exponential weight).
     ``sabotage_scales`` maps ``(pipeline, epsilon)`` to another multiplier
-    for that pair's sabotaged run.
+    for that pair's sabotaged run.  An infinite budget is noiseless: there
+    is no privacy claim to falsify, and its rows are skipped.
 
     Halving sigma leaves the localization and epoch pipelines private on the
     audit pair, so their sabotaged rows are expected to pass.  The pair
@@ -780,51 +787,98 @@ def privacy_audit(
     epsilon/4.  ``_audit_first_phase`` measures the shift and sigma_1, and
     ``docs/decisions.md`` gives the numbers.
 
-    Each chain row runs its ``trials`` outputs per dataset in one ``run``
-    call, on one child stream per output, so the reports equal those of
-    one-stream ``run`` calls.  The streams are one
-    ``RngStream.children`` block, whose Laplace draws are computed for all
-    outputs in uint64 and float arrays, bit for bit numpy's.
+    Row i's outputs on the two datasets come from ``RngStream(master_seed,
+    i).child(0)`` and ``child(1)``, as ``empirical_dp_test`` draws them.
+    The grid sampler's rows run ``empirical_dp_test``.  A chain row's
+    outputs on each dataset are one group of ``trials`` outputs, one per
+    stream of a ``children`` block; each pipeline's groups run, in row
+    order, as ``_audit_chains`` batches of at most ``_AUDIT_BATCH`` trials,
+    and each row's two output arrays then go through the same
+    ``histogram_test``.  Each output is its stream's own, so the reports
+    equal those of one-stream runs.
     """
     _check_jobs(jobs)
     if n < 2:
         raise InvalidInputError(f"n must be >= 2, got {n}")
+    pipelines, epsilons = tuple(pipelines), [float(eps) for eps in epsilons]
+    if not pipelines or not epsilons:
+        raise InvalidInputError("an audit needs at least one pipeline and one epsilon")
+    for pipeline in pipelines:
+        if pipeline not in _AUDIT_PIPELINES:
+            raise InvalidInputError(f"unknown pipeline {pipeline!r}; pick from "
+                                    f"{', '.join(_AUDIT_PIPELINES)}")
+    for eps in epsilons:
+        if math.isnan(eps) or eps == -math.inf:
+            raise InvalidInputError(f"epsilon must be a number or inf, got {eps}")
+        check_dp_test(eps, trials, bins)
     data, neighbor = _audit_datasets(n)
     sabotage_scales = sabotage_scales or {}
     tasks = []
     skipped = []
     for pipeline in pipelines:
         for eps in epsilons:
-            if not math.isfinite(float(eps)):
-                # A non-finite budget means the noiseless mode: there is no
-                # privacy claim to falsify, so the combination is skipped.
-                skipped.append(AuditRow(pipeline, float(eps), "skipped", None))
+            if eps == math.inf:
+                skipped.append(AuditRow(pipeline, eps, "skipped", None))
                 continue
             for mode in ("honest", "sabotaged") if sabotage else ("honest",):
-                scale = 1.0 if mode == "honest" else sabotage_scales.get(
-                    (pipeline, float(eps)), 0.5
-                )
-                tasks.append((pipeline, float(eps), mode, scale))
-    args = [
-        (t, idx, trials, bins, master_seed, data, neighbor)
-        for idx, t in enumerate(tasks)
-    ]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
+                scale = 1.0 if mode == "honest" else sabotage_scales.get((pipeline, eps), 0.5)
+                tasks.append((pipeline, eps, mode, scale))
+    # Work items in row order, (pipeline, [(row index, dataset index, task)]):
+    # a grid-sampler row, or a batch of one chain pipeline's groups.
+    items: list = []
+    per_batch = max(1, _AUDIT_BATCH // trials)
+    for index, task in enumerate(tasks):
+        pipeline = task[0]
+        if pipeline not in _CHAINS:
+            items.append((pipeline, [(index, None, task)]))
+            continue
+        for side in (0, 1):
+            if not items or items[-1][0] != pipeline or len(items[-1][1]) == per_batch:
+                items.append((pipeline, []))
+            items[-1][1].append((index, side, task))
+    rows: dict = {}
+    outputs: dict = {}
+    for result in _mapped(_audit_work, [(*item, trials, bins, master_seed, data, neighbor)
+                                        for item in items], jobs):
+        for index, value in result:
+            if isinstance(value, AuditRow):
+                rows[index] = value
+                continue
+            outputs.setdefault(index, []).append(value)
+            if len(outputs[index]) == 2:
+                pipeline, eps, mode, _ = tasks[index]
+                rows[index] = AuditRow(pipeline, eps, mode,
+                                       histogram_test(*outputs.pop(index), eps, bins))
+    return [rows[i] for i in range(len(tasks))] + skipped
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_audit_one, args))
-    else:
-        rows = [_audit_one(a) for a in args]
-    return rows + skipped
+
+def _mapped(function, args: list, jobs: int):
+    """``map(function, args)``, on ``jobs`` worker processes when jobs > 1;
+    each result is yielded, in order, as it comes."""
+    if jobs == 1:
+        yield from map(function, args)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        yield from pool.map(function, args)
 
 
-def _audit_one(packed) -> AuditRow:
-    (pipeline, eps, mode, scale), task_index, trials, bins, master_seed, data, neighbor = packed
-    mech = _audit_mechanism(pipeline, scale, eps)
-    stream = RngStream(master_seed, task_index)
-    report = empirical_dp_test(mech, data, neighbor, eps, trials, bins, stream)
-    return AuditRow(pipeline=pipeline, epsilon=eps, mode=mode, report=report)
+def _audit_work(packed) -> list:
+    """One work item of ``privacy_audit``: ``(row index, AuditRow)`` for a
+    grid-sampler row, or ``(row index, outputs)`` for each group of a chain
+    batch, datasets in order."""
+    pipeline, groups, trials, bins, master_seed, data, neighbor = packed
+    if pipeline not in _CHAINS:
+        ((index, _, (_, eps, mode, scale)),) = groups
+        report = empirical_dp_test(_grid_mechanism(scale, eps), data, neighbor, eps, trials,
+                                   bins, RngStream(master_seed, index))
+        return [(index, AuditRow(pipeline, eps, mode, report))]
+    streams = {index: RngStream(master_seed, index) for index in {g[0] for g in groups}}
+    outs = _audit_chains(pipeline, [
+        (scale, eps, (data, neighbor)[side], streams[index].child(side), trials)
+        for index, side, (_, eps, _, scale) in groups])
+    return [(index, out) for (index, *_), out in zip(groups, outs)]
 
 
 # ---------------------------------------------------------------------------

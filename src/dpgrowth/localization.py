@@ -119,29 +119,14 @@ class PhaseRecord:
     x_noised: np.ndarray
 
 
-def _schedule(cfg: LocalizationConfig, L: float, d: int) -> list[tuple]:
-    """The k phases of a run as tuples (i, eta_i, radius, reg_weight,
-    sensitivity, sigma, sigma_used): step eta_i = 2^{-4i} eta, trust radius
-    2 L eta_i n0, regularizer weight 1 / (eta_i n0), the sensitivity bound
-    4 L eta_i, the noise scale ``mechanisms.noise_sigma`` calibrates to it,
-    and that scale times ``noise_scale``."""
-    phases = []
-    for i in range(1, cfg.k + 1):
-        eta_i = cfg.eta * 2.0 ** (-4 * i)
-        sensitivity = 4.0 * L * eta_i
-        sigma = mechanisms.noise_sigma(sensitivity, d, cfg.privacy, cfg.gaussian_conservative)
-        phases.append((
-            i, eta_i, 2.0 * L * eta_i * cfg.n0, 1.0 / (eta_i * cfg.n0),
-            sensitivity, sigma, sigma * cfg.noise_scale,
-        ))
-    return phases
-
-
 def _table(cfg: LocalizationConfig, L: float, d: int, etas=None) -> np.ndarray:
-    """``_schedule`` of chains that share cfg but for their base steps
+    """The k phases of chains that share cfg but for their base steps
     ``etas`` (cfg's eta if None), as one ``(chains, k, 6)`` array whose entry
-    [c, i - 1] is chain c's phase i without its index: the same operations
-    in the same order on arrays, so the same bits."""
+    [c, i - 1] is chain c's phase i: (eta_i, radius, reg_weight,
+    sensitivity, sigma, sigma_used), the step eta_i = 2^{-4i} eta, the trust
+    radius 2 L eta_i n0, the regularizer weight 1 / (eta_i n0), the
+    sensitivity bound 4 L eta_i, the noise scale ``mechanisms.noise_sigma``
+    calibrates to it, and that scale times ``noise_scale``."""
     eta_i = np.reshape(cfg.eta if etas is None else etas, (-1, 1)) * np.ldexp(
         1.0, -4 * np.arange(1, cfg.k + 1))
     sensitivity = 4.0 * L * eta_i
@@ -308,55 +293,66 @@ def _separable_phase(st: SeparableAbsolute, lam, tol, x, block, region_balls):
 _IDLE = (1.0, 1.0, 1.0, 1.0, 1.0, 0.0)
 
 
-def _lockstep(loss: LossOracle, plans: list, d: int):
+def _noise_table(tables: list, draws: list, d: int) -> tuple:
+    """The noise of groups of trials as one table: the bounds of each
+    group's rows, and a ``(live chains, max k, trials, d)`` array whose
+    entry [c, j, t] is trial t's noise in phase j + 1 of chain c, its unit
+    draw times sigma_used, or zero where the phase draws none.  Group g has
+    schedule table ``tables[g]`` and unit draws ``draws[g]``, one row per
+    trial of d values per phase with sigma_used > 0, in chain order; a
+    caller that holds no other reference to ``draws`` has them freed on
+    return."""
+    bounds = [0, *accumulate(map(len, draws))]
+    noise = np.zeros((max(map(len, tables)), max(table.shape[1] for table in tables),
+                      bounds[-1], d))
+    for table, rows, a, b in zip(tables, draws, bounds, bounds[1:]):
+        cs, js = np.nonzero(table[..., 5] > 0)
+        noise[cs, js, a:b] = (rows.reshape(b - a, len(cs), d) * table[cs, js, 5][:, None]
+                              ).transpose(1, 0, 2)
+    return bounds, noise
+
+
+def _lockstep(loss: LossOracle, plans: list, noise: np.ndarray, bounds: list, d: int):
     """Lay groups of trials out in lockstep through their chains: yield,
     for each chain index c, the ``(parts, phases)`` of the ``_chain_trials``
     call that runs chain c of every group, with phases None where no group
     has a phase in chain c.
 
-    ``plans`` holds one ``(samples, chains, z)`` per group: its ``(datasets,
-    n, d)`` samples, its ``_run_chains`` chains ``(offsets, radii, n0,
-    table)``, and its trials' unit noise, ``(trials, noised phases, d)``, one
-    column per phase with sigma_used > 0 in chain order.  Part g is
-    ``(samples, offset, n0)``: group g's samples broadcast once to one ``(n,
-    d)`` row per trial, and offset None where the group sits chain c out.
-    Slot j runs phase j + 1 of every group whose chain c has one; phases is
-    ``(values, active, noise, qbar, gbar)``, one entry per slot each: the
-    schedule's six values, a row of the group's table for one group and
-    ``(6, trials, 1)`` columns for several (where a trial that sits the
-    slot out reads ``_IDLE``); the mask of the trials that run it, or None
-    if every trial runs every slot; each trial's noise, ``(trials, d)``, its
-    unit noise times sigma_used, or zero where the phase draws none; and the
-    blocks' mean linear term qbar (the mean of lin_scale times the samples)
-    and linear term of the mean sample gbar, a row per trial, or None where
-    the phase reads neither.  All but the columns is computed once, for every
-    chain."""
+    ``plans`` holds one ``(samples, chains)`` per group: its ``(datasets,
+    n, d)`` samples and its ``_run_chains`` chains ``(offsets, radii, n0,
+    table)``; its trials are the rows ``bounds[g]:bounds[g + 1]`` of the
+    ``_noise_table`` ``noise``.  Part g is ``(samples, offset, n0)``: group
+    g's samples broadcast once to one ``(n, d)`` row per trial, and offset
+    None where the group sits chain c out.  Slot j runs phase j + 1 of
+    every group whose chain c has one; phases is ``(values, active, noise,
+    qbar, gbar)``, one entry per slot each: the schedule's six values, a
+    row of the group's table for one group and ``(6, trials, 1)`` columns
+    for several (where a trial that sits the slot out reads ``_IDLE``); the
+    mask of the trials that run it, or None if every trial runs every slot;
+    each trial's noise, ``(trials, d)``; and the blocks' mean linear term
+    qbar (the mean of lin_scale times the samples) and linear term of the
+    mean sample gbar, a row per trial, or None where the phase reads
+    neither.  All but the columns is computed once, for every chain."""
     st = loss.structure
-    sizes = [len(z) for *_, z in plans]
-    bounds = [0, *accumulate(sizes)]
-    tables = [table for _, (*_, table), _ in plans]
-    C = max(len(chains[0]) for _, chains, _ in plans)
-    K = max(table.shape[1] for table in tables)
+    sizes = [b - a for a, b in zip(bounds, bounds[1:])]
+    tables = [table for _, (*_, table) in plans]
+    C, K = max(len(chains[0]) for _, chains in plans), noise.shape[1]
     counts = [[table.shape[1] if c < len(table) else 0 for table in tables] for c in range(C)]
     qbar = gbar = None
     if isinstance(st, IsotropicQuadratic) or (d == 1 and isinstance(st, PowerNorm)):
         qbar = np.zeros((C, K, bounds[-1], d))
         if not (d == 1 and isinstance(st, IsotropicQuadratic)):
             gbar = np.zeros((C, K, bounds[-1], d))
-    noise = np.zeros((C, K, bounds[-1], d))
-    for (samples, (offsets, _, n0, table), z), a, b in zip(plans, bounds, bounds[1:]):
-        live, k = table.shape[:2]
-        if qbar is not None and live:
-            # A dataset shared by the group's trials gives one row of means,
-            # written to every trial's row.
-            means = _block_means(samples, offsets[:live], k, n0,
-                                 (st.lin_scale,) if gbar is None else (st.lin_scale, None))
-            qbar[:live, :k, a:b] = means[0]
-            if gbar is not None:
-                gbar[:live, :k, a:b] = st.lin_scale * means[1]
-        # The phases with noise, in chain order: one column of z each.
-        cs, js = np.nonzero(table[..., 5] > 0)
-        noise[cs, js, a:b] = (z * table[cs, js, 5][:, None]).transpose(1, 0, 2)
+        for (samples, (offsets, _, n0, table)), a, b in zip(plans, bounds, bounds[1:]):
+            live, k = table.shape[:2]
+            if live:
+                # A dataset shared by the group's trials gives one row of
+                # means, written to every trial's row.
+                means = _block_means(samples, offsets[:live], k, n0,
+                                     (st.lin_scale,) if gbar is None else (st.lin_scale, None))
+                qbar[:live, :k, a:b] = means[0]
+                if gbar is not None:
+                    gbar[:live, :k, a:b] = st.lin_scale * means[1]
     values = tables[0]
     if len(plans) > 1:
         values = np.empty((C, K, 6, len(plans)))
@@ -368,7 +364,7 @@ def _lockstep(loss: LossOracle, plans: list, d: int):
                  for size, (samples, *_) in zip(sizes, plans)]
     for c, row in enumerate(counts):
         parts = [(samples, chains[0][c] if count else None, chains[2])
-                 for count, samples, (_, chains, _) in zip(row, per_trial, plans)]
+                 for count, samples, (_, chains) in zip(row, per_trial, plans)]
         slots = max(row)
         active = None if min(row) == slots else np.repeat(row, sizes) > np.arange(slots)[:, None]
         yield parts, None if not slots else (
@@ -567,7 +563,10 @@ def _run_chains(loss: LossOracle, domain: Domain, groups: list,
     epoch schedule of radii.
 
     Trial t's unit noise for every chain is one row of
-    ``mechanisms.noise_rows`` on its stream, taken chain by chain in order.
+    ``mechanisms.noise_rows`` on its stream, taken chain by chain in order;
+    one ``noise_rows`` call serves every group, so the groups' blocks of
+    child streams under a pure budget take one Laplace pass per row size,
+    and ``_noise_table`` scales them into one table before any chain runs.
     Scaling a unit draw by sigma gives the same bits as drawing at scale
     sigma, so a stream's draws are exactly those a phase-by-phase run would
     make on it.  ``phase_trace`` collects one group's ``PhaseRecord``
@@ -575,24 +574,25 @@ def _run_chains(loss: LossOracle, domain: Domain, groups: list,
     d = loss.point_dim
     if phase_trace is not None and len(groups) > 1:
         raise InvalidInputError("a phase trace records one group")
+    tables = [chains[3] for *_, chains in groups]
+    # The unit draws live only while the table is built.
+    bounds, noise = _noise_table(tables, mechanisms.noise_rows([
+        (privacy, streams, int(np.count_nonzero(table[..., 5] > 0)) * d)
+        for (_, _, privacy, streams, _), table in zip(groups, tables)]), d)
     plans, xs = [], []
-    for samples, starts, privacy, streams, chains in groups:
-        count = int(np.count_nonzero(chains[3][..., 5] > 0))
-        rows = mechanisms.noise_rows(privacy, streams, count * d)
-        z = rows.reshape(len(rows), count, d)
-        if not {len(samples), len(starts)} <= {1, len(z)}:
+    for (samples, starts, *_, chains), a, b in zip(groups, bounds, bounds[1:]):
+        if not {len(samples), len(starts)} <= {1, b - a}:
             raise InvalidInputError("need one dataset and one start point, or one per stream")
-        plans.append((samples, chains, z))
-        xs.append([np.broadcast_to(starts, (len(z), d))])
+        plans.append((samples, chains))
+        xs.append([np.broadcast_to(starts, (b - a, d))])
     x = xs[0][0] if len(xs) == 1 else np.concatenate([out[0] for out in xs])
-    bounds = [0, *accumulate(len(z) for *_, z in plans)]
-    for c, (parts, phases) in enumerate(_lockstep(loss, plans, d)):
+    for c, (parts, phases) in enumerate(_lockstep(loss, plans, noise, bounds, d)):
         if phases is not None:
-            radius = next(chains[1][c] for (_, chains, _), part in zip(plans, parts)
+            radius = next(chains[1][c] for (_, chains), part in zip(plans, parts)
                           if part[1] is not None)
             x = _chain_trials(loss, parts, phases, x, domain,
                               None if radius is None else (x, radius), phase_trace)
-        for (_, chains, _), out, a, b in zip(plans, xs, bounds, bounds[1:]):
+        for (_, chains), out, a, b in zip(plans, xs, bounds, bounds[1:]):
             if c < len(chains[0]):
                 out.append(x[a:b])
     return xs

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from itertools import accumulate
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .core import (
     InvalidInputError,
     PrivacyParams,
     RngStream,
+    children_laplace,
     hamming_distance,
 )
 
@@ -33,7 +35,9 @@ __all__ = [
     "noise_draw",
     "noise_rows",
     "DpTestReport",
+    "check_dp_test",
     "empirical_dp_test",
+    "histogram_test",
 ]
 
 # Approximate-DP budgets with delta this large make the noise line degenerate
@@ -105,16 +109,29 @@ def noise_draw(privacy: PrivacyParams, rng: RngStream) -> Callable[..., np.ndarr
     return rng.gen.laplace if privacy.is_pure else rng.gen.normal
 
 
-def noise_rows(privacy: PrivacyParams, streams: Iterable[RngStream], size: int) -> np.ndarray:
-    """The budget's unit-scale noise, ``draw(0.0, 1.0, size)`` of
-    :func:`noise_draw` on each stream, as a ``(streams, size)`` array.
+def noise_rows(requests: Sequence[tuple]) -> list[np.ndarray]:
+    """Per request ``(privacy, streams, size)``: the budget's unit-scale
+    noise, ``draw(0.0, 1.0, size)`` of :func:`noise_draw` on each stream, as
+    a ``(streams, size)`` array.
 
-    A pure budget on a block of child streams (``RngStream.children``) takes
-    the block's array Laplace draws, which are bit for bit the same."""
-    if privacy.is_pure and isinstance(streams, ChildStreams):
-        return streams.laplace(size)
-    rows = [noise_draw(privacy, s)(0.0, 1.0, size=size) for s in streams]
-    return np.array(rows).reshape(len(rows), size)
+    The pure-budget requests on blocks of child streams
+    (``RngStream.children``) of one size take one pass of the blocks' array
+    Laplace draws (``core.children_laplace``), which are bit for bit the
+    same; every other request draws stream by stream."""
+    out: list = [None] * len(requests)
+    passes: dict = {}
+    for i, (privacy, streams, size) in enumerate(requests):
+        if privacy.is_pure and isinstance(streams, ChildStreams):
+            passes.setdefault(size, []).append(i)
+        else:
+            rows = [noise_draw(privacy, s)(0.0, 1.0, size=size) for s in streams]
+            out[i] = np.array(rows).reshape(len(rows), size)
+    for size, chosen in passes.items():
+        rows = children_laplace([requests[i][1] for i in chosen], size)
+        bounds = [0, *accumulate(requests[i][1].count for i in chosen)]
+        for i, a, b in zip(chosen, bounds, bounds[1:]):
+            out[i] = rows[a:b]
+    return out
 
 
 @dataclass(frozen=True)
@@ -135,6 +152,12 @@ class DpTestReport:
     min_bin_count: int
 
 
+def check_dp_test(epsilon: float, trials: int, bins: int) -> None:
+    """Reject a histogram test's inputs outside its contract."""
+    if not (epsilon > 0) or trials < 1 or bins < 2:
+        raise InvalidInputError("need epsilon > 0, trials >= 1, bins >= 2")
+
+
 def empirical_dp_test(
     mechanism: Callable[[Dataset, RngStream, int], np.ndarray],
     data: Dataset,
@@ -144,9 +167,28 @@ def empirical_dp_test(
     bins: int,
     rng: RngStream,
 ) -> DpTestReport:
-    """Run ``mechanism`` on two neighboring datasets and compare output histograms.
+    """Run ``mechanism`` on two neighboring datasets and compare output
+    histograms with :func:`histogram_test`.
 
-    ``mechanism(dataset, rng, trials)`` must return ``trials`` scalar outputs.
+    ``mechanism(dataset, rng, trials)`` must return ``trials`` scalar
+    outputs; it runs on ``rng.child(0)`` for ``data`` and on
+    ``rng.child(1)`` for ``data_neighbor``.
+    """
+    check_dp_test(epsilon, trials, bins)
+    if hamming_distance(data, data_neighbor) != 1:
+        raise InvalidInputError("datasets must differ in exactly one sample")
+    out_a = np.asarray(mechanism(data, rng.child(0), trials), dtype=float).ravel()
+    out_b = np.asarray(mechanism(data_neighbor, rng.child(1), trials), dtype=float).ravel()
+    if out_a.shape != (trials,) or out_b.shape != (trials,):
+        raise InvalidInputError("mechanism must return `trials` scalar outputs")
+    return histogram_test(out_a, out_b, epsilon, bins)
+
+
+def histogram_test(out_a: np.ndarray, out_b: np.ndarray, epsilon: float,
+                   bins: int) -> DpTestReport:
+    """Compare the histograms of a mechanism's outputs on two neighboring
+    datasets, ``trials`` scalars each.
+
     Both output sets are binned over their joint range, and the statistic is
     the largest absolute log-ratio of bin frequencies over bins holding at
     least ``MIN_BIN_COUNT`` samples under both datasets.  The pass threshold is
@@ -154,14 +196,7 @@ def empirical_dp_test(
     Monte Carlo allowance.  The test can expose a violation; it cannot prove
     privacy.
     """
-    if epsilon <= 0 or trials < 1 or bins < 2:
-        raise InvalidInputError("need epsilon > 0, trials >= 1, bins >= 2")
-    if hamming_distance(data, data_neighbor) != 1:
-        raise InvalidInputError("datasets must differ in exactly one sample")
-    out_a = np.asarray(mechanism(data, rng.child(0), trials), dtype=float).ravel()
-    out_b = np.asarray(mechanism(data_neighbor, rng.child(1), trials), dtype=float).ravel()
-    if out_a.shape != (trials,) or out_b.shape != (trials,):
-        raise InvalidInputError("mechanism must return `trials` scalar outputs")
+    trials = len(out_a)
     lo = float(min(out_a.min(), out_b.min()))
     hi = float(max(out_a.max(), out_b.max()))
     if hi <= lo:

@@ -19,7 +19,7 @@ from dpgrowth.core import (
     verify_kl,
 )
 from dpgrowth import core
-from dpgrowth.core import _SEED_BLOCK, _pcg64_states
+from dpgrowth.core import _LOG_ROWS, _SEED_BLOCK, _pcg64_states, children_laplace
 from dpgrowth.instances import make_sharp_growth_1d, make_uniform_convex
 
 
@@ -104,6 +104,43 @@ def test_children_laplace_redraws_a_zero_uniform_and_keeps_positive_zero(monkeyp
     assert _bits(got[4, 0]) == 0
     want[4, 0] = 0.0
     assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_children_laplace_of_several_blocks_equals_child_draws(monkeypatch):
+    # One pass over blocks of several parents, one of them empty, crossing
+    # a seed block's edge and a conversion chunk's.  Forced as in the test
+    # above: U = 0 in the second seed block (block 2's row 3), U = 0 in the
+    # row right after the empty block (block 2's row 0, in the first seed
+    # block) and U = 1/2 in the second conversion chunk (block 0's row
+    # _LOG_ROWS + 3).  A U = 0 row is drawn again by its own child(t).
+    raw_outputs, calls = core._pcg64_outputs, []
+
+    def patched(keys, size):
+        raw = raw_outputs(keys, size)
+        if not calls:
+            raw[_SEED_BLOCK - 2, 1] &= np.uint64(0x7FF)
+            raw[_LOG_ROWS + 3, 0] = np.uint64(1 << 63)
+        else:
+            raw[1, 0] &= np.uint64(0x7FF)
+        calls.append(len(keys))
+        return raw
+
+    monkeypatch.setattr(core, "_pcg64_outputs", patched)
+    parents = [RngStream(7, 3), RngStream(1, 2), RngStream(2**64 - 1, 5)]
+    blocks = [parents[0].children(_SEED_BLOCK - 2), parents[1].children(0),
+              parents[2].children(5)]
+    size = 3
+    got = children_laplace(blocks, size)
+    want = np.array([s.gen.laplace(0.0, 1.0, size) for block in blocks for s in block])
+    assert calls == [_SEED_BLOCK, 3]
+    assert _bits(got[_LOG_ROWS + 3, 0]) == 0
+    want[_LOG_ROWS + 3, 0] = 0.0
+    assert np.array_equal(_bits(got), _bits(want))
+    # The same blocks one at a time, unpatched, give the same rows.
+    monkeypatch.setattr(core, "_pcg64_outputs", raw_outputs)
+    rows = np.concatenate([block.laplace(size) for block in blocks])
+    assert np.array_equal(_bits(children_laplace(blocks, size)), _bits(rows))
+    assert children_laplace([], 4).shape == (0, 4)
 
 
 @pytest.mark.parametrize("parent", [(0, 0), (7, 3), (2**64 - 1, 5)])

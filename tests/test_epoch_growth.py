@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from dpgrowth.core import Domain, InvalidInputError, PrivacyParams, RngStream, project
-from dpgrowth import harness, localization
+from dpgrowth import harness, localization, mechanisms
 from dpgrowth.epoch_growth import (
+    _FROZEN_RADIUS_FRACTION,
     EpochConfig,
     EpochRecord,
+    _block_size,
     _chains,
-    _epochs,
     default_eta0,
     epoch_count,
     indices_in_region,
@@ -266,11 +267,50 @@ def _variants(cfg):
             dataclasses.replace(cfg, noise_scale=0.5))
 
 
+def _schedule(cfg, L: float, d: int) -> list[tuple]:
+    """The k phases of a localization run, one at a time, as tuples (i,
+    eta_i, radius, reg_weight, sensitivity, sigma, sigma_used): step eta_i =
+    2^{-4i} eta, trust radius 2 L eta_i n0, regularizer weight 1 / (eta_i
+    n0), the sensitivity bound 4 L eta_i, the noise scale
+    ``mechanisms.noise_sigma`` calibrates to it, and that scale times
+    ``noise_scale``: the reference that ``localization._table`` is checked
+    against."""
+    phases = []
+    for i in range(1, cfg.k + 1):
+        eta_i = cfg.eta * 2.0 ** (-4 * i)
+        sensitivity = 4.0 * L * eta_i
+        sigma = mechanisms.noise_sigma(sensitivity, d, cfg.privacy, cfg.gaussian_conservative)
+        phases.append((
+            i, eta_i, 2.0 * L * eta_i * cfg.n0, 1.0 / (eta_i * cfg.n0),
+            sensitivity, sigma, sigma * cfg.noise_scale,
+        ))
+    return phases
+
+
+def _epochs(cfg: EpochConfig, n: int) -> list[tuple]:
+    """The T epochs of a run on n samples, one at a time: pairs (eta_i,
+    (offset, radius, inner config)) of epoch i's step eta0 2^-i, the offset
+    of its block of ``_block_size(n, T)`` samples, its radius R0 2^-i, and
+    ``LocalizationConfig.for_data_size`` of the block at eta_i, or None for
+    a frozen epoch: the reference that ``epoch_growth._chains`` is checked
+    against."""
+    n0 = _block_size(n, cfg.T)
+    epochs = []
+    for i in range(cfg.T):
+        radius, eta_i = cfg.R0 * 2.0 ** (-i), cfg.eta0 * 2.0 ** (-i)
+        inner = None if radius < _FROZEN_RADIUS_FRACTION * cfg.R0 else (
+            localization.LocalizationConfig.for_data_size(
+                n0, eta_i, cfg.privacy, noise_scale=cfg.noise_scale,
+                gaussian_conservative=cfg.gaussian_conservative))
+        epochs.append((eta_i, (i * n0, radius, inner)))
+    return epochs
+
+
 def test_schedule_tables_equal_the_schedule_of_every_epoch_bit_for_bit():
     # The sweeps run one schedule table per cell; each of its rows must be
-    # localization._schedule of its epoch's inner config, as _epochs builds
-    # it one epoch at a time, with the same offset, radius and frozen
-    # epochs.  Every acceptance chain config, and the audit's two chains.
+    # _schedule of its epoch's inner config, as _epochs builds it one epoch
+    # at a time, with the same offset, radius and frozen epochs.  Every
+    # acceptance chain config, and the audit's two chains.
     from pathlib import Path
 
     from dpgrowth import harness
@@ -291,7 +331,7 @@ def test_schedule_tables_equal_the_schedule_of_every_epoch_bit_for_bit():
         L, d = inst.loss.lipschitz, inst.loss.point_dim
         for cfg in _variants(run_cfg):
             if isinstance(cfg, localization.LocalizationConfig):
-                want = [phase[1:] for phase in localization._schedule(cfg, L, d)]
+                want = [phase[1:] for phase in _schedule(cfg, L, d)]
                 got = localization._table(cfg, L, d)
                 assert got.shape == (1, cfg.k, 6)
                 assert got[0].tobytes() == np.array(want).tobytes()
@@ -307,7 +347,7 @@ def test_schedule_tables_equal_the_schedule_of_every_epoch_bit_for_bit():
                 if inner is None:
                     checked["frozen"] += 1
                     continue
-                want = [phase[1:] for phase in localization._schedule(inner, L, d)]
+                want = [phase[1:] for phase in _schedule(inner, L, d)]
                 assert (inner.n0, table.shape[1]) == (n0, inner.k)
                 assert table[i].tobytes() == np.array(want).tobytes()
                 checked["phases"] += len(want)

@@ -524,6 +524,82 @@ def test_audit_skips_noiseless_budget_with_notice():
     assert rows[0].report is None
 
 
+def test_cli_audit_rejects_bad_budgets_and_lists_before_any_row_runs(tmp_path, capsys,
+                                                                     monkeypatch):
+    # Only +inf is a noiseless budget; NaN and -inf, an empty pipeline list,
+    # an unknown pipeline, and the histogram test's own bounds on epsilon,
+    # trials and bins stop the audit with one error line before any chain
+    # batch or grid-sampler row runs.
+    ran = []
+    for module, name in ((harness.localization, "_run_chains"),
+                         (harness.inv_sensitivity, "build_density")):
+        monkeypatch.setattr(module, name, lambda *args, name=name: ran.append(name))
+    test_bounds = "need epsilon > 0, trials >= 1, bins >= 2"
+    for text, message in (
+        ("epsilons = nan", "epsilon must be a number or inf, got nan"),
+        ("epsilons = 1.0, -inf", "epsilon must be a number or inf, got -inf"),
+        ("epsilons = inf, nan", "epsilon must be a number or inf, got nan"),
+        ("pipelines =", "an audit needs at least one pipeline and one epsilon"),
+        ("pipelines = localization, grid", "unknown pipeline 'grid'; pick from localization, "
+         "epoch_growth, inv_sensitivity"),
+        ("epsilons = 1.0, 0", test_bounds),
+        ("epsilons = 1.0, -1", test_bounds),
+        ("trials = 0", test_bounds),
+        ("bins = 1", test_bounds),
+    ):
+        audit_ini = _write(tmp_path, f"[audit]\nn = 16\n{text}\n", name="audit.ini")
+        assert main(["audit", str(audit_ini), "--out", str(tmp_path / "audit.json")]) == 2, text
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"dpgrowth: error: {message}\n"), text
+        assert not ran and not (tmp_path / "audit.json").exists()
+
+
+def _per_row_report(pipeline, eps, scale, trials, bins, stream):
+    """An audit row as one empirical_dp_test run: the chain's outputs on
+    each dataset from one ``run`` call on a block of child streams."""
+    data, neighbor = harness._audit_datasets(32)
+    if pipeline == "inv_sensitivity":
+        mech = harness._grid_mechanism(scale, eps)
+    else:
+        inst = harness._audit_quadratic_instance()
+        cfg = harness._audit_config(pipeline, inst, scale, eps, 32)
+
+        def mech(dataset, rng, count):
+            return harness._CHAINS[pipeline].run(inst.loss, dataset, inst.domain, np.zeros(1),
+                                                 cfg, rng.children(count))[:, 0]
+
+    return harness.empirical_dp_test(mech, data, neighbor, eps, trials, bins, stream)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_batched_audit_equals_per_row_runs(monkeypatch, jobs):
+    # Batches of 3 groups of 300 outputs split rows across batches and mix
+    # budgets and noise scales (the acceptance premise's 1/16.1 among them);
+    # a cap below 300 runs every group alone.
+    kwargs = dict(epsilons=(0.5, 2.0), n=32, trials=300, bins=12, master_seed=11, jobs=jobs,
+                  pipelines=("localization", "inv_sensitivity", "epoch_growth"),
+                  sabotage_scales={("localization", 2.0): 1 / 16.1,
+                                   ("epoch_growth", 0.5): 1 / 16.1})
+    scale = {(p, e): s for (p, e), s in kwargs["sabotage_scales"].items()}
+    want = []
+    for index, (pipeline, eps, mode) in enumerate(
+            (p, e, m) for p in kwargs["pipelines"] for e in kwargs["epsilons"]
+            for m in ("honest", "sabotaged")):
+        s = 1.0 if mode == "honest" else scale.get((pipeline, eps), 0.5)
+        report = _per_row_report(pipeline, eps, s, 300, 12, harness.RngStream(11, index))
+        want.append(repr((pipeline, eps, mode, report)))
+    run_chains, batches = harness.localization._run_chains, []
+    monkeypatch.setattr(harness.localization, "_run_chains",
+                        lambda loss, domain, groups: batches.append(len(groups))
+                        or run_chains(loss, domain, groups))
+    for cap, sizes in ((1000, [3, 3, 2, 3, 3, 2]), (200, [1] * 16)):
+        monkeypatch.setattr(harness, "_AUDIT_BATCH", cap)
+        batches.clear()
+        rows = privacy_audit(**kwargs)
+        assert [repr((r.pipeline, r.epsilon, r.mode, r.report)) for r in rows] == want
+        assert batches == (sizes if jobs == 1 else [])
+
+
 def test_csv_schema_is_frozen():
     assert CSV_COLUMNS == (
         "config_hash",

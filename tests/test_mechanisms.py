@@ -107,13 +107,20 @@ def test_laplace_golden_draws_seed42():
 def test_noise_rows_match_per_stream_draws():
     # A block of child streams takes the array Laplace path for a pure budget
     # and the per-stream path otherwise; a list always takes the latter.
-    parent = RngStream(9, 2)
+    # Requests of both kinds, and of two sizes, mixed in one call.
+    parents = [RngStream(9, 2), RngStream(9, 3), RngStream(4, 0)]
+    requests, want = [], []
     for privacy in (PrivacyParams(1.0), PrivacyParams(1.0, 1e-6)):
-        want = np.array([noise_draw(privacy, parent.child(t))(0.0, 1.0, size=4)
-                         for t in range(6)])
-        for streams in (parent.children(6), [parent.child(t) for t in range(6)]):
-            got = noise_rows(privacy, streams, 4)
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        for parent, size in zip(parents, (4, 7, 4)):
+            rows = np.array([noise_draw(privacy, parent.child(t))(0.0, 1.0, size=size)
+                             for t in range(6)])
+            for streams in (parent.children(6), [parent.child(t) for t in range(6)]):
+                requests.append((privacy, streams, size))
+                want.append(rows)
+    got = noise_rows(requests)
+    assert len(got) == len(want)
+    for rows, expected in zip(got, want):
+        assert np.array_equal(rows.view(np.uint64), expected.view(np.uint64))
 
 
 def test_laplace_moments_million_draws():

@@ -738,8 +738,11 @@ def _one_chain(loss, samples, cfg, schedule, z, x, domain, epoch, trace):
     """The phase kernel on one chain of one group of trials, with its own
     schedule and unit noise."""
     table = np.array([[phase[1:] for phase in schedule]])
-    plan = (samples, ([0], [None], cfg.n0, table), z)
-    ((parts, phases),) = localization._lockstep(loss, [plan], x.shape[1])
+    # The unit noise of the phases that draw any, one row per trial.
+    draws = z[:, : np.count_nonzero(table[..., 5] > 0)].reshape(len(z), -1)
+    bounds, noise = localization._noise_table([table], [draws], x.shape[1])
+    plan = (samples, ([0], [None], cfg.n0, table))
+    ((parts, phases),) = localization._lockstep(loss, [plan], noise, bounds, x.shape[1])
     return localization._chain_trials(loss, parts, phases, x, domain, epoch, trace)
 
 
@@ -1002,13 +1005,13 @@ def test_power_norm_phase_matches_erm_solve_bit_for_bit(monkeypatch):
 @pytest.mark.parametrize("scale", [1.0, 0.5, 1.0 / 16.1])
 @pytest.mark.parametrize("pipeline", sorted(MODULES))
 def test_audit_mechanism_matches_per_trial_runs(pipeline, scale):
-    # The audit's own configs (n = 32) on both datasets of the audit pair.
+    # The audit's own configs (n = 32) on both datasets of the audit pair,
+    # each dataset's outputs one group of an audit batch.
     for eps in (0.5, 1.0, 2.0):
-        mech = harness._audit_mechanism(pipeline, scale, eps)
-        digests = tuple(
-            hashlib.sha256(mech(dataset, RngStream(62, 1), TRIALS).tobytes()).hexdigest()[:16]
-            for dataset in harness._audit_datasets(32)
-        )
+        outs = harness._audit_chains(pipeline, [
+            (scale, eps, dataset, RngStream(62, 1), TRIALS)
+            for dataset in harness._audit_datasets(32)])
+        digests = tuple(hashlib.sha256(out.tobytes()).hexdigest()[:16] for out in outs)
         assert digests == PINNED_AUDIT[(pipeline, scale, eps)]
 
 
