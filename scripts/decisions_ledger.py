@@ -23,10 +23,17 @@ unit's set-up and slots: the block sums, the schedule tables, the slot
 masks and the 1-D power-norm kernel, each timed by replaying the calls the
 round made.
 
+Traffic: over one benchmark-shaped round of each bench/run.py workload at
+seed 0 (the sweeps at their seeds per cell, the audit at 600 chain outputs
+and its grid-sampler rows at 10 000), and over the acceptance audit config,
+the ``localization._run_chains`` calls by the number of groups they run,
+and the largest group.
+
 It needs scipy (``scipy.stats``), which the package's ``test`` extra
 installs. Run from the repository root (on 2 CPUs with --jobs 2, --part 2 took
 11.4-11.6 s and --part 4 1.9-2.7 s over two runs each; --part screen runs
-in-process and takes under a second, --part unit-setup a few seconds):
+in-process and takes under a second, --part unit-setup a few seconds and
+--part traffic about ten):
 
     PYTHONPATH=src python scripts/decisions_ledger.py --part all --jobs 2
 """
@@ -34,12 +41,15 @@ in-process and takes under a second, --part unit-setup a few seconds):
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import math
 import multiprocessing
 import statistics
 import tempfile
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -54,6 +64,8 @@ from dpgrowth.harness import (
     _audit_first_phase,
     fit_rate,
     load_config,
+    main as cli,
+    privacy_audit,
     run_sweep,
 )
 from dpgrowth.instances import build_instance
@@ -324,9 +336,63 @@ def unit_setup(repeats: int = 20) -> None:
     print()
 
 
+# bench/run.py's workloads: the sweeps' configs, each at its seeds per cell,
+# and the audit's chain and grid-sampler outputs per dataset.
+TRAFFIC_SWEEPS = (("sweep-noiseless-1d", ("stat_kappa2", "stat_kappa4")),
+                  ("sweep-private", ("priv_epoch", "priv_pure", "invsens")))
+TRAFFIC_SEEDS = dict(UNIT_CONFIGS, invsens=80)
+AUDIT_TRIALS, AUDIT_GRID_TRIALS = 600, 10_000
+
+
+def _sweeps(keys) -> None:
+    with tempfile.TemporaryDirectory() as out:
+        for key in keys:
+            cfg = load_config(CONFIGS / f"acceptance_{key}.ini")
+            run_sweep(dataclasses.replace(cfg, seeds=TRAFFIC_SEEDS[key]), Path(out), jobs=1)
+
+
+def _audits() -> None:
+    common = dict(epsilons=EPSILONS, n=N, bins=BINS, master_seed=SEED)
+    privacy_audit(pipelines=PIPELINES, trials=AUDIT_TRIALS, **common)
+    privacy_audit(pipelines=("inv_sensitivity",), trials=AUDIT_GRID_TRIALS, **common)
+
+
+def _acceptance_audit() -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli(["audit", str(CONFIGS / "acceptance_audit.ini"), "--jobs", "1"])
+
+
+def traffic() -> None:
+    runs = [("audit-1d", _audits)]
+    runs += [(name, lambda keys=keys: _sweeps(keys)) for name, keys in TRAFFIC_SWEEPS]
+    runs.append(("acceptance audit", _acceptance_audit))
+    run_chains, sizes = localization._run_chains, []
+
+    def counted(loss, domain, groups, *args):
+        xs = run_chains(loss, domain, groups, *args)
+        sizes.append([len(out[0]) for out in xs])
+        return xs
+
+    print("## Traffic (`_run_chains` calls per run, in-process, --jobs 1)\n")
+    print("| run | calls | one-group calls | calls by group count | largest group |")
+    print("|---|---|---|---|---|")
+    localization._run_chains = counted
+    try:
+        for name, run in runs:
+            sizes.clear()
+            run()
+            counts = Counter(map(len, sizes))
+            by_groups = ", ".join(f"{g}: {c}" for g, c in sorted(counts.items()))
+            print(f"| {name} | {len(sizes)} | {counts.get(1, 0)} | {by_groups or '-'} "
+                  f"| {max((max(call) for call in sizes), default=0)} |")
+    finally:
+        localization._run_chains = run_chains
+    print()
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--part", choices=("2", "4", "screen", "unit-setup", "all"),
+    parser.add_argument("--part", choices=("2", "4", "screen", "unit-setup", "traffic", "all"),
                         default="all")
     parser.add_argument("--jobs", type=int, default=2)
     parser.add_argument("--streams", type=int, default=9,
@@ -341,6 +407,8 @@ def main() -> None:
         screen()
     if args.part in ("unit-setup", "all"):
         unit_setup()
+    if args.part in ("traffic", "all"):
+        traffic()
 
 
 if __name__ == "__main__":

@@ -78,6 +78,7 @@ class EpochConfig:
             raise InvalidInputError("T must be >= 1")
         if not (self.R0 > 0 and self.eta0 > 0):
             raise InvalidInputError("R0 and eta0 must be positive")
+        mechanisms.check_noise_scale(self.noise_scale)
 
     @classmethod
     def for_run(

@@ -30,7 +30,8 @@ from .core import (
     project,
 )
 from .instances import ProblemInstance, build_instance
-from .mechanisms import DpTestReport, check_dp_test, empirical_dp_test, histogram_test
+from .mechanisms import (DpTestReport, check_dp_test, check_noise_scale, empirical_dp_test,
+                         histogram_test)
 
 __all__ = [
     "ExperimentConfig",
@@ -482,17 +483,7 @@ def run_sweep(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     units = _units(cfg, cfg.config_hash(), jobs)
-    if jobs > 1:
-        # Imported here: multiprocessing is a large import that a serial run
-        # does not need.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(_execute_unit, units, chunksize=max(1, len(units) // (4 * jobs)))
-            )
-    else:
-        results = [_execute_unit(unit) for unit in units]
+    results = list(_mapped(_execute_unit, units, jobs))
     # Rows in grid order: by stream index, cell after cell, seed after seed.
     order = [index * cfg.seeds + s for _, _, cells in units for index, _, seeds in cells
              for s in seeds]
@@ -813,6 +804,8 @@ def privacy_audit(
         check_dp_test(eps, trials, bins)
     data, neighbor = _audit_datasets(n)
     sabotage_scales = sabotage_scales or {}
+    for scale in sabotage_scales.values():
+        check_noise_scale(scale)
     tasks = []
     skipped = []
     for pipeline in pipelines:
@@ -853,15 +846,18 @@ def privacy_audit(
 
 
 def _mapped(function, args: list, jobs: int):
-    """``map(function, args)``, on ``jobs`` worker processes when jobs > 1;
-    each result is yielded, in order, as it comes."""
+    """``map(function, args)``, on ``jobs`` worker processes when jobs > 1,
+    in chunks of about a quarter of each worker's share of ``args``; each
+    result is yielded, in order, as it comes."""
     if jobs == 1:
         yield from map(function, args)
         return
+    # Imported here: multiprocessing is a large import that a serial run
+    # does not need.
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        yield from pool.map(function, args)
+        yield from pool.map(function, args, chunksize=max(1, len(args) // (4 * jobs)))
 
 
 def _audit_work(packed) -> list:

@@ -89,8 +89,7 @@ class LocalizationConfig:
             raise InvalidInputError("eta must be positive")
         if self.k < 1 or self.n0 < 1:
             raise InvalidInputError("k and n0 must be >= 1")
-        if self.noise_scale < 0:
-            raise InvalidInputError("noise_scale must be >= 0")
+        mechanisms.check_noise_scale(self.noise_scale)
         mechanisms.check_budget(self.privacy)
 
     @classmethod
@@ -142,20 +141,8 @@ def _tol_floor(L: float, domain: Domain) -> float:
 def _phase_tol(sensitivity, sigma, tol_floor: float):
     """A phase's solver tolerance: two orders below both the sensitivity
     scale and the honest noise floor, so solver inexactness is negligible
-    for privacy.  The values are floats or per-trial columns."""
+    for privacy.  The values are per-trial columns."""
     return np.maximum(np.minimum(sensitivity, sigma) / 100.0, tol_floor)
-
-
-def _at(value, t: int) -> float:
-    """Trial t's entry of a schedule value: a float, or a ``(trials, 1)``
-    column."""
-    return float(value if np.ndim(value) == 0 else value[t, 0])
-
-
-def _flat(value):
-    """A schedule value as one entry per trial, ``(trials,)``, if it is a
-    column; a float as it is."""
-    return value[:, 0] if np.ndim(value) == 2 else value
 
 
 def _block_means(samples: np.ndarray, offsets, k: int, n0: int, scales: tuple) -> list:
@@ -256,16 +243,16 @@ def _quadratic_phase(st: IsotropicQuadratic, lam, tol, x, qbar, gbar, region_bal
     onto the trial's region where it lies outside, then
     ``erm.certified_gap``'s projected-gradient certificate, with the
     gradient curvature * x + gbar that the loss's ``batch_subgrad`` computes
-    from gbar = lin_scale * mean sample.  lam and tol are floats or
-    per-trial columns."""
+    from gbar = lin_scale * mean sample.  lam and tol are per-trial
+    columns."""
     x_hat = _project_trials(
         (2.0 * lam * x - qbar) / (st.curvature + 2.0 * lam), region_balls, region
     )
     gamma = 1.0 / (2.0 * lam)
     g = st.curvature * x_hat + gbar + 2.0 * lam * (x_hat - x)
     step = _project_trials(x_hat - gamma * g, region_balls, region)
-    residual = erm._row_norms(x_hat - step) / _flat(gamma)
-    return x_hat, erm._gap_bound(residual, _flat(lam)) <= _flat(tol)
+    residual = erm._row_norms(x_hat - step) / gamma[:, 0]
+    return x_hat, erm._gap_bound(residual, lam[:, 0]) <= tol[:, 0]
 
 
 def _separable_phase(st: SeparableAbsolute, lam, tol, x, block, region_balls):
@@ -325,14 +312,14 @@ def _lockstep(loss: LossOracle, plans: list, noise: np.ndarray, bounds: list, d:
     g's samples broadcast once to one ``(n, d)`` row per trial, and offset
     None where the group sits chain c out.  Slot j runs phase j + 1 of
     every group whose chain c has one; phases is ``(values, active, noise,
-    qbar, gbar)``, one entry per slot each: the schedule's six values, a
-    row of the group's table for one group and ``(6, trials, 1)`` columns
-    for several (where a trial that sits the slot out reads ``_IDLE``); the
-    mask of the trials that run it, or None if every trial runs every slot;
-    each trial's noise, ``(trials, d)``; and the blocks' mean linear term
-    qbar (the mean of lin_scale times the samples) and linear term of the
-    mean sample gbar, a row per trial, or None where the phase reads
-    neither.  All but the columns is computed once, for every chain."""
+    qbar, gbar)``, one entry per slot each: the schedule's six values as
+    ``(6, trials, 1)`` columns, where a trial that sits the slot out reads
+    ``_IDLE`` (a lone group's columns are a view of its table row, not a
+    copy); the mask of the trials that run it; each trial's noise,
+    ``(trials, d)``; and the blocks' mean linear term qbar (the mean of
+    lin_scale times the samples) and linear term of the mean sample gbar,
+    a row per trial, or None where the phase reads neither.  All but the
+    columns and masks is computed once, for every chain."""
     st = loss.structure
     sizes = [b - a for a, b in zip(bounds, bounds[1:])]
     tables = [table for _, (*_, table) in plans]
@@ -353,12 +340,10 @@ def _lockstep(loss: LossOracle, plans: list, noise: np.ndarray, bounds: list, d:
                 qbar[:live, :k, a:b] = means[0]
                 if gbar is not None:
                     gbar[:live, :k, a:b] = st.lin_scale * means[1]
-    values = tables[0]
-    if len(plans) > 1:
-        values = np.empty((C, K, 6, len(plans)))
-        values[...] = np.array(_IDLE)[:, None]
-        for g, table in enumerate(tables):
-            values[: len(table), : table.shape[1], :, g] = table
+    values = np.empty((C, K, 6, len(plans), 1))
+    values[...] = np.array(_IDLE)[:, None, None]
+    for g, table in enumerate(tables):
+        values[: len(table), : table.shape[1], :, g, 0] = table
     # One sample row per trial: a view, not a copy, of a shared dataset.
     per_trial = [np.broadcast_to(samples, (size, *samples.shape[1:]))
                  for size, (samples, *_) in zip(sizes, plans)]
@@ -366,11 +351,15 @@ def _lockstep(loss: LossOracle, plans: list, noise: np.ndarray, bounds: list, d:
         parts = [(samples, chains[0][c] if count else None, chains[2])
                  for count, samples, (_, chains) in zip(row, per_trial, plans)]
         slots = max(row)
-        active = None if min(row) == slots else np.repeat(row, sizes) > np.arange(slots)[:, None]
-        yield parts, None if not slots else (
-            values[c, :slots] if len(plans) == 1 else
-            np.repeat(values[c, :slots], sizes, axis=2)[..., None], active, noise[c, :slots],
-            None if qbar is None else qbar[c, :slots], None if gbar is None else gbar[c, :slots])
+        if not slots:
+            yield parts, None
+            continue
+        columns = values[c, :slots]
+        columns = (np.broadcast_to(columns, (slots, 6, bounds[-1], 1)) if len(sizes) == 1
+                   else np.repeat(columns, sizes, axis=2))
+        yield parts, (columns, np.repeat(row, sizes) > np.arange(slots)[:, None],
+                      noise[c, :slots], None if qbar is None else qbar[c, :slots],
+                      None if gbar is None else gbar[c, :slots])
 
 
 def _rows(mask: np.ndarray, a: int, b: int):
@@ -393,12 +382,12 @@ def _chain_trials(loss, parts, phases, x, domain, epoch=None, trace=None):
     the n0 samples from offset + (i - 1) n0 of each trial's row of the
     ``(trials, n, d)`` array ``samples``; offset is None for a part that
     sits the chain out.  The parts run in lockstep: slot i runs phase i of
-    every part that has one, reads its schedule's values as per-trial
-    columns, and leaves the point of every other trial as it is.  Every
-    float operation acts on each row's own operands, so each trial gets the
-    bits its part gives alone.  What a slot reads of the schedule is set up
-    once, for every slot: the tolerances, the dominance and solve masks,
-    and a power-norm chain's lam and tol lists.
+    every part that has one, reads its schedule's six values as
+    ``(trials, 1)`` columns, and leaves the point of every other trial as
+    it is.  Every float operation acts on each row's own operands, so each
+    trial gets the bits its part gives alone.  What a slot reads of the
+    schedule is set up once, for every slot: the tolerances, the dominance
+    and solve masks, and a power-norm chain's lam and tol lists.
 
     ``x`` holds one start row per trial, each in its domain.  The chain runs
     in ``domain``, intersected with each trial's epoch ball when ``epoch``
@@ -426,8 +415,8 @@ def _chain_trials(loss, parts, phases, x, domain, epoch=None, trace=None):
     st = loss.structure
     d = x.shape[1]
     values, active, noise, qbar, gbar = phases
-    slots, lams = len(values), values[:, 2]
-    every = [True] * slots if active is None else active.all(axis=1).tolist()
+    lams = values[:, 2]
+    every = active.all(axis=1).tolist()
     clamp = d == 1 and isinstance(st, IsotropicQuadratic)
     power = d == 1 and isinstance(st, PowerNorm)
     balls = list(domain.balls())
@@ -451,21 +440,17 @@ def _chain_trials(loss, parts, phases, x, domain, epoch=None, trace=None):
 
         # Every trial's domain has the same radii, so one diameter.
         tol = _phase_tol(values[:, 3], values[:, 4], _tol_floor(L, outer(0)))
-        dominated = np.broadcast_to(erm._dominated(L, lams, tol).reshape(slots, -1),
-                                    (slots, len(x)))
-        solve = ~dominated if active is None else active & ~dominated
-        projected = (dominated if active is None else dominated & active).any(axis=1).tolist()
+        dominated = erm._dominated(L, lams, tol)[..., 0]
+        solve = active & ~dominated
+        projected = (dominated & active).any(axis=1).tolist()
         if power:
-            trial_lams, trial_tols = (np.broadcast_to(v.reshape(slots, -1), (slots, len(x)))
-                                      .tolist() for v in (lams, tol))
+            trial_lams, trial_tols = lams[..., 0].tolist(), tol[..., 0].tolist()
             solving = [np.flatnonzero(row).tolist() for row in solve]
         # Checked once: each later anchor is a point the chain projected
         # onto its domain.
         if not _inside(x, balls, tol=erm._ANCHOR_TOL).all():
             raise InvalidInputError("domain must contain the anchor")
-    # Per slot: the schedule's six floats for one part, or six columns.
-    for j, (eta_i, radius_i, lam, _, _, sigma_used) in enumerate(
-            values.tolist() if values.ndim == 2 else values):
+    for j, (eta_i, radius_i, lam, _, _, sigma_used) in enumerate(values):
         if d == 1:
             lo = np.maximum(lo_dom, x - radius_i)
             hi = np.minimum(hi_dom, x + radius_i)
@@ -477,7 +462,7 @@ def _chain_trials(loss, parts, phases, x, domain, epoch=None, trace=None):
         else:
 
             def region(t):
-                return Domain(x[t], _at(radius_i, t), parent=outer(t))
+                return Domain(x[t], float(radius_i[t, 0]), parent=outer(t))
 
             # Regularizer dominance: the solution is the anchor projected
             # onto its region, whose own ball always holds it.  A trial that
@@ -494,9 +479,9 @@ def _chain_trials(loss, parts, phases, x, domain, epoch=None, trace=None):
                     if not isinstance(rows, slice):
                         block = block[rows - a]
                     x_hat[rows], ok[rows] = _separable_phase(
-                        st, _at(lam, a), _at(tol[j], a), x[rows], block.astype(float),
-                        [(x[rows], _at(radius_i, a))] + [(c[rows] if np.ndim(c) == 2 else c, r)
-                                                         for c, r in balls])
+                        st, float(lam[a, 0]), float(tol[j, a, 0]), x[rows], block.astype(float),
+                        [(x[rows], float(radius_i[a, 0]))] + [
+                            (c[rows] if np.ndim(c) == 2 else c, r) for c, r in balls])
             elif power and solving[j]:
                 # The solver's own bisection and 1-D certificate, per trial.
                 args = np.hstack((qbar[j], gbar[j], x, lo, hi)).tolist()
@@ -513,7 +498,7 @@ def _chain_trials(loss, parts, phases, x, domain, epoch=None, trace=None):
                     return v if np.ndim(v) == 0 else v[rows]
 
                 if rows is not None:
-                    region_balls = [(x, _flat(radius_i))] + balls
+                    region_balls = [(x, radius_i[:, 0])] + balls
                     x_hat[rows], ok[rows] = _quadratic_phase(
                         st, take(lam), take(tol[j]), take(x), take(qbar[j]), take(gbar[j]),
                         [(take(c) if np.ndim(c) == 2 else c, take(r)) for c, r in region_balls],
@@ -526,8 +511,8 @@ def _chain_trials(loss, parts, phases, x, domain, epoch=None, trace=None):
                     for t in a + np.flatnonzero(~ok[a:b]):
                         block = samples[t - a, offset + j * n0 : offset + (j + 1) * n0]
                         problem = erm.RegularizedProblem(loss, Dataset(block), x[t],
-                                                         _at(lam, t), region(t))
-                        x_hat[t] = erm.solve(problem, tol=_at(tol[j], t),
+                                                         float(lam[t, 0]), region(t))
+                        x_hat[t] = erm.solve(problem, tol=float(tol[j, t, 0]),
                                              max_iters=MAX_SOLVER_ITERS)
         x_next = x_hat + noise[j]
         if clamp:
@@ -535,7 +520,9 @@ def _chain_trials(loss, parts, phases, x, domain, epoch=None, trace=None):
         else:
             x_next = _project_trials(x_next, balls, outer)
         if trace is not None:
-            trace.append(PhaseRecord(j + 1, eta_i, radius_i, sigma_used, x_hat, x_next))
+            # A trace records one group: its first row holds its schedule.
+            trace.append(PhaseRecord(j + 1, float(eta_i[0, 0]), float(radius_i[0, 0]),
+                                     float(sigma_used[0, 0]), x_hat, x_next))
         x = x_next if every[j] else np.where(active[j][:, None], x_next, x)
     return x
 
@@ -585,7 +572,7 @@ def _run_chains(loss: LossOracle, domain: Domain, groups: list,
             raise InvalidInputError("need one dataset and one start point, or one per stream")
         plans.append((samples, chains))
         xs.append([np.broadcast_to(starts, (b - a, d))])
-    x = xs[0][0] if len(xs) == 1 else np.concatenate([out[0] for out in xs])
+    x = np.concatenate([out[0] for out in xs])
     for c, (parts, phases) in enumerate(_lockstep(loss, plans, noise, bounds, d)):
         if phases is not None:
             radius = next(chains[1][c] for (_, chains), part in zip(plans, parts)

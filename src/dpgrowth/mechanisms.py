@@ -30,6 +30,7 @@ __all__ = [
     "laplace_sigma",
     "gaussian_sigma",
     "check_budget",
+    "check_noise_scale",
     "noise_norm_factor",
     "noise_sigma",
     "noise_draw",
@@ -73,6 +74,12 @@ def check_budget(privacy: PrivacyParams) -> None:
         raise InvalidInputError(
             f"approximate mode needs delta <= {MAX_APPROX_DELTA}, got {privacy.delta}"
         )
+
+
+def check_noise_scale(scale: float) -> None:
+    """Reject a noise multiplier that is NaN, infinite or negative."""
+    if not (0.0 <= scale < math.inf):
+        raise InvalidInputError(f"noise_scale must be finite and >= 0, got {scale}")
 
 
 def noise_norm_factor(privacy: PrivacyParams, d: int) -> float:

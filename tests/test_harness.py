@@ -459,20 +459,29 @@ def test_cli_run_rejects_out_of_range_sweep_values_before_any_trial(tmp_path, ca
     # Chain configs are built for every cell too: an approximate budget past
     # the noise's range, a cell too small for its epochs, a d that the
     # one-dimensional sharp_growth does not have, and a negative d of
-    # knorm_regression; and the start offset is checked.
+    # knorm_regression; and the start offset is checked.  Both chains'
+    # configs reject a noise multiplier that is NaN, infinite or negative.
     instance = ("name = uniform_convex\nd = 1\nkappa = 2\nlam = 1.0\nL = 4.0\nR = 1.0\n"
                 "bias_delta = 0.1")
-    for old, new, message in (
-        ("epsilon = 1.0", "epsilon = 1.0\ndelta = 0.0, 0.7",
+    localization_config = EPOCH_CONFIG.replace("epoch_growth", "localization")
+    for config, old, new, message in [
+        (EPOCH_CONFIG, "epsilon = 1.0", "epsilon = 1.0\ndelta = 0.0, 0.7",
          "approximate mode needs delta <= 0.5, got 0.7"),
-        ("n = 64", "n = 64, 3", "per-epoch batch too small (n0=1); reduce the epoch count"),
-        (instance, "name = sharp_growth\nd = 3\nkappa = 1.5\nbias_delta = 0.25",
+        (EPOCH_CONFIG, "n = 64", "n = 64, 3",
+         "per-epoch batch too small (n0=1); reduce the epoch count"),
+        (EPOCH_CONFIG, instance, "name = sharp_growth\nd = 3\nkappa = 1.5\nbias_delta = 0.25",
          "instance 'sharp_growth' has d = 1, not 3"),
-        (instance, "name = knorm_regression\nd = -1\nkappa = 2\nR = 1.0",
+        (EPOCH_CONFIG, instance, "name = knorm_regression\nd = -1\nkappa = 2\nR = 1.0",
          "d must be >= 1, got -1"),
-        ("beta = auto", "beta = auto\nx0_offset = nan", "x0_offset must be finite, got nan"),
-    ):
-        path = _write(tmp_path, EPOCH_CONFIG.replace(old, new))
+        (EPOCH_CONFIG, "beta = auto", "beta = auto\nx0_offset = nan",
+         "x0_offset must be finite, got nan"),
+    ] + [
+        (config, "kappa_lower = 3.0", f"kappa_lower = 3.0\nnoise_scale = {scale}",
+         f"noise_scale must be finite and >= 0, got {float(scale)}")
+        for config in (localization_config, EPOCH_CONFIG)
+        for scale in ("nan", "inf", "-inf", "-1")
+    ]:
+        path = _write(tmp_path, config.replace(old, new))
         assert main(["run", str(path), "--out", str(tmp_path / "chain")]) == 2
         assert capsys.readouterr().err == f"dpgrowth: error: {message}\n"
         assert not (tmp_path / "chain").exists()
@@ -552,6 +561,15 @@ def test_cli_audit_rejects_bad_budgets_and_lists_before_any_row_runs(tmp_path, c
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"dpgrowth: error: {message}\n"), text
         assert not ran and not (tmp_path / "audit.json").exists()
+    # So does a sabotaged row's noise multiplier that is NaN, infinite or
+    # negative, whichever pipeline it is for.
+    for pipeline, scale in (("localization", math.nan), ("epoch_growth", math.inf),
+                            ("inv_sensitivity", -math.inf), ("epoch_growth", -1.0)):
+        with pytest.raises(InvalidInputError, match=f"noise_scale must be finite and >= 0, "
+                                                    f"got {scale}"):
+            privacy_audit(epsilons=(1.0,), n=16, trials=10,
+                          sabotage_scales={(pipeline, 1.0): scale})
+        assert not ran
 
 
 def _per_row_report(pipeline, eps, scale, trials, bins, stream):

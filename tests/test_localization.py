@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dpgrowth.core import Dataset, Domain, InvalidInputError, PrivacyParams, RngStream, project
-from dpgrowth.localization import LocalizationConfig, default_eta, run
+from dpgrowth.localization import LocalizationConfig, _table, default_eta, run
 from dpgrowth.instances import build_instance
 
 
@@ -76,6 +76,11 @@ def test_run_trust_regions_shrink_16x_and_confine():
     data = inst.draw(n, RngStream(2, 0))
     trace = []
     run(inst.loss, data, inst.domain, np.zeros(1), cfg, [RngStream(2, 1)], phase_trace=trace)
+    # The record's schedule fields are Python floats, the table's entries.
+    table = _table(cfg, inst.loss.lipschitz, 1)[0]
+    for rec, (eta_i, radius, *_, sigma_used) in zip(trace, table.tolist()):
+        for got, want in ((rec.eta_i, eta_i), (rec.radius, radius), (rec.sigma, sigma_used)):
+            assert type(got) is float and got == want
     radii = [rec.radius for rec in trace]
     for a, b in zip(radii, radii[1:]):
         assert a / b == pytest.approx(16.0)

@@ -746,6 +746,24 @@ def _one_chain(loss, samples, cfg, schedule, z, x, domain, epoch, trace):
     return localization._chain_trials(loss, parts, phases, x, domain, epoch, trace)
 
 
+def test_lone_group_schedule_columns_are_a_view_of_its_table_row():
+    # A lone group's per-trial schedule columns broadcast its table row with
+    # stride 0 along the trials: a group of 100 000 outputs holds no copy.
+    inst = _quad_instance()
+    cfg = localization.LocalizationConfig.for_data_size(64, 0.01, PrivacyParams(1.0))
+    table = localization._table(cfg, inst.loss.lipschitz, 1)
+    trials = 1000
+    samples = inst.draw(64, RngStream(0, 0)).samples[None]
+    draws = np.zeros((trials, np.count_nonzero(table[..., 5] > 0)))
+    bounds, noise = localization._noise_table([table], [draws], 1)
+    plan = (samples, ([0], [None], cfg.n0, table))
+    ((_, (values, active, *_)),) = localization._lockstep(inst.loss, [plan], noise, bounds, 1)
+    assert values.shape == (cfg.k, 6, trials, 1)
+    assert values.strides[2] == 0
+    assert values[:, :, 0, 0].tobytes() == table[0].tobytes()
+    assert active.shape == (cfg.k, trials) and active.all()
+
+
 def test_quadratic_phase_matches_erm_solve_bit_for_bit(monkeypatch):
     # 2 dimensions x 2 domains x 4 schedules x 100 trials = 1600 random
     # phases at d = 2 and d = 4, each with its own data, anchor and epoch
