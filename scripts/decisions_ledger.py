@@ -27,7 +27,8 @@ Traffic: over one benchmark-shaped round of each bench/run.py workload at
 seed 0 (the sweeps at their seeds per cell, the audit at 600 chain outputs
 and its grid-sampler rows at 10 000), and over the acceptance audit config,
 the ``localization._run_chains`` calls by the number of groups they run,
-and the largest group.
+and the largest group; and per sweep of those rounds, the sweep units
+``harness._execute`` runs and the trials in each.
 
 It needs scipy (``scipy.stats``), which the package's ``test`` extra
 installs. Run from the repository root (on 2 CPUs with --jobs 2, --part 2 took
@@ -56,7 +57,7 @@ from pathlib import Path
 import numpy as np
 from scipy.stats import chi2
 
-from dpgrowth import epoch_growth, erm, localization
+from dpgrowth import epoch_growth, erm, harness, localization
 from dpgrowth.core import PrivacyParams, RngStream
 from dpgrowth.harness import (
     _audit_chains,
@@ -367,26 +368,39 @@ def traffic() -> None:
     runs += [(name, lambda keys=keys: _sweeps(keys)) for name, keys in TRAFFIC_SWEEPS]
     runs.append(("acceptance audit", _acceptance_audit))
     run_chains, sizes = localization._run_chains, []
+    execute, units = harness._execute, {}
 
     def counted(loss, domain, groups, *args):
         xs = run_chains(loss, domain, groups, *args)
         sizes.append([len(out[0]) for out in xs])
         return xs
 
+    def counted_unit(unit):
+        cfg, _, cells = unit
+        key = (run_name, cfg.name, cfg.algorithm)
+        units.setdefault(key, []).append(sum(len(seeds) for *_, seeds in cells))
+        return execute(unit)
+
     print("## Traffic (`_run_chains` calls per run, in-process, --jobs 1)\n")
     print("| run | calls | one-group calls | calls by group count | largest group |")
     print("|---|---|---|---|---|")
-    localization._run_chains = counted
+    localization._run_chains, harness._execute = counted, counted_unit
     try:
-        for name, run in runs:
+        for run_name, run in runs:
             sizes.clear()
             run()
             counts = Counter(map(len, sizes))
             by_groups = ", ".join(f"{g}: {c}" for g, c in sorted(counts.items()))
-            print(f"| {name} | {len(sizes)} | {counts.get(1, 0)} | {by_groups or '-'} "
+            print(f"| {run_name} | {len(sizes)} | {counts.get(1, 0)} | {by_groups or '-'} "
                   f"| {max((max(call) for call in sizes), default=0)} |")
     finally:
-        localization._run_chains = run_chains
+        localization._run_chains, harness._execute = run_chains, execute
+    print("\n## Sweep units (`harness._execute` calls per sweep, in-process, --jobs 1)\n")
+    print("| run | sweep | algorithm | units | units by trials per unit |")
+    print("|---|---|---|---|---|")
+    for (run_name, sweep, algorithm), trials in units.items():
+        by_size = ", ".join(f"{t}: {c}" for t, c in sorted(Counter(trials).items()))
+        print(f"| {run_name} | {sweep} | {algorithm} | {len(trials)} | {by_size} |")
     print()
 
 

@@ -321,8 +321,9 @@ def _cell_setup(cfg: ExperimentConfig, cell: dict, instance: ProblemInstance) ->
     )
 
 
-# A unit of chain work holds its trials' datasets at once: it takes as many
-# seeds as hold about this many sample values (n * d per trial) in all.
+# A unit takes as many seeds as hold about this many sample values (n * d per
+# trial) in all: a chain unit holds its trials' datasets at once, the others
+# one at a time.
 _BATCH_SAMPLES = 2**22
 
 
@@ -330,14 +331,10 @@ def _units(cfg: ExperimentConfig, cfg_hash: str, jobs: int) -> list:
     """The sweep's units of work, each ``(cfg, cfg_hash, cells)`` with
     ``cells`` a list of ``(cell index, cell, seed range)`` that share d.
 
-    A chain unit spans every cell of its d for a range of seeds: as many as
-    hold about ``_BATCH_SAMPLES`` sample values, and with ``jobs > 1`` at
-    most a ``jobs``-th of the seeds, so each worker gets a unit.  The other
-    algorithms run one trial per unit."""
+    A unit spans every cell of its d for a range of seeds: as many as hold
+    about ``_BATCH_SAMPLES`` sample values, and with ``jobs > 1`` at most a
+    ``jobs``-th of the seeds, so each worker gets a unit."""
     cells = list(enumerate(cfg.cells()))
-    if cfg.algorithm not in _CHAINS:
-        return [(cfg, cfg_hash, [(index, cell, range(s, s + 1))])
-                for index, cell in cells for s in range(cfg.seeds)]
     units = []
     for d in dict.fromkeys(cell["d"] for _, cell in cells):
         share = [(index, cell) for index, cell in cells if cell["d"] == d]
@@ -377,9 +374,11 @@ def _execute_unit(unit) -> list[TrialRecord]:
 
 
 def _execute(unit) -> list[TrialRecord]:
-    """Run a unit's trials, cell after cell and seed after seed.  The
-    trials of chain cells run as one ``localization._run_chains`` batch,
-    one group per cell, in lockstep.
+    """Run a unit's trials, cell after cell and seed after seed, on one
+    instance and one set-up per cell.  The trials of chain cells run as one
+    ``localization._run_chains`` batch, one group per cell, in lockstep.
+    The others run one after another, each scored as soon as its output is
+    drawn, so that only one dataset is held at a time.
 
     Each trial keeps its own streams, data and start point, so a record
     equals the one its trial writes alone, apart from ``wall_ms``: that is
@@ -407,6 +406,8 @@ def _execute(unit) -> list[TrialRecord]:
             xs = localization._run_chains(loss, domain, groups)
             x_out = [x for out in xs for x in out[-1]]
             samples = [s for group in groups for s in group[0]]
+            excess = [(instance.excess_emp(x, Dataset(s)), instance.excess_pop(x))
+                      for x, s in zip(x_out, samples)]
             if cfg.algorithm == "epoch_growth":
                 epoch_i0 = [
                     i0 for (_, run_cfg), group, out in zip(setups, groups, xs)
@@ -414,17 +415,16 @@ def _execute(unit) -> list[TrialRecord]:
                         epoch_growth._records(run_cfg, group[4], out), instance.xstar)
                 ]
         else:
-            data = instance.draw(cells[0][1]["n"], RngStream(keys[0], 0))
-            samples = [data.samples]
-            if cfg.algorithm == "inv_sensitivity":
-                privacy, (rho, h) = setups[0]
-                density = inv_sensitivity.build_density(loss, data, domain, privacy.epsilon,
-                                                        rho=rho, h=h)
-                x_out = [inv_sensitivity.sample(density, RngStream(keys[0], 1))]
-            else:
-                x_out = [instance.empirical_min(data)[0]]
-        excess = [(instance.excess_emp(x, Dataset(s)), instance.excess_pop(x))
-                  for x, s in zip(x_out, samples)]
+            per_trial = [setup for (*_, seeds), setup in zip(cells, setups) for _ in seeds]
+            for i, ((_, cell, _), (privacy, grid), key) in enumerate(zip(trials, per_trial, keys)):
+                data = instance.draw(cell["n"], RngStream(key, 0))
+                if grid is None:
+                    x = instance.empirical_min(data)[0]
+                else:
+                    density = inv_sensitivity.build_density(
+                        loss, data, domain, privacy.epsilon, rho=grid[0], h=grid[1])
+                    x = inv_sensitivity.sample(density, RngStream(key, 1))
+                excess[i] = (instance.excess_emp(x, data), instance.excess_pop(x))
     except (InvalidInputError, RuntimeError) as exc:
         if len(trials) > 1:
             parts = [[c] for c in cells] if len(cells) > 1 else [
@@ -766,8 +766,10 @@ def privacy_audit(
     scale (for the grid sampler: double the score temperature's inverse,
     the same miscalibration expressed for an exponential weight).
     ``sabotage_scales`` maps ``(pipeline, epsilon)`` to another multiplier
-    for that pair's sabotaged run.  An infinite budget is noiseless: there
-    is no privacy claim to falsify, and its rows are skipped.
+    for that pair's sabotaged run, finite and >= 0, and > 0 for the grid
+    sampler, which runs at epsilon / multiplier.  An infinite budget is
+    noiseless: there is no privacy claim to falsify, and its rows are
+    skipped.
 
     Halving sigma leaves the localization and epoch pipelines private on the
     audit pair, so their sabotaged rows are expected to pass.  The pair
@@ -804,8 +806,10 @@ def privacy_audit(
         check_dp_test(eps, trials, bins)
     data, neighbor = _audit_datasets(n)
     sabotage_scales = sabotage_scales or {}
-    for scale in sabotage_scales.values():
+    for (pipeline, _), scale in sabotage_scales.items():
         check_noise_scale(scale)
+        if pipeline == "inv_sensitivity" and scale == 0.0:
+            raise InvalidInputError("the grid sampler's noise_scale must be > 0, got 0.0")
     tasks = []
     skipped = []
     for pipeline in pipelines:

@@ -98,7 +98,9 @@ def grid_parameters(loss: LossOracle, n: int, domain: Domain, epsilon: float,
 def _grid_1d(domain: Domain, h: float) -> np.ndarray:
     lo, hi = domain.interval()
     points = lo + h * np.arange(int(math.floor((hi - lo) / h)) + 1)
-    return points[points <= hi, None]  # a rounded (hi - lo) / h can count one too many
+    # A rounded (hi - lo) / h can count one too many; lo + h k is
+    # nondecreasing in k, so the points <= hi are a prefix.
+    return points[: np.count_nonzero(points <= hi), None]
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -117,10 +119,10 @@ def _logsumexp(a: np.ndarray) -> float:
 
 def _window_min(values: np.ndarray, w: int) -> np.ndarray:
     """``scipy.ndimage.minimum_filter1d(values, 2 * w + 1, mode="nearest")``
-    exactly, as min is exact: the line padded with its edge values, then one
-    shifted ``np.minimum`` per window offset, so memory stays at the padded
-    line and the output."""
-    padded = np.pad(values, w, mode="edge")
+    exactly, as min is exact: the line padded with w copies of each edge
+    value, then one shifted ``np.minimum`` per window offset, so memory
+    stays at the padded line and the output."""
+    padded = np.concatenate((np.full(w, values[0]), values, np.full(w, values[-1])))
     out = padded[: len(values)].copy()
     for offset in range(1, 2 * w + 1):
         np.minimum(out, padded[offset : offset + len(values)], out=out)

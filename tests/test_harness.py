@@ -562,11 +562,19 @@ def test_cli_audit_rejects_bad_budgets_and_lists_before_any_row_runs(tmp_path, c
         assert (captured.out, captured.err) == ("", f"dpgrowth: error: {message}\n"), text
         assert not ran and not (tmp_path / "audit.json").exists()
     # So does a sabotaged row's noise multiplier that is NaN, infinite or
-    # negative, whichever pipeline it is for.
-    for pipeline, scale in (("localization", math.nan), ("epoch_growth", math.inf),
-                            ("inv_sensitivity", -math.inf), ("epoch_growth", -1.0)):
-        with pytest.raises(InvalidInputError, match=f"noise_scale must be finite and >= 0, "
-                                                    f"got {scale}"):
+    # negative, whichever pipeline it is for, and a zero one for the grid
+    # sampler, which runs at epsilon / multiplier (it ended in
+    # ZeroDivisionError); a chain reads zero as noiseless.
+    zero = "the grid sampler's noise_scale must be > 0, got 0.0"
+    for pipeline, scale, message in (
+        ("localization", math.nan, "noise_scale must be finite and >= 0, got nan"),
+        ("epoch_growth", math.inf, "noise_scale must be finite and >= 0, got inf"),
+        ("inv_sensitivity", -math.inf, "noise_scale must be finite and >= 0, got -inf"),
+        ("epoch_growth", -1.0, "noise_scale must be finite and >= 0, got -1.0"),
+        ("inv_sensitivity", 0.0, zero),
+        ("inv_sensitivity", -0.0, zero),
+    ):
+        with pytest.raises(InvalidInputError, match=message):
             privacy_audit(epsilons=(1.0,), n=16, trials=10,
                           sabotage_scales={(pipeline, 1.0): scale})
         assert not ran

@@ -162,6 +162,21 @@ def test_one_dimensional_lattice_stays_inside_its_interval():
     for h, count in ((2.5e-4, 8001), (0.025, 81)):
         points = _grid_1d(Domain(np.zeros(1), 1.0), h)[:, 0]
         assert len(points) == count and points[-1] == 1.0
+    # On random decimal intervals and spacings, where a rounded count often
+    # overshoots as above, the lattice is the floor count's points <= hi.
+    rng = np.random.default_rng(3)
+    dropped = 0
+    for _ in range(300):
+        center, radius = round(rng.uniform(-1.0, 1.0), 2), round(rng.uniform(0.01, 1.0), 2)
+        h = max(round(2.0 * radius / int(rng.integers(1, 400)), 3), 0.001)
+        domain = Domain(np.array([center]), radius)
+        lo, hi = domain.interval()
+        p = lo + h * np.arange(int(math.floor((hi - lo) / h)) + 1)
+        got = _grid_1d(domain, h)
+        assert got.shape == (np.count_nonzero(p <= hi), 1)
+        assert got[:, 0].tobytes() == p[p <= hi].tobytes()
+        dropped += len(p) - len(got)
+    assert dropped > 0
 
 
 def _bits(x) -> bytes:

@@ -22,10 +22,11 @@ problems, phase by phase, and the kernel's row norms against
 ``np.linalg.norm``.
 
 A sweep unit runs the trials of every chain cell of one d as one lockstep
-batch, with per-trial data and starts; it must write the rows of a
-trial-by-trial run and of each cell's own unit, also when one trial's solve
-raises, and a sweep's CSV must depend neither on ``--jobs`` nor on the batch
-size.
+batch, with per-trial data and starts, and the grid sampler's and the ERM
+oracle's trials one after another on one set-up per cell; it must write the
+rows of a trial-by-trial run and of each cell's own unit, also when one
+trial's solve or draw raises, and a sweep's CSV must depend neither on
+``--jobs`` nor on the batch size.
 """
 import csv
 import dataclasses
@@ -36,7 +37,7 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from dpgrowth import epoch_growth, erm, harness, localization
+from dpgrowth import epoch_growth, erm, harness, inv_sensitivity, localization
 from dpgrowth.core import (
     ConvergenceError,
     Dataset,
@@ -44,6 +45,7 @@ from dpgrowth.core import (
     InvalidInputError,
     PrivacyParams,
     RngStream,
+    derive_stream_key,
     project,
 )
 from dpgrowth.instances import ProblemInstance, build_instance
@@ -1170,9 +1172,12 @@ kappa_lower = 3.0
 # on sharp_growth, and epochs on the d = 2 knorm regression.  The starts are
 # close enough to the minimizer, and at d = 1 the noise large enough, that
 # the trials' epoch_i0 differ; at d >= 2 each trial's epoch_i0 is read from
-# its own centers.
+# its own centers.  The grid sampler (on the invsens config's lattice) and
+# the ERM oracle, at d = 1 and d = 4, run a unit's trials one after
+# another.
 KAPPA4 = dict(kappa=4, lam=0.25, L=2.0, R=1.0, bias_delta=0.1)
 ABS = dict(instance_name="pure_convex", instance_params=dict(L=1.0, R=1.0))
+GRID = dict(algorithm="inv_sensitivity", rho=1e-3, grid_spacing=2.5e-4)
 CELLS = {
     "localization-abs-d4": dict(algorithm="localization", sweep_d=(4,), **ABS),
     "epoch-abs-d1": dict(sweep_epsilon=(0.05,), **ABS),
@@ -1193,6 +1198,9 @@ CELLS = {
                                instance_params=dict(kappa=1.5, bias_delta=0.25)),
     "epoch-knorm-d2": dict(instance_name="knorm_regression", instance_params=dict(kappa=4, R=1.0),
                            sweep_d=(2,)),
+    "inv-sensitivity": GRID,
+    "erm-oracle": dict(algorithm="erm_oracle"),
+    "erm-oracle-d4": dict(algorithm="erm_oracle", sweep_d=(4,)),
 }
 CSV_INDEX = {col: i for i, col in enumerate(harness.CSV_COLUMNS)}
 
@@ -1233,8 +1241,11 @@ def test_batched_sweep_cell_matches_per_trial_execution(tmp_path, case):
         assert all(error.startswith("InvalidInputError") for error in errors)
         return
     assert not any(errors)
-    # Each trial has its own data and start, so no two excesses agree.
-    assert len({row[CSV_INDEX["excess_pop"]] for row in batched}) == cfg.seeds
+    # Each trial has its own data and start, so no two excesses agree; the
+    # ERM oracle's minimizer depends only on its sample counts, which can
+    # repeat across trials.
+    excesses = {row[CSV_INDEX["excess_pop"]] for row in batched}
+    assert len(excesses) > 1 if cfg.algorithm == "erm_oracle" else len(excesses) == cfg.seeds
     if cfg.algorithm == "epoch_growth":
         assert len({row[CSV_INDEX["epoch_i0"]] for row in batched}) > 1
 
@@ -1352,6 +1363,8 @@ def test_a_separable_batch_that_raises_runs_trial_by_trial(tmp_path, monkeypatch
 # pure_convex's separable absolute loss.  At kappa_lower = 1.2 and epsilon
 # in {0.05, 1e6} the late epochs' steps are so small that the
 # regularizer dominates some cells' phases and not others' in one slot.
+# The grid sampler (on the invsens config's lattice) and the ERM oracle run
+# the base grid of two n, two epsilon and two delta.
 DOMINANCE = dict(sweep_n=(256, 512), sweep_kappa_lower=(1.2,), sweep_epsilon=(0.05, 1e6))
 GROUPED = {
     "localization": dict(algorithm="localization"),
@@ -1362,6 +1375,8 @@ GROUPED = {
     "epoch-kappa4-dominance": dict(instance_params=KAPPA4, **DOMINANCE),
     "epoch-d2-dominance": dict(sweep_d=(2,), **DOMINANCE),
     "epoch-abs-d2-dominance": dict(sweep_d=(2,), **DOMINANCE, **ABS),
+    "inv-sensitivity": GRID,
+    "erm-oracle": dict(algorithm="erm_oracle"),
 }
 
 
@@ -1424,6 +1439,33 @@ def test_a_grouped_unit_that_raises_runs_trial_by_trial(tmp_path, monkeypatch):
     errors = [row[CSV_INDEX["error"]] for row in grouped]
     failed = 5 * cfg.seeds + 1
     assert errors[failed].startswith("ConvergenceError: no accuracy certificate")
+    assert not any(errors[:failed] + errors[failed + 1 :])
+
+
+def test_a_grid_sampler_unit_that_raises_runs_trial_by_trial(tmp_path, monkeypatch):
+    # The grid sampler's draw raises on one trial's stream alone: only that
+    # trial's row may carry the error, and every row is the one its trial
+    # writes alone.
+    cfg = _grouped_config(tmp_path, "inv-sensitivity")
+    cells = list(enumerate(cfg.cells()))
+    failed = 5 * cfg.seeds + 1
+    target = derive_stream_key(cfg.master_seed, failed)
+    sample = inv_sensitivity.sample
+
+    def failing(density, rng, size=None):
+        if rng.seed == target:
+            raise RuntimeError("forced draw failure")
+        return sample(density, rng, size)
+
+    monkeypatch.setattr(inv_sensitivity, "sample", failing)
+    alone, calls = harness._execute_trial, []
+    monkeypatch.setattr(harness, "_execute_trial", lambda unit: calls.append(unit) or alone(unit))
+    grouped = _rows(harness._execute_unit(_unit(cfg, cells, range(cfg.seeds))))
+    assert [unit[2] for unit in calls] == [[(*cells[5], range(s, s + 1))]
+                                           for s in range(cfg.seeds)]
+    assert grouped == _rows([rec for index, cell in cells for rec in _alone(cfg, index, cell)])
+    errors = [row[CSV_INDEX["error"]] for row in grouped]
+    assert errors[failed] == "RuntimeError: forced draw failure"
     assert not any(errors[:failed] + errors[failed + 1 :])
 
 
