@@ -28,7 +28,8 @@ seed 0 (the sweeps at their seeds per cell, the audit at 600 chain outputs
 and its grid-sampler rows at 10 000), and over the acceptance audit config,
 the ``localization._run_chains`` calls by the number of groups they run,
 and the largest group; and per sweep of those rounds, the sweep units
-``harness._execute`` runs and the trials in each.
+``harness._execute`` runs, the trials in each, and the dtype and bytes of
+the samples each unit holds.
 
 It needs scipy (``scipy.stats``), which the package's ``test`` extra
 installs. Run from the repository root (on 2 CPUs with --jobs 2, --part 2 took
@@ -69,7 +70,7 @@ from dpgrowth.harness import (
     privacy_audit,
     run_sweep,
 )
-from dpgrowth.instances import build_instance
+from dpgrowth.instances import ProblemInstance, build_instance
 from dpgrowth.mechanisms import histogram_test
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -368,23 +369,41 @@ def traffic() -> None:
     runs += [(name, lambda keys=keys: _sweeps(keys)) for name, keys in TRAFFIC_SWEEPS]
     runs.append(("acceptance audit", _acceptance_audit))
     run_chains, sizes = localization._run_chains, []
-    execute, units = harness._execute, {}
+    execute, units, held = harness._execute, {}, {}
+    draw, unit_held = ProblemInstance.draw, None
 
     def counted(loss, domain, groups, *args):
         xs = run_chains(loss, domain, groups, *args)
         sizes.append([len(out[0]) for out in xs])
+        if unit_held is not None:
+            unit_held[0].update(str(group[0].dtype) for group in groups)
+            unit_held[1] += sum(group[0].nbytes for group in groups)
         return xs
 
+    def drawn(self, n, rng):
+        data = draw(self, n, rng)
+        if unit_held is not None:
+            unit_held[0].add(str(data.samples.dtype))
+            unit_held[1] = max(unit_held[1], data.samples.nbytes)
+        return data
+
     def counted_unit(unit):
+        nonlocal unit_held
         cfg, _, cells = unit
         key = (run_name, cfg.name, cfg.algorithm)
         units.setdefault(key, []).append(sum(len(seeds) for *_, seeds in cells))
-        return execute(unit)
+        unit_held = [set(), 0]
+        try:
+            return execute(unit)
+        finally:
+            held.setdefault(key, []).append(tuple(unit_held))
+            unit_held = None
 
     print("## Traffic (`_run_chains` calls per run, in-process, --jobs 1)\n")
     print("| run | calls | one-group calls | calls by group count | largest group |")
     print("|---|---|---|---|---|")
     localization._run_chains, harness._execute = counted, counted_unit
+    ProblemInstance.draw = drawn
     try:
         for run_name, run in runs:
             sizes.clear()
@@ -395,12 +414,21 @@ def traffic() -> None:
                   f"| {max((max(call) for call in sizes), default=0)} |")
     finally:
         localization._run_chains, harness._execute = run_chains, execute
+        ProblemInstance.draw = draw
     print("\n## Sweep units (`harness._execute` calls per sweep, in-process, --jobs 1)\n")
-    print("| run | sweep | algorithm | units | units by trials per unit |")
-    print("|---|---|---|---|---|")
+    print("Held samples: the dtypes of the sample arrays a unit holds, its chain")
+    print("groups' (all at once) and its `ProblemInstance.draw` datasets' (one at a")
+    print("time); bytes: the groups' arrays plus the largest such dataset.\n")
+    print("| run | sweep | algorithm | units | units by trials per unit | held samples "
+          "| bytes held per unit |")
+    print("|---|---|---|---|---|---|---|")
     for (run_name, sweep, algorithm), trials in units.items():
         by_size = ", ".join(f"{t}: {c}" for t, c in sorted(Counter(trials).items()))
-        print(f"| {run_name} | {sweep} | {algorithm} | {len(trials)} | {by_size} |")
+        dtypes = sorted(set().union(*(d for d, _ in held[run_name, sweep, algorithm])))
+        nbytes = sorted(b for _, b in held[run_name, sweep, algorithm])
+        span = f"{nbytes[0]:,}" + (f"-{nbytes[-1]:,}" if nbytes[-1] != nbytes[0] else "")
+        print(f"| {run_name} | {sweep} | {algorithm} | {len(trials)} | {by_size} "
+              f"| {', '.join(dtypes)} | {span} |")
     print()
 
 

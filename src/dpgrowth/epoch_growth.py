@@ -190,11 +190,15 @@ def run(
 def indices_in_region(trace: list, xstar: np.ndarray) -> list[int]:
     """Each trial's largest epoch index whose trust region contains
     ``xstar`` (-1 if none): one entry per center row of a ``run`` trace
-    (a 1-D center is one row).  Each distance is the one
-    ``np.linalg.norm`` gives, bit for bit."""
+    (a 1-D center is one row), and ``[-1]`` for an empty trace.  The whole
+    trace's distances are taken in one ``erm._row_norms`` pass, each the
+    one ``np.linalg.norm`` gives its row, bit for bit."""
+    if not trace:
+        return [-1]
     xstar = np.atleast_1d(np.asarray(xstar, dtype=float))
-    best = np.full(1, -1)
-    for rec in trace:
-        dist = erm._row_norms(xstar - np.reshape(rec.center, (-1, xstar.size)))
-        best = np.where(dist <= rec.radius, rec.index, best)
-    return [int(i) for i in best]
+    centers = np.array([np.reshape(rec.center, (-1, xstar.size)) for rec in trace])
+    dist = erm._row_norms(xstar - centers.reshape(-1, xstar.size)).reshape(len(trace), -1)
+    inside = dist <= np.array([rec.radius for rec in trace])[:, None]
+    last = len(trace) - 1 - np.argmax(inside[::-1], axis=0)
+    index = np.array([rec.index for rec in trace])
+    return np.where(inside.any(axis=0), index[last], -1).tolist()

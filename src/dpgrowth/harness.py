@@ -351,13 +351,14 @@ def _chain_group(cfg: ExperimentConfig, instance: ProblemInstance, cell: dict, r
                  keys: list) -> tuple:
     """The ``localization._run_chains`` group of a chain cell's trials, one
     per stream key: each trial's data, start and noise come from its
-    streams 0, 2 and 1.  The datasets are drawn one at a time as the group
-    takes them in, so only their narrowed samples are held together."""
+    streams 0, 2 and 1.  The samples are drawn one at a time as the group
+    takes them in, so only their narrow forms are held together: int8
+    ``draw_samples`` as drawn, with no float64 copy, or ``_narrow``ed."""
     # At offset 0 every start is xstar + 0 * direction, which has xstar's bits
     # unless xstar holds a -0.0 (no instance's does): one shared row, no draws.
     x0 = [project(instance.domain, instance.xstar)] if cfg.x0_offset == 0.0 else [
         _starting_point(instance, cfg.x0_offset, RngStream(key, 2)) for key in keys]
-    data = (instance.draw(cell["n"], RngStream(key, 0)) for key in keys)
+    data = (instance.draw_samples(cell["n"], RngStream(key, 0)) for key in keys)
     return _CHAINS[cfg.algorithm]._group(instance.loss, data, instance.domain, np.array(x0),
                                          run_cfg, [RngStream(key, 1) for key in keys])
 
@@ -376,17 +377,19 @@ def _execute_unit(unit) -> list[TrialRecord]:
 def _execute(unit) -> list[TrialRecord]:
     """Run a unit's trials, cell after cell and seed after seed, on one
     instance and one set-up per cell.  The trials of chain cells run as one
-    ``localization._run_chains`` batch, one group per cell, in lockstep.
+    ``localization._run_chains`` batch, one group per cell, in lockstep,
+    each scored on the samples its group holds (int8 ones as they are).
     The others run one after another, each scored as soon as its output is
     drawn, so that only one dataset is held at a time.
 
     Each trial keeps its own streams, data and start point, so a record
     equals the one its trial writes alone, apart from ``wall_ms``: that is
-    the unit's time divided by its trials, across cells.  A unit that raises
-    runs again cell by cell, and a cell that raises trial by trial, since the
-    error may be one trial's alone (a power-norm phase whose certificate
-    fails, say, and whose solve then raises ``ConvergenceError``); each
-    trial then writes the row it writes alone.
+    the unit's time divided by its trials, across cells.  A grid-sampler or
+    ERM-oracle trial that raises records its own error.  A chain unit, or a
+    set-up, that raises runs again cell by cell, and a cell that raises
+    trial by trial, since the error may be one trial's alone (a power-norm
+    phase whose certificate fails, say, and whose solve then raises
+    ``ConvergenceError``); each trial then writes the row it writes alone.
     """
     cfg, cfg_hash, cells = unit
     trials = [(index, cell, s) for index, cell, seeds in cells for s in seeds]
@@ -394,7 +397,7 @@ def _execute(unit) -> list[TrialRecord]:
     t0 = time.perf_counter()
     instance = _build_cell_instance(cfg, cells[0][1])
     epoch_i0 = [None] * len(trials)
-    error = ""
+    errors = [""] * len(trials)
     excess = [(math.nan, math.nan)] * len(trials)
     try:
         loss, domain = instance.loss, instance.domain
@@ -406,7 +409,7 @@ def _execute(unit) -> list[TrialRecord]:
             xs = localization._run_chains(loss, domain, groups)
             x_out = [x for out in xs for x in out[-1]]
             samples = [s for group in groups for s in group[0]]
-            excess = [(instance.excess_emp(x, Dataset(s)), instance.excess_pop(x))
+            excess = [(instance.excess_emp(x, s), instance.excess_pop(x))
                       for x, s in zip(x_out, samples)]
             if cfg.algorithm == "epoch_growth":
                 epoch_i0 = [
@@ -417,20 +420,23 @@ def _execute(unit) -> list[TrialRecord]:
         else:
             per_trial = [setup for (*_, seeds), setup in zip(cells, setups) for _ in seeds]
             for i, ((_, cell, _), (privacy, grid), key) in enumerate(zip(trials, per_trial, keys)):
-                data = instance.draw(cell["n"], RngStream(key, 0))
-                if grid is None:
-                    x = instance.empirical_min(data)[0]
-                else:
-                    density = inv_sensitivity.build_density(
-                        loss, data, domain, privacy.epsilon, rho=grid[0], h=grid[1])
-                    x = inv_sensitivity.sample(density, RngStream(key, 1))
-                excess[i] = (instance.excess_emp(x, data), instance.excess_pop(x))
+                try:
+                    data = instance.draw(cell["n"], RngStream(key, 0))
+                    if grid is None:
+                        x = instance.empirical_min(data)[0]
+                    else:
+                        density = inv_sensitivity.build_density(
+                            loss, data, domain, privacy.epsilon, rho=grid[0], h=grid[1])
+                        x = inv_sensitivity.sample(density, RngStream(key, 1))
+                    excess[i] = (instance.excess_emp(x, data), instance.excess_pop(x))
+                except (InvalidInputError, RuntimeError) as exc:
+                    errors[i] = f"{type(exc).__name__}: {exc}"
     except (InvalidInputError, RuntimeError) as exc:
         if len(trials) > 1:
             parts = [[c] for c in cells] if len(cells) > 1 else [
                 [(index, cell, range(s, s + 1))] for index, cell, s in trials]
             return [rec for part in parts for rec in _execute_unit((cfg, cfg_hash, part))]
-        error = f"{type(exc).__name__}: {exc}"
+        errors = [f"{type(exc).__name__}: {exc}"]
     wall_ms = (time.perf_counter() - t0) * 1e3 / len(trials)
     kappa = None if instance.growth is None else instance.growth.kappa
     return [
@@ -444,7 +450,7 @@ def _execute(unit) -> list[TrialRecord]:
                 f"negative-excess: emp={emp:.3e} pop={pop:.3e}" if min(emp, pop) < -1e-7 else ""
             ),
         )
-        for (_, cell, seed_index), (emp, pop), i0 in zip(trials, excess, epoch_i0)
+        for (_, cell, seed_index), (emp, pop), i0, error in zip(trials, excess, epoch_i0, errors)
     ]
 
 

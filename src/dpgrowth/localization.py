@@ -178,12 +178,14 @@ def _block_means(samples: np.ndarray, offsets, k: int, n0: int, scales: tuple) -
 
 
 def _narrow(samples: np.ndarray) -> np.ndarray:
-    """``samples`` in the narrowest of int8 and float32 that holds every
-    value, and the sign of every zero, exactly; else as they are.  A sweep
-    unit holds every trial's samples at once, across cells.  The shipped
-    samplers draw few distinct values: uniform_convex's and sharp_growth's
-    0 and +-1 fit int8 in an eighth of the memory, pure_convex's +-R/2 fit
-    float32, and widening back to float64 is exact."""
+    """float64 ``samples`` in the narrowest of int8 and float32 that holds
+    every value, and the sign of every zero, exactly; else, and any other
+    dtype, as they are.  A sweep unit holds every trial's samples at once,
+    across cells: the signed-coordinate families' int8 draws as drawn
+    (``ProblemInstance.draw_samples``), pure_convex's +-R/2 as float32;
+    widening back to float64 is exact."""
+    if samples.dtype != np.float64:
+        return samples
     for dtype in (np.int8, np.float32):
         with np.errstate(invalid="ignore", over="ignore"):
             narrow = samples.astype(dtype)
@@ -197,11 +199,15 @@ def _narrow(samples: np.ndarray) -> np.ndarray:
 def _trial_inputs(loss: LossOracle, data, domain: Domain, x0, min_n: int) -> tuple:
     """Check a ``run`` call's datasets and starts: the datasets share
     one size of at least ``min_n`` samples, and every start lies in
-    ``domain`` within ``_START_TOL``.  Return the datasets' samples as one
-    ``(datasets, n, d)`` array of ``_narrow`` values, taken from ``data``
-    one dataset at a time, and the starts as rows of a 2-D array."""
+    ``domain`` within ``_START_TOL``.  ``data`` is one shared ``Dataset``,
+    or one per trial, each a ``Dataset`` or a sample array (a sweep unit's
+    ``ProblemInstance.draw_samples``, held as drawn if int8).  Return the
+    datasets' samples as one ``(datasets, n, d)`` array of ``_narrow``
+    values, taken from ``data`` one dataset at a time, and the starts as
+    rows of a 2-D array."""
     # One shared dataset is held once, so only per-trial ones are narrowed.
-    samples = [data.samples] if isinstance(data, Dataset) else [_narrow(ds.samples) for ds in data]
+    samples = [data.samples] if isinstance(data, Dataset) else [
+        _narrow(ds.samples if isinstance(ds, Dataset) else ds) for ds in data]
     if len({len(s) for s in samples}) != 1:
         raise InvalidInputError("the trials' datasets must share one size")
     if len(samples[0]) < min_n:

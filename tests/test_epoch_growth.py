@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dpgrowth.core import Domain, InvalidInputError, PrivacyParams, RngStream, project
-from dpgrowth import harness, localization, mechanisms
+from dpgrowth import erm, harness, localization, mechanisms
 from dpgrowth.epoch_growth import (
     _FROZEN_RADIUS_FRACTION,
     EpochConfig,
@@ -223,6 +223,52 @@ def test_indices_in_region_reads_each_trials_center_and_closed_regions():
     # A 2-D run trace, with xstar on the boundary: |(0.375, 0.5)| = 0.625.
     trace = [EpochRecord(0, np.zeros(2), 0.625, 1.0, np.array([3.0, 4.0]))]
     assert indices_in_region(trace, np.array([0.375, 0.5])) == [0]
+
+
+def _indices_in_region_loop(trace, xstar):
+    """``indices_in_region`` record by record, as it was before its one
+    array pass: the reference."""
+    xstar = np.atleast_1d(np.asarray(xstar, dtype=float))
+    best = np.full(1, -1)
+    for rec in trace:
+        dist = erm._row_norms(xstar - np.reshape(rec.center, (-1, xstar.size)))
+        best = np.where(dist <= rec.radius, rec.index, best)
+    return [int(i) for i in best]
+
+
+def test_indices_in_region_equals_the_record_loop():
+    # Random traces at d = 1 and 4 whose centers land inside and outside
+    # each radius, with frozen tail epochs, single trials whose centers are
+    # 1-D rows, and the empty trace; then xstar exactly on a region's
+    # boundary (|0.25 - 0.75| and |(0, -0.5, 0, 0)| are 0.5).
+    rng = np.random.default_rng(29)
+    cases = [([], np.zeros(1)), ([], np.zeros(4))]
+    for d in (1, 4):
+        for trials in (1, 2, 7):
+            for epochs in (1, 3, 9):
+                xstar = rng.uniform(-0.5, 0.5, d)
+                radii = 2.0 ** -np.arange(epochs)
+                frozen = epochs // 3
+                centers = [xstar + rng.uniform(-1.5, 1.5, (trials, d)) * r for r in radii]
+                if trials == 1 and epochs == 3:
+                    centers = [c[0] for c in centers]
+                trace = [EpochRecord(i, c, r, r, c, frozen=i >= epochs - frozen)
+                         for i, (c, r) in enumerate(zip(centers, radii))]
+                cases.append((trace, xstar))
+    for xstar, center in ((np.array([0.25]), np.array([[0.75], [0.75 + 2**-50]])),
+                          (np.array([0.25, 0.0, 0.0, 0.0]),
+                           np.array([[0.25, 0.5, 0.0, 0.0], [0.25, 0.0, -0.5 - 2**-50, 0.0]]))):
+        trace = [EpochRecord(0, np.zeros_like(center), 1.0, 1.0, center),
+                 EpochRecord(1, center, 0.5, 0.5, center)]
+        assert indices_in_region(trace, xstar) == [1, 0]
+        cases.append((trace, xstar))
+    found = set()
+    for trace, xstar in cases:
+        got = indices_in_region(trace, xstar)
+        assert got == _indices_in_region_loop(trace, xstar)
+        assert all(type(i) is int for i in got)
+        found.update(got)
+    assert {-1, 0, 1, 2} <= found
 
 
 def _other_value(value):

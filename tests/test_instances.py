@@ -12,6 +12,7 @@ import dpgrowth
 from dpgrowth.core import Dataset, InvalidInputError, RngStream, probe_points, project
 from dpgrowth.instances import (
     SHIPPED_INSTANCES,
+    _mean_sample,
     build_instance,
     make_knorm_regression,
     make_pure_convex,
@@ -79,6 +80,79 @@ def test_one_dimensional_draws_equal_the_general_construction():
                 want[np.arange(n), idx] = signs * np.array([direction])[idx]
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
                 assert got_rng.gen.random() == want_rng.gen.random()
+
+
+def _float64_draw(name, params, rng, n):
+    """The float64 construction the signed-coordinate samplers used before
+    they drew int8: the reference for their widened draws."""
+    if name == "sharp_growth":
+        bias = params["bias_delta"]
+        p_plus = (1.0 + bias) / 2.0 if params.get("v", 1) == 1 else (1.0 - bias) / 2.0
+        return np.where(rng.gen.random(n) < p_plus, 1.0, -1.0)[:, None]
+    d = params["d"]
+    v = np.asarray(params.get("direction", np.ones(d)), float)
+    p_plus = (1.0 + params.get("bias_delta", 0.0)) / 2.0
+    if d == 1:
+        return np.where(rng.gen.random(n) < p_plus, v[0], -v[0])[:, None]
+    idx = rng.gen.integers(0, d, size=n)
+    signs = np.where(rng.gen.random(n) < p_plus, 1.0, -1.0) * v[idx]
+    rows = np.zeros((n, d))
+    rows[np.arange(n), idx] = signs
+    return rows
+
+
+SIGNED = ("uniform_convex", "sharp_growth")
+DRAW_CASES = SHIPPED_INSTANCES + [
+    ("uniform_convex", dict(d=1, kappa=2, lam=1.0, L=4.0, R=1.0, direction=np.array([-1.0]))),
+    ("uniform_convex", dict(d=1, kappa=2, lam=1.0, L=4.0, R=1.0, bias_delta=0.3,
+                            direction=np.array([-1.0]))),
+    ("uniform_convex", dict(d=4, kappa=2, lam=1.0, L=2.0, R=1.0, bias_delta=0.2,
+                            direction=np.array([1.0, -1.0, -1.0, 1.0]))),
+    ("uniform_convex", dict(d=4, kappa=2, lam=1.0, L=2.0, R=1.0,
+                            direction=-np.ones(4))),
+    ("sharp_growth", dict(kappa=1.5, bias_delta=0.25, v=-1)),
+]
+
+
+@pytest.mark.parametrize("case", range(len(DRAW_CASES)))
+def test_draws_widen_the_samplers_own_draws_bit_for_bit(case):
+    # draw's float64 samples are draw_samples' widened, from fresh streams
+    # with the same key, and for the signed-coordinate families those are
+    # int8 with the bits of the float64 construction, the stream left at the
+    # same place; the other families draw float64.  An int8 array scores
+    # as its Dataset does.
+    name, params = DRAW_CASES[case]
+    inst = build_instance(name, **params)
+    for n in (1, 7, 1000):
+        narrow = inst.draw_samples(n, RngStream(29, n))
+        wide_rng = RngStream(29, n)
+        wide = inst.draw(n, wide_rng).samples
+        assert narrow.shape == wide.shape == (n, inst.loss.point_dim + (name == "knorm_regression"))
+        assert narrow.astype(float).tobytes() == wide.tobytes()
+        if name not in SIGNED:
+            assert narrow.dtype == np.float64
+            continue
+        assert narrow.dtype == np.int8
+        ref_rng = RngStream(29, n)
+        assert wide.tobytes() == _float64_draw(name, params, ref_rng, n).tobytes()
+        assert wide_rng.gen.random() == ref_rng.gen.random()
+        for x in (inst.xstar, project(inst.domain, inst.xstar + 0.3)):
+            assert inst.excess_emp(x, narrow) == inst.excess_emp(x, Dataset(narrow))
+
+
+def test_mean_sample_of_integers_equals_the_float_mean_bit_for_bit():
+    # int8 columns of signs and of any int8 values, with an all-(-1) column,
+    # at n = 1, odd n, and n = 2^20.
+    rng = np.random.default_rng(29)
+    for n, d in ((1, 1), (1, 4), (7, 1), (999, 4), (4097, 2), (2**20, 2)):
+        for low, high in ((-1, 2), (-128, 128)):
+            samples = rng.integers(low, high, (n, d)).astype(np.int8)
+            samples[:, -1] = -1
+            got = _mean_sample(samples)
+            assert got.dtype == np.float64
+            assert got.tobytes() == samples.astype(float).mean(axis=0).tobytes(), (n, d, low)
+    wide = rng.standard_normal((9, 3))
+    assert _mean_sample(wide).tobytes() == wide.mean(axis=0).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1445,14 +1445,16 @@ def test_a_grouped_unit_that_raises_runs_trial_by_trial(tmp_path, monkeypatch):
 def test_a_grid_sampler_unit_that_raises_runs_trial_by_trial(tmp_path, monkeypatch):
     # The grid sampler's draw raises on one trial's stream alone: only that
     # trial's row may carry the error, and every row is the one its trial
-    # writes alone.
+    # writes alone.  The unit catches the error in that trial: no trial runs
+    # again, alone or in its cell, and each trial draws once.
     cfg = _grouped_config(tmp_path, "inv-sensitivity")
     cells = list(enumerate(cfg.cells()))
     failed = 5 * cfg.seeds + 1
     target = derive_stream_key(cfg.master_seed, failed)
-    sample = inv_sensitivity.sample
+    sample, drawn = inv_sensitivity.sample, []
 
     def failing(density, rng, size=None):
+        drawn.append(rng.seed)
         if rng.seed == target:
             raise RuntimeError("forced draw failure")
         return sample(density, rng, size)
@@ -1461,13 +1463,40 @@ def test_a_grid_sampler_unit_that_raises_runs_trial_by_trial(tmp_path, monkeypat
     alone, calls = harness._execute_trial, []
     monkeypatch.setattr(harness, "_execute_trial", lambda unit: calls.append(unit) or alone(unit))
     grouped = _rows(harness._execute_unit(_unit(cfg, cells, range(cfg.seeds))))
-    assert [unit[2] for unit in calls] == [[(*cells[5], range(s, s + 1))]
-                                           for s in range(cfg.seeds)]
+    assert calls == []
+    assert drawn == [derive_stream_key(cfg.master_seed, index * cfg.seeds + s)
+                     for index, _ in cells for s in range(cfg.seeds)]
     assert grouped == _rows([rec for index, cell in cells for rec in _alone(cfg, index, cell)])
     errors = [row[CSV_INDEX["error"]] for row in grouped]
     assert errors[failed] == "RuntimeError: forced draw failure"
     assert not any(errors[:failed] + errors[failed + 1 :])
 
+
+
+@pytest.mark.parametrize("d", (1, 4))
+@pytest.mark.parametrize("algorithm", ("localization", "epoch_growth"))
+def test_a_signed_coordinate_chain_unit_holds_its_int8_draws(tmp_path, monkeypatch, algorithm, d):
+    # A uniform_convex chain unit holds each trial's samples as the sampler
+    # draws them, int8, and scores them so: it builds no Dataset (whose
+    # samples are float64) and narrows no float64 array, and each of its
+    # groups holds int8 samples.  Its rows are still those its trials write
+    # alone.
+    cfg = _sweep_config(tmp_path, algorithm=algorithm, sweep_d=(d,), sweep_n=(256, 512))
+    cells = list(enumerate(cfg.cells()))
+    built, narrowed, held = [], [], []
+    post_init, narrow, run_chains = Dataset.__post_init__, localization._narrow, \
+        localization._run_chains
+    monkeypatch.setattr(Dataset, "__post_init__", lambda self: built.append(1) or post_init(self))
+    monkeypatch.setattr(localization, "_narrow",
+                        lambda samples: narrowed.append(samples.dtype) or narrow(samples))
+    monkeypatch.setattr(localization, "_run_chains", lambda loss, domain, groups: held.extend(
+        group[0].dtype for group in groups) or run_chains(loss, domain, groups))
+    records = harness._execute(_unit(cfg, cells, range(cfg.seeds)))
+    assert built == [] and len(narrowed) == 2 * cfg.seeds
+    assert set(narrowed) == set(held) == {np.dtype(np.int8)} and len(held) == 2
+    monkeypatch.undo()
+    assert _rows(records) == _rows([rec for index, cell in cells for rec in _alone(cfg, index, cell)])
+    assert not any(rec.error for rec in records)
 
 def test_negative_excess_is_recorded_as_an_error(tmp_path, monkeypatch):
     cfg = _sweep_config(tmp_path)
