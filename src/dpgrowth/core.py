@@ -214,9 +214,9 @@ class RngStream:
 class ChildStreams:
     """The streams ``parent.child(t)`` for t < ``count``.
 
-    Iterating yields each ``child(t)`` in order.  :meth:`laplace` returns
-    their unit Laplace draws as one array, bit for bit those of the streams;
-    :func:`children_laplace` does so for several blocks in one pass.
+    Iterating yields each ``child(t)`` in order.  :func:`children_laplace`
+    returns the unit Laplace draws of several blocks as one array, bit for
+    bit those of the streams.
     """
 
     __slots__ = ("parent", "count")
@@ -226,11 +226,6 @@ class ChildStreams:
 
     def __iter__(self) -> Iterator[RngStream]:
         return (self.parent.child(t) for t in range(self.count))
-
-    def laplace(self, size: int) -> np.ndarray:
-        """``[child(t).gen.laplace(0.0, 1.0, size) for t in range(count)]`` as
-        a ``(count, size)`` array: :func:`children_laplace` of this block."""
-        return children_laplace([self], size)
 
 
 # Rows of draws that :func:`children_laplace` turns into Laplace values at a

@@ -39,8 +39,8 @@ _INTERIOR_TOL = 1e-12
 # Unit roundoff of float64, for the rounding bounds of ``_window`` and ``_sign_zone``.
 _UNIT_ROUNDOFF = 2.0**-53
 
-# ``_coordwise_abs_quadratic`` evaluates candidates in blocks of at most
-# about this many values per temporary, and scans a call that fits in one.
+# ``_values`` evaluates candidates in blocks of at most about this many
+# values per temporary.
 _BLOCK = 2**14
 
 # Half-width of ``_window``'s window, in units of sqrt(G * bound / q).
@@ -271,14 +271,11 @@ def _coordwise_abs_quadratic(rows, weight: float, quad, anchor):
     Each is the candidate of least value
     weight * mean(|c - p|) + quad (c - a)^2, the first on ties, among the
     m + 1 roots of the derivative's linear pieces (nonincreasing), then the
-    breakpoints: ``_scan``'s pick, which a call of at most ``_BLOCK``
-    candidate-breakpoint pairs computes outright.  Larger calls search each
-    row's certified window, and scan the rows it does not certify."""
+    breakpoints: ``_scan``'s pick.  Each row's certified window is searched,
+    and the rows it does not certify are scanned."""
     r, m = rows.shape
     q = np.broadcast_to(np.asarray(quad, dtype=float), (r,))
     roots = anchor[:, None] - weight * (2.0 * np.arange(m + 1) - m) / (2.0 * q * m)[:, None]
-    if r * (2 * m + 1) * m <= _BLOCK:
-        return _scan(rows, weight, q, anchor, roots)
     x, ok, _ = _window(rows, weight, q, anchor, roots)
     bad = np.flatnonzero(~ok)
     if bad.size:

@@ -30,8 +30,7 @@ from .core import (
     project,
 )
 from .instances import ProblemInstance, build_instance
-from .mechanisms import (DpTestReport, check_dp_test, check_noise_scale, empirical_dp_test,
-                         histogram_test)
+from .mechanisms import DpTestReport, check_dp_test, check_noise_scale, histogram_test
 
 __all__ = [
     "ExperimentConfig",
@@ -352,8 +351,8 @@ def _chain_group(cfg: ExperimentConfig, instance: ProblemInstance, cell: dict, r
     """The ``localization._run_chains`` group of a chain cell's trials, one
     per stream key: each trial's data, start and noise come from its
     streams 0, 2 and 1.  The samples are drawn one at a time as the group
-    takes them in, so only their narrow forms are held together: int8
-    ``draw_samples`` as drawn, with no float64 copy, or ``_narrow``ed."""
+    takes them in, so only the sampler's own arrays are held together, in
+    the dtype ``draw_samples`` draws them in, with no float64 copy."""
     # At offset 0 every start is xstar + 0 * direction, which has xstar's bits
     # unless xstar holds a -0.0 (no instance's does): one shared row, no draws.
     x0 = [project(instance.domain, instance.xstar)] if cfg.x0_offset == 0.0 else [
@@ -704,18 +703,17 @@ def _chain(pipeline: str):
     return _CHAINS[pipeline]
 
 
-def _grid_mechanism(noise_scale: float, epsilon: float):
-    """The audited grid sampler ``(dataset, rng, trials) -> outputs``: it
-    runs on the absolute-loss instance at epsilon / noise_scale."""
+def _audit_grid(groups: list) -> list:
+    """The audited grid sampler's outputs on each of ``groups``, as
+    ``_audit_chains`` takes them: ``trials`` draws on ``rng`` from the
+    absolute-loss audit instance's density at epsilon / noise_scale."""
     instance = _audit_abs_instance()
     loss, domain = instance.loss, instance.domain
-    epsilon_actual = epsilon / noise_scale
-
-    def mech(dataset, rng, trials):
-        density = inv_sensitivity.build_density(loss, dataset, domain, epsilon_actual, rho=0.1)
-        return inv_sensitivity.sample(density, rng, size=trials)[:, 0]
-
-    return mech
+    outs = []
+    for scale, eps, dataset, rng, trials in groups:
+        density = inv_sensitivity.build_density(loss, dataset, domain, eps / scale, rho=0.1)
+        outs.append(inv_sensitivity.sample(density, rng, size=trials)[:, 0])
+    return outs
 
 
 def _audit_chains(pipeline: str, groups: list) -> list:
@@ -787,14 +785,15 @@ def privacy_audit(
     ``docs/decisions.md`` gives the numbers.
 
     Row i's outputs on the two datasets come from ``RngStream(master_seed,
-    i).child(0)`` and ``child(1)``, as ``empirical_dp_test`` draws them.
-    The grid sampler's rows run ``empirical_dp_test``.  A chain row's
-    outputs on each dataset are one group of ``trials`` outputs, one per
-    stream of a ``children`` block; each pipeline's groups run, in row
-    order, as ``_audit_chains`` batches of at most ``_AUDIT_BATCH`` trials,
-    and each row's two output arrays then go through the same
-    ``histogram_test``.  Each output is its stream's own, so the reports
-    equal those of one-stream runs.
+    i).child(0)`` and ``child(1)``, as ``empirical_dp_test`` draws them:
+    one group of ``trials`` outputs each, the grid sampler's all from its
+    stream, a chain's one per stream of a ``children`` block.  Each
+    pipeline's groups run, in row order, in work items of at most
+    ``_AUDIT_BATCH`` outputs (or one group), through ``_audit_grid`` or as
+    one ``_audit_chains`` batch, and each row's two output arrays then go
+    through ``histogram_test``.  Each output is its stream's own, so the
+    reports equal those of one-stream runs and, for the grid sampler, of
+    ``empirical_dp_test``.
     """
     _check_jobs(jobs)
     if n < 2:
@@ -827,26 +826,19 @@ def privacy_audit(
                 scale = 1.0 if mode == "honest" else sabotage_scales.get((pipeline, eps), 0.5)
                 tasks.append((pipeline, eps, mode, scale))
     # Work items in row order, (pipeline, [(row index, dataset index, task)]):
-    # a grid-sampler row, or a batch of one chain pipeline's groups.
+    # a batch of one pipeline's groups.
     items: list = []
     per_batch = max(1, _AUDIT_BATCH // trials)
     for index, task in enumerate(tasks):
-        pipeline = task[0]
-        if pipeline not in _CHAINS:
-            items.append((pipeline, [(index, None, task)]))
-            continue
         for side in (0, 1):
-            if not items or items[-1][0] != pipeline or len(items[-1][1]) == per_batch:
-                items.append((pipeline, []))
+            if not items or items[-1][0] != task[0] or len(items[-1][1]) == per_batch:
+                items.append((task[0], []))
             items[-1][1].append((index, side, task))
     rows: dict = {}
     outputs: dict = {}
-    for result in _mapped(_audit_work, [(*item, trials, bins, master_seed, data, neighbor)
+    for result in _mapped(_audit_work, [(*item, trials, master_seed, data, neighbor)
                                         for item in items], jobs):
         for index, value in result:
-            if isinstance(value, AuditRow):
-                rows[index] = value
-                continue
             outputs.setdefault(index, []).append(value)
             if len(outputs[index]) == 2:
                 pipeline, eps, mode, _ = tasks[index]
@@ -871,19 +863,13 @@ def _mapped(function, args: list, jobs: int):
 
 
 def _audit_work(packed) -> list:
-    """One work item of ``privacy_audit``: ``(row index, AuditRow)`` for a
-    grid-sampler row, or ``(row index, outputs)`` for each group of a chain
-    batch, datasets in order."""
-    pipeline, groups, trials, bins, master_seed, data, neighbor = packed
-    if pipeline not in _CHAINS:
-        ((index, _, (_, eps, mode, scale)),) = groups
-        report = empirical_dp_test(_grid_mechanism(scale, eps), data, neighbor, eps, trials,
-                                   bins, RngStream(master_seed, index))
-        return [(index, AuditRow(pipeline, eps, mode, report))]
+    """One work item of ``privacy_audit``: ``(row index, outputs)`` for each
+    group of a batch of one pipeline's groups, datasets in order."""
+    pipeline, groups, trials, master_seed, data, neighbor = packed
     streams = {index: RngStream(master_seed, index) for index in {g[0] for g in groups}}
-    outs = _audit_chains(pipeline, [
-        (scale, eps, (data, neighbor)[side], streams[index].child(side), trials)
-        for index, side, (_, eps, _, scale) in groups])
+    runs = [(scale, eps, (data, neighbor)[side], streams[index].child(side), trials)
+            for index, side, (_, eps, _, scale) in groups]
+    outs = _audit_grid(runs) if pipeline not in _CHAINS else _audit_chains(pipeline, runs)
     return [(index, out) for (index, *_), out in zip(groups, outs)]
 
 

@@ -239,7 +239,8 @@ class ProblemInstance:
 
     def draw_samples(self, n: int, rng: RngStream) -> np.ndarray:
         """The samples as drawn: the signed-coordinate families' 0 and +-1
-        as int8, which ``draw``'s ``Dataset`` widens to float64 exactly."""
+        as int8, pure_convex's 0 and +-R/2 as float32 where it holds them;
+        ``draw``'s ``Dataset`` widens them to float64 exactly."""
         if n < 1:
             raise InvalidInputError("n must be >= 1")
         return self._sampler(rng, n)
@@ -557,16 +558,21 @@ def make_pure_convex(d: int, L: float, R: float) -> ProblemInstance:
 
     Half the per-coordinate sample mass sits at zero and a quarter at +-R/2,
     so the population objective keeps a kink (nonzero slope) at its interior
-    minimizer.
+    minimizer.  The samples are drawn as float32 when it holds R/2 exactly,
+    else as float64.
     """
     _check_dim(d, L=L, R=R)
     c = R / 2.0
     w = L / math.sqrt(d)
     loss = SeparableAbsLoss(weight=w, d=d, lipschitz=L)
+    with np.errstate(over="ignore"):
+        lo, zero, hi = np.array([-c, 0.0, c], dtype=np.float32)
+    if float(hi) != c:
+        lo, zero, hi = np.array([-c, 0.0, c])
 
     def sampler(rng: RngStream, n: int) -> np.ndarray:
         u = rng.gen.random((n, d))
-        return np.where(u < 0.25, -c, np.where(u < 0.75, 0.0, c))
+        return np.where(u < 0.25, lo, np.where(u < 0.75, zero, hi))
 
     def _coord_pop(t):
         return np.where(np.abs(t) <= c, 0.5 * (c + np.abs(t)), np.abs(t))

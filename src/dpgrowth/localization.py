@@ -153,9 +153,10 @@ def _block_means(samples: np.ndarray, offsets, k: int, n0: int, scales: tuple) -
     reduction's shape; this one reduces each block along its own axis, as
     ``mean(axis=0)`` of the block alone does, so each mean has the bits of
     ``erm.solve``'s.  The blocks are widened to float64 ``_BLOCK_VALUES``
-    values at a time.  ``_narrow``'s int8 samples and a scale 2^e, |e| < 900,
-    take each block's int64 sum over n0 times the scale instead: every partial
-    sum of the float reduction is exact, and scaling by 2^e commutes with
+    values at a time, exactly from float32.  int8 samples (the signed-
+    coordinate samplers' draws) and a scale 2^e, |e| < 900, take each
+    block's int64 sum over n0 times the scale instead: every partial sum of
+    the float reduction is exact, and scaling by 2^e commutes with
     rounding, so the bits are the same (docs/decisions.md)."""
     rows = (np.asarray(offsets)[:, None] + np.arange(k * n0)).ravel()
     shape = (len(samples), len(offsets), k, n0, samples.shape[-1])
@@ -177,37 +178,16 @@ def _block_means(samples: np.ndarray, offsets, k: int, n0: int, scales: tuple) -
     return out
 
 
-def _narrow(samples: np.ndarray) -> np.ndarray:
-    """float64 ``samples`` in the narrowest of int8 and float32 that holds
-    every value, and the sign of every zero, exactly; else, and any other
-    dtype, as they are.  A sweep unit holds every trial's samples at once,
-    across cells: the signed-coordinate families' int8 draws as drawn
-    (``ProblemInstance.draw_samples``), pure_convex's +-R/2 as float32;
-    widening back to float64 is exact."""
-    if samples.dtype != np.float64:
-        return samples
-    for dtype in (np.int8, np.float32):
-        with np.errstate(invalid="ignore", over="ignore"):
-            narrow = samples.astype(dtype)
-        wide = narrow.astype(float)
-        if np.array_equal(wide, samples) and np.array_equal(np.signbit(wide),
-                                                             np.signbit(samples)):
-            return narrow
-    return samples
-
-
 def _trial_inputs(loss: LossOracle, data, domain: Domain, x0, min_n: int) -> tuple:
     """Check a ``run`` call's datasets and starts: the datasets share
     one size of at least ``min_n`` samples, and every start lies in
     ``domain`` within ``_START_TOL``.  ``data`` is one shared ``Dataset``,
     or one per trial, each a ``Dataset`` or a sample array (a sweep unit's
-    ``ProblemInstance.draw_samples``, held as drawn if int8).  Return the
-    datasets' samples as one ``(datasets, n, d)`` array of ``_narrow``
-    values, taken from ``data`` one dataset at a time, and the starts as
-    rows of a 2-D array."""
-    # One shared dataset is held once, so only per-trial ones are narrowed.
+    ``ProblemInstance.draw_samples``, held as drawn).  Return the datasets'
+    samples as one ``(datasets, n, d)`` array, taken from ``data`` one
+    dataset at a time, and the starts as rows of a 2-D array."""
     samples = [data.samples] if isinstance(data, Dataset) else [
-        _narrow(ds.samples if isinstance(ds, Dataset) else ds) for ds in data]
+        ds.samples if isinstance(ds, Dataset) else ds for ds in data]
     if len({len(s) for s in samples}) != 1:
         raise InvalidInputError("the trials' datasets must share one size")
     if len(samples[0]) < min_n:
@@ -548,12 +528,12 @@ def _run_chains(loss: LossOracle, domain: Domain, groups: list,
     past the table's rows leaves the iterate as it is.  ``samples``, a
     ``(datasets, n, d)`` array, and ``starts`` have one row or one per
     stream, and ``_lockstep`` lays every group out one row per trial; the
-    samples may be ``_narrow``, and each chain's blocks are widened to
-    float64.  Chain c of every group runs in one ``_chain_trials`` call,
-    one part per group; a group with a frozen chain c, or with fewer
-    chains, sits it out.  The groups that run chain c must share its
-    radius, as the groups of a sweep unit do: they share one domain, so one
-    epoch schedule of radii.
+    samples may be int8 or float32, as their sampler draws them, and each
+    chain's blocks are widened to float64.  Chain c of every group runs in
+    one ``_chain_trials`` call, one part per group; a group with a frozen
+    chain c, or with fewer chains, sits it out.  The groups that run chain
+    c must share its radius, as the groups of a sweep unit do: they share
+    one domain, so one epoch schedule of radii.
 
     Trial t's unit noise for every chain is one row of
     ``mechanisms.noise_rows`` on its stream, taken chain by chain in order;

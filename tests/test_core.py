@@ -79,8 +79,8 @@ def test_children_laplace_equals_child_draws(parent):
     p = RngStream(*parent)
     for size, count in ((1, _SEED_BLOCK + 2), (5, 300), (15, _SEED_BLOCK + 2), (480, 40)):
         want = [p.child(t).gen.laplace(0.0, 1.0, size) for t in range(count)]
-        assert np.array_equal(_bits(p.children(count).laplace(size)), _bits(want))
-    assert p.children(0).laplace(15).shape == (0, 15)
+        assert np.array_equal(_bits(children_laplace([p.children(count)], size)), _bits(want))
+    assert children_laplace([p.children(0)], 15).shape == (0, 15)
 
 
 def test_children_laplace_redraws_a_zero_uniform_and_keeps_positive_zero(monkeypatch):
@@ -98,7 +98,7 @@ def test_children_laplace_redraws_a_zero_uniform_and_keeps_positive_zero(monkeyp
 
     monkeypatch.setattr(core, "_pcg64_outputs", patched)
     p, size = RngStream(7, 3), 5
-    got = p.children(10).laplace(size)
+    got = children_laplace([p.children(10)], size)
     want = np.array([p.child(t).gen.laplace(0.0, 1.0, size) for t in range(10)])
     assert patched_rows == [10]
     assert _bits(got[4, 0]) == 0
@@ -138,7 +138,7 @@ def test_children_laplace_of_several_blocks_equals_child_draws(monkeypatch):
     assert np.array_equal(_bits(got), _bits(want))
     # The same blocks one at a time, unpatched, give the same rows.
     monkeypatch.setattr(core, "_pcg64_outputs", raw_outputs)
-    rows = np.concatenate([block.laplace(size) for block in blocks])
+    rows = np.concatenate([children_laplace([block], size) for block in blocks])
     assert np.array_equal(_bits(children_laplace(blocks, size)), _bits(rows))
     assert children_laplace([], 4).shape == (0, 4)
 

@@ -191,19 +191,16 @@ def test_screened_search_matches_the_brute_force_scan_bit_for_bit(monkeypatch):
     for case in range(3000):
         pts, weight, quad, anchor = _random_case(rng, case)
         _assert_matches_brute_force(pts, weight, quad, anchor, (case, pts.shape, weight, quad))
-    # The scan/window boundary: one row of m breakpoints has (2m + 1) m
-    # candidate-breakpoint pairs.  At the largest m whose pairs fit in
-    # _BLOCK (m = 90 at 2**14) one row is scanned outright; one row of
-    # m + 1, or two of m, go through the window.
-    m_scan = max(m for m in range(1, 400) if (2 * m + 1) * m <= erm._BLOCK)
+    # Every call goes through the window, one row or several: each row is
+    # certified or sent to the scan.
     for case in range(300):
-        m, d = [(m_scan, 1), (m_scan + 1, 1), (m_scan, 2)][case % 3]
+        m, d = [(90, 1), (91, 1), (90, 2)][case % 3]
         samples = np.round(rng.standard_normal((m, d)), int(rng.integers(0, 3)))
         quad = float(10.0 ** rng.uniform(-2, 14))
         anchor = rng.uniform(-1.0, 1.0, d) * rng.choice([1.0, 1e-3])
         before = counts["certified"] + counts["fallback"]
         _assert_matches_brute_force(np.sort(samples, axis=0), 0.5, quad, anchor, (case, m, quad))
-        assert counts["certified"] + counts["fallback"] - before == (case % 3 > 0) * d
+        assert counts["certified"] + counts["fallback"] - before == d
     # Rows shaped like a priv_pure phase: 80 rows of m = 102 breakpoints on
     # pure_convex's three atoms, weight L / sqrt(d) = 1/2, q from 1 to 1e12.
     for case in range(40):
@@ -215,11 +212,10 @@ def test_screened_search_matches_the_brute_force_scan_bit_for_bit(monkeypatch):
     # Rows whose every breakpoint is the anchor 0: the window bound is 0,
     # the window is empty, and the rows go to the scan.
     before = counts["fallback"]
-    for m in (m_scan + 1, 102):
+    for m in (91, 102):
         _assert_matches_brute_force(np.zeros((m, 3)), 0.5, 7.0, np.zeros(3), m)
     assert counts["fallback"] == before + 6
-    outright = counts["scanned"] - counts["fallback"]
-    assert counts["certified"] > 5000 and outright > 1000
+    assert counts["scanned"] == counts["fallback"] and counts["certified"] > 5000
     assert max(counts["kept"]) > 20
     assert np.median(counts["kept"]) <= 2
 

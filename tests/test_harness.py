@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dpgrowth import harness
+from dpgrowth import harness, inv_sensitivity
 from dpgrowth.core import InvalidInputError
 from dpgrowth.harness import (
     CSV_COLUMNS,
@@ -22,6 +22,7 @@ from dpgrowth.harness import (
     run_sweep,
     summarize,
 )
+from dpgrowth.mechanisms import empirical_dp_test
 
 TINY_CONFIG = """
 [experiment]
@@ -581,11 +582,18 @@ def test_cli_audit_rejects_bad_budgets_and_lists_before_any_row_runs(tmp_path, c
 
 
 def _per_row_report(pipeline, eps, scale, trials, bins, stream):
-    """An audit row as one empirical_dp_test run: the chain's outputs on
-    each dataset from one ``run`` call on a block of child streams."""
+    """An audit row as one empirical_dp_test run: the grid sampler's
+    outputs on each dataset from one density and one ``sample`` call at
+    eps / scale, the chain's from one ``run`` call on a block of child
+    streams."""
     data, neighbor = harness._audit_datasets(32)
     if pipeline == "inv_sensitivity":
-        mech = harness._grid_mechanism(scale, eps)
+        inst = harness._audit_abs_instance()
+
+        def mech(dataset, rng, count):
+            density = inv_sensitivity.build_density(inst.loss, dataset, inst.domain,
+                                                    eps / scale, rho=0.1)
+            return inv_sensitivity.sample(density, rng, size=count)[:, 0]
     else:
         inst = harness._audit_quadratic_instance()
         cfg = harness._audit_config(pipeline, inst, scale, eps, 32)
@@ -594,7 +602,7 @@ def _per_row_report(pipeline, eps, scale, trials, bins, stream):
             return harness._CHAINS[pipeline].run(inst.loss, dataset, inst.domain, np.zeros(1),
                                                  cfg, rng.children(count))[:, 0]
 
-    return harness.empirical_dp_test(mech, data, neighbor, eps, trials, bins, stream)
+    return empirical_dp_test(mech, data, neighbor, eps, trials, bins, stream)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -624,6 +632,27 @@ def test_batched_audit_equals_per_row_runs(monkeypatch, jobs):
         rows = privacy_audit(**kwargs)
         assert [repr((r.pipeline, r.epsilon, r.mode, r.report)) for r in rows] == want
         assert batches == (sizes if jobs == 1 else [])
+
+
+def test_audit_grid_rows_equal_empirical_dp_test_runs(monkeypatch):
+    # At 2000 outputs per dataset every grid row's report is conclusive
+    # (at 300 they all read inconclusive), so a wrong budget or stream
+    # shows.  A cap of 2400 packs each side alone, one of 4000 both sides
+    # of a row together; an honest row, the default sabotage and 1/4.
+    kwargs = dict(epsilons=(0.5, 2.0), n=32, trials=2000, bins=12, master_seed=11,
+                  pipelines=("inv_sensitivity",),
+                  sabotage_scales={("inv_sensitivity", 2.0): 0.25})
+    want = []
+    for index, (eps, mode, scale) in enumerate(((0.5, "honest", 1.0), (0.5, "sabotaged", 0.5),
+                                                 (2.0, "honest", 1.0), (2.0, "sabotaged", 0.25))):
+        report = _per_row_report("inv_sensitivity", eps, scale, 2000, 12,
+                                 harness.RngStream(11, index))
+        assert not report.inconclusive
+        want.append(repr(("inv_sensitivity", eps, mode, report)))
+    for cap in (2400, 4000):
+        monkeypatch.setattr(harness, "_AUDIT_BATCH", cap)
+        rows = privacy_audit(**kwargs)
+        assert [repr((r.pipeline, r.epsilon, r.mode, r.report)) for r in rows] == want
 
 
 def test_csv_schema_is_frozen():

@@ -84,7 +84,12 @@ def test_one_dimensional_draws_equal_the_general_construction():
 
 def _float64_draw(name, params, rng, n):
     """The float64 construction the signed-coordinate samplers used before
-    they drew int8: the reference for their widened draws."""
+    they drew int8, and pure_convex before it drew float32: the reference
+    for their widened draws."""
+    if name == "pure_convex":
+        c = params["R"] / 2.0
+        u = rng.gen.random((n, params["d"]))
+        return np.where(u < 0.25, -c, np.where(u < 0.75, 0.0, c))
     if name == "sharp_growth":
         bias = params["bias_delta"]
         p_plus = (1.0 + bias) / 2.0 if params.get("v", 1) == 1 else (1.0 - bias) / 2.0
@@ -111,16 +116,27 @@ DRAW_CASES = SHIPPED_INSTANCES + [
     ("uniform_convex", dict(d=4, kappa=2, lam=1.0, L=2.0, R=1.0,
                             direction=-np.ones(4))),
     ("sharp_growth", dict(kappa=1.5, bias_delta=0.25, v=-1)),
+    # float32 holds R/2 = 0.5, not 0.15.
+    ("pure_convex", dict(d=2, L=1.0, R=1.0)),
+    ("pure_convex", dict(d=2, L=1.0, R=0.3)),
 ]
+
+
+def _drawn_dtype(name, params):
+    if name in SIGNED:
+        return np.int8
+    if name == "pure_convex":
+        return {1.0: np.float32, 0.3: np.float64}[params["R"]]
+    return np.float64
 
 
 @pytest.mark.parametrize("case", range(len(DRAW_CASES)))
 def test_draws_widen_the_samplers_own_draws_bit_for_bit(case):
     # draw's float64 samples are draw_samples' widened, from fresh streams
-    # with the same key, and for the signed-coordinate families those are
-    # int8 with the bits of the float64 construction, the stream left at the
-    # same place; the other families draw float64.  An int8 array scores
-    # as its Dataset does.
+    # with the same key.  The signed-coordinate families draw int8 and
+    # pure_convex float32 where it holds R/2, each with the bits of the
+    # float64 construction, the stream left at the same place; the other
+    # families draw float64.  A narrow array scores as its Dataset does.
     name, params = DRAW_CASES[case]
     inst = build_instance(name, **params)
     for n in (1, 7, 1000):
@@ -129,10 +145,9 @@ def test_draws_widen_the_samplers_own_draws_bit_for_bit(case):
         wide = inst.draw(n, wide_rng).samples
         assert narrow.shape == wide.shape == (n, inst.loss.point_dim + (name == "knorm_regression"))
         assert narrow.astype(float).tobytes() == wide.tobytes()
-        if name not in SIGNED:
-            assert narrow.dtype == np.float64
+        assert narrow.dtype == _drawn_dtype(name, params)
+        if name not in (*SIGNED, "pure_convex"):
             continue
-        assert narrow.dtype == np.int8
         ref_rng = RngStream(29, n)
         assert wide.tobytes() == _float64_draw(name, params, ref_rng, n).tobytes()
         assert wide_rng.gen.random() == ref_rng.gen.random()

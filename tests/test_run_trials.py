@@ -686,9 +686,10 @@ def test_block_means_equal_each_blocks_own_mean():
 
 
 def test_integer_block_sums_equal_the_float_reduction_bit_for_bit():
-    # int8 samples, as _narrow stores the sweeps' 0 and +-1, with a scale of
-    # None or a power of two take exact int64 block sums; every block's mean
-    # must have the bits of the float reduction, the sign of zero included.
+    # int8 samples, as the signed-coordinate samplers draw the sweeps' 0 and
+    # +-1, with a scale of None or a power of two take exact int64 block
+    # sums; every block's mean must have the bits of the float reduction,
+    # the sign of zero included.
     # Scales 0.3 and -2 must take the float path: at -2 a block that sums to
     # 0 reads +0.0 there, and -2 * (0 / n0) would read -0.0.
     rng = np.random.default_rng(25)
@@ -719,21 +720,28 @@ def test_integer_block_sums_equal_the_float_reduction_bit_for_bit():
     assert zeros > 0
 
 
-def test_narrow_storage_keeps_every_value_and_the_sign_of_zero():
-    # A sweep unit stores its samples in the narrowest exact type; widening
-    # them back must give the float64 bits, signed zeros included.
-    cases = [
-        (np.array([[1.0], [-1.0], [0.0]]), np.int8),
-        (np.array([[-0.0], [1.0]]), np.float32),
-        (np.array([[0.5, -0.5], [0.0, 0.5]]), np.float32),
-        (np.array([[200.0], [1.0]]), np.float32),
-        (np.array([[0.1], [1e300]]), np.float64),
-        (np.array([[np.nan], [1.0]]), np.float64),
-    ]
-    for samples, dtype in cases:
-        narrow = localization._narrow(samples)
-        assert narrow.dtype == dtype
-        assert narrow.astype(float).tobytes() == samples.tobytes()
+def test_per_trial_samples_are_held_as_given_with_the_same_bits():
+    # A run holds per-trial samples as they come: a sampler's int8 or
+    # float32 draws as drawn, and Datasets of them as float64.  Their block
+    # means have the same bits either way, and so do the runs' outputs.
+    cases = (("uniform_convex", dict(d=1, kappa=2, lam=1.0, L=4.0, R=1.0, bias_delta=0.1), np.int8),
+             ("uniform_convex", dict(d=4, kappa=2, lam=1.0, L=2.0, R=1.0), np.int8),
+             ("pure_convex", dict(d=4, L=1.0, R=1.0), np.float32))
+    for name, params, dtype in cases:
+        inst = build_instance(name, **params)
+        d = inst.loss.point_dim
+        drawn = [inst.draw_samples(256, RngStream(5, t)) for t in range(4)]
+        assert drawn[0].dtype == dtype
+        for algorithm, module in harness._CHAINS.items():
+            cfg = harness._chain_config(algorithm, inst, 256, d, 1.0 / 257, PrivacyParams(1.0), 3.0)
+            held, outs = [], []
+            for data in (drawn, [Dataset(samples) for samples in drawn]):
+                held.append(localization._trial_inputs(inst.loss, data, inst.domain,
+                                                       np.zeros(d), 1)[0].dtype)
+                outs.append(module.run(inst.loss, data, inst.domain, np.zeros(d), cfg,
+                                       [RngStream(6, t) for t in range(4)]))
+            assert held == [dtype, np.float64], (name, d, algorithm)
+            assert outs[0].tobytes() == outs[1].tobytes(), (name, d, algorithm)
 
 
 def _one_chain(loss, samples, cfg, schedule, z, x, domain, epoch, trace):
@@ -1473,28 +1481,54 @@ def test_a_grid_sampler_unit_that_raises_runs_trial_by_trial(tmp_path, monkeypat
 
 
 
+def _held_samples(monkeypatch, cfg):
+    """A chain unit of every cell and seed of ``cfg``: its records, the
+    Datasets it built, and the dtypes of its sampler's draws and of its
+    groups' samples."""
+    built, drawn, held = [], [], []
+    post_init, draw_samples, run_chains = Dataset.__post_init__, \
+        ProblemInstance.draw_samples, localization._run_chains
+
+    def drawing(self, n, rng):
+        samples = draw_samples(self, n, rng)
+        drawn.append(samples.dtype)
+        return samples
+
+    monkeypatch.setattr(Dataset, "__post_init__", lambda self: built.append(1) or post_init(self))
+    monkeypatch.setattr(ProblemInstance, "draw_samples", drawing)
+    monkeypatch.setattr(localization, "_run_chains", lambda loss, domain, groups: held.extend(
+        group[0].dtype for group in groups) or run_chains(loss, domain, groups))
+    records = harness._execute(_unit(cfg, list(enumerate(cfg.cells())), range(cfg.seeds)))
+    monkeypatch.undo()
+    return records, built, drawn, held
+
+
 @pytest.mark.parametrize("d", (1, 4))
 @pytest.mark.parametrize("algorithm", ("localization", "epoch_growth"))
 def test_a_signed_coordinate_chain_unit_holds_its_int8_draws(tmp_path, monkeypatch, algorithm, d):
     # A uniform_convex chain unit holds each trial's samples as the sampler
     # draws them, int8, and scores them so: it builds no Dataset (whose
-    # samples are float64) and narrows no float64 array, and each of its
-    # groups holds int8 samples.  Its rows are still those its trials write
-    # alone.
+    # samples are float64), and each of its groups holds int8 samples.  Its
+    # rows are still those its trials write alone.
     cfg = _sweep_config(tmp_path, algorithm=algorithm, sweep_d=(d,), sweep_n=(256, 512))
+    records, built, drawn, held = _held_samples(monkeypatch, cfg)
+    assert built == [] and len(drawn) == 2 * cfg.seeds
+    assert set(drawn) == set(held) == {np.dtype(np.int8)} and len(held) == 2
     cells = list(enumerate(cfg.cells()))
-    built, narrowed, held = [], [], []
-    post_init, narrow, run_chains = Dataset.__post_init__, localization._narrow, \
-        localization._run_chains
-    monkeypatch.setattr(Dataset, "__post_init__", lambda self: built.append(1) or post_init(self))
-    monkeypatch.setattr(localization, "_narrow",
-                        lambda samples: narrowed.append(samples.dtype) or narrow(samples))
-    monkeypatch.setattr(localization, "_run_chains", lambda loss, domain, groups: held.extend(
-        group[0].dtype for group in groups) or run_chains(loss, domain, groups))
-    records = harness._execute(_unit(cfg, cells, range(cfg.seeds)))
-    assert built == [] and len(narrowed) == 2 * cfg.seeds
-    assert set(narrowed) == set(held) == {np.dtype(np.int8)} and len(held) == 2
-    monkeypatch.undo()
+    assert _rows(records) == _rows([rec for index, cell in cells for rec in _alone(cfg, index, cell)])
+    assert not any(rec.error for rec in records)
+
+
+def test_a_pure_convex_chain_unit_holds_its_float32_draws(tmp_path, monkeypatch):
+    # pure_convex at R = 1 draws its 0 and +-1/2 as float32, and a
+    # localization unit at d = 4, as the priv_pure sweep runs it, holds
+    # them so, with the rows its trials write alone.
+    cfg = _sweep_config(tmp_path, algorithm="localization", sweep_d=(4,), sweep_n=(256, 512),
+                        **ABS)
+    records, built, drawn, held = _held_samples(monkeypatch, cfg)
+    assert built == [] and len(drawn) == 2 * cfg.seeds
+    assert set(drawn) == set(held) == {np.dtype(np.float32)} and len(held) == 2
+    cells = list(enumerate(cfg.cells()))
     assert _rows(records) == _rows([rec for index, cell in cells for rec in _alone(cfg, index, cell)])
     assert not any(rec.error for rec in records)
 
