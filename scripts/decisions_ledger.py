@@ -31,11 +31,20 @@ and the largest group; and per sweep of those rounds, the sweep units
 ``harness._execute`` runs, the trials in each, and the dtype and bytes of
 the samples each unit holds.
 
+Laplace: the audit's array log (``core._libm_log``) on 10^7 arguments
+drawn as numpy's Laplace rule forms them (2U below U = 1/2, 2 - 2U above):
+per screen margin (the shipped one, 0.01 and 0), the values whose kept
+double-double log differs from ``math.log`` and the share sent to
+``math.log``; the ns per value of the ``math.log`` map and of
+``_libm_log`` on passes of the bench's 2 400 x 5 and 2 400 x 15 shapes, in
+the chunks each takes; and the wall time of ``dpgrowth audit
+configs/acceptance_audit.ini`` at --jobs 1.
+
 It needs scipy (``scipy.stats``), which the package's ``test`` extra
 installs. Run from the repository root (on 2 CPUs with --jobs 2, --part 2 took
 11.4-11.6 s and --part 4 1.9-2.7 s over two runs each; --part screen runs
-in-process and takes under a second, --part unit-setup a few seconds and
---part traffic about ten):
+in-process and takes under a second, --part unit-setup a few seconds,
+--part traffic about ten and --part laplace about six):
 
     PYTHONPATH=src python scripts/decisions_ledger.py --part all --jobs 2
 """
@@ -58,7 +67,7 @@ from pathlib import Path
 import numpy as np
 from scipy.stats import chi2
 
-from dpgrowth import epoch_growth, erm, harness, localization
+from dpgrowth import core, epoch_growth, erm, harness, localization
 from dpgrowth.core import PrivacyParams, RngStream
 from dpgrowth.harness import (
     _audit_chains,
@@ -432,9 +441,68 @@ def traffic() -> None:
     print()
 
 
+# The Laplace log: arguments per scan, the margins scanned, and the audit
+# pass shapes (streams, draws per stream) timed.
+LOG_SCAN = 10**7
+LOG_MARGINS = (core._LOG_MARGIN, 0.01, 0.0)
+LOG_SHAPES = ((2400, 5), (2400, 15))
+# Rows per math.log map call, as children_laplace made them before the array log.
+MAP_LOG_ROWS = 600
+
+
+def _laplace_args(gen, count: int) -> np.ndarray:
+    u = gen.integers(1, 2**53, count) * 2.0**-53
+    return np.where(u >= 0.5, 2.0 - u - u, u + u)
+
+
+def _map_log(args: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.log, args.tolist()), float, len(args))
+
+
+def _per_value_ns(log, args: np.ndarray, rows: int, repeats: int) -> float:
+    best = math.inf
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for a in range(0, len(args), rows):
+            log(args[a : a + rows].ravel())
+        best = min(best, time.perf_counter() - start)
+    return best / args.size * 1e9
+
+
+def laplace(repeats: int = 7) -> None:
+    gen = np.random.default_rng(SEED)
+    wrong, sent = Counter(), Counter()
+    for start in range(0, LOG_SCAN, core._LOG_VALUES):
+        args = _laplace_args(gen, min(core._LOG_VALUES, LOG_SCAN - start))
+        libm = _map_log(args)
+        y, z = core._dd_log(args)
+        for margin in LOG_MARGINS:
+            kept = core._log_kept(y, z, margin)
+            wrong[margin] += int(np.count_nonzero(kept & (y != libm)))
+            sent[margin] += len(args) - int(np.count_nonzero(kept))
+    print(f"## The Laplace log's screen ({LOG_SCAN:,} arguments, in-process)\n")
+    print("| margin (ulp) | kept values that differ from math.log | share sent to math.log |")
+    print("|---|---|---|")
+    for margin in LOG_MARGINS:
+        print(f"| {margin:g} | {wrong[margin]} | {sent[margin] / LOG_SCAN:.2%} |")
+    print(f"\n## ns per value of each log (best of {repeats}, in-process)\n")
+    print("| pass shape | math.log map | _libm_log |")
+    print("|---|---|---|")
+    for streams, size in LOG_SHAPES:
+        args = _laplace_args(gen, streams * size).reshape(streams, size)
+        old = _per_value_ns(_map_log, args, MAP_LOG_ROWS, repeats)
+        new = _per_value_ns(core._libm_log, args, max(1, core._LOG_VALUES // size), repeats)
+        print(f"| {streams} x {size} | {old:.1f} | {new:.1f} |")
+    start = time.perf_counter()
+    _acceptance_audit()
+    print(f"\n`dpgrowth audit configs/acceptance_audit.ini --jobs 1`: "
+          f"{time.perf_counter() - start:.2f} s\n")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--part", choices=("2", "4", "screen", "unit-setup", "traffic", "all"),
+    parser.add_argument("--part", choices=("2", "4", "screen", "unit-setup", "traffic", "laplace",
+                                           "all"),
                         default="all")
     parser.add_argument("--jobs", type=int, default=2)
     parser.add_argument("--streams", type=int, default=9,
@@ -451,6 +519,8 @@ def main() -> None:
         unit_setup()
     if args.part in ("traffic", "all"):
         traffic()
+    if args.part in ("laplace", "all"):
+        laplace()
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ the regularized inner solver (:mod:`dpgrowth.erm`), the localization chain
 (:mod:`dpgrowth.harness`)."""
 
 from .core import (
-    CallableLoss,
     ConvergenceError,
     Dataset,
     Domain,
@@ -29,7 +28,6 @@ from .instances import build_instance
 __version__ = "0.1.0"
 
 __all__ = [
-    "CallableLoss",
     "ConvergenceError",
     "Dataset",
     "Domain",

@@ -4,6 +4,7 @@ verification of growth and gradient-domination inequalities."""
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -25,7 +26,6 @@ __all__ = [
     "PrivacyParams",
     "GrowthSpec",
     "LossOracle",
-    "CallableLoss",
     "IsotropicQuadratic",
     "PowerNorm",
     "SeparableAbsolute",
@@ -228,9 +228,103 @@ class ChildStreams:
         return (self.parent.child(t) for t in range(self.count))
 
 
-# Rows of draws that :func:`children_laplace` turns into Laplace values at a
-# time, which bounds the list of Python floats handed to ``math.log``.
-_LOG_ROWS = 600
+# Draws that :func:`children_laplace` hands to :func:`_libm_log` at a time
+# (whole rows).  4 096 to 8 192 were fastest on the audit's passes; a whole
+# 36 000-value pass took a third longer, its step arrays outgrowing the cache.
+_LOG_VALUES = 6144
+
+# _libm_log's screen (docs/decisions.md, "An exact array log for the audit's
+# Laplace draws").  y + z is within _LOG_ERROR |y| of the log (the bound
+# proven there is 1.03 * 2^-62), and y is kept where the log is more than
+# _LOG_MARGIN ulp from a rounding midpoint.  The margin assumes libm's log
+# errs by less than 0.52 ulp, so that it returns y there too: glibc 2.36's
+# e_log.c states 0.519 ulp, and its worst in a 10^7-value scan was 0.518.
+_LOG_MARGIN = 0.02
+_LOG_ERROR = 2.0**-61
+# log1p(r) = r - r^2/2 + r^3 q(r): q's Taylor coefficients 1/9 ... 1/3,
+# signed, highest degree first for Horner.
+_LOG1P_Q = tuple((-1) ** (k + 1) / k for k in range(9, 2, -1))
+
+
+@functools.cache
+def _log_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(hi, lo, scale)`` per index ``(exponent, top 8 mantissa bits)`` of
+    an argument 2^e m, 2^-52 <= 2^e m <= 1 and 1 <= m < 2, for
+    :func:`_libm_log`: hi + lo ~ e ln2 - ln c and scale = c 2^-e, where c ~
+    1/m has 12 significant bits, and is 1 in the first bucket and 1/2 in
+    the last.
+
+    hi is on the 2^-43 grid, as the split of ln 2 that e ln2 uses, so it is
+    exact; at m -> 2 with e = -1, hi and lo are both 0.  Built on first use,
+    with ``decimal`` logs (about 10 ms)."""
+    # Imported here, as only the audit's Laplace passes need it: an import
+    # of the package does not pay for it.
+    import decimal
+
+    ctx = decimal.Context(prec=40)
+    ln2, grid = ctx.ln(2), decimal.Decimal(2**43)
+
+    def split(value):
+        hi = int(ctx.to_integral_value(ctx.multiply(value, grid)))
+        return hi, float(ctx.subtract(value, ctx.divide(hi, grid)))
+
+    # 4096 c: 4096 over the middle of bucket i, 1 + (i + 1/2)/256, rounded.
+    c4096 = np.array([4096] + [round(2**21 / (513 + 2 * i)) for i in range(1, 255)] + [2048])
+    logs = [ctx.subtract(ctx.multiply(12, ln2), ctx.ln(int(c))) for c in c4096[1:-1]]
+    t_hi, t_lo = map(np.array, zip(*map(split, [decimal.Decimal(0), *logs, ln2])))
+    l_hi, l_lo = split(ln2)
+    e = np.arange(-52, 1)[:, None]
+    hi = np.ldexp((e * l_hi + t_hi).astype(float), -43)
+    return hi.ravel(), (e * l_lo + t_lo).ravel(), np.ldexp(c4096 / 4096.0, -e).ravel()
+
+
+def _dd_log(arg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The log of each value of a 1-D float64 array in [2^-52, 1] as y + z,
+    y = fl(y + z), within ``_LOG_ERROR`` |y| of the exact log.
+
+    With arg = 2^e m and the table's c ~ 1/m, log arg = e ln2 - ln c +
+    log1p(r), r = m c - 1 and |r| <= 2^-8.  arg's top 27 bits and the
+    rest each give an exact product with c, so r + rl = m c - 1 exactly;
+    log1p is a degree-9 Taylor polynomial, and hi + r is summed exactly
+    (|hi| >= |r| or hi = 0 at every index).  The proof of the bound is in
+    ``docs/decisions.md``."""
+    hi_t, lo_t, scale_t = _log_table()
+    bits = arg.view(np.int64)
+    k = (bits >> 44) - (971 << 8)
+    hi, lo, c = hi_t.take(k), lo_t.take(k), scale_t.take(k)
+    top = (bits & np.int64(-1 << 26)).view(np.float64)
+    p1, p2 = top * c - 1.0, (arg - top) * c
+    r = p1 + p2
+    rl = p2 - (r - p1)
+    s = r * r
+    q = _LOG1P_Q[0]
+    for a in _LOG1P_Q[1:]:
+        q = q * r + a
+    y1 = hi + r
+    w = ((lo + (rl - rl * r)) + (r - (y1 - hi)) + s * r * q) - s * 0.5
+    y = y1 + w
+    return y, w - (y - y1)
+
+
+def _log_kept(y: np.ndarray, z: np.ndarray, margin: float = _LOG_MARGIN) -> np.ndarray:
+    """Where :func:`_dd_log`'s y is provably libm's log: the exact log is
+    more than ``margin`` ulp from a rounding midpoint, and y < 0."""
+    # low = 2 to the exponent of y's predecessor toward 0, so that the
+    # smaller gap beside y is 2^-52 low, and |y| < 2 low bounds the error
+    # by 2 _LOG_ERROR low.
+    low = ((y.view(np.int64) - 1) & np.int64(0x7FF << 52)).view(np.float64)
+    keep = np.abs(z) < (2.0**-52 * (0.5 - margin) - 2.0 * _LOG_ERROR) * low
+    return keep & (y < 0.0)
+
+
+def _libm_log(arg: np.ndarray) -> np.ndarray:
+    """``math.log`` of each value of a 1-D float64 array in [2^-52, 1], bit
+    for bit: :func:`_dd_log`'s y where :func:`_log_kept`, ``math.log``
+    (about 5 % of values) elsewhere, arg = 1 included."""
+    y, z = _dd_log(arg)
+    miss = np.flatnonzero(~_log_kept(y, z))
+    y[miss] = np.fromiter(map(math.log, arg[miss].tolist()), float, len(miss))
+    return y
 
 
 def children_laplace(blocks: Sequence[ChildStreams], size: int) -> np.ndarray:
@@ -239,11 +333,12 @@ def children_laplace(blocks: Sequence[ChildStreams], size: int) -> np.ndarray:
     as one ``(streams, size)`` array, bit for bit those of the streams.
 
     Every block's streams are seeded and stepped together, ``_SEED_BLOCK``
-    at a time, and their raw outputs turned into draws ``_LOG_ROWS`` rows at
-    a time.  Each draw follows numpy's ``random_laplace`` with loc 0 and
-    scale 1: U = (raw >> 11) 2^-53 gives ``0.0 - log(2.0 - U - U)`` for U >=
-    1/2 (+0.0 at U = 1/2) and ``0.0 + log(U + U)`` for 0 < U < 1/2, with
-    libm's log (``math.log``; ``np.log`` differs in the last bit on some
+    at a time, and their raw outputs turned into draws about
+    ``_LOG_VALUES`` values (whole rows) at a time.  Each draw follows
+    numpy's ``random_laplace`` with loc 0 and scale 1: U = (raw >> 11)
+    2^-53 gives ``0.0 - log(2.0 - U - U)`` for U >= 1/2 (+0.0 at U = 1/2)
+    and ``0.0 + log(U + U)`` for 0 < U < 1/2, with libm's log bit for bit
+    (:func:`_libm_log`; ``np.log`` differs in the last bit on some
     arguments).  numpy redraws U = 0 from the same stream, shifting the
     row's later draws, so such a row is drawn by its own ``child(t)``.
     """
@@ -254,15 +349,15 @@ def children_laplace(blocks: Sequence[ChildStreams], size: int) -> np.ndarray:
     index = np.arange(bounds[-1], dtype=np.uint64) - np.repeat(
         np.array(bounds[:-1], dtype=np.uint64), counts)
     out = np.empty((bounds[-1], size))
+    rows = max(1, _LOG_VALUES // size)
     for lo in range(0, bounds[-1], _SEED_BLOCK):
         hi = min(lo + _SEED_BLOCK, bounds[-1])
         raw = _pcg64_outputs(derive_stream_key(parents[lo:hi], index[lo:hi]), size)
-        for a in range(0, hi - lo, _LOG_ROWS):
-            u = (raw[a : a + _LOG_ROWS] >> np.uint64(11)) * 2.0**-53
+        for a in range(0, hi - lo, rows):
+            u = (raw[a : a + rows] >> np.uint64(11)) * 2.0**-53
             upper, zero = u >= 0.5, u == 0.0
             arg = np.where(upper, 2.0 - u - u, np.where(zero, 1.0, u + u))
-            log = np.fromiter(map(math.log, arg.ravel().tolist()), float, arg.size)
-            log = log.reshape(arg.shape)
+            log = _libm_log(arg.ravel()).reshape(arg.shape)
             out[lo + a : lo + a + len(u)] = np.where(upper, 0.0 - log, 0.0 + log)
             for row in lo + a + np.flatnonzero(zero.any(axis=1)):
                 b = bisect_right(bounds, row) - 1
@@ -501,31 +596,6 @@ class LossOracle:
     def mean_grads(self, points: np.ndarray, samples: np.ndarray) -> np.ndarray:
         """Mean subgradient field evaluated at many points, shape (m, d)."""
         raise NotImplementedError
-
-
-class CallableLoss(LossOracle):
-    """Per-sample value/subgrad callables, averaged one sample at a time."""
-
-    def __init__(self, value_fn, subgrad_fn, lipschitz, point_dim=1, structure=None):
-        self._value_fn = value_fn
-        self._subgrad_fn = subgrad_fn
-        self.lipschitz = float(lipschitz)
-        self.point_dim = int(point_dim)
-        self.structure = structure
-
-    def batch_value(self, x, samples):
-        x = np.asarray(x, float)
-        return float(np.mean([float(self._value_fn(x, np.asarray(s, float))) for s in samples]))
-
-    def batch_subgrad(self, x, samples):
-        x = np.asarray(x, float)
-        acc = np.zeros(self.point_dim)
-        for s in samples:
-            acc += np.atleast_1d(np.asarray(self._subgrad_fn(x, np.asarray(s, float)), float))
-        return acc / len(samples)
-
-    def mean_grads(self, points, samples):
-        return np.stack([self.batch_subgrad(p, samples) for p in points])
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -655,12 +656,15 @@ class AuditRow:
     report: DpTestReport | None  # None for skipped noiseless budgets
 
 
+# Built once per process, not per audit work item.
+@functools.cache
 def _audit_quadratic_instance():
     return build_instance(
         "uniform_convex", d=1, kappa=2, lam=1.0, L=4.0, R=1.0, bias_delta=0.1
     )
 
 
+@functools.cache
 def _audit_abs_instance():
     return build_instance("pure_convex", d=1, L=1.0, R=1.0)
 

@@ -77,8 +77,10 @@ class PowerNormLinearLoss(LossOracle):
             self.structure = PowerNorm(self.coef, self.power, self.lin_scale)
 
     def batch_value(self, x, samples):
+        return self._value_at_mean(x, _mean_sample(samples))
+
+    def _value_at_mean(self, x, sbar):
         x = np.atleast_1d(x)
-        sbar = _mean_sample(samples)
         return self.coef * float(np.linalg.norm(x)) ** self.power + self.lin_scale * float(
             np.dot(x, sbar)
         )
@@ -233,6 +235,8 @@ class ProblemInstance:
     _pop_value_many: Callable[[np.ndarray], np.ndarray]  # (m, d) -> (m,)
     _pop_grad: Callable[[np.ndarray], np.ndarray]  # (m, d) -> (m, d), min-norm
     _emp_min: Callable[[np.ndarray], tuple[np.ndarray, float]]
+    # (x, samples) -> excess_emp where its two terms share work.
+    _excess_emp: Callable[[np.ndarray, np.ndarray], float] | None = None
 
     def draw(self, n: int, rng: RngStream) -> Dataset:
         return Dataset(self.draw_samples(n, rng))
@@ -269,8 +273,11 @@ class ProblemInstance:
             samples = data.samples
         else:
             samples = data if data.dtype.kind == "i" else np.asarray(data, dtype=float)
+        x = np.atleast_1d(np.asarray(x, float))
+        if self._excess_emp is not None:
+            return self._excess_emp(x, samples)
         _, fmin = self._emp_min(samples)
-        return self.loss.batch_value(np.atleast_1d(np.asarray(x, float)), samples) - fmin
+        return self.loss.batch_value(x, samples) - fmin
 
     def certify(self, probes: int = 10_000, rng: RngStream | None = None):
         """Run the growth and gradient-domination probe checks (when declared)."""
@@ -392,14 +399,19 @@ def make_uniform_convex(
         r = np.linalg.norm(pts, axis=1, keepdims=True)
         return sigma_c * r ** (kappa - 2.0) * pts + u
 
-    def emp_min(samples):
-        ubar = (L / 2.0) * _mean_sample(samples)
+    def min_at_mean(sbar):
+        ubar = (L / 2.0) * sbar
         un = float(np.linalg.norm(ubar))
         if un == 0.0:
             return np.zeros(d), 0.0
         m = min((un / sigma_c) ** (1.0 / (kappa - 1.0)), R)
         x = -m * ubar / un
         return x, coef * m**kappa - m * un
+
+    def excess_emp(x, samples):
+        # Both terms read only the mean sample: take it once.
+        sbar = _mean_sample(samples)
+        return loss._value_at_mean(x, sbar) - min_at_mean(sbar)[1]
 
     loss = PowerNormLinearLoss(coef=coef, power=kappa, lin_scale=L / 2.0, d=d, lipschitz=L)
     return ProblemInstance(
@@ -416,7 +428,8 @@ def make_uniform_convex(
         _pop_value=pop_value,
         _pop_value_many=pop_value_many,
         _pop_grad=pop_grad,
-        _emp_min=emp_min,
+        _emp_min=lambda samples: min_at_mean(_mean_sample(samples)),
+        _excess_emp=excess_emp,
     )
 
 

@@ -415,7 +415,8 @@ def test_criterion_8_oracle_equivalence():
     closed_ok = worst_x <= 1e-4 and worst_f <= 1e-4
 
     # Inner solver vs 1e-4 grid brute force on 20 random 1-D problems.
-    from dpgrowth.core import CallableLoss, IsotropicQuadratic
+    from dpgrowth.core import IsotropicQuadratic
+    from loss_helpers import CallableLoss
 
     rng = RngStream(81, 0)
     worst_solver = 0.0

@@ -1,10 +1,10 @@
+import decimal
 import math
 
 import numpy as np
 import pytest
 
 from dpgrowth.core import (
-    CallableLoss,
     Dataset,
     Domain,
     GrowthSpec,
@@ -19,8 +19,9 @@ from dpgrowth.core import (
     verify_kl,
 )
 from dpgrowth import core
-from dpgrowth.core import _LOG_ROWS, _SEED_BLOCK, _pcg64_states, children_laplace
+from dpgrowth.core import _LOG_VALUES, _SEED_BLOCK, _pcg64_states, children_laplace
 from dpgrowth.instances import make_sharp_growth_1d, make_uniform_convex
+from loss_helpers import CallableLoss
 
 
 # ---------------------------------------------------------------------------
@@ -112,14 +113,17 @@ def test_children_laplace_of_several_blocks_equals_child_draws(monkeypatch):
     # above: U = 0 in the second seed block (block 2's row 3), U = 0 in the
     # row right after the empty block (block 2's row 0, in the first seed
     # block) and U = 1/2 in the second conversion chunk (block 0's row
-    # _LOG_ROWS + 3).  A U = 0 row is drawn again by its own child(t).
+    # edge + 3, a chunk being _LOG_VALUES // size rows).  A U = 0 row is
+    # drawn again by its own child(t).
     raw_outputs, calls = core._pcg64_outputs, []
+    size = 3
+    edge = _LOG_VALUES // size
 
     def patched(keys, size):
         raw = raw_outputs(keys, size)
         if not calls:
             raw[_SEED_BLOCK - 2, 1] &= np.uint64(0x7FF)
-            raw[_LOG_ROWS + 3, 0] = np.uint64(1 << 63)
+            raw[edge + 3, 0] = np.uint64(1 << 63)
         else:
             raw[1, 0] &= np.uint64(0x7FF)
         calls.append(len(keys))
@@ -129,12 +133,11 @@ def test_children_laplace_of_several_blocks_equals_child_draws(monkeypatch):
     parents = [RngStream(7, 3), RngStream(1, 2), RngStream(2**64 - 1, 5)]
     blocks = [parents[0].children(_SEED_BLOCK - 2), parents[1].children(0),
               parents[2].children(5)]
-    size = 3
     got = children_laplace(blocks, size)
     want = np.array([s.gen.laplace(0.0, 1.0, size) for block in blocks for s in block])
     assert calls == [_SEED_BLOCK, 3]
-    assert _bits(got[_LOG_ROWS + 3, 0]) == 0
-    want[_LOG_ROWS + 3, 0] = 0.0
+    assert _bits(got[edge + 3, 0]) == 0
+    want[edge + 3, 0] = 0.0
     assert np.array_equal(_bits(got), _bits(want))
     # The same blocks one at a time, unpatched, give the same rows.
     monkeypatch.setattr(core, "_pcg64_outputs", raw_outputs)
@@ -149,6 +152,85 @@ def test_children_draw_what_child_draws(parent):
     assert [(s.seed, s.stream) for s in p.children(3)] == [
         (c.seed, c.stream) for c in (p.child(t) for t in range(3))]
     assert list(p.children(0)) == []
+
+
+def _math_log(values) -> np.ndarray:
+    return np.fromiter(map(math.log, np.asarray(values).tolist()), float)
+
+
+def test_libm_log_equals_math_log_bit_for_bit():
+    # Both argument forms of numpy's Laplace rule, 2U and 2 - 2U, and edge
+    # values: 1, 2^-52, the double below 1, and both ends of every bucket
+    # of the table at every exponent.
+    gen = np.random.default_rng(31)
+    lower = gen.integers(1, 2**52, 10**6) * 2.0**-52
+    upper = 2.0 - 2.0 * (gen.integers(2**52, 2**53, 10**6) * 2.0**-53)
+    exponents = np.arange(-52, 0)[:, None]
+    starts = np.ldexp(1.0 + np.arange(256) / 256.0, exponents).ravel()
+    ends = np.nextafter(np.ldexp(1.0 + np.arange(1, 257) / 256.0, exponents).ravel(), 0.0)
+    edges = np.concatenate([[1.0, 2.0**-52, np.nextafter(1.0, 0.0)], starts, ends])
+    for args in (lower, upper, edges):
+        assert np.array_equal(_bits(core._libm_log(args)), _bits(_math_log(args)))
+    # The share sent to math.log is about 2 (margin + 2^8 error bound) ulp.
+    kept = np.concatenate([core._log_kept(*core._dd_log(args)) for args in (lower, upper)])
+    assert 0.0 < 1.0 - kept.mean() < 0.06
+    assert not core._log_kept(*core._dd_log(np.array([1.0])))[0]
+
+
+# Arguments from a 10^7 scan of both forms at which glibc 2.36's log is not
+# correctly rounded: the exact log lies 0.004-0.018 ulp from a rounding
+# midpoint (the first fifteen are those a 0.01 ulp margin keeps).  A
+# screen that kept them would return the correctly rounded value.
+LIBM_MISROUNDED = [
+    "0x1.cbf4c2b5e742fp-1", "0x1.dbf3b74534c56p-1", "0x1.d204d18dda00ap-1",
+    "0x1.cbfb465f98507p-1", "0x1.c7ec1a2776f7fp-1", "0x1.cbf3c2b240d36p-1",
+    "0x1.c9f9d4b8152b8p-1", "0x1.d80798b9ce212p-1", "0x1.de0002becb8ccp-1",
+    "0x1.dc0626403d799p-1", "0x1.dc02807edc978p-1", "0x1.cbf1c1cf8e9d7p-1",
+    "0x1.cc03a63f1bb50p-1", "0x1.c80d604baf85ep-1", "0x1.d00bc95c3b0f0p-1",
+    "0x1.a9fe2ef192acap-1", "0x1.d0271ea77b2f6p-1", "0x1.d28647c969198p-1",
+    "0x1.c7ef6aef78006p-1", "0x1.ae10ac08c271fp-1",
+]
+
+
+def test_libm_log_sends_arguments_near_rounding_midpoints_to_math_log(monkeypatch):
+    args = np.array([float.fromhex(h) for h in LIBM_MISROUNDED])
+    want, called = _math_log(args), []
+    libm = math.log
+    monkeypatch.setattr(math, "log", lambda v: called.append(v) or libm(v))
+    assert np.array_equal(_bits(core._libm_log(args)), _bits(want))
+    assert called == args.tolist()
+
+
+def test_dd_log_error_bound_and_its_table_premises():
+    # |y + z - log| <= _LOG_ERROR |y| against 40-digit decimal logs, where
+    # the bound is tightest: the last bucket below 1 (hi = 0), the bucket
+    # below it, the first bucket at e = -1, and anywhere.
+    gen = np.random.default_rng(5)
+    args = np.concatenate([
+        1.0 - gen.integers(1, 2**43, 300) * 2.0**-52,
+        1.0 - 2.0**-9 - gen.integers(1, 2**43, 300) * 2.0**-52,
+        0.5 + gen.integers(0, 2**43, 300) * 2.0**-53,
+        gen.integers(1, 2**52, 300) * 2.0**-52,
+    ])
+    ctx, dec = decimal.Context(prec=40), decimal.Decimal
+    for arg, y, z in zip(args.tolist(), *(part.tolist() for part in core._dd_log(args))):
+        error = ctx.subtract(ctx.add(dec(y), dec(z)), ctx.ln(dec(arg)))
+        assert abs(error) <= dec(core._LOG_ERROR) * dec(-y)
+    # The proof's premises at every index an argument below 1 reaches: c has
+    # 12 bits, |r| <= 2^-8, hi is on the 2^-43 grid, and |hi| >= |r| or hi =
+    # lo = 0, only at the last bucket of e = -1 (and at 1).
+    hi, lo, scale = core._log_table()
+    index = np.arange(len(hi))
+    e, bucket = index // 256 - 52, index % 256
+    c = np.ldexp(scale, e)
+    r = np.maximum(abs((1.0 + bucket / 256.0) * c - 1.0),
+                   abs((1.0 + (bucket + 1) / 256.0) * c - 1.0))
+    assert np.all(c * 4096.0 == np.round(c * 4096.0))
+    assert r[e < 0].max() <= 2.0**-8
+    assert np.all(hi * 2.0**43 == np.round(hi * 2.0**43))
+    assert np.all((abs(hi) >= r) | (hi == 0.0))
+    assert index[hi == 0.0].tolist() == [51 * 256 + 255, 52 * 256]
+    assert np.all(lo[hi == 0.0] == 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dpgrowth.core import (
-    CallableLoss,
     ConvergenceError,
     Dataset,
     Domain,
@@ -26,6 +25,7 @@ from dpgrowth.instances import (
     make_sharp_growth_1d,
     make_uniform_convex,
 )
+from loss_helpers import CallableLoss
 
 
 def _quadratic_loss():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dpgrowth.core import (
-    CallableLoss,
     Dataset,
     Domain,
     GrowthSpec,
@@ -23,6 +22,7 @@ from dpgrowth.inv_sensitivity import (
     sample,
 )
 from dpgrowth.instances import build_instance
+from loss_helpers import CallableLoss
 
 
 def _atom_abs_instance():
