@@ -40,11 +40,18 @@ double-double log differs from ``math.log`` and the share sent to
 the chunks each takes; and the wall time of ``dpgrowth audit
 configs/acceptance_audit.ini`` at --jobs 1.
 
+Gaussian: per (epsilon, delta) budget, sigma / Delta of the retired default
+sqrt(ln(1/delta)) / epsilon with its exact delta(epsilon) (Balle & Wang 2018,
+Theorem 8, from scipy's normal cdf), of the retired conservative
+2 ln(2/delta) / epsilon, and of ``mechanisms.gaussian_sigma`` with its exact
+delta(epsilon), and the time of one uncached bisection.
+
 It needs scipy (``scipy.stats``), which the package's ``test`` extra
 installs. Run from the repository root (on 2 CPUs with --jobs 2, --part 2 took
 11.4-11.6 s and --part 4 1.9-2.7 s over two runs each; --part screen runs
 in-process and takes under a second, --part unit-setup a few seconds,
---part traffic about ten and --part laplace about six):
+--part traffic about ten, --part laplace about six and --part gaussian under
+a second):
 
     PYTHONPATH=src python scripts/decisions_ledger.py --part all --jobs 2
 """
@@ -65,9 +72,9 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.stats import chi2, norm
 
-from dpgrowth import core, epoch_growth, erm, harness, localization
+from dpgrowth import core, epoch_growth, erm, harness, localization, mechanisms
 from dpgrowth.core import PrivacyParams, RngStream
 from dpgrowth.harness import (
     _audit_chains,
@@ -499,10 +506,41 @@ def laplace(repeats: int = 7) -> None:
           f"{time.perf_counter() - start:.2f} s\n")
 
 
+GAUSSIAN_BUDGETS = ((0.5, 1e-3), (1.0, 1e-3), (0.5, 1e-5), (1.0, 1e-5), (1.0, 1e-6), (2.0, 1e-6),
+                    (1.0, 1e-10))
+
+
+def _exact_delta(epsilon: float, s: float) -> float:
+    a, y = 0.5 / s - epsilon * s, 0.5 / s + epsilon * s
+    return float(norm.cdf(a)) - math.exp(epsilon + float(norm.logcdf(-y)))
+
+
+def gaussian(repeats: int = 20) -> None:
+    print("## One Gaussian calibration (sigma / Delta; delta(eps) exact, from scipy)\n")
+    print("| eps | delta | retired sqrt(ln(1/delta))/eps | its delta(eps) | retired 2 ln(2/delta)/eps "
+          "| gaussian_sigma | its delta(eps) / delta - 1 | one bisection |")
+    print("|---|---|---|---|---|---|---|---|")
+    for eps, delta in GAUSSIAN_BUDGETS:
+        old = math.sqrt(math.log(1.0 / delta)) / eps
+        old_delta = _exact_delta(eps, old)
+        conservative = 2.0 * math.log(2.0 / delta) / eps
+        best = math.inf
+        for _ in range(repeats):
+            mechanisms._gaussian_scale.cache_clear()
+            start = time.perf_counter()
+            new = mechanisms.gaussian_sigma(1.0, eps, delta)
+            best = min(best, time.perf_counter() - start)
+        print(f"| {eps:g} | {delta:g} | {old:.3f} | {old_delta:.3g} ({old_delta / delta:.1f}x) | "
+              f"{conservative:.1f} ({conservative / new:.1f}x) | {new:.3f} | "
+              f"{_exact_delta(eps, new) / delta - 1:+.1e} | "
+              f"{best * 1e6:.0f} us |")
+    print()
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--part", choices=("2", "4", "screen", "unit-setup", "traffic", "laplace",
-                                           "all"),
+                                           "gaussian", "all"),
                         default="all")
     parser.add_argument("--jobs", type=int, default=2)
     parser.add_argument("--streams", type=int, default=9,
@@ -521,6 +559,8 @@ def main() -> None:
         traffic()
     if args.part in ("laplace", "all"):
         laplace()
+    if args.part in ("gaussian", "all"):
+        gaussian()
 
 
 if __name__ == "__main__":

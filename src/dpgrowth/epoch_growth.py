@@ -71,7 +71,6 @@ class EpochConfig:
     R0: float
     eta0: float
     noise_scale: float = 1.0
-    gaussian_conservative: bool = False
 
     def __post_init__(self):
         if self.T < 1:
@@ -131,8 +130,7 @@ def _chains(cfg: EpochConfig, n: int, L: float, d: int) -> tuple:
     radii = cfg.R0 * halvings
     live = np.count_nonzero(radii >= _FROZEN_RADIUS_FRACTION * cfg.R0)
     inner = localization.LocalizationConfig.for_data_size(
-        n0, cfg.eta0, cfg.privacy, noise_scale=cfg.noise_scale,
-        gaussian_conservative=cfg.gaussian_conservative)
+        n0, cfg.eta0, cfg.privacy, noise_scale=cfg.noise_scale)
     table = localization._table(inner, L, d, cfg.eta0 * halvings[:live])
     return range(0, cfg.T * n0, n0), radii.tolist(), inner.n0, table
 

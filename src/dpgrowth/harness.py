@@ -14,7 +14,7 @@ import sys
 import time
 from configparser import ConfigParser
 from configparser import Error as IniError
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import accumulate, product
 from pathlib import Path
 
@@ -48,26 +48,6 @@ __all__ = [
 
 ALGORITHMS = ("localization", "epoch_growth", "inv_sensitivity", "erm_oracle")
 
-# Frozen CSV schema.  Wall time is deliberately not a CSV column: the CSV is
-# the byte-reproducible artifact of a run, and timings land in the JSON
-# summary instead.
-CSV_COLUMNS = (
-    "config_hash",
-    "instance",
-    "algorithm",
-    "n",
-    "d",
-    "epsilon",
-    "delta",
-    "kappa",
-    "kappa_lower",
-    "seed",
-    "excess_emp",
-    "excess_pop",
-    "epoch_i0",
-    "error",
-)
-
 
 @dataclass(frozen=True)
 class TrialRecord:
@@ -88,6 +68,12 @@ class TrialRecord:
     error: str = ""
 
 
+# The frozen CSV schema: every TrialRecord field but wall time, which is
+# deliberately not a column: the CSV is the byte-reproducible artifact of a
+# run, and timings land in the JSON summary instead.
+CSV_COLUMNS = tuple(f.name for f in fields(TrialRecord) if f.name != "wall_ms")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     name: str
@@ -106,13 +92,13 @@ class ExperimentConfig:
     sweep_kappa_lower: tuple | None
     kappa_lower: float | None
     noise_scale: float
-    gaussian_conservative: bool
     rho: float | None
     grid_spacing: float | None
     output_prefix: str
 
     def config_hash(self) -> str:
-        payload = repr(sorted(asdict(self).items())).encode()
+        # The retired gaussian_conservative field keeps every config's hash.
+        payload = repr(sorted({**asdict(self), "gaussian_conservative": False}.items())).encode()
         return hashlib.sha256(payload).hexdigest()[:12]
 
     def cells(self) -> list[dict]:
@@ -166,7 +152,7 @@ _CONFIG_KEYS = {
     "experiment": {"name", "algorithm", "seeds", "master_seed", "beta", "x0_offset", "n"},
     "instance": None,
     "sweep": {"n", "epsilon", "delta", "d", "kappa_lower"},
-    "algorithm": {"kappa_lower", "noise_scale", "gaussian_conservative", "rho", "grid_spacing"},
+    "algorithm": {"kappa_lower", "noise_scale", "rho", "grid_spacing"},
     "output": {"prefix"},
     "audit": {"epsilons", "n", "trials", "bins", "pipelines", "sabotage"},
 }
@@ -246,7 +232,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
         sweep_kappa_lower=_get(sweep, "kappa_lower", _numbers),
         kappa_lower=_get(algo, "kappa_lower", float),
         noise_scale=_get(algo, "noise_scale", float, 1.0),
-        gaussian_conservative=_get(algo, "gaussian_conservative", _boolean, False),
         rho=_get(algo, "rho", float),
         grid_spacing=_get(algo, "grid_spacing", float),
         output_prefix=parser["output"].get("prefix", Path(path).stem).strip(),
@@ -316,9 +301,7 @@ def _cell_setup(cfg: ExperimentConfig, cell: dict, instance: ProblemInstance) ->
         return privacy, None
     return privacy, _chain_config(
         cfg.algorithm, instance, cell["n"], cell["d"], _cell_beta(cfg, cell), privacy,
-        cell["kappa_lower"], noise_scale=cfg.noise_scale,
-        gaussian_conservative=cfg.gaussian_conservative,
-    )
+        cell["kappa_lower"], noise_scale=cfg.noise_scale)
 
 
 # A unit takes as many seeds as hold about this many sample values (n * d per
@@ -423,12 +406,14 @@ def _execute(unit) -> list[TrialRecord]:
                 try:
                     data = instance.draw(cell["n"], RngStream(key, 0))
                     if grid is None:
-                        x = instance.empirical_min(data)[0]
+                        x, fmin = instance.empirical_min(data)
+                        emp = instance.emp_value(x, data) - fmin
                     else:
                         density = inv_sensitivity.build_density(
                             loss, data, domain, privacy.epsilon, rho=grid[0], h=grid[1])
                         x = inv_sensitivity.sample(density, RngStream(key, 1))
-                    excess[i] = (instance.excess_emp(x, data), instance.excess_pop(x))
+                        emp = instance.excess_emp(x, data)
+                    excess[i] = (emp, instance.excess_pop(x))
                 except (InvalidInputError, RuntimeError) as exc:
                     errors[i] = f"{type(exc).__name__}: {exc}"
     except (InvalidInputError, RuntimeError) as exc:

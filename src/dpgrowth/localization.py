@@ -72,9 +72,7 @@ class LocalizationConfig:
 
     ``noise_scale`` rescales every injected noise draw; it exists for the
     privacy falsifier (sabotage) and for noiseless oracle runs, and must be
-    1.0 for any run whose privacy claim matters.  ``gaussian_conservative``
-    switches the approximate-DP noise to the conservative calibration
-    2 * (4 L eta_i) * log(2/delta) / epsilon.
+    1.0 for any run whose privacy claim matters.
     """
 
     eta: float
@@ -82,7 +80,6 @@ class LocalizationConfig:
     k: int
     n0: int
     noise_scale: float = 1.0
-    gaussian_conservative: bool = False
 
     def __post_init__(self):
         if not (self.eta > 0):
@@ -129,7 +126,7 @@ def _table(cfg: LocalizationConfig, L: float, d: int, etas=None) -> np.ndarray:
     eta_i = np.reshape(cfg.eta if etas is None else etas, (-1, 1)) * np.ldexp(
         1.0, -4 * np.arange(1, cfg.k + 1))
     sensitivity = 4.0 * L * eta_i
-    sigma = mechanisms.noise_sigma(sensitivity, d, cfg.privacy, cfg.gaussian_conservative)
+    sigma = mechanisms.noise_sigma(sensitivity, d, cfg.privacy)
     return np.array((eta_i, 2.0 * L * eta_i * cfg.n0, 1.0 / (eta_i * cfg.n0), sensitivity, sigma,
                      sigma * cfg.noise_scale)).transpose(1, 2, 0)
 

@@ -8,6 +8,7 @@ Laplace noise) and approximate DP (isotropic Gaussian noise)."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import accumulate
@@ -41,8 +42,8 @@ __all__ = [
     "histogram_test",
 ]
 
-# Approximate-DP budgets with delta this large make the noise line degenerate
-# (log(1/delta) -> 0); they are rejected rather than silently accepted.
+# Approximate-DP budgets with delta this large make noise_norm_factor's
+# log(1/delta) degenerate (-> 0); they are rejected rather than silently accepted.
 MAX_APPROX_DELTA = 0.5
 
 MIN_BIN_COUNT = 50
@@ -56,16 +57,42 @@ def laplace_sigma(l1_sensitivity: float, epsilon: float) -> float:
         raise InvalidInputError("epsilon must be positive")
     return l1_sensitivity / epsilon
 
+
+def _gaussian_delta(epsilon: float, s: float) -> float:
+    """Balle & Wang's (2018, Theorem 8) exact delta(epsilon) of Gaussian noise
+    of s standard deviations per unit of l2 sensitivity, Phi(1/(2s) - eps s)
+    - e^eps Phi(-1/(2s) - eps s), plus 2^-40 of the two terms' sum to cover
+    their rounding.  e^eps Phi(-y) is taken as exp(eps + log Phi(-y)), and
+    dropped where erfc leaves the normal range: that only overstates delta."""
+    a, y = 0.5 / s - epsilon * s, 0.5 / s + epsilon * s
+    first, tail = 0.5 * math.erfc(-a / math.sqrt(2.0)), math.erfc(y / math.sqrt(2.0))
+    second = math.exp(epsilon + math.log(0.5 * tail)) if tail >= 2.0**-1022 else 0.0
+    return first - second + 2.0**-40 * (first + second)
+
+
+@functools.cache
+def _gaussian_scale(epsilon: float, delta: float) -> float:
+    """The least s with ``_gaussian_delta(epsilon, s) <= delta``, by
+    bisection of a doubling bracket until its ends are adjacent floats."""
+    lo, hi = 0.0, 1.0
+    while _gaussian_delta(epsilon, hi) > delta:
+        lo, hi = hi, 2.0 * hi
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (lo, mid) if _gaussian_delta(epsilon, mid) <= delta else (mid, hi)
+    return hi
+
+
 def gaussian_sigma(l2_sensitivity: float, epsilon: float, delta: float) -> float:
-    """Gaussian standard deviation for the given l2 sensitivity:
-    sigma = 2 * Delta * log(2/delta) / epsilon (natural log)."""
+    """The least Gaussian standard deviation sigma = Delta s whose exact
+    privacy curve meets (epsilon, delta) at l2 sensitivity Delta, a float or
+    an array of them (``_gaussian_scale``, computed once per budget)."""
     if not np.all(l2_sensitivity > 0):
         raise InvalidInputError("l2 sensitivity must be positive")
     if not (epsilon > 0):
         raise InvalidInputError("epsilon must be positive")
     if not (0.0 < delta < 1.0):
         raise InvalidInputError(f"delta must lie in (0, 1), got {delta}")
-    return 2.0 * l2_sensitivity * math.log(2.0 / delta) / epsilon
+    return l2_sensitivity * _gaussian_scale(epsilon, delta)
 
 
 def check_budget(privacy: PrivacyParams) -> None:
@@ -92,21 +119,14 @@ def noise_norm_factor(privacy: PrivacyParams, d: int) -> float:
     return math.sqrt(d * math.log(1.0 / privacy.delta))
 
 
-def noise_sigma(
-    l2_sensitivity: float, d: int, privacy: PrivacyParams, conservative: bool = False
-) -> float:
+def noise_sigma(l2_sensitivity: float, d: int, privacy: PrivacyParams) -> float:
     """Per-coordinate noise scale for a d-dimensional statistic with the
-    given l2 sensitivity Delta, a float or an array of them.
-
-    Pure budgets use Laplace noise calibrated to the l1 bound Delta sqrt(d).
-    Approximate budgets use Gaussian noise Delta sqrt(log(1/delta)) / epsilon,
-    or ``gaussian_sigma`` when ``conservative`` is set.
-    """
+    given l2 sensitivity Delta, a float or an array of them: Laplace noise
+    calibrated to the l1 bound Delta sqrt(d) for pure budgets, and
+    ``gaussian_sigma`` for approximate ones."""
     if privacy.is_pure:
         return laplace_sigma(l2_sensitivity * math.sqrt(d), privacy.epsilon)
-    if conservative:
-        return gaussian_sigma(l2_sensitivity, privacy.epsilon, privacy.delta)
-    return l2_sensitivity * math.sqrt(math.log(1.0 / privacy.delta)) / privacy.epsilon
+    return gaussian_sigma(l2_sensitivity, privacy.epsilon, privacy.delta)
 
 
 def noise_draw(privacy: PrivacyParams, rng: RngStream) -> Callable[..., np.ndarray]:

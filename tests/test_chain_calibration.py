@@ -2,8 +2,8 @@
 
 Each case runs ``localization.run`` or ``epoch_growth.run`` once and pins
 the traced per-phase noise scales and the final output to frozen reference
-values (rel 1e-12).  The cases cover pure, approximate (delta = 1e-6) and
-conservative-Gaussian budgets on the quadratic chain at d = 1 and d = 3, so
+values (rel 1e-12).  The cases cover pure and approximate (delta = 1e-6)
+budgets on the quadratic chain at d = 1 and d = 3, so
 any change to how a budget becomes a noise scale, a noise draw or a step
 size shows up here.
 """
@@ -17,11 +17,7 @@ from dpgrowth.instances import build_instance
 
 N = 64
 
-MODES = {
-    "pure": (PrivacyParams(1.0), False),
-    "approx": (PrivacyParams(1.0, 1e-6), False),
-    "conservative": (PrivacyParams(1.0, 1e-6), True),
-}
+MODES = {"pure": PrivacyParams(1.0), "approx": PrivacyParams(1.0, 1e-6)}
 
 
 def _instance(d):
@@ -32,12 +28,9 @@ def _instance(d):
 
 
 def _localization(d, mode):
-    privacy, conservative = MODES[mode]
     inst = _instance(d)
     data = inst.draw(N, RngStream(40 + d, 0))
-    cfg = localization.LocalizationConfig.for_data_size(
-        N, 0.05, privacy, gaussian_conservative=conservative
-    )
+    cfg = localization.LocalizationConfig.for_data_size(N, 0.05, MODES[mode])
     trace: list = []
     x = localization.run(
         inst.loss, data, inst.domain, np.zeros(d), cfg, [RngStream(40 + d, 1)], phase_trace=trace
@@ -46,13 +39,10 @@ def _localization(d, mode):
 
 
 def _epoch(d, mode):
-    privacy, conservative = MODES[mode]
     inst = _instance(d)
     data = inst.draw(N, RngStream(50 + d, 0))
     cfg = epoch_growth.EpochConfig.for_run(
-        N, inst.loss, inst.domain, 3.0, 1.0 / (N + 1), privacy,
-        gaussian_conservative=conservative,
-    )
+        N, inst.loss, inst.domain, 3.0, 1.0 / (N + 1), MODES[mode])
     phases: list = []
     x = epoch_growth.run(
         inst.loss, data, inst.domain, np.zeros(d), cfg, [RngStream(50 + d, 1)],
@@ -66,24 +56,14 @@ def _epoch(d, mode):
 # phase's sigma; the epoch chain (24 phases) pins [count, first, last, sum].
 FROZEN = {
     ("localization", "approx", 1): (
-        [0.1858461094424919, 0.011615381840155745, 0.000725961365009734,
-         4.537258531310838e-05, 2.8357865820692736e-06, 1.772366613793296e-07],
-        [-0.20327937604548382],
+        [0.21123394446670707, 0.013202121529169192, 0.0008251325955730745,
+         5.1570787223317155e-05, 3.2231742014573222e-06, 2.0144838759108264e-07],
+        [-0.22931917806140292],
     ),
     ("localization", "approx", 3): (
-        [0.09292305472124596, 0.005807690920077872, 0.000362980682504867,
-         2.268629265655419e-05, 1.4178932910346368e-06, 8.86183306896648e-08],
-        [0.10754403187722748, -0.0186292895648967, 0.14595506214638315],
-    ),
-    ("localization", "conservative", 1): (
-        [1.450865773852422, 0.09067911086577637, 0.005667444429111023,
-         0.00035421527681943896, 2.2138454801214935e-05, 1.3836534250759334e-06],
-        [-0.9997274671958819],
-    ),
-    ("localization", "conservative", 3): (
-        [0.725432886926211, 0.04533955543288819, 0.0028337222145555117,
-         0.00017710763840971948, 1.1069227400607468e-05, 6.918267125379667e-07],
-        [0.5813543635552205, -0.10503163382027138, 0.8060733556619961],
+        [0.10561697223335353, 0.006601060764584596, 0.00041256629778653724,
+         2.5785393611658578e-05, 1.6115871007286611e-06, 1.0072419379554132e-07],
+        [0.12262945276469388, -0.02137083426842025, 0.16608767680193995],
     ),
     ("localization", "pure", 1): (
         [0.05, 0.003125, 0.0001953125, 1.220703125e-05, 7.62939453125e-07,
@@ -96,20 +76,12 @@ FROZEN = {
         [-0.08495964149075642, 0.05766336207810219, 0.026490192396752755],
     ),
     ("epoch", "approx", 1): (
-        [24, 0.05988902893675464, 4.569170298519489e-07, 0.12576504171565936],
-        [0.09556740597373889],
+        [24, 0.06807027518919374, 5.193349852691173e-07, 0.1429453966903687],
+        [0.10862249952762304],
     ),
     ("epoch", "approx", 3): (
-        [24, 0.03457694697814058, 2.6380117018234695e-07, 0.07261048068918045],
-        [-0.020510290362843814, 0.017511523506676844, 0.02296610881020781],
-    ),
-    ("epoch", "conservative", 1): (
-        [24, 0.4675424337601325, 3.56706568725687e-06, 0.9818241292203918],
-        [0.7460738414623388],
-    ),
-    ("epoch", "conservative", 3): (
-        [24, 0.2699357499889853, 2.0594463347548316e-06, 0.5668564253022631],
-        [-0.1587457982615733, 0.14069660993032407, 0.18337753696113304],
+        [24, 0.03930039170429291, 2.998381935447152e-07, 0.08252956325860222],
+        [-0.023284555749981922, 0.019983740136626245, 0.026185425464699548],
     ),
     ("epoch", "pure", 1): (
         [24, 0.025499742544669305, 1.9454759631858295e-07, 0.053548642243901004],

@@ -273,8 +273,6 @@ def test_indices_in_region_equals_the_record_loop():
 
 def _other_value(value):
     """A value of the same kind that differs from ``value``."""
-    if isinstance(value, bool):
-        return not value
     if isinstance(value, PrivacyParams):
         return PrivacyParams(2.0 * value.epsilon, value.delta)
     return value + 1 if isinstance(value, int) else value / 2.0
@@ -282,8 +280,7 @@ def _other_value(value):
 
 @pytest.mark.parametrize("chain", ["localization", "epoch_growth"])
 def test_every_chain_config_field_changes_the_schedule(chain):
-    # A config field the schedule never reads is a knob with no effect.  An
-    # approximate budget lets gaussian_conservative change the noise scale.
+    # A config field the schedule never reads is a knob with no effect.
     inst = _instance()
     L, n, privacy = inst.loss.lipschitz, 256, PrivacyParams(1.0, 1e-6)
     if chain == "localization":
@@ -305,11 +302,8 @@ def test_every_chain_config_field_changes_the_schedule(chain):
 
 def _variants(cfg):
     """A chain config as the acceptance sweeps run it, then under a Gaussian
-    budget, with the conservative Gaussian calibration, and with noise_scale
-    != 1."""
+    budget, and with noise_scale != 1."""
     return (cfg, dataclasses.replace(cfg, privacy=PrivacyParams(cfg.privacy.epsilon, 1e-6)),
-            dataclasses.replace(cfg, privacy=PrivacyParams(cfg.privacy.epsilon, 1e-6),
-                                gaussian_conservative=True),
             dataclasses.replace(cfg, noise_scale=0.5))
 
 
@@ -325,7 +319,7 @@ def _schedule(cfg, L: float, d: int) -> list[tuple]:
     for i in range(1, cfg.k + 1):
         eta_i = cfg.eta * 2.0 ** (-4 * i)
         sensitivity = 4.0 * L * eta_i
-        sigma = mechanisms.noise_sigma(sensitivity, d, cfg.privacy, cfg.gaussian_conservative)
+        sigma = mechanisms.noise_sigma(sensitivity, d, cfg.privacy)
         phases.append((
             i, eta_i, 2.0 * L * eta_i * cfg.n0, 1.0 / (eta_i * cfg.n0),
             sensitivity, sigma, sigma * cfg.noise_scale,
@@ -346,8 +340,7 @@ def _epochs(cfg: EpochConfig, n: int) -> list[tuple]:
         radius, eta_i = cfg.R0 * 2.0 ** (-i), cfg.eta0 * 2.0 ** (-i)
         inner = None if radius < _FROZEN_RADIUS_FRACTION * cfg.R0 else (
             localization.LocalizationConfig.for_data_size(
-                n0, eta_i, cfg.privacy, noise_scale=cfg.noise_scale,
-                gaussian_conservative=cfg.gaussian_conservative))
+                n0, eta_i, cfg.privacy, noise_scale=cfg.noise_scale))
         epochs.append((eta_i, (i * n0, radius, inner)))
     return epochs
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from dpgrowth import harness, inv_sensitivity
-from dpgrowth.core import InvalidInputError
+from dpgrowth.core import InvalidInputError, RngStream, derive_stream_key
 from dpgrowth.harness import (
     CSV_COLUMNS,
     RateFit,
@@ -22,6 +23,7 @@ from dpgrowth.harness import (
     run_sweep,
     summarize,
 )
+from dpgrowth.instances import ProblemInstance
 from dpgrowth.mechanisms import empirical_dp_test
 
 TINY_CONFIG = """
@@ -96,28 +98,56 @@ def test_load_config_rejects_unknown_algorithm(tmp_path):
 
 
 def test_load_config_rejects_unknown_keys_and_sections(tmp_path):
-    # A misspelled key or section must not fall back to a default silently.
+    # A misspelled key or section must not fall back to a default silently,
+    # and neither may a retired key.
     for old, new, message in (
         ("beta = auto", "beta = auto\nx0_ofset = 0.3", "unknown key 'x0_ofset' in [experiment]"),
         ("epsilon = 1.0", "epsilon = 1.0\nkapa_lower = 3", "unknown key 'kapa_lower' in [sweep]"),
         ("[output]", "[algorithm]\nnoise_scal = 0.0\n\n[output]",
          "unknown key 'noise_scal' in [algorithm]"),
+        ("[output]", "[algorithm]\ngaussian_conservative = false\n\n[output]",
+         "unknown key 'gaussian_conservative' in [algorithm]; "
+         "known: grid_spacing, kappa_lower, noise_scale, rho"),
         ("prefix = tiny", "prefix = tiny\nsufix = x", "unknown key 'sufix' in [output]"),
         ("[sweep]", "[sweeep]", "unknown section [sweeep]"),
         ("n = 64", "n = 64, many", "[sweep] n: cannot read '64, many'"),
-        ("[output]", "[algorithm]\ngaussian_conservative = maybe\n\n[output]",
-         "[algorithm] gaussian_conservative: cannot read 'maybe'"),
     ):
         with pytest.raises(InvalidInputError, match=re.escape(message)):
             load_config(_write(tmp_path, TINY_CONFIG.replace(old, new)))
-    # Every key read is accepted, [experiment] n included; a boolean takes
-    # any spelling ConfigParser.getboolean takes, as [audit] sabotage does.
+    # Every key read is accepted, [experiment] n included.
     text = TINY_CONFIG.replace("beta = auto", "beta = auto\nn = 32\nx0_offset = 0.3").replace(
-        "[output]", "[algorithm]\nnoise_scale = 0.0\ngaussian_conservative = Yes\n\n[output]"
+        "[output]", "[algorithm]\nnoise_scale = 0.0\n\n[output]"
     ).replace("n = 64\n", "")
     cfg = load_config(_write(tmp_path, text))
     assert (cfg.sweep_n, cfg.x0_offset, cfg.noise_scale) == ((32,), 0.3, 0.0)
-    assert cfg.gaussian_conservative is True
+
+
+def test_audit_sabotage_takes_every_boolean_spelling(tmp_path):
+    # [audit] sabotage, the one boolean key, takes any spelling
+    # ConfigParser.getboolean takes, and no other.
+    for text, want in (("Yes", True), ("on", True), ("1", True), ("TRUE", True),
+                       ("no", False), ("Off", False), ("0", False), ("false", False)):
+        path = _write(tmp_path, f"[audit]\nsabotage = {text}\n", name="audit.ini")
+        section = harness._read_ini(path, required=("audit",))["audit"]
+        assert harness._get(section, "sabotage", harness._boolean) is want
+    path = _write(tmp_path, "[audit]\nsabotage = maybe\n", name="audit.ini")
+    section = harness._read_ini(path, required=("audit",))["audit"]
+    with pytest.raises(InvalidInputError, match=re.escape("[audit] sabotage: cannot read 'maybe'")):
+        harness._get(section, "sabotage", harness._boolean)
+
+
+def test_cli_run_rejects_the_retired_gaussian_conservative_key(tmp_path, capsys):
+    # One calibration is left, so a config that still picks one stops with
+    # the unknown-key error line before any trial runs.
+    path = _write(tmp_path, TINY_CONFIG.replace(
+        "[output]", "[algorithm]\ngaussian_conservative = true\n\n[output]"))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"dpgrowth: error: config {path}: unknown key 'gaussian_conservative' "
+                            "in [algorithm]; known: grid_spacing, kappa_lower, noise_scale, rho\n")
+    assert not out.exists()
 
 
 def test_run_sweep_one_cell_three_seeds(tmp_path):
@@ -145,6 +175,30 @@ def test_run_sweep_parallel_matches_serial(tmp_path):
     _, csv_a, _ = run_sweep(cfg, tmp_path / "serial", jobs=1)
     _, csv_b, _ = run_sweep(cfg, tmp_path / "par", jobs=2)
     assert csv_a.read_bytes() == csv_b.read_bytes()
+
+
+def test_erm_oracle_trials_solve_the_empirical_problem_once(tmp_path, monkeypatch):
+    # An ERM-oracle trial scores its excess against the minimum it solved
+    # for: excess_emp, which would solve the problem again, is not called,
+    # and the CSV value equals it bit for bit.
+    base = load_config(_write(tmp_path, TINY_CONFIG.replace("n = 64", "n = 7, 64, 1000")))
+    for name, params in (("uniform_convex", base.instance_params),
+                         ("pure_convex", dict(L=1.0, R=1.0)),
+                         ("sharp_growth", dict(kappa=1.5, bias_delta=0.25))):
+        cfg = dataclasses.replace(base, instance_name=name, instance_params=params)
+        calls = []
+        excess_emp = ProblemInstance.excess_emp
+        monkeypatch.setattr(ProblemInstance, "excess_emp",
+                            lambda *args: calls.append(1) or excess_emp(*args))
+        records, _, _ = run_sweep(cfg, tmp_path / name)
+        monkeypatch.undo()
+        assert not calls
+        inst = harness._build_cell_instance(cfg, cfg.cells()[0])
+        for index, rec in enumerate(records):
+            key = derive_stream_key(cfg.master_seed, index)
+            data = inst.draw(rec.n, RngStream(key, 0))
+            want = inst.excess_emp(inst.empirical_min(data)[0], data)
+            assert rec.error == "" and rec.excess_emp.hex() == want.hex(), (name, index)
 
 
 def test_run_sweep_medians_decrease_in_n(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from dpgrowth.core import Dataset, Domain, InvalidInputError, PrivacyParams, RngStream, project
 from dpgrowth.localization import LocalizationConfig, _table, default_eta, run
+from dpgrowth.mechanisms import gaussian_sigma, laplace_sigma
 from dpgrowth.instances import build_instance
 
 
@@ -112,18 +113,20 @@ def test_run_input_validation():
 
 
 def test_gaussian_modes_change_noise_scale():
+    # Phase i's noise scale is calibrated to its sensitivity bound 4 L eta_i:
+    # gaussian_sigma for an approximate budget, Laplace for a pure one.
     inst = _quad_instance()
     data = inst.draw(64, RngStream(5, 0))
-    approx = LocalizationConfig.for_data_size(64, 0.005, PrivacyParams(1.0, 1e-6))
-    strict = LocalizationConfig.for_data_size(
-        64, 0.005, PrivacyParams(1.0, 1e-6), gaussian_conservative=True
-    )
-    t1, t2 = [], []
-    run(inst.loss, data, inst.domain, np.zeros(1), approx, [RngStream(5, 1)], phase_trace=t1)
-    run(inst.loss, data, inst.domain, np.zeros(1), strict, [RngStream(5, 1)], phase_trace=t2)
-    # 2 * Delta * log(2/delta) / eps vs Delta * sqrt(log(1/delta)) / eps.
-    ratio = 2.0 * math.log(2.0 / 1e-6) / math.sqrt(math.log(1.0 / 1e-6))
-    assert t2[0].sigma / t1[0].sigma == pytest.approx(ratio)
+    L = inst.loss.lipschitz
+    for privacy in (PrivacyParams(1.0, 1e-6), PrivacyParams(0.5, 1e-10), PrivacyParams(1.0)):
+        cfg = LocalizationConfig.for_data_size(64, 0.005, privacy)
+        trace: list = []
+        run(inst.loss, data, inst.domain, np.zeros(1), cfg, [RngStream(5, 1)], phase_trace=trace)
+        calibrate = laplace_sigma if privacy.is_pure else (
+            lambda s, eps: gaussian_sigma(s, eps, privacy.delta))
+        assert len(trace) == cfg.k
+        assert [rec.sigma for rec in trace] == [
+            calibrate(4.0 * L * rec.eta_i, privacy.epsilon) for rec in trace]
     with pytest.raises(InvalidInputError):
         LocalizationConfig.for_data_size(64, 0.005, PrivacyParams(1.0, 0.9))
 

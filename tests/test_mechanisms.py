@@ -31,12 +31,49 @@ def test_laplace_sigma_formula():
         laplace_sigma(1.0, 0.0)
 
 
+def _exact_delta(epsilon, sigma):
+    # Balle & Wang (2018, Theorem 8) at unit sensitivity, from scipy's normal
+    # cdf: Phi(1/(2 sigma) - eps sigma) - e^eps Phi(-1/(2 sigma) - eps sigma).
+    from scipy.stats import norm
+
+    a, y = 0.5 / sigma - epsilon * sigma, 0.5 / sigma + epsilon * sigma
+    return float(norm.cdf(a)) - math.exp(epsilon + float(norm.logcdf(-y)))
+
+
+@pytest.mark.parametrize("epsilon", [0.1, 0.5, 1.0, 2.0, 8.0])
+def test_gaussian_sigma_is_the_least_scale_on_the_exact_curve(epsilon):
+    # The exact curve meets delta at the returned sigma and misses it a
+    # relative 1e-9 below.
+    for delta in (1e-3, 1e-6, 1e-10):
+        sigma = gaussian_sigma(1.0, epsilon, delta)
+        assert _exact_delta(epsilon, sigma) <= delta, delta
+        assert _exact_delta(epsilon, sigma * (1.0 - 1e-9)) > delta, delta
+
+
+@pytest.mark.parametrize("epsilon", [700.0, 710.0, 1e6])
+def test_gaussian_sigma_stays_finite_and_safe_where_exp_overflows(epsilon):
+    # Near and past eps = 709.78, where e^eps overflows a float, the second
+    # term's erfc leaves the normal range and is dropped; the scale stays
+    # finite, positive and safe (the dropped term can only raise delta(eps)).
+    sigma = gaussian_sigma(1.0, epsilon, 1e-6)
+    assert 0.0 < sigma < math.inf
+    assert _exact_delta(epsilon, sigma) <= 1e-6
+
+
 def test_gaussian_sigma_formula():
-    # log(2/delta) = 2 when delta = 2 e^-2; = 1 when delta = 2/e.
-    assert gaussian_sigma(1.0, 1.0, 2.0 * math.exp(-2.0)) == pytest.approx(4.0, rel=1e-12)
-    assert gaussian_sigma(1.0, 2.0, 2.0 / math.e) == pytest.approx(1.0, rel=1e-12)
+    # The analytic column of ROADMAP's Baseline table, in units of Delta.
+    for epsilon, delta, want in ((0.5, 1e-5, 7.032), (1.0, 1e-5, 3.731), (1.0, 1e-6, 4.225),
+                                 (2.0, 1e-6, 2.230)):
+        assert round(gaussian_sigma(1.0, epsilon, delta), 3) == want
+    # Linear in Delta, bit for bit, for a float or an array of them.
+    s = gaussian_sigma(1.0, 1.0, 1e-6)
+    assert gaussian_sigma(0.2, 1.0, 1e-6) == 0.2 * s
+    sens = np.array([0.2, 3.0, 1e-7])
+    assert np.array_equal(gaussian_sigma(sens, 1.0, 1e-6), sens * s)
     with pytest.raises(InvalidInputError):
         gaussian_sigma(1.0, 1.0, 1.5)
+    with pytest.raises(InvalidInputError):
+        gaussian_sigma(0.0, 1.0, 1e-6)
     with pytest.raises(InvalidInputError):
         gaussian_sigma(1.0, 1.0, 0.0)
 
@@ -59,20 +96,17 @@ def test_calibration_monotonicity():
 
 
 def test_noise_sigma_per_budget():
-    # Pure: Laplace on the l1 bound Delta sqrt(d); approximate: Gaussian
-    # Delta sqrt(log(1/delta)) / eps, or the conservative gaussian_sigma.
+    # Pure: Laplace on the l1 bound Delta sqrt(d); approximate: gaussian_sigma.
     pure, approx = PrivacyParams(0.5), PrivacyParams(0.5, 1e-6)
     assert noise_sigma(0.2, 4, pure) == laplace_sigma(0.2 * 2.0, 0.5)
-    assert noise_sigma(0.2, 4, pure, conservative=True) == noise_sigma(0.2, 4, pure)
-    assert noise_sigma(0.2, 4, approx) == pytest.approx(
-        0.2 * math.sqrt(math.log(1e6)) / 0.5, rel=1e-15
-    )
-    assert noise_sigma(0.2, 4, approx, conservative=True) == gaussian_sigma(0.2, 0.5, 1e-6)
+    assert noise_sigma(0.2, 4, approx) == gaussian_sigma(0.2, 0.5, 1e-6)
     # The Gaussian scales do not grow with the dimension; Laplace does.
     assert noise_sigma(0.2, 9, approx) == noise_sigma(0.2, 1, approx)
     assert noise_sigma(0.2, 9, pure) == pytest.approx(3.0 * noise_sigma(0.2, 1, pure))
     with pytest.raises(InvalidInputError):
         noise_sigma(0.0, 1, pure)
+    with pytest.raises(InvalidInputError):
+        noise_sigma(0.0, 1, approx)
 
 
 def test_noise_norm_factor_and_delta_cap():

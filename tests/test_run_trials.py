@@ -13,8 +13,8 @@ own (sharp_growth, knorm_regression at d = 1 and d = 2, and the power norm
 at d = 2).  The pins are ``float.hex`` of the first streams' outputs per
 case, and digests of all 200 outputs of the power-norm, d >= 2 quadratic
 and separable cases, of the first four streams of the hintless cases, and
-of each audit mechanism.  The cases cover pure, approximate (delta = 1e-6)
-and conservative-Gaussian budgets, noise scales 1, 0.5 and 0, the audit's own
+of each audit mechanism.  The cases cover pure and approximate (delta =
+1e-6) budgets, noise scales 1, 0.5 and 0, the audit's own
 configs on both audit datasets, an epoch schedule with frozen epochs, and
 ones whose noise reaches the trust regions.  Power-norm, d >= 2 quadratic
 and separable phases are also checked against ``erm.solve`` on their own
@@ -52,27 +52,21 @@ from dpgrowth.instances import ProblemInstance, build_instance
 
 TRIALS = 200
 
-MODES = {
-    "pure": (PrivacyParams(1.0), False),
-    "approx": (PrivacyParams(1.0, 1e-6), False),
-    "conservative": (PrivacyParams(1.0, 1e-6), True),
-}
+MODES = {"pure": PrivacyParams(1.0), "approx": PrivacyParams(1.0, 1e-6)}
 
 # Outputs of the first three streams of ``_streams(61)`` (per budget case),
 # of ``_streams(64)`` (frozen epochs) and of ``_streams(68)`` (clamped
-# epochs), recorded from the scalar chain.
+# epochs), recorded from the scalar chain.  The delta > 0 entries of this
+# table and of the three below ("approx", "gaussian") were re-recorded from
+# the kernel when ``mechanisms.gaussian_sigma`` became the exact Gaussian
+# calibration; the phase tests below check the kernel against ``erm.solve``
+# at any noise scale.
 PINNED_BUDGET = {
     ("epoch_growth", "approx", 1.0): (
-        "0x1.e32005834c345p-1", "0x1.bbb97aac4cf76p-1", "0x1.f0f7566225854p-1"),
+        "0x1.e644ce1bb9146p-1", "0x1.b97c5f75b7059p-1", "0x1.f600297380b6ep-1"),
     ("epoch_growth", "approx", 0.5): (
-        "0x1.d79e66741c5c9p-1", "0x1.c3eb21089cbe5p-1", "0x1.de8a0ee389052p-1"),
+        "0x1.d930cac052ccep-1", "0x1.c2cc936d51c56p-1", "0x1.e10e786c369dcp-1"),
     ("epoch_growth", "approx", 0.0): (
-        "0x1.cc1cc764ec856p-1", "0x1.cc1cc764ec856p-1", "0x1.cc1cc764ec856p-1"),
-    ("epoch_growth", "conservative", 1.0): (
-        "0x1.662900f2a8455p-1", "0x1.09fa196f8570ap-1", "0x1.f6cecbab049d0p-1"),
-    ("epoch_growth", "conservative", 0.5): (
-        "0x1.b2c88f70c3fe1p-1", "0x1.84af56d4ab0a6p-1", "0x1.fb65590cec6c4p-1"),
-    ("epoch_growth", "conservative", 0.0): (
         "0x1.cc1cc764ec856p-1", "0x1.cc1cc764ec856p-1", "0x1.cc1cc764ec856p-1"),
     ("epoch_growth", "pure", 1.0): (
         "0x1.c2bba8f8624eap-1", "0x1.cd1b44cc30b65p-1", "0x1.c5cf98ce6a958p-1"),
@@ -81,16 +75,10 @@ PINNED_BUDGET = {
     ("epoch_growth", "pure", 0.0): (
         "0x1.cc04dec4e656cp-1", "0x1.cc04dec4e656cp-1", "0x1.cc04dec4e656cp-1"),
     ("localization", "approx", 1.0): (
-        "0x1.ffc61c2e65dfbp-1", "0x1.de20141e565b1p-1", "0x1.e1f0998074eaep-1"),
+        "0x1.ffbf64a3723c9p-1", "0x1.e10ed834243e5p-1", "0x1.e564c3d3ac613p-1"),
     ("localization", "approx", 0.5): (
-        "0x1.e777e38409c25p-1", "0x1.d3642b5b18c1ep-1", "0x1.d54c6e0c2809bp-1"),
+        "0x1.ebad64627b526p-1", "0x1.d4db8d65ffb3ap-1", "0x1.d7068335c3c50p-1"),
     ("localization", "approx", 0.0): (
-        "0x1.c8a84297db28ap-1", "0x1.c8a84297db28ap-1", "0x1.c8a84297db28ap-1"),
-    ("localization", "conservative", 1.0): (
-        "0x1.fe776b2afd957p-1", "0x1.fcfef58453857p-1", "0x1.fffd0e9c24fa9p-1"),
-    ("localization", "conservative", 0.5): (
-        "0x1.ff3759718bcfbp-1", "0x1.fe5738cd1b271p-1", "0x1.fffe84c7bf90ep-1"),
-    ("localization", "conservative", 0.0): (
         "0x1.c8a84297db28ap-1", "0x1.c8a84297db28ap-1", "0x1.c8a84297db28ap-1"),
     ("localization", "pure", 1.0): (
         "0x1.c0d3900ad88c8p-1", "0x1.c8e84561ed4ddp-1", "0x1.c8baea59eed2ep-1"),
@@ -153,8 +141,8 @@ PINNED_POWER = {
 # and a sha256 prefix of all 200 outputs of ``_streams(81 + d)``.
 PINNED_QUAD = {
     ("epoch_growth", 2, "gaussian"): (
-        ("0x1.c3d6c5a2f385ep-1", "-0x1.50a26c0995656p-4"),
-        "609dbd212da098df"),
+        ("0x1.c2dfde7b24107p-1", "-0x1.7f0329568e1d8p-4"),
+        "448106c7cf46a8e1"),
     ("epoch_growth", 2, "noiseless"): (
         ("0x1.c9bfb08562bf9p-1", "0x1.2644758713b88p-10"),
         "16dde42d770b4b6a"),
@@ -165,9 +153,9 @@ PINNED_QUAD = {
         ("0x1.c9bfafe016758p-1", "0x1.263cbc1217be8p-10"),
         "d78360b73e5365a4"),
     ("epoch_growth", 4, "gaussian"): (
-        ("0x1.b78b0a9b1fc48p-1", "-0x1.935fb26bfa590p-6",
-         "-0x1.018eeee93be8bp-7", "-0x1.013f8634774c5p-5"),
-        "197a57a22073d8e5"),
+        ("0x1.b4bcd14fe2107p-1", "-0x1.cbd1968860793p-6",
+         "-0x1.24b7580f9eb59p-7", "-0x1.247978052a48ep-5"),
+        "e132f5c064a99c69"),
     ("epoch_growth", 4, "noiseless"): (
         ("0x1.cb2adc5956586p-1", "0x1.646ddd474a43ep-10",
          "-0x1.c707e095d971dp-17", "0x1.672f5ca837513p-13"),
@@ -181,8 +169,8 @@ PINNED_QUAD = {
          "-0x1.724382fbb8e8fp-17", "0x1.25f51f07a7783p-13"),
         "87bfb8b3e7ac90f8"),
     ("localization", 2, "gaussian"): (
-        ("0x1.c720caf4c5a62p-1", "-0x1.f6fa4af558e75p-4"),
-        "d917385869078ab4"),
+        ("0x1.c72f34279b579p-1", "-0x1.1d91d74a592d9p-3"),
+        "72ca18897799e974"),
     ("localization", 2, "noiseless"): (
         ("0x1.c691f64bfefb8p-1", "-0x1.070ecd34f4bd1p-10"),
         "50ba84f0a9ad54a3"),
@@ -193,9 +181,9 @@ PINNED_QUAD = {
         ("0x1.c691f5a5f4bcap-1", "-0x1.0719be5dd2544p-10"),
         "2895b371b4bebea6"),
     ("localization", 4, "gaussian"): (
-        ("0x1.b25bb571267d8p-1", "-0x1.8acaa558f3f2ap-6",
-         "-0x1.63f995ffab34ep-6", "-0x1.a77262a891058p-4"),
-        "1377a27fc41e2c5b"),
+        ("0x1.af44eff58eb17p-1", "-0x1.c69ad6ab11cacp-6",
+         "-0x1.926d497d4cf62p-6", "-0x1.e072822b67042p-4"),
+        "3e6a24ad0103b588"),
     ("localization", 4, "noiseless"): (
         ("0x1.c7458ae119469p-1", "0x1.f128a70eb3e46p-9",
          "-0x1.701299e3d3562p-10", "-0x1.1d99c63b389d4p-9"),
@@ -216,8 +204,8 @@ PINNED_QUAD = {
 # raised ConvergenceError there (left out of the digest).
 PINNED_ABS = {
     ("epoch_growth", 1, "gaussian"): (
-        ("0x1.c4053f1c3db73p-1",),
-        "eb1628010c836a44", ()),
+        ("0x1.c396ea27f5d3ep-1",),
+        "3d798bfd6ff048b5", ()),
     ("epoch_growth", 1, "noiseless"): (
         ("0x1.c66911367c794p-1",),
         "42e58559d78b450b", ()),
@@ -228,9 +216,9 @@ PINNED_ABS = {
         ("0x1.c66913180a63dp-1",),
         "ef6c4772a65e9386", ()),
     ("epoch_growth", 4, "gaussian"): (
-        ("0x1.e4d49d1c4e31cp-1", "0x1.23e6ee1e6a3dcp-6",
-         "0x1.cc93421ea1204p-6", "0x1.afbe50b1ac2c9p-5"),
-        "388dcf1864022608", ()),
+        ("0x1.e84e2af7de293p-1", "0x1.4d23a5fa9ef2cp-6",
+         "0x1.06eae38577692p-5", "0x1.eb64fc5a02272p-5"),
+        "2526073e502e21ec", ()),
     ("epoch_growth", 4, "noiseless"): (
         ("0x1.c99aee004fcf3p-1", "0x1.9c502eba59d57p-25",
          "0x1.01604f2fdbd82p-32", "-0x1.67b478f860817p-15"),
@@ -244,8 +232,8 @@ PINNED_ABS = {
          "0x1.a56a5a82555b3p-33", "-0x1.263aa918daf1ep-15"),
         "e853674be8073700", ()),
     ("localization", 1, "gaussian"): (
-        ("0x1.989ab545f8bbfp-1",),
-        "8742cabff067c6f6", ()),
+        ("0x1.94d6d7c218153p-1",),
+        "a356c45a805941d9", ()),
     ("localization", 1, "noiseless"): (
         ("0x1.b42a779bfc3bbp-1",),
         "21af548021e39da5", ()),
@@ -256,9 +244,9 @@ PINNED_ABS = {
         ("0x1.b42a794900c64p-1",),
         "b923e64eae27dd8f", ()),
     ("localization", 4, "gaussian"): (
-        ("0x1.f15961f3681c6p-1", "0x1.4842fd0280327p-4",
-         "0x1.96f2c098e8790p-5", "0x1.46305cf37cd6cp-4"),
-        "bb1c2c264b78e2a6", ()),
+        ("0x1.f780ed62aa9fbp-1", "0x1.756c10af4fbd9p-4",
+         "0x1.cf2f5a36917f3p-5", "0x1.7321d12910a5ap-4"),
+        "f91275587731df68", ()),
     ("localization", 4, "noiseless"): (
         ("0x1.c07ba3583e75dp-1", "-0x1.5ad168f83a71fp-51",
          "-0x1.073a181d6697ep-47", "-0x1.357d59171dd67p-51"),
@@ -279,8 +267,8 @@ PINNED_ABS = {
 # of the first ``GENERIC_STREAMS`` streams of ``_streams(101)``.
 PINNED_GENERIC = {
     ('epoch_growth', 'knorm-d1-k2', 'gaussian'): (
-        ('0x1.c48ea0d5f7ef7p-1',),
-        '7c0e344d2b97a98e'),
+        ('0x1.c3c8a72371ccfp-1',),
+        '4f09236dccb1c322'),
     ('epoch_growth', 'knorm-d1-k2', 'noiseless'): (
         ('0x1.c9de885d025e4p-1',),
         '6f57a8cb6403494d'),
@@ -291,8 +279,8 @@ PINNED_GENERIC = {
         ('0x1.c9de8806b6a6bp-1',),
         'f4e8182f7c5651ed'),
     ('epoch_growth', 'knorm-d2-k4', 'gaussian'): (
-        ('0x1.aee55a57b4f8fp-1', '0x1.4035d4af0a727p-6'),
-        '1e3828aec22b3c7d'),
+        ('0x1.aad7ea56da81dp-1', '0x1.6bbd8b7c78698p-6'),
+        '250a0693853f4e30'),
     ('epoch_growth', 'knorm-d2-k4', 'noiseless'): (
         ('0x1.cc69e483bb67ep-1', '0x1.3f19d1bcfec2cp-13'),
         'e5bcc80f7dab7a31'),
@@ -303,8 +291,8 @@ PINNED_GENERIC = {
         ('0x1.cc69e4086c92cp-1', '0x1.3f0a12f5175c8p-13'),
         'e3c97ee8d52aef46'),
     ('epoch_growth', 'sharp-1.5', 'gaussian'): (
-        ('0x1.c3e376e062826p-1',),
-        'cebfb1f752f30911'),
+        ('0x1.c31b1d260ed6bp-1',),
+        '086e31b9ec22dbe6'),
     ('epoch_growth', 'sharp-1.5', 'noiseless'): (
         ('0x1.c92fa7087c79bp-1',),
         '0e79d26850cbea0f'),
@@ -315,8 +303,8 @@ PINNED_GENERIC = {
         ('0x1.c92fa6b1e3c82p-1',),
         'f6f7e06a34d2baef'),
     ('epoch_growth', 'sharp-2-neg', 'gaussian'): (
-        ('0x1.c41a4acb69b0ep-1',),
-        '42c031d9131638f6'),
+        ('0x1.c35265bc54521p-1',),
+        '0a485b814212aba5'),
     ('epoch_growth', 'sharp-2-neg', 'noiseless'): (
         ('0x1.c969fe3dbdc04p-1',),
         '3beb810d0ae16486'),
@@ -327,8 +315,8 @@ PINNED_GENERIC = {
         ('0x1.c969fde73bb2fp-1',),
         '51146de6817a065b'),
     ('epoch_growth', 'uniform-d2-k3', 'gaussian'): (
-        ('0x1.ad695bc6d2e47p-1', '0x1.471fc450267e3p-6'),
-        'e29bb774959a4b5d'),
+        ('0x1.a95cb773c9eb6p-1', '0x1.729c7dd09dccdp-6'),
+        '0bb8e43aa4d04371'),
     ('epoch_growth', 'uniform-d2-k3', 'noiseless'): (
         ('0x1.c9ff3a2d9e7cep-1', '0x1.c4082f670d145p-11'),
         '273dd491152323e0'),
@@ -339,8 +327,8 @@ PINNED_GENERIC = {
         ('0x1.c9ff39b2cff17p-1', '0x1.c404401a09aa7p-11'),
         '26ce63a5c7c7d23f'),
     ('localization', 'knorm-d1-k2', 'gaussian'): (
-        ('0x1.8c537ce3e651fp-1',),
-        '3b2d5824d91d217f'),
+        ('0x1.8504f974e85a8p-1',),
+        '886af3c53d4ac322'),
     ('localization', 'knorm-d1-k2', 'noiseless'): (
         ('0x1.c1d02cccc7e13p-1',),
         'dee0fb6327627de6'),
@@ -351,8 +339,8 @@ PINNED_GENERIC = {
         ('0x1.c1d02c607053cp-1',),
         'f4a056f3248153f6'),
     ('localization', 'knorm-d2-k4', 'gaussian'): (
-        ('0x1.98c5bda5a8a6fp-1', '0x1.f5875a4905f69p-6'),
-        '8d6ee6ea6ec4faf4'),
+        ('0x1.91e44f82ea9e0p-1', '0x1.1c972cbfcfd40p-5'),
+        '39030e3039a03b12'),
     ('localization', 'knorm-d2-k4', 'noiseless'): (
         ('0x1.cb18560293759p-1', '0x1.9c408c1866d66p-12'),
         '5502eb8d12dfd57a'),
@@ -363,8 +351,8 @@ PINNED_GENERIC = {
         ('0x1.cb18556737119p-1', '0x1.9c3d2beff9f12p-12'),
         '5c7d5fa6dc3562a9'),
     ('localization', 'sharp-1.5', 'gaussian'): (
-        ('0x1.884dda43aa297p-1',),
-        'fa320a239a37120f'),
+        ('0x1.80fcb33f4a036p-1',),
+        'f670545546948481'),
     ('localization', 'sharp-1.5', 'noiseless'): (
         ('0x1.bdde5cd47bc9fp-1',),
         'a59cdd8bdc55e233'),
@@ -375,8 +363,8 @@ PINNED_GENERIC = {
         ('0x1.bdde5c67fd43ap-1',),
         'df06106f4ea27da5'),
     ('localization', 'sharp-2-neg', 'gaussian'): (
-        ('0x1.8a368bd1f5827p-1',),
-        'b1bd51e92f279272'),
+        ('0x1.82e57ea474286p-1',),
+        '319dc9e017635c1f'),
     ('localization', 'sharp-2-neg', 'noiseless'): (
         ('0x1.bfc5d00a7d3cbp-1',),
         'b9b3016c00cc005b'),
@@ -387,8 +375,8 @@ PINNED_GENERIC = {
         ('0x1.bfc5cf9e030b0p-1',),
         'b5c7a5329bbcd21a'),
     ('localization', 'uniform-d2-k3', 'gaussian'): (
-        ('0x1.945789aa44f34p-1', '0x1.c86b352c65573p-6'),
-        '5b5c9510ea180570'),
+        ('0x1.8d775d876798cp-1', '0x1.0604a173be9c8p-5'),
+        '05aae977eec0ba88'),
     ('localization', 'uniform-d2-k3', 'noiseless'): (
         ('0x1.c68687c5a5c9ap-1', '-0x1.3b783f9313d62p-9'),
         'e2584e4af2e63846'),
@@ -451,8 +439,8 @@ def _assert_matches_pinned(module, loss, data, domain, x0, cfg, seed, pinned, tr
     return got
 
 
-def _config(pipeline, inst, n, privacy, conservative, noise_scale, kappa_lower=3.0):
-    kw = dict(noise_scale=noise_scale, gaussian_conservative=conservative)
+def _config(pipeline, inst, n, privacy, noise_scale, kappa_lower=3.0):
+    kw = dict(noise_scale=noise_scale)
     if pipeline == "localization":
         beta = 1.0 / (n + 1)
         eta = localization.default_eta(
@@ -471,11 +459,11 @@ MODULES = {"localization": localization, "epoch_growth": epoch_growth}
 @pytest.mark.parametrize("mode", sorted(MODES))
 @pytest.mark.parametrize("pipeline", sorted(MODULES))
 def test_run_trials_matches_run_per_budget(pipeline, mode, noise_scale):
-    privacy, conservative = MODES[mode]
+    privacy = MODES[mode]
     inst = _quad_instance()
     n = 128
     data = inst.draw(n, RngStream(60, 0))
-    cfg = _config(pipeline, inst, n, privacy, conservative, noise_scale)
+    cfg = _config(pipeline, inst, n, privacy, noise_scale)
     # Start off-center so both the trust-region and the domain clamps bind.
     _assert_matches_pinned(
         MODULES[pipeline], inst.loss, data, inst.domain, np.array([0.9]), cfg, 61,
@@ -497,7 +485,7 @@ BUDGETS = {**POWER_BUDGETS, "gaussian": (PrivacyParams(1.0, 1e-6), 1.0)}
 
 def _budget_config(pipeline, inst, n, budget):
     privacy, noise_scale = BUDGETS[budget]
-    cfg = _config(pipeline, inst, n, privacy, False, noise_scale)
+    cfg = _config(pipeline, inst, n, privacy, noise_scale)
     if budget != "small-eps":
         return cfg
     if pipeline == "localization":
@@ -1048,7 +1036,7 @@ def test_epoch_run_trials_skips_frozen_epochs():
     # 1e-15 R0 (i >= 50) freeze 51 of them.
     inst = _quad_instance()
     n = 1024
-    cfg = _config("epoch_growth", inst, n, PrivacyParams(1.0), False, 1.0, kappa_lower=1.2)
+    cfg = _config("epoch_growth", inst, n, PrivacyParams(1.0), 1.0, kappa_lower=1.2)
     data = inst.draw(n, RngStream(63, 0))
     trace: list = []
     epoch_growth.run(inst.loss, data, inst.domain, np.zeros(1), cfg, [RngStream(63, 1)],
@@ -1069,7 +1057,7 @@ def test_epoch_run_trials_clamps_to_each_trials_region():
     # the epoch radii, so outputs land on their own trial's region bounds.
     inst = _quad_instance()
     n = 128
-    base = _config("epoch_growth", inst, n, PrivacyParams(0.1), False, 1.0)
+    base = _config("epoch_growth", inst, n, PrivacyParams(0.1), 1.0)
     cfg = epoch_growth.EpochConfig(privacy=base.privacy, T=base.T, R0=base.R0, eta0=0.5)
     data = inst.draw(n, RngStream(67, 0))
     x0 = np.array([0.9])
@@ -1093,7 +1081,7 @@ def test_run_trials_rejects_bad_inputs(pipeline):
     # x0 outside the domain, too few samples.
     quad = _quad_instance()
     data = quad.draw(64, RngStream(65, 2))
-    cfg = _config(pipeline, quad, 64, privacy, False, 1.0)
+    cfg = _config(pipeline, quad, 64, privacy, 1.0)
     with pytest.raises(InvalidInputError):
         module.run(quad.loss, data, quad.domain, np.array([9.0]), cfg, _streams(66))
     with pytest.raises(InvalidInputError):
@@ -1119,7 +1107,7 @@ def test_run_trials_rejects_bad_inputs(pipeline):
     tol = localization._START_TOL
     cases = [(quad, cfg, least, 0.0, True), (quad, cfg, least - 1, 0.0, False)]
     for inst in (quad, _quad_instance(2)):
-        inst_cfg = _config(pipeline, inst, 64, privacy, False, 1.0)
+        inst_cfg = _config(pipeline, inst, 64, privacy, 1.0)
         edge = inst.domain.radius
         cases += [(inst, inst_cfg, 64, edge + tol / 2, True),
                   (inst, inst_cfg, 64, edge + 2 * tol, False)]
