@@ -179,8 +179,8 @@ def _schedule(instance, n: int, kappa_lower: float):
     2 lambda_1 / curvature meets for every admissible instance
     (2 lam R <= L), the movement budget (the sum of every live phase's trust
     radius 2 L eta m), and the drift variance of the chain started at x* = 0
-    with the curvature neglected: phase (e, i) steps by -qbar / (2 lambda)
-    = -qbar eta m / 2, and qbar, the mean of m terms (L/2) s with s = +-1,
+    with the curvature neglected: phase (e, i) steps by -ubar / (2 lambda)
+    = -ubar eta m / 2, and ubar, (L/2) times the mean of m samples s = +-1,
     has variance L^2 / (4 m).
     """
     L, d = instance.loss.lipschitz, instance.loss.point_dim

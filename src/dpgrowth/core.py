@@ -392,12 +392,6 @@ class Dataset:
     def sample_dim(self) -> int:
         return self.samples.shape[1]
 
-    def replaced(self, index: int, value: np.ndarray) -> "Dataset":
-        """Copy with sample ``index`` replaced (a Hamming-1 neighbor)."""
-        out = self.samples.copy()
-        out[index] = np.asarray(value, dtype=float).reshape(self.sample_dim)
-        return Dataset(out)
-
 
 def hamming_distance(a: Dataset, b: Dataset) -> int:
     if a.n != b.n or a.sample_dim != b.sample_dim:

@@ -190,8 +190,8 @@ def _interval_gap(g_left: float, g_right: float, lam: float, lo: float, hi: floa
 
 def _solve_isotropic_quadratic(problem: RegularizedProblem, st: IsotropicQuadratic):
     lam = problem.reg_weight
-    qbar = (st.lin_scale * problem.batch.samples).mean(axis=0)
-    x = (2.0 * lam * problem.anchor - qbar) / (st.curvature + 2.0 * lam)
+    ubar = st.lin_scale * problem.batch.samples.mean(axis=0)
+    x = (2.0 * lam * problem.anchor - ubar) / (st.curvature + 2.0 * lam)
     if problem.domain.contains(x, tol=0.0):
         return x
     # The objective is 0.5 (curv + 2 lam) ||y - x||^2 + const, so the
@@ -386,11 +386,11 @@ def _sign_zone(cp, pm1, ubar, two_lam, a, lo, hi):
     return (zlo, zhi) if held else (-math.inf, math.inf)
 
 
-def _power_norm_1d(coef, power, ubar, gbar, lam, a, lo, hi):
+def _power_norm_1d(coef, power, ubar, lam, a, lo, hi):
     """The minimizer t over [lo, hi] of coef |t|^power + ubar t + lam (t - a)^2,
     by bisection on its strictly increasing derivative, and the gap bound
     ``_interval_gap`` certifies at t from the derivative the loss's batch
-    subgradient gives, coef power |u|^(power - 2) u + gbar, plus the
+    subgradient gives, coef power |u|^(power - 2) u + ubar, plus the
     regularizer's: one pass in Python floats for ``solve`` and the phase
     kernel.  numpy's vectorized power differs from libm's in the last bit.
     The bisection takes the derivative's sign from a branch, exactly as
@@ -419,9 +419,9 @@ def _power_norm_1d(coef, power, ubar, gbar, lam, a, lo, hi):
         t = 0.5 * (left + right)
     h = 1e-9 * max(abs(t), abs(lo), abs(hi), 1.0)
     u = t - h
-    g_left = cp * math.sqrt(u * u) ** pm2 * u + gbar + two_lam * (u - a)
+    g_left = cp * math.sqrt(u * u) ** pm2 * u + ubar + two_lam * (u - a)
     u = t + h
-    g_right = cp * math.sqrt(u * u) ** pm2 * u + gbar + two_lam * (u - a)
+    g_right = cp * math.sqrt(u * u) ** pm2 * u + ubar + two_lam * (u - a)
     return t, _interval_gap(g_left, g_right, lam, lo, hi, t, h)
 
 
@@ -503,11 +503,9 @@ def solve(problem: RegularizedProblem, tol: float, max_iters: int = 200_000) -> 
                 return x
             candidate = x
     elif isinstance(st, PowerNorm) and problem.anchor.shape[0] == 1:
-        s = problem.batch.samples
         root, gap = _power_norm_1d(
-            st.coef, st.power, float((st.lin_scale * s).mean(axis=0)[0]),
-            float(st.lin_scale * s.mean(axis=0)[0]), lam, float(problem.anchor[0]),
-            *problem.domain.interval(),
+            st.coef, st.power, float(st.lin_scale * problem.batch.samples.mean(axis=0)[0]),
+            lam, float(problem.anchor[0]), *problem.domain.interval(),
         )
         candidate = np.array([root])
         if gap <= tol:

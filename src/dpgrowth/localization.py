@@ -42,10 +42,6 @@ _START_TOL = 1e-9
 # Iteration budget of every ``erm.solve`` call a phase makes.
 MAX_SOLVER_ITERS = 200_000
 
-# ``_block_means`` widens the samples of its datasets about this many values
-# at a time.
-_BLOCK_VALUES = 2**14
-
 
 def default_eta(
     R: float, L: float, n: int, beta: float, privacy: PrivacyParams, d: int
@@ -142,37 +138,25 @@ def _phase_tol(sensitivity, sigma, tol_floor: float):
     return np.maximum(np.minimum(sensitivity, sigma) / 100.0, tol_floor)
 
 
-def _block_means(samples: np.ndarray, offsets, k: int, n0: int, scales: tuple) -> list:
+def _block_means(samples: np.ndarray, offsets, k: int, n0: int) -> np.ndarray:
     """Per-phase batch means of chains of k blocks of n0 samples, one chain
     from each of ``offsets`` of every dataset of a ``(datasets, n, d)``
-    sample array, of each of ``scales`` (None for 1) times the samples, as
-    ``(chains, k, datasets, d)`` arrays.  numpy's sums depend on the
-    reduction's shape; this one reduces each block along its own axis, as
-    ``mean(axis=0)`` of the block alone does, so each mean has the bits of
-    ``erm.solve``'s.  The blocks are widened to float64 ``_BLOCK_VALUES``
-    values at a time, exactly from float32.  int8 samples (the signed-
-    coordinate samplers' draws) and a scale 2^e, |e| < 900, take each
-    block's int64 sum over n0 times the scale instead: every partial sum of
-    the float reduction is exact, and scaling by 2^e commutes with
-    rounding, so the bits are the same (docs/decisions.md)."""
+    sample array, as one ``(chains, k, datasets, d)`` array.  numpy's sums
+    depend on the reduction's shape; this one reduces each float64 block
+    along its own axis, as ``mean(axis=0)`` of the block alone does, so
+    each mean has the bits of the loss's ``batch_subgrad`` and of
+    ``erm.solve``'s.  int8 samples (the signed-coordinate samplers' draws)
+    take each block's int64 sum over n0 instead: every partial sum of the
+    float reduction is exact, so the bits are the same (docs/decisions.md)."""
     rows = (np.asarray(offsets)[:, None] + np.arange(k * n0)).ravel()
     shape = (len(samples), len(offsets), k, n0, samples.shape[-1])
-    powers = (math.frexp(1.0 if scale is None else scale) for scale in scales)
-    if samples.dtype == np.int8 and all(m == 0.5 and abs(e) < 900 for m, e in powers):
-        means = (samples[:, rows].reshape(shape).sum(axis=3, dtype=np.int64) / n0).transpose(
-            1, 2, 0, 3)
-        return [means if scale is None else scale * means for scale in scales]
-    out = [np.empty((len(offsets), k, len(samples), samples.shape[-1])) for _ in scales]
-    step = max(1, _BLOCK_VALUES // (len(rows) * samples.shape[-1]))
-    for lo in range(0, len(samples), step):
+    if samples.dtype == np.int8:
+        means = samples[:, rows].reshape(shape).sum(axis=3, dtype=np.int64) / n0
+    else:
         # C order: a fancy index lays its result out otherwise, and numpy's
         # sums depend on the layout too.
-        blocks = samples[lo : lo + step, rows].astype(float, order="C")
-        for scale, means in zip(scales, out):
-            scaled = blocks if scale is None else scale * blocks
-            means[:, :, lo : lo + step] = scaled.reshape(len(blocks), *shape[1:]).mean(
-                axis=3).transpose(1, 2, 0, 3)
-    return out
+        means = samples[:, rows].astype(float, order="C").reshape(shape).mean(axis=3)
+    return means.transpose(1, 2, 0, 3)
 
 
 def _trial_inputs(loss: LossOracle, data, domain: Domain, x0, min_n: int) -> tuple:
@@ -220,19 +204,19 @@ def _project_trials(x: np.ndarray, balls: list, domain_of) -> np.ndarray:
     return x
 
 
-def _quadratic_phase(st: IsotropicQuadratic, lam, tol, x, qbar, gbar, region_balls, region):
+def _quadratic_phase(st: IsotropicQuadratic, lam, tol, x, ubar, region_balls, region):
     """Each trial's solution of an isotropic-quadratic phase as ``erm.solve``
     finds it, and whether it is certified: the stationary point, projected
     onto the trial's region where it lies outside, then
     ``erm.certified_gap``'s projected-gradient certificate, with the
-    gradient curvature * x + gbar that the loss's ``batch_subgrad`` computes
-    from gbar = lin_scale * mean sample.  lam and tol are per-trial
-    columns."""
+    gradient curvature * x + ubar that the loss's ``batch_subgrad`` computes
+    from its linear term ubar = lin_scale * mean sample.  lam and tol are
+    per-trial columns."""
     x_hat = _project_trials(
-        (2.0 * lam * x - qbar) / (st.curvature + 2.0 * lam), region_balls, region
+        (2.0 * lam * x - ubar) / (st.curvature + 2.0 * lam), region_balls, region
     )
     gamma = 1.0 / (2.0 * lam)
-    g = st.curvature * x_hat + gbar + 2.0 * lam * (x_hat - x)
+    g = st.curvature * x_hat + ubar + 2.0 * lam * (x_hat - x)
     step = _project_trials(x_hat - gamma * g, region_balls, region)
     residual = erm._row_norms(x_hat - step) / gamma[:, 0]
     return x_hat, erm._gap_bound(residual, lam[:, 0]) <= tol[:, 0]
@@ -295,34 +279,27 @@ def _lockstep(loss: LossOracle, plans: list, noise: np.ndarray, bounds: list, d:
     g's samples broadcast once to one ``(n, d)`` row per trial, and offset
     None where the group sits chain c out.  Slot j runs phase j + 1 of
     every group whose chain c has one; phases is ``(values, active, noise,
-    qbar, gbar)``, one entry per slot each: the schedule's six values as
+    ubar)``, one entry per slot each: the schedule's six values as
     ``(6, trials, 1)`` columns, where a trial that sits the slot out reads
     ``_IDLE`` (a lone group's columns are a view of its table row, not a
     copy); the mask of the trials that run it; each trial's noise,
-    ``(trials, d)``; and the blocks' mean linear term qbar (the mean of
-    lin_scale times the samples) and linear term of the mean sample gbar,
-    a row per trial, or None where the phase reads neither.  All but the
-    columns and masks is computed once, for every chain."""
+    ``(trials, d)``; and the blocks' linear term ubar, lin_scale times the
+    mean sample, a row per trial, or None where the phase does not read it.
+    All but the columns and masks is computed once, for every chain."""
     st = loss.structure
     sizes = [b - a for a, b in zip(bounds, bounds[1:])]
     tables = [table for _, (*_, table) in plans]
     C, K = max(len(chains[0]) for _, chains in plans), noise.shape[1]
     counts = [[table.shape[1] if c < len(table) else 0 for table in tables] for c in range(C)]
-    qbar = gbar = None
+    ubar = None
     if isinstance(st, IsotropicQuadratic) or (d == 1 and isinstance(st, PowerNorm)):
-        qbar = np.zeros((C, K, bounds[-1], d))
-        if not (d == 1 and isinstance(st, IsotropicQuadratic)):
-            gbar = np.zeros((C, K, bounds[-1], d))
+        ubar = np.zeros((C, K, bounds[-1], d))
         for (samples, (offsets, _, n0, table)), a, b in zip(plans, bounds, bounds[1:]):
             live, k = table.shape[:2]
             if live:
                 # A dataset shared by the group's trials gives one row of
                 # means, written to every trial's row.
-                means = _block_means(samples, offsets[:live], k, n0,
-                                     (st.lin_scale,) if gbar is None else (st.lin_scale, None))
-                qbar[:live, :k, a:b] = means[0]
-                if gbar is not None:
-                    gbar[:live, :k, a:b] = st.lin_scale * means[1]
+                ubar[:live, :k, a:b] = st.lin_scale * _block_means(samples, offsets[:live], k, n0)
     values = np.empty((C, K, 6, len(plans), 1))
     values[...] = np.array(_IDLE)[:, None, None]
     for g, table in enumerate(tables):
@@ -341,8 +318,7 @@ def _lockstep(loss: LossOracle, plans: list, noise: np.ndarray, bounds: list, d:
         columns = (np.broadcast_to(columns, (slots, 6, bounds[-1], 1)) if len(sizes) == 1
                    else np.repeat(columns, sizes, axis=2))
         yield parts, (columns, np.repeat(row, sizes) > np.arange(slots)[:, None],
-                      noise[c, :slots], None if qbar is None else qbar[c, :slots],
-                      None if gbar is None else gbar[c, :slots])
+                      noise[c, :slots], None if ubar is None else ubar[c, :slots])
 
 
 def _rows(mask: np.ndarray, a: int, b: int):
@@ -397,7 +373,7 @@ def _chain_trials(loss, parts, phases, x, domain, epoch=None, trace=None):
     """
     st = loss.structure
     d = x.shape[1]
-    values, active, noise, qbar, gbar = phases
+    values, active, noise, ubar = phases
     lams = values[:, 2]
     every = active.all(axis=1).tolist()
     clamp = d == 1 and isinstance(st, IsotropicQuadratic)
@@ -438,7 +414,7 @@ def _chain_trials(loss, parts, phases, x, domain, epoch=None, trace=None):
             lo = np.maximum(lo_dom, x - radius_i)
             hi = np.minimum(hi_dom, x + radius_i)
         if clamp:
-            x_hat = (two_lam[j] * x - qbar[j]) / denom[j]
+            x_hat = (two_lam[j] * x - ubar[j]) / denom[j]
             # np.minimum(v, hi) is np.where(v > hi, hi, v), signed zeros too,
             # unless hi is NaN, which takes a NaN anchor and so a NaN v.
             x_hat = np.where(x_hat < lo, lo, np.minimum(x_hat, hi))
@@ -467,10 +443,10 @@ def _chain_trials(loss, parts, phases, x, domain, epoch=None, trace=None):
                             (c[rows] if np.ndim(c) == 2 else c, r) for c, r in balls])
             elif power and solving[j]:
                 # The solver's own bisection and 1-D certificate, per trial.
-                args = np.hstack((qbar[j], gbar[j], x, lo, hi)).tolist()
+                args = np.hstack((ubar[j], x, lo, hi)).tolist()
                 rows, lams_j, tols_j = solving[j], trial_lams[j], trial_tols[j]
-                solved = [erm._power_norm_1d(st.coef, st.power, ubar, g, lams_j[t], a, lo_t, hi_t)
-                          for t in rows for ubar, g, a, lo_t, hi_t in [args[t]]]
+                solved = [erm._power_norm_1d(st.coef, st.power, u, lams_j[t], a, lo_t, hi_t)
+                          for t in rows for u, a, lo_t, hi_t in [args[t]]]
                 x_hat[rows, 0] = [root for root, _ in solved]
                 ok[rows] = [gap <= tols_j[t] for (_, gap), t in zip(solved, rows)]
             elif isinstance(st, IsotropicQuadratic):
@@ -483,7 +459,7 @@ def _chain_trials(loss, parts, phases, x, domain, epoch=None, trace=None):
                 if rows is not None:
                     region_balls = [(x, radius_i[:, 0])] + balls
                     x_hat[rows], ok[rows] = _quadratic_phase(
-                        st, take(lam), take(tol[j]), take(x), take(qbar[j]), take(gbar[j]),
+                        st, take(lam), take(tol[j]), take(x), take(ubar[j]),
                         [(take(c) if np.ndim(c) == 2 else c, take(r)) for c, r in region_balls],
                         region if isinstance(rows, slice) else lambda t: region(rows[t]))
             # The one fallback: each trial without a certified solution

@@ -1,8 +1,16 @@
-"""The generic loss oracle the tests use as the reference with no structure."""
+"""Test helpers: the generic loss oracle the tests use as the reference
+with no structure, and a dataset's Hamming-1 neighbors."""
 
 import numpy as np
 
-from dpgrowth.core import LossOracle
+from dpgrowth.core import Dataset, LossOracle
+
+
+def replaced(data: Dataset, index: int, value) -> Dataset:
+    """Copy of ``data`` with sample ``index`` replaced (a Hamming-1 neighbor)."""
+    out = data.samples.copy()
+    out[index] = np.asarray(value, dtype=float).reshape(data.sample_dim)
+    return Dataset(out)
 
 
 class CallableLoss(LossOracle):

@@ -29,6 +29,7 @@ from dpgrowth.harness import (
 )
 from dpgrowth.instances import SHIPPED_INSTANCES, build_instance
 from dpgrowth.inv_sensitivity import excess_risk_bound
+from loss_helpers import replaced
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 JOBS = 2
@@ -128,7 +129,7 @@ def test_criterion_1_sensitivity_invariant():
             reps = inst._sampler(rng.child(1), 25)
             idxs = rng.child(2).gen.integers(0, n0, size=25)
             for t in range(25):
-                moved = solve(builder(data.replaced(int(idxs[t]), reps[t])), tol=tol)
+                moved = solve(builder(replaced(data, int(idxs[t]), reps[t])), tol=tol)
                 shift = float(np.linalg.norm(moved - base))
                 worst_ratio = max(worst_ratio, shift / bound)
                 checked += 1

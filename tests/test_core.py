@@ -21,7 +21,7 @@ from dpgrowth.core import (
 from dpgrowth import core
 from dpgrowth.core import _LOG_VALUES, _SEED_BLOCK, _pcg64_states, children_laplace
 from dpgrowth.instances import make_sharp_growth_1d, make_uniform_convex
-from loss_helpers import CallableLoss
+from loss_helpers import CallableLoss, replaced
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +240,7 @@ def test_dd_log_error_bound_and_its_table_premises():
 
 def test_dataset_replace_is_hamming_one():
     data = Dataset(np.arange(6.0))
-    neighbor = data.replaced(2, np.array([9.0]))
+    neighbor = replaced(data, 2, np.array([9.0]))
     assert hamming_distance(data, neighbor) == 1
     assert data.samples[2, 0] == 2.0  # original untouched
 

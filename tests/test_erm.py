@@ -25,7 +25,7 @@ from dpgrowth.instances import (
     make_sharp_growth_1d,
     make_uniform_convex,
 )
-from loss_helpers import CallableLoss
+from loss_helpers import CallableLoss, replaced
 
 
 def _quadratic_loss():
@@ -283,7 +283,9 @@ def test_power_norm_pass_matches_the_reference_bisection_bit_for_bit():
     # straddle 0 symmetrically (the first midpoint is 0.0) with roots at
     # exactly 0, brackets ending at -0.0, roots at lo and at hi, and at
     # power 4 anchors on the lower edge where numpy's cube falls below
-    # libm's, with the data putting the derivative at exactly 0 there.
+    # libm's, with the data putting the derivative at exactly 0 there.  The
+    # one 1-D certificate rule is checked besides at points moved off each
+    # root, where its bound is positive.
     rng = np.random.default_rng(19)
     kinds, positive_gaps = dict.fromkeys(range(7), 0), 0
     for power in (3.0, 4.0):
@@ -315,21 +317,25 @@ def test_power_norm_pass_matches_the_reference_bisection_bit_for_bit():
                     if np.power(a, 3.0) < a**3.0:
                         break
                 lo, hi, ubar = a, float(rng.uniform(a + 1e-3, 1.0)), -(cp * a**3.0)
-            # gbar is ubar up to rounding; in every other phase it is off by
-            # up to 1, so the root is off and the certificate's bound is not 0.
-            gbar = ubar * float(1.0 + rng.uniform(-1e-15, 1e-15))
-            if case % 2:
-                gbar += float(rng.standard_normal() * 10.0 ** rng.uniform(-12, 0))
 
             def slope(u):
-                return cp * math.sqrt(u * u) ** (power - 2.0) * u + gbar + 2.0 * lam * (u - a)
+                return cp * math.sqrt(u * u) ** (power - 2.0) * u + ubar + 2.0 * lam * (u - a)
 
             want = _reference_power_norm_root(coef, power, ubar, lam, a, lo, hi)
             gap = _reference_interval_gap(slope, lam, lo, hi, want)
-            got = erm._power_norm_1d(coef, power, ubar, gbar, lam, a, lo, hi)
+            got = erm._power_norm_1d(coef, power, ubar, lam, a, lo, hi)
             assert (got[0].hex(), got[1].hex()) == (want.hex(), gap.hex()), (power, case)
             assert math.copysign(1.0, got[0]) == math.copysign(1.0, want)
-            positive_gaps += gap > 0.0
+            # A point off the root, by 1e-12 to 1 of the bracket, clipped
+            # into it: the certificate's bound there, from the same slopes.
+            t = float(np.clip(want + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12, 0)
+                              * (hi - lo), lo, hi))
+            h = 1e-9 * max(abs(t), abs(lo), abs(hi), 1.0)
+            if hi - lo > 2.0 * h:  # the reference's probe rule
+                off = _reference_interval_gap(slope, lam, lo, hi, t)
+                got_off = erm._interval_gap(slope(t - h), slope(t + h), lam, lo, hi, t, h)
+                assert got_off.hex() == off.hex(), (power, case, t)
+                positive_gaps += off > 0.0
             kinds[kind] += (kind != 4 or want == lo) and (kind != 5 or want == hi) and (
                 kind != 6 or want == a)
     assert min(kinds.values()) >= 1700, kinds
@@ -361,15 +367,15 @@ def _count_slopes(monkeypatch):
     return counts
 
 
-def _assert_power_norm_matches_reference(coef, power, ubar, gbar, lam, a, lo, hi, label):
+def _assert_power_norm_matches_reference(coef, power, ubar, lam, a, lo, hi, label):
     want = _reference_power_norm_root(coef, power, ubar, lam, a, lo, hi)
-    got = erm._power_norm_1d(coef, power, ubar, gbar, lam, a, lo, hi)
+    got = erm._power_norm_1d(coef, power, ubar, lam, a, lo, hi)
     assert got[0].hex() == want.hex(), label
     assert math.copysign(1.0, got[0]) == math.copysign(1.0, want), label
     if hi - lo > 2e-9 * max(abs(want), abs(lo), abs(hi), 1.0):  # the reference's probe rule
 
         def slope(u):
-            return coef * power * math.sqrt(u * u) ** (power - 2.0) * u + gbar + 2.0 * lam * (u - a)
+            return coef * power * math.sqrt(u * u) ** (power - 2.0) * u + ubar + 2.0 * lam * (u - a)
 
         assert got[1].hex() == _reference_interval_gap(slope, lam, lo, hi, want).hex(), label
 
@@ -394,8 +400,7 @@ def test_sign_zone_spares_nearly_every_slope_in_sweep_shaped_phases(monkeypatch)
         a, width = float(rng.uniform(-3.5e-3, 3.5e-3)), 8.0 / lam
         root = a + width * float(rng.uniform(-0.06, 0.06))
         ubar = _ubar_for_root(coef, power, lam, a, root)
-        gbar = ubar + (case % 2) * float(rng.standard_normal() * 10.0 ** rng.uniform(-12, 0))
-        phases.append((coef, power, ubar, gbar, lam, a, a - 0.5 * width, a + 0.5 * width))
+        phases.append((coef, power, ubar, lam, a, a - 0.5 * width, a + 0.5 * width))
     counts = _count_slopes(monkeypatch)
     screened = [erm._power_norm_1d(*phase) for phase in phases]
     held, evaluated = counts["held"], counts["slopes"]
@@ -443,8 +448,7 @@ def test_power_norm_pass_matches_the_reference_where_the_sign_zone_is_tight():
             for lam in (fails, held):
                 for _ in range(3):
                     ubar = _ubar_for_root(coef, power, lam, a, root)
-                    gbar = ubar + float(rng.standard_normal() * 1e-9)
-                    _assert_power_norm_matches_reference(coef, power, ubar, gbar, lam, a, lo, hi,
+                    _assert_power_norm_matches_reference(coef, power, ubar, lam, a, lo, hi,
                                                          (power, case, lam))
                     lam = math.nextafter(lam, math.inf if lam == held else 0.0)
         for case in range(1500):
@@ -459,23 +463,22 @@ def test_power_norm_pass_matches_the_reference_where_the_sign_zone_is_tight():
             a = float(rng.uniform(lo, hi))
             root = float(rng.uniform(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo)))
             ubar = _ubar_for_root(coef, power, lam, a, root)
-            gbar = ubar * float(1.0 + rng.uniform(-1e-15, 1e-15))
-            _assert_power_norm_matches_reference(coef, power, ubar, gbar, lam, a, lo, hi,
+            _assert_power_norm_matches_reference(coef, power, ubar, lam, a, lo, hi,
                                                  (power, case))
         for case in range(300):  # near underflow: every term of the slope subnormal or 0
             tiny = [float(10.0 ** rng.uniform(-323, -300)) for _ in range(3)]
             lo, hi = np.sort(rng.uniform(-1.0, 1.0, 2) * (1.0 if case % 2 else tiny[2])).tolist()
             a = float(rng.uniform(lo, hi))
             ubar = float(rng.choice([0.0, tiny[1], -tiny[1]]))
-            _assert_power_norm_matches_reference(tiny[0] * (case % 3 > 0), power, ubar, ubar,
-                                                 tiny[2], a, lo, hi, (power, "tiny", case))
+            _assert_power_norm_matches_reference(tiny[0] * (case % 3 > 0), power, ubar, tiny[2],
+                                                 a, lo, hi, (power, "tiny", case))
     assert edges >= 1000, edges
     # Outside PowerNorm's range, a negative coefficient makes the slope
     # non-monotone, and no zone may be taken: here the reference returns hi
     # while the slope has a root inside.
     coef, lam, a = -0.34539591354170335, 0.3423363906503234, 0.5470319749502608
     ubar = _ubar_for_root(coef, 6.0, lam, a, 0.04657270079867526)
-    _assert_power_norm_matches_reference(coef, 6.0, ubar, ubar, lam, a, -0.4928883548093608,
+    _assert_power_norm_matches_reference(coef, 6.0, ubar, lam, a, -0.4928883548093608,
                                          0.7979187377617611, "concave")
 
 
@@ -688,5 +691,5 @@ def test_empirical_sensitivity_identity_replacement_is_zero():
     rng = RngStream(22, 0)
     data, builder = _sensitivity_setup(inst, n0, eta, rng)
     base = solve(builder(data), tol=1e-10)
-    same = solve(builder(data.replaced(3, data.samples[3])), tol=1e-10)
+    same = solve(builder(replaced(data, 3, data.samples[3])), tol=1e-10)
     assert np.linalg.norm(base - same) <= 2e-10

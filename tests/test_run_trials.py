@@ -412,16 +412,16 @@ PINNED_AUDIT = {
 }
 
 
-def _quad_instance(d=1):
+def _quad_instance(d=1, L=4.0):
     return build_instance(
-        "uniform_convex", d=d, kappa=2, lam=1.0, L=4.0, R=1.0, bias_delta=0.1
+        "uniform_convex", d=d, kappa=2, lam=1.0, L=L, R=1.0, bias_delta=0.1
     )
 
 
-def _power_instance(kappa):
+def _power_instance(kappa, L=2.0):
     lam = {3: 0.5, 4: 0.25}[kappa]
     return build_instance(
-        "uniform_convex", d=1, kappa=kappa, lam=lam, L=2.0, R=1.0, bias_delta=0.1
+        "uniform_convex", d=1, kappa=kappa, lam=lam, L=L, R=1.0, bias_delta=0.1
     )
 
 
@@ -652,34 +652,53 @@ def test_row_norms_equal_numpy_norm_row_for_row():
         assert erm._row_norms(rows - center).tobytes() == want.tobytes()
 
 
+def _assert_block_means(samples, offsets, k, n0, label):
+    """Each of ``_block_means``'s means has the bits of its widened block's
+    own ``mean(axis=0)``, and so does that mean times each scale: the
+    shipped lin_scales 0.5, 1 and 2, one that is not a power of two, and a
+    negative one.  Return how many scaled means read -0.0 from a block that
+    is not all zeros."""
+    got = localization._block_means(samples, offsets, k, n0)
+    assert got.shape == (len(offsets), k, len(samples), samples.shape[-1])
+    zeros = 0
+    for c, offset in enumerate(offsets):
+        for i in range(k):
+            for t in range(len(samples)):
+                block = samples[t, offset + i * n0 : offset + (i + 1) * n0].astype(float)
+                want = block.mean(axis=0)
+                assert got[c, i, t].tobytes() == want.tobytes(), label
+                for scale in (1.0, 2.0, 0.5, 0.3, -2.0):
+                    scaled = scale * want
+                    assert (scale * got[c, i, t]).tobytes() == scaled.tobytes(), label
+                    zeros += int(np.sum((scaled == 0.0) & np.signbit(scaled)
+                                        & (block != 0.0).any(axis=0)))
+    return zeros
+
+
 def test_block_means_equal_each_blocks_own_mean():
     # One pass over every dataset's chains of blocks must give each block
-    # the bits of the mean erm.solve takes of it alone.  Continuous samples:
-    # sums of the sweeps' +-1 samples are exact in any order and would not
-    # tell.
+    # the bits of the mean the loss's batch_subgrad takes of it alone.
+    # Continuous samples: sums of the sweeps' +-1 samples are exact in any
+    # order and would not tell.  float32 samples are widened exactly, and
+    # 200 or more datasets go through in one pass.
     rng = np.random.default_rng(14)
-    lin_scale = _quad_instance().loss.structure.lin_scale
     for d in (1, 2, 4):
         for k, n0 in ((1, 3), (5, 8), (3, 9), (7, 18), (2, 129)):
             offsets = [0, k * n0 + 3, 2 * k * n0 + 11]
             samples = rng.standard_normal((3, 3 * k * n0 + 16, d)) * 10.0 ** rng.uniform(-3, 3)
-            for scale in (None, lin_scale):
-                (got,) = localization._block_means(samples, offsets, k, n0, (scale,))
-                for c, offset in enumerate(offsets):
-                    for i in range(k):
-                        for t in range(3):
-                            block = samples[t, offset + i * n0 : offset + (i + 1) * n0]
-                            want = (block if scale is None else scale * block).mean(axis=0)
-                            assert got[c, i, t].tobytes() == want.tobytes()
+            _assert_block_means(samples, offsets, k, n0, (d, k, n0))
+        for dtype in (np.float64, np.float32):
+            offsets = [0, 37]
+            samples = (rng.standard_normal((203, 90, d)) * 10.0 ** rng.uniform(-3, 3)).astype(dtype)
+            _assert_block_means(samples, offsets, 2, 17, (d, dtype))
 
 
 def test_integer_block_sums_equal_the_float_reduction_bit_for_bit():
     # int8 samples, as the signed-coordinate samplers draw the sweeps' 0 and
-    # +-1, with a scale of None or a power of two take exact int64 block
-    # sums; every block's mean must have the bits of the float reduction,
-    # the sign of zero included.
-    # Scales 0.3 and -2 must take the float path: at -2 a block that sums to
-    # 0 reads +0.0 there, and -2 * (0 / n0) would read -0.0.
+    # +-1, take exact int64 block sums; every block's mean, and that mean
+    # times any scale, must have the bits of the float reduction's, the
+    # sign of zero included: at -2 a block that sums to 0 reads -0.0 both
+    # ways.
     rng = np.random.default_rng(25)
     n0s = (1, 2, 3, 7, 8, 9, 100, 129, 1000, 2**14)
     zeros = 0
@@ -691,29 +710,21 @@ def test_integer_block_sums_equal_the_float_reduction_bit_for_bit():
             samples = rng.integers(-1, 2, (datasets, 2 * k * n0 + 5, d)).astype(np.int8)
             if n0 >= 100:  # some blocks of large values
                 samples[0] = rng.integers(-128, 128, samples.shape[1:])
-            # Each scale alone, and a pair as the kernel asks for qbar and gbar.
-            calls = [(scale,) for scale in (None, 1.0, 2.0, 0.5, 0.3, -2.0)] + [(2.0, None)]
-            wide = samples.astype(float)
-            for scales in calls:
-                got = localization._block_means(samples, offsets, k, n0, scales)
-                for scale, means in zip(scales, got):
-                    for c, offset in enumerate(offsets):
-                        for i in range(k):
-                            blocks = wide[:, offset + i * n0 : offset + (i + 1) * n0]
-                            for t in range(datasets):
-                                block = blocks[t] if scale is None else scale * blocks[t]
-                                want = block.mean(axis=0)
-                                assert means[c, i, t].tobytes() == want.tobytes(), (n0, scale)
-                                zeros += int(np.sum((want == 0.0) & (block != 0.0).any(axis=0)))
+            zeros += _assert_block_means(samples, offsets, k, n0, (d, n0))
     assert zeros > 0
 
 
 def test_per_trial_samples_are_held_as_given_with_the_same_bits():
     # A run holds per-trial samples as they come: a sampler's int8 or
     # float32 draws as drawn, and Datasets of them as float64.  Their block
-    # means have the same bits either way, and so do the runs' outputs.
+    # means have the same bits either way, and so do the runs' outputs, at
+    # any lin_scale: L = 3 gives 1.5, which is not a power of two.
     cases = (("uniform_convex", dict(d=1, kappa=2, lam=1.0, L=4.0, R=1.0, bias_delta=0.1), np.int8),
              ("uniform_convex", dict(d=4, kappa=2, lam=1.0, L=2.0, R=1.0), np.int8),
+             ("uniform_convex", dict(d=1, kappa=2, lam=1.0, L=3.0, R=1.0, bias_delta=0.1), np.int8),
+             ("uniform_convex", dict(d=2, kappa=2, lam=1.0, L=3.0, R=1.0), np.int8),
+             ("uniform_convex", dict(d=1, kappa=4, lam=0.25, L=3.0, R=1.0, bias_delta=0.1),
+              np.int8),
              ("pure_convex", dict(d=4, L=1.0, R=1.0), np.float32))
     for name, params, dtype in cases:
         inst = build_instance(name, **params)
@@ -763,10 +774,11 @@ def test_lone_group_schedule_columns_are_a_view_of_its_table_row():
 
 
 def test_quadratic_phase_matches_erm_solve_bit_for_bit(monkeypatch):
-    # 2 dimensions x 2 domains x 4 schedules x 100 trials = 1600 random
-    # phases at d = 2 and d = 4, each with its own data, anchor and epoch
-    # ball.  The kernel's solution and its projected noised point must equal
-    # erm.solve's and core.project's.  Anchors a hair outside their ball
+    # 3 instances x 2 domains x 4 schedules x 100 trials = 2400 random
+    # phases at d = 2 and d = 4 with L = 4, and at d = 2 with L = 3, whose
+    # lin_scale 1.5 is not a power of two, each with its own data, anchor
+    # and epoch ball.  The kernel's solution and its projected noised point
+    # must equal erm.solve's and core.project's.  Anchors a hair outside their ball
     # make the dominance shortcut project, small trust regions put closed
     # forms outside their region, and large noise leaves the domain.  The
     # kernel's certificate must reject a closed form exactly when
@@ -783,8 +795,8 @@ def test_quadratic_phase_matches_erm_solve_bit_for_bit(monkeypatch):
     trials, m = 100, 16
     cfg = localization.LocalizationConfig(eta=1.0, privacy=PrivacyParams(1.0), k=1, n0=m)
     counts = dict(phases=0, dominance=0, anchor_projected=0, outside_region=0, projected=0)
-    for d in (2, 4):
-        inst = _quad_instance(d)
+    for d, L in ((2, 4.0), (4, 4.0), (2, 3.0)):
+        inst = _quad_instance(d, L)
         loss, domain, st = inst.loss, inst.domain, inst.loss.structure
         for with_epoch in (False, True):
             samples = rng.uniform(-1.0, 1.0, (trials, m, d))
@@ -830,7 +842,7 @@ def test_quadratic_phase_matches_erm_solve_bit_for_bit(monkeypatch):
                     noised = want + (z[t, 0] * sigma_used if sigma_used > 0 else 0.0)
                     want_next = project(outer[t], noised)
                     assert got[t].tobytes() == want_next.tobytes()
-                    closed = (2.0 * lam * x[t] - (st.lin_scale * samples[t]).mean(axis=0)) / (
+                    closed = (2.0 * lam * x[t] - st.lin_scale * samples[t].mean(axis=0)) / (
                         st.curvature + 2.0 * lam
                     )
                     counts["phases"] += 1
@@ -927,16 +939,18 @@ def test_separable_phase_matches_erm_solve_bit_for_bit(monkeypatch):
 
 
 def test_power_norm_phase_matches_erm_solve_bit_for_bit(monkeypatch):
-    # 2 kappas x 2 domains x 4 schedules x 100 trials = 1600 random phases,
-    # each with its own data, anchor and epoch ball.  The kernel's solution
+    # 3 instances x 2 domains x 4 schedules x 100 trials = 2400 random
+    # phases, each with its own data, anchor and epoch ball: kappa 3 and 4
+    # with L = 2, and kappa 4 with L = 3, whose lin_scale 1.5 is not a
+    # power of two.  The kernel's solution
     # and its projected noised point must equal erm.solve's and
     # core.project's.  Anchors a hair outside their epoch ball make the
     # dominance shortcut project, and large noise lands points where a clamp
     # to the interval and core.project differ by an ulp.  At kappa = 4, some
-    # anchors sit on the lower edge of their epoch ball, at points where
-    # numpy's cube falls below libm's, and their data put the phase's
-    # derivative at exactly 0 there (with L = 2 the linear term is the
-    # sample itself): libm's pow gives the edge, numpy's power a bisection.
+    # anchors with L = 2 sit on the lower edge of their epoch ball, at
+    # points where numpy's cube falls below libm's, and their data put the
+    # phase's derivative at exactly 0 there (the linear term is the sample
+    # itself): libm's pow gives the edge, numpy's power a bisection.
     # The kernel's certificate must reject a root exactly when erm.solve's
     # does: it falls back to erm.solve once per reference solve that has to
     # descend.
@@ -951,8 +965,8 @@ def test_power_norm_phase_matches_erm_solve_bit_for_bit(monkeypatch):
     cfg = localization.LocalizationConfig(eta=1.0, privacy=PrivacyParams(1.0), k=1, n0=m)
     counts = dict(phases=0, dominance=0, anchor_projected=0, edge_solutions=0, projected=0,
                   clamp_differs=0)
-    for kappa in (3, 4):
-        inst = _power_instance(kappa)
+    for kappa, L in ((3, 2.0), (4, 2.0), (4, 3.0)):
+        inst = _power_instance(kappa, L)
         loss, domain = inst.loss, inst.domain
         L, cp = loss.lipschitz, loss.structure.coef * loss.structure.power
         for with_epoch in (False, True):
@@ -965,7 +979,7 @@ def test_power_norm_phase_matches_erm_solve_bit_for_bit(monkeypatch):
                 x = np.clip(centers + rng.uniform(-1.0, 1.0, trials) * radius_e, -1.0, 1.0)
                 side = rng.choice([-1.0, 1.0], 40)
                 x[:40] = centers[:40] + side * (radius_e + 10.0 ** rng.uniform(-12, -9.4, 40))
-                if kappa == 4:
+                if kappa == 4 and L == 2.0:
                     c = rng.uniform(radius_e + 0.05, 0.9, 4000)
                     a = c - radius_e
                     a_cubed = np.array([v ** 3.0 for v in a.tolist()])
