@@ -46,12 +46,19 @@ Theorem 8, from scipy's normal cdf), of the retired conservative
 2 ln(2/delta) / epsilon, and of ``mechanisms.gaussian_sigma`` with its exact
 delta(epsilon), and the time of one uncached bisection.
 
+Grid draws: one audit-1d round's ``inv_sensitivity.sample`` calls (the
+grid-sampler rows at 10 000 outputs per dataset), each replayed on a fresh
+copy of its stream: per call, the time of the former one-search-per-draw
+lookup and of the guide table, and the share of draws that fall in buckets
+a cdf value splits; then one single draw (the invsens sweep's call) each
+way.
+
 It needs scipy (``scipy.stats``), which the package's ``test`` extra
 installs. Run from the repository root (on 2 CPUs with --jobs 2, --part 2 took
 11.4-11.6 s and --part 4 1.9-2.7 s over two runs each; --part screen runs
 in-process and takes under a second, --part unit-setup a few seconds,
---part traffic about ten, --part laplace about six and --part gaussian under
-a second):
+--part traffic about ten, --part laplace about six, --part gaussian under
+a second and --part grid-draws a few seconds):
 
     PYTHONPATH=src python scripts/decisions_ledger.py --part all --jobs 2
 """
@@ -74,7 +81,7 @@ from pathlib import Path
 import numpy as np
 from scipy.stats import chi2, norm
 
-from dpgrowth import core, epoch_growth, erm, harness, localization, mechanisms
+from dpgrowth import core, epoch_growth, erm, harness, inv_sensitivity, localization, mechanisms
 from dpgrowth.core import PrivacyParams, RngStream
 from dpgrowth.harness import (
     _audit_chains,
@@ -537,10 +544,70 @@ def gaussian(repeats: int = 20) -> None:
     print()
 
 
+def _searched(density, rng, size=None):
+    """The grid sampler's former lookup: one binary search per draw."""
+    cdf = np.cumsum(density.probabilities)
+    cdf[-1] = 1.0
+    u = rng.gen.random(1 if size is None else size)
+    idx = np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
+    picked = density.points[idx]
+    return picked[0] if size is None else picked
+
+
+def _split_share(density, rng, size) -> float:
+    """The share of the call's draws in buckets that a cdf value splits,
+    with ``inv_sensitivity.sample``'s table."""
+    cdf = np.cumsum(density.probabilities)
+    cdf[-1] = 1.0
+    u = rng.gen.random(size)
+    buckets = 1 << max((size // 8).bit_length() - 1, 0)
+    counts = np.searchsorted(cdf, np.arange(buckets + 1) / buckets, side="left")
+    return float(np.mean((counts[:-1] != counts[1:])[(u * buckets).astype(np.intp)]))
+
+
+def _call_us(f, density, rng, size, repeats: int) -> float:
+    return 1e6 * _replay([(lambda: f(density, RngStream(rng.seed, rng.stream), size), ())],
+                         repeats)
+
+
+def grid_draws(repeats: int = 50) -> None:
+    calls, sample = [], inv_sensitivity.sample
+
+    def recorded(density, rng, size=None):
+        calls.append((density, RngStream(rng.seed, rng.stream), size))
+        return sample(density, rng, size)
+
+    inv_sensitivity.sample = recorded
+    try:
+        privacy_audit(pipelines=("inv_sensitivity",), trials=AUDIT_GRID_TRIALS, epsilons=EPSILONS,
+                      n=N, bins=BINS, master_seed=SEED)
+    finally:
+        inv_sensitivity.sample = sample
+    print(f"## Grid draws (one audit-1d round's sample calls, each replayed on a fresh copy of "
+          f"its stream; median of {repeats}, in-process)\n")
+    print("| call | points | draws | one search per draw (us) | guide table (us) "
+          "| draws in split buckets |")
+    print("|---|---|---|---|---|---|")
+    totals = [0.0, 0.0]
+    for i, (density, rng, size) in enumerate(calls):
+        assert np.array_equal(_searched(density, RngStream(rng.seed, rng.stream), size),
+                              sample(density, RngStream(rng.seed, rng.stream), size))
+        times = [_call_us(f, density, rng, size, repeats) for f in (_searched, sample)]
+        totals = [a + b for a, b in zip(totals, times)]
+        share = _split_share(density, RngStream(rng.seed, rng.stream), size)
+        print(f"| {i} | {len(density.points)} | {size} | {times[0]:.0f} | {times[1]:.0f} "
+              f"| {share:.1%} |")
+    print(f"| all {len(calls)} | | | {totals[0]:.0f} | {totals[1]:.0f} | |")
+    density, rng, _ = calls[0]
+    single = [_call_us(f, density, rng, None, 20 * repeats) for f in (_searched, sample)]
+    print(f"\nOne draw (size None) on call 0's density: {single[0]:.1f} us searched, "
+          f"{single[1]:.1f} us by the table.\n")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--part", choices=("2", "4", "screen", "unit-setup", "traffic", "laplace",
-                                           "gaussian", "all"),
+                                           "gaussian", "grid-draws", "all"),
                         default="all")
     parser.add_argument("--jobs", type=int, default=2)
     parser.add_argument("--streams", type=int, default=9,
@@ -561,6 +628,8 @@ def main() -> None:
         laplace()
     if args.part in ("gaussian", "all"):
         gaussian()
+    if args.part in ("grid-draws", "all"):
+        grid_draws()
 
 
 if __name__ == "__main__":

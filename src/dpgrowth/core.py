@@ -341,9 +341,12 @@ def children_laplace(blocks: Sequence[ChildStreams], size: int) -> np.ndarray:
     (:func:`_libm_log`; ``np.log`` differs in the last bit on some
     arguments).  numpy redraws U = 0 from the same stream, shifting the
     row's later draws, so such a row is drawn by its own ``child(t)``.
+    A size-0 request draws, seeds and steps nothing.
     """
     counts = [b.count for b in blocks]
     bounds = [0, *accumulate(counts)]
+    if size == 0:
+        return np.empty((bounds[-1], 0))
     parents = np.repeat(np.array([derive_stream_key(b.parent.seed, b.parent.stream)
                                   for b in blocks], dtype=np.uint64), counts)
     index = np.arange(bounds[-1], dtype=np.uint64) - np.repeat(

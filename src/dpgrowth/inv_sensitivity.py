@@ -47,7 +47,7 @@ class GridDensity:
     def __post_init__(self):
         probs = np.exp(self.log_probs)
         total = float(probs.sum())
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise InvalidInputError(f"density normalization off by {total - 1.0:g}")
         if not (self.spacing <= self.rho / 4.0 + 1e-15):
             raise InvalidInputError("grid spacing must satisfy h <= rho / 4")
@@ -119,14 +119,16 @@ def _logsumexp(a: np.ndarray) -> float:
 
 def _window_min(values: np.ndarray, w: int) -> np.ndarray:
     """``scipy.ndimage.minimum_filter1d(values, 2 * w + 1, mode="nearest")``
-    exactly, as min is exact: the line padded with w copies of each edge
-    value, then one shifted ``np.minimum`` per window offset, so memory
-    stays at the padded line and the output."""
+    exactly on a line without -0.0 (the scores are norms), as min is exact:
+    the line padded with w copies of each edge value, then minima over spans
+    that double while they fit in the window (entry i covers i .. i + span
+    - 1), and one ``np.minimum`` of the two spans that start and end it."""
     padded = np.concatenate((np.full(w, values[0]), values, np.full(w, values[-1])))
-    out = padded[: len(values)].copy()
-    for offset in range(1, 2 * w + 1):
-        np.minimum(out, padded[offset : offset + len(values)], out=out)
-    return out
+    width, span = 2 * w + 1, 1
+    while 2 * span <= width:
+        padded = np.minimum(padded[:-span], padded[span:])
+        span *= 2
+    return np.minimum(padded[: len(values)], padded[width - span : width - span + len(values)])
 
 
 def _refined_norms_1d(loss: LossOracle, data: Dataset, points: np.ndarray) -> np.ndarray:
@@ -171,15 +173,19 @@ def build_density(loss: LossOracle, data: Dataset, domain: Domain, epsilon: floa
 
 
 def sample(density: GridDensity, rng: RngStream, size: int | None = None) -> np.ndarray:
-    """Inverse-CDF draws from the grid density.
-
-    Returns a single point of shape (1,) when ``size`` is None, else (size, 1).
-    """
+    """Inverse-CDF draws from the grid density, of shape (1,) when ``size``
+    is None, else (size, 1).  Draw u's index #{cdf <= u} lies between the
+    counts #{cdf < edge} at the edges of its bucket of a guide table of
+    2^m buckets, about size / 8, and is searched only where they differ
+    (docs/decisions.md, "Guide-table draws for the grid sampler")."""
     cdf = np.cumsum(density.probabilities)
     cdf[-1] = 1.0
     u = rng.gen.random(1 if size is None else size)
-    idx = np.searchsorted(cdf, u, side="right")
-    idx = np.minimum(idx, len(cdf) - 1)
+    buckets = 1 << max((len(u) // 8).bit_length() - 1, 0)
+    counts = np.searchsorted(cdf, np.arange(buckets + 1) / buckets, side="left")
+    idx = np.where(counts[:-1] == counts[1:], counts[:-1], -1)[(u * buckets).astype(np.intp)]
+    split = np.flatnonzero(idx < 0)
+    idx[split] = np.searchsorted(cdf, u[split], side="right")
     picked = density.points[idx]
     return picked[0] if size is None else picked
 

@@ -144,14 +144,15 @@ def noise_rows(requests: Sequence[tuple]) -> list[np.ndarray]:
     The pure-budget requests on blocks of child streams
     (``RngStream.children``) of one size take one pass of the blocks' array
     Laplace draws (``core.children_laplace``), which are bit for bit the
-    same; every other request draws stream by stream."""
+    same; every other request draws stream by stream.  A request of size
+    0 seeds no stream's generator."""
     out: list = [None] * len(requests)
     passes: dict = {}
     for i, (privacy, streams, size) in enumerate(requests):
         if privacy.is_pure and isinstance(streams, ChildStreams):
             passes.setdefault(size, []).append(i)
         else:
-            rows = [noise_draw(privacy, s)(0.0, 1.0, size=size) for s in streams]
+            rows = [noise_draw(privacy, s)(0.0, 1.0, size=size) if size else () for s in streams]
             out[i] = np.array(rows).reshape(len(rows), size)
     for size, chosen in passes.items():
         rows = children_laplace([requests[i][1] for i in chosen], size)

@@ -146,6 +146,16 @@ def test_children_laplace_of_several_blocks_equals_child_draws(monkeypatch):
     assert children_laplace([], 4).shape == (0, 4)
 
 
+def test_children_laplace_of_size_zero_is_empty_and_seeds_nothing(monkeypatch):
+    # A noiseless chain asks for zero draws per stream (it used to raise
+    # ZeroDivisionError): no stream is seeded, stepped or drawn from.
+    monkeypatch.setattr(core, "_pcg64_outputs", lambda keys, size: pytest.fail("seeded"))
+    blocks = [RngStream(1).children(3), RngStream(2, 5).children(0), RngStream(3).children(2)]
+    got = children_laplace(blocks, 0)
+    assert got.shape == (5, 0) and got.dtype == np.float64
+    assert all(b.parent._gen is None for b in blocks)
+
+
 @pytest.mark.parametrize("parent", [(0, 0), (7, 3), (2**64 - 1, 5)])
 def test_children_draw_what_child_draws(parent):
     p = RngStream(*parent)

@@ -635,6 +635,22 @@ def test_cli_audit_rejects_bad_budgets_and_lists_before_any_row_runs(tmp_path, c
         assert not ran
 
 
+def test_a_chain_audit_reads_a_zero_multiplier_as_noiseless():
+    # A chain's sabotaged row at multiplier 0 asks for no noise draws (its
+    # children block used to raise ZeroDivisionError).  With no noise every
+    # output on a dataset is that dataset's one noiseless iterate.
+    datasets = harness._audit_datasets(16)
+    for pipeline in ("localization", "epoch_growth"):
+        rows = privacy_audit(epsilons=(1.0,), n=16, trials=50, bins=4, pipelines=(pipeline,),
+                             sabotage_scales={(pipeline, 1.0): 0.0})
+        assert [(r.pipeline, r.mode) for r in rows] == [(pipeline, "honest"),
+                                                       (pipeline, "sabotaged")]
+        assert all(r.report is not None for r in rows)
+        outs = harness._audit_chains(pipeline, [(0.0, 1.0, data, harness.RngStream(7, 1), 50)
+                                                for data in datasets])
+        assert [np.unique(out).size for out in outs] == [1, 1]
+
+
 def _per_row_report(pipeline, eps, scale, trials, bins, stream):
     """An audit row as one empirical_dp_test run: the grid sampler's
     outputs on each dataset from one density and one ``sample`` call at

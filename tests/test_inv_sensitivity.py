@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dpgrowth import harness
 from dpgrowth.core import (
     Dataset,
     Domain,
@@ -99,6 +100,17 @@ def test_probabilities_normalized():
     data = inst.draw(30, RngStream(1, 0))
     dens = build_density(inst.loss, data, inst.domain, epsilon=2.0, rho=0.08)
     assert abs(dens.probabilities.sum() - 1.0) <= 1e-12
+
+
+def test_a_nan_sample_fails_the_density_build():
+    # NaN scores normalize to NaN probabilities, which the old check
+    # abs(total - 1) > tol let through; sample then drew the lattice's
+    # first point every time.
+    inst = _atom_abs_instance()
+    samples = np.zeros((16, 1))
+    samples[3] = np.nan
+    with pytest.raises(InvalidInputError, match="normalization off by nan"):
+        build_density(inst.loss, Dataset(samples), inst.domain, epsilon=1.0, rho=0.1)
 
 
 def test_epsilon_to_zero_flattens_density():
@@ -205,7 +217,9 @@ def test_window_min_equals_scipy_bit_for_bit():
     from scipy.ndimage import minimum_filter1d
 
     rng = np.random.default_rng(18)
-    for w in range(7):
+    # Windows 1 to 13 wide, and 15, 17, 31, 33 and 81: a power of two
+    # spans each of the last ones exactly or with one point over.
+    for w in (*range(7), 7, 8, 15, 16, 40):
         for side in range(1, 41):
             line = np.round(rng.random(side), 1)
             line[rng.random(side) < 0.2] = np.inf
@@ -237,6 +251,75 @@ def _two_point_density():
         spacing=0.25,
         rho=1.0,
     )
+
+
+def _density_of(probs):
+    with np.errstate(divide="ignore"):
+        lp = np.log(np.asarray(probs, dtype=float))
+    points = np.arange(len(lp), dtype=float)[:, None]
+    return GridDensity(points=points, log_weights=lp, log_probs=lp, spacing=0.25, rho=1.0)
+
+
+def _cdf(dens):
+    cdf = np.cumsum(dens.probabilities)
+    cdf[-1] = 1.0
+    return cdf
+
+
+class _FixedUniforms:
+    """An ``RngStream`` stand-in whose one ``gen.random`` call returns ``u``."""
+
+    def __init__(self, u):
+        self.gen, self.u = self, u
+
+    def random(self, size):
+        assert size == len(self.u)
+        return self.u.copy()
+
+
+def _special_uniforms(cdf, buckets):
+    """u on and beside each cdf value below 1, on and just below each edge
+    k / buckets, 0 and 1 - 2^-53."""
+    inner = cdf[cdf < 1.0]
+    on = np.concatenate([inner, np.arange(buckets) / buckets])
+    u = np.concatenate([on, np.nextafter(on, 0.0), np.nextafter(inner, 1.0), [1.0 - 2.0**-53]])
+    return u[u < 1.0]
+
+
+def test_guide_table_draws_equal_the_binary_search_bit_for_bit():
+    # The reference is the sampler's former lookup, one binary search per
+    # draw.  Densities: the audit's grid rows (epsilon / multiplier over
+    # the acceptance audit's budgets and halved noise, and one far sharper),
+    # a one-point lattice, a point mass (the cdf reaches 1 early), leading
+    # zero probabilities (it starts at 0), and a cdf that passes 1.0 before
+    # its last entry is set to 1.0.
+    inst = harness._audit_abs_instance()
+    densities = [build_density(inst.loss, data, inst.domain, eps, rho=0.1)
+                 for eps in (0.5, 1.0, 2.0, 4.0, 1e3) for data in harness._audit_datasets(32)]
+    audit = densities[0].probabilities
+    over = _density_of(np.concatenate([audit * (1.0 + 8e-13), [0.0, 0.0]]))
+    assert _cdf(over)[-2] > 1.0
+    densities += [_density_of([1.0]), _density_of([0.0, 1.0, 0.0, 0.0]),
+                  _density_of([0.0, 0.0, 0.25, 0.75]), _density_of([0.5, 0.5 + 4e-13, 0.0]),
+                  over]
+    gen = np.random.default_rng(34)
+    for i, dens in enumerate(densities):
+        cdf = _cdf(dens)
+
+        def reference(u):
+            return dens.points[np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)]
+
+        for size in (None, 0, 1, 2, 3, 10_000, 100_000):
+            got = sample(dens, RngStream(34, i), size)
+            want = reference(RngStream(34, i).gen.random(1 if size is None else size))
+            assert np.array_equal(got, want[0] if size is None else want)
+            assert got.shape == ((1,) if size is None else (size, 1))
+        for size, buckets in ((10_000, 1024), (100_000, 8192)):
+            u = gen.random(size)
+            special = _special_uniforms(cdf, buckets)
+            u[: len(special)] = special
+            u = gen.permutation(u)
+            assert np.array_equal(sample(dens, _FixedUniforms(u), size), reference(u))
 
 
 def test_two_point_sampling_frequencies():

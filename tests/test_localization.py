@@ -101,6 +101,22 @@ def test_run_is_deterministic_given_stream():
     assert np.array_equal(a, b)
 
 
+def test_noiseless_run_on_a_children_block_equals_the_list_of_its_streams():
+    # noise_scale = 0 asks for size-0 noise rows, which a children block
+    # used to send to the array Laplace pass (ZeroDivisionError).  Neither
+    # layout draws, so both give the same bits and seed no generator.
+    inst = _quad_instance()
+    data = inst.draw(64, RngStream(3, 0))
+    cfg = LocalizationConfig.for_data_size(64, 0.005, PrivacyParams(1.0), noise_scale=0.0)
+    block = RngStream(1).children(3)
+    streams = list(block)
+    a = run(inst.loss, data, inst.domain, np.zeros(1), cfg, block)
+    b = run(inst.loss, data, inst.domain, np.zeros(1), cfg, streams)
+    assert a.shape == (3, 1)
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    assert block.parent._gen is None and all(s._gen is None for s in streams)
+
+
 def test_run_input_validation():
     inst = _quad_instance()
     data = inst.draw(4, RngStream(4, 0))

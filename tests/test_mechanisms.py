@@ -157,6 +157,16 @@ def test_noise_rows_match_per_stream_draws():
         assert np.array_equal(rows.view(np.uint64), expected.view(np.uint64))
 
 
+def test_noise_rows_of_size_zero_seed_no_generator():
+    # Both paths, both budgets: a (streams, 0) array each, and no stream
+    # seeds a generator.
+    for privacy in (PrivacyParams(1.0), PrivacyParams(1.0, 1e-6)):
+        block, streams = RngStream(9, 2).children(4), [RngStream(4, t) for t in range(3)]
+        got = noise_rows([(privacy, block, 0), (privacy, streams, 0), (privacy, [], 0)])
+        assert [rows.shape for rows in got] == [(4, 0), (3, 0), (0, 0)]
+        assert block.parent._gen is None and all(s._gen is None for s in streams)
+
+
 def test_laplace_moments_million_draws():
     sigma = 0.7
     draws = noise_draw(PrivacyParams(1.0), RngStream(100, 0))(0.0, sigma, 1_000_000)
