@@ -53,12 +53,22 @@ lookup and of the guide table, and the share of draws that fall in buckets
 a cdf value splits; then one single draw (the invsens sweep's call) each
 way.
 
+Grid trials: one bench round's invsens unit (80 seeds) replayed stage by
+stage, each stage's calls timed in the former code (kept below as the
+reference, and checked bit for bit) and in the module's: the lattice, the
+gradients, the crossing zeros, the window minimum, ``_logsumexp``, the
+renormalization, ``GridDensity`` and the draw, in us per trial.  Then the
+acceptance invsens sweep (200 seeds, --jobs 1) in alternated passes with
+all four former stages, each new stage alone, and all four new stages, with
+the CSV of every pass checked byte for byte.
+
 It needs scipy (``scipy.stats``), which the package's ``test`` extra
 installs. Run from the repository root (on 2 CPUs with --jobs 2, --part 2 took
 11.4-11.6 s and --part 4 1.9-2.7 s over two runs each; --part screen runs
 in-process and takes under a second, --part unit-setup a few seconds,
 --part traffic about ten, --part laplace about six, --part gaussian under
-a second and --part grid-draws a few seconds):
+a second, --part grid-draws a few seconds and --part grid-trials about
+ten seconds):
 
     PYTHONPATH=src python scripts/decisions_ledger.py --part all --jobs 2
 """
@@ -93,7 +103,7 @@ from dpgrowth.harness import (
     privacy_audit,
     run_sweep,
 )
-from dpgrowth.instances import ProblemInstance, build_instance
+from dpgrowth.instances import PowerNormLinearLoss, ProblemInstance, build_instance
 from dpgrowth.mechanisms import histogram_test
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -604,10 +614,178 @@ def grid_draws(repeats: int = 50) -> None:
           f"{single[1]:.1f} us by the table.\n")
 
 
+# The grid sampler's former stages, the reference of --part grid-trials.
+def _former_grid_1d(domain, h):
+    lo, hi = domain.interval()
+    points = lo + h * np.arange(int(math.floor((hi - lo) / h)) + 1)
+    return points[: np.count_nonzero(points <= hi), None]
+
+
+def _former_mean_grads(self, points, samples):
+    sbar = samples.mean(axis=0)
+    radii = np.linalg.norm(points, axis=1, keepdims=True)
+    return self.coef * self.power * radii ** (self.power - 2.0) * points + self.lin_scale * sbar
+
+
+def _former_logsumexp(a):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.max(a, axis=0, keepdims=True)
+        at_max = a == a_max
+        m = np.sum(at_max, axis=0, keepdims=True, dtype=a.dtype)
+        s = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max), axis=0, keepdims=True) / m
+        out = float((np.log1p(s) + np.log(m) + a_max)[0])
+        return out if math.isfinite(out) else float(np.log(np.sum(np.exp(a))))
+
+
+def _former_refined_norms_1d(loss, data, points):
+    g = loss.mean_grads(points, data.samples)[:, 0]
+    norms = np.abs(g)
+    crossing = g[:-1] * g[1:] <= 0.0
+    norms[:-1] = np.where(crossing, 0.0, norms[:-1])
+    norms[1:] = np.where(crossing, 0.0, norms[1:])
+    return norms
+
+
+# Each change's name, and the attribute that its former stage replaces.
+GRID_CHANGES = (
+    ("gradients", PowerNormLinearLoss, "mean_grads", _former_mean_grads),
+    ("lattice", inv_sensitivity, "_grid_1d", _former_grid_1d),
+    ("logsumexp", inv_sensitivity, "_logsumexp", _former_logsumexp),
+    ("crossing", inv_sensitivity, "_refined_norms_1d", _former_refined_norms_1d),
+)
+
+
+@contextlib.contextmanager
+def _former_stages(names):
+    """Run with the named stages (``GRID_CHANGES``) in their former code."""
+    swapped = [(owner, attr, getattr(owner, attr), former)
+               for name, owner, attr, former in GRID_CHANGES if name in names]
+    for owner, attr, _, former in swapped:
+        setattr(owner, attr, former)
+    try:
+        yield
+    finally:
+        for owner, attr, current, _ in swapped:
+            setattr(owner, attr, current)
+
+
+class _Gradients:
+    """A loss whose mean gradients are a given array, to time the crossing alone."""
+
+    def __init__(self, grads):
+        self.grads = grads
+
+    def mean_grads(self, points, samples):
+        return self.grads
+
+
+def _grid_stages(loss, data, domain, epsilon, rho, h, rng):
+    """Per stage of one invsens trial: its former call, its current call and
+    the current output, each call a thunk; the stages run on the current
+    outputs, which the former ones must equal bit for bit."""
+    points = inv_sensitivity._grid_1d(domain, h)
+    grads = loss.mean_grads(points, data.samples)
+    stub = _Gradients(grads)
+    norms = inv_sensitivity._refined_norms_1d(stub, data, points)
+    w = int(math.floor(rho / h + 1e-9))
+    log_weights = -epsilon * data.n * inv_sensitivity._window_min(norms, w) / (2.0 * loss.lipschitz)
+    lse = inv_sensitivity._logsumexp(log_weights)
+
+    def renormalize():
+        log_probs = log_weights - lse
+        return log_probs - math.log(float(np.exp(log_probs).sum()))
+
+    log_probs = renormalize()
+
+    def density():
+        return inv_sensitivity.GridDensity(points=points, log_weights=log_weights,
+                                           log_probs=log_probs, spacing=h, rho=rho)
+
+    dens = density()
+
+    def draw():
+        return inv_sensitivity.sample(dens, RngStream(rng.seed, rng.stream))
+
+    stages = [
+        ("lattice", lambda: _former_grid_1d(domain, h), lambda: inv_sensitivity._grid_1d(domain, h)),
+        ("gradients", lambda: _former_mean_grads(loss, points, data.samples),
+         lambda: loss.mean_grads(points, data.samples)),
+        ("crossing", lambda: _former_refined_norms_1d(stub, data, points),
+         lambda: inv_sensitivity._refined_norms_1d(stub, data, points)),
+        ("window minimum", None, lambda: inv_sensitivity._window_min(norms, w)),
+        ("_logsumexp", lambda: _former_logsumexp(log_weights),
+         lambda: inv_sensitivity._logsumexp(log_weights)),
+        ("renormalization", None, renormalize),
+        ("GridDensity", None, density),
+        ("draw", None, draw),
+    ]
+    for _, former, current in stages:
+        if former is not None:
+            assert np.asarray(former()).tobytes() == np.asarray(current()).tobytes()
+    return stages
+
+
+def grid_trials(repeats: int = 40, passes: int = 20) -> None:
+    calls, build = [], inv_sensitivity.build_density
+
+    def recorded(loss, data, domain, epsilon, rho=None, h=None, growth=None):
+        calls.append((loss, data, domain, epsilon, rho, h))
+        return build(loss, data, domain, epsilon, rho=rho, h=h, growth=growth)
+
+    cfg = load_config(CONFIGS / "acceptance_invsens.ini")
+    with tempfile.TemporaryDirectory() as out:
+        inv_sensitivity.build_density = recorded
+        try:
+            run_sweep(dataclasses.replace(cfg, seeds=TRAFFIC_SEEDS["invsens"]), Path(out), jobs=1)
+        finally:
+            inv_sensitivity.build_density = build
+    trials = [_grid_stages(*call, RngStream(cfg.master_seed, 1)) for call in calls]
+    print(f"## Grid trials (one bench round's invsens unit, {len(calls)} trials, each "
+          f"stage's calls replayed in-process; median of {repeats} alternated passes, us per trial)\n")
+    print("| stage | former | current |")
+    print("|---|---|---|")
+    totals = [0.0, 0.0]
+    for k, (name, *_) in enumerate(trials[0]):
+        sides = ([(stages[k][1] or stages[k][2], ()) for stages in trials],
+                 [(stages[k][2], ()) for stages in trials])
+        passes_us = [[], []]
+        for p in range(repeats):  # alternated, the former first in even passes
+            for side in ((0, 1) if p % 2 == 0 else (1, 0)):
+                passes_us[side].append(1e6 * _replay(sides[side], 1) / len(trials))
+        times = [statistics.median(t) for t in passes_us]
+        totals = [a + b for a, b in zip(totals, times)]
+        print(f"| {name} | {times[0]:.1f} | {times[1]:.1f} |")
+    print(f"| all | {totals[0]:.1f} | {totals[1]:.1f} |\n")
+
+    variants = [("former", {name for name, *_ in GRID_CHANGES})]
+    variants += [(f"{name} alone", {other for other, *_ in GRID_CHANGES if other != name})
+                 for name, *_ in GRID_CHANGES]
+    variants.append(("current", set()))
+    times, csvs = {name: [] for name, _ in variants}, {}
+    with tempfile.TemporaryDirectory() as out:
+        for p in range(passes):
+            for name, former in (variants if p % 2 == 0 else variants[::-1]):
+                with _former_stages(former):
+                    start = time.perf_counter()
+                    _, csv_path, _ = run_sweep(cfg, Path(out), jobs=1)
+                    times[name].append(time.perf_counter() - start)
+                csvs.setdefault(csv_path.read_bytes(), []).append(name)
+    assert len(csvs) == 1, "a variant changed the CSV"
+    print(f"## The acceptance invsens sweep ({cfg.seeds} seeds, --jobs 1, {passes} alternated "
+          f"passes, in-process; ms per trial, and the median per-pass ratio to the former)\n")
+    print("| variant | ms per trial | ratio |")
+    print("|---|---|---|")
+    for name, _ in variants:
+        ratio = statistics.median(t / f for t, f in zip(times[name], times["former"]))
+        print(f"| {name} | {1e3 * statistics.median(times[name]) / cfg.seeds:.3f} "
+              f"| {ratio - 1.0:+.1%} |")
+    print()
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--part", choices=("2", "4", "screen", "unit-setup", "traffic", "laplace",
-                                           "gaussian", "grid-draws", "all"),
+                                           "gaussian", "grid-draws", "grid-trials", "all"),
                         default="all")
     parser.add_argument("--jobs", type=int, default=2)
     parser.add_argument("--streams", type=int, default=9,
@@ -630,6 +808,8 @@ def main() -> None:
         gaussian()
     if args.part in ("grid-draws", "all"):
         grid_draws()
+    if args.part in ("grid-trials", "all"):
+        grid_trials()
 
 
 if __name__ == "__main__":

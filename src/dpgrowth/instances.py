@@ -95,6 +95,9 @@ class PowerNormLinearLoss(LossOracle):
 
     def mean_grads(self, points, samples):
         sbar = samples.mean(axis=0)
+        if self.power == 2.0:
+            # The form below, bit for bit: r ** 0.0 is 1.0 for every r, even inf and NaN.
+            return self.coef * self.power * points + self.lin_scale * sbar
         radii = np.linalg.norm(points, axis=1, keepdims=True)
         return self.coef * self.power * radii ** (self.power - 2.0) * points + self.lin_scale * sbar
 

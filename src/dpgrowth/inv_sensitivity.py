@@ -6,6 +6,7 @@ the lattice spacing is tied to the smoothing radius."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -49,7 +50,7 @@ class GridDensity:
         total = float(probs.sum())
         if not abs(total - 1.0) <= 1e-12:
             raise InvalidInputError(f"density normalization off by {total - 1.0:g}")
-        if not (self.spacing <= self.rho / 4.0 + 1e-15):
+        if not (self.spacing <= self.rho / 4.0 * (1.0 + 1e-12)):
             raise InvalidInputError("grid spacing must satisfy h <= rho / 4")
         object.__setattr__(self, "probabilities", probs)
 
@@ -86,7 +87,7 @@ def grid_parameters(loss: LossOracle, n: int, domain: Domain, epsilon: float,
         raise InvalidInputError(f"rho must be finite and positive, got {rho}")
     if h is None:
         h = rho / 4.0
-    if not (0 < h <= rho / 4.0 + 1e-15):
+    if not (0 < h <= rho / 4.0 * (1.0 + 1e-12)):
         raise InvalidInputError(f"grid spacing must satisfy 0 < h <= rho / 4, got h = {h}")
     lo, hi = domain.interval()
     if not (hi - lo) / h < MAX_GRID_POINTS:
@@ -96,25 +97,37 @@ def grid_parameters(loss: LossOracle, n: int, domain: Domain, epsilon: float,
 
 
 def _grid_1d(domain: Domain, h: float) -> np.ndarray:
-    lo, hi = domain.interval()
+    return _lattice(*domain.interval(), h)
+
+
+@functools.lru_cache(maxsize=1)
+def _lattice(lo: float, hi: float, h: float) -> np.ndarray:
+    """The read-only ``(G, 1)`` lattice lo + h k <= hi, kept for the last
+    ``(lo, hi, h)`` so that the densities of one cell share it."""
     points = lo + h * np.arange(int(math.floor((hi - lo) / h)) + 1)
     # A rounded (hi - lo) / h can count one too many; lo + h k is
     # nondecreasing in k, so the points <= hi are a prefix.
-    return points[: np.count_nonzero(points <= hi), None]
+    points = points[: np.count_nonzero(points <= hi), None]
+    points.flags.writeable = False
+    return points
 
 
 def _logsumexp(a: np.ndarray) -> float:
     """``scipy.special.logsumexp`` of a real 1-D array, bit for bit: scipy
     1.17.1's steps, and its fallback log(sum(exp(a))) where they give a
     non-finite result.  Its "s / m unless s == 0" is s / m here, the same
-    value, since s == 0 implies m >= 1."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = np.max(a, axis=0, keepdims=True)
-        at_max = a == a_max
-        m = np.sum(at_max, axis=0, keepdims=True, dtype=a.dtype)
-        s = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max), axis=0, keepdims=True) / m
-        out = float((np.log1p(s) + np.log(m) + a_max)[0])
-        return out if math.isfinite(out) else float(np.log(np.sum(np.exp(a))))
+    value, since s == 0 implies m >= 1.  A max of +inf, -inf or NaN always
+    ends in the fallback, so only it is computed.  After a finite max the
+    steps stay finite, and only a - max can warn: of overflow, as scipy's
+    does, if max > 0 and the spread passes the largest float."""
+    a_max = np.max(a, axis=0, keepdims=True)
+    if not math.isfinite(a_max[0]):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return float(np.log(np.sum(np.exp(a))))
+    at_max = a == a_max
+    m = np.array([np.count_nonzero(at_max)], dtype=a.dtype)
+    s = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max), axis=0, keepdims=True) / m
+    return float((np.log1p(s) + np.log(m) + a_max)[0])
 
 
 def _window_min(values: np.ndarray, w: int) -> np.ndarray:
@@ -143,9 +156,9 @@ def _refined_norms_1d(loss: LossOracle, data: Dataset, points: np.ndarray) -> np
     """
     g = loss.mean_grads(points, data.samples)[:, 0]
     norms = np.abs(g)
-    crossing = g[:-1] * g[1:] <= 0.0
-    norms[:-1] = np.where(crossing, 0.0, norms[:-1])
-    norms[1:] = np.where(crossing, 0.0, norms[1:])
+    crossing = np.flatnonzero(g[:-1] * g[1:] <= 0.0)
+    norms[crossing] = 0.0
+    norms[crossing + 1] = 0.0
     return norms
 
 
@@ -163,13 +176,8 @@ def build_density(loss: LossOracle, data: Dataset, domain: Domain, epsilon: floa
     # Renormalize away the last float ulps so probabilities sum to one exactly
     # enough for inverse-CDF sampling.
     log_probs = log_probs - math.log(float(np.exp(log_probs).sum()))
-    return GridDensity(
-        points=points,
-        log_weights=log_weights,
-        log_probs=log_probs,
-        spacing=h,
-        rho=rho,
-    )
+    return GridDensity(points=points, log_weights=log_weights, log_probs=log_probs, spacing=h,
+                       rho=rho)
 
 
 def sample(density: GridDensity, rng: RngStream, size: int | None = None) -> np.ndarray:
@@ -190,16 +198,8 @@ def sample(density: GridDensity, rng: RngStream, size: int | None = None) -> np.
     return picked[0] if size is None else picked
 
 
-def excess_risk_bound(
-    L: float,
-    n: int,
-    epsilon: float,
-    beta: float,
-    d: int,
-    R: float,
-    rho: float,
-    growth: GrowthSpec,
-) -> float:
+def excess_risk_bound(L: float, n: int, epsilon: float, beta: float, d: int, R: float,
+                      rho: float, growth: GrowthSpec) -> float:
     """High-probability empirical excess-risk bound for the sampler:
 
         (1/lam^(1/(k-1))) * (2 L K / (n eps))^(k/(k-1)) + L rho,

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import dpgrowth
-from dpgrowth.core import Dataset, InvalidInputError, RngStream, probe_points, project
+from dpgrowth.core import Dataset, Domain, InvalidInputError, RngStream, probe_points, project
 from dpgrowth.instances import (
     SHIPPED_INSTANCES,
+    PowerNormLinearLoss,
     _mean_sample,
     build_instance,
     make_knorm_regression,
@@ -19,6 +20,7 @@ from dpgrowth.instances import (
     make_sharp_growth_1d,
     make_uniform_convex,
 )
+from dpgrowth.inv_sensitivity import _grid_1d, default_rho
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +170,45 @@ def test_mean_sample_of_integers_equals_the_float_mean_bit_for_bit():
             assert got.tobytes() == samples.astype(float).mean(axis=0).tobytes(), (n, d, low)
     wide = rng.standard_normal((9, 3))
     assert _mean_sample(wide).tobytes() == wide.mean(axis=0).tobytes()
+
+
+def _radii_grads(loss, points, samples):
+    """``PowerNormLinearLoss.mean_grads``' general form, at every power."""
+    radii = np.linalg.norm(points, axis=1, keepdims=True)
+    return (loss.coef * loss.power * radii ** (loss.power - 2.0) * points
+            + loss.lin_scale * samples.mean(axis=0))
+
+
+def test_quadratic_mean_grads_equal_the_radii_form_bit_for_bit():
+    # The invsens sweep's lattice and samples, the adaptive-exponent test's
+    # kappa = 2 lattices (up to about a million points), signed zeros, and
+    # random points with infinities and NaNs, at d = 1 and d = 3.
+    invsens = make_uniform_convex(d=1, kappa=2, lam=1.0, L=4.0, R=1.0, bias_delta=0.1)
+    adaptive = make_uniform_convex(d=1, kappa=2, lam=0.25, L=2.0, R=1.0, bias_delta=0.1)
+    unit = Domain(np.zeros(1), 1.0)
+    cases = [(invsens.loss, _grid_1d(unit, 2.5e-4), invsens.draw(1000, RngStream(35, 0)).samples)]
+    for n in (256, 512, 1024):
+        h = default_rho(2.0, 0.25, 2.0, n, 1, 1.0) / 4.0
+        cases.append((adaptive.loss, _grid_1d(unit, h), adaptive.draw(n, RngStream(35, n)).samples))
+    rng = np.random.default_rng(35)
+    for d in (1, 3):
+        loss = PowerNormLinearLoss(rng.uniform(0.1, 3.0), 2.0, rng.uniform(0.5, 2.0), d, 4.0)
+        points = rng.normal(scale=10.0 ** rng.uniform(-300, 300, (500, 1)), size=(500, d))
+        points[:4] = [[0.0] * d, [-0.0] * d, [np.inf] * d, [np.nan] * d]
+        points[4:8, 0] = [-np.inf, np.nan, -0.0, 1e308]
+        cases.append((loss, points, rng.normal(size=(17, d))))
+    for loss, points, samples in cases:
+        assert loss.power == 2.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _radii_grads(loss, points, samples)
+            got = loss.mean_grads(points, samples)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # Other powers keep the general form itself.
+    for power in (3.0, 4.0):
+        loss = PowerNormLinearLoss(0.7, power, 1.3, 2, 4.0)
+        points, samples = rng.normal(size=(200, 2)), rng.normal(size=(9, 2))
+        assert loss.mean_grads(points, samples).tobytes() == _radii_grads(
+            loss, points, samples).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,10 +17,12 @@ from dpgrowth.inv_sensitivity import (
     GridDensity,
     _grid_1d,
     _logsumexp,
+    _refined_norms_1d,
     _window_min,
     build_density,
     default_rho,
     excess_risk_bound,
+    grid_parameters,
     sample,
 )
 from dpgrowth.instances import build_instance
@@ -155,6 +158,25 @@ def test_grid_guards():
         build_density(inst.loss, data, Domain(np.zeros(3), 1.0), epsilon=1.0, rho=0.1)
 
 
+def test_spacing_bound_is_relative_to_rho():
+    # An absolute slack of 1e-15 let h = 1.9 rho / 4 through at rho = 4e-15,
+    # a lattice of about a million points.
+    inst = _atom_abs_instance()
+    tiny = Domain(np.zeros(1), 1e-9)
+    with pytest.raises(InvalidInputError, match="h <= rho / 4"):
+        grid_parameters(inst.loss, 8, tiny, 1.0, rho=4e-15, h=1.9e-15)
+    assert grid_parameters(inst.loss, 8, tiny, 1.0, rho=4e-15, h=1e-15) == (4e-15, 1e-15)
+    assert grid_parameters(inst.loss, 8, tiny, 1.0, rho=4e-15) == (4e-15, 1e-15)
+    # The shipped pairs: the invsens sweep's, and the audit's default h.
+    assert grid_parameters(inst.loss, 1000, inst.domain, 1.0, 1e-3, 2.5e-4) == (1e-3, 2.5e-4)
+    assert grid_parameters(inst.loss, 32, inst.domain, 0.5, rho=0.1) == (0.1, 0.025)
+    lp = np.array([0.0])
+    with pytest.raises(InvalidInputError, match="h <= rho / 4"):
+        GridDensity(points=np.zeros((1, 1)), log_weights=lp, log_probs=lp, spacing=1.9e-15,
+                    rho=4e-15)
+    GridDensity(points=np.zeros((1, 1)), log_weights=lp, log_probs=lp, spacing=1e-15, rho=4e-15)
+
+
 def test_density_requires_rho_or_growth():
     inst = _atom_abs_instance()
     data = inst.draw(8, RngStream(3, 0))
@@ -191,8 +213,86 @@ def test_one_dimensional_lattice_stays_inside_its_interval():
     assert dropped > 0
 
 
+def test_lattice_is_shared_read_only_and_equal_to_a_fresh_one():
+    def fresh(domain, h):
+        lo, hi = domain.interval()
+        p = lo + h * np.arange(int(math.floor((hi - lo) / h)) + 1)
+        return p[p <= hi, None]
+
+    unit = Domain(np.zeros(1), 1.0)
+    cells = [(unit, 2.5e-4), (unit, 0.025)]
+    rng = np.random.default_rng(3)  # the intervals of the test above
+    for _ in range(300):
+        center, radius = round(rng.uniform(-1.0, 1.0), 2), round(rng.uniform(0.01, 1.0), 2)
+        h = max(round(2.0 * radius / int(rng.integers(1, 400)), 3), 0.001)
+        cells.append((Domain(np.array([center]), radius), h))
+    for domain, h in cells:
+        got = _grid_1d(domain, h)
+        want = fresh(domain, h)
+        assert not got.flags.writeable
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            got[0, 0] = 0.5
+    # One cell's densities share one lattice, and writing through it fails.
+    inst = _atom_abs_instance()
+    a, b = (build_density(inst.loss, inst.draw(16, RngStream(35, i)), inst.domain, 1.0, rho=0.1)
+            for i in range(2))
+    assert a.points is b.points
+    with pytest.raises(ValueError, match="read-only"):
+        a.points[:] = 0.0
+
+
+class _FixedGradients:
+    """A loss whose mean gradient field on any lattice is the array ``g``."""
+
+    def __init__(self, g):
+        self.g = np.asarray(g, dtype=float)
+
+    def mean_grads(self, points, samples):
+        assert len(points) == len(self.g)
+        return self.g[:, None].copy()
+
+
+def test_crossings_by_index_equal_the_two_where_passes_bit_for_bit():
+    def reference(g):
+        norms = np.abs(g)
+        crossing = g[:-1] * g[1:] <= 0.0
+        norms[:-1] = np.where(crossing, 0.0, norms[:-1])
+        norms[1:] = np.where(crossing, 0.0, norms[1:])
+        return norms
+
+    x = np.linspace(-1.0, 1.0, 81)
+    rng = np.random.default_rng(35)
+    lines = [
+        x - 0.5,  # one exact zero at a lattice point
+        np.where(np.abs(x) <= 0.25, 0.0, x),  # a run of zeros
+        np.where(x < 0, -0.0, x),  # -0.0 then positive
+        np.sign(x),  # a jump over an exact zero
+        x + 1.0 / 3.0,  # a crossing between lattice points
+        np.full(81, 2.0), -np.ones(81), np.zeros(1), np.array([1.0, -1.0]),
+        np.where(x == 0.5, np.nan, x - 0.25), np.where(x > 0.7, np.nan, x),
+        np.array([np.nan, 0.0, np.nan, -1.0, 1.0, np.inf, -np.inf]),
+        np.sin(12.0 * x),  # non-monotone, several crossings
+        np.round(rng.normal(size=1000), 1), rng.choice([-1.0, 0.0, -0.0, 1.0], 1000),
+    ]
+    for g in lines:
+        got = _refined_norms_1d(_FixedGradients(g), Dataset(np.zeros((1, 1))), g[:, None])
+        assert _bits(got) == _bits(reference(g)), g
+
+
 def _bits(x) -> bytes:
     return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def _non_finite_cases():
+    """+inf and NaN alone, twice, and mixed with finite and -inf entries."""
+    cases = []
+    for special in (np.inf, np.nan):
+        for rest in ([], [special], [-np.inf], [0.5, -3.0], [-np.inf, 2.0, 1e3], [-np.inf] * 3,
+                     [800.0, -800.0]):
+            a = np.array([special, *rest])
+            cases += [a, a[::-1].copy()]
+    return cases + [np.array([np.inf, np.nan, -np.inf, 1.0]), np.array([-np.inf, np.nan, np.inf])]
 
 
 def test_logsumexp_equals_scipy_bit_for_bit():
@@ -200,6 +300,7 @@ def test_logsumexp_equals_scipy_bit_for_bit():
 
     rng = np.random.default_rng(17)
     cases = [np.zeros(1), np.full(3, -np.inf), np.array([-np.inf, -1.0, -np.inf])]
+    cases += _non_finite_cases()
     for case in range(1200):
         size = int(10.0 ** rng.uniform(0.0, math.log10(20_000)))
         # Spreads from 1e-3 to 1e4: beyond about 745 the smallest terms underflow.
@@ -211,6 +312,20 @@ def test_logsumexp_equals_scipy_bit_for_bit():
         cases.append(a)
     for a in cases:
         assert _bits(_logsumexp(a)) == _bits(logsumexp(a)), a
+
+
+def test_logsumexp_lets_no_warning_escape():
+    # Finite input with terms whose exp underflows (the log weights' case),
+    # and every non-finite case.
+    finite = [np.array([0.0, -800.0, -1e4, -np.inf]), np.array([5.0, -2000.0, 5.0]),
+              -1e4 * np.random.default_rng(35).random(8001)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in finite + _non_finite_cases():
+            _logsumexp(a)
+    # Only a spread past the largest float warns, as scipy's own step does.
+    with pytest.warns(RuntimeWarning, match="overflow encountered in subtract"):
+        assert _logsumexp(np.array([1e308, -1e308, 0.0])) == 1e308
 
 
 def test_window_min_equals_scipy_bit_for_bit():
