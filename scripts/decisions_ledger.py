@@ -31,15 +31,6 @@ and the largest group; and per sweep of those rounds, the sweep units
 ``harness._execute`` runs, the trials in each, and the dtype and bytes of
 the samples each unit holds.
 
-Laplace: the audit's array log (``core._libm_log``) on 10^7 arguments
-drawn as numpy's Laplace rule forms them (2U below U = 1/2, 2 - 2U above):
-per screen margin (the shipped one, 0.01 and 0), the values whose kept
-double-double log differs from ``math.log`` and the share sent to
-``math.log``; the ns per value of the ``math.log`` map and of
-``_libm_log`` on passes of the bench's 2 400 x 5 and 2 400 x 15 shapes, in
-the chunks each takes; and the wall time of ``dpgrowth audit
-configs/acceptance_audit.ini`` at --jobs 1.
-
 Gaussian: per (epsilon, delta) budget, sigma / Delta of the retired default
 sqrt(ln(1/delta)) / epsilon with its exact delta(epsilon) (Balle & Wang 2018,
 Theorem 8, from scipy's normal cdf), of the retired conservative
@@ -55,20 +46,30 @@ way.
 
 Grid trials: one bench round's invsens unit (80 seeds) replayed stage by
 stage, each stage's calls timed in the former code (kept below as the
-reference, and checked bit for bit) and in the module's: the lattice, the
-gradients, the crossing zeros, the window minimum, ``_logsumexp``, the
-renormalization, ``GridDensity`` and the draw, in us per trial.  Then the
-acceptance invsens sweep (200 seeds, --jobs 1) in alternated passes with
-all four former stages, each new stage alone, and all four new stages, with
-the CSV of every pass checked byte for byte.
+reference, and checked bit for bit but for the normalization's last bits)
+and in the module's: the lattice, the gradients, the crossing zeros, the
+window minimum, the normalization (the former ``_logsumexp`` and
+renormalization against one pass), ``GridDensity`` and the draw, in us per
+trial.  Then the acceptance invsens sweep (200 seeds, --jobs 1) in
+alternated passes with all four former stages, each new stage alone, and
+all four new stages, with the CSV of every pass checked byte for byte.
+
+Last bits: the acceptance audit config and the acceptance invsens sweep,
+each run with the former last bits (the audit's Laplace logs by
+``math.log``, and the grid sampler's two-step normalization) and with the
+current code: per audit row, the outputs that moved, the largest move, and
+the smallest distance from an output to an inner histogram bin edge; per
+group of grid densities, the largest cdf move and the largest sum of cdf
+moves, which bounds the chance that a draw moves; and whether every
+report row and CSV row is identical.
 
 It needs scipy (``scipy.stats``), which the package's ``test`` extra
 installs. Run from the repository root (on 2 CPUs with --jobs 2, --part 2 took
 11.4-11.6 s and --part 4 1.9-2.7 s over two runs each; --part screen runs
 in-process and takes under a second, --part unit-setup a few seconds,
---part traffic about ten, --part laplace about six, --part gaussian under
-a second, --part grid-draws a few seconds and --part grid-trials about
-ten seconds):
+--part traffic about ten, --part gaussian under a second, --part
+grid-draws a few seconds, --part grid-trials about ten seconds and --part
+last-bits about eight):
 
     PYTHONPATH=src python scripts/decisions_ledger.py --part all --jobs 2
 """
@@ -79,11 +80,13 @@ import argparse
 import contextlib
 import dataclasses
 import io
+import json
 import math
 import multiprocessing
 import statistics
 import tempfile
 import time
+import types
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -465,64 +468,6 @@ def traffic() -> None:
     print()
 
 
-# The Laplace log: arguments per scan, the margins scanned, and the audit
-# pass shapes (streams, draws per stream) timed.
-LOG_SCAN = 10**7
-LOG_MARGINS = (core._LOG_MARGIN, 0.01, 0.0)
-LOG_SHAPES = ((2400, 5), (2400, 15))
-# Rows per math.log map call, as children_laplace made them before the array log.
-MAP_LOG_ROWS = 600
-
-
-def _laplace_args(gen, count: int) -> np.ndarray:
-    u = gen.integers(1, 2**53, count) * 2.0**-53
-    return np.where(u >= 0.5, 2.0 - u - u, u + u)
-
-
-def _map_log(args: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(math.log, args.tolist()), float, len(args))
-
-
-def _per_value_ns(log, args: np.ndarray, rows: int, repeats: int) -> float:
-    best = math.inf
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for a in range(0, len(args), rows):
-            log(args[a : a + rows].ravel())
-        best = min(best, time.perf_counter() - start)
-    return best / args.size * 1e9
-
-
-def laplace(repeats: int = 7) -> None:
-    gen = np.random.default_rng(SEED)
-    wrong, sent = Counter(), Counter()
-    for start in range(0, LOG_SCAN, core._LOG_VALUES):
-        args = _laplace_args(gen, min(core._LOG_VALUES, LOG_SCAN - start))
-        libm = _map_log(args)
-        y, z = core._dd_log(args)
-        for margin in LOG_MARGINS:
-            kept = core._log_kept(y, z, margin)
-            wrong[margin] += int(np.count_nonzero(kept & (y != libm)))
-            sent[margin] += len(args) - int(np.count_nonzero(kept))
-    print(f"## The Laplace log's screen ({LOG_SCAN:,} arguments, in-process)\n")
-    print("| margin (ulp) | kept values that differ from math.log | share sent to math.log |")
-    print("|---|---|---|")
-    for margin in LOG_MARGINS:
-        print(f"| {margin:g} | {wrong[margin]} | {sent[margin] / LOG_SCAN:.2%} |")
-    print(f"\n## ns per value of each log (best of {repeats}, in-process)\n")
-    print("| pass shape | math.log map | _libm_log |")
-    print("|---|---|---|")
-    for streams, size in LOG_SHAPES:
-        args = _laplace_args(gen, streams * size).reshape(streams, size)
-        old = _per_value_ns(_map_log, args, MAP_LOG_ROWS, repeats)
-        new = _per_value_ns(core._libm_log, args, max(1, core._LOG_VALUES // size), repeats)
-        print(f"| {streams} x {size} | {old:.1f} | {new:.1f} |")
-    start = time.perf_counter()
-    _acceptance_audit()
-    print(f"\n`dpgrowth audit configs/acceptance_audit.ini --jobs 1`: "
-          f"{time.perf_counter() - start:.2f} s\n")
-
-
 GAUSSIAN_BUDGETS = ((0.5, 1e-3), (1.0, 1e-3), (0.5, 1e-5), (1.0, 1e-5), (1.0, 1e-6), (2.0, 1e-6),
                     (1.0, 1e-10))
 
@@ -554,10 +499,15 @@ def gaussian(repeats: int = 20) -> None:
     print()
 
 
-def _searched(density, rng, size=None):
-    """The grid sampler's former lookup: one binary search per draw."""
+def _cdf(density) -> np.ndarray:
     cdf = np.cumsum(density.probabilities)
     cdf[-1] = 1.0
+    return cdf
+
+
+def _searched(density, rng, size=None):
+    """The grid sampler's former lookup: one binary search per draw."""
+    cdf = _cdf(density)
     u = rng.gen.random(1 if size is None else size)
     idx = np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
     picked = density.points[idx]
@@ -567,8 +517,7 @@ def _searched(density, rng, size=None):
 def _split_share(density, rng, size) -> float:
     """The share of the call's draws in buckets that a cdf value splits,
     with ``inv_sensitivity.sample``'s table."""
-    cdf = np.cumsum(density.probabilities)
-    cdf[-1] = 1.0
+    cdf = _cdf(density)
     u = rng.gen.random(size)
     buckets = 1 << max((size // 8).bit_length() - 1, 0)
     counts = np.searchsorted(cdf, np.arange(buckets + 1) / buckets, side="left")
@@ -628,13 +577,42 @@ def _former_mean_grads(self, points, samples):
 
 
 def _former_logsumexp(a):
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = np.max(a, axis=0, keepdims=True)
-        at_max = a == a_max
-        m = np.sum(at_max, axis=0, keepdims=True, dtype=a.dtype)
-        s = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max), axis=0, keepdims=True) / m
-        out = float((np.log1p(s) + np.log(m) + a_max)[0])
-        return out if math.isfinite(out) else float(np.log(np.sum(np.exp(a))))
+    """The retired ``inv_sensitivity._logsumexp``: ``scipy.special.logsumexp``
+    of a real 1-D array bit for bit, by scipy 1.17.1's steps."""
+    a_max = np.max(a, axis=0, keepdims=True)
+    if not math.isfinite(a_max[0]):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return float(np.log(np.sum(np.exp(a))))
+    at_max = a == a_max
+    m = np.array([np.count_nonzero(at_max)], dtype=a.dtype)
+    s = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max), axis=0, keepdims=True) / m
+    return float((np.log1p(s) + np.log(m) + a_max)[0])
+
+
+def _former_log_probs(log_weights):
+    """The former normalization: ``_former_logsumexp``, then a second exp
+    pass that renormalizes."""
+    log_probs = log_weights - _former_logsumexp(log_weights)
+    return log_probs - math.log(float(np.exp(log_probs).sum()))
+
+
+def _current_log_probs(log_weights):
+    """``inv_sensitivity.build_density``'s one normalizing pass."""
+    shifted = log_weights - log_weights.max()
+    return shifted - math.log(float(np.exp(shifted).sum()))
+
+
+def _former_build_density(loss, data, domain, epsilon, rho=None, h=None, growth=None):
+    """``inv_sensitivity.build_density`` with the former normalization; its
+    other stages are looked up on the module, where they may be swapped too."""
+    rho, h = inv_sensitivity.grid_parameters(loss, data.n, domain, epsilon, rho, h, growth)
+    points = inv_sensitivity._grid_1d(domain, h)
+    norms = inv_sensitivity._refined_norms_1d(loss, data, points)
+    smoothed = inv_sensitivity._window_min(norms, int(math.floor(rho / h + 1e-9)))
+    log_weights = -epsilon * data.n * smoothed / (2.0 * loss.lipschitz)
+    return inv_sensitivity.GridDensity(points=points, log_weights=log_weights,
+                                       log_probs=_former_log_probs(log_weights), spacing=h,
+                                       rho=rho)
 
 
 def _former_refined_norms_1d(loss, data, points):
@@ -650,23 +628,28 @@ def _former_refined_norms_1d(loss, data, points):
 GRID_CHANGES = (
     ("gradients", PowerNormLinearLoss, "mean_grads", _former_mean_grads),
     ("lattice", inv_sensitivity, "_grid_1d", _former_grid_1d),
-    ("logsumexp", inv_sensitivity, "_logsumexp", _former_logsumexp),
+    ("normalization", inv_sensitivity, "build_density", _former_build_density),
     ("crossing", inv_sensitivity, "_refined_norms_1d", _former_refined_norms_1d),
 )
 
 
 @contextlib.contextmanager
-def _former_stages(names):
-    """Run with the named stages (``GRID_CHANGES``) in their former code."""
-    swapped = [(owner, attr, getattr(owner, attr), former)
-               for name, owner, attr, former in GRID_CHANGES if name in names]
-    for owner, attr, _, former in swapped:
-        setattr(owner, attr, former)
+def _swapped(changes):
+    """Run with each ``(owner, attr, value)`` of ``changes`` set, then restore."""
+    saved = [(owner, attr, getattr(owner, attr)) for owner, attr, _ in changes]
+    for owner, attr, value in changes:
+        setattr(owner, attr, value)
     try:
         yield
     finally:
-        for owner, attr, current, _ in swapped:
-            setattr(owner, attr, current)
+        for owner, attr, value in saved:
+            setattr(owner, attr, value)
+
+
+def _former_stages(names):
+    """Run with the named stages (``GRID_CHANGES``) in their former code."""
+    return _swapped([(owner, attr, former)
+                     for name, owner, attr, former in GRID_CHANGES if name in names])
 
 
 class _Gradients:
@@ -682,20 +665,17 @@ class _Gradients:
 def _grid_stages(loss, data, domain, epsilon, rho, h, rng):
     """Per stage of one invsens trial: its former call, its current call and
     the current output, each call a thunk; the stages run on the current
-    outputs, which the former ones must equal bit for bit."""
+    outputs, which the former ones must equal bit for bit, but for the
+    normalization's last bits (--part last-bits measures them)."""
     points = inv_sensitivity._grid_1d(domain, h)
     grads = loss.mean_grads(points, data.samples)
     stub = _Gradients(grads)
     norms = inv_sensitivity._refined_norms_1d(stub, data, points)
     w = int(math.floor(rho / h + 1e-9))
     log_weights = -epsilon * data.n * inv_sensitivity._window_min(norms, w) / (2.0 * loss.lipschitz)
-    lse = inv_sensitivity._logsumexp(log_weights)
-
-    def renormalize():
-        log_probs = log_weights - lse
-        return log_probs - math.log(float(np.exp(log_probs).sum()))
-
-    log_probs = renormalize()
+    log_probs = _current_log_probs(log_weights)
+    built = inv_sensitivity.build_density(loss, data, domain, epsilon, rho=rho, h=h)
+    assert built.log_probs.tobytes() == log_probs.tobytes()
 
     def density():
         return inv_sensitivity.GridDensity(points=points, log_weights=log_weights,
@@ -713,14 +693,13 @@ def _grid_stages(loss, data, domain, epsilon, rho, h, rng):
         ("crossing", lambda: _former_refined_norms_1d(stub, data, points),
          lambda: inv_sensitivity._refined_norms_1d(stub, data, points)),
         ("window minimum", None, lambda: inv_sensitivity._window_min(norms, w)),
-        ("_logsumexp", lambda: _former_logsumexp(log_weights),
-         lambda: inv_sensitivity._logsumexp(log_weights)),
-        ("renormalization", None, renormalize),
+        ("normalization", lambda: _former_log_probs(log_weights),
+         lambda: _current_log_probs(log_weights)),
         ("GridDensity", None, density),
         ("draw", None, draw),
     ]
-    for _, former, current in stages:
-        if former is not None:
+    for name, former, current in stages:
+        if former is not None and name != "normalization":
             assert np.asarray(former()).tobytes() == np.asarray(current()).tobytes()
     return stages
 
@@ -782,10 +761,104 @@ def grid_trials(repeats: int = 40, passes: int = 20) -> None:
     print()
 
 
+# The former last bits of --part last-bits: the audit's Laplace logs by
+# math.log, through a stand-in for numpy in core whose log it is, and the
+# grid sampler's two-step normalization.
+_MATH_LOG_NUMPY = types.SimpleNamespace(**vars(np))
+_MATH_LOG_NUMPY.log = lambda a: np.fromiter(map(math.log, a.ravel().tolist()), float,
+                                             a.size).reshape(a.shape)
+
+
+def _former_children_laplace(blocks, size):
+    """``core.children_laplace`` with the former logs: ``math.log``, value by
+    value, which the retired ``core._libm_log`` returned bit for bit."""
+    core.np = _MATH_LOG_NUMPY
+    try:
+        return core.children_laplace(blocks, size)
+    finally:
+        core.np = np
+
+
+FORMER_LAST_BITS = ((mechanisms, "children_laplace", _former_children_laplace),
+                    (inv_sensitivity, "build_density", _former_build_density))
+
+
+def _last_bits_run(out: Path) -> dict:
+    """The acceptance audit's report, each row's two output arrays and bins,
+    and its grid densities; then the acceptance invsens sweep's CSV and
+    densities.  In-process, at --jobs 1."""
+    rows, densities = [], []
+    histogram, build = harness.histogram_test, inv_sensitivity.build_density
+
+    def recorded_histogram(out_a, out_b, eps, bins):
+        rows.append((out_a, out_b, bins))
+        return histogram(out_a, out_b, eps, bins)
+
+    def recorded_build(*args, **kwargs):
+        densities.append(build(*args, **kwargs))
+        return densities[-1]
+
+    out.mkdir()
+    with _swapped([(harness, "histogram_test", recorded_histogram),
+                   (inv_sensitivity, "build_density", recorded_build)]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli(["audit", str(CONFIGS / "acceptance_audit.ini"), "--jobs", "1",
+                 "--out", str(out / "audit.json")])
+        grid_rows = len(densities)
+        _, csv_path, _ = run_sweep(load_config(CONFIGS / "acceptance_invsens.ini"), out, jobs=1)
+    return {"report": (out / "audit.json").read_bytes(), "rows": rows,
+            "audit grid rows": densities[:grid_rows], "csv": csv_path.read_bytes(),
+            "invsens sweep": densities[grid_rows:]}
+
+
+def _edge_margin(out_a, out_b, bins: int) -> float:
+    """The smallest distance from a row's output to an inner edge of the
+    row's histogram, ``histogram_test``'s bins over the joint range."""
+    x = np.concatenate([out_a, out_b])
+    edges = np.linspace(x.min(), x.max(), bins + 1)[1:-1]
+    i = np.clip(np.searchsorted(edges, x), 1, len(edges) - 1)
+    return float(np.minimum(np.abs(x - edges[i - 1]), np.abs(x - edges[i])).min())
+
+
+def last_bits() -> None:
+    with tempfile.TemporaryDirectory() as out:
+        with _swapped(FORMER_LAST_BITS):
+            former = _last_bits_run(Path(out) / "former")
+        current = _last_bits_run(Path(out) / "current")
+    report = json.loads(current["report"])
+    print("## Outputs, not other libraries' last bits (the acceptance audit and invsens sweep, "
+          "--jobs 1, in-process; the former logs and normalization against the current)\n")
+    print("| audit row | outputs | moved | largest move | / row range "
+          "| smallest distance to an inner bin edge |")
+    print("|---|---|---|---|---|---|")
+    for row, (fa, fb, bins), (ca, cb, _) in zip(report, former["rows"], current["rows"]):
+        old, new = np.concatenate([fa, fb]), np.concatenate([ca, cb])
+        move = np.abs(new - old)
+        # Rows that no output moved keep their edges and counts.
+        margin = (f"{min(_edge_margin(fa, fb, bins), _edge_margin(ca, cb, bins)):.2g}"
+                  if move.any() else "-")
+        print(f"| {row['pipeline']} eps={row['epsilon']:g} {row['mode']} | {len(new):,} "
+              f"| {np.count_nonzero(move):,} | {move.max():.2g} "
+              f"| {move.max() / (new.max() - new.min()):.2g} | {margin} |")
+    print("\n| densities | count | draws each | largest abs(dcdf) | largest sum of abs(dcdf) |")
+    print("|---|---|---|---|---|")
+    for name, draws in (("audit grid rows", TRIALS), ("invsens sweep", 1)):
+        moves = [np.abs(_cdf(a) - _cdf(b)) for a, b in zip(former[name], current[name])]
+        print(f"| {name} | {len(moves)} | {draws} | {max(m.max() for m in moves):.2g} "
+              f"| {max(m.sum() for m in moves):.2g} |")
+    same_rows = sum(a == b for a, b in zip(json.loads(former["report"]), report))
+    old_csv, new_csv = former["csv"].splitlines(), current["csv"].splitlines()
+    same_csv = sum(a == b for a, b in zip(old_csv, new_csv))
+    print(f"\nReport rows identical: {same_rows} of {len(report)} (bytes identical: "
+          f"{former['report'] == current['report']}); CSV rows identical: {same_csv} of "
+          f"{len(new_csv)} (bytes identical: {former['csv'] == current['csv']}).\n")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--part", choices=("2", "4", "screen", "unit-setup", "traffic", "laplace",
-                                           "gaussian", "grid-draws", "grid-trials", "all"),
+    parser.add_argument("--part", choices=("2", "4", "screen", "unit-setup", "traffic",
+                                           "gaussian", "grid-draws", "grid-trials", "last-bits",
+                                           "all"),
                         default="all")
     parser.add_argument("--jobs", type=int, default=2)
     parser.add_argument("--streams", type=int, default=9,
@@ -802,14 +875,14 @@ def main() -> None:
         unit_setup()
     if args.part in ("traffic", "all"):
         traffic()
-    if args.part in ("laplace", "all"):
-        laplace()
     if args.part in ("gaussian", "all"):
         gaussian()
     if args.part in ("grid-draws", "all"):
         grid_draws()
     if args.part in ("grid-trials", "all"):
         grid_trials()
+    if args.part in ("last-bits", "all"):
+        last_bits()
 
 
 if __name__ == "__main__":

@@ -781,8 +781,8 @@ def privacy_audit(
     ``_AUDIT_BATCH`` outputs (or one group), through ``_audit_grid`` or as
     one ``_audit_chains`` batch, and each row's two output arrays then go
     through ``histogram_test``.  Each output is its stream's own, so the
-    reports equal those of one-stream runs and, for the grid sampler, of
-    ``empirical_dp_test``.
+    grid sampler's reports equal ``empirical_dp_test``'s, and a chain's unit
+    draws are within one ulp of one-stream runs' (the pinned reports hold).
     """
     _check_jobs(jobs)
     if n < 2:

@@ -46,12 +46,18 @@ class GridDensity:
     probabilities: np.ndarray = field(init=False, repr=False)  # exp(log_probs)
 
     def __post_init__(self):
+        size = len(self.log_probs)
+        if np.shape(self.points) != (size, 1):
+            raise InvalidInputError(f"lattice shape {np.shape(self.points)} is not ({size}, 1)")
+        if len(self.log_weights) != size:
+            raise InvalidInputError(f"{len(self.log_weights)} log weights for {size} probabilities")
         probs = np.exp(self.log_probs)
         total = float(probs.sum())
         if not abs(total - 1.0) <= 1e-12:
             raise InvalidInputError(f"density normalization off by {total - 1.0:g}")
-        if not (self.spacing <= self.rho / 4.0 * (1.0 + 1e-12)):
-            raise InvalidInputError("grid spacing must satisfy h <= rho / 4")
+        if not (0.0 < self.spacing <= self.rho / 4.0 * (1.0 + 1e-12)):
+            raise InvalidInputError(
+                f"grid spacing must satisfy 0 < h <= rho / 4, got h = {self.spacing}")
         object.__setattr__(self, "probabilities", probs)
 
 
@@ -112,24 +118,6 @@ def _lattice(lo: float, hi: float, h: float) -> np.ndarray:
     return points
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    """``scipy.special.logsumexp`` of a real 1-D array, bit for bit: scipy
-    1.17.1's steps, and its fallback log(sum(exp(a))) where they give a
-    non-finite result.  Its "s / m unless s == 0" is s / m here, the same
-    value, since s == 0 implies m >= 1.  A max of +inf, -inf or NaN always
-    ends in the fallback, so only it is computed.  After a finite max the
-    steps stay finite, and only a - max can warn: of overflow, as scipy's
-    does, if max > 0 and the spread passes the largest float."""
-    a_max = np.max(a, axis=0, keepdims=True)
-    if not math.isfinite(a_max[0]):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return float(np.log(np.sum(np.exp(a))))
-    at_max = a == a_max
-    m = np.array([np.count_nonzero(at_max)], dtype=a.dtype)
-    s = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max), axis=0, keepdims=True) / m
-    return float((np.log1p(s) + np.log(m) + a_max)[0])
-
-
 def _window_min(values: np.ndarray, w: int) -> np.ndarray:
     """``scipy.ndimage.minimum_filter1d(values, 2 * w + 1, mode="nearest")``
     exactly on a line without -0.0 (the scores are norms), as min is exact:
@@ -172,10 +160,8 @@ def build_density(loss: LossOracle, data: Dataset, domain: Domain, epsilon: floa
     norms = _refined_norms_1d(loss, data, points)
     smoothed = _window_min(norms, int(math.floor(rho / h + 1e-9)))
     log_weights = -epsilon * data.n * smoothed / (2.0 * loss.lipschitz)
-    log_probs = log_weights - _logsumexp(log_weights)
-    # Renormalize away the last float ulps so probabilities sum to one exactly
-    # enough for inverse-CDF sampling.
-    log_probs = log_probs - math.log(float(np.exp(log_probs).sum()))
+    shifted = log_weights - log_weights.max()
+    log_probs = shifted - math.log(float(np.exp(shifted).sum()))
     return GridDensity(points=points, log_weights=log_weights, log_probs=log_probs, spacing=h,
                        rho=rho)
 

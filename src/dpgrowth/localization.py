@@ -514,9 +514,10 @@ def _run_chains(loss: LossOracle, domain: Domain, groups: list,
     child streams under a pure budget take one Laplace pass per row size,
     and ``_noise_table`` scales them into one table before any chain runs.
     Scaling a unit draw by sigma gives the same bits as drawing at scale
-    sigma, so a stream's draws are exactly those a phase-by-phase run would
-    make on it.  ``phase_trace`` collects one group's ``PhaseRecord``
-    entries, chain after chain."""
+    sigma, so a stream's draws are those a phase-by-phase run would make on
+    it (for a pure budget's child-stream block: from unit draws within one ulp).
+    ``phase_trace`` collects one group's ``PhaseRecord`` entries, chain
+    after chain."""
     d = loss.point_dim
     if phase_trace is not None and len(groups) > 1:
         raise InvalidInputError("a phase trace records one group")

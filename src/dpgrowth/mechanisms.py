@@ -143,9 +143,9 @@ def noise_rows(requests: Sequence[tuple]) -> list[np.ndarray]:
 
     The pure-budget requests on blocks of child streams
     (``RngStream.children``) of one size take one pass of the blocks' array
-    Laplace draws (``core.children_laplace``), which are bit for bit the
-    same; every other request draws stream by stream.  A request of size
-    0 seeds no stream's generator."""
+    Laplace draws (``core.children_laplace``), each within one ulp of the
+    stream's own; every other request draws stream by stream.  A request
+    of size 0 seeds no stream's generator."""
     out: list = [None] * len(requests)
     passes: dict = {}
     for i, (privacy, streams, size) in enumerate(requests):

@@ -1,10 +1,11 @@
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dpgrowth import harness
+from dpgrowth import harness, inv_sensitivity
 from dpgrowth.core import (
     Dataset,
     Domain,
@@ -16,7 +17,6 @@ from dpgrowth.core import (
 from dpgrowth.inv_sensitivity import (
     GridDensity,
     _grid_1d,
-    _logsumexp,
     _refined_norms_1d,
     _window_min,
     build_density,
@@ -177,6 +177,22 @@ def test_spacing_bound_is_relative_to_rho():
     GridDensity(points=np.zeros((1, 1)), log_weights=lp, log_probs=lp, spacing=1e-15, rho=4e-15)
 
 
+def test_density_refuses_a_mismatched_lattice_and_a_non_positive_spacing():
+    # A five-point lattice under two probabilities drew from the wrong
+    # rows, and a one-point one raised IndexError in sample.
+    lp = np.log([0.5, 0.5])
+    kwargs = dict(log_weights=lp, log_probs=lp, spacing=0.25, rho=1.0)
+    for points in (np.zeros((5, 1)), np.zeros((1, 1)), np.zeros(2), np.zeros((2, 2))):
+        with pytest.raises(InvalidInputError, match=r"lattice shape .* is not \(2, 1\)"):
+            GridDensity(**{**kwargs, "points": points})
+    with pytest.raises(InvalidInputError, match="3 log weights for 2 probabilities"):
+        GridDensity(**{**kwargs, "points": np.zeros((2, 1)), "log_weights": np.zeros(3)})
+    for spacing in (-1.0, 0.0, math.nan):
+        with pytest.raises(InvalidInputError, match="0 < h <= rho / 4"):
+            GridDensity(**{**kwargs, "points": np.zeros((2, 1)), "spacing": spacing})
+    assert len(GridDensity(**{**kwargs, "points": np.zeros((2, 1))}).probabilities) == 2
+
+
 def test_density_requires_rho_or_growth():
     inst = _atom_abs_instance()
     data = inst.draw(8, RngStream(3, 0))
@@ -284,48 +300,37 @@ def _bits(x) -> bytes:
     return np.asarray(x, dtype=np.float64).tobytes()
 
 
-def _non_finite_cases():
-    """+inf and NaN alone, twice, and mixed with finite and -inf entries."""
-    cases = []
-    for special in (np.inf, np.nan):
-        for rest in ([], [special], [-np.inf], [0.5, -3.0], [-np.inf, 2.0, 1e3], [-np.inf] * 3,
-                     [800.0, -800.0]):
-            a = np.array([special, *rest])
-            cases += [a, a[::-1].copy()]
-    return cases + [np.array([np.inf, np.nan, -np.inf, 1.0]), np.array([-np.inf, np.nan, np.inf])]
+def _audit_densities():
+    """The audit's grid rows: epsilon / multiplier over the acceptance
+    audit's budgets and halved noise, and one far sharper (1e3)."""
+    inst = harness._audit_abs_instance()
+    return [build_density(inst.loss, data, inst.domain, eps, rho=0.1)
+            for eps in (0.5, 1.0, 2.0, 4.0, 1e3) for data in harness._audit_datasets(32)]
 
 
-def test_logsumexp_equals_scipy_bit_for_bit():
-    from scipy.special import logsumexp
-
-    rng = np.random.default_rng(17)
-    cases = [np.zeros(1), np.full(3, -np.inf), np.array([-np.inf, -1.0, -np.inf])]
-    cases += _non_finite_cases()
-    for case in range(1200):
-        size = int(10.0 ** rng.uniform(0.0, math.log10(20_000)))
-        # Spreads from 1e-3 to 1e4: beyond about 745 the smallest terms underflow.
-        a = -(10.0 ** rng.uniform(-3.0, 4.0)) * rng.random(size) + rng.normal()
-        if case % 3 == 1:
-            a = np.round(a, int(rng.integers(0, 3)))
-        elif case % 3 == 2:
-            a[rng.integers(0, size, size // 4 + 1)] = a.max()
-        cases.append(a)
-    for a in cases:
-        assert _bits(_logsumexp(a)) == _bits(logsumexp(a)), a
-
-
-def test_logsumexp_lets_no_warning_escape():
-    # Finite input with terms whose exp underflows (the log weights' case),
-    # and every non-finite case.
-    finite = [np.array([0.0, -800.0, -1e4, -np.inf]), np.array([5.0, -2000.0, 5.0]),
-              -1e4 * np.random.default_rng(35).random(8001)]
+def test_build_density_lets_no_warning_escape_where_exps_underflow():
+    # Finite scores whose exps underflow to 0: the audit's epsilon = 1e3
+    # rows (the first is flat, its dataset's gradient being 0 on [-1, 1])
+    # and a sharp atom density.  NaN scores fail the build instead
+    # (test_a_nan_sample_fails_the_density_build).
+    inst = _atom_abs_instance()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for a in finite + _non_finite_cases():
-            _logsumexp(a)
-    # Only a spread past the largest float warns, as scipy's own step does.
-    with pytest.warns(RuntimeWarning, match="overflow encountered in subtract"):
-        assert _logsumexp(np.array([1e308, -1e308, 0.0])) == 1e308
+        sharp = build_density(inst.loss, Dataset(np.full((1000, 1), 0.3)), inst.domain,
+                              epsilon=1e3, rho=0.01)
+        densities = _audit_densities()[-2:] + [sharp]
+    assert [bool(np.any(d.probabilities == 0.0)) for d in densities] == [False, True, True]
+
+
+def test_a_lattice_of_a_million_points_passes_the_normalization_check():
+    # One normalizing pass keeps the sum of the probabilities within
+    # GridDensity's 1e-12 of one, on a flat density and a peaked one.
+    inst = _atom_abs_instance()
+    data = inst.draw(8, RngStream(36, 0))
+    for epsilon in (1e-9, 1.0):
+        dens = build_density(inst.loss, data, inst.domain, epsilon, rho=8e-6, h=2e-6)
+        assert len(dens.points) == 1_000_001
+        assert abs(dens.probabilities.sum() - 1.0) <= 1e-12
 
 
 def test_window_min_equals_scipy_bit_for_bit():
@@ -408,9 +413,7 @@ def test_guide_table_draws_equal_the_binary_search_bit_for_bit():
     # a one-point lattice, a point mass (the cdf reaches 1 early), leading
     # zero probabilities (it starts at 0), and a cdf that passes 1.0 before
     # its last entry is set to 1.0.
-    inst = harness._audit_abs_instance()
-    densities = [build_density(inst.loss, data, inst.domain, eps, rho=0.1)
-                 for eps in (0.5, 1.0, 2.0, 4.0, 1e3) for data in harness._audit_datasets(32)]
+    densities = _audit_densities()
     audit = densities[0].probabilities
     over = _density_of(np.concatenate([audit * (1.0 + 8e-13), [0.0, 0.0]]))
     assert _cdf(over)[-2] > 1.0
@@ -435,6 +438,45 @@ def test_guide_table_draws_equal_the_binary_search_bit_for_bit():
             u[: len(special)] = special
             u = gen.permutation(u)
             assert np.array_equal(sample(dens, _FixedUniforms(u), size), reference(u))
+
+
+def _former_log_probs(log_weights):
+    """The former two-step normalization: scipy 1.17.1's logsumexp steps
+    for a finite max, then a second exp pass that renormalizes."""
+    a_max = np.max(log_weights, axis=0, keepdims=True)
+    at_max = log_weights == a_max
+    m = np.array([np.count_nonzero(at_max)], dtype=float)
+    s = np.sum(np.exp(np.where(at_max, -np.inf, log_weights) - a_max), axis=0, keepdims=True) / m
+    log_probs = log_weights - float((np.log1p(s) + np.log(m) + a_max)[0])
+    return log_probs - math.log(float(np.exp(log_probs).sum()))
+
+
+def test_one_normalizing_pass_moves_no_draw_of_the_shipped_densities(monkeypatch, tmp_path):
+    # The audit's densities and the acceptance invsens sweep's 200: against
+    # the former normalization, no cdf value moves by more than 4 ulp of 1,
+    # and 10^5 uniforms draw the same points: a draw moves only if its
+    # uniform falls between a cdf value's old and new place.
+    built, build = [], inv_sensitivity.build_density
+
+    def recorded(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(inv_sensitivity, "build_density", recorded)
+    cfg = harness.load_config(Path(__file__).resolve().parents[1] / "configs"
+                              / "acceptance_invsens.ini")
+    harness.run_sweep(cfg, tmp_path, jobs=1)
+    monkeypatch.undo()
+    assert len(built) == 200
+    gen = np.random.default_rng(36)
+    for dens in _audit_densities() + built:
+        former = GridDensity(points=dens.points, log_weights=dens.log_weights,
+                             log_probs=_former_log_probs(dens.log_weights),
+                             spacing=dens.spacing, rho=dens.rho)
+        assert np.abs(_cdf(dens) - _cdf(former)).max() <= 4 * 2.0**-52
+        u = gen.random(10**5)
+        assert np.array_equal(sample(dens, _FixedUniforms(u), len(u)),
+                              sample(former, _FixedUniforms(u), len(u)))
 
 
 def test_two_point_sampling_frequencies():
